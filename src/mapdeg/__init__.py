@@ -16,7 +16,7 @@ from .degree import (
     DegreeResult,
     DistanceEstimate,
     degree,
-    degree_quadrature,
+    degree_simplicial,
     degree_winding,
     sup_distance,
 )
@@ -59,11 +59,9 @@ from .expr import (
 from .geometry import (
     SampleGrid,
     SpherePoint,
-    TangentFrame,
     chordal_dist,
     make_grid,
     normalize,
-    tangent_frame,
 )
 
 __version__ = "0.1.0"

@@ -11,22 +11,22 @@ degree obstruction is silent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .degree import (
-    SEGMENT_T_STEPS,
     DegreeParams,
     DegreeResult,
     DistanceEstimate,
     degree,
-    segment_min_norm,
-    sup_distance,
+    pair_distance,
+    pair_min_norm,
+    sample_pair,
 )
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
     DistanceTooLarge,
-    DomainError,
     InvalidHomotopy,
 )
 from .expr import MapExpr, render
@@ -55,14 +55,17 @@ class PowerWitness:
 
 @dataclass(frozen=True)
 class HomotopyReport:
-    """Validity data for the straight-line homotopy between two maps."""
+    """Validity data for the straight-line homotopy between two maps.
+
+    min_norm is the exact minimum over t of the sampled denominator,
+    which every node reaches at t = 1/2 (argmin_t).
+    """
 
     valid: bool
     min_norm: float
     argmin_point: tuple[float, ...]
     argmin_t: float
     resolution: int
-    t_steps: int
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,20 @@ class Refusal:
 
 
 def _int_nth_root(a: int, n: int) -> int:
-    """Integer candidate for a**(1/n), to be verified by exact powering."""
-    return int(round(a ** (1.0 / n)))
+    """floor(a ** (1/n)) for a >= 0 and n >= 2, in exact integer arithmetic.
+
+    Integer Newton iteration from 2**ceil(bits/n), which lies above the
+    root: the iterates fall strictly until they reach the floor of the
+    root, so the first one that does not fall is the answer.
+    """
+    if n == 2:
+        return math.isqrt(a)
+    x = 1 << -(-a.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def _exponent_scan_range(d: int) -> tuple[int, int]:
@@ -159,9 +174,9 @@ def is_perfect_power(d: int) -> PowerWitness | None:
     """Smallest-exponent witness that d = k^n with n >= 2, or None.
 
     Conventions: 0 = 0^2, 1 = 1^2, -1 = (-1)^3 are all perfect powers.
-    Negative d admits odd exponents only. Roots are found by rounding the
-    floating n-th root and verifying candidates with exact integer
-    arithmetic, so no witness is ever approximate.
+    Negative d admits odd exponents only. Roots are exact integer n-th
+    roots, verified by exact powering, so no witness is ever approximate
+    and no size of d overflows.
     """
     if d == 0:
         return PowerWitness(0, 2)
@@ -174,10 +189,9 @@ def is_perfect_power(d: int) -> PowerWitness | None:
     for n in range(lo, hi + 1):
         if d < 0 and n % 2 == 0:
             continue
-        r = _int_nth_root(a, n)
-        for k in (r - 1, r, r + 1):
-            if k >= 2 and k**n == a:
-                return PowerWitness(-k if d < 0 else k, n)
+        k = _int_nth_root(a, n)
+        if k >= 2 and k**n == a:
+            return PowerWitness(-k if d < 0 else k, n)
     return None
 
 
@@ -185,28 +199,21 @@ def homotopy_check(
     f0: MapExpr,
     g: MapExpr,
     resolution: int | None = None,
-    t_steps: int = SEGMENT_T_STEPS,
 ) -> HomotopyReport:
-    """Sample the normalized straight-line homotopy's denominator.
+    """Check the normalized straight-line homotopy's denominator.
 
-    Sweeps t in {0, 1/t_steps, ..., 1} over a grid and reports the
-    minimum of |(1-t) f0(x) + t g(x)|; the homotopy is valid iff that
-    minimum stays above HOMOTOPY_MIN_NORM.
+    Reports the minimum of |(1-t) f0(x) + t g(x)| over grid nodes x and
+    all t in [0, 1], taken exactly at t = 1/2; the homotopy is valid iff
+    that minimum stays above HOMOTOPY_MIN_NORM.
     """
-    if f0.dim != g.dim:
-        raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    if t_steps < 16:
-        raise DomainError(f"t_steps must be >= 16, got {t_steps}")
-    n = resolution or DegreeParams().initial_for(f0.dim)
-    ts = [i / t_steps for i in range(t_steps + 1)]
-    min_norm, point, t = segment_min_norm(f0, g, n, ts)
+    n = resolution or DegreeParams().grid_for(f0.dim)
+    min_norm, point = pair_min_norm(*sample_pair(f0, g, n))
     return HomotopyReport(
         valid=min_norm > HOMOTOPY_MIN_NORM,
         min_norm=min_norm,
         argmin_point=point,
-        argmin_t=t,
+        argmin_t=0.5,
         resolution=n,
-        t_steps=t_steps,
     )
 
 
@@ -240,19 +247,21 @@ def ball_certificate(
     Requires (i) degree(f0) is not a perfect power, (ii) the sampled sup
     distance between f0 and g is below 1 (and the rigorous bound too when
     Lipschitz constants are supplied), (iii) the straight-line homotopy
-    between them never pinches. The certificate carries f0's degree; the
+    between them never pinches. (ii) and (iii) share one evaluation of
+    both maps on one grid. The certificate carries f0's degree; the
     logic never needs degree(g). It is still computed afterwards as a
     consistency assertion and must agree.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    n = resolution or params.initial_for(f0.dim)
+    n = resolution or params.grid_for(f0.dim)
     deg0 = degree(f0, params)
     witness = is_perfect_power(deg0.value)
     if witness is not None:
         return Refusal(render(g), g.dim, deg0, witness)
 
-    dist = sup_distance(f0, g, n, lipschitz)
+    grid, F, G = sample_pair(f0, g, n)
+    dist = pair_distance(grid, F, G, lipschitz)
     if dist.sampled_max >= BALL_RADIUS:
         raise DistanceTooLarge(
             f"sampled distance {dist.sampled_max:.6f} >= {BALL_RADIUS}; "
@@ -262,11 +271,9 @@ def ball_certificate(
         raise DistanceTooLarge(
             f"rigorous distance bound {dist.rigorous:.6f} >= {BALL_RADIUS}"
         )
-    report = homotopy_check(f0, g, n)
-    if not report.valid:
-        raise InvalidHomotopy(
-            f"homotopy pinches to {report.min_norm:.3e} at t={report.argmin_t}"
-        )
+    min_norm, _ = pair_min_norm(grid, F, G)
+    if min_norm <= HOMOTOPY_MIN_NORM:
+        raise InvalidHomotopy(f"homotopy pinches to {min_norm:.3e} at t=0.5")
 
     certificate = NonIterateCertificate(
         subject=render(g),

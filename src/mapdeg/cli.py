@@ -52,7 +52,6 @@ def _homotopy_dict(rep: HomotopyReport) -> dict:
         "min_norm": rep.min_norm,
         "argmin": {"point": list(rep.argmin_point), "t": rep.argmin_t},
         "resolution": rep.resolution,
-        "t_steps": rep.t_steps,
     }
 
 
@@ -157,7 +156,7 @@ def _cmd_homotopy(args) -> int:
 
     def run() -> dict:
         f, g = parse(args.a), parse(args.b)
-        return _homotopy_dict(homotopy_check(f, g, args.resolution, args.t_steps))
+        return _homotopy_dict(homotopy_check(f, g, args.resolution))
 
     report = _report_line("homotopy", text, run)
     _emit(report, args.json)
@@ -271,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_input=False)
     p.add_argument("-a", required=True, help="first expression")
     p.add_argument("-b", required=True, help="second expression")
-    p.add_argument("--t-steps", type=int, default=16)
     p.set_defaults(func=_cmd_homotopy)
 
     p = sub.add_parser(

@@ -1,10 +1,12 @@
 """Numerical Brouwer degree and sup-distance estimation.
 
 On S1 the degree is the winding number: the summed, wrapped angle
-increments of the image curve divided by 2*pi. On S2 it is the quadrature
-of the pulled-back normalized area form, with tangential derivatives taken
-by central finite differences. Both methods refine adaptively and refuse
-to answer (ResolutionExceeded) rather than round a doubtful value.
+increments of the image curve divided by 2*pi. On S2 it is the simplicial
+degree: the summed signed solid angles of the images of a lat-long
+triangulation's triangles divided by 4*pi. Both evaluate the map once per
+sample, guard the largest image step or edge, refine until two levels
+agree, and refuse to answer (ResolutionExceeded) rather than round a
+doubtful value.
 """
 
 from __future__ import annotations
@@ -22,15 +24,12 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from .expr import Blend, MapExpr, eval_array, walk
-from .geometry import frame_rows, make_grid, normalize_rows
+from .geometry import SampleGrid, make_grid
 
 _TWO_PI = 2.0 * math.pi
 
 #: Pre-normalization norms at or below this invalidate a blend slice.
 BLEND_MIN_NORM = 1e-6
-
-#: t samples used when sweeping a straight-line segment between two maps.
-SEGMENT_T_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,8 @@ class DegreeParams:
 
     Resolutions left as None fall back to per-dimension defaults. The
     effective maximum is never below twice the starting resolution so at
-    least one two-level comparison can run.
+    least one two-level comparison can run. A given initial resolution
+    also sets the density of the distance and homotopy sample grids.
     """
 
     initial_resolution: int | None = None
@@ -47,8 +47,9 @@ class DegreeParams:
     tolerance: float = 0.1
     step_cap: float = math.pi / 2
 
-    _DEFAULT_INITIAL: ClassVar[dict[int, int]] = {1: 256, 2: 128}
+    _DEFAULT_INITIAL: ClassVar[dict[int, int]] = {1: 256, 2: 64}
     _DEFAULT_MAX: ClassVar[dict[int, int]] = {1: 16384, 2: 1024}
+    _DEFAULT_GRID: ClassVar[dict[int, int]] = {1: 256, 2: 128}
 
     def __post_init__(self):
         if self.initial_resolution is not None and self.initial_resolution < 8:
@@ -65,6 +66,10 @@ class DegreeParams:
         configured = self.max_resolution or self._DEFAULT_MAX[dim]
         return max(configured, 2 * self.initial_for(dim))
 
+    def grid_for(self, dim: int) -> int:
+        """Resolution of the grids that sample distances and homotopies."""
+        return self.initial_resolution or self._DEFAULT_GRID[dim]
+
 
 @dataclass(frozen=True)
 class DegreeResult:
@@ -76,7 +81,7 @@ class DegreeResult:
 
     value: int
     residual: float
-    method: str  # "winding" | "quadrature" | "symbolic"
+    method: str  # "winding" | "simplicial" | "symbolic"
     resolution: int
 
 
@@ -99,18 +104,46 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so when the AST yields a
-    Lipschitz bound we refuse to start below it.
+    Lipschitz bound we refuse to start below it. A start too large for
+    the cap, or an infinite bound, is refused before any sampling.
     """
-    n = params.initial_for(dim)
+    need = params.initial_for(dim)
     bound = e.lipschitz_bound()
     if bound is not None:
-        factor = _TWO_PI if dim == 1 else math.pi
-        n = max(n, int(math.ceil(factor * bound)))
-    if 2 * n > params.max_for(dim):
+        need = max(need, (_TWO_PI if dim == 1 else math.pi) * bound)
+    if not 2 * need <= params.max_for(dim):
         raise ResolutionExceeded(
-            f"map needs resolution {n}, beyond the cap {params.max_for(dim)}"
+            f"map needs resolution {need:.6g}, beyond the cap {params.max_for(dim)}"
         )
-    return n
+    return math.ceil(need)
+
+
+def _refine(e: MapExpr, params: DegreeParams, raw_pass, method: str) -> DegreeResult:
+    """Double the resolution until two consecutive raw passes agree.
+
+    raw_pass(e, n) returns (raw degree, largest image step or edge angle).
+    A level is accepted when both passes keep that guard within the step
+    cap, their raw values agree within the tolerance and the finer one
+    sits within the tolerance of an integer.
+    """
+    n = _start_resolution(e, params, e.dim)
+    n_max = params.max_for(e.dim)
+    raw_c, step_c = raw_pass(e, n)
+    while 2 * n <= n_max:
+        raw_f, step_f = raw_pass(e, 2 * n)
+        value = int(round(raw_f))
+        residual = abs(raw_f - value)
+        if (
+            step_c <= params.step_cap
+            and step_f <= params.step_cap
+            and abs(raw_c - raw_f) <= params.tolerance
+            and residual < params.tolerance
+        ):
+            return DegreeResult(value, residual, method, 2 * n)
+        n, raw_c, step_c = 2 * n, raw_f, step_f
+    raise ResolutionExceeded(
+        f"{method} did not stabilize by resolution {n_max} for {e.render()}"
+    )
 
 
 def winding_raw(e: MapExpr, resolution: int, offset: float = 0.0) -> tuple[float, float]:
@@ -132,118 +165,132 @@ def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeR
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
-    n = _start_resolution(e, params, 1)
-    n_max = params.max_for(1)
-    raw_c, step_c = winding_raw(e, n)
-    while 2 * n <= n_max:
-        raw_f, step_f = winding_raw(e, 2 * n)
-        value = int(round(raw_f))
-        residual = abs(raw_f - value)
-        if (
-            step_c <= params.step_cap
-            and step_f <= params.step_cap
-            and abs(raw_c - raw_f) <= params.tolerance
-            and residual < params.tolerance
-        ):
-            return DegreeResult(value, residual, "winding", 2 * n)
-        n, raw_c, step_c = 2 * n, raw_f, step_f
-    raise ResolutionExceeded(
-        f"winding did not stabilize by resolution {n_max} for {e.render()}"
+    return _refine(e, params, winding_raw, "winding")
+
+
+def _mesh_vertices(resolution: int) -> np.ndarray:
+    """Vertices of the lat-long triangulation of S2 with `resolution` bands.
+
+    Rows: the north pole, then the resolution - 1 interior latitude rings
+    of 2 * resolution points each, north to south, then the south pole.
+    """
+    theta = math.pi * np.arange(1, resolution) / resolution
+    phi = math.pi * np.arange(2 * resolution) / resolution
+    sin_t = np.sin(theta)[:, None]
+    rings = np.stack(
+        np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)[:, None]),
+        axis=-1,
+    )
+    return np.vstack([(0.0, 0.0, 1.0), rings.reshape(-1, 3), (0.0, 0.0, -1.0)])
+
+
+def simplicial_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
+    """One non-adaptive simplicial pass: (raw degree, largest image-edge angle).
+
+    Evaluates e once per mesh vertex. Each pole is repeated around its
+    ring, so every band between consecutive rings splits each cell
+    (a, b, b', a') -- a above b, primes one step east -- into the
+    positively oriented triangles (a, b, b') and (a, b', a'); at the
+    poles one of the two is degenerate and adds nothing. The signed
+    solid angle of an image triangle of unit vectors (p, q, r) is the
+    Van Oosterom-Strackee 2 * atan2(p.(q x r), 1 + p.q + q.r + r.p).
+    Summation order is fixed, so reruns are bit-identical.
+    """
+    n, m = resolution, 2 * resolution
+    Y = eval_array(e, _mesh_vertices(n)).T
+    top, bottom = (np.broadcast_to(Y[:, i, None, None], (3, 1, m)) for i in (0, -1))
+    R = np.concatenate([top, Y[:, 1:-1].reshape(3, n - 1, m), bottom], axis=1)
+    R1 = np.roll(R, -1, axis=2)
+    a, b, a1, b1 = R[:, :-1], R[:, 1:], R1[:, :-1], R1[:, 1:]
+    east = np.einsum("kij,kij->ij", R, R1)  # along each ring
+    south = np.einsum("kij,kij->ij", a, b)  # between rings
+    diagonal = np.einsum("kij,kij->ij", a, b1)
+    half = np.arctan2(_triple(a, b, b1), 1.0 + south + east[1:] + diagonal)
+    south1 = np.roll(south, -1, axis=1)  # a' . b'
+    half += np.arctan2(_triple(a, b1, a1), 1.0 + diagonal + south1 + east[:-1])
+    lowest = min(east.min(), south.min(), diagonal.min())
+    # the solid angles are 2 * half; their sum over 4*pi is the degree
+    return float(half.sum()) / _TWO_PI, math.acos(max(-1.0, min(1.0, float(lowest))))
+
+
+def _triple(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """p . (q x r) for component-first (3, ...) arrays."""
+    return (
+        p[0] * (q[1] * r[2] - q[2] * r[1])
+        + p[1] * (q[2] * r[0] - q[0] * r[2])
+        + p[2] * (q[0] * r[1] - q[1] * r[0])
     )
 
 
-def quadrature_raw(e: MapExpr, resolution: int) -> float:
-    """One non-adaptive quadrature pass over a lat-long grid.
+def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
+    """Simplicial solid-angle degree of an S2 expression.
 
-    Integrates f . (d1 f x d2 f) over the grid, where d1/d2 are central
-    finite differences along the node's tangent frame, and divides by the
-    sphere area. Accumulation order is fixed, so reruns are bit-identical.
-    """
-    grid = make_grid(2, resolution)
-    X = grid.nodes
-    e1, e2 = frame_rows(X)
-    h = min(1e-4, grid.mesh / 8.0)
-    f = eval_array(e, X)
-    d1 = (
-        eval_array(e, normalize_rows(X + h * e1))
-        - eval_array(e, normalize_rows(X - h * e1))
-    ) / (2.0 * h)
-    d2 = (
-        eval_array(e, normalize_rows(X + h * e2))
-        - eval_array(e, normalize_rows(X - h * e2))
-    ) / (2.0 * h)
-    integrand = np.einsum("ij,ij->i", f, np.cross(d1, d2))
-    return float(grid.weights @ integrand) / (4.0 * math.pi)
-
-
-def degree_quadrature(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
-    """Area-form quadrature degree of an S2 expression.
-
-    The resolution counts latitude bands; the grid carries twice as many
-    longitudes. Doubles until two consecutive levels agree within the
-    tolerance and the finer raw value sits near an integer.
+    The resolution counts latitude bands; each ring carries twice as many
+    longitudes. Doubles until consecutive levels agree within the
+    tolerance and no image edge spans more than the step cap.
     """
     if e.dim != 2:
-        raise DimensionMismatch(f"quadrature is for S2 maps, got S{e.dim}")
-    n = _start_resolution(e, params, 2)
-    n_max = params.max_for(2)
-    raw_c = quadrature_raw(e, n)
-    while 2 * n <= n_max:
-        raw_f = quadrature_raw(e, 2 * n)
-        value = int(round(raw_f))
-        residual = abs(raw_f - value)
-        if abs(raw_c - raw_f) <= params.tolerance and residual < params.tolerance:
-            return DegreeResult(value, residual, "quadrature", 2 * n)
-        n, raw_c = 2 * n, raw_f
-    raise ResolutionExceeded(
-        f"quadrature did not stabilize by {n_max} bands for {e.render()}"
-    )
+        raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")
+    return _refine(e, params, simplicial_raw, "simplicial")
 
 
-def segment_min_norm(
-    f: MapExpr,
-    g: MapExpr,
-    resolution: int,
-    t_values,
-) -> tuple[float, tuple[float, ...], float]:
-    """Minimum of |(1-t) f(x) + t g(x)| over grid nodes x and given t.
-
-    Returns (min_norm, argmin point coordinates, argmin t). This is the
-    denominator of the straight-line homotopy between f and g; a value
-    near zero means the homotopy (or a blend slice) is invalid.
-    """
+def sample_pair(
+    f: MapExpr, g: MapExpr, resolution: int
+) -> tuple[SampleGrid, np.ndarray, np.ndarray]:
+    """Evaluate two maps of the same sphere once on one sample grid."""
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
     grid = make_grid(f.dim, resolution)
-    F = eval_array(f, grid.nodes)
-    G = eval_array(g, grid.nodes)
-    best = math.inf
-    best_idx, best_t = 0, 0.0
-    for t in t_values:
-        norms = np.linalg.norm((1.0 - t) * F + t * G, axis=1)
-        i = int(np.argmin(norms))
-        if norms[i] < best:
-            best, best_idx, best_t = float(norms[i]), i, float(t)
-    point = tuple(float(c) for c in grid.nodes[best_idx])
-    return best, point, best_t
+    return grid, eval_array(f, grid.nodes), eval_array(g, grid.nodes)
+
+
+def pair_distance(
+    grid: SampleGrid,
+    F: np.ndarray,
+    G: np.ndarray,
+    lipschitz: tuple[float, float] | None = None,
+) -> DistanceEstimate:
+    """Sup distance between two maps sampled on `grid` (see sup_distance)."""
+    sampled = min(2.0, float(np.linalg.norm(F - G, axis=1).max()))
+    rigorous = None
+    if lipschitz is not None:
+        lf, lg = lipschitz
+        rigorous = sampled + (lf + lg) * grid.mesh
+    return DistanceEstimate(sampled, grid.resolution, rigorous)
+
+
+def pair_min_norm(
+    grid: SampleGrid, F: np.ndarray, G: np.ndarray
+) -> tuple[float, tuple[float, ...]]:
+    """Minimum of |(1-t) F(x) + t G(x)| over nodes x and all t in [0, 1].
+
+    For unit vectors the squared norm is 1 - 2t(1-t)(1 - F.G), smallest
+    at t = 1/2, where the norm is |F + G| / 2: one pass gives the exact
+    minimum over the whole segment. Returns (min_norm, argmin node).
+    This is the denominator of the straight-line homotopy between the
+    maps; a value near zero means the homotopy (or a blend) is invalid.
+    """
+    norms = np.linalg.norm(F + G, axis=1) / 2.0
+    i = int(np.argmin(norms))
+    return float(norms[i]), tuple(float(c) for c in grid.nodes[i])
 
 
 def check_blend_validity(e: MapExpr, params: DegreeParams) -> None:
     """Reject expressions whose blend denominators approach zero.
 
-    Every blend node is swept over its children's grid at the canonical
-    t samples {0, 1/16, ..., 1} plus the node's own t. Conservative by
-    design: a pinch anywhere on the segment is treated as inconclusive.
+    Every blend node's children are sampled on one grid and the segment
+    between them is checked at its exact minimum over t, not only at the
+    node's own t. Conservative by design: a pinch anywhere on the segment
+    is treated as inconclusive.
     """
     for node in walk(e):
         if not isinstance(node, Blend):
             continue
-        ts = sorted({i / SEGMENT_T_STEPS for i in range(SEGMENT_T_STEPS + 1)} | {node.t})
-        n = params.initial_for(node.f.dim)
-        min_norm, point, t = segment_min_norm(node.f, node.g, n, ts)
+        n = params.grid_for(node.f.dim)
+        min_norm, point = pair_min_norm(*sample_pair(node.f, node.g, n))
         if min_norm <= BLEND_MIN_NORM:
             raise InvalidBlend(
-                f"blend denominator {min_norm:.3e} at t={t} near {point} in {node.render()}"
+                f"blend denominator {min_norm:.3e} at t=0.5 near {point} in {node.render()}"
             )
 
 
@@ -256,7 +303,7 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     it does not (a blend is present), the blend denominators are checked
     and the numeric result is returned as-is.
     """
-    numeric = degree_winding if e.dim == 1 else degree_quadrature
+    numeric = degree_winding if e.dim == 1 else degree_simplicial
     sd = e.symbolic_degree()
     if sd is None:
         check_blend_validity(e, params)
@@ -282,15 +329,5 @@ def sup_distance(
     Lipschitz constants (L_f, L_g) adds a rigorous upper bound
     sampled_max + (L_f + L_g) * mesh.
     """
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
-    n = resolution or DegreeParams().initial_for(f.dim)
-    grid = make_grid(f.dim, n)
-    F = eval_array(f, grid.nodes)
-    G = eval_array(g, grid.nodes)
-    sampled = min(2.0, float(np.linalg.norm(F - G, axis=1).max()))
-    rigorous = None
-    if lipschitz is not None:
-        lf, lg = lipschitz
-        rigorous = sampled + (lf + lg) * grid.mesh
-    return DistanceEstimate(sampled, n, rigorous)
+    n = resolution or DegreeParams().grid_for(f.dim)
+    return pair_distance(*sample_pair(f, g, n), lipschitz)

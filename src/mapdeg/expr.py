@@ -326,7 +326,12 @@ class Iterate(MapExpr):
 
     def lipschitz_bound(self):
         b = self.inner.lipschitz_bound()
-        return None if b is None else b**self.n
+        if b is None:
+            return None
+        try:
+            return b**self.n
+        except OverflowError:  # saturate: the degree methods refuse inf
+            return math.inf
 
     def render(self):
         return f"(iterate {self.n} {self.inner.render()})"

@@ -1,7 +1,7 @@
 """Geometry of the unit circle S1 in R2 and the unit sphere S2 in R3.
 
-Points, normalization, tangent frames, and quadrature sample grids. All
-types are immutable values and all operations are pure functions.
+Points, normalization, and sample grids. All types are immutable values
+and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -46,38 +46,23 @@ class SpherePoint:
         return np.asarray(self.coords, dtype=float)
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal tangent basis (e1, e2) at a point of S2.
-
-    The convention makes (e1, e2, base) right-handed: e1 x e2 = base.
-    """
-
-    base: SpherePoint
-    e1: tuple[float, float, float]
-    e2: tuple[float, float, float]
-
-
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
-    """Quadrature nodes and weights covering S1 or S2.
+    """Sample nodes covering S1 or S2.
 
-    nodes is an (n, dim+1) array of unit rows; weights is the matching
-    (n,) array summing to the circumference (2*pi) or area (4*pi).
-    mesh is a safe upper bound on the chordal spacing between adjacent
-    nodes, used for Lipschitz-based distance bounds.
+    nodes is an (n, dim+1) array of unit rows built at `resolution`
+    angular subdivisions. mesh is a safe upper bound on the chordal
+    spacing between adjacent nodes, used for Lipschitz-based distance
+    bounds.
     """
 
     dim: int
+    resolution: int
     nodes: np.ndarray
-    weights: np.ndarray
     mesh: float
 
     def __len__(self) -> int:
-        return len(self.weights)
-
-    def point(self, i: int) -> SpherePoint:
-        return SpherePoint(tuple(float(c) for c in self.nodes[i]))
+        return len(self.nodes)
 
 
 def normalize(v) -> SpherePoint:
@@ -112,12 +97,11 @@ def chordal_dist(p: SpherePoint, q: SpherePoint) -> float:
 
 
 def make_grid(dim: int, resolution: int) -> SampleGrid:
-    """Build a quadrature grid with `resolution` angular subdivisions.
+    """Build a sample grid with `resolution` angular subdivisions.
 
-    dim=1: `resolution` equally spaced angles, each with weight
-    2*pi/resolution. dim=2: `resolution` latitude bands crossed with
-    2*resolution longitudes, nodes at cell centers; each weight is the
-    exact spherical area of its cell, so the weights always sum to 4*pi.
+    dim=1: `resolution` equally spaced angles. dim=2: `resolution`
+    latitude bands crossed with 2*resolution longitudes, nodes at cell
+    centers.
     """
     if dim not in (1, 2):
         raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
@@ -126,13 +110,11 @@ def make_grid(dim: int, resolution: int) -> SampleGrid:
     if dim == 1:
         phis = 2.0 * math.pi * np.arange(resolution) / resolution
         nodes = np.column_stack([np.cos(phis), np.sin(phis)])
-        weights = np.full(resolution, 2.0 * math.pi / resolution)
         mesh = 2.0 * math.sin(math.pi / resolution)
-        return SampleGrid(1, nodes, weights, mesh)
+        return SampleGrid(1, resolution, nodes, mesh)
 
     edges = np.linspace(0.0, math.pi, resolution + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    band_area = np.cos(edges[:-1]) - np.cos(edges[1:])  # per radian of longitude
     nlon = 2 * resolution
     dphi = 2.0 * math.pi / nlon
     phis = (np.arange(nlon) + 0.5) * dphi
@@ -141,35 +123,6 @@ def make_grid(dim: int, resolution: int) -> SampleGrid:
     y = np.outer(sin_t, np.sin(phis)).ravel()
     z = np.repeat(cos_t, nlon)
     nodes = np.column_stack([x, y, z])
-    weights = np.repeat(band_area * dphi, nlon)
     mesh = math.hypot(math.pi / resolution, math.pi / resolution)
-    return SampleGrid(2, nodes, weights, mesh)
+    return SampleGrid(2, resolution, nodes, mesh)
 
-
-def frame_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent frames for every row of an (n, 3) array of unit vectors.
-
-    e1 = normalize(a x p) with a = z-axis, falling back to the x-axis
-    near the poles; e2 = p x e1. The fallback keeps the cross product
-    bounded away from zero for every p.
-    """
-    a = np.zeros_like(X)
-    near_pole = np.abs(X[:, 2]) >= 0.9
-    a[~near_pole, 2] = 1.0
-    a[near_pole, 0] = 1.0
-    e1 = np.cross(a, X)
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(X, e1)
-    return e1, e2
-
-
-def tangent_frame(p: SpherePoint) -> TangentFrame:
-    """Deterministic orthonormal frame at a point of S2."""
-    if p.dim != 2:
-        raise DimensionMismatch(f"tangent frames exist on S2 only, got S{p.dim}")
-    e1, e2 = frame_rows(p.array()[None, :])
-    return TangentFrame(
-        base=p,
-        e1=tuple(float(c) for c in e1[0]),
-        e2=tuple(float(c) for c in e2[0]),
-    )

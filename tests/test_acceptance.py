@@ -24,7 +24,7 @@ from mapdeg import (
     Rot,
     Susp,
     degree,
-    degree_quadrature,
+    degree_simplicial,
     degree_winding,
     eval_array,
     homotopy_check,
@@ -138,7 +138,7 @@ def test_criterion_2_symbolic_numeric_corpus():
         if e.dim == 1:
             res = degree_winding(e, params_s1)
         else:
-            res = degree_quadrature(e, params_s2)
+            res = degree_simplicial(e, params_s2)
             if res.residual >= 0.1 or res.resolution > 512:
                 failures.append((text, "residual/resolution", res))
                 continue

@@ -1,20 +1,30 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapdeg import (
+    Antipode,
+    Compose,
     DimensionMismatch,
     DistanceTooLarge,
-    DomainError,
+    Id,
     NonIterateCertificate,
+    Perturb,
+    Pow,
     PowerWitness,
     Refusal,
+    Rot,
+    Rot3,
+    Susp,
     ball_certificate,
     certify_not_iterate,
     degree,
-    degree_quadrature,
+    degree_simplicial,
+    eval_array,
     homotopy_check,
     is_perfect_power,
+    make_grid,
     parse,
 )
 
@@ -64,6 +74,17 @@ class TestIsPerfectPower:
             bound = round(abs(d) ** (1.0 / n)) + 1
             assert all(k**n != d for k in range(-bound - 1, bound + 2))
 
+    def test_roots_of_huge_powers_are_exact(self):
+        # a float n-th root of these is off by thousands
+        k = 10**20 + 12345
+        assert is_perfect_power(k**2) == PowerWitness(k, 2)
+        assert is_perfect_power(-(k**3)) == PowerWitness(-k, 3)
+        assert is_perfect_power(k**2 + 1) is None
+
+    def test_no_overflow_beyond_the_float_range(self):
+        assert is_perfect_power(10**400) == PowerWitness(10**200, 2)
+        assert is_perfect_power(-(10**401)) == PowerWitness(-10, 401)
+
     def test_witness_rejects_small_exponents(self):
         with pytest.raises(ValueError):
             PowerWitness(3, 1)
@@ -87,9 +108,38 @@ class TestHomotopyCheck:
         assert rep.valid
         assert rep.min_norm > 0.25
 
-    def test_rejects_coarse_t_sweeps(self):
-        with pytest.raises(DomainError):
-            homotopy_check(parse("(pow 2)"), parse("(pow 2)"), t_steps=8)
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(
+                st.sampled_from([Pow(2), Pow(-3), Id(1), Antipode(1)]),
+                st.sampled_from([Pow(2), Rot(2.0), Antipode(1)]),
+                st.just(1),
+            ),
+            st.tuples(
+                st.sampled_from([Susp(Pow(2)), Id(2), Antipode(2)]),
+                st.sampled_from([Rot3((1.0, 2.0, 0.5), 2.5), Susp(Pow(-1)), Id(2)]),
+                st.just(2),
+            ),
+        ),
+        st.integers(0, 2**64 - 1),
+        st.floats(0.0, 0.9),
+    )
+    def test_min_norm_is_the_exact_minimum_over_t(self, pair, seed, eps):
+        f, inner, dim = pair
+        g = Perturb(seed, eps, Compose(inner, f))
+        n = 64 if dim == 1 else 16
+        rep = homotopy_check(f, g, n)
+        X = make_grid(dim, n).nodes
+        F, G = eval_array(f, X), eval_array(g, X)
+        assert rep.min_norm == float((np.linalg.norm(F + G, axis=1) / 2.0).min())
+        swept = min(
+            float(np.linalg.norm((1.0 - i / 16) * F + (i / 16) * G, axis=1).min())
+            for i in range(17)
+        )
+        # exact for unit vectors; the maps' outputs are unit up to rounding
+        assert rep.min_norm <= swept + 4 * np.finfo(float).eps
+        assert rep.valid == (rep.min_norm > 1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -115,7 +165,7 @@ class TestCertifyNotIterate:
 
     def test_suspended_fifth_power(self):
         e = parse("(susp (pow 5))")
-        assert degree_quadrature(e).value == 5  # numeric route agrees
+        assert degree_simplicial(e).value == 5  # numeric route agrees
         cert = certify_not_iterate(e)
         assert isinstance(cert, NonIterateCertificate)
         assert cert.degree.value == 5

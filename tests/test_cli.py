@@ -77,6 +77,15 @@ class TestCertifyCommand:
         assert payload["dim"] == 2
 
 
+    def test_overflowing_bound_does_not_kill_the_batch(self, capsys, tmp_path):
+        f = tmp_path / "maps.txt"
+        f.write_text("(iterate 2000 (pow 2))\n(pow 3)\n")
+        code, lines, _ = run_cli(capsys, "certify", "-f", str(f))
+        assert code == 1
+        assert [r["outcome"] for r in lines] == ["ResolutionExceeded", "ok"]
+        assert lines[1]["payload"]["degree"]["value"] == 3
+
+
 class TestDistanceCommand:
     def test_zero_distance(self, capsys):
         code, lines, _ = run_cli(capsys, "distance", "-a", "(pow 2)", "-b", "(pow 2)")
@@ -125,8 +134,11 @@ class TestHomotopyCommand:
             capsys, "homotopy", "-a", "(pow 2)", "-b", "(perturb 3 0.5 (pow 2))"
         )
         assert code == 0
-        assert lines[0]["payload"]["valid"] is True
-        assert lines[0]["payload"]["min_norm"] > 0.25
+        payload = lines[0]["payload"]
+        assert payload["valid"] is True
+        assert payload["min_norm"] > 0.25
+        assert set(payload) == {"valid", "min_norm", "argmin", "resolution"}
+        assert payload["argmin"]["t"] == 0.5
 
     def test_pinched_homotopy(self, capsys):
         code, lines, _ = run_cli(capsys, "homotopy", "-a", "(id 1)", "-b", "(antipode 1)")

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapdeg import (
+    Antipode,
     Compose,
     Conj,
     DegreeParams,
@@ -14,15 +17,16 @@ from mapdeg import (
     Pow,
     ResolutionExceeded,
     Rot,
+    Rot3,
     Susp,
     degree,
-    degree_quadrature,
+    degree_simplicial,
     degree_winding,
     parse,
     sup_distance,
     symbolic_degree,
 )
-from mapdeg.degree import quadrature_raw, winding_raw
+from mapdeg.degree import simplicial_raw, winding_raw
 
 from test_expr import winding_oracle
 
@@ -64,25 +68,75 @@ class TestWinding:
 
 
 class TestQuadrature:
+    """The S2 degree as the integral of the pulled-back area form over 4*pi.
+
+    degree_simplicial evaluates that integral exactly over the image
+    triangles of the mesh, as a sum of their signed solid angles.
+    """
+
     def test_identity(self):
-        res = degree_quadrature(parse("(id 2)"))
+        res = degree_simplicial(parse("(id 2)"))
         assert res.value == 1
         assert res.residual < 0.05
+        assert res.method == "simplicial"
 
     def test_antipode_reverses_orientation(self):
-        assert degree_quadrature(parse("(antipode 2)")).value == -1
+        assert degree_simplicial(parse("(antipode 2)")).value == -1
 
     def test_suspended_squaring_has_degree_two(self):
         # the base map every ball certificate in the experiment relies on
-        res = degree_quadrature(parse("(susp (pow 2))"))
+        res = degree_simplicial(parse("(susp (pow 2))"))
         assert res.value == 2
 
     def test_suspension_preserves_higher_degrees(self):
-        assert degree_quadrature(parse("(susp (pow -3))")).value == -3
+        assert degree_simplicial(parse("(susp (pow -3))")).value == -3
 
     def test_rejects_circle_maps(self):
         with pytest.raises(DimensionMismatch):
-            degree_quadrature(Pow(2))
+            degree_simplicial(Pow(2))
+
+
+class TestSimplicial:
+    def test_default_levels_are_64_and_128_bands(self):
+        assert degree_simplicial(parse("(susp (pow 2))")).resolution == 128
+
+    def test_edge_guard_refuses_a_level_the_raw_values_accept(self):
+        # 8 bands carry 16 longitudes, so (susp (pow 5)) turns an equator
+        # edge by 5 * pi / 8 > pi / 2 while both levels still read 5. A
+        # blend has no structural wrap bound: only the guard can refuse.
+        e = parse("(blend 0.0 (susp (pow 5)) (susp (pow 5)))")
+        raw, edge = simplicial_raw(e, 8)
+        assert round(raw) == 5
+        assert edge > math.pi / 2
+        with pytest.raises(ResolutionExceeded):
+            degree_simplicial(e, DegreeParams(initial_resolution=8, max_resolution=16))
+        res = degree_simplicial(e, DegreeParams(initial_resolution=8, max_resolution=32))
+        assert (res.value, res.resolution) == (5, 32)
+
+    @settings(deadline=None)
+    @given(
+        st.recursive(
+            st.one_of(
+                st.integers(-3, 3).map(lambda k: Susp(Pow(k))),
+                st.just(Antipode(2)),
+                st.builds(
+                    Rot3,
+                    st.tuples(st.just(0.3), st.floats(-1, 1), st.just(1.0)),
+                    st.floats(-math.pi, math.pi),
+                ),
+            ),
+            lambda inner: st.one_of(
+                st.tuples(inner, inner).map(lambda fg: Compose(*fg)),
+                st.tuples(st.integers(0, 2), inner).map(lambda ne: Iterate(*ne)),
+                st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 0.6), inner).map(
+                    lambda sei: Perturb(*sei)
+                ),
+            ),
+            max_leaves=3,
+        ).filter(lambda e: e.lipschitz_bound() <= 40.0)
+    )
+    def test_equals_the_structural_degree_on_random_trees(self, e):
+        assert degree_simplicial(e).value == symbolic_degree(e)
 
 
 class TestDegreeDispatch:
@@ -148,8 +202,8 @@ class TestDegreeDispatch:
         assert round(raw) == res.value
 
     def test_quadrature_accepts_stably(self):
-        res = degree_quadrature(Susp(Pow(3)))
-        raw = quadrature_raw(Susp(Pow(3)), 2 * res.resolution)
+        res = degree_simplicial(Susp(Pow(3)))
+        raw, _ = simplicial_raw(Susp(Pow(3)), 2 * res.resolution)
         assert round(raw) == res.value
 
 

@@ -265,12 +265,12 @@ class TestSymbolicDegree:
         assert winding_oracle(e) == 8
 
     def test_perturb_preserves_degree_on_the_sphere(self):
-        # quadrature is the independent numeric route for S2
-        from mapdeg import degree_quadrature
+        # the simplicial degree is the independent numeric route for S2
+        from mapdeg import degree_simplicial
 
         e = parse("(perturb 7 0.5 (susp (pow 2)))")
         assert symbolic_degree(e) == 2
-        assert degree_quadrature(e).value == 2
+        assert degree_simplicial(e).value == 2
 
     @given(
         st.recursive(
