@@ -48,20 +48,9 @@ from .expr import (
     Rot,
     Rot3,
     Susp,
-    dimension,
     eval_array,
-    evaluate,
     parse,
-    perturbation_field,
-    render,
-    symbolic_degree,
 )
-from .geometry import (
-    SampleGrid,
-    SpherePoint,
-    chordal_dist,
-    make_grid,
-    normalize,
-)
+from .geometry import SampleGrid, make_grid
 
 __version__ = "0.1.0"

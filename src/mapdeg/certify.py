@@ -29,7 +29,7 @@ from .errors import (
     DistanceTooLarge,
     InvalidHomotopy,
 )
-from .expr import MapExpr, render
+from .expr import MapExpr
 
 #: Homotopy denominators at or below this are treated as pinched.
 HOMOTOPY_MIN_NORM = 1e-6
@@ -49,9 +49,6 @@ class PowerWitness:
         if self.exp < 2:
             raise ValueError(f"witness exponent must be >= 2, got {self.exp}")
 
-    def value(self) -> int:
-        return self.base**self.exp
-
 
 @dataclass(frozen=True)
 class HomotopyReport:
@@ -66,6 +63,14 @@ class HomotopyReport:
     argmin_point: tuple[float, ...]
     argmin_t: float
     resolution: int
+
+    def to_json_dict(self) -> dict:
+        return {
+            "valid": self.valid,
+            "min_norm": self.min_norm,
+            "argmin": {"point": list(self.argmin_point), "t": self.argmin_t},
+            "resolution": self.resolution,
+        }
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,7 @@ class NonIterateCertificate:
         out = {
             "subject": self.subject,
             "dim": self.dim,
-            "degree": {
-                "value": self.degree.value,
-                "method": self.degree.method,
-                "residual": self.degree.residual,
-                "resolution": self.degree.resolution,
-            },
+            "degree": self.degree.to_json_dict(),
             "power_check": {"checked_exponents": list(self.checked_exponents)},
             "ball": None,
         }
@@ -133,12 +133,7 @@ class Refusal:
         return {
             "subject": self.subject,
             "dim": self.dim,
-            "degree": {
-                "value": self.degree.value,
-                "method": self.degree.method,
-                "residual": self.degree.residual,
-                "resolution": self.degree.resolution,
-            },
+            "degree": self.degree.to_json_dict(),
             "witness": {"base": self.witness.base, "exp": self.witness.exp},
         }
 
@@ -227,7 +222,7 @@ def certify_not_iterate(
     """
     deg = degree(e, params)
     witness = is_perfect_power(deg.value)
-    subject = render(e)
+    subject = e.render()
     if witness is not None:
         return Refusal(subject, e.dim, deg, witness)
     return NonIterateCertificate(
@@ -258,7 +253,7 @@ def ball_certificate(
     deg0 = degree(f0, params)
     witness = is_perfect_power(deg0.value)
     if witness is not None:
-        return Refusal(render(g), g.dim, deg0, witness)
+        return Refusal(g.render(), g.dim, deg0, witness)
 
     grid, F, G = sample_pair(f0, g, n)
     dist = pair_distance(grid, F, G, lipschitz)
@@ -276,11 +271,11 @@ def ball_certificate(
         raise InvalidHomotopy(f"homotopy pinches to {min_norm:.3e} at t=0.5")
 
     certificate = NonIterateCertificate(
-        subject=render(g),
+        subject=g.render(),
         dim=g.dim,
         degree=deg0,
         checked_exponents=_exponent_scan_range(deg0.value),
-        ball=BallProvenance(render(f0), dist),
+        ball=BallProvenance(f0.render(), dist),
     )
     deg_g = degree(g, params)
     if deg_g.value != deg0.value:

@@ -16,43 +16,10 @@ import time
 
 import numpy as np
 
-from .certify import (
-    HomotopyReport,
-    NonIterateCertificate,
-    Refusal,
-    ball_certificate,
-    certify_not_iterate,
-    homotopy_check,
-)
-from .degree import DegreeParams, DegreeResult, DistanceEstimate, degree, sup_distance
+from .certify import ball_certificate, certify_not_iterate, homotopy_check
+from .degree import DegreeParams, degree, sup_distance
 from .errors import MapdegError
-from .expr import Perturb, Pow, Susp, parse, render
-
-
-def _degree_dict(res: DegreeResult) -> dict:
-    return {
-        "value": res.value,
-        "method": res.method,
-        "residual": res.residual,
-        "resolution": res.resolution,
-    }
-
-
-def _distance_dict(est: DistanceEstimate) -> dict:
-    return {
-        "sampled_max": est.sampled_max,
-        "resolution": est.resolution,
-        "rigorous": est.rigorous,
-    }
-
-
-def _homotopy_dict(rep: HomotopyReport) -> dict:
-    return {
-        "valid": rep.valid,
-        "min_norm": rep.min_norm,
-        "argmin": {"point": list(rep.argmin_point), "t": rep.argmin_t},
-        "resolution": rep.resolution,
-    }
+from .expr import Perturb, Pow, Susp, parse
 
 
 def _params_from(args) -> DegreeParams:
@@ -113,11 +80,24 @@ def _run_per_line(args, command: str, runner) -> int:
     return 1 if failures else 0
 
 
+def _run_pair(args, command: str, compute) -> int:
+    """One report line for the maps -a and -b; compute(f, g) is the result."""
+
+    def run() -> dict:
+        return compute(parse(args.a), parse(args.b)).to_json_dict()
+
+    report = _report_line(command, f"{args.a} | {args.b}", run)
+    _emit(report, args.json)
+    ok = report["outcome"] == "ok"
+    print(f"{command}: {'ok' if ok else report['outcome']}", file=sys.stderr)
+    return 0 if ok else 1
+
+
 def _cmd_degree(args) -> int:
     params = _params_from(args)
 
     def run(text: str) -> dict:
-        return _degree_dict(degree(parse(text), params))
+        return degree(parse(text), params).to_json_dict()
 
     return _run_per_line(args, "degree", run)
 
@@ -138,31 +118,15 @@ def _cmd_distance(args) -> int:
             print("distance: both --lipschitz-a and --lipschitz-b are needed", file=sys.stderr)
             return 2
         lipschitz = (args.lipschitz_a, args.lipschitz_b)
-    text = f"{args.a} | {args.b}"
-
-    def run() -> dict:
-        f, g = parse(args.a), parse(args.b)
-        return _distance_dict(sup_distance(f, g, args.resolution, lipschitz))
-
-    report = _report_line("distance", text, run)
-    _emit(report, args.json)
-    ok = report["outcome"] == "ok"
-    print(f"distance: {'ok' if ok else report['outcome']}", file=sys.stderr)
-    return 0 if ok else 1
+    return _run_pair(
+        args, "distance", lambda f, g: sup_distance(f, g, args.resolution, lipschitz)
+    )
 
 
 def _cmd_homotopy(args) -> int:
-    text = f"{args.a} | {args.b}"
-
-    def run() -> dict:
-        f, g = parse(args.a), parse(args.b)
-        return _homotopy_dict(homotopy_check(f, g, args.resolution))
-
-    report = _report_line("homotopy", text, run)
-    _emit(report, args.json)
-    ok = report["outcome"] == "ok"
-    print(f"homotopy: {'ok' if ok else report['outcome']}", file=sys.stderr)
-    return 0 if ok else 1
+    return _run_pair(
+        args, "homotopy", lambda f, g: homotopy_check(f, g, args.resolution)
+    )
 
 
 # splitmix64 finalizer; mixes the sample index into the master seed so
@@ -209,7 +173,7 @@ def _cmd_experiment(args) -> int:
             result = ball_certificate(base, g, params, args.resolution)
             return result.to_json_dict()
 
-        report = _report_line("experiment", render(g), run)
+        report = _report_line("experiment", g.render(), run)
         report["sample"] = {"index": i, "seed": field_seed, "epsilon": eps}
         _emit(report, args.json)
         if report["outcome"] != "ok":

@@ -3,7 +3,7 @@
 On S1 the degree is the winding number: the summed, wrapped angle
 increments of the image curve divided by 2*pi. On S2 it is the simplicial
 degree: the summed signed solid angles of the images of a lat-long
-triangulation's triangles divided by 4*pi. Both evaluate the map once per
+triangulation's triangles divided by 4*pi. Both apply the map once per
 sample, guard the largest image step or edge, refine until two levels
 agree, and refuse to answer (ResolutionExceeded) rather than round a
 doubtful value.
@@ -24,12 +24,15 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from .expr import Blend, MapExpr, eval_array, walk
-from .geometry import SampleGrid, make_grid
+from .geometry import SampleGrid, check_rows, make_grid
 
 _TWO_PI = 2.0 * math.pi
 
 #: Pre-normalization norms at or below this invalidate a blend slice.
 BLEND_MIN_NORM = 1e-6
+
+#: Largest image step (S1) or image-edge angle (S2) a level may contain.
+STEP_CAP = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class DegreeParams:
     initial_resolution: int | None = None
     max_resolution: int | None = None
     tolerance: float = 0.1
-    step_cap: float = math.pi / 2
 
     _DEFAULT_INITIAL: ClassVar[dict[int, int]] = {1: 256, 2: 64}
     _DEFAULT_MAX: ClassVar[dict[int, int]] = {1: 16384, 2: 1024}
@@ -56,8 +58,6 @@ class DegreeParams:
             raise ValueError("initial resolution must be >= 8")
         if not 0.0 < self.tolerance < 0.5:
             raise ValueError("tolerance must lie in (0, 0.5)")
-        if self.step_cap <= 0.0:
-            raise ValueError("step cap must be positive")
 
     def initial_for(self, dim: int) -> int:
         return self.initial_resolution or self._DEFAULT_INITIAL[dim]
@@ -84,6 +84,14 @@ class DegreeResult:
     method: str  # "winding" | "simplicial" | "symbolic"
     resolution: int
 
+    def to_json_dict(self) -> dict:
+        return {
+            "value": self.value,
+            "method": self.method,
+            "residual": self.residual,
+            "resolution": self.resolution,
+        }
+
 
 @dataclass(frozen=True)
 class DistanceEstimate:
@@ -98,6 +106,13 @@ class DistanceEstimate:
     resolution: int
     rigorous: float | None = None
 
+    def to_json_dict(self) -> dict:
+        return {
+            "sampled_max": self.sampled_max,
+            "resolution": self.resolution,
+            "rigorous": self.rigorous,
+        }
+
 
 def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
     """Starting resolution, floored by the map's structural wrap bound.
@@ -105,7 +120,8 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so when the AST yields a
     Lipschitz bound we refuse to start below it. A start too large for
-    the cap, or an infinite bound, is refused before any sampling.
+    the cap or the row budget, or an infinite bound, is refused before
+    any sampling.
     """
     need = params.initial_for(dim)
     bound = e.lipschitz_bound()
@@ -115,6 +131,7 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
         raise ResolutionExceeded(
             f"map needs resolution {need:.6g}, beyond the cap {params.max_for(dim)}"
         )
+    check_rows(dim, 2 * math.ceil(need), ResolutionExceeded)
     return math.ceil(need)
 
 
@@ -122,20 +139,22 @@ def _refine(e: MapExpr, params: DegreeParams, raw_pass, method: str) -> DegreeRe
     """Double the resolution until two consecutive raw passes agree.
 
     raw_pass(e, n) returns (raw degree, largest image step or edge angle).
-    A level is accepted when both passes keep that guard within the step
-    cap, their raw values agree within the tolerance and the finer one
-    sits within the tolerance of an integer.
+    A level is accepted when both passes keep that guard within
+    STEP_CAP, their raw values agree within the tolerance and the finer
+    one sits within the tolerance of an integer. No level beyond the row
+    budget is sampled.
     """
     n = _start_resolution(e, params, e.dim)
     n_max = params.max_for(e.dim)
     raw_c, step_c = raw_pass(e, n)
     while 2 * n <= n_max:
+        check_rows(e.dim, 2 * n, ResolutionExceeded)
         raw_f, step_f = raw_pass(e, 2 * n)
         value = int(round(raw_f))
         residual = abs(raw_f - value)
         if (
-            step_c <= params.step_cap
-            and step_f <= params.step_cap
+            step_c <= STEP_CAP
+            and step_f <= STEP_CAP
             and abs(raw_c - raw_f) <= params.tolerance
             and residual < params.tolerance
         ):
@@ -146,9 +165,9 @@ def _refine(e: MapExpr, params: DegreeParams, raw_pass, method: str) -> DegreeRe
     )
 
 
-def winding_raw(e: MapExpr, resolution: int, offset: float = 0.0) -> tuple[float, float]:
+def winding_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
     """One non-adaptive winding pass: (raw winding, largest |step|)."""
-    phis = offset + _TWO_PI * np.arange(resolution) / resolution
+    phis = _TWO_PI * np.arange(resolution) / resolution
     X = np.column_stack([np.cos(phis), np.sin(phis)])
     Y = eval_array(e, X)
     alpha = np.arctan2(Y[:, 1], Y[:, 0])
@@ -161,7 +180,7 @@ def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeR
     """Winding-number degree of an S1 expression.
 
     Doubles the sample count until consecutive levels agree within the
-    tolerance and no wrapped step exceeds the step cap.
+    tolerance and no wrapped step exceeds STEP_CAP.
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
@@ -227,7 +246,7 @@ def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> Degr
 
     The resolution counts latitude bands; each ring carries twice as many
     longitudes. Doubles until consecutive levels agree within the
-    tolerance and no image edge spans more than the step cap.
+    tolerance and no image edge spans more than STEP_CAP.
     """
     if e.dim != 2:
         raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")

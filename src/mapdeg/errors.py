@@ -14,7 +14,7 @@ class DimensionMismatch(MapdegError):
 
 
 class InvalidResolution(MapdegError):
-    """Requested grid resolution is below the supported minimum."""
+    """Requested grid resolution is below the minimum or over the row budget."""
 
 
 class ParseError(MapdegError):

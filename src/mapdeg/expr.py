@@ -3,8 +3,8 @@
 An expression is an immutable AST built from a closed constructor family:
 rotations, conjugation, the power maps z -> z^k, suspension to S2,
 composition, iteration, normalized blends, and seeded smooth
-perturbations. Every well-formed expression evaluates pointwise to a
-sphere point and carries a structural degree where one is known.
+perturbations. Every well-formed expression maps arrays of unit vectors
+row-wise and carries a structural degree where one is known.
 """
 
 from __future__ import annotations
@@ -15,9 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParseError
-from .geometry import NEAR_ZERO, SpherePoint, normalize_rows
+from .geometry import NEAR_ZERO, normalize_rows
 
 _TWO_PI = 2.0 * math.pi
+
+#: Deepest constructor nesting parse accepts. Deeper text is refused with
+#: a ParseError, before the recursive parser, evaluator and renderer can
+#: exhaust Python's call stack.
+MAX_DEPTH = 200
 
 
 class MapExpr:
@@ -47,10 +52,8 @@ class MapExpr:
         raise NotImplementedError
 
     def render(self) -> str:
+        """Canonical s-expression text; parse(e.render()) rebuilds an equal AST."""
         raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def _check_dim_arg(m: int) -> None:
@@ -413,22 +416,14 @@ class PerturbationField:
         args = np.einsum("jtk,nk->njt", self._freq, X) + self._phase
         return np.einsum("jt,njt->nj", self._coef, np.sin(args))
 
-    def at(self, p: SpherePoint) -> tuple[float, ...]:
-        return tuple(float(c) for c in self(p.array()[None, :])[0])
-
     def lipschitz_bound(self) -> float:
         grad = (np.abs(self._coef)[:, :, None] * np.abs(self._freq)).sum(axis=1)
         return float(np.linalg.norm(np.linalg.norm(grad, axis=1)))
 
 
-def perturbation_field(seed: int, dim: int) -> PerturbationField:
-    """Deterministic bounded smooth field used by the perturb constructor."""
-    return PerturbationField(seed, dim)
-
-
 @dataclass(frozen=True)
 class Perturb(MapExpr):
-    """x -> normalize(f(x) + eps * V_seed(x)) for a bounded field V.
+    """x -> (f(x) + eps * V_seed(x)) / |...| for a bounded field V.
 
     Requires eps < 1 so the pre-normalization norm stays >= 1 - eps > 0,
     which keeps the perturbed map well defined and degree-preserving.
@@ -471,21 +466,6 @@ class Perturb(MapExpr):
         return f"(perturb {self.seed} {self.eps!r} {self.inner.render()})"
 
 
-def dimension(e: MapExpr) -> int:
-    """Sphere dimension m of the expression's domain and range."""
-    return e.dim
-
-
-def render(e: MapExpr) -> str:
-    """Canonical s-expression text; parse(render(e)) rebuilds an equal AST."""
-    return e.render()
-
-
-def symbolic_degree(e: MapExpr) -> int | None:
-    """Structural degree of the expression, or None when unknown (blend)."""
-    return e.symbolic_degree()
-
-
 def walk(e: MapExpr):
     """Yield e and all of its sub-expressions, depth first."""
     yield e
@@ -501,14 +481,6 @@ def eval_array(e: MapExpr, X: np.ndarray) -> np.ndarray:
             f"expected shape (n, {e.dim + 1}) for an S{e.dim} map, got {X.shape}"
         )
     return e._eval(X)
-
-
-def evaluate(e: MapExpr, x: SpherePoint) -> SpherePoint:
-    """Apply the map to a single sphere point."""
-    if e.dim != x.dim:
-        raise DimensionMismatch(f"S{e.dim} map applied to a point of S{x.dim}")
-    out = e._eval(x.array()[None, :])[0]
-    return SpherePoint(tuple(float(c) for c in out))
 
 
 # --- parsing ---------------------------------------------------------------
@@ -552,6 +524,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def _fail(self, message: str, token: _Token | None = None):
         if token is None:
@@ -617,9 +590,13 @@ class _Parser:
 
     def expr(self) -> MapExpr:
         self.expect("(")
+        if self.depth == MAX_DEPTH:
+            self._fail(f"nesting deeper than {MAX_DEPTH} levels", self.tokens[self.pos - 1])
+        self.depth += 1
         head = self.atom("a constructor name")
         node = self._dispatch(head)
         self.expect(")")
+        self.depth -= 1
         return node
 
     def _dispatch(self, head: _Token) -> MapExpr:

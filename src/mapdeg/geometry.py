@@ -1,7 +1,7 @@
 """Geometry of the unit circle S1 in R2 and the unit sphere S2 in R3.
 
-Points, normalization, and sample grids. All types are immutable values
-and all operations are pure functions.
+Row-wise normalization and sample grids over arrays of unit rows. All
+types are immutable values and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,34 +16,11 @@ from .errors import DimensionMismatch, InvalidResolution, NearZeroVector
 #: Vectors with Euclidean norm at or below this cannot be normalized.
 NEAR_ZERO = 1e-9
 
-#: Allowed deviation of a sphere point's norm from 1.
-UNIT_TOL = 1e-12
-
 MIN_RESOLUTION = 8
 
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of S1 or S2, stored by its ambient coordinates."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coords) not in (2, 3):
-            raise DimensionMismatch(
-                f"expected 2 or 3 coordinates, got {len(self.coords)}"
-            )
-        norm = math.sqrt(sum(c * c for c in self.coords))
-        if abs(norm - 1.0) > UNIT_TOL:
-            raise ValueError(f"not a unit vector: norm {norm!r}")
-
-    @property
-    def dim(self) -> int:
-        """Dimension m of the sphere the point lives on (1 or 2)."""
-        return len(self.coords) - 1
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
+#: Most sample rows one grid or one degree level may allocate. The
+#: default S2 degree cap of 1024 bands needs about 2**21.
+MAX_ROWS = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,35 +42,24 @@ class SampleGrid:
         return len(self.nodes)
 
 
-def normalize(v) -> SpherePoint:
-    """Project a nonzero vector of length 2 or 3 onto the unit sphere.
-
-    Raises NearZeroVector if the norm is at or below NEAR_ZERO, which
-    signals an invalid blend or perturbation rather than a rounding issue.
-    """
-    arr = np.asarray(v, dtype=float)
-    if arr.shape not in ((2,), (3,)):
-        raise DimensionMismatch(f"expected a vector of length 2 or 3, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if norm <= NEAR_ZERO:
-        raise NearZeroVector(f"cannot normalize vector of norm {norm:.3e}")
-    return SpherePoint(tuple(float(c) for c in arr / norm))
-
-
-def normalize_rows(X: np.ndarray, eps: float = NEAR_ZERO) -> np.ndarray:
+def normalize_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise normalization of an (n, k) array; rejects near-zero rows."""
     norms = np.linalg.norm(X, axis=1)
     small = float(norms.min()) if len(norms) else 1.0
-    if small <= eps:
+    if small <= NEAR_ZERO:
         raise NearZeroVector(f"cannot normalize row of norm {small:.3e}")
     return X / norms[:, None]
 
 
-def chordal_dist(p: SpherePoint, q: SpherePoint) -> float:
-    """Ambient Euclidean distance between two sphere points, in [0, 2]."""
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"points on S{p.dim} and S{q.dim}")
-    return min(2.0, float(np.linalg.norm(p.array() - q.array())))
+def check_rows(dim: int, resolution: int, error: type[Exception]) -> None:
+    """Raise `error` if sampling at `resolution` needs more than MAX_ROWS rows.
+
+    Counts n rows on S1 and 2n^2 on S2: the cell centres of make_grid, and
+    an upper bound on the vertices of the S2 degree mesh.
+    """
+    rows = resolution if dim == 1 else 2 * resolution * resolution
+    if rows > MAX_ROWS:
+        raise error(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
 
 
 def make_grid(dim: int, resolution: int) -> SampleGrid:
@@ -107,6 +73,7 @@ def make_grid(dim: int, resolution: int) -> SampleGrid:
         raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
     if resolution < MIN_RESOLUTION:
         raise InvalidResolution(f"resolution {resolution} < {MIN_RESOLUTION}")
+    check_rows(dim, resolution, InvalidResolution)
     if dim == 1:
         phis = 2.0 * math.pi * np.arange(resolution) / resolution
         nodes = np.column_stack([np.cos(phis), np.sin(phis)])

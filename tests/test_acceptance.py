@@ -31,7 +31,6 @@ from mapdeg import (
     is_perfect_power,
     make_grid,
     parse,
-    symbolic_degree,
 )
 from mapdeg.certify import _exponent_scan_range
 from mapdeg.cli import main as cli_main
@@ -79,7 +78,7 @@ def test_criterion_1_multiplicativity_suite():
         # keep the product degree resolvable within the refinement cap
         while True:
             f, g = random_expr(3), random_expr(3)
-            df, dg = symbolic_degree(f), symbolic_degree(g)
+            df, dg = f.symbolic_degree(), g.symbolic_degree()
             if max(abs(df), abs(dg), abs(df * dg)) <= 20000:
                 return f, g
 
@@ -134,7 +133,7 @@ def test_criterion_2_symbolic_numeric_corpus():
     failures = []
     for text in corpus:
         e = parse(text)
-        expected = symbolic_degree(e)
+        expected = e.symbolic_degree()
         if e.dim == 1:
             res = degree_winding(e, params_s1)
         else:

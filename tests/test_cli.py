@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -202,3 +203,96 @@ class TestUsageErrors:
         code = main(["degree", "-e", "(pow 2)", "--resolution", "4"])
         assert code == 2
         assert "resolution" in capsys.readouterr().err
+
+
+class TestHostileInput:
+    def test_deep_nesting_does_not_kill_the_batch(self, capsys, tmp_path):
+        f = tmp_path / "maps.txt"
+        f.write_text("(compose (pow 1) " * 1000 + "(pow 1)" + ")" * 1000 + "\n(pow 3)\n")
+        code, lines, _ = run_cli(capsys, "degree", "-f", str(f))
+        assert code == 1
+        assert [r["outcome"] for r in lines] == ["ParseError", "ok"]
+        assert lines[1]["payload"]["value"] == 3
+
+    @pytest.mark.parametrize(
+        "argv, outcome",
+        [
+            # the wrap bound starts at about 9425 bands: ~177 M mesh rows
+            (
+                ["degree", "-e", "(susp (pow 3000))", "--max-resolution", "1000000"],
+                "ResolutionExceeded",
+            ),
+            (["degree", "-e", "(susp (pow 2))", "--resolution", "100000"], "ResolutionExceeded"),
+            (
+                ["distance", "-a", "(id 2)", "-b", "(antipode 2)", "--resolution", "100000"],
+                "InvalidResolution",
+            ),
+            (
+                ["homotopy", "-a", "(id 2)", "-b", "(antipode 2)", "--resolution", "100000"],
+                "InvalidResolution",
+            ),
+        ],
+    )
+    def test_resolutions_over_the_row_budget_are_refused_up_front(
+        self, capsys, argv, outcome
+    ):
+        start = time.perf_counter()
+        code, lines, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert [r["outcome"] for r in lines] == [outcome]
+        assert "sample rows" in lines[0]["payload"]["error"]
+
+
+def key_paths(obj: dict, prefix: str = "") -> list[str]:
+    """Keys of a payload in order, nested keys as 'outer.inner'."""
+    paths = []
+    for key, value in obj.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths.extend(key_paths(value, f"{prefix}{key}."))
+    return paths
+
+
+_DEGREE_KEYS = ["value", "method", "residual", "resolution"]
+_SUBJECT_KEYS = ["subject", "dim", "degree"] + [f"degree.{k}" for k in _DEGREE_KEYS]
+
+
+class TestPayloadSchemas:
+    """Key order of every payload type, as README's schema section gives it."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["degree", "-e", "(pow 2)"], _DEGREE_KEYS),
+            (
+                ["distance", "-a", "(pow 2)", "-b", "(perturb 5 0.4 (pow 2))"],
+                ["sampled_max", "resolution", "rigorous"],
+            ),
+            (
+                ["homotopy", "-a", "(id 1)", "-b", "(antipode 1)"],
+                ["valid", "min_norm", "argmin", "argmin.point", "argmin.t", "resolution"],
+            ),
+            (
+                ["certify", "-e", "(pow 2)"],
+                _SUBJECT_KEYS + ["power_check", "power_check.checked_exponents", "ball"],
+            ),
+            (
+                ["experiment", "--dim", "1", "--count", "1", "--epsilon-max", "0.5"],
+                _SUBJECT_KEYS
+                + ["power_check", "power_check.checked_exponents", "ball"]
+                + [f"ball.{k}" for k in ("base", "sampled_distance", "radius", "rigorous")],
+            ),
+            (
+                ["certify", "-e", "(pow 4)"],
+                _SUBJECT_KEYS + ["witness", "witness.base", "witness.exp"],
+            ),
+        ],
+        ids=["degree", "distance", "homotopy", "certificate", "ball", "refusal"],
+    )
+    def test_key_order(self, capsys, argv, expected):
+        code, lines, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = lines[0]
+        assert list(report)[:5] == ["input", "command", "outcome", "payload", "wall_ms"]
+        assert key_paths(report["payload"]) == expected

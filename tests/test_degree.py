@@ -24,8 +24,8 @@ from mapdeg import (
     degree_winding,
     parse,
     sup_distance,
-    symbolic_degree,
 )
+from mapdeg import geometry
 from mapdeg.degree import simplicial_raw, winding_raw
 
 from test_expr import winding_oracle
@@ -45,7 +45,7 @@ class TestWinding:
         e = Compose(Conj(), Pow(2))
         res = degree_winding(e)
         assert res.value == -2
-        assert res.value == symbolic_degree(Conj()) * symbolic_degree(Pow(2))
+        assert res.value == Conj().symbolic_degree() * Pow(2).symbolic_degree()
         assert winding_oracle(e) == -2
 
     def test_rejects_sphere_maps(self):
@@ -60,9 +60,21 @@ class TestWinding:
         res = degree_winding(Pow(5000), DegreeParams(max_resolution=1 << 17))
         assert res.value == 5000
 
+    def test_refinement_stops_at_the_row_budget(self, monkeypatch):
+        # a blend has no wrap bound, so only the budget ends the doubling:
+        # levels 16, 32 and 64 break the step guard, 128 is never sampled
+        monkeypatch.setattr(geometry, "MAX_ROWS", 64)
+        e = parse("(blend 0.0 (pow 20) (pow 20))")
+        params = DegreeParams(initial_resolution=16, max_resolution=1 << 20)
+        with pytest.raises(ResolutionExceeded, match="resolution 128 needs more than 64"):
+            degree_winding(e, params)
+        with pytest.raises(ResolutionExceeded, match="resolution 256 needs more than 64"):
+            degree_winding(e, DegreeParams(initial_resolution=128))
+
     @pytest.mark.parametrize("offset", [0.0, 0.1, 1.0, 2.5])
     def test_invariant_under_sample_offset(self, offset):
-        raw, _ = winding_raw(Compose(Pow(3), Rot(0.4)), 1024, offset)
+        # sampling e at offset + phi is sampling e after Rot(offset) at phi
+        raw, _ = winding_raw(Compose(Compose(Pow(3), Rot(0.4)), Rot(offset)), 1024)
         assert round(raw) == 3
         assert abs(raw - 3) < 1e-9
 
@@ -136,7 +148,7 @@ class TestSimplicial:
         ).filter(lambda e: e.lipschitz_bound() <= 40.0)
     )
     def test_equals_the_structural_degree_on_random_trees(self, e):
-        assert degree_simplicial(e).value == symbolic_degree(e)
+        assert degree_simplicial(e).value == e.symbolic_degree()
 
 
 class TestDegreeDispatch:

@@ -16,20 +16,16 @@ from mapdeg import (
     Iterate,
     NearZeroVector,
     ParseError,
+    PerturbationField,
     Pow,
     Rot,
     Rot3,
-    SpherePoint,
     Susp,
-    dimension,
     eval_array,
-    evaluate,
     make_grid,
     parse,
-    perturbation_field,
-    render,
-    symbolic_degree,
 )
+from mapdeg.expr import MAX_DEPTH
 
 # expressions exercising every constructor, reused by several tests
 CORPUS = [
@@ -57,17 +53,22 @@ CORPUS = [
 ]
 
 
-def circle_point(phi: float) -> SpherePoint:
-    return SpherePoint((math.cos(phi), math.sin(phi)))
+def circle_point(phi: float) -> np.ndarray:
+    """One-row array holding the point of S1 at angle phi."""
+    return np.array([[math.cos(phi), math.sin(phi)]])
 
 
 def winding_oracle(e, samples: int = 2048) -> int:
-    """Independent degree oracle: accumulate wrapped image-angle steps."""
+    """Independent degree oracle: accumulate wrapped image-angle steps.
+
+    The map is evaluated one point at a time and the angle steps are
+    wrapped and summed in plain Python, independently of winding_raw.
+    """
     total = 0.0
     prev = None
     for i in range(samples + 1):
-        p = evaluate(e, circle_point(2 * math.pi * i / samples))
-        ang = math.atan2(p.coords[1], p.coords[0])
+        x, y = eval_array(e, circle_point(2 * math.pi * i / samples))[0]
+        ang = math.atan2(y, x)
         if prev is not None:
             step = ang - prev
             while step <= -math.pi:
@@ -131,6 +132,19 @@ class TestParse:
             parse("(compose (pow 2)\n(frobnicate))")
         assert err.value.line == 2
 
+    def test_refuses_nesting_beyond_the_depth_limit(self):
+        def nested(depth):
+            return "(compose (pow 1) " * (depth - 1) + "(pow 1)" + ")" * (depth - 1)
+
+        assert parse(nested(MAX_DEPTH)).symbolic_degree() == 1
+        text = nested(MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        # the first parenthesis one level too deep opens the first operand,
+        # (pow 1), of the deepest compose
+        offending = text.index("(pow 1)", len("(compose (pow 1) ") * (MAX_DEPTH - 1))
+        assert (err.value.line, err.value.column) == (1, offending + 1)
+
     def test_rot3_axis_is_normalized(self):
         e = parse("(rot3 0.0 0.0 2.0 0.5)")
         assert e.axis == (0.0, 0.0, 1.0)
@@ -140,18 +154,18 @@ class TestRender:
     @pytest.mark.parametrize("text", CORPUS)
     def test_round_trip(self, text):
         e = parse(text)
-        assert parse(render(e)) == e
+        assert parse(e.render()) == e
 
     def test_round_trip_survives_a_second_pass(self):
         e = parse("(rot3 0.3 0.4 1.2 -0.9)")
-        assert parse(render(parse(render(e)))) == e
+        assert parse(parse(e.render()).render()) == e
 
 
 class TestDimension:
     def test_fixtures(self):
-        assert dimension(parse("(pow 2)")) == 1
-        assert dimension(parse("(susp (pow 2))")) == 2
-        assert dimension(parse("(compose (rot3 0.0 0.0 1.0 0.4) (susp (conj)))")) == 2
+        assert parse("(pow 2)").dim == 1
+        assert parse("(susp (pow 2))").dim == 2
+        assert parse("(compose (rot3 0.0 0.0 1.0 0.4) (susp (conj)))").dim == 2
 
     @pytest.mark.parametrize("text", CORPUS)
     def test_matches_evaluation_shape(self, text):
@@ -164,48 +178,50 @@ class TestEvaluate:
     def test_identity(self):
         for phi in np.linspace(0, 2 * math.pi, 17):
             p = circle_point(phi)
-            assert evaluate(Id(1), p) == p
+            assert np.array_equal(eval_array(Id(1), p), p)
 
     def test_pow_doubles_the_angle(self):
         phi = math.pi / 3
-        out = evaluate(Pow(2), circle_point(phi))
-        assert out.coords == pytest.approx(
+        out = eval_array(Pow(2), circle_point(phi))[0]
+        assert tuple(out) == pytest.approx(
             (math.cos(2 * phi), math.sin(2 * phi)), abs=1e-15
         )
 
     def test_conj_flips_the_second_coordinate(self):
-        out = evaluate(Conj(), circle_point(0.7))
-        assert out.coords == pytest.approx((math.cos(0.7), -math.sin(0.7)), abs=1e-15)
+        out = eval_array(Conj(), circle_point(0.7))[0]
+        assert tuple(out) == pytest.approx((math.cos(0.7), -math.sin(0.7)), abs=1e-15)
 
     def test_rot3_moves_the_equator_and_fixes_the_axis(self):
         e = Rot3((0.0, 0.0, 1.0), math.pi / 2)
-        out = evaluate(e, SpherePoint((1.0, 0.0, 0.0)))
-        assert out.coords == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
-        pole = SpherePoint((0.0, 0.0, 1.0))
-        assert evaluate(e, pole).coords == pytest.approx(pole.coords, abs=1e-15)
+        out = eval_array(e, np.array([[1.0, 0.0, 0.0]]))[0]
+        assert tuple(out) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+        pole = np.array([[0.0, 0.0, 1.0]])
+        assert tuple(eval_array(e, pole)[0]) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
 
     def test_suspension_acts_on_each_latitude_circle(self):
         theta, phi = 1.1, 0.6
-        x = SpherePoint(
-            (
-                math.sin(theta) * math.cos(phi),
-                math.sin(theta) * math.sin(phi),
-                math.cos(theta),
-            )
+        x = np.array(
+            [
+                [
+                    math.sin(theta) * math.cos(phi),
+                    math.sin(theta) * math.sin(phi),
+                    math.cos(theta),
+                ]
+            ]
         )
-        out = evaluate(Susp(Pow(2)), x)
+        out = tuple(eval_array(Susp(Pow(2)), x)[0])
         expected = (
             math.sin(theta) * math.cos(2 * phi),
             math.sin(theta) * math.sin(2 * phi),
             math.cos(theta),
         )
-        assert out.coords == pytest.approx(expected, abs=1e-12)
+        assert out == pytest.approx(expected, abs=1e-12)
 
     def test_suspension_fixes_the_poles(self):
         e = Susp(Pow(3))
         for z in (1.0, -1.0):
-            pole = SpherePoint((0.0, 0.0, z))
-            assert evaluate(e, pole) == pole
+            pole = np.array([[0.0, 0.0, z]])
+            assert np.array_equal(eval_array(e, pole), pole)
 
     def test_blend_endpoints_reproduce_the_operands(self):
         f, g = parse("(pow 2)"), parse("(perturb 4 0.6 (pow 2))")
@@ -218,11 +234,11 @@ class TestEvaluate:
     def test_blend_through_origin_raises(self):
         e = Blend(0.5, Id(1), Antipode(1))
         with pytest.raises(NearZeroVector):
-            evaluate(e, circle_point(0.2))
+            eval_array(e, circle_point(0.2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            evaluate(Pow(2), SpherePoint((0.0, 0.0, 1.0)))
+            eval_array(Pow(2), np.array([[0.0, 0.0, 1.0]]))
 
     @pytest.mark.parametrize("text", CORPUS)
     def test_images_stay_on_the_sphere(self, text):
@@ -236,32 +252,32 @@ class TestEvaluate:
         p = circle_point(0.37)
         nested = p
         for _ in range(n):
-            nested = evaluate(f, nested)
-        direct = evaluate(Iterate(n, f), p)
-        assert direct.coords == pytest.approx(nested.coords, abs=1e-10)
+            nested = eval_array(f, nested)
+        direct = eval_array(Iterate(n, f), p)
+        assert tuple(direct[0]) == pytest.approx(tuple(nested[0]), abs=1e-10)
 
 
 class TestSymbolicDegree:
     def test_fixed_values(self):
-        assert symbolic_degree(Id(1)) == 1
-        assert symbolic_degree(Id(2)) == 1
-        assert symbolic_degree(Antipode(1)) == 1
-        assert symbolic_degree(Antipode(2)) == -1
-        assert symbolic_degree(Conj()) == -1
-        assert symbolic_degree(Rot(0.3)) == 1
-        assert symbolic_degree(Rot3((0.0, 0.0, 1.0), 0.3)) == 1
-        assert symbolic_degree(Pow(-4)) == -4
-        assert symbolic_degree(Susp(Pow(3))) == 3
-        assert symbolic_degree(parse("(blend 0.5 (pow 2) (pow 2))")) is None
+        assert Id(1).symbolic_degree() == 1
+        assert Id(2).symbolic_degree() == 1
+        assert Antipode(1).symbolic_degree() == 1
+        assert Antipode(2).symbolic_degree() == -1
+        assert Conj().symbolic_degree() == -1
+        assert Rot(0.3).symbolic_degree() == 1
+        assert Rot3((0.0, 0.0, 1.0), 0.3).symbolic_degree() == 1
+        assert Pow(-4).symbolic_degree() == -4
+        assert Susp(Pow(3)).symbolic_degree() == 3
+        assert parse("(blend 0.5 (pow 2) (pow 2))").symbolic_degree() is None
 
     def test_compose_matches_winding_oracle(self):
         e = Compose(Pow(2), Pow(3))
-        assert symbolic_degree(e) == 6
+        assert e.symbolic_degree() == 6
         assert winding_oracle(e) == 6
 
     def test_iterate_matches_winding_oracle(self):
         e = Iterate(3, Pow(2))
-        assert symbolic_degree(e) == 8
+        assert e.symbolic_degree() == 8
         assert winding_oracle(e) == 8
 
     def test_perturb_preserves_degree_on_the_sphere(self):
@@ -269,7 +285,7 @@ class TestSymbolicDegree:
         from mapdeg import degree_simplicial
 
         e = parse("(perturb 7 0.5 (susp (pow 2)))")
-        assert symbolic_degree(e) == 2
+        assert e.symbolic_degree() == 2
         assert degree_simplicial(e).value == 2
 
     @given(
@@ -295,8 +311,8 @@ class TestSymbolicDegree:
     )
     def test_compose_is_multiplicative_on_random_asts(self, f, g):
         assert (
-            symbolic_degree(Compose(f, g))
-            == symbolic_degree(f) * symbolic_degree(g)
+            Compose(f, g).symbolic_degree()
+            == f.symbolic_degree() * g.symbolic_degree()
         )
 
 
@@ -305,27 +321,27 @@ class TestPerturbationField:
         rng = np.random.default_rng(99)
         pts = rng.normal(size=(100, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        a = perturbation_field(123, 2)
-        b = perturbation_field(123, 2)
+        a = PerturbationField(123, 2)
+        b = PerturbationField(123, 2)
         assert np.array_equal(a(pts), b(pts))
 
     def test_norm_bounded_by_one(self):
         for dim, seed in ((1, 5), (2, 6)):
             X = make_grid(dim, 64 if dim == 1 else 48).nodes[:4096]
-            v = perturbation_field(seed, dim)(X)
+            v = PerturbationField(seed, dim)(X)
             assert np.linalg.norm(v, axis=1).max() <= 1.0
 
     def test_different_seeds_differ_somewhere(self):
         X = make_grid(1, 64).nodes
-        a = perturbation_field(1, 1)(X)
-        b = perturbation_field(2, 1)(X)
+        a = PerturbationField(1, 1)(X)
+        b = PerturbationField(2, 1)(X)
         assert np.abs(a - b).max() > 1e-6
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
-            perturbation_field(-1, 1)
+            PerturbationField(-1, 1)
         with pytest.raises(DomainError):
-            perturbation_field(5, 3)
+            PerturbationField(5, 3)
 
     def test_perturb_node_is_reproducible(self):
         e1 = parse("(perturb 11 0.3 (pow 2))")

@@ -6,40 +6,44 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mapdeg import (
+    DegreeParams,
     DimensionMismatch,
     InvalidResolution,
     NearZeroVector,
-    SpherePoint,
-    chordal_dist,
     make_grid,
-    normalize,
     parse,
+    sup_distance,
 )
-from mapdeg.degree import simplicial_raw, winding_raw
+from mapdeg.degree import pair_distance, simplicial_raw, winding_raw
+from mapdeg.geometry import MAX_ROWS, check_rows, normalize_rows
 
 
-def circle_point(phi: float) -> SpherePoint:
-    return SpherePoint((math.cos(phi), math.sin(phi)))
+def circle_point(phi: float) -> np.ndarray:
+    """One-row array holding the point of S1 at angle phi."""
+    return np.array([[math.cos(phi), math.sin(phi)]])
 
 
-def sphere_point(theta: float, phi: float) -> SpherePoint:
-    return SpherePoint(
-        (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+def sphere_point(theta: float, phi: float) -> np.ndarray:
+    """One-row array holding the point of S2 at polar angle theta, longitude phi."""
+    return np.array(
+        [[math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]]
     )
+
+
+def chordal(p: np.ndarray, q: np.ndarray) -> float:
+    """Chordal distance of two one-row arrays, as the sup distance computes it."""
+    return pair_distance(make_grid(p.shape[1] - 1, 8), p, q).sampled_max
 
 
 class TestNormalize:
     def test_scales_unit_directions(self):
-        assert normalize((2.0, 0.0)).coords == (1.0, 0.0)
-        assert normalize((0.0, 0.0, 3.0)).coords == (0.0, 0.0, 1.0)
+        out = normalize_rows(np.array([[2.0, 0.0], [0.0, -0.5]]))
+        assert out.tolist() == [[1.0, 0.0], [0.0, -1.0]]
+        assert normalize_rows(np.array([[0.0, 0.0, 3.0]])).tolist() == [[0.0, 0.0, 1.0]]
 
     def test_rejects_near_zero(self):
         with pytest.raises(NearZeroVector):
-            normalize((1e-12, 0.0))
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(DimensionMismatch):
-            normalize((1.0, 0.0, 0.0, 0.0))
+            normalize_rows(np.array([[1.0, 0.0], [1e-12, 0.0]]))
 
     @given(
         st.tuples(
@@ -51,36 +55,28 @@ class TestNormalize:
     )
     def test_scale_invariance(self, v, c):
         assume(math.sqrt(sum(x * x for x in v)) > 1e-6)
-        base = normalize(v)
-        rescaled = normalize(tuple(x * c for x in base.coords))
-        assert rescaled.coords == pytest.approx(base.coords, abs=1e-12)
-
-
-class TestSpherePoint:
-    def test_rejects_non_unit_coords(self):
-        with pytest.raises(ValueError):
-            SpherePoint((0.5, 0.5))
-
-    def test_dim(self):
-        assert circle_point(0.3).dim == 1
-        assert sphere_point(0.3, 0.4).dim == 2
+        base = normalize_rows(np.array([v]))
+        rescaled = normalize_rows(base * c)
+        assert rescaled[0] == pytest.approx(base[0], abs=1e-12)
 
 
 class TestChordalDist:
+    """The per-node chordal distance inside pair_distance is a metric."""
+
     def test_same_point_is_zero(self):
         p = circle_point(1.2)
-        assert chordal_dist(p, p) == 0.0
+        assert chordal(p, p) == 0.0
 
     def test_antipodal_pair_is_two(self):
-        assert chordal_dist(SpherePoint((1.0, 0.0)), SpherePoint((-1.0, 0.0))) == 2.0
+        assert chordal(circle_point(0.0), circle_point(math.pi)) == 2.0
 
     def test_right_angle(self):
-        d = chordal_dist(SpherePoint((1.0, 0.0)), SpherePoint((0.0, 1.0)))
+        d = chordal(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         assert d == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            chordal_dist(circle_point(0.0), sphere_point(0.5, 0.5))
+            sup_distance(parse("(id 1)"), parse("(id 2)"))
 
     @given(
         st.floats(0, 2 * math.pi),
@@ -89,8 +85,8 @@ class TestChordalDist:
     )
     def test_symmetry_and_triangle_on_circle(self, a, b, c):
         p, q, r = circle_point(a), circle_point(b), circle_point(c)
-        assert chordal_dist(p, q) == chordal_dist(q, p)
-        assert chordal_dist(p, r) <= chordal_dist(p, q) + chordal_dist(q, r) + 1e-12
+        assert chordal(p, q) == chordal(q, p)
+        assert chordal(p, r) <= chordal(p, q) + chordal(q, r) + 1e-12
 
     @given(
         st.tuples(st.floats(0, math.pi), st.floats(0, 2 * math.pi)),
@@ -99,8 +95,8 @@ class TestChordalDist:
     )
     def test_symmetry_and_triangle_on_sphere(self, a, b, c):
         p, q, r = sphere_point(*a), sphere_point(*b), sphere_point(*c)
-        assert chordal_dist(p, q) == chordal_dist(q, p)
-        assert chordal_dist(p, r) <= chordal_dist(p, q) + chordal_dist(q, r) + 1e-12
+        assert chordal(p, q) == chordal(q, p)
+        assert chordal(p, r) <= chordal(p, q) + chordal(q, r) + 1e-12
 
 
 class TestMakeGrid:
@@ -140,4 +136,20 @@ class TestMakeGrid:
     def test_rejects_bad_dimension(self):
         with pytest.raises(DimensionMismatch):
             make_grid(3, 64)
+
+    def test_rejects_grids_over_the_row_budget(self):
+        # 1448 bands carry 2 * 1448**2 <= 2**22 nodes, 1449 bands more;
+        # the refusal comes before any allocation
+        check_rows(1, MAX_ROWS, InvalidResolution)
+        check_rows(2, 1448, InvalidResolution)
+        with pytest.raises(InvalidResolution):
+            make_grid(1, MAX_ROWS + 1)
+        with pytest.raises(InvalidResolution):
+            make_grid(2, 1449)
+
+    def test_default_levels_and_grids_fit_the_row_budget(self):
+        params = DegreeParams()
+        for dim in (1, 2):
+            for n in (params.max_for(dim), params.grid_for(dim)):
+                check_rows(dim, n, InvalidResolution)
 
