@@ -55,20 +55,19 @@ class HomotopyReport:
     """Validity data for the straight-line homotopy between two maps.
 
     min_norm is the exact minimum over t of the sampled denominator,
-    which every node reaches at t = 1/2 (argmin_t).
+    which every node reaches at t = 1/2.
     """
 
     valid: bool
     min_norm: float
     argmin_point: tuple[float, ...]
-    argmin_t: float
     resolution: int
 
     def to_json_dict(self) -> dict:
         return {
             "valid": self.valid,
             "min_norm": self.min_norm,
-            "argmin": {"point": list(self.argmin_point), "t": self.argmin_t},
+            "argmin": {"point": list(self.argmin_point), "t": 0.5},
             "resolution": self.resolution,
         }
 
@@ -79,7 +78,6 @@ class BallProvenance:
 
     base: str
     distance: DistanceEstimate
-    radius: float = BALL_RADIUS
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,7 @@ class NonIterateCertificate:
             out["ball"] = {
                 "base": self.ball.base,
                 "sampled_distance": self.ball.distance.sampled_max,
-                "radius": self.ball.radius,
+                "radius": BALL_RADIUS,
                 "rigorous": self.ball.distance.rigorous,
             }
         return out
@@ -207,7 +205,6 @@ def homotopy_check(
         valid=min_norm > HOMOTOPY_MIN_NORM,
         min_norm=min_norm,
         argmin_point=point,
-        argmin_t=0.5,
         resolution=n,
     )
 
@@ -234,7 +231,6 @@ def ball_certificate(
     f0: MapExpr,
     g: MapExpr,
     params: DegreeParams = DegreeParams(),
-    resolution: int | None = None,
     lipschitz: tuple[float, float] | None = None,
 ) -> NonIterateCertificate | Refusal:
     """Certify g as a non-iterate from its proximity to a base map f0.
@@ -249,13 +245,12 @@ def ball_certificate(
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    n = resolution or params.grid_for(f0.dim)
     deg0 = degree(f0, params)
     witness = is_perfect_power(deg0.value)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
 
-    grid, F, G = sample_pair(f0, g, n)
+    grid, F, G = sample_pair(f0, g, params.grid_for(f0.dim))
     dist = pair_distance(grid, F, G, lipschitz)
     if dist.sampled_max >= BALL_RADIUS:
         raise DistanceTooLarge(

@@ -170,7 +170,7 @@ def _cmd_experiment(args) -> int:
         args.dim, args.count, args.epsilon_max, args.seed
     ):
         def run() -> dict:
-            result = ball_certificate(base, g, params, args.resolution)
+            result = ball_certificate(base, g, params)
             return result.to_json_dict()
 
         report = _report_line("experiment", g.render(), run)

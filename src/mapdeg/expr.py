@@ -10,7 +10,8 @@ row-wise and carries a structural degree where one is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,16 +25,27 @@ _TWO_PI = 2.0 * math.pi
 #: exhaust Python's call stack.
 MAX_DEPTH = 200
 
+#: Most node evaluations per sample point parse admits; an iterate counts
+#: its inner map n times. Caps the cost of every later evaluation pass.
+EVAL_BUDGET = 2**12
+
 
 class MapExpr:
-    """Base class of map-expression AST nodes."""
+    """Base class of map-expression AST nodes.
+
+    Every subclass is a frozen dataclass whose init fields are its
+    constructor's arguments in the order the DSL writes them.
+    """
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
+    def _args(self) -> list:
+        return [getattr(self, name) for name in _FIELDS[type(self)]]
+
     def children(self) -> tuple["MapExpr", ...]:
-        return ()
+        return tuple([a for a in self._args() if isinstance(a, MapExpr)])
 
     def _eval(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -53,7 +65,15 @@ class MapExpr:
 
     def render(self) -> str:
         """Canonical s-expression text; parse(e.render()) rebuilds an equal AST."""
-        raise NotImplementedError
+        words = [_NAMES[type(self)]]
+        for a in self._args():
+            if isinstance(a, MapExpr):
+                words.append(a.render())
+            elif isinstance(a, tuple):  # the rot3 axis
+                words.extend(map(repr, a))
+            else:
+                words.append(repr(a))
+        return f"({' '.join(words)})"
 
 
 def _check_dim_arg(m: int) -> None:
@@ -83,9 +103,6 @@ class Id(MapExpr):
     def lipschitz_bound(self):
         return 1.0
 
-    def render(self):
-        return f"(id {self.m})"
-
 
 @dataclass(frozen=True)
 class Antipode(MapExpr):
@@ -110,9 +127,6 @@ class Antipode(MapExpr):
     def lipschitz_bound(self):
         return 1.0
 
-    def render(self):
-        return f"(antipode {self.m})"
-
 
 @dataclass(frozen=True)
 class Conj(MapExpr):
@@ -131,15 +145,16 @@ class Conj(MapExpr):
     def lipschitz_bound(self):
         return 1.0
 
-    def render(self):
-        return "(conj)"
-
 
 @dataclass(frozen=True)
 class Pow(MapExpr):
     """z -> z^k on S1, i.e. angle -> k * angle."""
 
     k: int
+
+    def __post_init__(self):
+        if abs(self.k) > 2**53:  # floats stop holding k * angle exactly
+            raise DomainError("exponent must satisfy |k| <= 2**53")
 
     @property
     def dim(self) -> int:
@@ -154,9 +169,6 @@ class Pow(MapExpr):
 
     def lipschitz_bound(self):
         return float(abs(self.k))
-
-    def render(self):
-        return f"(pow {self.k})"
 
 
 @dataclass(frozen=True)
@@ -179,9 +191,6 @@ class Rot(MapExpr):
     def lipschitz_bound(self):
         return 1.0
 
-    def render(self):
-        return f"(rot {self.alpha!r})"
-
 
 @dataclass(frozen=True)
 class Rot3(MapExpr):
@@ -191,15 +200,18 @@ class Rot3(MapExpr):
     alpha: float
 
     def __post_init__(self):
-        norm = math.sqrt(sum(c * c for c in self.axis))
+        axis = self.axis
+        if math.isinf(sum(c * c for c in axis)):
+            # the squares overflow: divide by the largest entry first
+            big = max(abs(c) for c in axis)
+            axis = tuple(c / big for c in axis)
+        norm = math.sqrt(sum(c * c for c in axis))
         if norm <= NEAR_ZERO:
             raise DomainError("rotation axis is numerically zero")
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > 1e-12 or axis is not self.axis:
             # normalize once; keep already-unit axes bit-identical so that
             # render -> parse round trips reproduce the same AST
-            object.__setattr__(
-                self, "axis", tuple(float(c / norm) for c in self.axis)
-            )
+            object.__setattr__(self, "axis", tuple(float(c / norm) for c in axis))
 
     @property
     def dim(self) -> int:
@@ -217,10 +229,6 @@ class Rot3(MapExpr):
 
     def lipschitz_bound(self):
         return 1.0
-
-    def render(self):
-        x, y, z = self.axis
-        return f"(rot3 {x!r} {y!r} {z!r} {self.alpha!r})"
 
 
 @dataclass(frozen=True)
@@ -242,9 +250,6 @@ class Susp(MapExpr):
     def dim(self) -> int:
         return 2
 
-    def children(self):
-        return (self.inner,)
-
     def _eval(self, X):
         s = np.hypot(X[:, 0], X[:, 1])  # sin of the polar angle, >= 0
         safe = s > 1e-15
@@ -260,9 +265,6 @@ class Susp(MapExpr):
     def lipschitz_bound(self):
         b = self.inner.lipschitz_bound()
         return None if b is None else max(1.0, b)
-
-    def render(self):
-        return f"(susp {self.inner.render()})"
 
 
 @dataclass(frozen=True)
@@ -282,9 +284,6 @@ class Compose(MapExpr):
     def dim(self) -> int:
         return self.outer.dim
 
-    def children(self):
-        return (self.outer, self.inner)
-
     def _eval(self, X):
         return self.outer._eval(self.inner._eval(X))
 
@@ -295,9 +294,6 @@ class Compose(MapExpr):
     def lipschitz_bound(self):
         a, b = self.outer.lipschitz_bound(), self.inner.lipschitz_bound()
         return None if a is None or b is None else a * b
-
-    def render(self):
-        return f"(compose {self.outer.render()} {self.inner.render()})"
 
 
 @dataclass(frozen=True)
@@ -314,9 +310,6 @@ class Iterate(MapExpr):
     @property
     def dim(self) -> int:
         return self.inner.dim
-
-    def children(self):
-        return (self.inner,)
 
     def _eval(self, X):
         for _ in range(self.n):
@@ -335,9 +328,6 @@ class Iterate(MapExpr):
             return b**self.n
         except OverflowError:  # saturate: the degree methods refuse inf
             return math.inf
-
-    def render(self):
-        return f"(iterate {self.n} {self.inner.render()})"
 
 
 @dataclass(frozen=True)
@@ -365,9 +355,6 @@ class Blend(MapExpr):
     def dim(self) -> int:
         return self.f.dim
 
-    def children(self):
-        return (self.f, self.g)
-
     def _eval(self, X):
         raw = (1.0 - self.t) * self.f._eval(X) + self.t * self.g._eval(X)
         return normalize_rows(raw)
@@ -379,9 +366,6 @@ class Blend(MapExpr):
 
     def lipschitz_bound(self):
         return None
-
-    def render(self):
-        return f"(blend {self.t!r} {self.f.render()} {self.g.render()})"
 
 
 class PerturbationField:
@@ -445,9 +429,6 @@ class Perturb(MapExpr):
     def dim(self) -> int:
         return self.inner.dim
 
-    def children(self):
-        return (self.inner,)
-
     def _eval(self, X):
         return normalize_rows(self.inner._eval(X) + self.eps * self._field(X))
 
@@ -461,9 +442,6 @@ class Perturb(MapExpr):
         if b is None:
             return None
         return (b + self.eps * self._field.lipschitz_bound()) / (1.0 - self.eps)
-
-    def render(self):
-        return f"(perturb {self.seed} {self.eps!r} {self.inner.render()})"
 
 
 def walk(e: MapExpr):
@@ -485,59 +463,28 @@ def eval_array(e: MapExpr, X: np.ndarray) -> np.ndarray:
 
 # --- parsing ---------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c in "()":
-            tokens.append(_Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < len(text) and text[i] not in " \t\r\n()":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+#: A token is a parenthesis or a run of anything but whitespace and parentheses.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], text: str):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
         self.text = text
+        self.tokens = list(_TOKEN.finditer(text))
+        self.pos = 0
         self.depth = 0
 
-    def _fail(self, message: str, token: _Token | None = None):
-        if token is None:
-            # point just past the end of input
-            last_line = self.text.count("\n") + 1
-            last_col = len(self.text) - (self.text.rfind("\n") + 1) + 1
-            raise ParseError(message, last_line, last_col)
-        raise ParseError(message, token.line, token.column)
+    def _fail(self, message: str, token: re.Match | None = None):
+        # no token points just past the end of input
+        offset = len(self.text) if token is None else token.start()
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        raise ParseError(message, line, column)
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> re.Match | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, what: str) -> _Token:
+    def take(self, what: str) -> re.Match:
         tok = self.peek()
         if tok is None:
             self._fail(f"unexpected end of input, expected {what}")
@@ -546,47 +493,45 @@ class _Parser:
 
     def expect(self, literal: str):
         tok = self.take(f"'{literal}'")
-        if tok.text != literal:
-            self._fail(f"expected '{literal}', got '{tok.text}'", tok)
+        if tok[0] != literal:
+            self._fail(f"expected '{literal}', got '{tok[0]}'", tok)
 
-    def atom(self, what: str) -> _Token:
+    def atom(self, what: str) -> re.Match:
         tok = self.take(what)
-        if tok.text in "()":
-            self._fail(f"expected {what}, got '{tok.text}'", tok)
+        if tok[0] in "()":
+            self._fail(f"expected {what}, got '{tok[0]}'", tok)
         return tok
 
-    def int_atom(self, what: str) -> int:
+    def int_atom(self, what: str, lo: int | None = None, hi: int | None = None) -> int:
+        """A base-10 integer with lo <= value < hi; None leaves a side open."""
         tok = self.atom(what)
         try:
-            return int(tok.text, 10)
+            value = int(tok[0], 10)
+            fits = (lo is None or lo <= value) and (hi is None or value < hi)
         except ValueError:
-            self._fail(f"expected {what}, got '{tok.text}'", tok)
-
-    def uint_atom(self, what: str, limit: int | None = None) -> int:
-        tok = self.atom(what)
-        try:
-            value = int(tok.text, 10)
-        except ValueError:
-            value = -1
-        if value < 0 or (limit is not None and value >= limit):
-            self._fail(f"expected {what}, got '{tok.text}'", tok)
+            fits = False
+        if not fits:
+            self._fail(f"expected {what}, got '{tok[0]}'", tok)
         return value
 
     def float_atom(self, what: str) -> float:
         tok = self.atom(what)
         try:
-            value = float(tok.text)
+            value = float(tok[0])
         except ValueError:
-            self._fail(f"expected {what}, got '{tok.text}'", tok)
+            self._fail(f"expected {what}, got '{tok[0]}'", tok)
         if not math.isfinite(value):
-            self._fail(f"expected a finite {what}, got '{tok.text}'", tok)
+            self._fail(f"expected a finite {what}, got '{tok[0]}'", tok)
         return value
 
     def dim_atom(self) -> int:
         tok = self.atom("a dimension (1 or 2)")
-        if tok.text not in ("1", "2"):
-            self._fail(f"dimension must be 1 or 2, got '{tok.text}'", tok)
-        return int(tok.text)
+        if tok[0] not in ("1", "2"):
+            self._fail(f"dimension must be 1 or 2, got '{tok[0]}'", tok)
+        return int(tok[0])
+
+    def axis(self) -> tuple[float, float, float]:
+        return tuple(self.float_atom(f"axis {c}") for c in "xyz")
 
     def expr(self) -> MapExpr:
         self.expect("(")
@@ -594,58 +539,66 @@ class _Parser:
             self._fail(f"nesting deeper than {MAX_DEPTH} levels", self.tokens[self.pos - 1])
         self.depth += 1
         head = self.atom("a constructor name")
-        node = self._dispatch(head)
+        if head[0] not in _GRAMMAR:
+            self._fail(f"unknown constructor '{head[0]}'", head)
+        cls, readers = _GRAMMAR[head[0]]
+        node = cls(*[read(self, *args) for read, *args in readers])
         self.expect(")")
         self.depth -= 1
         return node
 
-    def _dispatch(self, head: _Token) -> MapExpr:
-        name = head.text
-        if name == "id":
-            return Id(self.dim_atom())
-        if name == "antipode":
-            return Antipode(self.dim_atom())
-        if name == "conj":
-            return Conj()
-        if name == "pow":
-            return Pow(self.int_atom("an integer exponent"))
-        if name == "rot":
-            return Rot(self.float_atom("an angle"))
-        if name == "rot3":
-            x = self.float_atom("axis x")
-            y = self.float_atom("axis y")
-            z = self.float_atom("axis z")
-            alpha = self.float_atom("an angle")
-            return Rot3((x, y, z), alpha)
-        if name == "susp":
-            return Susp(self.expr())
-        if name == "compose":
-            return Compose(self.expr(), self.expr())
-        if name == "iterate":
-            n = self.uint_atom("a nonnegative iteration count")
-            return Iterate(n, self.expr())
-        if name == "blend":
-            t = self.float_atom("a blend parameter")
-            return Blend(t, self.expr(), self.expr())
-        if name == "perturb":
-            seed = self.uint_atom("a 64-bit seed", limit=2**64)
-            eps = self.float_atom("a perturbation size")
-            return Perturb(seed, eps, self.expr())
-        self._fail(f"unknown constructor '{name}'", head)
+
+_INT, _FLOAT, _DIM, _EXPR = _Parser.int_atom, _Parser.float_atom, _Parser.dim_atom, _Parser.expr
+
+#: Each constructor's node class and the readers of its arguments, in
+#: field order, as (parser method, its arguments). parse reads the text
+#: through it; MapExpr.render writes the name and the fields back.
+_GRAMMAR = {
+    "id": (Id, [(_DIM,)]),
+    "antipode": (Antipode, [(_DIM,)]),
+    "conj": (Conj, []),
+    "pow": (Pow, [(_INT, "an integer exponent")]),
+    "rot": (Rot, [(_FLOAT, "an angle")]),
+    "rot3": (Rot3, [(_Parser.axis,), (_FLOAT, "an angle")]),
+    "susp": (Susp, [(_EXPR,)]),
+    "compose": (Compose, [(_EXPR,), (_EXPR,)]),
+    "iterate": (Iterate, [(_INT, "a nonnegative iteration count", 0), (_EXPR,)]),
+    "blend": (Blend, [(_FLOAT, "a blend parameter"), (_EXPR,), (_EXPR,)]),
+    "perturb": (
+        Perturb,
+        [(_INT, "a 64-bit seed", 0, 2**64), (_FLOAT, "a perturbation size"), (_EXPR,)],
+    ),
+}
+_NAMES = {cls: name for name, (cls, _) in _GRAMMAR.items()}
+# looked up once per class: dataclasses.fields is slow on the parse path
+_FIELDS = {cls: [f.name for f in fields(cls) if f.init] for cls in _NAMES}
+
+
+def _evaluations(e: MapExpr) -> int:
+    """Node evaluations per sample point, saturated at EVAL_BUDGET + 1."""
+    count = sum(map(_evaluations, e.children()))
+    if isinstance(e, Iterate):
+        count *= e.n
+    return min(1 + count, EVAL_BUDGET + 1)
 
 
 def parse(text: str) -> MapExpr:
     """Parse one s-expression into a MapExpr.
 
     Dimension and domain checks run during construction, so this raises
-    ParseError, DimensionMismatch, or DomainError on bad input.
+    ParseError, DimensionMismatch, or DomainError on bad input. A map
+    that needs more than EVAL_BUDGET node evaluations per sample point
+    is refused with a DomainError before any degree work can start.
     """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, text)
+    parser = _Parser(text)
     if parser.peek() is None:
         parser._fail("empty input")
     node = parser.expr()
     trailing = parser.peek()
     if trailing is not None:
-        parser._fail(f"trailing input '{trailing.text}'", trailing)
+        parser._fail(f"trailing input '{trailing[0]}'", trailing)
+    if _evaluations(node) > EVAL_BUDGET:
+        raise DomainError(
+            f"map needs more than {EVAL_BUDGET} node evaluations per sample point"
+        )
     return node

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mapdeg import (
     Antipode,
     Compose,
+    DegreeParams,
     DimensionMismatch,
     DistanceTooLarge,
     Id,
@@ -101,7 +102,7 @@ class TestHomotopyCheck:
         rep = homotopy_check(parse("(id 1)"), parse("(antipode 1)"))
         assert not rep.valid
         assert rep.min_norm < 1e-3
-        assert rep.argmin_t == pytest.approx(0.5)
+        assert rep.to_json_dict()["argmin"]["t"] == 0.5
 
     def test_perturbation_keeps_a_healthy_margin(self):
         rep = homotopy_check(parse("(pow 2)"), parse("(perturb 3 0.5 (pow 2))"))
@@ -207,8 +208,8 @@ class TestBallCertificate:
     def test_succeeds_at_finer_resolutions_too(self):
         f0 = parse("(pow 2)")
         g = parse("(perturb 11 0.45 (pow 2))")
-        coarse = ball_certificate(f0, g, resolution=256)
-        fine = ball_certificate(f0, g, resolution=512)
+        coarse = ball_certificate(f0, g, DegreeParams(initial_resolution=256))
+        fine = ball_certificate(f0, g, DegreeParams(initial_resolution=512))
         assert isinstance(coarse, NonIterateCertificate)
         assert isinstance(fine, NonIterateCertificate)
         # denser sampling can only push the estimate up toward the true sup
@@ -218,7 +219,9 @@ class TestBallCertificate:
     def test_rigorous_mode(self):
         f0 = parse("(pow 2)")
         g = parse("(perturb 11 0.1 (pow 2))")
-        cert = ball_certificate(f0, g, resolution=1024, lipschitz=(2.0, 4.0))
+        cert = ball_certificate(
+            f0, g, DegreeParams(initial_resolution=1024), lipschitz=(2.0, 4.0)
+        )
         assert isinstance(cert, NonIterateCertificate)
         assert cert.ball.distance.rigorous is not None
         assert cert.ball.distance.rigorous < 1.0

@@ -1,9 +1,17 @@
+import io
 import json
+import os
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mapdeg.cli import main
+from mapdeg.errors import MapdegError
+from mapdeg.expr import MAX_DEPTH
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +222,35 @@ class TestHostileInput:
         assert [r["outcome"] for r in lines] == ["ParseError", "ok"]
         assert lines[1]["payload"]["value"] == 3
 
+    def test_overflowing_numbers_do_not_kill_the_batch(self, capsys, tmp_path):
+        huge = 10**400
+        f = tmp_path / "maps.txt"
+        f.write_text(
+            f"(pow {huge})\n(blend 0.5 (pow {huge}) (pow 2))\n"
+            f"(compose (pow {huge}) (pow 0))\n(rot3 1e200 1e200 0 1)\n(pow 3)\n"
+        )
+        code, lines, _ = run_cli(capsys, "certify", "-f", str(f))
+        assert code == 1
+        assert [r["outcome"] for r in lines] == ["DomainError"] * 3 + ["ok", "ok"]
+        assert lines[3]["payload"]["degree"]["value"] == 1
+        assert lines[4]["payload"]["degree"]["value"] == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(iterate 100000000 (id 1))",
+            "(iterate 10000000 (pow 3))",
+            "(iterate 1000 (iterate 1000 (iterate 1000 (id 1))))",
+        ],
+    )
+    def test_maps_over_the_evaluation_budget_are_refused_up_front(self, capsys, text):
+        start = time.perf_counter()
+        code, lines, _ = run_cli(capsys, "degree", "-e", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert [r["outcome"] for r in lines] == ["DomainError"]
+        assert "node evaluations" in lines[0]["payload"]["error"]
+
     @pytest.mark.parametrize(
         "argv, outcome",
         [
@@ -242,6 +279,90 @@ class TestHostileInput:
         assert code == 1
         assert [r["outcome"] for r in lines] == [outcome]
         assert "sample rows" in lines[0]["payload"]["error"]
+
+
+#: The documented outcomes of a report line.
+_OUTCOMES = {"ok"} | {c.__name__ for c in MapdegError.__subclasses__()}
+
+_INT = st.integers(-(10**400), 10**400)
+_FLOAT = st.floats(-1e308, 1e308, allow_nan=False)
+_UNIT = st.one_of(st.floats(0.0, 1.0), _FLOAT)
+
+_S1_LEAF = st.one_of(
+    st.sampled_from(["(id 1)", "(antipode 1)", "(conj)"]),
+    st.builds("(pow {})".format, _INT),
+    st.builds("(rot {!r})".format, _FLOAT),
+)
+_S1 = st.recursive(
+    _S1_LEAF,
+    lambda inner: st.one_of(
+        st.builds("(compose {} {})".format, inner, inner),
+        st.builds("(iterate {} {})".format, st.integers(0, 10**12), inner),
+        st.builds("(blend {!r} {} {})".format, _UNIT, inner, inner),
+        st.builds("(perturb {} {!r} {})".format, _INT, _UNIT, inner),
+    ),
+    max_leaves=4,
+)
+# S2 trees leave out iterate, whose admitted counts would make a sample slow
+_S2 = st.recursive(
+    st.one_of(
+        st.sampled_from(["(id 2)", "(antipode 2)"]),
+        st.builds("(rot3 {!r} {!r} {!r} {!r})".format, _FLOAT, _FLOAT, _FLOAT, _FLOAT),
+        st.builds("(susp {})".format, _S1_LEAF),
+    ),
+    lambda inner: st.one_of(
+        st.builds("(compose {} {})".format, inner, inner),
+        st.builds("(blend {!r} {} {})".format, _UNIT, inner, inner),
+        st.builds("(perturb {} {!r} {})".format, _INT, _UNIT, inner),
+    ),
+    max_leaves=3,
+)
+
+
+def _nest(text: str, depth: int) -> str:
+    return "(iterate 1 " * depth + text + ")" * depth
+
+
+def _mutate(text: str, edits: list) -> str:
+    """Apply (position, character) edits: None deletes, a character inserts."""
+    for pos, ch in edits:
+        i = pos % (len(text) + 1)
+        text = text[:i] + text[i + 1 :] if ch is None else text[:i] + ch + text[i:]
+    return text
+
+
+_VALID = st.one_of(
+    _S1, _S2, st.builds(_nest, _S1, st.integers(MAX_DEPTH - 4, MAX_DEPTH + 1))
+)
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 10**4), st.none() | st.sampled_from(list("() 01-.e#x\t"))),
+    min_size=1,
+    max_size=3,
+)
+_LINE = st.one_of(_VALID, st.builds(_mutate, _VALID, _EDITS))
+
+
+class TestFuzz:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(st.lists(_LINE, min_size=1, max_size=4))
+    def test_every_line_gets_one_documented_report(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "maps.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(texts) + "\n")
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(["certify", "-f", path])
+        expected = [t.strip() for t in texts]
+        expected = [t for t in expected if t and not t.startswith("#")]
+        reports = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["input"] for r in reports] == expected
+        assert {r["outcome"] for r in reports} <= _OUTCOMES
+        assert code == (0 if all(r["outcome"] == "ok" for r in reports) else 1)
 
 
 def key_paths(obj: dict, prefix: str = "") -> list[str]:

@@ -21,11 +21,12 @@ from mapdeg import (
     Rot,
     Rot3,
     Susp,
+    degree,
     eval_array,
     make_grid,
     parse,
 )
-from mapdeg.expr import MAX_DEPTH
+from mapdeg.expr import EVAL_BUDGET, MAX_DEPTH
 
 # expressions exercising every constructor, reused by several tests
 CORPUS = [
@@ -104,6 +105,9 @@ class TestParse:
         with pytest.raises(DomainError):
             parse("(rot3 0.0 0.0 0.0 1.0)")
         with pytest.raises(DomainError):
+            parse(f"(pow {2**53 + 1})")  # k * angle is no longer exact
+        assert parse(f"(pow {-(2**53)})") == Pow(-(2**53))
+        with pytest.raises(DomainError):
             Id(3)  # direct construction; "(id 3)" is a grammar violation
 
     @pytest.mark.parametrize(
@@ -145,9 +149,20 @@ class TestParse:
         offending = text.index("(pow 1)", len("(compose (pow 1) ") * (MAX_DEPTH - 1))
         assert (err.value.line, err.value.column) == (1, offending + 1)
 
+    def test_refuses_maps_over_the_evaluation_budget(self):
+        assert parse(f"(iterate {EVAL_BUDGET - 1} (id 1))").n == EVAL_BUDGET - 1
+        with pytest.raises(DomainError):
+            parse(f"(iterate {EVAL_BUDGET} (id 1))")
+
     def test_rot3_axis_is_normalized(self):
         e = parse("(rot3 0.0 0.0 2.0 0.5)")
         assert e.axis == (0.0, 0.0, 1.0)
+
+    def test_rot3_axis_survives_overflowing_squares(self):
+        e = parse("(rot3 1e200 1e200 0 1)")
+        assert math.hypot(*e.axis) == pytest.approx(1.0, abs=1e-15)
+        assert parse(e.render()) == e
+        assert degree(e).value == 1
 
 
 class TestRender:
