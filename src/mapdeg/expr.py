@@ -577,8 +577,8 @@ _FIELDS = {cls: [f.name for f in fields(cls) if f.init] for cls in _NAMES}
 def _evaluations(e: MapExpr) -> int:
     """Node evaluations per sample point, saturated at EVAL_BUDGET + 1."""
     count = sum(map(_evaluations, e.children()))
-    if isinstance(e, Iterate):
-        count *= e.n
+    if isinstance(e, Iterate):  # (iterate 0 E) still reads E's symbolic degree
+        count *= max(e.n, 1)
     return min(1 + count, EVAL_BUDGET + 1)
 
 

@@ -241,6 +241,8 @@ class TestHostileInput:
             "(iterate 100000000 (id 1))",
             "(iterate 10000000 (pow 3))",
             "(iterate 1000 (iterate 1000 (iterate 1000 (id 1))))",
+            "(iterate 0 (iterate 10000000 (pow 3)))",
+            "(iterate 0 (iterate 1000000000000 (pow 2)))",
         ],
     )
     def test_maps_over_the_evaluation_budget_are_refused_up_front(self, capsys, text):

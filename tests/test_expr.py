@@ -153,6 +153,9 @@ class TestParse:
         assert parse(f"(iterate {EVAL_BUDGET - 1} (id 1))").n == EVAL_BUDGET - 1
         with pytest.raises(DomainError):
             parse(f"(iterate {EVAL_BUDGET} (id 1))")
+        # zero iterations still read the inner map's symbolic degree
+        with pytest.raises(DomainError):
+            parse(f"(iterate 0 (iterate {EVAL_BUDGET} (id 1)))")
 
     def test_rot3_axis_is_normalized(self):
         e = parse("(rot3 0.0 0.0 2.0 0.5)")
