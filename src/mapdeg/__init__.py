@@ -26,7 +26,6 @@ from .errors import (
     DistanceTooLarge,
     DomainError,
     InvalidBlend,
-    InvalidHomotopy,
     InvalidResolution,
     MapdegError,
     NearZeroVector,

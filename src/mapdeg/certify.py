@@ -19,17 +19,13 @@ from .degree import (
     DegreeResult,
     DistanceEstimate,
     degree,
-    pair_distance,
     pair_min_norm,
     sample_pair,
+    sup_distance,
 )
-from .errors import (
-    ConsistencyError,
-    DimensionMismatch,
-    DistanceTooLarge,
-    InvalidHomotopy,
-)
+from .errors import ConsistencyError, DimensionMismatch, DistanceTooLarge
 from .expr import MapExpr
+from .geometry import check_rows
 
 #: Homotopy denominators at or below this are treated as pinched.
 HOMOTOPY_MIN_NORM = 1e-6
@@ -228,20 +224,22 @@ def certify_not_iterate(
 
 
 def ball_certificate(
-    f0: MapExpr,
-    g: MapExpr,
-    params: DegreeParams = DegreeParams(),
-    lipschitz: tuple[float, float] | None = None,
+    f0: MapExpr, g: MapExpr, params: DegreeParams = DegreeParams()
 ) -> NonIterateCertificate | Refusal:
     """Certify g as a non-iterate from its proximity to a base map f0.
 
-    Requires (i) degree(f0) is not a perfect power, (ii) the sampled sup
-    distance between f0 and g is below 1 (and the rigorous bound too when
-    Lipschitz constants are supplied), (iii) the straight-line homotopy
-    between them never pinches. (ii) and (iii) share one evaluation of
-    both maps on one grid. The certificate carries f0's degree; the
-    logic never needs degree(g). It is still computed afterwards as a
-    consistency assertion and must agree.
+    Requires degree(f0) not to be a perfect power and the sup distance
+    between f0 and g to be below 1. Then the straight-line homotopy
+    between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
+    vectors, and g has f0's degree. When both maps have a Lipschitz
+    bound, the rigorous distance bound must be below 1: the grid doubles
+    from params.grid_for(dim) until it is, and the certificate is
+    refused with DistanceTooLarge once the sampled distance reaches 1 or
+    the next grid would exceed the row budget. A map with a blend has no
+    bound, so its sampled distance on the first grid decides. The
+    certificate carries f0's degree; the logic never needs degree(g). It
+    is still computed afterwards as a consistency assertion and must
+    agree.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
@@ -250,20 +248,18 @@ def ball_certificate(
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
 
-    grid, F, G = sample_pair(f0, g, params.grid_for(f0.dim))
-    dist = pair_distance(grid, F, G, lipschitz)
-    if dist.sampled_max >= BALL_RADIUS:
-        raise DistanceTooLarge(
-            f"sampled distance {dist.sampled_max:.6f} >= {BALL_RADIUS}; "
-            "the ball argument does not apply (inconclusive)"
-        )
-    if dist.rigorous is not None and dist.rigorous >= BALL_RADIUS:
-        raise DistanceTooLarge(
-            f"rigorous distance bound {dist.rigorous:.6f} >= {BALL_RADIUS}"
-        )
-    min_norm, _ = pair_min_norm(grid, F, G)
-    if min_norm <= HOMOTOPY_MIN_NORM:
-        raise InvalidHomotopy(f"homotopy pinches to {min_norm:.3e} at t=0.5")
+    n = params.grid_for(f0.dim)
+    while True:
+        dist = sup_distance(f0, g, n)
+        if dist.sampled_max >= BALL_RADIUS:
+            raise DistanceTooLarge(
+                f"sampled distance {dist.sampled_max:.6f} >= {BALL_RADIUS}; "
+                "the ball argument does not apply (inconclusive)"
+            )
+        if dist.rigorous is None or dist.rigorous < BALL_RADIUS:
+            break
+        n *= 2
+        check_rows(f0.dim, n, DistanceTooLarge)
 
     certificate = NonIterateCertificate(
         subject=g.render(),

@@ -59,7 +59,8 @@ def _iter_inputs(args):
     if args.expr is not None:
         yield args.expr
         return
-    with open(args.file, encoding="utf-8") as fh:
+    # an undecodable byte becomes U+FFFD, so its line is one ParseError
+    with open(args.file, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             text = line.strip()
             if not text or text.startswith("#"):
@@ -112,15 +113,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    lipschitz = None
-    if args.lipschitz_a is not None or args.lipschitz_b is not None:
-        if args.lipschitz_a is None or args.lipschitz_b is None:
-            print("distance: both --lipschitz-a and --lipschitz-b are needed", file=sys.stderr)
-            return 2
-        lipschitz = (args.lipschitz_a, args.lipschitz_b)
-    return _run_pair(
-        args, "distance", lambda f, g: sup_distance(f, g, args.resolution, lipschitz)
-    )
+    return _run_pair(args, "distance", lambda f, g: sup_distance(f, g, args.resolution))
 
 
 def _cmd_homotopy(args) -> int:
@@ -222,12 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("distance", help="sampled sup distance between two maps")
+    p = sub.add_parser("distance", help="sup distance between two maps")
     _add_common(p, with_input=False)
     p.add_argument("-a", required=True, help="first expression")
     p.add_argument("-b", required=True, help="second expression")
-    p.add_argument("--lipschitz-a", type=float, default=None)
-    p.add_argument("--lipschitz-b", type=float, default=None)
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("homotopy", help="straight-line homotopy validity report")

@@ -42,7 +42,8 @@ class DegreeParams:
     Resolutions left as None fall back to per-dimension defaults. The
     effective maximum is never below twice the starting resolution so at
     least one two-level comparison can run. A given initial resolution
-    also sets the density of the distance and homotopy sample grids.
+    also sets the density of the distance, homotopy and blend sample
+    grids.
     """
 
     initial_resolution: int | None = None
@@ -56,6 +57,8 @@ class DegreeParams:
     def __post_init__(self):
         if self.initial_resolution is not None and self.initial_resolution < 8:
             raise ValueError("initial resolution must be >= 8")
+        if self.max_resolution is not None and self.max_resolution < 8:
+            raise ValueError("max resolution must be >= 8")
         if not 0.0 < self.tolerance < 0.5:
             raise ValueError("tolerance must lie in (0, 0.5)")
 
@@ -63,7 +66,9 @@ class DegreeParams:
         return self.initial_resolution or self._DEFAULT_INITIAL[dim]
 
     def max_for(self, dim: int) -> int:
-        configured = self.max_resolution or self._DEFAULT_MAX[dim]
+        configured = self.max_resolution
+        if configured is None:
+            configured = self._DEFAULT_MAX[dim]
         return max(configured, 2 * self.initial_for(dim))
 
     def grid_for(self, dim: int) -> int:
@@ -95,11 +100,12 @@ class DegreeResult:
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """Sampled sup distance between two maps, optionally with a bound.
+    """Sampled sup distance between two maps, with a bound where one is known.
 
-    sampled_max is a lower bound of the true sup. rigorous, present only
-    when Lipschitz constants were supplied, adds (L_f + L_g) * mesh and is
-    a true upper bound.
+    sampled_max is a lower bound of the true sup. rigorous adds
+    (L_f + L_g) * mesh, with both maps' Lipschitz constants taken from
+    their ASTs, and is a true upper bound. It is None when a map has no
+    finite bound, which is always the case for a map with a blend.
     """
 
     sampled_max: float
@@ -167,9 +173,7 @@ def _refine(e: MapExpr, params: DegreeParams, raw_pass, method: str) -> DegreeRe
 
 def winding_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
     """One non-adaptive winding pass: (raw winding, largest |step|)."""
-    phis = _TWO_PI * np.arange(resolution) / resolution
-    X = np.column_stack([np.cos(phis), np.sin(phis)])
-    Y = eval_array(e, X)
+    Y = eval_array(e, make_grid(1, resolution).nodes)
     alpha = np.arctan2(Y[:, 1], Y[:, 0])
     steps = np.diff(np.concatenate([alpha, alpha[:1]]))
     steps = np.mod(steps + math.pi, _TWO_PI) - math.pi  # wrap to [-pi, pi)
@@ -187,36 +191,20 @@ def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeR
     return _refine(e, params, winding_raw, "winding")
 
 
-def _mesh_vertices(resolution: int) -> np.ndarray:
-    """Vertices of the lat-long triangulation of S2 with `resolution` bands.
-
-    Rows: the north pole, then the resolution - 1 interior latitude rings
-    of 2 * resolution points each, north to south, then the south pole.
-    """
-    theta = math.pi * np.arange(1, resolution) / resolution
-    phi = math.pi * np.arange(2 * resolution) / resolution
-    sin_t = np.sin(theta)[:, None]
-    rings = np.stack(
-        np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)[:, None]),
-        axis=-1,
-    )
-    return np.vstack([(0.0, 0.0, 1.0), rings.reshape(-1, 3), (0.0, 0.0, -1.0)])
-
-
 def simplicial_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
     """One non-adaptive simplicial pass: (raw degree, largest image-edge angle).
 
-    Evaluates e once per mesh vertex. Each pole is repeated around its
-    ring, so every band between consecutive rings splits each cell
-    (a, b, b', a') -- a above b, primes one step east -- into the
-    positively oriented triangles (a, b, b') and (a, b', a'); at the
-    poles one of the two is degenerate and adds nothing. The signed
+    Evaluates e once per vertex of make_grid(2, resolution). Each pole
+    is repeated around its ring, so every band between consecutive rings
+    splits each cell (a, b, b', a') -- a above b, primes one step east --
+    into the positively oriented triangles (a, b, b') and (a, b', a'); at
+    the poles one of the two is degenerate and adds nothing. The signed
     solid angle of an image triangle of unit vectors (p, q, r) is the
     Van Oosterom-Strackee 2 * atan2(p.(q x r), 1 + p.q + q.r + r.p).
     Summation order is fixed, so reruns are bit-identical.
     """
     n, m = resolution, 2 * resolution
-    Y = eval_array(e, _mesh_vertices(n)).T
+    Y = eval_array(e, make_grid(2, n).nodes).T
     top, bottom = (np.broadcast_to(Y[:, i, None, None], (3, 1, m)) for i in (0, -1))
     R = np.concatenate([top, Y[:, 1:-1].reshape(3, n - 1, m), bottom], axis=1)
     R1 = np.roll(R, -1, axis=2)
@@ -263,19 +251,14 @@ def sample_pair(
     return grid, eval_array(f, grid.nodes), eval_array(g, grid.nodes)
 
 
-def pair_distance(
-    grid: SampleGrid,
-    F: np.ndarray,
-    G: np.ndarray,
-    lipschitz: tuple[float, float] | None = None,
-) -> DistanceEstimate:
-    """Sup distance between two maps sampled on `grid` (see sup_distance)."""
+def pair_distance(grid: SampleGrid, F: np.ndarray, G: np.ndarray) -> DistanceEstimate:
+    """Sampled sup distance between two maps' values F and G on `grid`.
+
+    Carries no rigorous bound: that needs the maps themselves (see
+    sup_distance).
+    """
     sampled = min(2.0, float(np.linalg.norm(F - G, axis=1).max()))
-    rigorous = None
-    if lipschitz is not None:
-        lf, lg = lipschitz
-        rigorous = sampled + (lf + lg) * grid.mesh
-    return DistanceEstimate(sampled, grid.resolution, rigorous)
+    return DistanceEstimate(sampled, grid.resolution)
 
 
 def pair_min_norm(
@@ -336,17 +319,19 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     return DegreeResult(sd, witness.residual, "symbolic", witness.resolution)
 
 
-def sup_distance(
-    f: MapExpr,
-    g: MapExpr,
-    resolution: int | None = None,
-    lipschitz: tuple[float, float] | None = None,
-) -> DistanceEstimate:
-    """Sampled sup distance between two maps of the same sphere.
+def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> DistanceEstimate:
+    """Sup distance between two maps of the same sphere.
 
-    The sampled max is a lower bound of the true sup. Supplying
-    Lipschitz constants (L_f, L_g) adds a rigorous upper bound
-    sampled_max + (L_f + L_g) * mesh.
+    The sampled max is a lower bound of the true sup. When both ASTs give
+    a finite Lipschitz bound, rigorous = sampled_max + (L_f + L_g) * mesh
+    is an upper bound: every point lies within mesh of a node, where
+    neither map can have moved by more than its constant times mesh.
     """
     n = resolution or DegreeParams().grid_for(f.dim)
-    return pair_distance(*sample_pair(f, g, n), lipschitz)
+    grid, F, G = sample_pair(f, g, n)
+    sampled = pair_distance(grid, F, G).sampled_max
+    bounds = (f.lipschitz_bound(), g.lipschitz_bound())
+    rigorous = None
+    if None not in bounds and math.isfinite(sum(bounds)):
+        rigorous = sampled + sum(bounds) * grid.mesh
+    return DistanceEstimate(sampled, n, rigorous)

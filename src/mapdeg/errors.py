@@ -49,11 +49,11 @@ class InvalidBlend(MapdegError):
 
 
 class DistanceTooLarge(MapdegError):
-    """Sampled sup distance is not below the unit-ball radius (inconclusive)."""
+    """Sup distance not shown below the unit-ball radius (inconclusive).
 
-
-class InvalidHomotopy(MapdegError):
-    """The straight-line homotopy pinches through the origin."""
+    Either the sampled distance reaches the radius, or its rigorous bound
+    stays above it on every grid within the row budget.
+    """
 
 
 class ConsistencyError(MapdegError):

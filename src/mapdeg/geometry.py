@@ -28,9 +28,15 @@ class SampleGrid:
     """Sample nodes covering S1 or S2.
 
     nodes is an (n, dim+1) array of unit rows built at `resolution`
-    angular subdivisions. mesh is a safe upper bound on the chordal
-    spacing between adjacent nodes, used for Lipschitz-based distance
-    bounds.
+    angular subdivisions. mesh bounds the chordal distance from any point
+    of the sphere to its nearest node, so a map with chordal Lipschitz
+    constant L moves by at most L * mesh between a point and that node.
+    On S1 it is the spacing 2 sin(pi/n) of adjacent nodes, about twice
+    the covering radius. On S2 every point lies within geodesic distance
+    pi/n of a mesh vertex: at most pi/(2n) along its meridian to the
+    nearest ring, then at most pi/(2n) along that ring. The chordal
+    covering radius measures about 0.70 * pi/n, so sqrt(2) * pi/n is
+    safe. Rigorous distance bounds rest on this constant.
     """
 
     dim: int
@@ -52,22 +58,24 @@ def normalize_rows(X: np.ndarray) -> np.ndarray:
 
 
 def check_rows(dim: int, resolution: int, error: type[Exception]) -> None:
-    """Raise `error` if sampling at `resolution` needs more than MAX_ROWS rows.
+    """Raise `error` if make_grid(dim, resolution) holds more than MAX_ROWS rows.
 
-    Counts n rows on S1 and 2n^2 on S2: the cell centres of make_grid, and
-    an upper bound on the vertices of the S2 degree mesh.
+    Counts n rows on S1 and the 2n^2 - 2n + 2 mesh vertices on S2.
     """
-    rows = resolution if dim == 1 else 2 * resolution * resolution
+    rows = resolution if dim == 1 else 2 * resolution * (resolution - 1) + 2
     if rows > MAX_ROWS:
         raise error(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
 
 
 def make_grid(dim: int, resolution: int) -> SampleGrid:
-    """Build a sample grid with `resolution` angular subdivisions.
+    """Build the sample grid with `resolution` angular subdivisions.
 
-    dim=1: `resolution` equally spaced angles. dim=2: `resolution`
-    latitude bands crossed with 2*resolution longitudes, nodes at cell
-    centers.
+    dim=1: `resolution` equally spaced angles 2*pi*k/resolution.
+    dim=2: the vertices of the lat-long triangulation with `resolution`
+    latitude bands: the north pole, then the resolution - 1 interior
+    rings of 2 * resolution points each, north to south, then the south
+    pole. The degree methods, the distance, homotopy and blend checks all
+    sample these nodes.
     """
     if dim not in (1, 2):
         raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
@@ -77,19 +85,14 @@ def make_grid(dim: int, resolution: int) -> SampleGrid:
     if dim == 1:
         phis = 2.0 * math.pi * np.arange(resolution) / resolution
         nodes = np.column_stack([np.cos(phis), np.sin(phis)])
-        mesh = 2.0 * math.sin(math.pi / resolution)
-        return SampleGrid(1, resolution, nodes, mesh)
+        return SampleGrid(1, resolution, nodes, 2.0 * math.sin(math.pi / resolution))
 
-    edges = np.linspace(0.0, math.pi, resolution + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    nlon = 2 * resolution
-    dphi = 2.0 * math.pi / nlon
-    phis = (np.arange(nlon) + 0.5) * dphi
-    sin_t, cos_t = np.sin(centers), np.cos(centers)
-    x = np.outer(sin_t, np.cos(phis)).ravel()
-    y = np.outer(sin_t, np.sin(phis)).ravel()
-    z = np.repeat(cos_t, nlon)
-    nodes = np.column_stack([x, y, z])
-    mesh = math.hypot(math.pi / resolution, math.pi / resolution)
-    return SampleGrid(2, resolution, nodes, mesh)
-
+    theta = math.pi * np.arange(1, resolution) / resolution
+    phi = math.pi * np.arange(2 * resolution) / resolution
+    sin_t = np.sin(theta)[:, None]
+    rings = np.stack(
+        np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)[:, None]),
+        axis=-1,
+    )
+    nodes = np.vstack([(0.0, 0.0, 1.0), rings.reshape(-1, 3), (0.0, 0.0, -1.0)])
+    return SampleGrid(2, resolution, nodes, math.sqrt(2.0) * math.pi / resolution)

@@ -166,13 +166,18 @@ def test_criterion_3_ball_experiment_reproduction():
             problems.append(f"not certified: {line['input']}")
         elif line["payload"]["degree"]["value"] != 2:
             problems.append(f"degree != 2: {line['input']}")
+        elif not isinstance(line["payload"]["ball"]["rigorous"], float):
+            problems.append(f"no rigorous distance bound: {line['input']}")
+        elif line["payload"]["ball"]["rigorous"] >= 1.0:
+            problems.append(f"rigorous distance bound >= 1: {line['input']}")
     elapsed = t1 + t2
     ok = not problems and elapsed < 300.0
     report(
         3,
         "ball-certificate experiment",
         ok,
-        f"125 samples all certified at degree 2, {elapsed:.1f}s (budget 300s)"
+        f"125 samples all certified at degree 2 with rigorous distance bounds "
+        f"below 1, {elapsed:.1f}s (budget 300s)"
         if not problems
         else "; ".join(problems[:3]),
     )
@@ -231,7 +236,7 @@ def test_criterion_5_homotopy_endpoints_and_validity():
         worst = max(worst, float(dev0), float(dev1))
     for f_text, g_text in pairs_s2:
         f, g = parse(f_text), parse(g_text)
-        X = make_grid(2, 23).nodes  # 23 x 46 cells: 1058 samples
+        X = make_grid(2, 23).nodes  # 2 poles and 22 rings of 46: 1014 samples
         dev0 = np.linalg.norm(eval_array(Blend(0.0, f, g), X) - eval_array(f, X), axis=1).max()
         dev1 = np.linalg.norm(eval_array(Blend(1.0, f, g), X) - eval_array(g, X), axis=1).max()
         worst = max(worst, float(dev0), float(dev1))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,10 @@ from mapdeg import (
     make_grid,
     parse,
 )
+from mapdeg import geometry
+from mapdeg.degree import pair_distance, pair_min_norm, sample_pair
+
+from test_degree import S1_TREES, S2_TREES
 
 
 def oracle_is_perfect_power(d: int) -> bool:
@@ -219,12 +225,32 @@ class TestBallCertificate:
     def test_rigorous_mode(self):
         f0 = parse("(pow 2)")
         g = parse("(perturb 11 0.1 (pow 2))")
-        cert = ball_certificate(
-            f0, g, DegreeParams(initial_resolution=1024), lipschitz=(2.0, 4.0)
-        )
+        cert = ball_certificate(f0, g, DegreeParams(initial_resolution=1024))
         assert isinstance(cert, NonIterateCertificate)
-        assert cert.ball.distance.rigorous is not None
-        assert cert.ball.distance.rigorous < 1.0
+        assert cert.ball.distance.sampled_max <= cert.ball.distance.rigorous < 1.0
+        # a blend has no Lipschitz bound: its sampled distance decides alone
+        blend = parse("(blend 0.5 (pow 2) (perturb 11 0.1 (pow 2)))")
+        cert = ball_certificate(f0, blend)
+        assert cert.ball.distance.rigorous is None
+        assert cert.to_json_dict()["ball"]["rigorous"] is None
+
+    def test_grid_doubles_until_the_bound_is_below_one(self):
+        # |e^i z^2 - z^2| = 2 sin(1/2) = 0.959 everywhere, and with
+        # L_f + L_g = 4 the bound drops below 1 only at 1024 samples
+        cert = ball_certificate(parse("(pow 2)"), parse("(compose (rot 1.0) (pow 2))"))
+        assert isinstance(cert, NonIterateCertificate)
+        dist = cert.ball.distance
+        assert dist.sampled_max == pytest.approx(2 * math.sin(0.5), abs=1e-12)
+        assert dist.resolution == 1024
+        assert dist.rigorous < 1.0
+
+    def test_bound_that_needs_more_rows_than_the_budget_is_refused(self, monkeypatch):
+        # a sampled distance of 1 - 1e-6 would need about 2**25 samples
+        # before the bound drops below 1, past even the real budget
+        monkeypatch.setattr(geometry, "MAX_ROWS", 4096)
+        g = Compose(Rot(2 * math.asin(0.5 - 5e-7)), Pow(2))
+        with pytest.raises(DistanceTooLarge, match="resolution 8192 needs more than 4096"):
+            ball_certificate(Pow(2), g)
 
     def test_sphere_case(self):
         f0 = parse("(susp (pow 2))")
@@ -250,3 +276,12 @@ class TestBallCertificate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ball_certificate(parse("(pow 2)"), parse("(susp (pow 2))"))
+
+    @settings(deadline=None)
+    @given(st.one_of(S1_TREES, S2_TREES), st.integers(0, 2**64 - 1), st.floats(0.0, 0.99))
+    def test_sampled_distance_bounds_the_homotopy_denominator(self, f, seed, eps):
+        # for unit rows |F + G|^2 = 4 - |F - G|^2, so a distance below 1
+        # already keeps the homotopy's min_norm above sqrt(3) / 2
+        grid, F, G = sample_pair(f, Perturb(seed, eps, f), 64 if f.dim == 1 else 16)
+        d = pair_distance(grid, F, G).sampled_max
+        assert pair_min_norm(grid, F, G)[0] >= math.sqrt(4 - d * d) / 2 - 1e-12

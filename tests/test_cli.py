@@ -118,23 +118,20 @@ class TestDistanceCommand:
         assert code == 1
         assert lines[0]["outcome"] == "DimensionMismatch"
 
-    def test_lipschitz_flags_add_a_rigorous_bound(self, capsys):
+    def test_rigorous_bound_comes_from_the_ast(self, capsys):
         code, lines, _ = run_cli(
-            capsys,
-            "distance", "-a", "(pow 2)", "-b", "(perturb 5 0.1 (pow 2))",
-            "--lipschitz-a", "2.0", "--lipschitz-b", "4.0",
+            capsys, "distance", "-a", "(pow 2)", "-b", "(perturb 5 0.1 (pow 2))"
         )
         assert code == 0
         payload = lines[0]["payload"]
         assert payload["rigorous"] is not None
         assert payload["rigorous"] >= payload["sampled_max"]
-
-    def test_lipschitz_flags_must_come_in_pairs(self, capsys):
-        code = main(
-            ["distance", "-a", "(pow 2)", "-b", "(pow 2)", "--lipschitz-a", "2.0"]
+        # a blend has no Lipschitz bound, so its distance stays sampled only
+        code, lines, _ = run_cli(
+            capsys, "distance", "-a", "(pow 2)", "-b", "(blend 0.5 (pow 2) (rot 0.1))"
         )
-        capsys.readouterr()
-        assert code == 2
+        assert code == 0
+        assert lines[0]["payload"]["rigorous"] is None
 
 
 class TestHomotopyCommand:
@@ -212,6 +209,12 @@ class TestUsageErrors:
         assert code == 2
         assert "resolution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-7", "4"])
+    def test_bad_max_resolution(self, capsys, cap):
+        code = main(["degree", "-e", "(pow 2)", "--max-resolution", cap])
+        assert code == 2
+        assert "max resolution" in capsys.readouterr().err
+
 
 class TestHostileInput:
     def test_deep_nesting_does_not_kill_the_batch(self, capsys, tmp_path):
@@ -221,6 +224,14 @@ class TestHostileInput:
         assert code == 1
         assert [r["outcome"] for r in lines] == ["ParseError", "ok"]
         assert lines[1]["payload"]["value"] == 3
+
+    def test_undecodable_bytes_do_not_kill_the_batch(self, capsys, tmp_path):
+        f = tmp_path / "maps.txt"
+        f.write_bytes(b"(pow 2)\n\xff\xfe\n(pow 3)\n")
+        code, lines, _ = run_cli(capsys, "degree", "-f", str(f))
+        assert code == 1
+        assert [r["outcome"] for r in lines] == ["ok", "ParseError", "ok"]
+        assert lines[2]["payload"]["value"] == 3
 
     def test_overflowing_numbers_do_not_kill_the_batch(self, capsys, tmp_path):
         huge = 10**400

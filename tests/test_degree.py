@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from mapdeg import (
     degree,
     degree_simplicial,
     degree_winding,
+    eval_array,
     parse,
     sup_distance,
 )
@@ -29,6 +31,41 @@ from mapdeg import geometry
 from mapdeg.degree import simplicial_raw, winding_raw
 
 from test_expr import winding_oracle
+
+
+def _trees(leaves):
+    """Random blend-free trees over `leaves`: compose, iterate and perturb."""
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda fg: Compose(*fg)),
+            st.tuples(st.integers(0, 2), inner).map(lambda ne: Iterate(*ne)),
+            st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 0.6), inner).map(
+                lambda sei: Perturb(*sei)
+            ),
+        ),
+        max_leaves=3,
+    )
+
+
+S1_TREES = _trees(
+    st.one_of(
+        st.integers(-3, 3).map(Pow),
+        st.floats(-math.pi, math.pi).map(Rot),
+        st.sampled_from([Conj(), Antipode(1)]),
+    )
+)
+S2_TREES = _trees(
+    st.one_of(
+        st.integers(-3, 3).map(lambda k: Susp(Pow(k))),
+        st.just(Antipode(2)),
+        st.builds(
+            Rot3,
+            st.tuples(st.just(0.3), st.floats(-1, 1), st.just(1.0)),
+            st.floats(-math.pi, math.pi),
+        ),
+    )
+)
 
 
 class TestWinding:
@@ -126,27 +163,7 @@ class TestSimplicial:
         assert (res.value, res.resolution) == (5, 32)
 
     @settings(deadline=None)
-    @given(
-        st.recursive(
-            st.one_of(
-                st.integers(-3, 3).map(lambda k: Susp(Pow(k))),
-                st.just(Antipode(2)),
-                st.builds(
-                    Rot3,
-                    st.tuples(st.just(0.3), st.floats(-1, 1), st.just(1.0)),
-                    st.floats(-math.pi, math.pi),
-                ),
-            ),
-            lambda inner: st.one_of(
-                st.tuples(inner, inner).map(lambda fg: Compose(*fg)),
-                st.tuples(st.integers(0, 2), inner).map(lambda ne: Iterate(*ne)),
-                st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 0.6), inner).map(
-                    lambda sei: Perturb(*sei)
-                ),
-            ),
-            max_leaves=3,
-        ).filter(lambda e: e.lipschitz_bound() <= 40.0)
-    )
+    @given(S2_TREES.filter(lambda e: e.lipschitz_bound() <= 40.0))
     def test_equals_the_structural_degree_on_random_trees(self, e):
         assert degree_simplicial(e).value == e.symbolic_degree()
 
@@ -174,6 +191,10 @@ class TestDegreeDispatch:
             DegreeParams(tolerance=0.7)
         with pytest.raises(ValueError):
             DegreeParams(initial_resolution=4)
+        for cap in (0, -7, 4):
+            with pytest.raises(ValueError):
+                DegreeParams(max_resolution=cap)
+        assert DegreeParams(max_resolution=8).max_for(1) == 512
 
     def test_multiplicativity_on_seeded_pairs(self):
         rng = random.Random(1729)
@@ -234,12 +255,35 @@ class TestSupDistance:
 
     def test_rigorous_bound_needs_lipschitz_constants(self):
         f, g = parse("(pow 2)"), parse("(perturb 5 0.4 (pow 2))")
-        plain = sup_distance(f, g, 512)
-        assert plain.rigorous is None
-        bounded = sup_distance(f, g, 512, lipschitz=(2.0, 8.0))
-        assert bounded.rigorous is not None
-        assert bounded.rigorous >= bounded.sampled_max
+        bounded = sup_distance(f, g, 512)
+        mesh = geometry.make_grid(1, 512).mesh
+        slope = f.lipschitz_bound() + g.lipschitz_bound()
+        assert bounded.rigorous == bounded.sampled_max + slope * mesh
+        # a blend has no Lipschitz constant, nor does a bound that overflows
+        blend = parse("(blend 0.5 (pow 2) (perturb 5 0.4 (pow 2)))")
+        assert sup_distance(f, blend, 512).rigorous is None
+        assert sup_distance(f, parse("(iterate 2000 (pow 2))"), 512).rigorous is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sup_distance(parse("(pow 2)"), parse("(susp (pow 2))"))
+
+
+class TestLipschitzBound:
+    """The AST's Lipschitz bound, on which rigorous distance bounds rest."""
+
+    @settings(deadline=None)
+    @given(st.one_of(S1_TREES, S2_TREES), st.integers(0, 2**32 - 1))
+    def test_bounds_chordal_difference_quotients(self, e, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, e.dim + 1))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        # step along a unit tangent, so no pair is too close for rounding
+        T = rng.normal(size=X.shape)
+        T -= (T * X).sum(axis=1)[:, None] * X
+        T /= np.linalg.norm(T, axis=1)[:, None]
+        Y = X + rng.choice([1e-2, 1e-3, 1e-4], size=(300, 1)) * T
+        Y /= np.linalg.norm(Y, axis=1)[:, None]
+        moved = np.linalg.norm(eval_array(e, X) - eval_array(e, Y), axis=1)
+        quotients = moved / np.linalg.norm(X - Y, axis=1)
+        assert quotients.max() <= e.lipschitz_bound() * (1.0 + 1e-9)

@@ -1,8 +1,10 @@
+import argparse
 import re
 import types
 from pathlib import Path
 
 import mapdeg
+from mapdeg.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,4 +19,23 @@ def test_every_exported_name_is_documented_under_library_use():
     ]
     assert len(exported) > 40
     missing = [name for name in exported if not re.search(rf"`{name}[`(]", section)]
+    assert missing == []
+
+
+def test_every_cli_option_is_documented():
+    text = README.read_text(encoding="utf-8")
+    (subparsers,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    missing = []
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if not any(
+                re.search(rf"(?<![\w-]){re.escape(s)}(?![\w-])", text)
+                for s in action.option_strings
+            ):
+                missing.append((command, action.option_strings))
+    assert len(subparsers.choices) == 5
     assert missing == []

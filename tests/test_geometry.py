@@ -106,15 +106,16 @@ class TestMakeGrid:
         assert np.abs(np.linalg.norm(g.nodes, axis=1) - 1.0).max() <= 1e-12
 
     def test_sphere_grid_weight_sum(self):
-        # oracle: the nodes sit at the cell centres of the lat-long
-        # rectangle, so the midpoint weights sin(theta) dtheta dphi at the
-        # nodes must sum to the sphere's area 4*pi to O(n^-2) accuracy
+        # oracle: the nodes are the mesh vertices, with rings at
+        # theta = k*pi/n, so the trapezoid weights sin(theta) dtheta dphi
+        # at the nodes sum to 2*pi^2/n * cot(pi/(2n)), which is the
+        # sphere's area 4*pi less pi^3/(3n^2), up to O(n^-4)
         n = 64
         g = make_grid(2, n)
-        assert len(g) == 64 * 128
+        assert len(g) == 2 + 63 * 128
         sin_theta = np.hypot(g.nodes[:, 0], g.nodes[:, 1])
         riemann = float(sin_theta.sum()) * (math.pi / n) * (math.pi / n)
-        assert abs(riemann - 4 * math.pi) < 2e-3
+        assert abs(riemann - (4 * math.pi - math.pi**3 / (3 * n * n))) < 1e-6
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
     def test_weight_sums_at_all_resolutions(self, n):
@@ -126,7 +127,7 @@ class TestMakeGrid:
 
     def test_sphere_grid_nodes_are_unit(self):
         g = make_grid(2, 16)
-        assert len(g) == 16 * 32
+        assert len(g) == 2 + 15 * 32
         assert np.abs(np.linalg.norm(g.nodes, axis=1) - 1.0).max() <= 1e-12
 
     def test_rejects_low_resolution(self):
@@ -138,7 +139,7 @@ class TestMakeGrid:
             make_grid(3, 64)
 
     def test_rejects_grids_over_the_row_budget(self):
-        # 1448 bands carry 2 * 1448**2 <= 2**22 nodes, 1449 bands more;
+        # 1448 bands carry 2 * 1448 * 1447 + 2 <= 2**22 nodes, 1449 bands more;
         # the refusal comes before any allocation
         check_rows(1, MAX_ROWS, InvalidResolution)
         check_rows(2, 1448, InvalidResolution)
