@@ -18,10 +18,12 @@ from .degree import (
     DegreeParams,
     DegreeResult,
     DistanceEstimate,
+    _degree,
+    _Samples,
+    _sup_distance,
     degree,
     pair_min_norm,
     sample_pair,
-    sup_distance,
 )
 from .errors import ConsistencyError, DimensionMismatch, DistanceTooLarge
 from .expr import MapExpr
@@ -195,7 +197,7 @@ def homotopy_check(
     all t in [0, 1], taken exactly at t = 1/2; the homotopy is valid iff
     that minimum stays above HOMOTOPY_MIN_NORM.
     """
-    n = resolution or DegreeParams().grid_for(f0.dim)
+    n = resolution if resolution is not None else DegreeParams().grid_for(f0.dim)
     min_norm, point = pair_min_norm(*sample_pair(f0, g, n))
     return HomotopyReport(
         valid=min_norm > HOMOTOPY_MIN_NORM,
@@ -240,17 +242,23 @@ def ball_certificate(
     certificate carries f0's degree; the logic never needs degree(g). It
     is still computed afterwards as a consistency assertion and must
     agree.
+
+    The three steps share one set of samples, so each map is evaluated
+    at most once per resolution: the first distance grid is f0's finest
+    degree level (S2) or a stride of it (S1), and degree(g) reads g's
+    values from the distance grids where they match its levels.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    deg0 = degree(f0, params)
+    samples = _Samples()
+    deg0 = _degree(f0, params, samples)
     witness = is_perfect_power(deg0.value)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
 
     n = params.grid_for(f0.dim)
     while True:
-        dist = sup_distance(f0, g, n)
+        dist = _sup_distance(f0, g, n, samples)
         if dist.sampled_max >= BALL_RADIUS:
             raise DistanceTooLarge(
                 f"sampled distance {dist.sampled_max:.6f} >= {BALL_RADIUS}; "
@@ -268,7 +276,7 @@ def ball_certificate(
         checked_exponents=_exponent_scan_range(deg0.value),
         ball=BallProvenance(f0.render(), dist),
     )
-    deg_g = degree(g, params)
+    deg_g = _degree(g, params, samples)
     if deg_g.value != deg0.value:
         raise ConsistencyError(
             f"degree {deg_g.value} of the perturbed map differs from the "

@@ -82,10 +82,16 @@ def _run_per_line(args, command: str, runner) -> int:
 
 
 def _run_pair(args, command: str, compute) -> int:
-    """One report line for the maps -a and -b; compute(f, g) is the result."""
+    """One report line for the maps -a and -b; compute(f, g, n) is the result.
+
+    n is the grid resolution: --resolution, or the default grid of the
+    maps' sphere.
+    """
+    params = DegreeParams(initial_resolution=args.resolution)
 
     def run() -> dict:
-        return compute(parse(args.a), parse(args.b)).to_json_dict()
+        f, g = parse(args.a), parse(args.b)
+        return compute(f, g, params.grid_for(f.dim)).to_json_dict()
 
     report = _report_line(command, f"{args.a} | {args.b}", run)
     _emit(report, args.json)
@@ -113,13 +119,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    return _run_pair(args, "distance", lambda f, g: sup_distance(f, g, args.resolution))
+    return _run_pair(args, "distance", sup_distance)
 
 
 def _cmd_homotopy(args) -> int:
-    return _run_pair(
-        args, "homotopy", lambda f, g: homotopy_check(f, g, args.resolution)
-    )
+    return _run_pair(args, "homotopy", homotopy_check)
 
 
 # splitmix64 finalizer; mixes the sample index into the master seed so
@@ -183,15 +187,12 @@ def _cmd_experiment(args) -> int:
     return 0 if refused == 0 and errors == 0 else 1
 
 
-def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("-e", "--expr", help="inline s-expression")
-        group.add_argument("-f", "--file", help="file with one expression per line")
+def _add_common(p: argparse.ArgumentParser, refines: bool) -> None:
+    """--resolution and --json; --max-resolution and --tolerance if `refines`."""
     p.add_argument("--resolution", type=int, default=None, help="starting resolution")
-    p.add_argument("--max-resolution", type=int, default=None, help="refinement cap")
-    p.add_argument("--tolerance", type=float, default=0.1, help="residual tolerance")
-    p.add_argument("--seed", type=int, default=1, help="master seed")
+    if refines:
+        p.add_argument("--max-resolution", type=int, default=None, help="refinement cap")
+        p.add_argument("--tolerance", type=float, default=0.1, help="residual tolerance")
     p.add_argument(
         "--json",
         action=argparse.BooleanOptionalAction,
@@ -207,31 +208,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("degree", help="compute the degree of each expression")
-    _add_common(p)
-    p.set_defaults(func=_cmd_degree)
+    for name, func, text in (
+        ("degree", _cmd_degree, "compute the degree of each expression"),
+        ("certify", _cmd_certify, "emit non-iterate certificates or refusals"),
+    ):
+        p = sub.add_parser(name, help=text)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("-e", "--expr", help="inline s-expression")
+        group.add_argument("-f", "--file", help="file with one expression per line")
+        _add_common(p, refines=True)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("certify", help="emit non-iterate certificates or refusals")
-    _add_common(p)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("distance", help="sup distance between two maps")
-    _add_common(p, with_input=False)
-    p.add_argument("-a", required=True, help="first expression")
-    p.add_argument("-b", required=True, help="second expression")
-    p.set_defaults(func=_cmd_distance)
-
-    p = sub.add_parser("homotopy", help="straight-line homotopy validity report")
-    _add_common(p, with_input=False)
-    p.add_argument("-a", required=True, help="first expression")
-    p.add_argument("-b", required=True, help="second expression")
-    p.set_defaults(func=_cmd_homotopy)
+    for name, func, text in (
+        ("distance", _cmd_distance, "sup distance between two maps"),
+        ("homotopy", _cmd_homotopy, "straight-line homotopy validity report"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common(p, refines=False)
+        p.add_argument("-a", required=True, help="first expression")
+        p.add_argument("-b", required=True, help="second expression")
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "experiment",
         help="ball certificates for random perturbations of a degree-2 base map",
     )
-    _add_common(p, with_input=False)
+    _add_common(p, refines=True)
+    p.add_argument("--seed", type=int, default=1, help="master seed")
     p.add_argument("--dim", type=int, choices=(1, 2), required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--epsilon-max", type=float, required=True)

@@ -24,7 +24,7 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from .expr import Blend, MapExpr, eval_array, walk
-from .geometry import SampleGrid, check_rows, make_grid
+from .geometry import SampleGrid, check_rows, coarsen, make_grid
 
 _TWO_PI = 2.0 * math.pi
 
@@ -125,15 +125,15 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so when the AST yields a
-    Lipschitz bound we refuse to start below it. A start too large for
-    the cap or the row budget, or an infinite bound, is refused before
-    any sampling.
+    Lipschitz bound we refuse to start below it. A start whose double
+    exceeds the cap or the row budget, or an infinite bound, is refused
+    before any sampling, so the first two-level comparison always runs.
     """
     need = params.initial_for(dim)
     bound = e.lipschitz_bound()
     if bound is not None:
         need = max(need, (_TWO_PI if dim == 1 else math.pi) * bound)
-    if not 2 * need <= params.max_for(dim):
+    if not need <= params.max_for(dim) // 2:
         raise ResolutionExceeded(
             f"map needs resolution {need:.6g}, beyond the cap {params.max_for(dim)}"
         )
@@ -141,21 +141,70 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
     return math.ceil(need)
 
 
-def _refine(e: MapExpr, params: DegreeParams, raw_pass, method: str) -> DegreeResult:
+class _Samples:
+    """Values of maps on make_grid nodes, shared by the passes of one call.
+
+    Each (map, resolution) is evaluated at most once; a level whose
+    double is held is read from it by geometry.coarsen instead. Only each
+    map's latest level is held, with the grids those levels lie on, so a
+    long refinement does not pin every level it passed. A lone degree
+    holds no grid (hold_grids=False): no other pass reads its nodes, and
+    the grid of 1024 bands alone is 50 MB. One instance serves one
+    degree, distance or certificate call; nothing is shared across calls.
+    """
+
+    def __init__(self, hold_grids: bool = True):
+        self._hold_grids = hold_grids
+        self._grids: dict[tuple[int, int], SampleGrid] = {}
+        self._values: dict[MapExpr, tuple[int, np.ndarray]] = {}
+
+    def grid(self, dim: int, resolution: int) -> SampleGrid:
+        grid = self._grids.get((dim, resolution))
+        if grid is None:
+            grid = make_grid(dim, resolution)
+            if self._hold_grids:
+                self._grids[dim, resolution] = grid
+        return grid
+
+    def values(self, e: MapExpr, resolution: int) -> np.ndarray:
+        level, Y = self._values.get(e, (None, None))
+        if level == resolution:
+            return Y
+        if level == 2 * resolution:
+            return coarsen(e.dim, resolution, Y)
+        self._values.pop(e, None)  # not held while the next level is evaluated
+        Y = eval_array(e, self.grid(e.dim, resolution).nodes)
+        self._values[e] = (resolution, Y)
+        held = {(f.dim, n) for f, (n, _) in self._values.items()}
+        self._grids = {key: g for key, g in self._grids.items() if key in held}
+        return Y
+
+
+def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
     """Double the resolution until two consecutive raw passes agree.
 
-    raw_pass(e, n) returns (raw degree, largest image step or edge angle).
-    A level is accepted when both passes keep that guard within
-    STEP_CAP, their raw values agree within the tolerance and the finer
-    one sits within the tolerance of an integer. No level beyond the row
-    budget is sampled.
+    The pass is the winding on S1 and the simplicial degree on S2; it
+    returns (raw degree, largest image step or edge angle) from the map's
+    values on one grid. Each pair of levels evaluates only its finer
+    level, through `samples`: the first pair reads its coarser level from
+    the finer one by geometry.coarsen, and every later pair reuses the
+    previous finer pass. A level is accepted when both passes keep that
+    guard within STEP_CAP, their raw values agree within the tolerance
+    and the finer one sits within the tolerance of an integer. No level
+    beyond the row budget is sampled.
     """
-    n = _start_resolution(e, params, e.dim)
-    n_max = params.max_for(e.dim)
-    raw_c, step_c = raw_pass(e, n)
+    dim = e.dim
+    method, raw_pass = _PASSES[dim]
+    n = _start_resolution(e, params, dim)
+    n_max = params.max_for(dim)
+    raw_c = step_c = None
     while 2 * n <= n_max:
-        check_rows(e.dim, 2 * n, ResolutionExceeded)
-        raw_f, step_f = raw_pass(e, 2 * n)
+        check_rows(dim, 2 * n, ResolutionExceeded)
+        Y = samples.values(e, 2 * n)
+        if raw_c is None:
+            raw_c, step_c = raw_pass(coarsen(dim, n, Y), n)
+        raw_f, step_f = raw_pass(Y, 2 * n)
+        del Y  # not held while the next level is evaluated
         value = int(round(raw_f))
         residual = abs(raw_f - value)
         if (
@@ -171,13 +220,17 @@ def _refine(e: MapExpr, params: DegreeParams, raw_pass, method: str) -> DegreeRe
     )
 
 
-def winding_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
-    """One non-adaptive winding pass: (raw winding, largest |step|)."""
-    Y = eval_array(e, make_grid(1, resolution).nodes)
+def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
+    """(raw winding, largest |step|) from values Y on make_grid(1, resolution)."""
     alpha = np.arctan2(Y[:, 1], Y[:, 0])
     steps = np.diff(np.concatenate([alpha, alpha[:1]]))
     steps = np.mod(steps + math.pi, _TWO_PI) - math.pi  # wrap to [-pi, pi)
     return float(steps.sum() / _TWO_PI), float(np.abs(steps).max())
+
+
+def winding_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
+    """One non-adaptive winding pass: (raw winding, largest |step|)."""
+    return _winding_pass(eval_array(e, make_grid(1, resolution).nodes), resolution)
 
 
 def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
@@ -188,23 +241,23 @@ def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeR
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
-    return _refine(e, params, winding_raw, "winding")
+    return _refine(e, params, _Samples(hold_grids=False))
 
 
-def simplicial_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
-    """One non-adaptive simplicial pass: (raw degree, largest image-edge angle).
+def _simplicial_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
+    """(raw degree, largest image-edge angle) from values Y on make_grid(2, resolution).
 
-    Evaluates e once per vertex of make_grid(2, resolution). Each pole
-    is repeated around its ring, so every band between consecutive rings
-    splits each cell (a, b, b', a') -- a above b, primes one step east --
-    into the positively oriented triangles (a, b, b') and (a, b', a'); at
-    the poles one of the two is degenerate and adds nothing. The signed
-    solid angle of an image triangle of unit vectors (p, q, r) is the
-    Van Oosterom-Strackee 2 * atan2(p.(q x r), 1 + p.q + q.r + r.p).
-    Summation order is fixed, so reruns are bit-identical.
+    Each pole is repeated around its ring, so every band between
+    consecutive rings splits each cell (a, b, b', a') -- a above b,
+    primes one step east -- into the positively oriented triangles
+    (a, b, b') and (a, b', a'); at the poles one of the two is degenerate
+    and adds nothing. The signed solid angle of an image triangle of unit
+    vectors (p, q, r) is the Van Oosterom-Strackee
+    2 * atan2(p.(q x r), 1 + p.q + q.r + r.p). Summation order is fixed,
+    so reruns are bit-identical.
     """
     n, m = resolution, 2 * resolution
-    Y = eval_array(e, make_grid(2, n).nodes).T
+    Y = Y.T
     top, bottom = (np.broadcast_to(Y[:, i, None, None], (3, 1, m)) for i in (0, -1))
     R = np.concatenate([top, Y[:, 1:-1].reshape(3, n - 1, m), bottom], axis=1)
     R1 = np.roll(R, -1, axis=2)
@@ -229,6 +282,14 @@ def _triple(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     )
 
 
+def simplicial_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
+    """One non-adaptive simplicial pass: (raw degree, largest image-edge angle)."""
+    return _simplicial_pass(eval_array(e, make_grid(2, resolution).nodes), resolution)
+
+
+_PASSES = {1: ("winding", _winding_pass), 2: ("simplicial", _simplicial_pass)}
+
+
 def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     """Simplicial solid-angle degree of an S2 expression.
 
@@ -238,7 +299,7 @@ def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> Degr
     """
     if e.dim != 2:
         raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")
-    return _refine(e, params, simplicial_raw, "simplicial")
+    return _refine(e, params, _Samples(hold_grids=False))
 
 
 def sample_pair(
@@ -305,12 +366,16 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     it does not (a blend is present), the blend denominators are checked
     and the numeric result is returned as-is.
     """
-    numeric = degree_winding if e.dim == 1 else degree_simplicial
+    return _degree(e, params, _Samples(hold_grids=False))
+
+
+def _degree(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
+    """degree(e, params), reading the map's values from `samples`."""
     sd = e.symbolic_degree()
     if sd is None:
         check_blend_validity(e, params)
-        return numeric(e, params)
-    witness = numeric(e, params)
+        return _refine(e, params, samples)
+    witness = _refine(e, params, samples)
     if witness.value != sd:
         raise SymbolicNumericMismatch(
             f"structural degree {sd} but {witness.method} found {witness.value} "
@@ -326,9 +391,24 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     a finite Lipschitz bound, rigorous = sampled_max + (L_f + L_g) * mesh
     is an upper bound: every point lies within mesh of a node, where
     neither map can have moved by more than its constant times mesh.
+    `resolution` defaults to DegreeParams().grid_for(dim).
     """
-    n = resolution or DegreeParams().grid_for(f.dim)
-    grid, F, G = sample_pair(f, g, n)
+    if resolution is None:
+        resolution = DegreeParams().grid_for(f.dim)
+    return _sup_distance(f, g, resolution, _Samples())
+
+
+def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples) -> DistanceEstimate:
+    """sup_distance(f, g, n), reading both maps' values from `samples`.
+
+    Inside a ball certificate the first level is, by default, the finest
+    level of f's degree (128 bands on S2) or the level below it (256
+    samples on S1), so f is not evaluated again.
+    """
+    if f.dim != g.dim:
+        raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
+    grid = samples.grid(f.dim, n)
+    F, G = samples.values(f, n), samples.values(g, n)
     sampled = pair_distance(grid, F, G).sampled_max
     bounds = (f.lipschitz_bound(), g.lipschitz_bound())
     rigorous = None

@@ -1,4 +1,6 @@
+import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -285,3 +287,49 @@ class TestBallCertificate:
         grid, F, G = sample_pair(f, Perturb(seed, eps, f), 64 if f.dim == 1 else 16)
         d = pair_distance(grid, F, G).sampled_max
         assert pair_min_norm(grid, F, G)[0] >= math.sqrt(4 - d * d) / 2 - 1e-12
+
+
+class TestEvaluationCount:
+    """Each map is evaluated at most once per resolution one call uses."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """Counter of (map text, rows) over the calls of eval_array."""
+        counts = Counter()
+        module = importlib.import_module("mapdeg.degree")
+        original = module.eval_array
+
+        def counting(e, X):
+            counts[e.render(), len(X)] += 1
+            return original(e, X)
+
+        monkeypatch.setattr(module, "eval_array", counting)
+        return counts
+
+    def test_sphere_ball_certificate_evaluates_each_map_once(self, rows):
+        # the 128-band mesh has 2 + 127 * 256 = 32514 vertices; the
+        # 64-band level of both degrees is a stride of it, and the
+        # distance reads the same arrays
+        f0 = parse("(susp (pow 2))")
+        g = parse("(perturb 4 0.5 (susp (pow 2)))")
+        assert isinstance(ball_certificate(f0, g), NonIterateCertificate)
+        assert rows == {(f0.render(), 32514): 1, (g.render(), 32514): 1}
+
+    def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
+        e = parse("(perturb 4 0.5 (susp (pow 2)))")
+        assert degree(e).resolution == 128
+        assert rows == {(e.render(), 32514): 1}
+
+    def test_doubling_distance_evaluates_each_level_once(self, rows):
+        # f0's degree accepts at 512 samples and the distance doubles
+        # from 256 to 1024; g's degree reads its 512 level from there
+        f0 = parse("(pow 2)")
+        g = parse("(compose (rot 1.0) (pow 2))")
+        assert ball_certificate(f0, g).ball.distance.resolution == 1024
+        assert rows == {
+            (f0.render(), 512): 1,
+            (f0.render(), 1024): 1,
+            (g.render(), 256): 1,
+            (g.render(), 512): 1,
+            (g.render(), 1024): 1,
+        }

@@ -209,6 +209,33 @@ class TestUsageErrors:
         assert code == 2
         assert "resolution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["distance", "homotopy"])
+    @pytest.mark.parametrize("resolution", ["0", "4"])
+    def test_bad_pair_resolution(self, capsys, command, resolution):
+        # 0 used to fall back to the default grid and exit 0
+        code = main([command, "-a", "(pow 2)", "-b", "(pow 2)", "--resolution", resolution])
+        assert code == 2
+        assert "resolution must be >= 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "-a", "(pow 2)", "-b", "(pow 2)", "--max-resolution", "5"],
+            ["distance", "-a", "(pow 2)", "-b", "(pow 2)", "--tolerance", "0.9"],
+            ["homotopy", "-a", "(pow 2)", "-b", "(pow 2)", "--max-resolution", "64"],
+            ["homotopy", "-a", "(pow 2)", "-b", "(pow 2)", "--tolerance", "0.2"],
+            ["distance", "-a", "(pow 2)", "-b", "(pow 2)", "--seed", "3"],
+            ["homotopy", "-a", "(pow 2)", "-b", "(pow 2)", "--seed", "3"],
+            ["degree", "-e", "(pow 2)", "--seed", "3"],
+            ["certify", "-e", "(pow 2)", "--seed", "3"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", ["0", "-7", "4"])
     def test_bad_max_resolution(self, capsys, cap):
         code = main(["degree", "-e", "(pow 2)", "--max-resolution", cap])

@@ -97,6 +97,13 @@ class TestWinding:
         res = degree_winding(Pow(5000), DegreeParams(max_resolution=1 << 17))
         assert res.value == 5000
 
+    def test_start_whose_double_exceeds_the_cap_is_refused_up_front(self):
+        # 2*pi*L = 257.13 rounds up to 258 samples, and 516 > 515: no
+        # two-level comparison fits under the cap, so nothing is sampled
+        e = parse("(perturb 1 0.022 (pow 40))")
+        with pytest.raises(ResolutionExceeded, match="257.132, beyond the cap 515"):
+            degree_winding(e, DegreeParams(max_resolution=515))
+
     def test_refinement_stops_at_the_row_budget(self, monkeypatch):
         # a blend has no wrap bound, so only the budget ends the doubling:
         # levels 16, 32 and 64 break the step guard, 128 is never sampled

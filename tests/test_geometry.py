@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapdeg import (
@@ -10,12 +10,15 @@ from mapdeg import (
     DimensionMismatch,
     InvalidResolution,
     NearZeroVector,
+    eval_array,
     make_grid,
     parse,
     sup_distance,
 )
 from mapdeg.degree import pair_distance, simplicial_raw, winding_raw
-from mapdeg.geometry import MAX_ROWS, check_rows, normalize_rows
+from mapdeg.geometry import MAX_ROWS, check_rows, coarsen, normalize_rows
+
+from test_degree import S1_TREES, S2_TREES
 
 
 def circle_point(phi: float) -> np.ndarray:
@@ -129,6 +132,20 @@ class TestMakeGrid:
         g = make_grid(2, 16)
         assert len(g) == 2 + 15 * 32
         assert np.abs(np.linalg.norm(g.nodes, axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [8, 9, 16, 33, 64, 128, 256, 512])
+    def test_coarse_nodes_are_a_stride_of_the_fine_ones(self, dim, n):
+        # exact, not close: the degree reads its coarser level this way
+        fine = make_grid(dim, 2 * n).nodes
+        assert np.array_equal(coarsen(dim, n, fine), make_grid(dim, n).nodes)
+
+    @settings(deadline=None)
+    @given(st.one_of(S1_TREES, S2_TREES), st.sampled_from([8, 13, 32, 64]))
+    def test_strided_fine_values_equal_the_coarse_evaluation(self, e, n):
+        fine = eval_array(e, make_grid(e.dim, 2 * n).nodes)
+        coarse = eval_array(e, make_grid(e.dim, n).nodes)
+        assert np.array_equal(coarsen(e.dim, n, fine), coarse)
 
     def test_rejects_low_resolution(self):
         with pytest.raises(InvalidResolution):
