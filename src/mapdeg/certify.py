@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .degree import (
     DegreeParams,
     DegreeResult,
@@ -225,6 +227,48 @@ def certify_not_iterate(
     )
 
 
+@dataclass(frozen=True)
+class _BaseRecord:
+    """A ball certificate's base map, certified once for later calls.
+
+    key is (rendered base, params): (rot 0.0) == (rot -0.0) and the two
+    hash alike, but they may round differently. values holds the base on
+    make_grid(dim, degree.resolution), its finest degree level, and is
+    read-only.
+    """
+
+    key: tuple[str, DegreeParams]
+    degree: DegreeResult
+    witness: PowerWitness | None
+    values: np.ndarray
+
+
+#: The latest base that returned a degree. One record only, so what is
+#: held between calls is one level of one base map. Records are immutable
+#: and replaced whole, so concurrent calls at worst compute one twice.
+_base_record: _BaseRecord | None = None
+
+
+def _base(f0: MapExpr, params: DegreeParams, samples: _Samples) -> _BaseRecord:
+    """f0's record, with its values held in `samples`.
+
+    Recomputed unless the latest record has the same key. An error is
+    never recorded: the next call computes again and raises again.
+    """
+    global _base_record
+    key = (f0.render(), params)
+    record = _base_record
+    if record is None or record.key != key:
+        deg = _degree(f0, params, samples)
+        values = samples.values(f0, deg.resolution)
+        values.setflags(write=False)
+        record = _BaseRecord(key, deg, is_perfect_power(deg.value), values)
+        _base_record = record
+    else:
+        samples.hold(f0, record.degree.resolution, record.values)
+    return record
+
+
 def ball_certificate(
     f0: MapExpr, g: MapExpr, params: DegreeParams = DegreeParams()
 ) -> NonIterateCertificate | Refusal:
@@ -246,15 +290,18 @@ def ball_certificate(
     The three steps share one set of samples, so each map is evaluated
     at most once per resolution: the first distance grid is f0's finest
     degree level (S2) or a stride of it (S1), and degree(g) reads g's
-    values from the distance grids where they match its levels.
+    values from the distance grids where they match its levels. g reads
+    f0 where it contains it, so a perturbation of f0 evaluates its field
+    alone. f0's degree, witness and finest level are kept for the next
+    call with the same rendered base and params, which evaluates g only.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     samples = _Samples()
-    deg0 = _degree(f0, params, samples)
-    witness = is_perfect_power(deg0.value)
-    if witness is not None:
-        return Refusal(g.render(), g.dim, deg0, witness)
+    base = _base(f0, params, samples)
+    deg0 = base.degree
+    if base.witness is not None:
+        return Refusal(g.render(), g.dim, deg0, base.witness)
 
     n = params.grid_for(f0.dim)
     while True:

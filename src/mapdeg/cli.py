@@ -10,6 +10,7 @@ every line succeeded (and, for experiment, nothing was refused).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -243,8 +244,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to main rather than at import."""
+    return _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

@@ -145,12 +145,16 @@ class _Samples:
     """Values of maps on make_grid nodes, shared by the passes of one call.
 
     Each (map, resolution) is evaluated at most once; a level whose
-    double is held is read from it by geometry.coarsen instead. Only each
-    map's latest level is held, with the grids those levels lie on, so a
-    long refinement does not pin every level it passed. A lone degree
-    holds no grid (hold_grids=False): no other pass reads its nodes, and
-    the grid of 1024 bands alone is 50 MB. One instance serves one
-    degree, distance or certificate call; nothing is shared across calls.
+    double is held is read from it by geometry.coarsen instead. A map
+    evaluated at a level reads every sub-expression held at that level
+    (or at its double) instead of evaluating it again, so a perturbation
+    of a held base map costs its field alone. Only each map's latest
+    level is held, with the grids those levels lie on, so a long
+    refinement does not pin every level it passed. A lone degree holds
+    no grid (hold_grids=False): no other pass reads its nodes, and the
+    grid of 1024 bands alone is 50 MB. One instance serves one degree,
+    distance or certificate call; a certificate may seed it with its
+    base map's values from an earlier call (hold).
     """
 
     def __init__(self, hold_grids: bool = True):
@@ -166,6 +170,10 @@ class _Samples:
                 self._grids[dim, resolution] = grid
         return grid
 
+    def hold(self, e: MapExpr, resolution: int, Y: np.ndarray) -> None:
+        """Hold Y as e's values on make_grid(e.dim, resolution)."""
+        self._values[e] = (resolution, Y)
+
     def values(self, e: MapExpr, resolution: int) -> np.ndarray:
         level, Y = self._values.get(e, (None, None))
         if level == resolution:
@@ -173,11 +181,34 @@ class _Samples:
         if level == 2 * resolution:
             return coarsen(e.dim, resolution, Y)
         self._values.pop(e, None)  # not held while the next level is evaluated
-        Y = eval_array(e, self.grid(e.dim, resolution).nodes)
+        nodes = self.grid(e.dim, resolution).nodes
+        Y = eval_array(e, nodes, known=self._known(e, resolution))
         self._values[e] = (resolution, Y)
         held = {(f.dim, n) for f, (n, _) in self._values.items()}
         self._grids = {key: g for key, g in self._grids.items() if key in held}
         return Y
+
+    def _known(self, e: MapExpr, resolution: int) -> dict[int, np.ndarray]:
+        """id(node) -> values at `resolution` of the held sub-expressions of e.
+
+        The tree is matched against the held maps once, here, so that
+        eval_array looks nodes up by identity rather than hashing them.
+        A node matches a held map that is equal and renders alike:
+        (rot 0.0) == (rot -0.0), but the two may round differently.
+        """
+        levels = (resolution, 2 * resolution)
+        held = [(f, n, Y) for f, (n, Y) in self._values.items() if n in levels]
+        known = {}
+        stack = [e] if held else []
+        while stack:
+            node = stack.pop()
+            for f, n, Y in held:
+                if node == f and node.render() == f.render():
+                    known[id(node)] = Y if n == resolution else coarsen(f.dim, resolution, Y)
+                    break
+            else:
+                stack.extend(node.children())
+        return known
 
 
 def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:

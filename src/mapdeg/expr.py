@@ -47,7 +47,8 @@ class MapExpr:
     def children(self) -> tuple["MapExpr", ...]:
         return tuple([a for a in self._args() if isinstance(a, MapExpr)])
 
-    def _eval(self, X: np.ndarray) -> np.ndarray:
+    def _eval(self, X: np.ndarray, at) -> np.ndarray:
+        """The map's values at rows X; at(child, Y) gives a child's values at Y."""
         raise NotImplementedError
 
     def symbolic_degree(self) -> int | None:
@@ -94,7 +95,7 @@ class Id(MapExpr):
     def dim(self) -> int:
         return self.m
 
-    def _eval(self, X):
+    def _eval(self, X, at):
         return X
 
     def symbolic_degree(self):
@@ -117,7 +118,7 @@ class Antipode(MapExpr):
     def dim(self) -> int:
         return self.m
 
-    def _eval(self, X):
+    def _eval(self, X, at):
         return -X
 
     def symbolic_degree(self):
@@ -136,7 +137,7 @@ class Conj(MapExpr):
     def dim(self) -> int:
         return 1
 
-    def _eval(self, X):
+    def _eval(self, X, at):
         return X * np.array([1.0, -1.0])
 
     def symbolic_degree(self):
@@ -160,7 +161,7 @@ class Pow(MapExpr):
     def dim(self) -> int:
         return 1
 
-    def _eval(self, X):
+    def _eval(self, X, at):
         theta = self.k * np.arctan2(X[:, 1], X[:, 0])
         return np.column_stack([np.cos(theta), np.sin(theta)])
 
@@ -181,7 +182,7 @@ class Rot(MapExpr):
     def dim(self) -> int:
         return 1
 
-    def _eval(self, X):
+    def _eval(self, X, at):
         c, s = math.cos(self.alpha), math.sin(self.alpha)
         return np.column_stack([c * X[:, 0] - s * X[:, 1], s * X[:, 0] + c * X[:, 1]])
 
@@ -217,7 +218,7 @@ class Rot3(MapExpr):
     def dim(self) -> int:
         return 2
 
-    def _eval(self, X):
+    def _eval(self, X, at):
         u = np.asarray(self.axis)
         c, s = math.cos(self.alpha), math.sin(self.alpha)
         cross = np.cross(np.broadcast_to(u, X.shape), X)
@@ -250,13 +251,13 @@ class Susp(MapExpr):
     def dim(self) -> int:
         return 2
 
-    def _eval(self, X):
+    def _eval(self, X, at):
         s = np.hypot(X[:, 0], X[:, 1])  # sin of the polar angle, >= 0
         safe = s > 1e-15
         w = np.where(
             safe[:, None], X[:, :2] / np.where(safe, s, 1.0)[:, None], (1.0, 0.0)
         )
-        fw = self.inner._eval(w)
+        fw = at(self.inner, w)
         return np.column_stack([s[:, None] * fw, X[:, 2]])
 
     def symbolic_degree(self):
@@ -284,8 +285,8 @@ class Compose(MapExpr):
     def dim(self) -> int:
         return self.outer.dim
 
-    def _eval(self, X):
-        return self.outer._eval(self.inner._eval(X))
+    def _eval(self, X, at):
+        return at(self.outer, at(self.inner, X))
 
     def symbolic_degree(self):
         a, b = self.outer.symbolic_degree(), self.inner.symbolic_degree()
@@ -311,9 +312,9 @@ class Iterate(MapExpr):
     def dim(self) -> int:
         return self.inner.dim
 
-    def _eval(self, X):
+    def _eval(self, X, at):
         for _ in range(self.n):
-            X = self.inner._eval(X)
+            X = at(self.inner, X)
         return X
 
     def symbolic_degree(self):
@@ -355,8 +356,8 @@ class Blend(MapExpr):
     def dim(self) -> int:
         return self.f.dim
 
-    def _eval(self, X):
-        raw = (1.0 - self.t) * self.f._eval(X) + self.t * self.g._eval(X)
+    def _eval(self, X, at):
+        raw = (1.0 - self.t) * at(self.f, X) + self.t * at(self.g, X)
         return normalize_rows(raw)
 
     def symbolic_degree(self):
@@ -429,8 +430,8 @@ class Perturb(MapExpr):
     def dim(self) -> int:
         return self.inner.dim
 
-    def _eval(self, X):
-        return normalize_rows(self.inner._eval(X) + self.eps * self._field(X))
+    def _eval(self, X, at):
+        return normalize_rows(at(self.inner, X) + self.eps * self._field(X))
 
     def symbolic_degree(self):
         # the straight line from f(x) to f(x) + eps*V(x) stays at norm
@@ -451,14 +452,37 @@ def walk(e: MapExpr):
         yield from walk(child)
 
 
-def eval_array(e: MapExpr, X: np.ndarray) -> np.ndarray:
-    """Evaluate an expression rowwise on an (n, dim+1) array of unit rows."""
+class _Reading:
+    """The `at` of eval_array: e's values at Y, read from `known` where Y is X.
+
+    A class rather than a closure: a recursive closure is a reference
+    cycle, which would keep X and the known arrays alive until the next
+    garbage collection.
+    """
+
+    def __init__(self, X: np.ndarray, known: dict):
+        self.X, self.known = X, known
+
+    def __call__(self, e: MapExpr, Y: np.ndarray) -> np.ndarray:
+        if Y is self.X and id(e) in self.known:
+            return self.known[id(e)]
+        return e._eval(Y, self)
+
+
+def eval_array(e: MapExpr, X: np.ndarray, *, known: dict | None = None) -> np.ndarray:
+    """Evaluate an expression rowwise on an (n, dim+1) array of unit rows.
+
+    `known` maps id(node) of sub-expressions of e to their values at X.
+    Where such a node is applied to X itself, its values are read from
+    there instead of evaluated; the degree module shares the maps it
+    already holds this way.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != e.dim + 1:
         raise DimensionMismatch(
             f"expected shape (n, {e.dim + 1}) for an S{e.dim} map, got {X.shape}"
         )
-    return e._eval(X)
+    return _Reading(X, known or {})(e, X)
 
 
 # --- parsing ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from mapdeg import (
     DimensionMismatch,
     DistanceTooLarge,
     Id,
+    MapdegError,
     NonIterateCertificate,
     Perturb,
     Pow,
     PowerWitness,
     Refusal,
+    ResolutionExceeded,
     Rot,
     Rot3,
     Susp,
@@ -36,6 +39,8 @@ from mapdeg import geometry
 from mapdeg.degree import pair_distance, pair_min_norm, sample_pair
 
 from test_degree import S1_TREES, S2_TREES
+
+certify_module = importlib.import_module("mapdeg.certify")
 
 
 def oracle_is_perfect_power(d: int) -> bool:
@@ -294,15 +299,20 @@ class TestEvaluationCount:
 
     @pytest.fixture
     def rows(self, monkeypatch):
-        """Counter of (map text, rows) over the calls of eval_array."""
+        """Counter of (map text, rows) over the calls of eval_array.
+
+        Starts without a base record, so that every count is exact
+        whatever ran before.
+        """
         counts = Counter()
         module = importlib.import_module("mapdeg.degree")
         original = module.eval_array
 
-        def counting(e, X):
+        def counting(e, X, **kwargs):
             counts[e.render(), len(X)] += 1
-            return original(e, X)
+            return original(e, X, **kwargs)
 
+        monkeypatch.setattr(certify_module, "_base_record", None)
         monkeypatch.setattr(module, "eval_array", counting)
         return counts
 
@@ -333,3 +343,104 @@ class TestEvaluationCount:
             (g.render(), 512): 1,
             (g.render(), 1024): 1,
         }
+
+    def test_second_certificate_on_an_equal_base_evaluates_only_g(self, rows):
+        g = parse("(perturb 4 0.5 (susp (pow 2)))")
+        first = ball_certificate(parse("(susp (pow 2))"), g)
+        rows.clear()
+        second = ball_certificate(parse("(susp (pow 2))"), g)
+        assert rows == {(g.render(), 32514): 1}
+        assert second.to_json_dict() == first.to_json_dict()
+
+    def test_perturbation_reads_its_base_instead_of_evaluating_it(self, rows, monkeypatch):
+        calls = Counter()
+        original = Susp._eval
+
+        def counting(self, X, at):
+            calls[len(X)] += 1
+            return original(self, X, at)
+
+        monkeypatch.setattr(Susp, "_eval", counting)
+        f0 = parse("(susp (pow 2))")
+        for seed in (4, 5):
+            monkeypatch.setattr(certify_module, "_base_record", None)
+            ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
+        # once per certificate: f0's degree at 128 bands, never inside g
+        assert calls == {32514: 2}
+
+
+class TestBaseRecord:
+    """ball_certificate keeps its latest base map's degree between calls."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "_base_record", None)
+
+    def test_record_arrays_are_read_only(self):
+        ball_certificate(parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))"))
+        record = certify_module._base_record
+        assert record.key == ("(susp (pow 2))", DegreeParams())
+        assert record.values.shape == (32514, 3)
+        assert not record.values.flags.writeable
+        with pytest.raises(ValueError):
+            record.values[0, 0] = 0.0
+
+    def test_perfect_power_base_refuses_identically_when_recorded(self):
+        f0, g = parse("(susp (pow 4))"), parse("(perturb 2 0.1 (susp (pow 4)))")
+        cold = ball_certificate(f0, g)
+        warm = ball_certificate(parse("(susp (pow 4))"), g)
+        assert isinstance(warm, Refusal)
+        assert warm == cold
+        assert warm.to_json_dict() == cold.to_json_dict()
+
+    def test_errors_are_never_recorded(self):
+        # the wrap bound of (pow 5000) asks for 31416 samples, beyond the cap
+        f0, g = parse("(pow 5000)"), parse("(perturb 1 0.1 (pow 5000))")
+        for _ in range(2):
+            with pytest.raises(ResolutionExceeded):
+                ball_certificate(f0, g)
+            assert certify_module._base_record is None
+
+    def test_key_is_the_rendered_base(self):
+        # (rot 0.0) == (rot -0.0), but each is recorded under its own text
+        g = parse("(perturb 3 0.2 (pow 2))")
+        for text in ("(compose (rot 0.0) (pow 2))", "(compose (rot -0.0) (pow 2))"):
+            ball_certificate(parse(text), g)
+            assert certify_module._base_record.key[0] == text
+
+    def test_params_are_part_of_the_key(self):
+        f0, g = parse("(pow 2)"), parse("(perturb 3 0.2 (pow 2))")
+        ball_certificate(f0, g)
+        fine = ball_certificate(f0, g, DegreeParams(initial_resolution=512))
+        assert fine.degree.resolution == 1024
+        assert certify_module._base_record.key[1] == DegreeParams(initial_resolution=512)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.one_of(
+            S1_TREES,
+            S2_TREES,
+            # degrees k * d, mostly not perfect powers: certificates too
+            st.builds(Compose, st.sampled_from([Pow(k) for k in (-2, 2, 3, 5)]), S1_TREES),
+            st.builds(Compose, st.sampled_from([Susp(Pow(k)) for k in (-2, 2, 3)]), S2_TREES),
+        ),
+        st.integers(0, 2**64 - 1),
+        st.floats(0.0, 0.9),
+    )
+    def test_payload_is_the_same_warm_or_cleared(self, f0, seed, eps):
+        g = Perturb(seed, eps, f0)
+
+        def outcome():
+            try:
+                return ball_certificate(f0, g).to_json_dict()
+            except MapdegError as err:
+                return type(err).__name__, str(err)
+
+        # at most 128 bands on S2: bounds the cost of the degrees and the
+        # distance doubling, and puts the budget errors in the property
+        with mock.patch.object(geometry, "MAX_ROWS", 2**16):
+            certify_module._base_record = None
+            cold = outcome()
+            warm = outcome()
+            certify_module._base_record = None
+            assert outcome() == warm == cold

@@ -1,6 +1,8 @@
+import importlib
 import io
 import json
 import os
+import re
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -191,6 +193,24 @@ class TestExperimentCommand:
             )
 
         assert stripped(first) == stripped(second)
+
+    def test_base_record_leaves_the_output_unchanged(self, capsys, monkeypatch):
+        # cold, warm, then cleared again, in one process
+        certify = importlib.import_module("mapdeg.certify")
+        argv = [
+            "experiment", "--dim", "2", "--count", "3", "--epsilon-max", "0.8",
+            "--seed", "5",
+        ]
+        runs = []
+        for clear in (True, False, True):
+            if clear:
+                monkeypatch.setattr(certify, "_base_record", None)
+            code = main(argv)
+            out, err = capsys.readouterr()
+            runs.append((code, re.sub(r'"wall_ms": [^,}]*', '"wall_ms": 0', out), err))
+        assert runs[0][0] == 0
+        assert runs[0][1].count('"outcome": "ok"') == 3
+        assert runs[0] == runs[1] == runs[2]
 
     def test_rejects_epsilon_of_one(self, capsys):
         code = main(["experiment", "--dim", "1", "--count", "1", "--epsilon-max", "1.0"])
