@@ -50,6 +50,6 @@ from .expr import (
     eval_array,
     parse,
 )
-from .geometry import SampleGrid, make_grid
+from .geometry import make_grid
 
 __version__ = "0.1.0"

@@ -25,11 +25,10 @@ from .degree import (
     _sup_distance,
     degree,
     pair_min_norm,
-    sample_pair,
 )
 from .errors import ConsistencyError, DimensionMismatch, DistanceTooLarge
 from .expr import MapExpr
-from .geometry import check_rows
+from .geometry import check_rows, make_grid
 
 #: Homotopy denominators at or below this are treated as pinched.
 HOMOTOPY_MIN_NORM = 1e-6
@@ -197,14 +196,18 @@ def homotopy_check(
 
     Reports the minimum of |(1-t) f0(x) + t g(x)| over grid nodes x and
     all t in [0, 1], taken exactly at t = 1/2; the homotopy is valid iff
-    that minimum stays above HOMOTOPY_MIN_NORM.
+    that minimum stays above HOMOTOPY_MIN_NORM. g reads f0 where it
+    contains it, so a perturbation of f0 evaluates its field alone.
     """
+    if f0.dim != g.dim:
+        raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     n = resolution if resolution is not None else DegreeParams().grid_for(f0.dim)
-    min_norm, point = pair_min_norm(*sample_pair(f0, g, n))
+    samples = _Samples()
+    min_norm, row = pair_min_norm(samples.values(f0, n), samples.values(g, n))
     return HomotopyReport(
         valid=min_norm > HOMOTOPY_MIN_NORM,
         min_norm=min_norm,
-        argmin_point=point,
+        argmin_point=tuple(make_grid(f0.dim, n)[row].tolist()),
         resolution=n,
     )
 

@@ -202,7 +202,9 @@ def _add_common(p: argparse.ArgumentParser, refines: bool) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to main rather than at import."""
     parser = argparse.ArgumentParser(
         prog="mapdeg",
         description="Degrees of circle/sphere self-maps and non-iterate certificates.",
@@ -244,14 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call to main rather than at import."""
-    return _build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

@@ -24,7 +24,7 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from .expr import Blend, MapExpr, eval_array, walk
-from .geometry import SampleGrid, check_rows, coarsen, make_grid
+from .geometry import check_rows, coarsen, make_grid, mesh
 
 _TWO_PI = 2.0 * math.pi
 
@@ -144,31 +144,21 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
 class _Samples:
     """Values of maps on make_grid nodes, shared by the passes of one call.
 
-    Each (map, resolution) is evaluated at most once; a level whose
-    double is held is read from it by geometry.coarsen instead. A map
-    evaluated at a level reads every sub-expression held at that level
-    (or at its double) instead of evaluating it again, so a perturbation
-    of a held base map costs its field alone. Only each map's latest
-    level is held, with the grids those levels lie on, so a long
-    refinement does not pin every level it passed. A lone degree holds
-    no grid (hold_grids=False): no other pass reads its nodes, and the
-    grid of 1024 bands alone is 50 MB. One instance serves one degree,
-    distance or certificate call; a certificate may seed it with its
-    base map's values from an earlier call (hold).
+    The only code that evaluates a map on a grid. Each (map, resolution)
+    is evaluated at most once; a level whose double is held is read from
+    it by geometry.coarsen instead. A map evaluated at a level reads
+    every sub-expression held at that level (or at its double) instead of
+    evaluating it again, so a perturbation of a held base map costs its
+    field alone. Only each map's latest level is held, so a long
+    refinement does not pin every level it passed, and no grid is held:
+    the nodes live while one map is evaluated on them (the grid of 1024
+    bands alone is 50 MB). One instance serves one degree, distance,
+    homotopy, blend check or certificate call; a certificate may seed it
+    with its base map's values from an earlier call (hold).
     """
 
-    def __init__(self, hold_grids: bool = True):
-        self._hold_grids = hold_grids
-        self._grids: dict[tuple[int, int], SampleGrid] = {}
+    def __init__(self):
         self._values: dict[MapExpr, tuple[int, np.ndarray]] = {}
-
-    def grid(self, dim: int, resolution: int) -> SampleGrid:
-        grid = self._grids.get((dim, resolution))
-        if grid is None:
-            grid = make_grid(dim, resolution)
-            if self._hold_grids:
-                self._grids[dim, resolution] = grid
-        return grid
 
     def hold(self, e: MapExpr, resolution: int, Y: np.ndarray) -> None:
         """Hold Y as e's values on make_grid(e.dim, resolution)."""
@@ -181,11 +171,8 @@ class _Samples:
         if level == 2 * resolution:
             return coarsen(e.dim, resolution, Y)
         self._values.pop(e, None)  # not held while the next level is evaluated
-        nodes = self.grid(e.dim, resolution).nodes
-        Y = eval_array(e, nodes, known=self._known(e, resolution))
+        Y = eval_array(e, make_grid(e.dim, resolution), known=self._known(e, resolution))
         self._values[e] = (resolution, Y)
-        held = {(f.dim, n) for f, (n, _) in self._values.items()}
-        self._grids = {key: g for key, g in self._grids.items() if key in held}
         return Y
 
     def _known(self, e: MapExpr, resolution: int) -> dict[int, np.ndarray]:
@@ -225,7 +212,7 @@ def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult
     beyond the row budget is sampled.
     """
     dim = e.dim
-    method, raw_pass = _PASSES[dim]
+    method, one_pass = _PASSES[dim]
     n = _start_resolution(e, params, dim)
     n_max = params.max_for(dim)
     raw_c = step_c = None
@@ -233,8 +220,8 @@ def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult
         check_rows(dim, 2 * n, ResolutionExceeded)
         Y = samples.values(e, 2 * n)
         if raw_c is None:
-            raw_c, step_c = raw_pass(coarsen(dim, n, Y), n)
-        raw_f, step_f = raw_pass(Y, 2 * n)
+            raw_c, step_c = one_pass(coarsen(dim, n, Y), n)
+        raw_f, step_f = one_pass(Y, 2 * n)
         del Y  # not held while the next level is evaluated
         value = int(round(raw_f))
         residual = abs(raw_f - value)
@@ -259,11 +246,6 @@ def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
     return float(steps.sum() / _TWO_PI), float(np.abs(steps).max())
 
 
-def winding_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
-    """One non-adaptive winding pass: (raw winding, largest |step|)."""
-    return _winding_pass(eval_array(e, make_grid(1, resolution).nodes), resolution)
-
-
 def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     """Winding-number degree of an S1 expression.
 
@@ -272,7 +254,7 @@ def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeR
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
-    return _refine(e, params, _Samples(hold_grids=False))
+    return _refine(e, params, _Samples())
 
 
 def _simplicial_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
@@ -313,12 +295,12 @@ def _triple(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     )
 
 
-def simplicial_raw(e: MapExpr, resolution: int) -> tuple[float, float]:
-    """One non-adaptive simplicial pass: (raw degree, largest image-edge angle)."""
-    return _simplicial_pass(eval_array(e, make_grid(2, resolution).nodes), resolution)
-
-
 _PASSES = {1: ("winding", _winding_pass), 2: ("simplicial", _simplicial_pass)}
+
+
+def raw_pass(e: MapExpr, resolution: int) -> tuple[float, float]:
+    """One non-adaptive pass of e's sphere: (raw degree, largest image step or edge angle)."""
+    return _PASSES[e.dim][1](_Samples().values(e, resolution), resolution)
 
 
 def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
@@ -330,43 +312,27 @@ def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> Degr
     """
     if e.dim != 2:
         raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")
-    return _refine(e, params, _Samples(hold_grids=False))
+    return _refine(e, params, _Samples())
 
 
-def sample_pair(
-    f: MapExpr, g: MapExpr, resolution: int
-) -> tuple[SampleGrid, np.ndarray, np.ndarray]:
-    """Evaluate two maps of the same sphere once on one sample grid."""
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
-    grid = make_grid(f.dim, resolution)
-    return grid, eval_array(f, grid.nodes), eval_array(g, grid.nodes)
+def pair_distance(F: np.ndarray, G: np.ndarray) -> float:
+    """Largest chordal distance between two maps' values F and G on one grid."""
+    return min(2.0, float(np.linalg.norm(F - G, axis=1).max()))
 
 
-def pair_distance(grid: SampleGrid, F: np.ndarray, G: np.ndarray) -> DistanceEstimate:
-    """Sampled sup distance between two maps' values F and G on `grid`.
-
-    Carries no rigorous bound: that needs the maps themselves (see
-    sup_distance).
-    """
-    sampled = min(2.0, float(np.linalg.norm(F - G, axis=1).max()))
-    return DistanceEstimate(sampled, grid.resolution)
-
-
-def pair_min_norm(
-    grid: SampleGrid, F: np.ndarray, G: np.ndarray
-) -> tuple[float, tuple[float, ...]]:
+def pair_min_norm(F: np.ndarray, G: np.ndarray) -> tuple[float, int]:
     """Minimum of |(1-t) F(x) + t G(x)| over nodes x and all t in [0, 1].
 
     For unit vectors the squared norm is 1 - 2t(1-t)(1 - F.G), smallest
     at t = 1/2, where the norm is |F + G| / 2: one pass gives the exact
-    minimum over the whole segment. Returns (min_norm, argmin node).
-    This is the denominator of the straight-line homotopy between the
-    maps; a value near zero means the homotopy (or a blend) is invalid.
+    minimum over the whole segment. Returns (min_norm, row of the argmin
+    node). This is the denominator of the straight-line homotopy between
+    the maps; a value near zero means the homotopy (or a blend) is
+    invalid.
     """
     norms = np.linalg.norm(F + G, axis=1) / 2.0
-    i = int(np.argmin(norms))
-    return float(norms[i]), tuple(float(c) for c in grid.nodes[i])
+    row = int(np.argmin(norms))
+    return float(norms[row]), row
 
 
 def check_blend_validity(e: MapExpr, params: DegreeParams) -> None:
@@ -375,14 +341,17 @@ def check_blend_validity(e: MapExpr, params: DegreeParams) -> None:
     Every blend node's children are sampled on one grid and the segment
     between them is checked at its exact minimum over t, not only at the
     node's own t. Conservative by design: a pinch anywhere on the segment
-    is treated as inconclusive.
+    is treated as inconclusive. Each blend gets its own samples, so the
+    second child reads what it shares with the first, and neither outlives
+    the check.
     """
     for node in walk(e):
         if not isinstance(node, Blend):
             continue
-        n = params.grid_for(node.f.dim)
-        min_norm, point = pair_min_norm(*sample_pair(node.f, node.g, n))
+        n, samples = params.grid_for(node.dim), _Samples()
+        min_norm, row = pair_min_norm(samples.values(node.f, n), samples.values(node.g, n))
         if min_norm <= BLEND_MIN_NORM:
+            point = tuple(make_grid(node.dim, n)[row].tolist())
             raise InvalidBlend(
                 f"blend denominator {min_norm:.3e} at t=0.5 near {point} in {node.render()}"
             )
@@ -397,7 +366,7 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     it does not (a blend is present), the blend denominators are checked
     and the numeric result is returned as-is.
     """
-    return _degree(e, params, _Samples(hold_grids=False))
+    return _degree(e, params, _Samples())
 
 
 def _degree(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
@@ -438,11 +407,9 @@ def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples) -> Distance
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
-    grid = samples.grid(f.dim, n)
-    F, G = samples.values(f, n), samples.values(g, n)
-    sampled = pair_distance(grid, F, G).sampled_max
+    sampled = pair_distance(samples.values(f, n), samples.values(g, n))
     bounds = (f.lipschitz_bound(), g.lipschitz_bound())
     rigorous = None
     if None not in bounds and math.isfinite(sum(bounds)):
-        rigorous = sampled + sum(bounds) * grid.mesh
+        rigorous = sampled + sum(bounds) * mesh(f.dim, n)
     return DistanceEstimate(sampled, n, rigorous)

@@ -1,13 +1,14 @@
 """Geometry of the unit circle S1 in R2 and the unit sphere S2 in R3.
 
-Row-wise normalization and sample grids over arrays of unit rows. All
-types are immutable values and all operations are pure functions.
+Row-wise normalization of arrays, and the sample nodes every pass reads:
+make_grid lays them out as a fresh array of unit rows, mesh bounds how
+far any point of the sphere lies from them, and coarsen strides a level
+down to the level below. All operations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,31 +22,6 @@ MIN_RESOLUTION = 8
 #: Most sample rows one grid or one degree level may allocate. The
 #: default S2 degree cap of 1024 bands needs about 2**21.
 MAX_ROWS = 2**22
-
-
-@dataclass(frozen=True, eq=False)
-class SampleGrid:
-    """Sample nodes covering S1 or S2.
-
-    nodes is an (n, dim+1) array of unit rows built at `resolution`
-    angular subdivisions. mesh bounds the chordal distance from any point
-    of the sphere to its nearest node, so a map with chordal Lipschitz
-    constant L moves by at most L * mesh between a point and that node.
-    On S1 it is the spacing 2 sin(pi/n) of adjacent nodes, about twice
-    the covering radius. On S2 every point lies within geodesic distance
-    pi/n of a mesh vertex: at most pi/(2n) along its meridian to the
-    nearest ring, then at most pi/(2n) along that ring. The chordal
-    covering radius measures about 0.70 * pi/n, so sqrt(2) * pi/n is
-    safe. Rigorous distance bounds rest on this constant.
-    """
-
-    dim: int
-    resolution: int
-    nodes: np.ndarray
-    mesh: float
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def normalize_rows(X: np.ndarray) -> np.ndarray:
@@ -67,8 +43,8 @@ def check_rows(dim: int, resolution: int, error: type[Exception]) -> None:
         raise error(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
 
 
-def make_grid(dim: int, resolution: int) -> SampleGrid:
-    """Build the sample grid with `resolution` angular subdivisions.
+def make_grid(dim: int, resolution: int) -> np.ndarray:
+    """The (rows, dim+1) array of sample nodes at `resolution` angular subdivisions.
 
     dim=1: `resolution` equally spaced angles 2*pi*k/resolution.
     dim=2: the vertices of the lat-long triangulation with `resolution`
@@ -84,8 +60,7 @@ def make_grid(dim: int, resolution: int) -> SampleGrid:
     check_rows(dim, resolution, InvalidResolution)
     if dim == 1:
         phis = 2.0 * math.pi * np.arange(resolution) / resolution
-        nodes = np.column_stack([np.cos(phis), np.sin(phis)])
-        return SampleGrid(1, resolution, nodes, 2.0 * math.sin(math.pi / resolution))
+        return np.column_stack([np.cos(phis), np.sin(phis)])
 
     theta = math.pi * np.arange(1, resolution) / resolution
     phi = math.pi * np.arange(2 * resolution) / resolution
@@ -94,8 +69,24 @@ def make_grid(dim: int, resolution: int) -> SampleGrid:
         np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)[:, None]),
         axis=-1,
     )
-    nodes = np.vstack([(0.0, 0.0, 1.0), rings.reshape(-1, 3), (0.0, 0.0, -1.0)])
-    return SampleGrid(2, resolution, nodes, math.sqrt(2.0) * math.pi / resolution)
+    return np.vstack([(0.0, 0.0, 1.0), rings.reshape(-1, 3), (0.0, 0.0, -1.0)])
+
+
+def mesh(dim: int, resolution: int) -> float:
+    """Bound on the chordal distance from any point of the sphere to make_grid's nodes.
+
+    A map with chordal Lipschitz constant L moves by at most L * mesh
+    between a point and its nearest node. On S1 it is the spacing
+    2 sin(pi/n) of adjacent nodes, about twice the covering radius. On S2
+    every point lies within geodesic distance pi/n of a mesh vertex: at
+    most pi/(2n) along its meridian to the nearest ring, then at most
+    pi/(2n) along that ring. The chordal covering radius measures about
+    0.70 * pi/n, so sqrt(2) * pi/n is safe. Rigorous distance bounds rest
+    on this constant.
+    """
+    if dim == 1:
+        return 2.0 * math.sin(math.pi / resolution)
+    return math.sqrt(2.0) * math.pi / resolution
 
 
 def coarsen(dim: int, resolution: int, fine: np.ndarray) -> np.ndarray:

@@ -230,13 +230,13 @@ def test_criterion_5_homotopy_endpoints_and_validity():
     worst = 0.0
     for f_text, g_text in pairs_s1:
         f, g = parse(f_text), parse(g_text)
-        X = make_grid(1, 1024).nodes
+        X = make_grid(1, 1024)
         dev0 = np.linalg.norm(eval_array(Blend(0.0, f, g), X) - eval_array(f, X), axis=1).max()
         dev1 = np.linalg.norm(eval_array(Blend(1.0, f, g), X) - eval_array(g, X), axis=1).max()
         worst = max(worst, float(dev0), float(dev1))
     for f_text, g_text in pairs_s2:
         f, g = parse(f_text), parse(g_text)
-        X = make_grid(2, 23).nodes  # 2 poles and 22 rings of 46: 1014 samples
+        X = make_grid(2, 23)  # 2 poles and 22 rings of 46: 1014 samples
         dev0 = np.linalg.norm(eval_array(Blend(0.0, f, g), X) - eval_array(f, X), axis=1).max()
         dev1 = np.linalg.norm(eval_array(Blend(1.0, f, g), X) - eval_array(g, X), axis=1).max()
         worst = max(worst, float(dev0), float(dev1))

@@ -36,7 +36,7 @@ from mapdeg import (
     parse,
 )
 from mapdeg import geometry
-from mapdeg.degree import pair_distance, pair_min_norm, sample_pair
+from mapdeg.degree import check_blend_validity, pair_distance, pair_min_norm
 
 from test_degree import S1_TREES, S2_TREES
 
@@ -144,7 +144,7 @@ class TestHomotopyCheck:
         g = Perturb(seed, eps, Compose(inner, f))
         n = 64 if dim == 1 else 16
         rep = homotopy_check(f, g, n)
-        X = make_grid(dim, n).nodes
+        X = make_grid(dim, n)
         F, G = eval_array(f, X), eval_array(g, X)
         assert rep.min_norm == float((np.linalg.norm(F + G, axis=1) / 2.0).min())
         swept = min(
@@ -289,9 +289,10 @@ class TestBallCertificate:
     def test_sampled_distance_bounds_the_homotopy_denominator(self, f, seed, eps):
         # for unit rows |F + G|^2 = 4 - |F - G|^2, so a distance below 1
         # already keeps the homotopy's min_norm above sqrt(3) / 2
-        grid, F, G = sample_pair(f, Perturb(seed, eps, f), 64 if f.dim == 1 else 16)
-        d = pair_distance(grid, F, G).sampled_max
-        assert pair_min_norm(grid, F, G)[0] >= math.sqrt(4 - d * d) / 2 - 1e-12
+        X = make_grid(f.dim, 64 if f.dim == 1 else 16)
+        F, G = eval_array(f, X), eval_array(Perturb(seed, eps, f), X)
+        d = pair_distance(F, G)
+        assert pair_min_norm(F, G)[0] >= math.sqrt(4 - d * d) / 2 - 1e-12
 
 
 class TestEvaluationCount:
@@ -315,6 +316,19 @@ class TestEvaluationCount:
         monkeypatch.setattr(certify_module, "_base_record", None)
         monkeypatch.setattr(module, "eval_array", counting)
         return counts
+
+    @pytest.fixture
+    def susp_evals(self, monkeypatch):
+        """Counter of rows over the calls of Susp._eval."""
+        calls = Counter()
+        original = Susp._eval
+
+        def counting(self, X, at):
+            calls[len(X)] += 1
+            return original(self, X, at)
+
+        monkeypatch.setattr(Susp, "_eval", counting)
+        return calls
 
     def test_sphere_ball_certificate_evaluates_each_map_once(self, rows):
         # the 128-band mesh has 2 + 127 * 256 = 32514 vertices; the
@@ -352,21 +366,29 @@ class TestEvaluationCount:
         assert rows == {(g.render(), 32514): 1}
         assert second.to_json_dict() == first.to_json_dict()
 
-    def test_perturbation_reads_its_base_instead_of_evaluating_it(self, rows, monkeypatch):
-        calls = Counter()
-        original = Susp._eval
-
-        def counting(self, X, at):
-            calls[len(X)] += 1
-            return original(self, X, at)
-
-        monkeypatch.setattr(Susp, "_eval", counting)
+    def test_perturbation_reads_its_base_instead_of_evaluating_it(
+        self, rows, susp_evals, monkeypatch
+    ):
         f0 = parse("(susp (pow 2))")
         for seed in (4, 5):
             monkeypatch.setattr(certify_module, "_base_record", None)
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
         # once per certificate: f0's degree at 128 bands, never inside g
-        assert calls == {32514: 2}
+        assert susp_evals == {32514: 2}
+
+    def test_homotopy_reads_its_base_inside_the_perturbation(self, rows, susp_evals):
+        f0 = parse("(susp (pow 2))")
+        g = parse("(perturb 4 0.5 (susp (pow 2)))")
+        assert homotopy_check(f0, g).valid
+        assert rows == {(f0.render(), 32514): 1, (g.render(), 32514): 1}
+        # f0 once; g reads it and evaluates its field alone
+        assert susp_evals == {32514: 1}
+
+    def test_blend_check_reads_what_its_children_share(self, rows, susp_evals):
+        e = parse("(blend 0.4 (susp (pow 3)) (compose (rot3 0 0 1 0.7) (susp (pow 3))))")
+        check_blend_validity(e, DegreeParams())
+        assert rows == {(e.f.render(), 32514): 1, (e.g.render(), 32514): 1}
+        assert susp_evals == {32514: 1}
 
 
 class TestBaseRecord:

@@ -28,7 +28,7 @@ from mapdeg import (
     sup_distance,
 )
 from mapdeg import geometry
-from mapdeg.degree import simplicial_raw, winding_raw
+from mapdeg.degree import raw_pass
 
 from test_expr import winding_oracle
 
@@ -118,7 +118,7 @@ class TestWinding:
     @pytest.mark.parametrize("offset", [0.0, 0.1, 1.0, 2.5])
     def test_invariant_under_sample_offset(self, offset):
         # sampling e at offset + phi is sampling e after Rot(offset) at phi
-        raw, _ = winding_raw(Compose(Compose(Pow(3), Rot(0.4)), Rot(offset)), 1024)
+        raw, _ = raw_pass(Compose(Compose(Pow(3), Rot(0.4)), Rot(offset)), 1024)
         assert round(raw) == 3
         assert abs(raw - 3) < 1e-9
 
@@ -161,7 +161,7 @@ class TestSimplicial:
         # edge by 5 * pi / 8 > pi / 2 while both levels still read 5. A
         # blend has no structural wrap bound: only the guard can refuse.
         e = parse("(blend 0.0 (susp (pow 5)) (susp (pow 5)))")
-        raw, edge = simplicial_raw(e, 8)
+        raw, edge = raw_pass(e, 8)
         assert round(raw) == 5
         assert edge > math.pi / 2
         with pytest.raises(ResolutionExceeded):
@@ -238,12 +238,12 @@ class TestDegreeDispatch:
 
     def test_winding_accepts_stably(self):
         res = degree_winding(Perturb(21, 0.7, Pow(2)))
-        raw, _ = winding_raw(Perturb(21, 0.7, Pow(2)), 2 * res.resolution)
+        raw, _ = raw_pass(Perturb(21, 0.7, Pow(2)), 2 * res.resolution)
         assert round(raw) == res.value
 
     def test_quadrature_accepts_stably(self):
         res = degree_simplicial(Susp(Pow(3)))
-        raw, _ = simplicial_raw(Susp(Pow(3)), 2 * res.resolution)
+        raw, _ = raw_pass(Susp(Pow(3)), 2 * res.resolution)
         assert round(raw) == res.value
 
 
@@ -263,7 +263,7 @@ class TestSupDistance:
     def test_rigorous_bound_needs_lipschitz_constants(self):
         f, g = parse("(pow 2)"), parse("(perturb 5 0.4 (pow 2))")
         bounded = sup_distance(f, g, 512)
-        mesh = geometry.make_grid(1, 512).mesh
+        mesh = geometry.mesh(1, 512)
         slope = f.lipschitz_bound() + g.lipschitz_bound()
         assert bounded.rigorous == bounded.sampled_max + slope * mesh
         # a blend has no Lipschitz constant, nor does a bound that overflows

@@ -22,6 +22,16 @@ def test_every_exported_name_is_documented_under_library_use():
     assert missing == []
 
 
+def test_every_name_the_library_list_gives_is_exported():
+    # the other direction: a removed name cannot linger in the list
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    listing = section.split("exports exactly these names:", 1)[1].strip().split("\n\n", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_]\w*)[`(]", listing))
+    assert len(named) > 40
+    assert sorted(named - set(vars(mapdeg))) == []
+
+
 def test_every_cli_option_is_documented():
     text = README.read_text(encoding="utf-8")
     (subparsers,) = [

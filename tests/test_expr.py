@@ -63,7 +63,7 @@ def winding_oracle(e, samples: int = 2048) -> int:
     """Independent degree oracle: accumulate wrapped image-angle steps.
 
     The map is evaluated one point at a time and the angle steps are
-    wrapped and summed in plain Python, independently of winding_raw.
+    wrapped and summed in plain Python, independently of degree.raw_pass.
     """
     total = 0.0
     prev = None
@@ -188,7 +188,7 @@ class TestDimension:
     @pytest.mark.parametrize("text", CORPUS)
     def test_matches_evaluation_shape(self, text):
         e = parse(text)
-        out = eval_array(e, make_grid(e.dim, 8).nodes)
+        out = eval_array(e, make_grid(e.dim, 8))
         assert out.shape[1] == e.dim + 1
 
 
@@ -243,7 +243,7 @@ class TestEvaluate:
 
     def test_blend_endpoints_reproduce_the_operands(self):
         f, g = parse("(pow 2)"), parse("(perturb 4 0.6 (pow 2))")
-        X = make_grid(1, 512).nodes
+        X = make_grid(1, 512)
         at0 = eval_array(Blend(0.0, f, g), X)
         at1 = eval_array(Blend(1.0, f, g), X)
         assert np.linalg.norm(at0 - eval_array(f, X), axis=1).max() <= 1e-12
@@ -261,7 +261,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("text", CORPUS)
     def test_images_stay_on_the_sphere(self, text):
         e = parse(text)
-        out = eval_array(e, make_grid(e.dim, 32).nodes)
+        out = eval_array(e, make_grid(e.dim, 32))
         assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("n", range(7))
@@ -345,12 +345,12 @@ class TestPerturbationField:
 
     def test_norm_bounded_by_one(self):
         for dim, seed in ((1, 5), (2, 6)):
-            X = make_grid(dim, 64 if dim == 1 else 48).nodes[:4096]
+            X = make_grid(dim, 64 if dim == 1 else 48)[:4096]
             v = PerturbationField(seed, dim)(X)
             assert np.linalg.norm(v, axis=1).max() <= 1.0
 
     def test_different_seeds_differ_somewhere(self):
-        X = make_grid(1, 64).nodes
+        X = make_grid(1, 64)
         a = PerturbationField(1, 1)(X)
         b = PerturbationField(2, 1)(X)
         assert np.abs(a - b).max() > 1e-6
@@ -364,5 +364,5 @@ class TestPerturbationField:
     def test_perturb_node_is_reproducible(self):
         e1 = parse("(perturb 11 0.3 (pow 2))")
         e2 = parse("(perturb 11 0.3 (pow 2))")
-        X = make_grid(1, 128).nodes
+        X = make_grid(1, 128)
         assert np.array_equal(eval_array(e1, X), eval_array(e2, X))

@@ -15,8 +15,8 @@ from mapdeg import (
     parse,
     sup_distance,
 )
-from mapdeg.degree import pair_distance, simplicial_raw, winding_raw
-from mapdeg.geometry import MAX_ROWS, check_rows, coarsen, normalize_rows
+from mapdeg.degree import pair_distance, raw_pass
+from mapdeg.geometry import MAX_ROWS, check_rows, coarsen, mesh, normalize_rows
 
 from test_degree import S1_TREES, S2_TREES
 
@@ -35,7 +35,7 @@ def sphere_point(theta: float, phi: float) -> np.ndarray:
 
 def chordal(p: np.ndarray, q: np.ndarray) -> float:
     """Chordal distance of two one-row arrays, as the sup distance computes it."""
-    return pair_distance(make_grid(p.shape[1] - 1, 8), p, q).sampled_max
+    return pair_distance(p, q)
 
 
 class TestNormalize:
@@ -104,9 +104,9 @@ class TestChordalDist:
 
 class TestMakeGrid:
     def test_circle_grid(self):
-        g = make_grid(1, 8)
-        assert len(g) == 8
-        assert np.abs(np.linalg.norm(g.nodes, axis=1) - 1.0).max() <= 1e-12
+        nodes = make_grid(1, 8)
+        assert nodes.shape == (8, 2)
+        assert np.abs(np.linalg.norm(nodes, axis=1) - 1.0).max() <= 1e-12
 
     def test_sphere_grid_weight_sum(self):
         # oracle: the nodes are the mesh vertices, with rings at
@@ -114,9 +114,9 @@ class TestMakeGrid:
         # at the nodes sum to 2*pi^2/n * cot(pi/(2n)), which is the
         # sphere's area 4*pi less pi^3/(3n^2), up to O(n^-4)
         n = 64
-        g = make_grid(2, n)
-        assert len(g) == 2 + 63 * 128
-        sin_theta = np.hypot(g.nodes[:, 0], g.nodes[:, 1])
+        nodes = make_grid(2, n)
+        assert len(nodes) == 2 + 63 * 128
+        sin_theta = np.hypot(nodes[:, 0], nodes[:, 1])
         riemann = float(sin_theta.sum()) * (math.pi / n) * (math.pi / n)
         assert abs(riemann - (4 * math.pi - math.pi**3 / (3 * n * n))) < 1e-6
 
@@ -125,26 +125,26 @@ class TestMakeGrid:
         # the identity's arcs and image triangles are the grid's and the
         # mesh's own, so their angles must add up to the whole circle,
         # 2 * pi, and the whole sphere, 4 * pi
-        assert abs(winding_raw(parse("(id 1)"), n)[0] - 1.0) <= 1e-12
-        assert abs(simplicial_raw(parse("(id 2)"), n)[0] - 1.0) <= 1e-12
+        assert abs(raw_pass(parse("(id 1)"), n)[0] - 1.0) <= 1e-12
+        assert abs(raw_pass(parse("(id 2)"), n)[0] - 1.0) <= 1e-12
 
     def test_sphere_grid_nodes_are_unit(self):
-        g = make_grid(2, 16)
-        assert len(g) == 2 + 15 * 32
-        assert np.abs(np.linalg.norm(g.nodes, axis=1) - 1.0).max() <= 1e-12
+        nodes = make_grid(2, 16)
+        assert nodes.shape == (2 + 15 * 32, 3)
+        assert np.abs(np.linalg.norm(nodes, axis=1) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n", [8, 9, 16, 33, 64, 128, 256, 512])
     def test_coarse_nodes_are_a_stride_of_the_fine_ones(self, dim, n):
         # exact, not close: the degree reads its coarser level this way
-        fine = make_grid(dim, 2 * n).nodes
-        assert np.array_equal(coarsen(dim, n, fine), make_grid(dim, n).nodes)
+        fine = make_grid(dim, 2 * n)
+        assert np.array_equal(coarsen(dim, n, fine), make_grid(dim, n))
 
     @settings(deadline=None)
     @given(st.one_of(S1_TREES, S2_TREES), st.sampled_from([8, 13, 32, 64]))
     def test_strided_fine_values_equal_the_coarse_evaluation(self, e, n):
-        fine = eval_array(e, make_grid(e.dim, 2 * n).nodes)
-        coarse = eval_array(e, make_grid(e.dim, n).nodes)
+        fine = eval_array(e, make_grid(e.dim, 2 * n))
+        coarse = eval_array(e, make_grid(e.dim, n))
         assert np.array_equal(coarsen(e.dim, n, fine), coarse)
 
     def test_rejects_low_resolution(self):
@@ -171,3 +171,50 @@ class TestMakeGrid:
             for n in (params.max_for(dim), params.grid_for(dim)):
                 check_rows(dim, n, InvalidResolution)
 
+
+
+def nearest_node_distance(dim: int, n: int, points: np.ndarray) -> np.ndarray:
+    """Chordal distance from each unit row of `points` to its nearest make_grid node."""
+    nodes = make_grid(dim, n)
+    out = []
+    for chunk in np.array_split(points, -(-len(points) // 512)):
+        nearest = nodes[np.argmax(chunk @ nodes.T, axis=1)]  # largest dot product
+        out.append(np.linalg.norm(chunk - nearest, axis=1))
+    return np.concatenate(out)
+
+
+class TestMesh:
+    """mesh(dim, n) bounds the distance of every point to the grid's nodes.
+
+    The rigorous distance bound adds (L_f + L_g) * mesh to the sampled
+    one, so it is an upper bound only if this covering holds.
+    """
+
+    @given(
+        st.sampled_from([1, 2]),
+        st.sampled_from([8, 9, 16, 33, 64]),
+        st.floats(0, math.pi),
+        st.floats(0, 2 * math.pi),
+    )
+    def test_random_points_lie_within_mesh_of_a_node(self, dim, n, theta, phi):
+        p = circle_point(phi) if dim == 1 else sphere_point(theta, phi)
+        assert nearest_node_distance(dim, n, p)[0] <= mesh(dim, n)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [8, 9, 16, 33, 64])
+    def test_cell_centres_lie_within_mesh_of_a_node(self, dim, n):
+        # the centres are the points farthest from the nodes: the middle
+        # of each arc on S1, of each lat-long cell (pole caps included) on S2
+        mid = (np.arange(2 * n) + 0.5) * math.pi / n
+        if dim == 1:
+            points = np.column_stack([np.cos(mid), np.sin(mid)])
+        else:
+            theta, phi = np.meshgrid(mid[:n], mid, indexing="ij")
+            points = np.column_stack(
+                [
+                    (np.sin(theta) * np.cos(phi)).ravel(),
+                    (np.sin(theta) * np.sin(phi)).ravel(),
+                    np.cos(theta).ravel(),
+                ]
+            )
+        assert nearest_node_distance(dim, n, points).max() <= mesh(dim, n)
