@@ -10,7 +10,9 @@ row-wise and carries a structural degree where one is known.
 from __future__ import annotations
 
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -369,6 +371,46 @@ class Blend(MapExpr):
         return None
 
 
+#: Fewest rows in a block of the perturbation field that runs on a thread
+#: of its own. Smaller calls (S1 lines, 64-band levels) stay on the calling
+#: thread, where the hand-off to the pool would cost more than it saves.
+_BLOCK_ROWS = 2**13
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _field_pool():
+    """The process-wide pool of field workers, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: the CLI's start-up never needs it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max_workers=max(_cpus() - 1, 1), thread_name_prefix="mapdeg-field"
+            )
+        return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
 class PerturbationField:
     """Deterministic smooth vector field on R^(m+1) with |V(x)| <= 1.
 
@@ -376,6 +418,13 @@ class PerturbationField:
     coordinates with seed-derived integer frequencies and coefficients.
     Dividing all coefficients by their total absolute sum bounds the
     field's Euclidean norm by 1 everywhere.
+
+    A call on many rows splits them into contiguous blocks, one per CPU
+    and each of at least 8192 rows, and runs all but the first on one
+    process-wide pool of threads, rebuilt after a fork. Every row
+    runs the same numpy calls whatever the split, so the values are
+    bit-identical for any CPU count. The caller's thread allocates every
+    buffer; a worker only writes its own rows of them.
     """
 
     TERMS = 6
@@ -398,8 +447,30 @@ class PerturbationField:
         self._coef = coef / np.abs(coef).sum()
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        args = np.einsum("jtk,nk->njt", self._freq, X) + self._phase
-        return np.einsum("jt,njt->nj", self._coef, np.sin(args))
+        n = len(X)
+        out = np.empty((n, self.dim + 1))
+        args = np.empty((n, self.dim + 1, self.TERMS))
+        k = min(_cpus(), n // _BLOCK_ROWS)
+        if k < 2:
+            self._rows(X, args, out)
+            return out
+        blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+        parts = [(X[s], args[s], out[s]) for s in blocks]
+        pool = _field_pool()
+        futures = [pool.submit(self._rows, *part) for part in parts[1:]]
+        try:
+            self._rows(*parts[0])
+        finally:
+            for f in futures:
+                f.result()
+        return out
+
+    def _rows(self, X, args, out) -> None:
+        """Write the field at the rows of X into out, with args as scratch."""
+        np.einsum("jtk,nk->njt", self._freq, X, out=args)
+        args += self._phase
+        np.sin(args, out=args)
+        np.einsum("jt,njt->nj", self._coef, args, out=out)
 
     def lipschitz_bound(self) -> float:
         grad = (np.abs(self._coef)[:, :, None] * np.abs(self._freq)).sum(axis=1)

@@ -1,4 +1,12 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +29,13 @@ from mapdeg import (
     Rot,
     Rot3,
     Susp,
+    certify_not_iterate,
     degree,
     eval_array,
     make_grid,
     parse,
 )
+from mapdeg import expr
 from mapdeg.expr import EVAL_BUDGET, MAX_DEPTH
 
 # expressions exercising every constructor, reused by several tests
@@ -366,3 +376,118 @@ class TestPerturbationField:
         e2 = parse("(perturb 11 0.3 (pow 2))")
         X = make_grid(1, 128)
         assert np.array_equal(eval_array(e1, X), eval_array(e2, X))
+
+
+def serial_field(f: PerturbationField, X: np.ndarray) -> np.ndarray:
+    """The field's formula in one pass over all rows, with no blocks."""
+    args = np.einsum("jtk,nk->njt", f._freq, X) + f._phase
+    return np.einsum("jt,njt->nj", f._coef, np.sin(args))
+
+
+#: Grids whose row counts fall on both sides of expr._BLOCK_ROWS: S2 bands
+#: (32,514 rows at 128) and S1 samples.
+SPLIT_GRIDS = [(2, b) for b in (8, 64, 90, 128, 150, 256)] + [
+    (1, n) for n in (256, 4096, 16383, 16384, 24577, 65536)
+]
+
+
+class TestFieldBlocks:
+    """The field splits large row counts over threads, bit for bit."""
+
+    @pytest.mark.parametrize(
+        ("cpus", "seeds"), [(None, range(0, 3)), (3, range(3, 6)), (5, range(6, 9))]
+    )
+    def test_split_rows_match_the_serial_formula(self, monkeypatch, cpus, seeds):
+        if cpus is not None:  # uneven blocks, also on hosts with fewer cores
+            monkeypatch.setattr(expr, "_cpus", lambda: cpus)
+        for dim, n in SPLIT_GRIDS:
+            X = make_grid(dim, n)
+            if cpus is not None and len(X) < 2 * expr._BLOCK_ROWS:
+                continue  # one block whatever the CPU count
+            for seed in seeds:
+                f = PerturbationField(seed, dim)
+                assert np.array_equal(f(X), serial_field(f, X)), (dim, n, seed)
+
+    def test_zero_rows(self):
+        for dim in (1, 2):
+            v = PerturbationField(3, dim)(np.empty((0, dim + 1)))
+            assert v.shape == (0, dim + 1)
+
+    @pytest.mark.parametrize("bands", [32, 128])
+    def test_result_is_fresh_contiguous_and_writable(self, monkeypatch, bands):
+        monkeypatch.setattr(expr, "_cpus", lambda: 2)
+        X = make_grid(2, bands)
+        f = PerturbationField(9, 2)
+        a, b = f(X), f(X)
+        assert a.shape == X.shape
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert not np.shares_memory(a, b)
+        a[:] = 0.0
+        assert np.array_equal(b, serial_field(f, X))
+
+    def test_concurrent_first_calls_create_one_pool(self, monkeypatch):
+        monkeypatch.setattr(expr, "_pool", None)
+        monkeypatch.setattr(expr, "_cpus", lambda: 3)
+        made = []
+        Pool = concurrent.futures.ThreadPoolExecutor
+
+        class Counted(Pool):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                time.sleep(0.01)  # widens the window between check and create
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        X = make_grid(2, 128)
+        f = PerturbationField(2, 2)
+        start = threading.Barrier(8)
+
+        def call():
+            start.wait()
+            return f(X)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Pool(8) as callers:
+                calls = [callers.submit(call) for _ in range(8)]
+                got = [c.result(timeout=60) for c in calls]
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert len(made) == 1
+        want = serial_field(f, X)
+        assert all(np.array_equal(g, want) for g in got)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(expr, "_cpus", lambda: 2)
+        X = make_grid(2, 128)
+        f = PerturbationField(5, 2)
+        want = f(X)  # the parent's pool now has a thread
+        assert expr._pool is not None
+
+        def child():
+            os._exit(0 if np.array_equal(f(X), want) else 1)
+
+        p = multiprocessing.get_context("fork").Process(target=child)
+        p.start()
+        p.join(timeout=10)
+        if p.is_alive():
+            p.kill()
+            p.join()
+            pytest.fail("the forked child hung evaluating the field")
+        assert p.exitcode == 0
+
+    def test_cli_import_leaves_concurrent_futures_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, mapdeg.cli; sys.exit('concurrent.futures' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_an_s1_certificate_leaves_the_pool_uncreated(self, monkeypatch):
+        monkeypatch.setattr(expr, "_pool", None)
+        monkeypatch.setattr(expr, "_cpus", lambda: 64)
+        certify_not_iterate(parse("(perturb 5 0.4 (pow 3))"))
+        assert expr._pool is None
