@@ -27,7 +27,6 @@ def _params_from(args) -> DegreeParams:
     return DegreeParams(
         initial_resolution=args.resolution,
         max_resolution=args.max_resolution,
-        tolerance=args.tolerance,
     )
 
 
@@ -189,11 +188,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, refines: bool) -> None:
-    """--resolution and --json; --max-resolution and --tolerance if `refines`."""
+    """--resolution and --json; --max-resolution if `refines`."""
     p.add_argument("--resolution", type=int, default=None, help="starting resolution")
     if refines:
         p.add_argument("--max-resolution", type=int, default=None, help="refinement cap")
-        p.add_argument("--tolerance", type=float, default=0.1, help="residual tolerance")
     p.add_argument(
         "--json",
         action=argparse.BooleanOptionalAction,

@@ -34,6 +34,10 @@ BLEND_MIN_NORM = 1e-6
 #: Largest image step (S1) or image-edge angle (S2) a level may contain.
 STEP_CAP = math.pi / 2
 
+#: Most a level's raw degree may differ from the previous level's, and
+#: from the integer it is rounded to, for the level to be accepted.
+TOLERANCE = 0.1
+
 
 @dataclass(frozen=True)
 class DegreeParams:
@@ -48,7 +52,6 @@ class DegreeParams:
 
     initial_resolution: int | None = None
     max_resolution: int | None = None
-    tolerance: float = 0.1
 
     _DEFAULT_INITIAL: ClassVar[dict[int, int]] = {1: 256, 2: 64}
     _DEFAULT_MAX: ClassVar[dict[int, int]] = {1: 16384, 2: 1024}
@@ -59,8 +62,6 @@ class DegreeParams:
             raise ValueError("initial resolution must be >= 8")
         if self.max_resolution is not None and self.max_resolution < 8:
             raise ValueError("max resolution must be >= 8")
-        if not 0.0 < self.tolerance < 0.5:
-            raise ValueError("tolerance must lie in (0, 0.5)")
 
     def initial_for(self, dim: int) -> int:
         return self.initial_resolution or self._DEFAULT_INITIAL[dim]
@@ -80,8 +81,8 @@ class DegreeParams:
 class DegreeResult:
     """An integer degree plus the evidence it was rounded from.
 
-    residual is |raw - value| before rounding and is always below the
-    tolerance in force; method records which route produced the value.
+    residual is |raw - value| before rounding and is always below
+    TOLERANCE; method records which route produced the value.
     """
 
     value: int
@@ -126,8 +127,9 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so when the AST yields a
     Lipschitz bound we refuse to start below it. A start whose double
-    exceeds the cap or the row budget, or an infinite bound, is refused
-    before any sampling, so the first two-level comparison always runs.
+    exceeds the cap, or an infinite bound, is refused here, so the first
+    two-level comparison always runs; _refine checks its row budget
+    before sampling it.
     """
     need = params.initial_for(dim)
     bound = e.lipschitz_bound()
@@ -137,7 +139,6 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
         raise ResolutionExceeded(
             f"map needs resolution {need:.6g}, beyond the cap {params.max_for(dim)}"
         )
-    check_rows(dim, 2 * math.ceil(need), ResolutionExceeded)
     return math.ceil(need)
 
 
@@ -207,8 +208,8 @@ def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult
     level, through `samples`: the first pair reads its coarser level from
     the finer one by geometry.coarsen, and every later pair reuses the
     previous finer pass. A level is accepted when both passes keep that
-    guard within STEP_CAP, their raw values agree within the tolerance
-    and the finer one sits within the tolerance of an integer. No level
+    guard within STEP_CAP, their raw values agree within TOLERANCE and
+    the finer one sits within TOLERANCE of an integer. No level
     beyond the row budget is sampled.
     """
     dim = e.dim
@@ -228,8 +229,8 @@ def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult
         if (
             step_c <= STEP_CAP
             and step_f <= STEP_CAP
-            and abs(raw_c - raw_f) <= params.tolerance
-            and residual < params.tolerance
+            and abs(raw_c - raw_f) <= TOLERANCE
+            and residual < TOLERANCE
         ):
             return DegreeResult(value, residual, method, 2 * n)
         n, raw_c, step_c = 2 * n, raw_f, step_f
@@ -249,8 +250,8 @@ def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
 def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     """Winding-number degree of an S1 expression.
 
-    Doubles the sample count until consecutive levels agree within the
-    tolerance and no wrapped step exceeds STEP_CAP.
+    Doubles the sample count until consecutive levels agree within
+    TOLERANCE and no wrapped step exceeds STEP_CAP.
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
@@ -307,8 +308,8 @@ def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> Degr
     """Simplicial solid-angle degree of an S2 expression.
 
     The resolution counts latitude bands; each ring carries twice as many
-    longitudes. Doubles until consecutive levels agree within the
-    tolerance and no image edge spans more than STEP_CAP.
+    longitudes. Doubles until consecutive levels agree within
+    TOLERANCE and no image edge spans more than STEP_CAP.
     """
     if e.dim != 2:
         raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")

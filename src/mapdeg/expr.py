@@ -60,9 +60,11 @@ class MapExpr:
     def lipschitz_bound(self) -> float | None:
         """Upper bound on the map's chordal Lipschitz constant, if known.
 
-        Used to floor the starting resolution of the numeric degree
-        methods so that fast-wrapping maps cannot alias to a plausible
-        but wrong integer.
+        It must be a true upper bound, never an estimate. It floors the
+        starting resolution of the numeric degree methods, so that
+        fast-wrapping maps cannot alias to a plausible but wrong integer,
+        and it is the L_f + L_g of every rigorous sup distance, which
+        decides when a ball certificate's grid stops doubling.
         """
         raise NotImplementedError
 
@@ -371,13 +373,12 @@ class Blend(MapExpr):
         return None
 
 
-#: Fewest rows in a block of the perturbation field that runs on a thread
-#: of its own. Smaller calls (S1 lines, 64-band levels) stay on the calling
-#: thread, where the hand-off to the pool would cost more than it saves.
-_BLOCK_ROWS = 2**13
-
-_pool = None
-_pool_lock = threading.Lock()
+#: Entries of the field's output, rows x (m+1), that make one block's
+#: work: a call splits into at most out.size // _BLOCK_ENTRIES blocks.
+#: Smaller calls (S1 degrees up to 16,384 rows, 64-band levels) stay on
+#: the calling thread, where starting and joining a thread would cost
+#: more than it saves.
+_BLOCK_ENTRIES = 3 * 2**13
 
 
 def _cpus() -> int:
@@ -385,30 +386,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _field_pool():
-    """The process-wide pool of field workers, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: the CLI's start-up never needs it
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(
-                max_workers=max(_cpus() - 1, 1), thread_name_prefix="mapdeg-field"
-            )
-        return _pool
-
-
-def _drop_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class PerturbationField:
@@ -419,12 +396,13 @@ class PerturbationField:
     Dividing all coefficients by their total absolute sum bounds the
     field's Euclidean norm by 1 everywhere.
 
-    A call on many rows splits them into contiguous blocks, one per CPU
-    and each of at least 8192 rows, and runs all but the first on one
-    process-wide pool of threads, rebuilt after a fork. Every row
-    runs the same numpy calls whatever the split, so the values are
-    bit-identical for any CPU count. The caller's thread allocates every
-    buffer; a worker only writes its own rows of them.
+    A large call splits its rows into contiguous blocks, at most one per
+    CPU and one per _BLOCK_ENTRIES output entries. The calling thread
+    runs the first block and starts one thread for each other block,
+    which it joins before it returns. Every row runs the same numpy calls
+    whatever the split, so the values are bit-identical for any CPU
+    count. The calling thread allocates every buffer; a helper only
+    writes its own rows of them.
     """
 
     TERMS = 6
@@ -450,19 +428,33 @@ class PerturbationField:
         n = len(X)
         out = np.empty((n, self.dim + 1))
         args = np.empty((n, self.dim + 1, self.TERMS))
-        k = min(_cpus(), n // _BLOCK_ROWS)
+        k = out.size // _BLOCK_ENTRIES
+        if k >= 2:  # only then is the affinity mask worth a system call
+            k = min(_cpus(), k)
         if k < 2:
             self._rows(X, args, out)
             return out
         blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
-        parts = [(X[s], args[s], out[s]) for s in blocks]
-        pool = _field_pool()
-        futures = [pool.submit(self._rows, *part) for part in parts[1:]]
+        errors = []
+
+        def run(s):
+            try:
+                self._rows(X[s], args[s], out[s])
+            except BaseException as exc:
+                errors.append(exc)
+
+        helpers = []
         try:
-            self._rows(*parts[0])
+            for s in blocks[1:]:
+                t = threading.Thread(target=run, args=(s,))
+                t.start()
+                helpers.append(t)  # only started threads: each is joined
+            run(blocks[0])
         finally:
-            for f in futures:
-                f.result()
+            for t in helpers:
+                t.join()
+        if errors:
+            raise errors[0]
         return out
 
     def _rows(self, X, args, out) -> None:

@@ -248,6 +248,7 @@ class TestUsageErrors:
             ["homotopy", "-a", "(pow 2)", "-b", "(pow 2)", "--seed", "3"],
             ["degree", "-e", "(pow 2)", "--seed", "3"],
             ["certify", "-e", "(pow 2)", "--seed", "3"],
+            ["degree", "-e", "(pow 2)", "--tolerance", "0.2"],
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):

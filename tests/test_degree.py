@@ -195,8 +195,6 @@ class TestDegreeDispatch:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            DegreeParams(tolerance=0.7)
-        with pytest.raises(ValueError):
             DegreeParams(initial_resolution=4)
         for cap in (0, -7, 4):
             with pytest.raises(ValueError):

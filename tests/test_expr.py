@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -384,15 +383,28 @@ def serial_field(f: PerturbationField, X: np.ndarray) -> np.ndarray:
     return np.einsum("jt,njt->nj", f._coef, np.sin(args))
 
 
-#: Grids whose row counts fall on both sides of expr._BLOCK_ROWS: S2 bands
-#: (32,514 rows at 128) and S1 samples.
+#: Grids whose output sizes, rows x (dim+1), fall on both sides of the
+#: split threshold 2 * expr._BLOCK_ENTRIES: S2 bands (8,066 rows at 64,
+#: 32,514 at 128) and S1 samples (24,575 and 24,576 straddle it).
 SPLIT_GRIDS = [(2, b) for b in (8, 64, 90, 128, 150, 256)] + [
-    (1, n) for n in (256, 4096, 16383, 16384, 24577, 65536)
+    (1, n) for n in (256, 4096, 16384, 24575, 24576, 65536)
 ]
 
 
+def counting_rows(monkeypatch) -> list:
+    """Spy on PerturbationField._rows; the returned list gets one entry per block."""
+    rows, calls = PerturbationField._rows, []
+
+    def spy(self, X, args, out):
+        calls.append(len(X))
+        rows(self, X, args, out)
+
+    monkeypatch.setattr(PerturbationField, "_rows", spy)
+    return calls
+
+
 class TestFieldBlocks:
-    """The field splits large row counts over threads, bit for bit."""
+    """The field splits large calls over threads of its own, bit for bit."""
 
     @pytest.mark.parametrize(
         ("cpus", "seeds"), [(None, range(0, 3)), (3, range(3, 6)), (5, range(6, 9))]
@@ -402,11 +414,30 @@ class TestFieldBlocks:
             monkeypatch.setattr(expr, "_cpus", lambda: cpus)
         for dim, n in SPLIT_GRIDS:
             X = make_grid(dim, n)
-            if cpus is not None and len(X) < 2 * expr._BLOCK_ROWS:
+            if cpus is not None and X.size < 2 * expr._BLOCK_ENTRIES:
                 continue  # one block whatever the CPU count
             for seed in seeds:
                 f = PerturbationField(seed, dim)
                 assert np.array_equal(f(X), serial_field(f, X)), (dim, n, seed)
+
+    @pytest.mark.parametrize(
+        ("dim", "resolution", "rows", "cpus", "blocks"),
+        [
+            (1, 16384, 16384, 2, 1),  # an S1 degree at its cap gains nothing
+            (1, 32768, 32768, 2, 2),
+            (2, 64, 8066, 2, 1),
+            (2, 128, 32514, 2, 2),
+            (2, 128, 32514, 3, 3),
+        ],
+    )
+    def test_blocks_are_sized_by_work(self, monkeypatch, dim, resolution, rows, cpus, blocks):
+        monkeypatch.setattr(expr, "_cpus", lambda: cpus)
+        calls = counting_rows(monkeypatch)
+        X = make_grid(dim, resolution)
+        assert len(X) == rows
+        f = PerturbationField(1, dim)
+        assert np.array_equal(f(X), serial_field(f, X))
+        assert len(calls) == blocks and sum(calls) == rows
 
     def test_zero_rows(self):
         for dim in (1, 2):
@@ -425,48 +456,86 @@ class TestFieldBlocks:
         a[:] = 0.0
         assert np.array_equal(b, serial_field(f, X))
 
-    def test_concurrent_first_calls_create_one_pool(self, monkeypatch):
-        monkeypatch.setattr(expr, "_pool", None)
+    def test_a_split_call_leaves_no_thread_behind(self, monkeypatch):
         monkeypatch.setattr(expr, "_cpus", lambda: 3)
-        made = []
-        Pool = concurrent.futures.ThreadPoolExecutor
+        calls = counting_rows(monkeypatch)
+        before = threading.active_count()
+        PerturbationField(6, 2)(make_grid(2, 128))
+        assert len(calls) == 3
+        assert threading.active_count() == before
 
-        class Counted(Pool):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                time.sleep(0.01)  # widens the window between check and create
-                super().__init__(*args, **kwargs)
+    def test_a_failing_block_raises_after_every_helper_is_joined(self, monkeypatch):
+        monkeypatch.setattr(expr, "_cpus", lambda: 3)
+        X = make_grid(2, 128)
+        rows, done = PerturbationField._rows, []
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        def flaky(self, Y, args, out):
+            block = round(3 * (Y.ctypes.data - X.ctypes.data) / X.nbytes)
+            if block == 1:
+                raise RuntimeError("block 1 failed")
+            if block == 2:
+                time.sleep(0.2)  # still running when block 1 has failed
+            rows(self, Y, args, out)
+            done.append(block)
+
+        monkeypatch.setattr(PerturbationField, "_rows", flaky)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            PerturbationField(7, 2)(X)
+        assert sorted(done) == [0, 2]
+        assert threading.active_count() == before
+
+    def test_a_failing_start_still_joins_the_started_helpers(self, monkeypatch):
+        monkeypatch.setattr(expr, "_cpus", lambda: 3)
+        rows, done = PerturbationField._rows, []
+
+        def slow(self, Y, args, out):
+            time.sleep(0.2)
+            rows(self, Y, args, out)
+            done.append(len(Y))
+
+        class SecondStartFails(threading.Thread):
+            starts = 0
+
+            def start(self):
+                SecondStartFails.starts += 1
+                if SecondStartFails.starts == 2:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+
+        monkeypatch.setattr(PerturbationField, "_rows", slow)
+        monkeypatch.setattr(threading, "Thread", SecondStartFails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start"):
+            PerturbationField(8, 2)(make_grid(2, 128))
+        assert len(done) == 1  # the one started helper ran to its end
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_agree_with_the_serial_formula(self, monkeypatch):
+        monkeypatch.setattr(expr, "_cpus", lambda: 3)
         X = make_grid(2, 128)
         f = PerturbationField(2, 2)
-        start = threading.Barrier(8)
+        start, got = threading.Barrier(8), []
 
         def call():
             start.wait()
-            return f(X)
+            got.append(f(X))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with Pool(8) as callers:
-                calls = [callers.submit(call) for _ in range(8)]
-                got = [c.result(timeout=60) for c in calls]
-        finally:
-            sys.setswitchinterval(interval)
-            for pool in made:
-                pool.shutdown()
-        assert len(made) == 1
+        callers = [threading.Thread(target=call) for _ in range(8)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
         want = serial_field(f, X)
+        assert len(got) == 8
         assert all(np.array_equal(g, want) for g in got)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
+    def test_a_forked_child_computes_the_parents_values(self, monkeypatch):
         monkeypatch.setattr(expr, "_cpus", lambda: 2)
         X = make_grid(2, 128)
         f = PerturbationField(5, 2)
-        want = f(X)  # the parent's pool now has a thread
-        assert expr._pool is not None
+        want = f(X)
 
         def child():
             os._exit(0 if np.array_equal(f(X), want) else 1)
@@ -486,8 +555,15 @@ class TestFieldBlocks:
         code = "import sys, mapdeg.cli; sys.exit('concurrent.futures' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-    def test_an_s1_certificate_leaves_the_pool_uncreated(self, monkeypatch):
-        monkeypatch.setattr(expr, "_pool", None)
+    def test_an_s1_certificate_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(expr, "_cpus", lambda: 64)
+        started = []
+
+        class Spied(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spied)
         certify_not_iterate(parse("(perturb 5 0.4 (pow 3))"))
-        assert expr._pool is None
+        assert started == []
