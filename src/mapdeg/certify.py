@@ -11,6 +11,7 @@ degree obstruction is silent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -230,46 +231,25 @@ def certify_not_iterate(
     )
 
 
-@dataclass(frozen=True)
-class _BaseRecord:
+@functools.lru_cache(maxsize=1)
+def _kept_base(
+    text: str, params: DegreeParams, f0: MapExpr
+) -> tuple[DegreeResult, PowerWitness | None, np.ndarray]:
     """A ball certificate's base map, certified once for later calls.
 
-    key is (rendered base, params): (rot 0.0) == (rot -0.0) and the two
-    hash alike, but they may round differently. values holds the base on
-    make_grid(dim, degree.resolution), its finest degree level, and is
-    read-only.
+    f0's degree, its power witness, and its values on
+    make_grid(dim, degree.resolution), its finest degree level, which
+    are read-only. One entry only, so what is held between calls is one
+    level of one base map. text is f0.render() and part of the key:
+    (rot 0.0) == (rot -0.0) and the two hash alike, but they may round
+    differently. lru_cache keeps no exception, so an error is never
+    kept: the next call computes again and raises again.
     """
-
-    key: tuple[str, DegreeParams]
-    degree: DegreeResult
-    witness: PowerWitness | None
-    values: np.ndarray
-
-
-#: The latest base that returned a degree. One record only, so what is
-#: held between calls is one level of one base map. Records are immutable
-#: and replaced whole, so concurrent calls at worst compute one twice.
-_base_record: _BaseRecord | None = None
-
-
-def _base(f0: MapExpr, params: DegreeParams, samples: _Samples) -> _BaseRecord:
-    """f0's record, with its values held in `samples`.
-
-    Recomputed unless the latest record has the same key. An error is
-    never recorded: the next call computes again and raises again.
-    """
-    global _base_record
-    key = (f0.render(), params)
-    record = _base_record
-    if record is None or record.key != key:
-        deg = _degree(f0, params, samples)
-        values = samples.values(f0, deg.resolution)
-        values.setflags(write=False)
-        record = _BaseRecord(key, deg, is_perfect_power(deg.value), values)
-        _base_record = record
-    else:
-        samples.hold(f0, record.degree.resolution, record.values)
-    return record
+    samples = _Samples()
+    deg = _degree(f0, params, samples)
+    values = samples.values(f0, deg.resolution)
+    values.setflags(write=False)
+    return deg, is_perfect_power(deg.value), values
 
 
 def ball_certificate(
@@ -300,11 +280,11 @@ def ball_certificate(
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
+    deg0, witness, values = _kept_base(f0.render(), params, f0)
+    if witness is not None:
+        return Refusal(g.render(), g.dim, deg0, witness)
     samples = _Samples()
-    base = _base(f0, params, samples)
-    deg0 = base.degree
-    if base.witness is not None:
-        return Refusal(g.render(), g.dim, deg0, base.witness)
+    samples.hold(f0, deg0.resolution, values)
 
     n = params.grid_for(f0.dim)
     while True:

@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Five subcommands: degree, certify, distance, homotopy, experiment. Input
-expressions come inline (-e) or one per line from a file (-f, '#' lines
-are comments). Every expression produces exactly one JSON line on stdout,
-in input order; a short human summary goes to stderr. Exit code 0 means
-every line succeeded (and, for experiment, nothing was refused).
+Five subcommands: degree, certify, distance, homotopy, experiment. degree
+and certify read expressions inline (-e) or one per line from a file (-f,
+'#' lines are comments); distance and homotopy read one pair (-a, -b);
+experiment generates its samples. One report loop, _report, runs every
+input, prints its report line on stdout in input order (JSON unless
+--no-json) and counts its outcome. From those counts each command prints
+a short summary to stderr and picks its exit code: 0 means every line
+succeeded (and, for experiment, nothing was refused), 1 that some did
+not, and 2 a usage error.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
-from .certify import ball_certificate, certify_not_iterate, homotopy_check
+from .certify import Refusal, ball_certificate, certify_not_iterate, homotopy_check
 from .degree import DegreeParams, degree, sup_distance
 from .errors import MapdegError
 from .expr import Perturb, Pow, Susp, parse
@@ -30,29 +35,34 @@ def _params_from(args) -> DegreeParams:
     )
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report))
-    else:
-        print(f"{report['input']} -> {report['outcome']}: {report['payload']}")
+def _report(command: str, jobs, as_json: bool) -> Counter:
+    """Run each job, print its report line and count its outcome.
 
-
-def _report_line(command: str, text: str, runner) -> dict:
-    start = time.perf_counter()
-    try:
-        payload = runner()
-        outcome = "ok"
-    except MapdegError as err:
-        outcome = type(err).__name__
-        payload = {"error": str(err)}
-    wall_ms = 1000.0 * (time.perf_counter() - start)
-    return {
-        "input": text,
-        "command": command,
-        "outcome": outcome,
-        "payload": payload,
-        "wall_ms": wall_ms,
-    }
+    A job is (input text, a thunk returning a result, extra report
+    fields). wall_ms times the thunk and the result's to_json_dict().
+    The counts are keyed by outcome: "ok", "refused" for a Refusal, or
+    the name of the MapdegError raised. No report is kept once printed.
+    """
+    counts = Counter()
+    for text, thunk, extra in jobs:
+        start = time.perf_counter()
+        try:
+            result = thunk()
+            payload = result.to_json_dict()
+            outcome = "refused" if isinstance(result, Refusal) else "ok"
+        except MapdegError as err:
+            outcome = type(err).__name__
+            payload = {"error": str(err)}
+        wall_ms = 1000.0 * (time.perf_counter() - start)
+        counts[outcome] += 1
+        shown = "ok" if outcome == "refused" else outcome
+        if as_json:
+            report = {"input": text, "command": command, "outcome": shown,
+                      "payload": payload, "wall_ms": wall_ms, **extra}
+            print(json.dumps(report))
+        else:
+            print(f"{text} -> {shown}: {payload}")
+    return counts
 
 
 def _iter_inputs(args):
@@ -68,20 +78,21 @@ def _iter_inputs(args):
             yield text
 
 
-def _run_per_line(args, command: str, runner) -> int:
-    failures = 0
-    total = 0
-    for text in _iter_inputs(args):
-        report = _report_line(command, text, lambda t=text: runner(t))
-        _emit(report, args.json)
-        total += 1
-        if report["outcome"] != "ok":
-            failures += 1
-    print(f"{command}: {total - failures} ok, {failures} error(s)", file=sys.stderr)
-    return 1 if failures else 0
+def _cmd_per_line(args, compute) -> int:
+    """One report line per input expression; compute(e, params) is the result."""
+    params = _params_from(args)
+    jobs = (
+        (text, lambda t=text: compute(parse(t), params), {})
+        for text in _iter_inputs(args)
+    )
+    counts = _report(args.command, jobs, args.json)
+    ok = counts["ok"] + counts["refused"]
+    errors = counts.total() - ok
+    print(f"{args.command}: {ok} ok, {errors} error(s)", file=sys.stderr)
+    return 1 if errors else 0
 
 
-def _run_pair(args, command: str, compute) -> int:
+def _cmd_pair(args, compute) -> int:
     """One report line for the maps -a and -b; compute(f, g, n) is the result.
 
     n is the grid resolution: --resolution, or the default grid of the
@@ -89,41 +100,13 @@ def _run_pair(args, command: str, compute) -> int:
     """
     params = DegreeParams(initial_resolution=args.resolution)
 
-    def run() -> dict:
+    def run():
         f, g = parse(args.a), parse(args.b)
-        return compute(f, g, params.grid_for(f.dim)).to_json_dict()
+        return compute(f, g, params.grid_for(f.dim))
 
-    report = _report_line(command, f"{args.a} | {args.b}", run)
-    _emit(report, args.json)
-    ok = report["outcome"] == "ok"
-    print(f"{command}: {'ok' if ok else report['outcome']}", file=sys.stderr)
-    return 0 if ok else 1
-
-
-def _cmd_degree(args) -> int:
-    params = _params_from(args)
-
-    def run(text: str) -> dict:
-        return degree(parse(text), params).to_json_dict()
-
-    return _run_per_line(args, "degree", run)
-
-
-def _cmd_certify(args) -> int:
-    params = _params_from(args)
-
-    def run(text: str) -> dict:
-        return certify_not_iterate(parse(text), params).to_json_dict()
-
-    return _run_per_line(args, "certify", run)
-
-
-def _cmd_distance(args) -> int:
-    return _run_pair(args, "distance", sup_distance)
-
-
-def _cmd_homotopy(args) -> int:
-    return _run_pair(args, "homotopy", homotopy_check)
+    (outcome,) = _report(args.command, [(f"{args.a} | {args.b}", run, {})], args.json)
+    print(f"{args.command}: {outcome}", file=sys.stderr)
+    return 0 if outcome == "ok" else 1
 
 
 # splitmix64 finalizer; mixes the sample index into the master seed so
@@ -162,29 +145,24 @@ def _cmd_experiment(args) -> int:
         print("experiment: --epsilon-max must lie in [0, 1)", file=sys.stderr)
         return 2
     params = _params_from(args)
-    issued = refused = errors = 0
-    for i, eps, field_seed, base, g in experiment_samples(
-        args.dim, args.count, args.epsilon_max, args.seed
-    ):
-        def run() -> dict:
-            result = ball_certificate(base, g, params)
-            return result.to_json_dict()
-
-        report = _report_line("experiment", g.render(), run)
-        report["sample"] = {"index": i, "seed": field_seed, "epsilon": eps}
-        _emit(report, args.json)
-        if report["outcome"] != "ok":
-            errors += 1
-        elif "witness" in report["payload"]:
-            refused += 1
-        else:
-            issued += 1
+    jobs = (
+        (
+            g.render(),
+            functools.partial(ball_certificate, base, g, params),
+            {"sample": {"index": i, "seed": field_seed, "epsilon": eps}},
+        )
+        for i, eps, field_seed, base, g in experiment_samples(
+            args.dim, args.count, args.epsilon_max, args.seed
+        )
+    )
+    counts = _report("experiment", jobs, args.json)
+    errors = counts.total() - counts["ok"] - counts["refused"]
     print(
         f"experiment dim={args.dim} count={args.count}: "
-        f"issued={issued} refused={refused} errors={errors}",
+        f"issued={counts['ok']} refused={counts['refused']} errors={errors}",
         file=sys.stderr,
     )
-    return 0 if refused == 0 and errors == 0 else 1
+    return 0 if counts["ok"] == counts.total() else 1
 
 
 def _add_common(p: argparse.ArgumentParser, refines: bool) -> None:
@@ -209,26 +187,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, text in (
-        ("degree", _cmd_degree, "compute the degree of each expression"),
-        ("certify", _cmd_certify, "emit non-iterate certificates or refusals"),
+    for name, compute, text in (
+        ("degree", degree, "compute the degree of each expression"),
+        ("certify", certify_not_iterate, "emit non-iterate certificates or refusals"),
     ):
         p = sub.add_parser(name, help=text)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("-e", "--expr", help="inline s-expression")
         group.add_argument("-f", "--file", help="file with one expression per line")
         _add_common(p, refines=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_cmd_per_line, compute=compute))
 
-    for name, func, text in (
-        ("distance", _cmd_distance, "sup distance between two maps"),
-        ("homotopy", _cmd_homotopy, "straight-line homotopy validity report"),
+    for name, compute, text in (
+        ("distance", sup_distance, "sup distance between two maps"),
+        ("homotopy", homotopy_check, "straight-line homotopy validity report"),
     ):
         p = sub.add_parser(name, help=text)
         _add_common(p, refines=False)
         p.add_argument("-a", required=True, help="first expression")
         p.add_argument("-b", required=True, help="second expression")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_cmd_pair, compute=compute))
 
     p = sub.add_parser(
         "experiment",

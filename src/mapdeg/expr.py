@@ -555,10 +555,12 @@ _TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
 
 
 class _Parser:
+    """Recursive descent over the tokens, read lazily with one of lookahead."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = list(_TOKEN.finditer(text))
-        self.pos = 0
+        self.tokens = _TOKEN.finditer(text)
+        self.next = next(self.tokens, None)
         self.depth = 0
 
     def _fail(self, message: str, token: re.Match | None = None):
@@ -568,20 +570,18 @@ class _Parser:
         column = offset - self.text.rfind("\n", 0, offset)
         raise ParseError(message, line, column)
 
-    def peek(self) -> re.Match | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self, what: str) -> re.Match:
-        tok = self.peek()
+        tok = self.next
         if tok is None:
             self._fail(f"unexpected end of input, expected {what}")
-        self.pos += 1
+        self.next = next(self.tokens, None)
         return tok
 
-    def expect(self, literal: str):
+    def expect(self, literal: str) -> re.Match:
         tok = self.take(f"'{literal}'")
         if tok[0] != literal:
             self._fail(f"expected '{literal}', got '{tok[0]}'", tok)
+        return tok
 
     def atom(self, what: str) -> re.Match:
         tok = self.take(what)
@@ -621,9 +621,9 @@ class _Parser:
         return tuple(self.float_atom(f"axis {c}") for c in "xyz")
 
     def expr(self) -> MapExpr:
-        self.expect("(")
+        opening = self.expect("(")
         if self.depth == MAX_DEPTH:
-            self._fail(f"nesting deeper than {MAX_DEPTH} levels", self.tokens[self.pos - 1])
+            self._fail(f"nesting deeper than {MAX_DEPTH} levels", opening)
         self.depth += 1
         head = self.atom("a constructor name")
         if head[0] not in _GRAMMAR:
@@ -678,10 +678,10 @@ def parse(text: str) -> MapExpr:
     is refused with a DomainError before any degree work can start.
     """
     parser = _Parser(text)
-    if parser.peek() is None:
+    if parser.next is None:
         parser._fail("empty input")
     node = parser.expr()
-    trailing = parser.peek()
+    trailing = parser.next
     if trailing is not None:
         parser._fail(f"trailing input '{trailing[0]}'", trailing)
     if _evaluations(node) > EVAL_BUDGET:

@@ -302,8 +302,8 @@ class TestEvaluationCount:
     def rows(self, monkeypatch):
         """Counter of (map text, rows) over the calls of eval_array.
 
-        Starts without a base record, so that every count is exact
-        whatever ran before.
+        Starts with no kept base, so that every count is exact whatever
+        ran before.
         """
         counts = Counter()
         module = importlib.import_module("mapdeg.degree")
@@ -313,7 +313,7 @@ class TestEvaluationCount:
             counts[e.render(), len(X)] += 1
             return original(e, X, **kwargs)
 
-        monkeypatch.setattr(certify_module, "_base_record", None)
+        certify_module._kept_base.cache_clear()
         monkeypatch.setattr(module, "eval_array", counting)
         return counts
 
@@ -366,12 +366,10 @@ class TestEvaluationCount:
         assert rows == {(g.render(), 32514): 1}
         assert second.to_json_dict() == first.to_json_dict()
 
-    def test_perturbation_reads_its_base_instead_of_evaluating_it(
-        self, rows, susp_evals, monkeypatch
-    ):
+    def test_perturbation_reads_its_base_instead_of_evaluating_it(self, rows, susp_evals):
         f0 = parse("(susp (pow 2))")
         for seed in (4, 5):
-            monkeypatch.setattr(certify_module, "_base_record", None)
+            certify_module._kept_base.cache_clear()
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
         # once per certificate: f0's degree at 128 bands, never inside g
         assert susp_evals == {32514: 2}
@@ -394,23 +392,27 @@ class TestEvaluationCount:
 class TestBaseRecord:
     """ball_certificate keeps its latest base map's degree between calls."""
 
+    kept = staticmethod(certify_module._kept_base)
+
     @pytest.fixture(autouse=True)
-    def cleared(self, monkeypatch):
-        monkeypatch.setattr(certify_module, "_base_record", None)
+    def cleared(self):
+        self.kept.cache_clear()
 
     def test_record_arrays_are_read_only(self):
         ball_certificate(parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))"))
-        record = certify_module._base_record
-        assert record.key == ("(susp (pow 2))", DegreeParams())
-        assert record.values.shape == (32514, 3)
-        assert not record.values.flags.writeable
+        # the certificate's key: a lookup under it is a hit
+        _, _, values = self.kept("(susp (pow 2))", DegreeParams(), parse("(susp (pow 2))"))
+        assert self.kept.cache_info()[:2] == (1, 1)  # hits, misses
+        assert values.shape == (32514, 3)
+        assert not values.flags.writeable
         with pytest.raises(ValueError):
-            record.values[0, 0] = 0.0
+            values[0, 0] = 0.0
 
     def test_perfect_power_base_refuses_identically_when_recorded(self):
         f0, g = parse("(susp (pow 4))"), parse("(perturb 2 0.1 (susp (pow 4)))")
         cold = ball_certificate(f0, g)
         warm = ball_certificate(parse("(susp (pow 4))"), g)
+        assert self.kept.cache_info().hits == 1
         assert isinstance(warm, Refusal)
         assert warm == cold
         assert warm.to_json_dict() == cold.to_json_dict()
@@ -421,21 +423,29 @@ class TestBaseRecord:
         for _ in range(2):
             with pytest.raises(ResolutionExceeded):
                 ball_certificate(f0, g)
-            assert certify_module._base_record is None
+            assert self.kept.cache_info().currsize == 0
+        assert self.kept.cache_info().misses == 2
 
     def test_key_is_the_rendered_base(self):
         # (rot 0.0) == (rot -0.0), but each is recorded under its own text
         g = parse("(perturb 3 0.2 (pow 2))")
-        for text in ("(compose (rot 0.0) (pow 2))", "(compose (rot -0.0) (pow 2))"):
+        for misses, text in enumerate(
+            ("(compose (rot 0.0) (pow 2))", "(compose (rot -0.0) (pow 2))"), 1
+        ):
             ball_certificate(parse(text), g)
-            assert certify_module._base_record.key[0] == text
+            assert self.kept.cache_info().misses == misses
+            self.kept(text, DegreeParams(), parse(text))
+            assert self.kept.cache_info().misses == misses
 
     def test_params_are_part_of_the_key(self):
         f0, g = parse("(pow 2)"), parse("(perturb 3 0.2 (pow 2))")
         ball_certificate(f0, g)
-        fine = ball_certificate(f0, g, DegreeParams(initial_resolution=512))
+        fine_params = DegreeParams(initial_resolution=512)
+        fine = ball_certificate(f0, g, fine_params)
         assert fine.degree.resolution == 1024
-        assert certify_module._base_record.key[1] == DegreeParams(initial_resolution=512)
+        assert self.kept.cache_info().misses == 2
+        self.kept(f0.render(), fine_params, f0)
+        assert self.kept.cache_info()[:2] == (1, 2)
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -461,8 +471,8 @@ class TestBaseRecord:
         # at most 128 bands on S2: bounds the cost of the degrees and the
         # distance doubling, and puts the budget errors in the property
         with mock.patch.object(geometry, "MAX_ROWS", 2**16):
-            certify_module._base_record = None
+            self.kept.cache_clear()
             cold = outcome()
             warm = outcome()
-            certify_module._base_record = None
+            self.kept.cache_clear()
             assert outcome() == warm == cold

@@ -194,20 +194,23 @@ class TestExperimentCommand:
 
         assert stripped(first) == stripped(second)
 
-    def test_base_record_leaves_the_output_unchanged(self, capsys, monkeypatch):
+    def test_base_record_leaves_the_output_unchanged(self, capsys):
         # cold, warm, then cleared again, in one process
-        certify = importlib.import_module("mapdeg.certify")
+        kept = importlib.import_module("mapdeg.certify")._kept_base
         argv = [
             "experiment", "--dim", "2", "--count", "3", "--epsilon-max", "0.8",
             "--seed", "5",
         ]
-        runs = []
+        runs, lookups = [], []
         for clear in (True, False, True):
             if clear:
-                monkeypatch.setattr(certify, "_base_record", None)
+                kept.cache_clear()
             code = main(argv)
             out, err = capsys.readouterr()
             runs.append((code, re.sub(r'"wall_ms": [^,}]*', '"wall_ms": 0', out), err))
+            lookups.append(kept.cache_info()[:2])
+        # (hits, misses): the warm run computes no base
+        assert lookups == [(2, 1), (5, 1), (2, 1)]
         assert runs[0][0] == 0
         assert runs[0][1].count('"outcome": "ok"') == 3
         assert runs[0] == runs[1] == runs[2]
@@ -216,6 +219,62 @@ class TestExperimentCommand:
         code = main(["experiment", "--dim", "1", "--count", "1", "--epsilon-max", "1.0"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestSummaries:
+    """Each command's stderr summary and exit code, from its counts."""
+
+    @pytest.mark.parametrize(
+        "argv, summary, code",
+        [
+            # a refusal, (pow 4), counts as ok
+            (["degree", "-f", "FILE"], "degree: 2 ok, 1 error(s)", 1),
+            (["certify", "-f", "FILE"], "certify: 2 ok, 1 error(s)", 1),
+            (
+                ["distance", "-a", "(pow 2)", "-b", "(susp (pow 2))"],
+                "distance: DimensionMismatch",
+                1,
+            ),
+            (["homotopy", "-a", "(id 1)", "-b", "(antipode 1)"], "homotopy: ok", 0),
+            (
+                ["experiment", "--dim", "1", "--count", "3", "--epsilon-max", "0.9"],
+                "experiment dim=1 count=3: issued=3 refused=0 errors=0",
+                0,
+            ),
+            (
+                # the cap rises to 16, twice --resolution; (pow 2) starts at
+                # 12.6 samples, and its double is over the cap
+                ["experiment", "--dim", "1", "--count", "2", "--epsilon-max", "0.5",
+                 "--resolution", "8", "--max-resolution", "8"],
+                "experiment dim=1 count=2: issued=0 refused=0 errors=2",
+                1,
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("as_json", ["--json", "--no-json"])
+    def test_summary_and_exit_code(self, capsys, tmp_path, argv, summary, code, as_json):
+        f = tmp_path / "maps.txt"
+        f.write_text("(pow 2)\n# a comment\n(bogus\n(pow 4)\n")
+        argv = [str(f) if a == "FILE" else a for a in argv]
+        assert main(argv + [as_json]) == code
+        assert capsys.readouterr().err == summary + "\n"
+
+    def test_homotopy_line_without_json(self, capsys):
+        assert main(["homotopy", "-a", "(id 1)", "-b", "(antipode 1)", "--no-json"]) == 0
+        assert capsys.readouterr().out == (
+            "(id 1) | (antipode 1) -> ok: {'valid': False, 'min_norm': 0.0, "
+            "'argmin': {'point': [1.0, 0.0], 't': 0.5}, 'resolution': 256}\n"
+        )
+
+    def test_experiment_lines_without_json(self, capsys):
+        # the JSON report's input, outcome and payload; no sample, no wall_ms
+        argv = ["experiment", "--dim", "1", "--count", "3", "--epsilon-max", "0.9"]
+        _, reports, _ = run_cli(capsys, *argv)
+        assert [r["sample"]["index"] for r in reports] == [0, 1, 2]
+        assert main(argv + ["--no-json"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{r['input']} -> {r['outcome']}: {r['payload']}\n" for r in reports
+        )
 
 
 class TestUsageErrors:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,27 @@ class TestParse:
         # (pow 1), of the deepest compose
         offending = text.index("(pow 1)", len("(compose (pow 1) ") * (MAX_DEPTH - 1))
         assert (err.value.line, err.value.column) == (1, offending + 1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(" * 2_000_000, "line 1, column 2: expected a constructor name, got '('"),
+            ("(pow 2)" + " )" * 1_000_000, "line 1, column 9: trailing input ')'"),
+        ],
+        ids=["opening-parens", "closing-parens"],
+    )
+    def test_reads_only_the_tokens_it_needs(self, text, message):
+        # a long line that fails early costs its first tokens, not a list
+        # of them all (245 and 122 MiB when every token was built first)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 2**20
 
     def test_refuses_maps_over_the_evaluation_budget(self):
         assert parse(f"(iterate {EVAL_BUDGET - 1} (id 1))").n == EVAL_BUDGET - 1
