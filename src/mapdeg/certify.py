@@ -238,16 +238,18 @@ def _kept_base(
     """A ball certificate's base map, certified once for later calls.
 
     f0's degree, its power witness, and its values on
-    make_grid(dim, degree.resolution), its finest degree level, which
-    are read-only. One entry only, so what is held between calls is one
-    level of one base map. text is f0.render() and part of the key:
-    (rot 0.0) == (rot -0.0) and the two hash alike, but they may round
-    differently. lru_cache keeps no exception, so an error is never
-    kept: the next call computes again and raises again.
+    make_grid(dim, params.grid_for(dim)), the certificate's first
+    distance level, which are read-only; the degree reads its level from
+    them where the levels meet. One entry only, so what is held between
+    calls is one level of one base map. text is f0.render() and part of
+    the key: (rot 0.0) == (rot -0.0) and the two hash alike, but they
+    may round differently. lru_cache keeps no exception, so an error is
+    never kept: the next call computes again and raises again.
     """
-    samples = _Samples()
+    n, samples = params.grid_for(f0.dim), _Samples()
+    samples.values(f0, n)
     deg = _degree(f0, params, samples)
-    values = samples.values(f0, deg.resolution)
+    values = samples.values(f0, n)  # evaluated again only if the degree left n
     values.setflags(write=False)
     return deg, is_perfect_power(deg.value), values
 
@@ -271,22 +273,21 @@ def ball_certificate(
     agree.
 
     The three steps share one set of samples, so each map is evaluated
-    at most once per resolution: the first distance grid is f0's finest
-    degree level (S2) or a stride of it (S1), and degree(g) reads g's
-    values from the distance grids where they match its levels. g reads
-    f0 where it contains it, so a perturbation of f0 evaluates its field
-    alone. f0's degree, witness and finest level are kept for the next
-    call with the same rendered base and params, which evaluates g only.
+    at most once per resolution: f0's values are kept at the first
+    distance level, and degree(g) reads g's values from the distance
+    grids where they match its level (on S2 its 64 bands are a stride of
+    the 128 of the distance). g reads f0 where it contains it, so a
+    perturbation of f0 evaluates its field alone. f0's degree, witness
+    and first distance level are kept for the next call with the same
+    rendered base and params, which evaluates g only.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     deg0, witness, values = _kept_base(f0.render(), params, f0)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
-    samples = _Samples()
-    samples.hold(f0, deg0.resolution, values)
-
-    n = params.grid_for(f0.dim)
+    n, samples = params.grid_for(f0.dim), _Samples()
+    samples.hold(f0, n, values)
     while True:
         dist = _sup_distance(f0, g, n, samples)
         if dist.sampled_max >= BALL_RADIUS:

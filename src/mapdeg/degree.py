@@ -4,9 +4,10 @@ On S1 the degree is the winding number: the summed, wrapped angle
 increments of the image curve divided by 2*pi. On S2 it is the simplicial
 degree: the summed signed solid angles of the images of a lat-long
 triangulation's triangles divided by 4*pi. Both apply the map once per
-sample, guard the largest image step or edge, refine until two levels
-agree, and refuse to answer (ResolutionExceeded) rather than round a
-doubtful value.
+sample and guard the largest image step or edge. A map with a Lipschitz
+bound is sampled once, at a level the bound proves exact; a blend
+refines until two levels agree and refuses to answer
+(ResolutionExceeded) rather than round a doubtful value.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     DimensionMismatch,
     InvalidBlend,
     ResolutionExceeded,
@@ -37,6 +39,9 @@ STEP_CAP = math.pi / 2
 #: Most a level's raw degree may differ from the previous level's, and
 #: from the integer it is rounded to, for the level to be accepted.
 TOLERANCE = 0.1
+
+#: Most a proven level's raw degree may differ from an integer.
+_PROVEN_RESIDUAL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,10 @@ class DegreeParams:
 class DegreeResult:
     """An integer degree plus the evidence it was rounded from.
 
-    residual is |raw - value| before rounding and is always below
-    TOLERANCE; method records which route produced the value.
+    residual is |raw - value| before rounding; method records which route
+    produced the value. resolution is the proven start level of a map
+    without a blend (residual below 1e-6), or the finer of a blend's two
+    agreeing levels (residual below TOLERANCE).
     """
 
     value: int
@@ -126,36 +133,51 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so when the AST yields a
-    Lipschitz bound we refuse to start below it. A start whose double
-    exceeds the cap, or an infinite bound, is refused here, so the first
-    two-level comparison always runs; _refine checks its row budget
-    before sampling it.
+    Lipschitz bound L we refuse to start below 2*pi*L samples on S1 or
+    pi*L bands on S2, where _refine's one pass is a proof. A start whose
+    double exceeds the cap, or an infinite bound, is refused here.
     """
     need = params.initial_for(dim)
     bound = e.lipschitz_bound()
     if bound is not None:
         need = max(need, (_TWO_PI if dim == 1 else math.pi) * bound)
-    if not need <= params.max_for(dim) // 2:
+    cap = params.max_for(dim)
+    if not need <= cap // 2:
+        shown = math.ceil(need) if math.isfinite(need) else need
         raise ResolutionExceeded(
-            f"map needs resolution {need:.6g}, beyond the cap {params.max_for(dim)}"
+            f"map needs starting resolution {shown}, above half the cap {cap}"
         )
     return math.ceil(need)
+
+
+def _is_stride(resolution: int, level: int | None) -> bool:
+    """Whether the nodes at `resolution` are a stride of those at `level`."""
+    ratio, rest = divmod(level or 0, resolution)
+    return rest == 0 and ratio > 0 and ratio & (ratio - 1) == 0
+
+
+def _coarsen_to(dim: int, resolution: int, level: int, Y: np.ndarray) -> np.ndarray:
+    """Values Y on make_grid(dim, level) read at `resolution`, a stride of it."""
+    while level > resolution:
+        level //= 2
+        Y = coarsen(dim, level, Y)
+    return Y
 
 
 class _Samples:
     """Values of maps on make_grid nodes, shared by the passes of one call.
 
     The only code that evaluates a map on a grid. Each (map, resolution)
-    is evaluated at most once; a level whose double is held is read from
-    it by geometry.coarsen instead. A map evaluated at a level reads
-    every sub-expression held at that level (or at its double) instead of
-    evaluating it again, so a perturbation of a held base map costs its
-    field alone. Only each map's latest level is held, so a long
-    refinement does not pin every level it passed, and no grid is held:
-    the nodes live while one map is evaluated on them (the grid of 1024
-    bands alone is 50 MB). One instance serves one degree, distance,
-    homotopy, blend check or certificate call; a certificate may seed it
-    with its base map's values from an earlier call (hold).
+    is evaluated at most once; a level with a finer one held, 2**j times
+    it, is read from that by geometry.coarsen instead. A map evaluated at
+    a level reads every sub-expression held there (or at such a finer
+    level) instead of evaluating it again, so a perturbation of a held
+    base map costs its field alone. Only each map's latest level is held,
+    so a long refinement does not pin every level it passed, and no grid
+    is held: the nodes live while one map is evaluated on them (the grid
+    of 1024 bands alone is 50 MB). One instance serves one degree,
+    distance, homotopy, blend check or certificate call; a certificate
+    may seed it with its base map's values from an earlier call (hold).
     """
 
     def __init__(self):
@@ -167,10 +189,8 @@ class _Samples:
 
     def values(self, e: MapExpr, resolution: int) -> np.ndarray:
         level, Y = self._values.get(e, (None, None))
-        if level == resolution:
-            return Y
-        if level == 2 * resolution:
-            return coarsen(e.dim, resolution, Y)
+        if _is_stride(resolution, level):
+            return _coarsen_to(e.dim, resolution, level, Y)
         self._values.pop(e, None)  # not held while the next level is evaluated
         Y = eval_array(e, make_grid(e.dim, resolution), known=self._known(e, resolution))
         self._values[e] = (resolution, Y)
@@ -184,15 +204,14 @@ class _Samples:
         A node matches a held map that is equal and renders alike:
         (rot 0.0) == (rot -0.0), but the two may round differently.
         """
-        levels = (resolution, 2 * resolution)
-        held = [(f, n, Y) for f, (n, Y) in self._values.items() if n in levels]
+        held = [(f, n, Y) for f, (n, Y) in self._values.items() if _is_stride(resolution, n)]
         known = {}
         stack = [e] if held else []
         while stack:
             node = stack.pop()
             for f, n, Y in held:
                 if node == f and node.render() == f.render():
-                    known[id(node)] = Y if n == resolution else coarsen(f.dim, resolution, Y)
+                    known[id(node)] = _coarsen_to(f.dim, resolution, n, Y)
                     break
             else:
                 stack.extend(node.children())
@@ -200,21 +219,35 @@ class _Samples:
 
 
 def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
-    """Double the resolution until two consecutive raw passes agree.
+    """The degree from one proven raw pass, or from two agreeing ones.
 
-    The pass is the winding on S1 and the simplicial degree on S2; it
-    returns (raw degree, largest image step or edge angle) from the map's
-    values on one grid. Each pair of levels evaluates only its finer
-    level, through `samples`: the first pair reads its coarser level from
-    the finer one by geometry.coarsen, and every later pair reuses the
-    previous finer pass. A level is accepted when both passes keep that
-    guard within STEP_CAP, their raw values agree within TOLERANCE and
-    the finer one sits within TOLERANCE of an integer. No level
-    beyond the row budget is sampled.
+    The pass, winding on S1 and simplicial on S2, returns (raw degree,
+    largest image step or edge angle) from the map's values on one grid,
+    read through `samples`. A map with a Lipschitz bound L is read at its
+    start level n alone: n >= 2*pi*L samples keep every image step below
+    pi/3, and n >= pi*L bands every image edge below pi/2, so the sum is
+    the degree (Stenger 1975, Kearfott 1979). A guard over STEP_CAP or a
+    raw value _PROVEN_RESIDUAL or more from an integer there is a bug
+    (ConsistencyError). A blend has no bound: its level doubles until two
+    consecutive passes keep the guard within STEP_CAP and agree within
+    TOLERANCE, the finer within TOLERANCE of an integer; each pair
+    evaluates only its finer level. The start's double must fit the row
+    budget, and no level beyond it is sampled.
     """
     dim = e.dim
     method, one_pass = _PASSES[dim]
     n = _start_resolution(e, params, dim)
+    if e.lipschitz_bound() is not None:
+        check_rows(dim, 2 * n, ResolutionExceeded)
+        raw, step = one_pass(samples.values(e, n), n)
+        value = int(round(raw))
+        residual = abs(raw - value)
+        if not (step <= STEP_CAP and residual < _PROVEN_RESIDUAL):
+            raise ConsistencyError(
+                f"{method} at the proven resolution {n} gave {raw:.6g} with a "
+                f"largest step of {step:.6g} for {e.render()}"
+            )
+        return DegreeResult(value, residual, method, n)
     n_max = params.max_for(dim)
     raw_c = step_c = None
     while 2 * n <= n_max:
@@ -248,13 +281,15 @@ def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
 
 
 def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
-    """Winding-number degree of an S1 expression.
+    """Winding-number degree of an S1 expression, after the blend check.
 
-    Doubles the sample count until consecutive levels agree within
-    TOLERANCE and no wrapped step exceeds STEP_CAP.
+    One proven level for a map with a Lipschitz bound; for a blend, the
+    sample count doubles until consecutive levels agree within TOLERANCE
+    and no wrapped step exceeds STEP_CAP.
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
+    check_blend_validity(e, params)
     return _refine(e, params, _Samples())
 
 
@@ -305,14 +340,16 @@ def raw_pass(e: MapExpr, resolution: int) -> tuple[float, float]:
 
 
 def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
-    """Simplicial solid-angle degree of an S2 expression.
+    """Simplicial solid-angle degree of an S2 expression, after the blend check.
 
     The resolution counts latitude bands; each ring carries twice as many
-    longitudes. Doubles until consecutive levels agree within
+    longitudes. One proven level for a map with a Lipschitz bound; for a
+    blend, the bands double until consecutive levels agree within
     TOLERANCE and no image edge spans more than STEP_CAP.
     """
     if e.dim != 2:
         raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")
+    check_blend_validity(e, params)
     return _refine(e, params, _Samples())
 
 
@@ -402,9 +439,8 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
 def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples) -> DistanceEstimate:
     """sup_distance(f, g, n), reading both maps' values from `samples`.
 
-    Inside a ball certificate the first level is, by default, the finest
-    level of f's degree (128 bands on S2) or the level below it (256
-    samples on S1), so f is not evaluated again.
+    Inside a ball certificate the first level is the one the base's
+    values are kept at, so f is not evaluated again.
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")

@@ -10,9 +10,7 @@ row-wise and carries a structural degree where one is known.
 from __future__ import annotations
 
 import math
-import os
 import re
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -373,21 +371,6 @@ class Blend(MapExpr):
         return None
 
 
-#: Entries of the field's output, rows x (m+1), that make one block's
-#: work: a call splits into at most out.size // _BLOCK_ENTRIES blocks.
-#: Smaller calls (S1 degrees up to 16,384 rows, 64-band levels) stay on
-#: the calling thread, where starting and joining a thread would cost
-#: more than it saves.
-_BLOCK_ENTRIES = 3 * 2**13
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class PerturbationField:
     """Deterministic smooth vector field on R^(m+1) with |V(x)| <= 1.
 
@@ -396,13 +379,11 @@ class PerturbationField:
     Dividing all coefficients by their total absolute sum bounds the
     field's Euclidean norm by 1 everywhere.
 
-    A large call splits its rows into contiguous blocks, at most one per
-    CPU and one per _BLOCK_ENTRIES output entries. The calling thread
-    runs the first block and starts one thread for each other block,
-    which it joins before it returns. Every row runs the same numpy calls
-    whatever the split, so the values are bit-identical for any CPU
-    count. The calling thread allocates every buffer; a helper only
-    writes its own rows of them.
+    A call runs on the calling thread and returns a fresh array. Its
+    first contraction is one matrix product over the coordinates in the
+    order [0, 2, 1] on S2 (the order einsum sums them in); the integer
+    frequencies make every product exact, so only that order fixes the
+    bits, and they do not depend on the BLAS thread count.
     """
 
     TERMS = 6
@@ -423,46 +404,16 @@ class PerturbationField:
         self._phase = rng.uniform(0.0, _TWO_PI, size=(ncomp, self.TERMS))
         coef = rng.uniform(-1.0, 1.0, size=(ncomp, self.TERMS))
         self._coef = coef / np.abs(coef).sum()
+        self._order = [0, 2, 1] if dim == 2 else [0, 1]
+        self._freq_matrix = self._freq.reshape(-1, ncomp).T[self._order]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        n = len(X)
-        out = np.empty((n, self.dim + 1))
-        args = np.empty((n, self.dim + 1, self.TERMS))
-        k = out.size // _BLOCK_ENTRIES
-        if k >= 2:  # only then is the affinity mask worth a system call
-            k = min(_cpus(), k)
-        if k < 2:
-            self._rows(X, args, out)
-            return out
-        blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
-        errors = []
-
-        def run(s):
-            try:
-                self._rows(X[s], args[s], out[s])
-            except BaseException as exc:
-                errors.append(exc)
-
-        helpers = []
-        try:
-            for s in blocks[1:]:
-                t = threading.Thread(target=run, args=(s,))
-                t.start()
-                helpers.append(t)  # only started threads: each is joined
-            run(blocks[0])
-        finally:
-            for t in helpers:
-                t.join()
-        if errors:
-            raise errors[0]
-        return out
-
-    def _rows(self, X, args, out) -> None:
-        """Write the field at the rows of X into out, with args as scratch."""
-        np.einsum("jtk,nk->njt", self._freq, X, out=args)
+        X = np.asarray(X)
+        args = X[:, self._order] @ self._freq_matrix
+        args = args.reshape(len(X), self.dim + 1, self.TERMS)
         args += self._phase
         np.sin(args, out=args)
-        np.einsum("jt,njt->nj", self._coef, args, out=out)
+        return np.einsum("jt,njt->nj", self._coef, args)
 
     def lipschitz_bound(self) -> float:
         grad = (np.abs(self._coef)[:, :, None] * np.abs(self._freq)).sum(axis=1)

@@ -332,25 +332,33 @@ class TestEvaluationCount:
 
     def test_sphere_ball_certificate_evaluates_each_map_once(self, rows):
         # the 128-band mesh has 2 + 127 * 256 = 32514 vertices; the
-        # 64-band level of both degrees is a stride of it, and the
-        # distance reads the same arrays
+        # distance reads both maps there, and the proven 64-band level of
+        # both degrees is a stride of it
         f0 = parse("(susp (pow 2))")
         g = parse("(perturb 4 0.5 (susp (pow 2)))")
         assert isinstance(ball_certificate(f0, g), NonIterateCertificate)
         assert rows == {(f0.render(), 32514): 1, (g.render(), 32514): 1}
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
-        e = parse("(perturb 4 0.5 (susp (pow 2)))")
+        # a blend compares 64 against 128 bands and reads 64 from 128;
+        # its check samples both children on the 128-band grid
+        e = parse("(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))")
         assert degree(e).resolution == 128
-        assert rows == {(e.render(), 32514): 1}
+        assert rows == {(f.render(), 32514): 1 for f in (e, e.f, e.g)}
+
+    def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
+        e = parse("(perturb 4 0.5 (susp (pow 2)))")
+        assert degree(e).resolution == 64
+        assert rows == {(e.render(), 8066): 1}
 
     def test_doubling_distance_evaluates_each_level_once(self, rows):
-        # f0's degree accepts at 512 samples and the distance doubles
-        # from 256 to 1024; g's degree reads its 512 level from there
+        # f0's degree accepts at 256 samples and the distance doubles
+        # from 256 to 1024; g's degree reads its 256 level from there
         f0 = parse("(pow 2)")
         g = parse("(compose (rot 1.0) (pow 2))")
         assert ball_certificate(f0, g).ball.distance.resolution == 1024
         assert rows == {
+            (f0.render(), 256): 1,
             (f0.render(), 512): 1,
             (f0.render(), 1024): 1,
             (g.render(), 256): 1,
@@ -371,7 +379,7 @@ class TestEvaluationCount:
         for seed in (4, 5):
             certify_module._kept_base.cache_clear()
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
-        # once per certificate: f0's degree at 128 bands, never inside g
+        # once per certificate: f0's kept values at 128 bands, never inside g
         assert susp_evals == {32514: 2}
 
     def test_homotopy_reads_its_base_inside_the_perturbation(self, rows, susp_evals):
@@ -442,7 +450,7 @@ class TestBaseRecord:
         ball_certificate(f0, g)
         fine_params = DegreeParams(initial_resolution=512)
         fine = ball_certificate(f0, g, fine_params)
-        assert fine.degree.resolution == 1024
+        assert fine.degree.resolution == 512
         assert self.kept.cache_info().misses == 2
         self.kept(f0.render(), fine_params, f0)
         assert self.kept.cache_info()[:2] == (1, 2)

@@ -56,6 +56,17 @@ class TestDegreeCommand:
         assert [r["outcome"] for r in lines] == ["ok", "ok", "ParseError"]
         assert lines[1]["payload"]["value"] == -3
 
+    def test_start_refusal_names_the_rule_it_enforces(self, capsys):
+        # the cap rises to 16, twice --resolution; (pow 2) needs 2*pi*2 =
+        # 12.6 samples, so it starts at 13, and 13 > 16 / 2
+        argv = ["degree", "-e", "(pow 2)", "--resolution", "8", "--max-resolution", "8"]
+        code, lines, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert lines[0]["outcome"] == "ResolutionExceeded"
+        assert lines[0]["payload"] == {
+            "error": "map needs starting resolution 13, above half the cap 16"
+        }
+
     def test_human_readable_mode(self, capsys):
         code = main(["degree", "-e", "(pow 2)", "--no-json"])
         out = capsys.readouterr().out

@@ -10,9 +10,11 @@ from mapdeg import (
     Antipode,
     Compose,
     Conj,
+    ConsistencyError,
     DegreeParams,
     DimensionMismatch,
     InvalidBlend,
+    InvalidResolution,
     Iterate,
     Perturb,
     Pow,
@@ -28,7 +30,7 @@ from mapdeg import (
     sup_distance,
 )
 from mapdeg import geometry
-from mapdeg.degree import raw_pass
+from mapdeg.degree import STEP_CAP, _start_resolution, raw_pass
 
 from test_expr import winding_oracle
 
@@ -98,10 +100,10 @@ class TestWinding:
         assert res.value == 5000
 
     def test_start_whose_double_exceeds_the_cap_is_refused_up_front(self):
-        # 2*pi*L = 257.13 rounds up to 258 samples, and 516 > 515: no
-        # two-level comparison fits under the cap, so nothing is sampled
+        # 2*pi*L = 257.13 rounds up to 258 samples, and 516 > 515: the
+        # start's double does not fit under the cap, so nothing is sampled
         e = parse("(perturb 1 0.022 (pow 40))")
-        with pytest.raises(ResolutionExceeded, match="257.132, beyond the cap 515"):
+        with pytest.raises(ResolutionExceeded, match="resolution 258, above half the cap 515"):
             degree_winding(e, DegreeParams(max_resolution=515))
 
     def test_refinement_stops_at_the_row_budget(self, monkeypatch):
@@ -112,7 +114,8 @@ class TestWinding:
         params = DegreeParams(initial_resolution=16, max_resolution=1 << 20)
         with pytest.raises(ResolutionExceeded, match="resolution 128 needs more than 64"):
             degree_winding(e, params)
-        with pytest.raises(ResolutionExceeded, match="resolution 256 needs more than 64"):
+        # the blend check samples the 128-sample grid first, and refuses it
+        with pytest.raises(InvalidResolution, match="resolution 128 needs more than 64"):
             degree_winding(e, DegreeParams(initial_resolution=128))
 
     @pytest.mark.parametrize("offset", [0.0, 0.1, 1.0, 2.5])
@@ -154,7 +157,11 @@ class TestQuadrature:
 
 class TestSimplicial:
     def test_default_levels_are_64_and_128_bands(self):
-        assert degree_simplicial(parse("(susp (pow 2))")).resolution == 128
+        # a map with a Lipschitz bound stops at its proven 64 bands; a
+        # blend compares 64 against 128
+        assert degree_simplicial(parse("(susp (pow 2))")).resolution == 64
+        blend = parse("(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 0.5) (susp (pow 2))))")
+        assert degree_simplicial(blend).resolution == 128
 
     def test_edge_guard_refuses_a_level_the_raw_values_accept(self):
         # 8 bands carry 16 longitudes, so (susp (pow 5)) turns an equator
@@ -175,6 +182,41 @@ class TestSimplicial:
         assert degree_simplicial(e).value == e.symbolic_degree()
 
 
+class TestProvenLevel:
+    """A map with a Lipschitz bound L is sampled at one level, its start,
+    where n >= 2*pi*L (S1) or n >= pi*L (S2) proves the sum exact."""
+
+    @settings(deadline=None)
+    @given(st.one_of(S1_TREES, S2_TREES.filter(lambda e: e.lipschitz_bound() <= 40.0)))
+    def test_one_level_is_the_structural_degree(self, e):
+        res = (degree_winding if e.dim == 1 else degree_simplicial)(e)
+        assert res.value == e.symbolic_degree()
+        assert res.residual < 1e-6
+        assert res.resolution == _start_resolution(e, DegreeParams(), e.dim)
+
+    def test_a_lying_bound_never_returns_an_integer(self, monkeypatch):
+        # L = 1 starts (pow 40) at 64 bands, where its equator edges turn
+        # by 40 * pi / 64 > pi / 2: the guard refuses, nothing refines
+        monkeypatch.setattr(Pow, "lipschitz_bound", lambda self: 1.0)
+        e = parse("(susp (pow 40))")
+        with pytest.raises(ConsistencyError, match="proven resolution 64"):
+            degree_simplicial(e)
+        with pytest.raises(ConsistencyError, match="proven resolution 64"):
+            degree(e)
+
+    @pytest.mark.parametrize(("k", "alias"), [(40, -22), (-17, 9)])
+    def test_the_floor_is_what_proves_the_level(self, k, alias):
+        # the start is ceil(pi * |k|) bands: 126 for 40, 54 for -17
+        e = Susp(Pow(k))
+        res = degree_simplicial(e, DegreeParams(initial_resolution=8))
+        assert (res.value, res.resolution) == (k, math.ceil(math.pi * abs(k)))
+        # at a quarter of it the sum is a convincing wrong integer, which
+        # only the edge guard tells apart
+        raw, edge = raw_pass(e, res.resolution // 4)
+        assert abs(raw - alias) < 1e-6
+        assert edge > STEP_CAP
+
+
 class TestDegreeDispatch:
     def test_symbolic_with_numeric_witness(self):
         res = degree(parse("(iterate 2 (susp (pow 2)))"))
@@ -192,6 +234,19 @@ class TestDegreeDispatch:
         e = parse("(blend 0.5 (pow 1) (compose (antipode 1) (pow 1)))")
         with pytest.raises(InvalidBlend):
             degree(e)
+
+    @pytest.mark.parametrize(
+        ("text", "method"),
+        [
+            ("(blend 0.5 (id 1) (rot 3.141592453589793))", degree_winding),
+            ("(blend 0.5 (id 2) (rot3 0 0 1 3.141592453589793))", degree_simplicial),
+        ],
+    )
+    def test_each_method_checks_the_blend_first(self, text, method):
+        # the children are 1e-7 from antipodal: a sampled degree would
+        # still read 1, but the blend check refuses before any degree
+        with pytest.raises(InvalidBlend, match="denominator 1.000e-07"):
+            method(parse(text))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
+import hashlib
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -35,7 +35,6 @@ from mapdeg import (
     make_grid,
     parse,
 )
-from mapdeg import expr
 from mapdeg.expr import EVAL_BUDGET, MAX_DEPTH
 
 # expressions exercising every constructor, reused by several tests
@@ -400,66 +399,60 @@ class TestPerturbationField:
 
 
 def serial_field(f: PerturbationField, X: np.ndarray) -> np.ndarray:
-    """The field's formula in one pass over all rows, with no blocks."""
+    """The field's formula, with its first contraction summed by einsum."""
     args = np.einsum("jtk,nk->njt", f._freq, X) + f._phase
     return np.einsum("jt,njt->nj", f._coef, np.sin(args))
 
 
-#: Grids whose output sizes, rows x (dim+1), fall on both sides of the
-#: split threshold 2 * expr._BLOCK_ENTRIES: S2 bands (8,066 rows at 64,
-#: 32,514 at 128) and S1 samples (24,575 and 24,576 straddle it).
-SPLIT_GRIDS = [(2, b) for b in (8, 64, 90, 128, 150, 256)] + [
+#: Grids of both spheres, from a few rows to 65,536: S2 bands (8,066 rows
+#: at 64, 32,514 at 128) and S1 samples.
+FIELD_GRIDS = [(2, b) for b in (8, 64, 90, 128, 150, 256)] + [
     (1, n) for n in (256, 4096, 16384, 24575, 24576, 65536)
 ]
 
 
-def counting_rows(monkeypatch) -> list:
-    """Spy on PerturbationField._rows; the returned list gets one entry per block."""
-    rows, calls = PerturbationField._rows, []
+def field_digests(seeds, blas_threads=None) -> list[str]:
+    """sha256 of the field's bytes on FIELD_GRIDS, one per (grid, seed).
 
-    def spy(self, X, args, out):
-        calls.append(len(X))
-        rows(self, X, args, out)
-
-    monkeypatch.setattr(PerturbationField, "_rows", spy)
-    return calls
+    The field runs in a fresh interpreter. With blas_threads set, its BLAS
+    is limited to that many threads, which split the rows of the field's
+    matrix product between them; None leaves the host's default.
+    """
+    code = (
+        "import hashlib\n"
+        "from mapdeg import PerturbationField, make_grid\n"
+        f"for dim, n in {FIELD_GRIDS!r}:\n"
+        "    X = make_grid(dim, n)\n"
+        f"    for seed in {list(seeds)!r}:\n"
+        "        v = PerturbationField(seed, dim)(X)\n"
+        "        print(hashlib.sha256(v.tobytes()).hexdigest())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+        if blas_threads is not None:
+            env[var] = str(blas_threads)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return run.stdout.split()
 
 
 class TestFieldBlocks:
-    """The field splits large calls over threads of its own, bit for bit."""
+    """The field runs on the calling thread, bit for bit."""
 
     @pytest.mark.parametrize(
-        ("cpus", "seeds"), [(None, range(0, 3)), (3, range(3, 6)), (5, range(6, 9))]
+        ("blas_threads", "seeds"), [(None, range(0, 3)), (3, range(3, 6)), (5, range(6, 9))]
     )
-    def test_split_rows_match_the_serial_formula(self, monkeypatch, cpus, seeds):
-        if cpus is not None:  # uneven blocks, also on hosts with fewer cores
-            monkeypatch.setattr(expr, "_cpus", lambda: cpus)
-        for dim, n in SPLIT_GRIDS:
-            X = make_grid(dim, n)
-            if cpus is not None and X.size < 2 * expr._BLOCK_ENTRIES:
-                continue  # one block whatever the CPU count
-            for seed in seeds:
-                f = PerturbationField(seed, dim)
-                assert np.array_equal(f(X), serial_field(f, X)), (dim, n, seed)
-
-    @pytest.mark.parametrize(
-        ("dim", "resolution", "rows", "cpus", "blocks"),
-        [
-            (1, 16384, 16384, 2, 1),  # an S1 degree at its cap gains nothing
-            (1, 32768, 32768, 2, 2),
-            (2, 64, 8066, 2, 1),
-            (2, 128, 32514, 2, 2),
-            (2, 128, 32514, 3, 3),
-        ],
-    )
-    def test_blocks_are_sized_by_work(self, monkeypatch, dim, resolution, rows, cpus, blocks):
-        monkeypatch.setattr(expr, "_cpus", lambda: cpus)
-        calls = counting_rows(monkeypatch)
-        X = make_grid(dim, resolution)
-        assert len(X) == rows
-        f = PerturbationField(1, dim)
-        assert np.array_equal(f(X), serial_field(f, X))
-        assert len(calls) == blocks and sum(calls) == rows
+    def test_split_rows_match_the_serial_formula(self, blas_threads, seeds):
+        want = [
+            hashlib.sha256(serial_field(PerturbationField(seed, dim), X).tobytes()).hexdigest()
+            for dim, n in FIELD_GRIDS
+            for X in [make_grid(dim, n)]
+            for seed in seeds
+        ]
+        assert field_digests(seeds, blas_threads) == want
 
     def test_zero_rows(self):
         for dim in (1, 2):
@@ -467,8 +460,7 @@ class TestFieldBlocks:
             assert v.shape == (0, dim + 1)
 
     @pytest.mark.parametrize("bands", [32, 128])
-    def test_result_is_fresh_contiguous_and_writable(self, monkeypatch, bands):
-        monkeypatch.setattr(expr, "_cpus", lambda: 2)
+    def test_result_is_fresh_contiguous_and_writable(self, bands):
         X = make_grid(2, bands)
         f = PerturbationField(9, 2)
         a, b = f(X), f(X)
@@ -478,63 +470,7 @@ class TestFieldBlocks:
         a[:] = 0.0
         assert np.array_equal(b, serial_field(f, X))
 
-    def test_a_split_call_leaves_no_thread_behind(self, monkeypatch):
-        monkeypatch.setattr(expr, "_cpus", lambda: 3)
-        calls = counting_rows(monkeypatch)
-        before = threading.active_count()
-        PerturbationField(6, 2)(make_grid(2, 128))
-        assert len(calls) == 3
-        assert threading.active_count() == before
-
-    def test_a_failing_block_raises_after_every_helper_is_joined(self, monkeypatch):
-        monkeypatch.setattr(expr, "_cpus", lambda: 3)
-        X = make_grid(2, 128)
-        rows, done = PerturbationField._rows, []
-
-        def flaky(self, Y, args, out):
-            block = round(3 * (Y.ctypes.data - X.ctypes.data) / X.nbytes)
-            if block == 1:
-                raise RuntimeError("block 1 failed")
-            if block == 2:
-                time.sleep(0.2)  # still running when block 1 has failed
-            rows(self, Y, args, out)
-            done.append(block)
-
-        monkeypatch.setattr(PerturbationField, "_rows", flaky)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="block 1 failed"):
-            PerturbationField(7, 2)(X)
-        assert sorted(done) == [0, 2]
-        assert threading.active_count() == before
-
-    def test_a_failing_start_still_joins_the_started_helpers(self, monkeypatch):
-        monkeypatch.setattr(expr, "_cpus", lambda: 3)
-        rows, done = PerturbationField._rows, []
-
-        def slow(self, Y, args, out):
-            time.sleep(0.2)
-            rows(self, Y, args, out)
-            done.append(len(Y))
-
-        class SecondStartFails(threading.Thread):
-            starts = 0
-
-            def start(self):
-                SecondStartFails.starts += 1
-                if SecondStartFails.starts == 2:
-                    raise RuntimeError("can't start new thread")
-                super().start()
-
-        monkeypatch.setattr(PerturbationField, "_rows", slow)
-        monkeypatch.setattr(threading, "Thread", SecondStartFails)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="can't start"):
-            PerturbationField(8, 2)(make_grid(2, 128))
-        assert len(done) == 1  # the one started helper ran to its end
-        assert threading.active_count() == before
-
-    def test_concurrent_callers_agree_with_the_serial_formula(self, monkeypatch):
-        monkeypatch.setattr(expr, "_cpus", lambda: 3)
+    def test_concurrent_callers_agree_with_the_serial_formula(self):
         X = make_grid(2, 128)
         f = PerturbationField(2, 2)
         start, got = threading.Barrier(8), []
@@ -553,8 +489,7 @@ class TestFieldBlocks:
         assert all(np.array_equal(g, want) for g in got)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_a_forked_child_computes_the_parents_values(self, monkeypatch):
-        monkeypatch.setattr(expr, "_cpus", lambda: 2)
+    def test_a_forked_child_computes_the_parents_values(self):
         X = make_grid(2, 128)
         f = PerturbationField(5, 2)
         want = f(X)
@@ -577,8 +512,9 @@ class TestFieldBlocks:
         code = "import sys, mapdeg.cli; sys.exit('concurrent.futures' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-    def test_an_s1_certificate_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(expr, "_cpus", lambda: 64)
+    @pytest.fixture
+    def started(self, monkeypatch) -> list:
+        """Every threading.Thread started while the test runs."""
         started = []
 
         class Spied(threading.Thread):
@@ -587,5 +523,16 @@ class TestFieldBlocks:
                 super().start()
 
         monkeypatch.setattr(threading, "Thread", Spied)
+        return started
+
+    def test_an_s1_certificate_starts_no_thread(self, started):
         certify_not_iterate(parse("(perturb 5 0.4 (pow 3))"))
         assert started == []
+
+    def test_a_128_band_s2_call_starts_no_thread(self, started):
+        before = threading.active_count()
+        X = make_grid(2, 128)
+        f = PerturbationField(6, 2)
+        assert np.array_equal(f(X), serial_field(f, X))
+        assert started == []
+        assert threading.active_count() == before
