@@ -29,7 +29,7 @@ from .degree import (
 )
 from .errors import ConsistencyError, DimensionMismatch, DistanceTooLarge
 from .expr import MapExpr
-from .geometry import check_rows, make_grid
+from .geometry import check_rows, grid_node, mesh
 
 #: Homotopy denominators at or below this are treated as pinched.
 HOMOTOPY_MIN_NORM = 1e-6
@@ -208,7 +208,7 @@ def homotopy_check(
     return HomotopyReport(
         valid=min_norm > HOMOTOPY_MIN_NORM,
         min_norm=min_norm,
-        argmin_point=tuple(make_grid(f0.dim, n)[row].tolist()),
+        argmin_point=grid_node(f0.dim, n, row),
         resolution=n,
     )
 
@@ -238,9 +238,9 @@ def _kept_base(
     """A ball certificate's base map, certified once for later calls.
 
     f0's degree, its power witness, and its values on
-    make_grid(dim, params.grid_for(dim)), the certificate's first
-    distance level, which are read-only; the degree reads its level from
-    them where the levels meet. One entry only, so what is held between
+    make_grid(dim, params.grid_for(dim)), which are read-only; the
+    degree, and every distance level they cover, read them where the
+    levels meet. One entry only, so what is held between
     calls is one level of one base map. text is f0.render() and part of
     the key: (rot 0.0) == (rot -0.0) and the two hash alike, but they
     may round differently. lru_cache keeps no exception, so an error is
@@ -254,6 +254,26 @@ def _kept_base(
     return deg, is_perfect_power(deg.value), values
 
 
+def _first_level(f0: MapExpr, g: MapExpr, params: DegreeParams) -> int:
+    """The first distance level of ball_certificate(f0, g, params).
+
+    The rigorous bound at a level n is at least (L_f + L_g) * mesh(n),
+    so it is the coarsest params.initial_for(dim) * 2**j at which that
+    term is below 1: no coarser level can prove the distance. A level
+    over the row budget is refused with DistanceTooLarge before anything
+    is sampled. Without a finite bound, a blend's say, the sampled
+    distance on params.grid_for(dim) decides.
+    """
+    dim, bounds = f0.dim, (f0.lipschitz_bound(), g.lipschitz_bound())
+    if None in bounds or not math.isfinite(sum(bounds)):
+        return params.grid_for(dim)
+    n = params.initial_for(dim)
+    while sum(bounds) * mesh(dim, n) >= BALL_RADIUS:
+        n *= 2
+        check_rows(dim, n, DistanceTooLarge)
+    return n
+
+
 def ball_certificate(
     f0: MapExpr, g: MapExpr, params: DegreeParams = DegreeParams()
 ) -> NonIterateCertificate | Refusal:
@@ -263,31 +283,33 @@ def ball_certificate(
     between f0 and g to be below 1. Then the straight-line homotopy
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
     vectors, and g has f0's degree. When both maps have a Lipschitz
-    bound, the rigorous distance bound must be below 1: the grid doubles
-    from params.grid_for(dim) until it is, and the certificate is
-    refused with DistanceTooLarge once the sampled distance reaches 1 or
-    the next grid would exceed the row budget. A map with a blend has no
-    bound, so its sampled distance on the first grid decides. The
-    certificate carries f0's degree; the logic never needs degree(g). It
-    is still computed afterwards as a consistency assertion and must
-    agree.
+    bound, the rigorous distance bound must be below 1: the grid starts
+    at the first level that can prove it (_first_level) and doubles
+    until it does, and the certificate is refused with DistanceTooLarge
+    once the sampled distance reaches 1 or the next grid would exceed
+    the row budget. A map with a blend has no bound, so its sampled
+    distance on params.grid_for(dim) decides. The certificate carries
+    f0's degree; the logic never needs degree(g). It is still computed
+    afterwards as a consistency assertion and must agree.
 
     The three steps share one set of samples, so each map is evaluated
-    at most once per resolution: f0's values are kept at the first
-    distance level, and degree(g) reads g's values from the distance
-    grids where they match its level (on S2 its 64 bands are a stride of
-    the 128 of the distance). g reads f0 where it contains it, so a
-    perturbation of f0 evaluates its field alone. f0's degree, witness
-    and first distance level are kept for the next call with the same
-    rendered base and params, which evaluates g only.
+    at most once per resolution: f0's values are kept at
+    params.grid_for(dim), and every distance level they cover reads
+    them, as degree(g) reads g's values from such a level where its own
+    is a stride of it (on S2 both are usually 64 bands). A finer level
+    is streamed in blocks and holds no array of the whole level. g reads
+    f0 where it contains it, so a perturbation of f0 evaluates its field
+    alone. f0's degree, witness and kept values are kept for the next
+    call with the same rendered base and params, which evaluates g only.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     deg0, witness, values = _kept_base(f0.render(), params, f0)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
-    n, samples = params.grid_for(f0.dim), _Samples()
-    samples.hold(f0, n, values)
+    samples = _Samples()
+    samples.hold(f0, params.grid_for(f0.dim), values)
+    n = _first_level(f0, g, params)
     while True:
         dist = _sup_distance(f0, g, n, samples)
         if dist.sampled_max >= BALL_RADIUS:

@@ -26,7 +26,7 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from .expr import Blend, MapExpr, eval_array, walk
-from .geometry import check_rows, coarsen, make_grid, mesh
+from .geometry import check_rows, coarsen, grid_blocks, grid_node, make_grid, mesh
 
 _TWO_PI = 2.0 * math.pi
 
@@ -175,9 +175,11 @@ class _Samples:
     base map costs its field alone. Only each map's latest level is held,
     so a long refinement does not pin every level it passed, and no grid
     is held: the nodes live while one map is evaluated on them (the grid
-    of 1024 bands alone is 50 MB). One instance serves one degree,
-    distance, homotopy, blend check or certificate call; a certificate
-    may seed it with its base map's values from an earlier call (hold).
+    of 1024 bands alone is 50 MB). A distance at a level the first map
+    is not held at is streamed and holds nothing (distance). One
+    instance serves one degree, distance, homotopy, blend check or
+    certificate call; a certificate may seed it with its base map's
+    values from an earlier call (hold).
     """
 
     def __init__(self):
@@ -192,30 +194,53 @@ class _Samples:
         if _is_stride(resolution, level):
             return _coarsen_to(e.dim, resolution, level, Y)
         self._values.pop(e, None)  # not held while the next level is evaluated
-        Y = eval_array(e, make_grid(e.dim, resolution), known=self._known(e, resolution))
+        held = [(f, n, Y) for f, (n, Y) in self._values.items() if _is_stride(resolution, n)]
+        Y = eval_array(e, make_grid(e.dim, resolution), known=_known(e, resolution, held))
         self._values[e] = (resolution, Y)
         return Y
 
-    def _known(self, e: MapExpr, resolution: int) -> dict[int, np.ndarray]:
-        """id(node) -> values at `resolution` of the held sub-expressions of e.
+    def distance(self, f: MapExpr, g: MapExpr, resolution: int) -> float:
+        """pair_distance of f's and g's values on make_grid(f.dim, resolution).
 
-        The tree is matched against the held maps once, here, so that
-        eval_array looks nodes up by identity rather than hashing them.
-        A node matches a held map that is equal and renders alike:
-        (rot 0.0) == (rot -0.0), but the two may round differently.
+        Where f's held values cover the level, both maps are read through
+        values(), and g's stay held. Any other level is streamed: its
+        nodes come in geometry.grid_blocks, both maps are evaluated block
+        by block, g reading f's block where it contains f, and only the
+        running max is kept. The max of the blocks' maxima is the max of
+        the whole level, bit for bit.
         """
-        held = [(f, n, Y) for f, (n, Y) in self._values.items() if _is_stride(resolution, n)]
-        known = {}
-        stack = [e] if held else []
-        while stack:
-            node = stack.pop()
-            for f, n, Y in held:
-                if node == f and node.render() == f.render():
-                    known[id(node)] = _coarsen_to(f.dim, resolution, n, Y)
-                    break
-            else:
-                stack.extend(node.children())
-        return known
+        level, _ = self._values.get(f, (None, None))
+        if _is_stride(resolution, level):
+            return pair_distance(self.values(f, resolution), self.values(g, resolution))
+        return max(
+            pair_distance(F, eval_array(g, X, known=_known(g, resolution, [(f, resolution, F)])))
+            for X in grid_blocks(f.dim, resolution)
+            for F in [eval_array(f, X)]
+        )
+
+
+def _known(
+    e: MapExpr, resolution: int, held: list[tuple[MapExpr, int, np.ndarray]]
+) -> dict[int, np.ndarray]:
+    """id(node) -> values at `resolution` of the sub-expressions of e that are held.
+
+    held lists (map, level, values) with each level a stride multiple of
+    `resolution`. The tree is matched against the held maps once, here,
+    so that eval_array looks nodes up by identity rather than hashing
+    them. A node matches a held map that is equal and renders alike:
+    (rot 0.0) == (rot -0.0), but the two may round differently.
+    """
+    known = {}
+    stack = [e] if held else []
+    while stack:
+        node = stack.pop()
+        for f, n, Y in held:
+            if node == f and node.render() == f.render():
+                known[id(node)] = _coarsen_to(f.dim, resolution, n, Y)
+                break
+        else:
+            stack.extend(node.children())
+    return known
 
 
 def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
@@ -389,7 +414,7 @@ def check_blend_validity(e: MapExpr, params: DegreeParams) -> None:
         n, samples = params.grid_for(node.dim), _Samples()
         min_norm, row = pair_min_norm(samples.values(node.f, n), samples.values(node.g, n))
         if min_norm <= BLEND_MIN_NORM:
-            point = tuple(make_grid(node.dim, n)[row].tolist())
+            point = grid_node(node.dim, n, row)
             raise InvalidBlend(
                 f"blend denominator {min_norm:.3e} at t=0.5 near {point} in {node.render()}"
             )
@@ -439,12 +464,13 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
 def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples) -> DistanceEstimate:
     """sup_distance(f, g, n), reading both maps' values from `samples`.
 
-    Inside a ball certificate the first level is the one the base's
-    values are kept at, so f is not evaluated again.
+    Inside a ball certificate a level the base's kept values cover reads
+    them, so f is not evaluated again; a finer level is streamed
+    (_Samples.distance).
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
-    sampled = pair_distance(samples.values(f, n), samples.values(g, n))
+    sampled = samples.distance(f, g, n)
     bounds = (f.lipschitz_bound(), g.lipschitz_bound())
     rigorous = None
     if None not in bounds and math.isfinite(sum(bounds)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParseError
-from .geometry import NEAR_ZERO, normalize_rows
+from .geometry import BLOCK_ROWS, NEAR_ZERO, normalize_rows
 
 _TWO_PI = 2.0 * math.pi
 
@@ -164,7 +164,9 @@ class Pow(MapExpr):
         return 1
 
     def _eval(self, X, at):
-        theta = self.k * np.arctan2(X[:, 1], X[:, 0])
+        # + 0.0 turns a -0.0 angle into 0.0 and leaves every other one
+        # alone: (pow 0) is then exactly constant, not (1, +-0.0)
+        theta = self.k * np.arctan2(X[:, 1], X[:, 0]) + 0.0
         return np.column_stack([np.cos(theta), np.sin(theta)])
 
     def symbolic_degree(self):
@@ -379,8 +381,10 @@ class PerturbationField:
     Dividing all coefficients by their total absolute sum bounds the
     field's Euclidean norm by 1 everywhere.
 
-    A call runs on the calling thread and returns a fresh array. Its
-    first contraction is one matrix product over the coordinates in the
+    A call runs on the calling thread and returns a fresh array, filled
+    BLOCK_ROWS rows at a time through one buffer, so that its temporaries
+    stay small; each row's arithmetic is the same in any block. Its first
+    contraction is one matrix product over the coordinates in the
     order [0, 2, 1] on S2 (the order einsum sums them in); the integer
     frequencies make every product exact, so only that order fixes the
     bits, and they do not depend on the BLAS thread count.
@@ -409,11 +413,16 @@ class PerturbationField:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
-        args = X[:, self._order] @ self._freq_matrix
-        args = args.reshape(len(X), self.dim + 1, self.TERMS)
-        args += self._phase
-        np.sin(args, out=args)
-        return np.einsum("jt,njt->nj", self._coef, args)
+        out = np.empty((len(X), self.dim + 1))
+        buffer = np.empty((min(len(X), BLOCK_ROWS), self._freq_matrix.shape[1]))
+        for lo in range(0, len(X), BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, len(X))
+            args = np.matmul(X[lo:hi, self._order], self._freq_matrix, out=buffer[: hi - lo])
+            args = args.reshape(-1, self.dim + 1, self.TERMS)
+            args += self._phase
+            np.sin(args, out=args)
+            np.einsum("jt,njt->nj", self._coef, args, out=out[lo:hi])
+        return out
 
     def lipschitz_bound(self) -> float:
         grad = (np.abs(self._coef)[:, :, None] * np.abs(self._freq)).sum(axis=1)

@@ -1,14 +1,17 @@
 """Geometry of the unit circle S1 in R2 and the unit sphere S2 in R3.
 
 Row-wise normalization of arrays, and the sample nodes every pass reads:
-make_grid lays them out as a fresh array of unit rows, mesh bounds how
-far any point of the sphere lies from them, and coarsen strides a level
-down to the level below. All operations are pure functions.
+make_grid lays them out as a fresh array of unit rows, grid_blocks yields
+the same rows a block of whole rings at a time, grid_node computes one of
+them alone, mesh bounds how far any point of the sphere lies from them,
+and coarsen strides a level down to the level below. All operations are
+pure functions.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -22,6 +25,9 @@ MIN_RESOLUTION = 8
 #: Most sample rows one grid or one degree level may allocate. The
 #: default S2 degree cap of 1024 bands needs about 2**21.
 MAX_ROWS = 2**22
+
+#: Rows per block of grid_blocks (rounded to whole rings on S2).
+BLOCK_ROWS = 8192
 
 
 def normalize_rows(X: np.ndarray) -> np.ndarray:
@@ -53,23 +59,80 @@ def make_grid(dim: int, resolution: int) -> np.ndarray:
     pole. The degree methods, the distance, homotopy and blend checks all
     sample these nodes.
     """
+    _check_grid(dim, resolution)
+    if dim == 1:
+        return _arc(resolution, 0, resolution)
+    return _rings(resolution, _ring_trig(resolution), 0, resolution + 1)
+
+
+def grid_blocks(dim: int, resolution: int) -> Iterator[np.ndarray]:
+    """make_grid(dim, resolution) in consecutive blocks of about BLOCK_ROWS rows.
+
+    The blocks concatenate to make_grid's array bit for bit; on S2 each
+    holds whole rings, the poles counted as rings of one node. The
+    dimension and the row budget are checked, as make_grid checks them,
+    before the first block, and no block outlives the next one unless
+    the caller keeps it: a level of any size is read in bounded memory.
+    """
+    _check_grid(dim, resolution)
+    if dim == 1:
+        for lo in range(0, resolution, BLOCK_ROWS):
+            yield _arc(resolution, lo, min(lo + BLOCK_ROWS, resolution))
+        return
+    trig, step = _ring_trig(resolution), max(1, BLOCK_ROWS // (2 * resolution))
+    for lo in range(0, resolution + 1, step):
+        yield _rings(resolution, trig, lo, min(lo + step, resolution + 1))
+
+
+def grid_node(dim: int, resolution: int, row: int) -> tuple[float, ...]:
+    """make_grid(dim, resolution)[row], computed from its own ring alone."""
+    if dim == 1:
+        return tuple(_arc(resolution, row, row + 1)[0].tolist())
+    m = 2 * resolution
+    ring = min(resolution, (row + m - 1) // m)  # 0 and n are the poles
+    first = 0 if ring == 0 else 1 + (ring - 1) * m
+    block = _rings(resolution, _ring_trig(resolution), ring, ring + 1)
+    return tuple(block[row - first].tolist())
+
+
+def _check_grid(dim: int, resolution: int) -> None:
     if dim not in (1, 2):
         raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
     if resolution < MIN_RESOLUTION:
         raise InvalidResolution(f"resolution {resolution} < {MIN_RESOLUTION}")
     check_rows(dim, resolution, InvalidResolution)
-    if dim == 1:
-        phis = 2.0 * math.pi * np.arange(resolution) / resolution
-        return np.column_stack([np.cos(phis), np.sin(phis)])
 
-    theta = math.pi * np.arange(1, resolution) / resolution
-    phi = math.pi * np.arange(2 * resolution) / resolution
-    sin_t = np.sin(theta)[:, None]
-    rings = np.stack(
-        np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)[:, None]),
-        axis=-1,
-    )
-    return np.vstack([(0.0, 0.0, 1.0), rings.reshape(-1, 3), (0.0, 0.0, -1.0)])
+
+def _arc(resolution: int, lo: int, hi: int) -> np.ndarray:
+    """Nodes lo, ..., hi - 1 of make_grid(1, resolution)."""
+    phis = 2.0 * math.pi * np.arange(lo, hi) / resolution
+    return np.column_stack([np.cos(phis), np.sin(phis)])
+
+
+def _ring_trig(n: int) -> tuple[np.ndarray, ...]:
+    """sin and cos of the n - 1 ring latitudes and of the 2n longitudes."""
+    theta = math.pi * np.arange(1, n) / n
+    phi = math.pi * np.arange(2 * n) / n
+    return np.sin(theta)[:, None], np.cos(theta)[:, None], np.cos(phi), np.sin(phi)
+
+
+def _rings(n: int, trig: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
+    """Rings lo, ..., hi - 1 of make_grid(2, n): ring 0 is the north pole, ring n the south.
+
+    Every node is the product of its ring's and its longitude's sin or
+    cos, taken from the same per-level arrays, so a block's rows equal
+    make_grid's bit for bit.
+    """
+    sin_t, cos_t, cos_p, sin_p = trig
+    inner = slice(max(lo, 1) - 1, min(hi, n) - 1)
+    s = sin_t[inner]
+    rings = np.stack(np.broadcast_arrays(s * cos_p, s * sin_p, cos_t[inner]), axis=-1)
+    parts = [rings.reshape(-1, 3)]
+    if lo == 0:
+        parts.insert(0, np.array([[0.0, 0.0, 1.0]]))
+    if hi == n + 1:
+        parts.append(np.array([[0.0, 0.0, -1.0]]))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def mesh(dim: int, resolution: int) -> float:

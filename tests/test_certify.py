@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -295,6 +296,72 @@ class TestBallCertificate:
         assert pair_min_norm(F, G)[0] >= math.sqrt(4 - d * d) / 2 - 1e-12
 
 
+#: A degree-2 perturbation whose ball certificate needs a 256-band distance.
+NEEDS_256_BANDS = "(perturb 2681222979010861537 0.7958673941021588 (susp (pow 2)))"
+
+
+class TestCoarseFirst:
+    """A ball certificate starts at the first level that can prove its distance."""
+
+    @staticmethod
+    def level(bound_f, bound_g, dim=2, params=DegreeParams()):
+        maps = [mock.Mock(dim=dim, lipschitz_bound=mock.Mock(return_value=b)) for b in (bound_f, bound_g)]
+        return certify_module._first_level(*maps, params)
+
+    def test_levels_at_the_thresholds(self):
+        # (L_f + L_g) * sqrt(2) * pi / n < 1 from n = 64 below 14.4058,
+        # from 128 below 28.8115 and from 256 below 57.623
+        assert geometry.mesh(2, 64) * 14.40 < 1.0 <= geometry.mesh(2, 64) * 14.41
+        assert self.level(2.0, 12.40) == 64
+        assert self.level(2.0, 12.41) == 128
+        assert self.level(2.0, 26.81) == 128
+        assert self.level(2.0, 26.82) == 256
+        assert self.level(0.5, 0.5) == 64  # never below initial_for(2)
+
+    def test_circle_and_given_resolutions_start_at_the_initial_level(self):
+        assert self.level(2.0, 20.0, dim=1) == 256  # initial_for(1) == grid_for(1)
+        assert self.level(2.0, 40.0, dim=1) == 512
+        params = DegreeParams(initial_resolution=96)
+        assert self.level(2.0, 3.0, params=params) == 96
+        assert self.level(2.0, 20.0, params=params) == 192
+
+    def test_a_first_level_over_the_row_budget_is_refused_before_sampling(self):
+        # 1448 bands fit 2**22 rows; L_f + L_g = 1e5 asks for 2**19 bands
+        for bound in (1e5, 1e308):
+            with pytest.raises(DistanceTooLarge, match="resolution 2048 needs more than"):
+                self.level(2.0, bound)
+        f0, g = parse("(susp (pow 2))"), parse("(susp (pow 9007199254740992))")
+        with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
+            with pytest.raises(DistanceTooLarge, match="sample rows"):
+                ball_certificate(f0, g)
+
+    def test_maps_without_a_finite_bound_start_at_the_grid(self):
+        assert self.level(2.0, None) == 128
+        assert self.level(2.0, math.inf) == 128
+        assert self.level(None, 2.0, dim=1) == 256
+
+    def test_a_256_band_certificate_holds_no_whole_level(self):
+        f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
+        certify_module._kept_base.cache_clear()
+        tracemalloc.start()
+        try:
+            cert = ball_certificate(f0, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.ball.distance.resolution == 256
+        # whole 256-band arrays of g and of its field's arguments alone
+        # take 3.2 and 19 MB
+        assert peak < 8e6
+
+    def test_a_streamed_level_reports_the_whole_level_max(self):
+        f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
+        dist = ball_certificate(f0, g).ball.distance
+        X = make_grid(2, 256)
+        assert dist.sampled_max == pair_distance(eval_array(f0, X), eval_array(g, X))
+        assert dist.rigorous < 1.0
+
+
 class TestEvaluationCount:
     """Each map is evaluated at most once per resolution one call uses."""
 
@@ -331,13 +398,13 @@ class TestEvaluationCount:
         return calls
 
     def test_sphere_ball_certificate_evaluates_each_map_once(self, rows):
-        # the 128-band mesh has 2 + 127 * 256 = 32514 vertices; the
-        # distance reads both maps there, and the proven 64-band level of
-        # both degrees is a stride of it
+        # f0 is kept at 128 bands, 2 + 127 * 256 = 32514 vertices; the
+        # distance proves itself at 64 bands, 2 + 63 * 128 = 8066, which
+        # reads f0 by stride and is g's proven degree level too
         f0 = parse("(susp (pow 2))")
         g = parse("(perturb 4 0.5 (susp (pow 2)))")
-        assert isinstance(ball_certificate(f0, g), NonIterateCertificate)
-        assert rows == {(f0.render(), 32514): 1, (g.render(), 32514): 1}
+        assert ball_certificate(f0, g).ball.distance.resolution == 64
+        assert rows == {(f0.render(), 32514): 1, (g.render(), 8066): 1}
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
         # a blend compares 64 against 128 bands and reads 64 from 128;
@@ -371,7 +438,7 @@ class TestEvaluationCount:
         first = ball_certificate(parse("(susp (pow 2))"), g)
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
-        assert rows == {(g.render(), 32514): 1}
+        assert rows == {(g.render(), 8066): 1}
         assert second.to_json_dict() == first.to_json_dict()
 
     def test_perturbation_reads_its_base_instead_of_evaluating_it(self, rows, susp_evals):
@@ -381,6 +448,21 @@ class TestEvaluationCount:
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
         # once per certificate: f0's kept values at 128 bands, never inside g
         assert susp_evals == {32514: 2}
+
+    def test_streamed_level_evaluates_each_map_once_per_block(self, rows, susp_evals):
+        # L_f + L_g = 17.2 starts the distance at 128 bands, and 256 bands
+        # are finer than f0's kept level: streamed in blocks of whole rings
+        f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
+        assert ball_certificate(f0, g).ball.distance.resolution == 256
+        streamed = {(text, n): k for (text, n), k in rows.items() if n != 32514}
+        assert rows - Counter(streamed) == {(f0.render(), 32514): 1, (g.render(), 32514): 1}
+        for text in (f0.render(), g.render()):
+            calls = {n: k for (t, n), k in streamed.items() if t == text}
+            assert sum(n * k for n, k in calls.items()) == 2 * 256 * 255 + 2
+            assert max(calls) <= geometry.BLOCK_ROWS
+        # g reads f0's block: one suspension per block, and f0's kept level
+        blocks = sum(k for (t, _), k in streamed.items() if t == f0.render())
+        assert susp_evals.total() == blocks + 1
 
     def test_homotopy_reads_its_base_inside_the_perturbation(self, rows, susp_evals):
         f0 = parse("(susp (pow 2))")

@@ -1,9 +1,10 @@
+import importlib
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapdeg import (
@@ -30,9 +31,11 @@ from mapdeg import (
     sup_distance,
 )
 from mapdeg import geometry
-from mapdeg.degree import STEP_CAP, _start_resolution, raw_pass
+from mapdeg.degree import STEP_CAP, _Samples, _start_resolution, pair_distance, raw_pass
 
 from test_expr import winding_oracle
+
+degree_module = importlib.import_module("mapdeg.degree")
 
 
 def _trees(leaves):
@@ -329,11 +332,67 @@ class TestSupDistance:
             sup_distance(parse("(pow 2)"), parse("(susp (pow 2))"))
 
 
+def whole_distance(f, g, n: int) -> float:
+    """pair_distance over one array of each map's values on the whole level."""
+    X = geometry.make_grid(f.dim, n)
+    return pair_distance(eval_array(f, X), eval_array(g, X))
+
+
+class TestStreamedDistance:
+    """A level no held values cover is reduced block by block, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "f, g, levels",
+        [
+            ("(pow 2)", "(perturb 5 0.4 (pow 2))", (256, 512, 9000, 20000)),
+            ("(pow 3)", "(compose (rot 1.0) (perturb 8 0.7 (pow 3)))", (300, 16385)),
+            ("(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))", (33, 64, 128, 256)),
+            ("(susp (pow 3))", "(compose (rot3 1 2 3 0.4) (susp (pow 3)))", (50, 257)),
+        ],
+    )
+    def test_streamed_max_equals_the_whole_array_max(self, f, g, levels):
+        f, g = parse(f), parse(g)
+        for n in levels:
+            want = whole_distance(f, g, n)
+            assert _Samples().distance(f, g, n) == want
+            assert sup_distance(f, g, n).sampled_max == want
+
+    @pytest.mark.parametrize("block_rows", [1, 100])
+    def test_small_blocks_give_the_same_max(self, monkeypatch, block_rows):
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
+        for f, g, n in (
+            ("(pow 2)", "(perturb 5 0.4 (pow 2))", 512),
+            ("(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))", 32),
+        ):
+            f, g = parse(f), parse(g)
+            assert _Samples().distance(f, g, n) == whole_distance(f, g, n)
+
+    def test_held_values_are_read_and_keep_the_second_map(self):
+        f, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
+        samples = _Samples()
+        samples.hold(f, 128, eval_array(f, geometry.make_grid(2, 128)))
+        assert samples.distance(f, g, 64) == whole_distance(f, g, 64)
+        # g's 64 bands stay held for the degree that reads them next
+        assert samples._values[g][0] == 64
+
+    def test_streamed_level_is_refused_over_the_row_budget_before_sampling(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(degree_module, "eval_array", never)
+        with pytest.raises(InvalidResolution, match="sample rows"):
+            _Samples().distance(parse("(id 2)"), parse("(antipode 2)"), 1449)
+
+
 class TestLipschitzBound:
     """The AST's Lipschitz bound, on which rigorous distance bounds rest."""
 
     @settings(deadline=None)
     @given(st.one_of(S1_TREES, S2_TREES), st.integers(0, 2**32 - 1))
+    # (pow 0) once gave (1, -0.0) or (1, 0.0) by the sign of arctan2, and
+    # after the antipode (pow 1) turned that into sin(-pi) or sin(pi): a
+    # constant map that moved by 2.4e-16 against a bound of exactly 0
+    @example(Compose(Compose(Pow(1), Antipode(1)), Pow(0)), 1)
     def test_bounds_chordal_difference_quotients(self, e, seed):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(300, e.dim + 1))

@@ -35,6 +35,7 @@ from mapdeg import (
     make_grid,
     parse,
 )
+from mapdeg import expr as expr_module
 from mapdeg.expr import EVAL_BUDGET, MAX_DEPTH
 
 # expressions exercising every constructor, reused by several tests
@@ -453,6 +454,22 @@ class TestFieldBlocks:
             for seed in seeds
         ]
         assert field_digests(seeds, blas_threads) == want
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 100])
+    def test_small_blocks_match_the_serial_formula(self, monkeypatch, block_rows):
+        monkeypatch.setattr(expr_module, "BLOCK_ROWS", block_rows)
+        for dim, n in ((1, 301), (2, 9)):
+            X = make_grid(dim, n)
+            for seed in (1, 2):
+                f = PerturbationField(seed, dim)
+                assert np.array_equal(f(X), serial_field(f, X))
+
+    def test_rows_around_the_block_edges_match_the_serial_formula(self):
+        block = expr_module.BLOCK_ROWS
+        X = make_grid(1, 2 * block + 3)
+        f = PerturbationField(4, 1)
+        for rows in (block - 1, block, block + 1, 2 * block + 1, 2 * block + 3):
+            assert np.array_equal(f(X[:rows]), serial_field(f, X[:rows]))
 
     def test_zero_rows(self):
         for dim in (1, 2):

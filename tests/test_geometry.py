@@ -16,7 +16,16 @@ from mapdeg import (
     sup_distance,
 )
 from mapdeg.degree import pair_distance, raw_pass
-from mapdeg.geometry import MAX_ROWS, check_rows, coarsen, mesh, normalize_rows
+from mapdeg import geometry
+from mapdeg.geometry import (
+    MAX_ROWS,
+    check_rows,
+    coarsen,
+    grid_blocks,
+    grid_node,
+    mesh,
+    normalize_rows,
+)
 
 from test_degree import S1_TREES, S2_TREES
 
@@ -172,6 +181,53 @@ class TestMakeGrid:
                 check_rows(dim, n, InvalidResolution)
 
 
+
+class TestGridBlocks:
+    """grid_blocks and grid_node compute make_grid's rows without the whole grid."""
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 700])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [8, 33, 256, 512])
+    def test_blocks_concatenate_to_the_grid(self, monkeypatch, dim, n, block_rows):
+        # exact, not close: a streamed distance level reads these nodes
+        if block_rows is not None:
+            monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
+        blocks = list(grid_blocks(dim, n))
+        assert np.array_equal(np.concatenate(blocks), make_grid(dim, n))
+        starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        if dim == 2:  # whole rings: each block starts at a pole or a ring's first node
+            assert all(start == 0 or (start - 1) % (2 * n) == 0 for start in starts)
+        assert max(map(len, blocks)) <= max(geometry.BLOCK_ROWS, 2 * n)
+
+    def test_circle_levels_past_one_block(self):
+        n = 3 * geometry.BLOCK_ROWS + 5
+        blocks = list(grid_blocks(1, n))
+        assert [len(b) for b in blocks] == [geometry.BLOCK_ROWS] * 3 + [5]
+        assert np.array_equal(np.concatenate(blocks), make_grid(1, n))
+
+    def test_levels_over_the_row_budget_are_refused_before_the_first_block(self):
+        with pytest.raises(InvalidResolution):
+            next(grid_blocks(2, 1449))
+        with pytest.raises(InvalidResolution):
+            next(grid_blocks(1, MAX_ROWS + 1))
+        with pytest.raises(DimensionMismatch):
+            next(grid_blocks(3, 64))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [8, 9, 32, 33])
+    def test_one_node_is_the_grid_row_bit_for_bit(self, dim, n):
+        grid = make_grid(dim, n)
+        for row, want in enumerate(grid):
+            assert np.array(grid_node(dim, n, row)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_poles_and_ring_ends_at_finer_levels(self, n):
+        grid, m = make_grid(2, n), 2 * n
+        rows = [0, 1, m, m + 1, len(grid) // 2, len(grid) - m - 1, len(grid) - 2, len(grid) - 1]
+        for row in rows:
+            assert np.array(grid_node(2, n, row)).tobytes() == grid[row].tobytes()
+        assert grid_node(2, n, 0) == (0.0, 0.0, 1.0)
+        assert grid_node(2, n, len(grid) - 1) == (0.0, 0.0, -1.0)
 
 def nearest_node_distance(dim: int, n: int, points: np.ndarray) -> np.ndarray:
     """Chordal distance from each unit row of `points` to its nearest make_grid node."""
