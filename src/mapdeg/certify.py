@@ -23,9 +23,9 @@ from .degree import (
     DistanceEstimate,
     _degree,
     _Samples,
+    _streamed_min_norm,
     _sup_distance,
     degree,
-    pair_min_norm,
 )
 from .errors import ConsistencyError, DimensionMismatch, DistanceTooLarge
 from .expr import MapExpr
@@ -197,14 +197,16 @@ def homotopy_check(
 
     Reports the minimum of |(1-t) f0(x) + t g(x)| over grid nodes x and
     all t in [0, 1], taken exactly at t = 1/2; the homotopy is valid iff
-    that minimum stays above HOMOTOPY_MIN_NORM. g reads f0 where it
-    contains it, so a perturbation of f0 evaluates its field alone.
+    that minimum stays above HOMOTOPY_MIN_NORM. The level is read in
+    blocks of whole rings, keeping only the running minimum and its
+    row, so its memory does not grow with the level; g reads f0's block
+    where it contains f0, so a perturbation of f0 evaluates its field
+    alone.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     n = resolution if resolution is not None else DegreeParams().grid_for(f0.dim)
-    samples = _Samples()
-    min_norm, row = pair_min_norm(samples.values(f0, n), samples.values(g, n))
+    min_norm, row = _streamed_min_norm(f0, g, n)
     return HomotopyReport(
         valid=min_norm > HOMOTOPY_MIN_NORM,
         min_norm=min_norm,

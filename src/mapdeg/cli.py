@@ -40,8 +40,10 @@ def _report(command: str, jobs, as_json: bool) -> Counter:
 
     A job is (input text, a thunk returning a result, extra report
     fields). wall_ms times the thunk and the result's to_json_dict().
-    The counts are keyed by outcome: "ok", "refused" for a Refusal, or
-    the name of the MapdegError raised. No report is kept once printed.
+    The counts are keyed by outcome: "ok", "refused" for a Refusal, the
+    name of the MapdegError raised, or "InternalError" for any other
+    exception, whose payload names its type; the batch goes on. No
+    report is kept once printed.
     """
     counts = Counter()
     for text, thunk, extra in jobs:
@@ -53,6 +55,9 @@ def _report(command: str, jobs, as_json: bool) -> Counter:
         except MapdegError as err:
             outcome = type(err).__name__
             payload = {"error": str(err)}
+        except Exception as err:  # a bug or MemoryError: one line, not a dead batch
+            outcome = "InternalError"
+            payload = {"error": f"{type(err).__name__}: {err}"}
         wall_ms = 1000.0 * (time.perf_counter() - start)
         counts[outcome] += 1
         shown = "ok" if outcome == "refused" else outcome

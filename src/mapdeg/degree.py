@@ -4,10 +4,13 @@ On S1 the degree is the winding number: the summed, wrapped angle
 increments of the image curve divided by 2*pi. On S2 it is the simplicial
 degree: the summed signed solid angles of the images of a lat-long
 triangulation's triangles divided by 4*pi. Both apply the map once per
-sample and guard the largest image step or edge. A map with a Lipschitz
-bound is sampled once, at a level the bound proves exact; a blend
-refines until two levels agree and refuses to answer
-(ResolutionExceeded) rather than round a doubtful value.
+sample and guard the largest image step or edge. A map is sampled once,
+at a level its Lipschitz bound proves exact: the AST's bound for a map
+without a blend, and for a blend one its check derives from the blend's
+sampled denominators (check_blend_validity). A blend without such a
+bound, or whose proven level does not fit the cap, refines until two
+levels agree, and refuses to answer (ResolutionExceeded) rather than
+round a doubtful value.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ TOLERANCE = 0.1
 #: Most a proven level's raw degree may differ from an integer.
 _PROVEN_RESIDUAL = 1e-6
 
+#: F such that F * L nodes prove the degree of a map of Lipschitz bound
+#: L: 2*pi*L samples on S1, pi*L bands on S2 (_refine).
+_WRAP = {1: _TWO_PI, 2: math.pi}
+
 
 @dataclass(frozen=True)
 class DegreeParams:
@@ -52,7 +59,9 @@ class DegreeParams:
     effective maximum is never below twice the starting resolution so at
     least one two-level comparison can run. A given initial resolution
     also sets the density of the distance, homotopy and blend sample
-    grids.
+    grids. A blend check starts at initial_for(dim) and doubles up to
+    grid_for(dim), stopping at the first level that proves the blend's
+    bound; on the default S2 schedule that is 64 bands, then 128.
     """
 
     initial_resolution: int | None = None
@@ -87,9 +96,12 @@ class DegreeResult:
     """An integer degree plus the evidence it was rounded from.
 
     residual is |raw - value| before rounding; method records which route
-    produced the value. resolution is the proven start level of a map
-    without a blend (residual below 1e-6), or the finer of a blend's two
-    agreeing levels (residual below TOLERANCE).
+    produced the value. resolution is the one level the map's Lipschitz
+    bound proves (residual below 1e-6): the start level of a map without
+    a blend, or for a map with a blend the first initial_for(dim) * 2**j
+    its check-derived bound proves. A blend whose bound is missing, or
+    whose proven level's double does not fit the cap, reports the finer
+    of two agreeing levels (residual below TOLERANCE).
     """
 
     value: int
@@ -113,7 +125,8 @@ class DistanceEstimate:
     sampled_max is a lower bound of the true sup. rigorous adds
     (L_f + L_g) * mesh, with both maps' Lipschitz constants taken from
     their ASTs, and is a true upper bound. It is None when a map has no
-    finite bound, which is always the case for a map with a blend.
+    finite AST bound, which is always the case for a map with a blend:
+    its check-derived bound belongs to the degree alone.
     """
 
     sampled_max: float
@@ -128,19 +141,18 @@ class DistanceEstimate:
         }
 
 
-def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
-    """Starting resolution, floored by the map's structural wrap bound.
+def _start_resolution(bound: float | None, params: DegreeParams, dim: int) -> int:
+    """Starting resolution of a map without a blend, floored by its wrap bound.
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
-    alias to a convincing but wrong winding, so when the AST yields a
-    Lipschitz bound L we refuse to start below 2*pi*L samples on S1 or
-    pi*L bands on S2, where _refine's one pass is a proof. A start whose
-    double exceeds the cap, or an infinite bound, is refused here.
+    alias to a convincing but wrong winding, so for the AST's Lipschitz
+    bound L we refuse to start below 2*pi*L samples on S1 or pi*L bands
+    on S2, where _refine's one pass is a proof. A start whose double
+    exceeds the cap, or an infinite bound, is refused here.
     """
     need = params.initial_for(dim)
-    bound = e.lipschitz_bound()
     if bound is not None:
-        need = max(need, (_TWO_PI if dim == 1 else math.pi) * bound)
+        need = max(need, _WRAP[dim] * bound)
     cap = params.max_for(dim)
     if not need <= cap // 2:
         shown = math.ceil(need) if math.isfinite(need) else need
@@ -148,6 +160,30 @@ def _start_resolution(e: MapExpr, params: DegreeParams, dim: int) -> int:
             f"map needs starting resolution {shown}, above half the cap {cap}"
         )
     return math.ceil(need)
+
+
+def _blend_level(bound: float | None, params: DegreeParams, dim: int) -> int | None:
+    """The proven level of a map with a blend, or None for the two-level rule.
+
+    The first params.initial_for(dim) * 2**j at or above 2*pi*L samples
+    (S1) or pi*L bands (S2) for the check-derived bound L: a level of
+    the blend checks' schedule, so their children's values are read by
+    stride where it is no finer than theirs. None when the map has no
+    bound, or when that level's double exceeds the cap or the row
+    budget, where the two-level rule may still answer.
+    """
+    if bound is None:
+        return None
+    n, need, cap = params.initial_for(dim), _WRAP[dim] * bound, params.max_for(dim)
+    while n < need and 2 * n <= cap:
+        n *= 2
+    if not (need <= n and 2 * n <= cap):
+        return None
+    try:
+        check_rows(dim, 2 * n, ResolutionExceeded)
+    except ResolutionExceeded:
+        return None
+    return n
 
 
 def _is_stride(resolution: int, level: int | None) -> bool:
@@ -177,9 +213,10 @@ class _Samples:
     is held: the nodes live while one map is evaluated on them (the grid
     of 1024 bands alone is 50 MB). A distance at a level the first map
     is not held at is streamed and holds nothing (distance). One
-    instance serves one degree, distance, homotopy, blend check or
-    certificate call; a certificate may seed it with its base map's
-    values from an earlier call (hold).
+    instance serves one degree, distance, blend check or certificate
+    call; a certificate may seed it with its base map's values from an
+    earlier call, and a degree with the children its last blend check
+    sampled (hold).
     """
 
     def __init__(self):
@@ -212,11 +249,33 @@ class _Samples:
         level, _ = self._values.get(f, (None, None))
         if _is_stride(resolution, level):
             return pair_distance(self.values(f, resolution), self.values(g, resolution))
-        return max(
-            pair_distance(F, eval_array(g, X, known=_known(g, resolution, [(f, resolution, F)])))
-            for X in grid_blocks(f.dim, resolution)
-            for F in [eval_array(f, X)]
-        )
+        return max(pair_distance(F, G) for F, G in _pair_blocks(f, g, resolution))
+
+
+def _pair_blocks(f: MapExpr, g: MapExpr, resolution: int):
+    """f's and g's values (F, G) on each block of geometry.grid_blocks.
+
+    g reads f's block where it contains f. No block outlives the next
+    unless the caller keeps it.
+    """
+    for X in grid_blocks(f.dim, resolution):
+        F = eval_array(f, X)
+        yield F, eval_array(g, X, known=_known(g, resolution, [(f, resolution, F)]))
+
+
+def _streamed_min_norm(f: MapExpr, g: MapExpr, resolution: int) -> tuple[float, int]:
+    """pair_min_norm of f and g on make_grid(f.dim, resolution), one block at a time.
+
+    The row is global and the first row of the minimum, as np.argmin
+    gives it on the whole level; the minimum is the same float.
+    """
+    low, row, offset = math.inf, 0, 0
+    for F, G in _pair_blocks(f, g, resolution):
+        block_low, block_row = pair_min_norm(F, G)
+        if block_low < low:
+            low, row = block_low, offset + block_row
+        offset += len(F)
+    return low, row
 
 
 def _known(
@@ -243,26 +302,29 @@ def _known(
     return known
 
 
-def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
-    """The degree from one proven raw pass, or from two agreeing ones.
+def _refine(
+    e: MapExpr, params: DegreeParams, samples: _Samples, n: int | None
+) -> DegreeResult:
+    """The degree from one proven raw pass at level n, or from two agreeing ones.
 
     The pass, winding on S1 and simplicial on S2, returns (raw degree,
     largest image step or edge angle) from the map's values on one grid,
-    read through `samples`. A map with a Lipschitz bound L is read at its
-    start level n alone: n >= 2*pi*L samples keep every image step below
-    pi/3, and n >= pi*L bands every image edge below pi/2, so the sum is
-    the degree (Stenger 1975, Kearfott 1979). A guard over STEP_CAP or a
-    raw value _PROVEN_RESIDUAL or more from an integer there is a bug
-    (ConsistencyError). A blend has no bound: its level doubles until two
-    consecutive passes keep the guard within STEP_CAP and agree within
-    TOLERANCE, the finer within TOLERANCE of an integer; each pair
-    evaluates only its finer level. The start's double must fit the row
-    budget, and no level beyond it is sampled.
+    read through `samples`, which may hold a blend check's children at a
+    level n is a stride of. A level n from a Lipschitz bound L is read
+    alone: n >= 2*pi*L samples keep every image step below pi/3, and
+    n >= pi*L bands every image edge below pi/2, so the sum is the
+    degree (Stenger 1975, Kearfott 1979). A guard over STEP_CAP or a raw
+    value _PROVEN_RESIDUAL or more from an integer there is a bug
+    (ConsistencyError). With n None, a blend without a usable bound,
+    the level doubles from params.initial_for(dim) until two consecutive
+    passes keep the guard within STEP_CAP and agree within TOLERANCE,
+    the finer within TOLERANCE of an integer; each pair evaluates only
+    its finer level. A level's double must fit the row budget, and no
+    level beyond it is sampled.
     """
     dim = e.dim
     method, one_pass = _PASSES[dim]
-    n = _start_resolution(e, params, dim)
-    if e.lipschitz_bound() is not None:
+    if n is not None:
         check_rows(dim, 2 * n, ResolutionExceeded)
         raw, step = one_pass(samples.values(e, n), n)
         value = int(round(raw))
@@ -273,7 +335,7 @@ def _refine(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult
                 f"largest step of {step:.6g} for {e.render()}"
             )
         return DegreeResult(value, residual, method, n)
-    n_max = params.max_for(dim)
+    n, n_max = params.initial_for(dim), params.max_for(dim)
     raw_c = step_c = None
     while 2 * n <= n_max:
         check_rows(dim, 2 * n, ResolutionExceeded)
@@ -308,14 +370,13 @@ def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
 def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     """Winding-number degree of an S1 expression, after the blend check.
 
-    One proven level for a map with a Lipschitz bound; for a blend, the
-    sample count doubles until consecutive levels agree within TOLERANCE
-    and no wrapped step exceeds STEP_CAP.
+    One proven level for a map with a Lipschitz bound; for a blend
+    without one, the sample count doubles until consecutive levels agree
+    within TOLERANCE and no wrapped step exceeds STEP_CAP.
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
-    check_blend_validity(e, params)
-    return _refine(e, params, _Samples())
+    return _checked(e, params, _Samples())
 
 
 def _simplicial_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
@@ -369,13 +430,12 @@ def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> Degr
 
     The resolution counts latitude bands; each ring carries twice as many
     longitudes. One proven level for a map with a Lipschitz bound; for a
-    blend, the bands double until consecutive levels agree within
-    TOLERANCE and no image edge spans more than STEP_CAP.
+    blend without one, the bands double until consecutive levels agree
+    within TOLERANCE and no image edge spans more than STEP_CAP.
     """
     if e.dim != 2:
         raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")
-    check_blend_validity(e, params)
-    return _refine(e, params, _Samples())
+    return _checked(e, params, _Samples())
 
 
 def pair_distance(F: np.ndarray, G: np.ndarray) -> float:
@@ -398,26 +458,89 @@ def pair_min_norm(F: np.ndarray, G: np.ndarray) -> tuple[float, int]:
     return float(norms[row]), row
 
 
-def check_blend_validity(e: MapExpr, params: DegreeParams) -> None:
-    """Reject expressions whose blend denominators approach zero.
+def _lipschitz(e: MapExpr, blends: dict[int, float | None]) -> float | None:
+    """e's Lipschitz bound by the AST's rules, with blends[id(node)] for each blend."""
+    if isinstance(e, Blend):
+        return blends.get(id(e))
+    return e._bound([_lipschitz(c, blends) for c in e.children()])
 
-    Every blend node's children are sampled on one grid and the segment
-    between them is checked at its exact minimum over t, not only at the
-    node's own t. Conservative by design: a pinch anywhere on the segment
-    is treated as inconclusive. Each blend gets its own samples, so the
-    second child reads what it shares with the first, and neither outlives
-    the check.
+
+def _blend_bound(node: Blend, inner: list, min_norm: float, n: int) -> float | None:
+    """A blend's Lipschitz bound from its children's and its check at level n.
+
+    For unit F, G, |(1-t) F + t G| >= |F + G| / 2, which is
+    (L_f + L_g)/2-Lipschitz; every point lies within mesh(dim, n) of a
+    node, so m = min_norm - (L_f + L_g)/2 * mesh bounds the norm from
+    below everywhere. Normalization is 1/m-Lipschitz on |v| >= m, so the
+    blend is ((1-t) L_f + t L_g) / m-Lipschitz. None when a child has no
+    bound or m is not above BLEND_MIN_NORM.
     """
-    for node in walk(e):
-        if not isinstance(node, Blend):
-            continue
-        n, samples = params.grid_for(node.dim), _Samples()
-        min_norm, row = pair_min_norm(samples.values(node.f, n), samples.values(node.g, n))
+    lf, lg = inner
+    if lf is None or lg is None:
+        return None
+    floor = min_norm - 0.5 * (lf + lg) * mesh(node.dim, n)
+    if not floor > BLEND_MIN_NORM:
+        return None
+    return ((1.0 - node.t) * lf + node.t * lg) / floor
+
+
+def _refuse(node: Blend, n: int, min_norm: float, row: int) -> None:
+    """Raise InvalidBlend if the segment minimum at level n pinches."""
+    if min_norm <= BLEND_MIN_NORM:
+        point = grid_node(node.dim, n, row)
+        raise InvalidBlend(
+            f"blend denominator {min_norm:.3e} at t=0.5 near {point} in {node.render()}"
+        )
+
+
+def check_blend_validity(
+    e: MapExpr, params: DegreeParams
+) -> tuple[float | None, list[tuple[MapExpr, int, np.ndarray]]]:
+    """Reject expressions whose blend denominators approach zero, and bound the rest.
+
+    Each blend's children are sampled on one grid and the segment between
+    them is checked at its exact minimum over t, not only at the node's
+    own t. Conservative by design: a pinch anywhere on the segment is
+    treated as inconclusive. Blends are checked inside out, each after
+    the blends within it, since its bound (_blend_bound) needs theirs.
+    A check runs coarse first, from params.initial_for(dim) doubling to
+    params.grid_for(dim): the first level whose bound proves the blend
+    at that level or a coarser one accepts it. A pinch, or a level that
+    decides nothing, sends the check to grid_for, where it is decided as
+    a single grid check is: a pinch there raises InvalidBlend, after the
+    blends before it in walk order are checked there too, so the error
+    names the first pinch in that order. A rigorous bound keeps the
+    nodes of grid_for above BLEND_MIN_NORM, so no coarse level accepts
+    what grid_for refuses.
+
+    Returns e's Lipschitz bound with each blend's from its check (None
+    where one has none), and the last check's two children as (map,
+    level, values), for the degree to read; every other check's samples
+    are dropped, so what is held does not grow with the blends.
+    """
+    blends = [node for node in walk(e) if isinstance(node, Blend)]
+    bounds, held = {}, []
+    for i in reversed(range(len(blends))):  # each blend after the blends within it
+        node, held = blends[i], []  # the previous check's samples go
+        inner = [_lipschitz(c, bounds) for c in (node.f, node.g)]
+        n, grid = params.initial_for(node.dim), params.grid_for(node.dim)
+        while True:
+            samples = _Samples()
+            F, G = samples.values(node.f, n), samples.values(node.g, n)
+            min_norm, row = pair_min_norm(F, G)
+            bound = _blend_bound(node, inner, min_norm, n)
+            if n >= grid or (bound is not None and _WRAP[node.dim] * bound <= n):
+                break
+            n = grid if min_norm <= BLEND_MIN_NORM else 2 * n
         if min_norm <= BLEND_MIN_NORM:
-            point = grid_node(node.dim, n, row)
-            raise InvalidBlend(
-                f"blend denominator {min_norm:.3e} at t=0.5 near {point} in {node.render()}"
-            )
+            for earlier in blends[:i]:
+                level, shared = params.grid_for(earlier.dim), _Samples()
+                F, G = shared.values(earlier.f, level), shared.values(earlier.g, level)
+                _refuse(earlier, level, *pair_min_norm(F, G))
+            _refuse(node, n, min_norm, row)
+        bounds[id(node)] = bound
+        held = [(node.f, n, F), (node.g, n, G)]
+    return _lipschitz(e, bounds), held
 
 
 def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
@@ -436,15 +559,27 @@ def _degree(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult
     """degree(e, params), reading the map's values from `samples`."""
     sd = e.symbolic_degree()
     if sd is None:
-        check_blend_validity(e, params)
-        return _refine(e, params, samples)
-    witness = _refine(e, params, samples)
+        return _checked(e, params, samples)
+    witness = _refine(e, params, samples, _start_resolution(e.lipschitz_bound(), params, e.dim))
     if witness.value != sd:
         raise SymbolicNumericMismatch(
             f"structural degree {sd} but {witness.method} found {witness.value} "
             f"at resolution {witness.resolution} for {e.render()}"
         )
     return DegreeResult(sd, witness.residual, "symbolic", witness.resolution)
+
+
+def _checked(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
+    """_refine after the blend check, at the level the check's bound proves.
+
+    A map with a blend reads its last check's children from `samples`.
+    """
+    bound, held = check_blend_validity(e, params)
+    if not held:
+        return _refine(e, params, samples, _start_resolution(bound, params, e.dim))
+    for f, n, Y in held:
+        samples.hold(f, n, Y)
+    return _refine(e, params, samples, _blend_level(bound, params, e.dim))
 
 
 def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> DistanceEstimate:

@@ -62,7 +62,18 @@ class MapExpr:
         starting resolution of the numeric degree methods, so that
         fast-wrapping maps cannot alias to a plausible but wrong integer,
         and it is the L_f + L_g of every rigorous sup distance, which
-        decides when a ball certificate's grid stops doubling.
+        decides when a ball certificate's grid stops doubling. A blend
+        has none here: its bound needs samples, which the degree module
+        takes (degree.check_blend_validity).
+        """
+        return self._bound([c.lipschitz_bound() for c in self.children()])
+
+    def _bound(self, inner: list[float | None]) -> float | None:
+        """The map's bound from its children's, in children() order.
+
+        The one set of composition rules: lipschitz_bound applies it to
+        the AST's bounds, and the degree module to bounds that give each
+        blend its sampled one.
         """
         raise NotImplementedError
 
@@ -103,7 +114,7 @@ class Id(MapExpr):
     def symbolic_degree(self):
         return 1
 
-    def lipschitz_bound(self):
+    def _bound(self, inner):
         return 1.0
 
 
@@ -127,7 +138,7 @@ class Antipode(MapExpr):
         # (-1)^(m+1): a rotation on the circle, orientation-reversing on S2.
         return 1 if self.m == 1 else -1
 
-    def lipschitz_bound(self):
+    def _bound(self, inner):
         return 1.0
 
 
@@ -145,7 +156,7 @@ class Conj(MapExpr):
     def symbolic_degree(self):
         return -1
 
-    def lipschitz_bound(self):
+    def _bound(self, inner):
         return 1.0
 
 
@@ -172,7 +183,7 @@ class Pow(MapExpr):
     def symbolic_degree(self):
         return self.k
 
-    def lipschitz_bound(self):
+    def _bound(self, inner):
         return float(abs(self.k))
 
 
@@ -193,7 +204,7 @@ class Rot(MapExpr):
     def symbolic_degree(self):
         return 1
 
-    def lipschitz_bound(self):
+    def _bound(self, inner):
         return 1.0
 
 
@@ -232,7 +243,7 @@ class Rot3(MapExpr):
     def symbolic_degree(self):
         return 1
 
-    def lipschitz_bound(self):
+    def _bound(self, inner):
         return 1.0
 
 
@@ -267,8 +278,8 @@ class Susp(MapExpr):
     def symbolic_degree(self):
         return self.inner.symbolic_degree()
 
-    def lipschitz_bound(self):
-        b = self.inner.lipschitz_bound()
+    def _bound(self, inner):
+        (b,) = inner
         return None if b is None else max(1.0, b)
 
 
@@ -296,8 +307,8 @@ class Compose(MapExpr):
         a, b = self.outer.symbolic_degree(), self.inner.symbolic_degree()
         return None if a is None or b is None else a * b
 
-    def lipschitz_bound(self):
-        a, b = self.outer.lipschitz_bound(), self.inner.lipschitz_bound()
+    def _bound(self, inner):
+        a, b = inner
         return None if a is None or b is None else a * b
 
 
@@ -325,8 +336,8 @@ class Iterate(MapExpr):
         d = self.inner.symbolic_degree()
         return None if d is None else d**self.n
 
-    def lipschitz_bound(self):
-        b = self.inner.lipschitz_bound()
+    def _bound(self, inner):
+        (b,) = inner
         if b is None:
             return None
         try:
@@ -369,7 +380,7 @@ class Blend(MapExpr):
         # cannot see; the degree module resolves it with an explicit check
         return None
 
-    def lipschitz_bound(self):
+    def _bound(self, inner):
         return None
 
 
@@ -410,6 +421,8 @@ class PerturbationField:
         self._coef = coef / np.abs(coef).sum()
         self._order = [0, 2, 1] if dim == 2 else [0, 1]
         self._freq_matrix = self._freq.reshape(-1, ncomp).T[self._order]
+        grad = (np.abs(self._coef)[:, :, None] * np.abs(self._freq)).sum(axis=1)
+        self._lipschitz = float(np.linalg.norm(np.linalg.norm(grad, axis=1)))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
@@ -425,8 +438,8 @@ class PerturbationField:
         return out
 
     def lipschitz_bound(self) -> float:
-        grad = (np.abs(self._coef)[:, :, None] * np.abs(self._freq)).sum(axis=1)
-        return float(np.linalg.norm(np.linalg.norm(grad, axis=1)))
+        """Bound on the field's Lipschitz constant, computed once at construction."""
+        return self._lipschitz
 
 
 @dataclass(frozen=True)
@@ -461,8 +474,8 @@ class Perturb(MapExpr):
         # >= 1 - eps > 0, so normalizing it is a homotopy: degree unchanged
         return self.inner.symbolic_degree()
 
-    def lipschitz_bound(self):
-        b = self.inner.lipschitz_bound()
+    def _bound(self, inner):
+        (b,) = inner
         if b is None:
             return None
         return (b + self.eps * self._field.lipschitz_bound()) / (1.0 - self.eps)

@@ -156,6 +156,21 @@ class TestHomotopyCheck:
         assert rep.min_norm <= swept + 4 * np.finfo(float).eps
         assert rep.valid == (rep.min_norm > 1e-6)
 
+    def test_a_256_band_homotopy_holds_no_whole_level(self):
+        f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
+        homotopy_check(f0, g, 8)
+        tracemalloc.start()
+        try:
+            rep = homotopy_check(f0, g, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        X = make_grid(2, 256)
+        assert rep.min_norm == pair_min_norm(eval_array(f0, X), eval_array(g, X))[0]
+        # whole 256-band arrays of both maps and of the field's arguments
+        # peaked at 14.6 MB
+        assert peak < 6e6
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             homotopy_check(parse("(pow 2)"), parse("(susp (pow 2))"))
@@ -407,11 +422,28 @@ class TestEvaluationCount:
         assert rows == {(f0.render(), 32514): 1, (g.render(), 8066): 1}
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
-        # a blend compares 64 against 128 bands and reads 64 from 128;
-        # its check samples both children on the 128-band grid
+        # the blend check proves the blend at 64 bands, 2 + 63 * 128 =
+        # 8066 vertices, and its degree is read there alone: the blend
+        # reads both children from the check instead of evaluating them
         e = parse("(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))")
+        res = degree(e)
+        assert (res.value, res.resolution) == (2, 64)
+        assert res.residual < 1e-6
+        assert rows == {(f.render(), 8066): 1 for f in (e, e.f, e.g)}
+
+    def test_blend_without_a_bound_compares_two_levels(self, rows):
+        # cos(1.45) = 0.121 proves the blend only at 1024 bands, whose
+        # double is over the cap: 64 is compared against 128, read from
+        # the children the check left at 128
+        e = parse("(blend 0.5 (susp (pow 3)) (compose (rot3 0 0 1 2.9) (susp (pow 3))))")
         assert degree(e).resolution == 128
-        assert rows == {(f.render(), 32514): 1 for f in (e, e.f, e.g)}
+        assert rows == {
+            (e.f.render(), 8066): 1,
+            (e.g.render(), 8066): 1,
+            (e.f.render(), 32514): 1,
+            (e.g.render(), 32514): 1,
+            (e.render(), 32514): 1,
+        }
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
         e = parse("(perturb 4 0.5 (susp (pow 2)))")
@@ -468,15 +500,21 @@ class TestEvaluationCount:
         f0 = parse("(susp (pow 2))")
         g = parse("(perturb 4 0.5 (susp (pow 2)))")
         assert homotopy_check(f0, g).valid
-        assert rows == {(f0.render(), 32514): 1, (g.render(), 32514): 1}
-        # f0 once; g reads it and evaluates its field alone
-        assert susp_evals == {32514: 1}
+        # streamed in blocks of whole rings, each map once per block
+        for text in (f0.render(), g.render()):
+            calls = {n: k for (t, n), k in rows.items() if t == text}
+            assert sum(n * k for n, k in calls.items()) == 32514
+            assert max(calls) <= geometry.BLOCK_ROWS
+        # f0 once per block; g reads its block and evaluates its field alone
+        blocks = sum(k for (t, _), k in rows.items() if t == f0.render())
+        assert susp_evals.total() == blocks
 
     def test_blend_check_reads_what_its_children_share(self, rows, susp_evals):
         e = parse("(blend 0.4 (susp (pow 3)) (compose (rot3 0 0 1 0.7) (susp (pow 3))))")
         check_blend_validity(e, DegreeParams())
-        assert rows == {(e.f.render(), 32514): 1, (e.g.render(), 32514): 1}
-        assert susp_evals == {32514: 1}
+        # the check proves the blend at its first level, 64 bands
+        assert rows == {(e.f.render(), 8066): 1, (e.g.render(), 8066): 1}
+        assert susp_evals == {8066: 1}
 
 
 class TestBaseRecord:

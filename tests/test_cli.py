@@ -343,6 +343,26 @@ class TestHostileInput:
         assert [r["outcome"] for r in lines] == ["ParseError", "ok"]
         assert lines[1]["payload"]["value"] == 3
 
+    def test_an_unexpected_exception_is_one_internal_error_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        certify = importlib.import_module("mapdeg.certify")
+        original = certify.degree
+
+        def degree(e, params):
+            if e.render() == "(pow 5)":
+                raise MemoryError("no room for the grid")
+            return original(e, params)
+
+        monkeypatch.setattr(certify, "degree", degree)
+        f = tmp_path / "maps.txt"
+        f.write_text("(pow 2)\n(pow 5)\n(pow 3)\n")
+        code, lines, err = run_cli(capsys, "certify", "-f", str(f))
+        assert code == 1
+        assert [r["outcome"] for r in lines] == ["ok", "InternalError", "ok"]
+        assert lines[1]["payload"] == {"error": "MemoryError: no room for the grid"}
+        assert err == "certify: 2 ok, 1 error(s)\n"
+
     def test_undecodable_bytes_do_not_kill_the_batch(self, capsys, tmp_path):
         f = tmp_path / "maps.txt"
         f.write_bytes(b"(pow 2)\n\xff\xfe\n(pow 3)\n")

@@ -4,11 +4,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mapdeg import (
     Antipode,
+    Blend,
     Compose,
     Conj,
     ConsistencyError,
@@ -31,7 +32,17 @@ from mapdeg import (
     sup_distance,
 )
 from mapdeg import geometry
-from mapdeg.degree import STEP_CAP, _Samples, _start_resolution, pair_distance, raw_pass
+from mapdeg.degree import (
+    STEP_CAP,
+    _blend_level,
+    _Samples,
+    _start_resolution,
+    _streamed_min_norm,
+    check_blend_validity,
+    pair_distance,
+    pair_min_norm,
+    raw_pass,
+)
 
 from test_expr import winding_oracle
 
@@ -70,6 +81,39 @@ S2_TREES = _trees(
             st.floats(-math.pi, math.pi),
         ),
     )
+)
+
+
+def _blends(trees, turned):
+    """Blends of a tree f against f turned by turned(f) or perturbed by eps <= 0.6.
+
+    The two ends stay less than 3 rad apart at every point, so no blend
+    pinches, and each has f's degree.
+    """
+    perturbed = st.builds(
+        lambda seed, eps: lambda f: Perturb(seed, eps, f),
+        st.integers(0, 2**64 - 1),
+        st.floats(0.0, 0.6),
+    )
+    return st.builds(
+        lambda f, t, other: Blend(t, f, other(f)),
+        trees.filter(lambda f: f.lipschitz_bound() <= 10.0),
+        st.floats(0.0, 1.0),
+        st.one_of(turned, perturbed),
+    )
+
+
+S1_BLENDS = _blends(
+    S1_TREES,
+    st.floats(-2.5, 2.5).map(lambda a: lambda f: Compose(Rot(a), f)),
+)
+S2_BLENDS = _blends(
+    S2_TREES,
+    st.builds(
+        lambda axis, a: lambda f: Compose(Rot3(axis, a), f),
+        st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.just(1.0)),
+        st.floats(-3.0, 3.0),
+    ),
 )
 
 
@@ -158,13 +202,33 @@ class TestQuadrature:
             degree_simplicial(Pow(2))
 
 
+def _turned(k, angle):
+    """(susp (pow k)) blended with itself turned about z: |F + G| / 2 >= cos(angle / 2)."""
+    return parse(f"(blend 0.5 (susp (pow {k})) (compose (rot3 0 0 1 {angle}) (susp (pow {k}))))")
+
+
 class TestSimplicial:
     def test_default_levels_are_64_and_128_bands(self):
-        # a map with a Lipschitz bound stops at its proven 64 bands; a
-        # blend compares 64 against 128
+        # a map without a blend is proven at 64 bands. A blend check runs
+        # at 64 bands, then 128; its bound proves the degree at 64 or 128
+        # bands, or at neither, where 64 is compared against 128.
         assert degree_simplicial(parse("(susp (pow 2))")).resolution == 64
-        blend = parse("(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 0.5) (susp (pow 2))))")
-        assert degree_simplicial(blend).resolution == 128
+        cases = [
+            # (k, turn, check level, degree level, proven there)
+            (2, 0.5, 64, 64, True),
+            # cos(1.25) = 0.315: 64 bands leave 0.107 of it, 128 0.211
+            (3, 2.5, 128, 64, True),
+            (3, 2.7, 128, 128, True),
+            # cos(1.45) = 0.121 proves 571 bands, whose double is over the cap
+            (3, 2.9, 128, 128, False),
+        ]
+        for k, turn, check, level, proven in cases:
+            e = _turned(k, turn)
+            bound, held = check_blend_validity(e, DegreeParams())
+            assert [(f, n) for f, n, _ in held] == [(e.f, check), (e.g, check)]
+            res = degree_simplicial(e)
+            assert (res.value, res.resolution) == (k, level)
+            assert _blend_level(bound, DegreeParams(), 2) == (level if proven else None)
 
     def test_edge_guard_refuses_a_level_the_raw_values_accept(self):
         # 8 bands carry 16 longitudes, so (susp (pow 5)) turns an equator
@@ -195,12 +259,24 @@ class TestProvenLevel:
         res = (degree_winding if e.dim == 1 else degree_simplicial)(e)
         assert res.value == e.symbolic_degree()
         assert res.residual < 1e-6
-        assert res.resolution == _start_resolution(e, DegreeParams(), e.dim)
+        assert res.resolution == _start_resolution(e.lipschitz_bound(), DegreeParams(), e.dim)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(S1_BLENDS, S2_BLENDS))
+    def test_proven_blend_degree_is_the_degree_of_its_ends(self, e):
+        # a blend that does not pinch is homotopic to either end
+        bound, _ = check_blend_validity(e, DegreeParams())
+        level = _blend_level(bound, DegreeParams(), e.dim)
+        assume(level is not None)
+        res = degree(e)
+        assert res.value == e.f.symbolic_degree()
+        assert res.residual < 1e-6
+        assert res.resolution == level
 
     def test_a_lying_bound_never_returns_an_integer(self, monkeypatch):
         # L = 1 starts (pow 40) at 64 bands, where its equator edges turn
         # by 40 * pi / 64 > pi / 2: the guard refuses, nothing refines
-        monkeypatch.setattr(Pow, "lipschitz_bound", lambda self: 1.0)
+        monkeypatch.setattr(Pow, "_bound", lambda self, inner: 1.0)
         e = parse("(susp (pow 40))")
         with pytest.raises(ConsistencyError, match="proven resolution 64"):
             degree_simplicial(e)
@@ -250,6 +326,36 @@ class TestDegreeDispatch:
         # still read 1, but the blend check refuses before any degree
         with pytest.raises(InvalidBlend, match="denominator 1.000e-07"):
             method(parse(text))
+
+    def test_the_coarse_check_never_accepts_what_the_grid_refuses(self, monkeypatch):
+        # 64 bands see the same 1e-7 pinch; the check moves on to the
+        # 128-band grid and refuses there, with the grid's own minimum
+        e = parse("(blend 0.5 (id 2) (rot3 0 0 1 3.141592453589793))")
+        levels = []
+        original = degree_module.pair_min_norm
+
+        def spy(F, G):
+            levels.append(len(F))
+            return original(F, G)
+
+        monkeypatch.setattr(degree_module, "pair_min_norm", spy)
+        with pytest.raises(InvalidBlend) as refused:
+            check_blend_validity(e, DegreeParams())
+        assert levels == [8066, 32514]
+        X = geometry.make_grid(2, 128)
+        low, row = pair_min_norm(eval_array(e.f, X), eval_array(e.g, X))
+        assert str(refused.value) == (
+            f"blend denominator {low:.3e} at t=0.5 near {tuple(X[row].tolist())} in {e.render()}"
+        )
+
+    def test_a_pinch_names_the_first_blend_in_walk_order(self):
+        # the inner blend pinches at 1e-7 and the outer one at 0. Blends
+        # are checked inside out, but the outer one is named, as a check
+        # in walk order names it.
+        inner = "(blend 0.5 (id 1) (rot 3.141592453589793))"
+        e = parse(f"(blend 0.5 {inner} (compose (antipode 1) {inner}))")
+        with pytest.raises(InvalidBlend, match=r"denominator 0.000e\+00 .* in \(blend 0.5 \(blend"):
+            check_blend_validity(e, DegreeParams())
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -367,6 +473,25 @@ class TestStreamedDistance:
             f, g = parse(f), parse(g)
             assert _Samples().distance(f, g, n) == whole_distance(f, g, n)
 
+    @pytest.mark.parametrize("block_rows", [1, 100, geometry.BLOCK_ROWS])
+    @pytest.mark.parametrize(
+        "f, g, n",
+        [
+            ("(pow 2)", "(perturb 5 0.4 (pow 2))", 9000),
+            ("(id 1)", "(antipode 1)", 300),  # every row ties at 0
+            ("(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))", 128),
+            ("(id 2)", "(rot3 0 0 1 3.0)", 64),  # the equator ring is lowest
+        ],
+    )
+    def test_streamed_min_norm_is_the_whole_array_min_at_its_first_row(
+        self, monkeypatch, f, g, n, block_rows
+    ):
+        f, g = parse(f), parse(g)
+        X = geometry.make_grid(f.dim, n)
+        want = pair_min_norm(eval_array(f, X), eval_array(g, X))
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
+        assert _streamed_min_norm(f, g, n) == want
+
     def test_held_values_are_read_and_keep_the_second_map(self):
         f, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         samples = _Samples()
@@ -388,12 +513,26 @@ class TestLipschitzBound:
     """The AST's Lipschitz bound, on which rigorous distance bounds rest."""
 
     @settings(deadline=None)
-    @given(st.one_of(S1_TREES, S2_TREES), st.integers(0, 2**32 - 1))
+    @given(
+        st.one_of(S1_TREES, S2_TREES, S1_BLENDS, S2_BLENDS),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([8, 16, 64]),
+    )
     # (pow 0) once gave (1, -0.0) or (1, 0.0) by the sign of arctan2, and
     # after the antipode (pow 1) turned that into sin(-pi) or sin(pi): a
     # constant map that moved by 2.4e-16 against a bound of exactly 0
-    @example(Compose(Compose(Pow(1), Antipode(1)), Pow(0)), 1)
-    def test_bounds_chordal_difference_quotients(self, e, seed):
+    @example(Compose(Compose(Pow(1), Antipode(1)), Pow(0)), 1, 64)
+    # the blend stretches by 1 / cos(1.5) = 14.1 across a great circle
+    # that no node of 8 bands lies on: without the mesh term its sampled
+    # minimum alone would give a bound near 12
+    @example(parse("(blend 0.5 (id 2) (compose (rot3 0.3 0.5 1.0 3.0) (id 2)))"), 0, 8)
+    @example(parse("(blend 0.5 (id 2) (compose (rot3 0.3 0.5 1.0 3.0) (id 2)))"), 0, 64)
+    def test_bounds_chordal_difference_quotients(self, e, seed, resolution):
+        # a blend's bound comes from its check, on the given grid; a map
+        # without one has its AST bound
+        bound, _ = check_blend_validity(e, DegreeParams(initial_resolution=resolution))
+        if bound is None:
+            return
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(300, e.dim + 1))
         X /= np.linalg.norm(X, axis=1)[:, None]
@@ -405,4 +544,4 @@ class TestLipschitzBound:
         Y /= np.linalg.norm(Y, axis=1)[:, None]
         moved = np.linalg.norm(eval_array(e, X) - eval_array(e, Y), axis=1)
         quotients = moved / np.linalg.norm(X - Y, axis=1)
-        assert quotients.max() <= e.lipschitz_bound() * (1.0 + 1e-9)
+        assert quotients.max() <= bound * (1.0 + 1e-9)

@@ -464,6 +464,14 @@ class TestFieldBlocks:
                 f = PerturbationField(seed, dim)
                 assert np.array_equal(f(X), serial_field(f, X))
 
+    def test_lipschitz_bound_is_the_gradient_formula_computed_once(self):
+        for seed, dim in ((1, 1), (2, 2), (2**64 - 1, 2)):
+            f = PerturbationField(seed, dim)
+            grad = (np.abs(f._coef)[:, :, None] * np.abs(f._freq)).sum(axis=1)
+            want = float(np.linalg.norm(np.linalg.norm(grad, axis=1)))
+            f._coef = f._freq = None  # a bound computed on the call would fail
+            assert f.lipschitz_bound() == want
+
     def test_rows_around_the_block_edges_match_the_serial_formula(self):
         block = expr_module.BLOCK_ROWS
         X = make_grid(1, 2 * block + 3)
