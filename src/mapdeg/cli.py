@@ -170,11 +170,12 @@ def _cmd_experiment(args) -> int:
     return 0 if counts["ok"] == counts.total() else 1
 
 
-def _add_common(p: argparse.ArgumentParser, refines: bool) -> None:
-    """--resolution and --json; --max-resolution if `refines`."""
+def _add_common(p: argparse.ArgumentParser, computes_degree: bool) -> None:
+    """--resolution and --json; --max-resolution if `computes_degree`."""
     p.add_argument("--resolution", type=int, default=None, help="starting resolution")
-    if refines:
-        p.add_argument("--max-resolution", type=int, default=None, help="refinement cap")
+    if computes_degree:
+        text = "resolution cap; the largest proven degree level is half of it"
+        p.add_argument("--max-resolution", type=int, default=None, help=text)
     p.add_argument(
         "--json",
         action=argparse.BooleanOptionalAction,
@@ -200,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("-e", "--expr", help="inline s-expression")
         group.add_argument("-f", "--file", help="file with one expression per line")
-        _add_common(p, refines=True)
+        _add_common(p, computes_degree=True)
         p.set_defaults(func=functools.partial(_cmd_per_line, compute=compute))
 
     for name, compute, text in (
@@ -208,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("homotopy", homotopy_check, "straight-line homotopy validity report"),
     ):
         p = sub.add_parser(name, help=text)
-        _add_common(p, refines=False)
+        _add_common(p, computes_degree=False)
         p.add_argument("-a", required=True, help="first expression")
         p.add_argument("-b", required=True, help="second expression")
         p.set_defaults(func=functools.partial(_cmd_pair, compute=compute))
@@ -217,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="ball certificates for random perturbations of a degree-2 base map",
     )
-    _add_common(p, refines=True)
+    _add_common(p, computes_degree=True)
     p.add_argument("--seed", type=int, default=1, help="master seed")
     p.add_argument("--dim", type=int, choices=(1, 2), required=True)
     p.add_argument("--count", type=int, required=True)

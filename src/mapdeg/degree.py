@@ -4,13 +4,13 @@ On S1 the degree is the winding number: the summed, wrapped angle
 increments of the image curve divided by 2*pi. On S2 it is the simplicial
 degree: the summed signed solid angles of the images of a lat-long
 triangulation's triangles divided by 4*pi. Both apply the map once per
-sample and guard the largest image step or edge. A map is sampled once,
-at a level its Lipschitz bound proves exact: the AST's bound for a map
-without a blend, and for a blend one its check derives from the blend's
-sampled denominators (check_blend_validity). A blend without such a
-bound, or whose proven level does not fit the cap, refines until two
-levels agree, and refuses to answer (ResolutionExceeded) rather than
-round a doubtful value.
+sample and guard the largest image step or edge. Every degree is read
+at one level that a Lipschitz bound proves exact (Stenger 1975, Kearfott
+1979): the AST's bound for a map without a blend, and for a map with a
+blend one its checks derive from the blends' sampled denominators
+(check_blend_validity). A map that no admitted level proves is refused
+(ResolutionExceeded); no degree is rounded from a level that is not a
+proof.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from .expr import Blend, MapExpr, eval_array, walk
-from .geometry import check_rows, coarsen, grid_blocks, grid_node, make_grid, mesh
+from .geometry import check_rows, coarsen, grid_blocks, grid_fits, grid_node, make_grid, mesh
 
 _TWO_PI = 2.0 * math.pi
 
@@ -38,10 +38,6 @@ BLEND_MIN_NORM = 1e-6
 
 #: Largest image step (S1) or image-edge angle (S2) a level may contain.
 STEP_CAP = math.pi / 2
-
-#: Most a level's raw degree may differ from the previous level's, and
-#: from the integer it is rounded to, for the level to be accepted.
-TOLERANCE = 0.1
 
 #: Most a proven level's raw degree may differ from an integer.
 _PROVEN_RESIDUAL = 1e-6
@@ -53,15 +49,18 @@ _WRAP = {1: _TWO_PI, 2: math.pi}
 
 @dataclass(frozen=True)
 class DegreeParams:
-    """Knobs for the adaptive degree computations.
+    """Knobs for the degree computations.
 
-    Resolutions left as None fall back to per-dimension defaults. The
-    effective maximum is never below twice the starting resolution so at
-    least one two-level comparison can run. A given initial resolution
-    also sets the density of the distance, homotopy and blend sample
-    grids. A blend check starts at initial_for(dim) and doubles up to
-    grid_for(dim), stopping at the first level that proves the blend's
-    bound; on the default S2 schedule that is 64 bands, then 128.
+    Resolutions left as None fall back to per-dimension defaults. A
+    degree is read at a level n only where 2n fits the cap (max_for) and
+    the row budget (_admitted). The effective maximum is never below
+    twice the starting resolution, so the starting level itself is
+    always admitted. A given initial resolution also sets the density
+    of the distance, homotopy and blend sample grids. A blend check
+    starts at initial_for(dim) and doubles through grid_for(dim) and on
+    to the largest admitted level, stopping at the first level that
+    proves the blend's bound; on the default S2 schedule that is 64,
+    128, 256 or 512 bands.
     """
 
     initial_resolution: int | None = None
@@ -95,13 +94,11 @@ class DegreeParams:
 class DegreeResult:
     """An integer degree plus the evidence it was rounded from.
 
-    residual is |raw - value| before rounding; method records which route
-    produced the value. resolution is the one level the map's Lipschitz
-    bound proves (residual below 1e-6): the start level of a map without
-    a blend, or for a map with a blend the first initial_for(dim) * 2**j
-    its check-derived bound proves. A blend whose bound is missing, or
-    whose proven level's double does not fit the cap, reports the finer
-    of two agreeing levels (residual below TOLERANCE).
+    residual is |raw - value| before rounding, always below 1e-6; method
+    records which route produced the value. resolution is the one level
+    the map's Lipschitz bound proves: the start level of a map without a
+    blend, or for a map with a blend the first initial_for(dim) * 2**j
+    its check-derived bound proves.
     """
 
     value: int
@@ -141,54 +138,47 @@ class DistanceEstimate:
         }
 
 
-def _start_resolution(bound: float | None, params: DegreeParams, dim: int) -> int:
-    """Starting resolution of a map without a blend, floored by its wrap bound.
+def _admitted(n: int, params: DegreeParams, dim: int) -> bool:
+    """Whether a degree may be read at level n: 2n fits the cap and the row budget.
+
+    n <= cap would admit lines up to four times as costly on S2; that
+    waits for a cost model of evaluations x rows.
+    """
+    return 2 * n <= params.max_for(dim) and grid_fits(dim, 2 * n)
+
+
+def _proven_level(bound: float, params: DegreeParams, dim: int, on_schedule: bool) -> int:
+    """The one level a map of Lipschitz bound L is read at, where _refine's pass is a proof.
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
-    alias to a convincing but wrong winding, so for the AST's Lipschitz
-    bound L we refuse to start below 2*pi*L samples on S1 or pi*L bands
-    on S2, where _refine's one pass is a proof. A start whose double
-    exceeds the cap, or an infinite bound, is refused here.
+    alias to a convincing but wrong winding, so no map is read below
+    2*pi*L samples on S1 or pi*L bands on S2, nor below
+    params.initial_for(dim). A map without a blend is read there; a map
+    with a blend (on_schedule) at the first initial_for(dim) * 2**j at
+    or above it, a level of the blend checks' schedule, so its last
+    check's children are read by stride. A level whose double exceeds
+    the cap, or an infinite bound, is refused (ResolutionExceeded).
     """
-    need = params.initial_for(dim)
-    if bound is not None:
-        need = max(need, _WRAP[dim] * bound)
+    need = max(params.initial_for(dim), _WRAP[dim] * bound)
     cap = params.max_for(dim)
     if not need <= cap // 2:
         shown = math.ceil(need) if math.isfinite(need) else need
         raise ResolutionExceeded(
             f"map needs starting resolution {shown}, above half the cap {cap}"
         )
-    return math.ceil(need)
-
-
-def _blend_level(bound: float | None, params: DegreeParams, dim: int) -> int | None:
-    """The proven level of a map with a blend, or None for the two-level rule.
-
-    The first params.initial_for(dim) * 2**j at or above 2*pi*L samples
-    (S1) or pi*L bands (S2) for the check-derived bound L: a level of
-    the blend checks' schedule, so their children's values are read by
-    stride where it is no finer than theirs. None when the map has no
-    bound, or when that level's double exceeds the cap or the row
-    budget, where the two-level rule may still answer.
-    """
-    if bound is None:
-        return None
-    n, need, cap = params.initial_for(dim), _WRAP[dim] * bound, params.max_for(dim)
-    while n < need and 2 * n <= cap:
+    if not on_schedule:
+        return math.ceil(need)
+    n = params.initial_for(dim)
+    while n < need:
         n *= 2
-    if not (need <= n and 2 * n <= cap):
-        return None
-    try:
-        check_rows(dim, 2 * n, ResolutionExceeded)
-    except ResolutionExceeded:
-        return None
+    if 2 * n > cap:
+        raise ResolutionExceeded(f"map needs resolution {n}, above half the cap {cap}")
     return n
 
 
-def _is_stride(resolution: int, level: int | None) -> bool:
+def _is_stride(resolution: int, level: int) -> bool:
     """Whether the nodes at `resolution` are a stride of those at `level`."""
-    ratio, rest = divmod(level or 0, resolution)
+    ratio, rest = divmod(level, resolution)
     return rest == 0 and ratio > 0 and ratio & (ratio - 1) == 0
 
 
@@ -209,7 +199,7 @@ class _Samples:
     a level reads every sub-expression held there (or at such a finer
     level) instead of evaluating it again, so a perturbation of a held
     base map costs its field alone. Only each map's latest level is held,
-    so a long refinement does not pin every level it passed, and no grid
+    so a doubling distance does not pin every level it passed, and no grid
     is held: the nodes live while one map is evaluated on them (the grid
     of 1024 bands alone is 50 MB). A distance at a level the first map
     is not held at is streamed and holds nothing (distance). One
@@ -227,7 +217,7 @@ class _Samples:
         self._values[e] = (resolution, Y)
 
     def values(self, e: MapExpr, resolution: int) -> np.ndarray:
-        level, Y = self._values.get(e, (None, None))
+        level, Y = self._values.get(e, (0, None))
         if _is_stride(resolution, level):
             return _coarsen_to(e.dim, resolution, level, Y)
         self._values.pop(e, None)  # not held while the next level is evaluated
@@ -246,7 +236,7 @@ class _Samples:
         running max is kept. The max of the blocks' maxima is the max of
         the whole level, bit for bit.
         """
-        level, _ = self._values.get(f, (None, None))
+        level, _ = self._values.get(f, (0, None))
         if _is_stride(resolution, level):
             return pair_distance(self.values(f, resolution), self.values(g, resolution))
         return max(pair_distance(F, G) for F, G in _pair_blocks(f, g, resolution))
@@ -302,61 +292,31 @@ def _known(
     return known
 
 
-def _refine(
-    e: MapExpr, params: DegreeParams, samples: _Samples, n: int | None
-) -> DegreeResult:
-    """The degree from one proven raw pass at level n, or from two agreeing ones.
+def _refine(e: MapExpr, samples: _Samples, n: int) -> DegreeResult:
+    """The degree from one raw pass at level n, which a Lipschitz bound L proves.
 
     The pass, winding on S1 and simplicial on S2, returns (raw degree,
     largest image step or edge angle) from the map's values on one grid,
     read through `samples`, which may hold a blend check's children at a
-    level n is a stride of. A level n from a Lipschitz bound L is read
-    alone: n >= 2*pi*L samples keep every image step below pi/3, and
-    n >= pi*L bands every image edge below pi/2, so the sum is the
-    degree (Stenger 1975, Kearfott 1979). A guard over STEP_CAP or a raw
-    value _PROVEN_RESIDUAL or more from an integer there is a bug
-    (ConsistencyError). With n None, a blend without a usable bound,
-    the level doubles from params.initial_for(dim) until two consecutive
-    passes keep the guard within STEP_CAP and agree within TOLERANCE,
-    the finer within TOLERANCE of an integer; each pair evaluates only
-    its finer level. A level's double must fit the row budget, and no
-    level beyond it is sampled.
+    level n is a stride of. n >= 2*pi*L samples keep every image step
+    below pi/3, and n >= pi*L bands every image edge below pi/2, so the
+    sum is the degree (Stenger 1975, Kearfott 1979). A guard over
+    STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
+    there is a bug (ConsistencyError). A level whose double is over the
+    row budget is refused before it is sampled (ResolutionExceeded).
     """
     dim = e.dim
     method, one_pass = _PASSES[dim]
-    if n is not None:
-        check_rows(dim, 2 * n, ResolutionExceeded)
-        raw, step = one_pass(samples.values(e, n), n)
-        value = int(round(raw))
-        residual = abs(raw - value)
-        if not (step <= STEP_CAP and residual < _PROVEN_RESIDUAL):
-            raise ConsistencyError(
-                f"{method} at the proven resolution {n} gave {raw:.6g} with a "
-                f"largest step of {step:.6g} for {e.render()}"
-            )
-        return DegreeResult(value, residual, method, n)
-    n, n_max = params.initial_for(dim), params.max_for(dim)
-    raw_c = step_c = None
-    while 2 * n <= n_max:
-        check_rows(dim, 2 * n, ResolutionExceeded)
-        Y = samples.values(e, 2 * n)
-        if raw_c is None:
-            raw_c, step_c = one_pass(coarsen(dim, n, Y), n)
-        raw_f, step_f = one_pass(Y, 2 * n)
-        del Y  # not held while the next level is evaluated
-        value = int(round(raw_f))
-        residual = abs(raw_f - value)
-        if (
-            step_c <= STEP_CAP
-            and step_f <= STEP_CAP
-            and abs(raw_c - raw_f) <= TOLERANCE
-            and residual < TOLERANCE
-        ):
-            return DegreeResult(value, residual, method, 2 * n)
-        n, raw_c, step_c = 2 * n, raw_f, step_f
-    raise ResolutionExceeded(
-        f"{method} did not stabilize by resolution {n_max} for {e.render()}"
-    )
+    check_rows(dim, 2 * n, ResolutionExceeded)
+    raw, step = one_pass(samples.values(e, n), n)
+    value = int(round(raw))
+    residual = abs(raw - value)
+    if not (step <= STEP_CAP and residual < _PROVEN_RESIDUAL):
+        raise ConsistencyError(
+            f"{method} at the proven resolution {n} gave {raw:.6g} with a "
+            f"largest step of {step:.6g} for {e.render()}"
+        )
+    return DegreeResult(value, residual, method, n)
 
 
 def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
@@ -370,9 +330,8 @@ def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
 def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     """Winding-number degree of an S1 expression, after the blend check.
 
-    One proven level for a map with a Lipschitz bound; for a blend
-    without one, the sample count doubles until consecutive levels agree
-    within TOLERANCE and no wrapped step exceeds STEP_CAP.
+    Read at the one sample count the map's Lipschitz bound proves, or
+    refused (ResolutionExceeded) where no admitted count proves it.
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
@@ -429,9 +388,8 @@ def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> Degr
     """Simplicial solid-angle degree of an S2 expression, after the blend check.
 
     The resolution counts latitude bands; each ring carries twice as many
-    longitudes. One proven level for a map with a Lipschitz bound; for a
-    blend without one, the bands double until consecutive levels agree
-    within TOLERANCE and no image edge spans more than STEP_CAP.
+    longitudes. Read at the one level the map's Lipschitz bound proves,
+    or refused (ResolutionExceeded) where no admitted level proves it.
     """
     if e.dim != 2:
         raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")
@@ -458,30 +416,44 @@ def pair_min_norm(F: np.ndarray, G: np.ndarray) -> tuple[float, int]:
     return float(norms[row]), row
 
 
-def _lipschitz(e: MapExpr, blends: dict[int, float | None]) -> float | None:
+def _lipschitz(e: MapExpr, blends: dict[int, float]) -> float:
     """e's Lipschitz bound by the AST's rules, with blends[id(node)] for each blend."""
     if isinstance(e, Blend):
-        return blends.get(id(e))
+        return blends[id(e)]
     return e._bound([_lipschitz(c, blends) for c in e.children()])
 
 
-def _blend_bound(node: Blend, inner: list, min_norm: float, n: int) -> float | None:
+def _blend_bound(node: Blend, inner: list[float], min_norm: float, n: int) -> float | None:
     """A blend's Lipschitz bound from its children's and its check at level n.
 
     For unit F, G, |(1-t) F + t G| >= |F + G| / 2, which is
     (L_f + L_g)/2-Lipschitz; every point lies within mesh(dim, n) of a
     node, so m = min_norm - (L_f + L_g)/2 * mesh bounds the norm from
     below everywhere. Normalization is 1/m-Lipschitz on |v| >= m, so the
-    blend is ((1-t) L_f + t L_g) / m-Lipschitz. None when a child has no
-    bound or m is not above BLEND_MIN_NORM.
+    blend is ((1-t) L_f + t L_g) / m-Lipschitz. None when m is not above
+    BLEND_MIN_NORM.
     """
     lf, lg = inner
-    if lf is None or lg is None:
-        return None
     floor = min_norm - 0.5 * (lf + lg) * mesh(node.dim, n)
     if not floor > BLEND_MIN_NORM:
         return None
     return ((1.0 - node.t) * lf + node.t * lg) / floor
+
+
+def _refuse_unprovable(node: Blend, inner: list[float], params: DegreeParams) -> None:
+    """Refuse, before sampling, a blend that no admitted level can prove.
+
+    The m of _blend_bound is at most 1, so the blend's bound is at least
+    (1-t) L_f + t L_g.
+    """
+    lf, lg = inner
+    need, cap = _WRAP[node.dim] * ((1.0 - node.t) * lf + node.t * lg), params.max_for(node.dim)
+    if not need <= cap // 2:
+        shown = math.ceil(need) if math.isfinite(need) else need
+        raise ResolutionExceeded(
+            f"blend needs resolution {shown} or more, above half the cap {cap}, "
+            f"in {node.render()}"
+        )
 
 
 def _refuse(node: Blend, n: int, min_norm: float, row: int) -> None:
@@ -495,49 +467,61 @@ def _refuse(node: Blend, n: int, min_norm: float, row: int) -> None:
 
 def check_blend_validity(
     e: MapExpr, params: DegreeParams
-) -> tuple[float | None, list[tuple[MapExpr, int, np.ndarray]]]:
+) -> tuple[float, list[tuple[MapExpr, int, np.ndarray]]]:
     """Reject expressions whose blend denominators approach zero, and bound the rest.
 
     Each blend's children are sampled on one grid and the segment between
     them is checked at its exact minimum over t, not only at the node's
     own t. Conservative by design: a pinch anywhere on the segment is
     treated as inconclusive. Blends are checked inside out, each after
-    the blends within it, since its bound (_blend_bound) needs theirs.
-    A check runs coarse first, from params.initial_for(dim) doubling to
-    params.grid_for(dim): the first level whose bound proves the blend
-    at that level or a coarser one accepts it. A pinch, or a level that
-    decides nothing, sends the check to grid_for, where it is decided as
-    a single grid check is: a pinch there raises InvalidBlend, after the
-    blends before it in walk order are checked there too, so the error
-    names the first pinch in that order. A rigorous bound keeps the
-    nodes of grid_for above BLEND_MIN_NORM, so no coarse level accepts
-    what grid_for refuses.
+    the blends within it, since its bound (_blend_bound) needs theirs,
+    and one that no admitted level can prove is refused before it is
+    sampled (_refuse_unprovable). A check runs coarse first, from
+    params.initial_for(dim) doubling through params.grid_for(dim) to the
+    last admitted level: the first level whose bound proves the blend
+    there or coarser accepts it, and a blend the last level does not
+    prove is refused (ResolutionExceeded). A pinch below grid_for is
+    decided on grid_for, as a single grid check would decide it; a pinch
+    there or finer raises InvalidBlend, after the blends before it in
+    walk order are checked on the grid too, so the error names the first
+    pinch in that order. A rigorous bound keeps the nodes of grid_for
+    above BLEND_MIN_NORM, so no coarse level accepts what grid_for
+    refuses.
 
-    Returns e's Lipschitz bound with each blend's from its check (None
-    where one has none), and the last check's two children as (map,
-    level, values), for the degree to read; every other check's samples
-    are dropped, so what is held does not grow with the blends.
+    Returns e's Lipschitz bound with each blend's from its check, and
+    the last check's two children as (map, level, values), for the
+    degree to read; every other check's samples are dropped, so what is
+    held does not grow with the blends.
     """
     blends = [node for node in walk(e) if isinstance(node, Blend)]
     bounds, held = {}, []
     for i in reversed(range(len(blends))):  # each blend after the blends within it
         node, held = blends[i], []  # the previous check's samples go
-        inner = [_lipschitz(c, bounds) for c in (node.f, node.g)]
-        n, grid = params.initial_for(node.dim), params.grid_for(node.dim)
+        dim, inner = node.dim, [_lipschitz(c, bounds) for c in (node.f, node.g)]
+        _refuse_unprovable(node, inner, params)
+        n, grid = params.initial_for(dim), params.grid_for(dim)
         while True:
             samples = _Samples()
             F, G = samples.values(node.f, n), samples.values(node.g, n)
             min_norm, row = pair_min_norm(F, G)
             bound = _blend_bound(node, inner, min_norm, n)
-            if n >= grid or (bound is not None and _WRAP[node.dim] * bound <= n):
+            if bound is not None and _WRAP[dim] * bound <= n:
                 break
-            n = grid if min_norm <= BLEND_MIN_NORM else 2 * n
-        if min_norm <= BLEND_MIN_NORM:
-            for earlier in blends[:i]:
-                level, shared = params.grid_for(earlier.dim), _Samples()
-                F, G = shared.values(earlier.f, level), shared.values(earlier.g, level)
-                _refuse(earlier, level, *pair_min_norm(F, G))
-            _refuse(node, n, min_norm, row)
+            if min_norm <= BLEND_MIN_NORM and n >= grid:
+                for earlier in blends[:i]:
+                    level, shared = params.grid_for(earlier.dim), _Samples()
+                    F, G = shared.values(earlier.f, level), shared.values(earlier.g, level)
+                    _refuse(earlier, level, *pair_min_norm(F, G))
+                _refuse(node, n, min_norm, row)
+            if min_norm <= BLEND_MIN_NORM:
+                n = grid
+            elif 2 * n <= grid or _admitted(2 * n, params, dim):
+                n *= 2
+            else:
+                raise ResolutionExceeded(
+                    f"blend proven at no level up to {n}, segment minimum "
+                    f"{min_norm:.3e}, in {node.render()}"
+                )
         bounds[id(node)] = bound
         held = [(node.f, n, F), (node.g, n, G)]
     return _lipschitz(e, bounds), held
@@ -546,21 +530,21 @@ def check_blend_validity(
 def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     """Degree of any well-formed expression.
 
-    When the AST knows its degree the numeric method must confirm it (a
-    disagreement raises SymbolicNumericMismatch and is always a bug or an
-    insufficient-resolution signal, never silently preferred away). When
-    it does not (a blend is present), the blend denominators are checked
-    and the numeric result is returned as-is.
+    Every map takes one route: the blend check, then one pass at the
+    level its Lipschitz bound proves. When the AST knows the degree (the
+    map has no blend) that pass must confirm it: a disagreement raises
+    SymbolicNumericMismatch and is always a bug, never silently
+    preferred away. Otherwise the numeric result is returned as-is.
     """
     return _degree(e, params, _Samples())
 
 
 def _degree(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
     """degree(e, params), reading the map's values from `samples`."""
+    witness = _checked(e, params, samples)
     sd = e.symbolic_degree()
     if sd is None:
-        return _checked(e, params, samples)
-    witness = _refine(e, params, samples, _start_resolution(e.lipschitz_bound(), params, e.dim))
+        return witness
     if witness.value != sd:
         raise SymbolicNumericMismatch(
             f"structural degree {sd} but {witness.method} found {witness.value} "
@@ -570,16 +554,14 @@ def _degree(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult
 
 
 def _checked(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
-    """_refine after the blend check, at the level the check's bound proves.
+    """_refine after the blend check, at the level its bound proves (_proven_level).
 
     A map with a blend reads its last check's children from `samples`.
     """
     bound, held = check_blend_validity(e, params)
-    if not held:
-        return _refine(e, params, samples, _start_resolution(bound, params, e.dim))
     for f, n, Y in held:
         samples.hold(f, n, Y)
-    return _refine(e, params, samples, _blend_level(bound, params, e.dim))
+    return _refine(e, samples, _proven_level(bound, params, e.dim, on_schedule=bool(held)))
 
 
 def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> DistanceEstimate:

@@ -34,7 +34,7 @@ class DomainError(MapdegError):
 
 
 class ResolutionExceeded(MapdegError):
-    """Adaptive refinement hit the resolution cap without converging.
+    """No level within the resolution cap and the row budget proves the degree.
 
     Signals an inconclusive computation, never a wrong integer.
     """

@@ -39,13 +39,18 @@ def normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / norms[:, None]
 
 
-def check_rows(dim: int, resolution: int, error: type[Exception]) -> None:
-    """Raise `error` if make_grid(dim, resolution) holds more than MAX_ROWS rows.
+def grid_fits(dim: int, resolution: int) -> bool:
+    """Whether make_grid(dim, resolution) holds at most MAX_ROWS rows.
 
     Counts n rows on S1 and the 2n^2 - 2n + 2 mesh vertices on S2.
     """
     rows = resolution if dim == 1 else 2 * resolution * (resolution - 1) + 2
-    if rows > MAX_ROWS:
+    return rows <= MAX_ROWS
+
+
+def check_rows(dim: int, resolution: int, error: type[Exception]) -> None:
+    """Raise `error` unless grid_fits(dim, resolution)."""
+    if not grid_fits(dim, resolution):
         raise error(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
 
 

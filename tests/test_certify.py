@@ -431,19 +431,44 @@ class TestEvaluationCount:
         assert res.residual < 1e-6
         assert rows == {(f.render(), 8066): 1 for f in (e, e.f, e.g)}
 
-    def test_blend_without_a_bound_compares_two_levels(self, rows):
-        # cos(1.45) = 0.121 proves the blend only at 1024 bands, whose
-        # double is over the cap: 64 is compared against 128, read from
-        # the children the check left at 128
+    def test_blend_check_doubles_until_its_bound_proves_a_level(self, rows):
+        # cos(1.45) = 0.121 leaves m_rig = 0.017 at 128 bands and 0.069 at
+        # 256: the check samples both children at 64, 128 and 256 bands,
+        # and the degree, proven at 256, reads them from there
         e = parse("(blend 0.5 (susp (pow 3)) (compose (rot3 0 0 1 2.9) (susp (pow 3))))")
-        assert degree(e).resolution == 128
-        assert rows == {
-            (e.f.render(), 8066): 1,
-            (e.g.render(), 8066): 1,
-            (e.f.render(), 32514): 1,
-            (e.g.render(), 32514): 1,
-            (e.render(), 32514): 1,
+        assert degree(e).resolution == 256
+        levels = (8066, 32514, 130562)
+        assert rows == {(f.render(), n): 1 for f in (e.f, e.g) for n in levels} | {
+            (e.render(), 130562): 1
         }
+
+    def test_a_blend_the_grid_leaves_unproven_is_read_coarser(self, rows):
+        # m = cos(1.4) = 0.17 leaves m_rig = 0.066 at 128 bands, which
+        # needs pi * L = 143; at 256 it needs 116, so the degree is read at
+        # 128 bands by stride from the children the check left at 256
+        e = parse("(blend 0.5 (susp (pow 3)) (compose (rot3 0 0 1 2.8) (susp (pow 3))))")
+        res = degree(e)
+        assert (res.value, res.resolution) == (3, 128)
+        assert res.residual < 1e-6
+        levels = (8066, 32514, 130562)
+        assert rows == {(f.render(), n): 1 for f in (e.f, e.g) for n in levels} | {
+            (e.render(), 32514): 1
+        }
+
+    def test_an_unprovable_blend_is_refused_before_sampling(self, rows):
+        # each blend's (1 - t) L_f + t L_g bounds its check's bound from
+        # below, and each asks for more than half the cap: pi * 600 bands
+        # for the first, and for the iterated perturbation of the second
+        # far more, so no child is evaluated at all
+        e = parse(
+            "(compose (blend 0.5 (susp (pow 600)) (susp (pow 600)))"
+            " (blend 0.5 (iterate 8 (perturb 1 0.5 (id 2))) (id 2)))"
+        )
+        with pytest.raises(ResolutionExceeded, match="above half the cap 1024"):
+            degree(e)
+        with pytest.raises(ResolutionExceeded, match=r"resolution 1885 or more"):
+            degree(e.outer)
+        assert rows == {}
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
         e = parse("(perturb 4 0.5 (susp (pow 2)))")

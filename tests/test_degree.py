@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import random
@@ -18,6 +19,7 @@ from mapdeg import (
     InvalidBlend,
     InvalidResolution,
     Iterate,
+    MapExpr,
     Perturb,
     Pow,
     ResolutionExceeded,
@@ -34,9 +36,8 @@ from mapdeg import (
 from mapdeg import geometry
 from mapdeg.degree import (
     STEP_CAP,
-    _blend_level,
+    _proven_level,
     _Samples,
-    _start_resolution,
     _streamed_min_norm,
     check_blend_validity,
     pair_distance,
@@ -49,8 +50,22 @@ from test_expr import winding_oracle
 degree_module = importlib.import_module("mapdeg.degree")
 
 
+@pytest.fixture
+def check_rows_seen(monkeypatch):
+    """Rows of each level a blend check sampled, in order."""
+    seen = []
+    original = degree_module.pair_min_norm
+
+    def spy(F, G):
+        seen.append(len(F))
+        return original(F, G)
+
+    monkeypatch.setattr(degree_module, "pair_min_norm", spy)
+    return seen
+
+
 def _trees(leaves):
-    """Random blend-free trees over `leaves`: compose, iterate and perturb."""
+    """Random trees over `leaves`: compose, iterate and perturb."""
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
@@ -64,24 +79,22 @@ def _trees(leaves):
     )
 
 
-S1_TREES = _trees(
-    st.one_of(
-        st.integers(-3, 3).map(Pow),
-        st.floats(-math.pi, math.pi).map(Rot),
-        st.sampled_from([Conj(), Antipode(1)]),
-    )
+_S1_LEAVES = st.one_of(
+    st.integers(-3, 3).map(Pow),
+    st.floats(-math.pi, math.pi).map(Rot),
+    st.sampled_from([Conj(), Antipode(1)]),
 )
-S2_TREES = _trees(
-    st.one_of(
-        st.integers(-3, 3).map(lambda k: Susp(Pow(k))),
-        st.just(Antipode(2)),
-        st.builds(
-            Rot3,
-            st.tuples(st.just(0.3), st.floats(-1, 1), st.just(1.0)),
-            st.floats(-math.pi, math.pi),
-        ),
-    )
+_S2_LEAVES = st.one_of(
+    st.integers(-3, 3).map(lambda k: Susp(Pow(k))),
+    st.just(Antipode(2)),
+    st.builds(
+        Rot3,
+        st.tuples(st.just(0.3), st.floats(-1, 1), st.just(1.0)),
+        st.floats(-math.pi, math.pi),
+    ),
 )
+S1_TREES = _trees(_S1_LEAVES)
+S2_TREES = _trees(_S2_LEAVES)
 
 
 def _blends(trees, turned):
@@ -115,6 +128,36 @@ S2_BLENDS = _blends(
         st.floats(-3.0, 3.0),
     ),
 )
+
+
+def _with_blends(leaves, turn):
+    """Trees whose leaves include blends, at any t, of two leaves or of a
+    leaf and itself turned by turn(a) for a up to 3.1 rad."""
+    turned = st.builds(
+        lambda f, t, a: Blend(t, f, Compose(turn(a), f)),
+        leaves,
+        st.floats(0.0, 1.0),
+        st.floats(-3.1, 3.1),
+    )
+    paired = st.builds(Blend, st.floats(0.0, 1.0), leaves, leaves)
+    return _trees(st.one_of(leaves, turned, paired))
+
+
+S1_WITH_BLENDS = _with_blends(_S1_LEAVES, Rot)
+S2_WITH_BLENDS = _with_blends(_S2_LEAVES, lambda a: Rot3((0.3, 0.5, 1.0), a))
+
+
+def _first_ends(e):
+    """e with each blend replaced by its first end: the map it is
+    homotopic to wherever its segment does not pinch."""
+    if isinstance(e, Blend):
+        return _first_ends(e.f)
+    changes = {
+        f.name: _first_ends(getattr(e, f.name))
+        for f in dataclasses.fields(e)
+        if f.init and isinstance(getattr(e, f.name), MapExpr)
+    }
+    return dataclasses.replace(e, **changes)
 
 
 class TestWinding:
@@ -153,14 +196,17 @@ class TestWinding:
         with pytest.raises(ResolutionExceeded, match="resolution 258, above half the cap 515"):
             degree_winding(e, DegreeParams(max_resolution=515))
 
-    def test_refinement_stops_at_the_row_budget(self, monkeypatch):
-        # a blend has no wrap bound, so only the budget ends the doubling:
-        # levels 16, 32 and 64 break the step guard, 128 is never sampled
+    def test_refinement_stops_at_the_row_budget(self, monkeypatch, check_rows_seen):
+        # the blend check doubles while its bound proves no level, up to
+        # the last level whose double fits the budget: m_rig is below 0 at
+        # 16 and 32 samples, and 64 (128 rows for its double) is never
+        # sampled
         monkeypatch.setattr(geometry, "MAX_ROWS", 64)
         e = parse("(blend 0.0 (pow 20) (pow 20))")
         params = DegreeParams(initial_resolution=16, max_resolution=1 << 20)
-        with pytest.raises(ResolutionExceeded, match="resolution 128 needs more than 64"):
+        with pytest.raises(ResolutionExceeded, match=r"up to 32, segment minimum 1.000e\+00"):
             degree_winding(e, params)
+        assert check_rows_seen == [16, 32]
         # the blend check samples the 128-sample grid first, and refuses it
         with pytest.raises(InvalidResolution, match="resolution 128 needs more than 64"):
             degree_winding(e, DegreeParams(initial_resolution=128))
@@ -210,38 +256,46 @@ def _turned(k, angle):
 class TestSimplicial:
     def test_default_levels_are_64_and_128_bands(self):
         # a map without a blend is proven at 64 bands. A blend check runs
-        # at 64 bands, then 128; its bound proves the degree at 64 or 128
-        # bands, or at neither, where 64 is compared against 128.
+        # at 64 bands, then on the 128-band grid, and doubles on while its
+        # bound proves no level; the degree is read at the first 64 * 2**j
+        # the bound proves, from the children the check left there
         assert degree_simplicial(parse("(susp (pow 2))")).resolution == 64
         cases = [
-            # (k, turn, check level, degree level, proven there)
-            (2, 0.5, 64, 64, True),
+            # (k, turn, check level, degree level)
+            (2, 0.5, 64, 64),
             # cos(1.25) = 0.315: 64 bands leave 0.107 of it, 128 0.211
-            (3, 2.5, 128, 64, True),
-            (3, 2.7, 128, 128, True),
-            # cos(1.45) = 0.121 proves 571 bands, whose double is over the cap
-            (3, 2.9, 128, 128, False),
+            (3, 2.5, 128, 64),
+            (3, 2.7, 128, 128),
+            # cos(1.45) = 0.121: 128 bands leave 0.017 of it, 256 0.069
+            (3, 2.9, 256, 256),
         ]
-        for k, turn, check, level, proven in cases:
+        for k, turn, check, level in cases:
             e = _turned(k, turn)
             bound, held = check_blend_validity(e, DegreeParams())
             assert [(f, n) for f, n, _ in held] == [(e.f, check), (e.g, check)]
             res = degree_simplicial(e)
             assert (res.value, res.resolution) == (k, level)
-            assert _blend_level(bound, DegreeParams(), 2) == (level if proven else None)
+            assert _proven_level(bound, DegreeParams(), 2, on_schedule=True) == level
 
-    def test_edge_guard_refuses_a_level_the_raw_values_accept(self):
+    def test_edge_guard_refuses_a_level_the_raw_values_accept(self, monkeypatch):
         # 8 bands carry 16 longitudes, so (susp (pow 5)) turns an equator
-        # edge by 5 * pi / 8 > pi / 2 while both levels still read 5. A
-        # blend has no structural wrap bound: only the guard can refuse.
+        # edge by 5 * pi / 8 > pi / 2 while the raw sum still reads 5
         e = parse("(blend 0.0 (susp (pow 5)) (susp (pow 5)))")
         raw, edge = raw_pass(e, 8)
         assert round(raw) == 5
         assert edge > math.pi / 2
-        with pytest.raises(ResolutionExceeded):
+        # the blend's bound is at least L_f = 5, which needs 15.7 bands:
+        # under a cap of 16 no level that could prove it is admitted
+        with pytest.raises(ResolutionExceeded, match="needs resolution 16 or more"):
             degree_simplicial(e, DegreeParams(initial_resolution=8, max_resolution=16))
-        res = degree_simplicial(e, DegreeParams(initial_resolution=8, max_resolution=32))
+        # the check proves L = 7.66 at 64 bands, and the degree reads 32
+        params = DegreeParams(initial_resolution=8, max_resolution=128)
+        res = degree_simplicial(e, params)
         assert (res.value, res.resolution) == (5, 32)
+        # a lying bound reads 8 bands, where only the guard can refuse
+        monkeypatch.setattr(degree_module, "_blend_bound", lambda *args: 1.0)
+        with pytest.raises(ConsistencyError, match="proven resolution 8 gave 5"):
+            degree_simplicial(e, params)
 
     @settings(deadline=None)
     @given(S2_TREES.filter(lambda e: e.lipschitz_bound() <= 40.0))
@@ -259,19 +313,44 @@ class TestProvenLevel:
         res = (degree_winding if e.dim == 1 else degree_simplicial)(e)
         assert res.value == e.symbolic_degree()
         assert res.residual < 1e-6
-        assert res.resolution == _start_resolution(e.lipschitz_bound(), DegreeParams(), e.dim)
+        level = _proven_level(e.lipschitz_bound(), DegreeParams(), e.dim, on_schedule=False)
+        assert res.resolution == level
 
     @settings(deadline=None, max_examples=40)
     @given(st.one_of(S1_BLENDS, S2_BLENDS))
     def test_proven_blend_degree_is_the_degree_of_its_ends(self, e):
-        # a blend that does not pinch is homotopic to either end
+        # a blend that does not pinch is homotopic to either end; one
+        # that no admitted level proves is refused
+        try:
+            res = degree(e)
+        except ResolutionExceeded:
+            assume(False)
         bound, _ = check_blend_validity(e, DegreeParams())
-        level = _blend_level(bound, DegreeParams(), e.dim)
-        assume(level is not None)
-        res = degree(e)
         assert res.value == e.f.symbolic_degree()
         assert res.residual < 1e-6
+        assert res.resolution == _proven_level(bound, DegreeParams(), e.dim, on_schedule=True)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(S1_TREES, S2_TREES, S1_WITH_BLENDS, S2_WITH_BLENDS))
+    def test_every_degree_is_read_at_the_level_its_bound_gives(self, e):
+        # the one level is the first start-level multiple n * 2**j at or
+        # above 2*pi*L samples or pi*L bands with a blend, and that bound
+        # itself, rounded up, without one
+        params = DegreeParams()
+        try:
+            res = degree(e)
+        except (ResolutionExceeded, InvalidBlend):
+            return
+        bound, held = check_blend_validity(e, params)
+        need = max(params.initial_for(e.dim), (2 * math.pi / e.dim) * bound)
+        level = math.ceil(need)
+        if held:
+            level = params.initial_for(e.dim)
+            while level < need:
+                level *= 2
         assert res.resolution == level
+        assert res.residual < 1e-6
+        assert res.value == _first_ends(e).symbolic_degree()
 
     def test_a_lying_bound_never_returns_an_integer(self, monkeypatch):
         # L = 1 starts (pow 40) at 64 bands, where its equator edges turn
@@ -327,26 +406,28 @@ class TestDegreeDispatch:
         with pytest.raises(InvalidBlend, match="denominator 1.000e-07"):
             method(parse(text))
 
-    def test_the_coarse_check_never_accepts_what_the_grid_refuses(self, monkeypatch):
+    def test_the_coarse_check_never_accepts_what_the_grid_refuses(self, check_rows_seen):
         # 64 bands see the same 1e-7 pinch; the check moves on to the
         # 128-band grid and refuses there, with the grid's own minimum
         e = parse("(blend 0.5 (id 2) (rot3 0 0 1 3.141592453589793))")
-        levels = []
-        original = degree_module.pair_min_norm
-
-        def spy(F, G):
-            levels.append(len(F))
-            return original(F, G)
-
-        monkeypatch.setattr(degree_module, "pair_min_norm", spy)
         with pytest.raises(InvalidBlend) as refused:
             check_blend_validity(e, DegreeParams())
-        assert levels == [8066, 32514]
+        assert check_rows_seen == [8066, 32514]
         X = geometry.make_grid(2, 128)
         low, row = pair_min_norm(eval_array(e.f, X), eval_array(e.g, X))
         assert str(refused.value) == (
             f"blend denominator {low:.3e} at t=0.5 near {tuple(X[row].tolist())} in {e.render()}"
         )
+
+    def test_a_pinch_past_the_grid_is_refused_where_it_is_found(self, check_rows_seen):
+        # the ends are antipodal at the angle pi/256, a node of 512
+        # samples but not of the 256-sample grid, whose m = sin(pi/256)
+        # proves nothing: the check doubles and refuses at 512
+        e = parse("(blend 0.5 (pow 1) (compose (rot -3.117048960983623) (pow -1)))")
+        x, _ = geometry.grid_node(1, 512, 1)
+        with pytest.raises(InvalidBlend, match=rf"denominator 1.908e-17 at t=0.5 near \({x}"):
+            degree(e)
+        assert check_rows_seen == [256, 512]
 
     def test_a_pinch_names_the_first_blend_in_walk_order(self):
         # the inner blend pinches at 1e-7 and the outer one at 0. Blends
@@ -356,6 +437,51 @@ class TestDegreeDispatch:
         e = parse(f"(blend 0.5 {inner} (compose (antipode 1) {inner}))")
         with pytest.raises(InvalidBlend, match=r"denominator 0.000e\+00 .* in \(blend 0.5 \(blend"):
             check_blend_validity(e, DegreeParams())
+
+    @pytest.mark.parametrize(
+        ("text", "last", "rows"),
+        [
+            # m = 4.6e-5 needs about 136,000 samples; 8192 is the last
+            # level whose double fits the default cap of 16384
+            ("(blend 0.5 (rot 0) (rot 3.1415))", 8192, [256, 512, 1024, 2048, 4096, 8192]),
+            # m = 0.021 needs 1024 bands, whose double is over the row
+            # budget: 512 bands is the last level admitted
+            (
+                "(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 3.1) (susp (pow 2))))",
+                512,
+                [8066, 32514, 130562, 523266],
+            ),
+        ],
+    )
+    def test_the_check_stops_at_the_last_admitted_level(self, check_rows_seen, text, last, rows):
+        e = parse(text)
+        with pytest.raises(ResolutionExceeded, match=rf"no level up to {last}, segment minimum"):
+            degree(e)
+        assert check_rows_seen == rows
+
+    def test_a_larger_cap_admits_a_finer_proof(self):
+        e = parse("(blend 0.5 (rot 0) (rot 3.14))")
+        with pytest.raises(ResolutionExceeded, match="no level up to 8192"):
+            degree(e)
+        res = degree(e, DegreeParams(max_resolution=32768))
+        assert (res.value, res.resolution) == (1, 16384)
+        assert res.residual < 1e-6
+
+    def test_the_refusal_before_sampling_weighs_the_ends_by_t(self, check_rows_seen):
+        # 2*pi * L_g = 10789 samples is over half the cap, but the blend
+        # leans on f: its bound is at least 0.99 * 2 + 0.01 * 1717, which
+        # needs 120 samples. The mesh term (L_f + L_g) / 2 * mesh leaves
+        # m_rig > 0 only at 8192 samples, and the degree reads 512 there.
+        e = parse("(blend 0.01 (pow 2) (perturb 3 0.998 (pow 2)))")
+        assert 2 * math.pi * e.g.lipschitz_bound() > DegreeParams().max_for(1) // 2
+        res = degree(e)
+        assert (res.value, res.resolution) == (2, 512)
+        sampled = [256, 512, 1024, 2048, 4096, 8192]
+        assert check_rows_seen == sampled
+        # with the weights the other way round no level can prove it
+        with pytest.raises(ResolutionExceeded, match="needs resolution 10682 or more"):
+            degree(Blend(0.99, e.f, e.g))
+        assert check_rows_seen == sampled
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -529,9 +655,11 @@ class TestLipschitzBound:
     @example(parse("(blend 0.5 (id 2) (compose (rot3 0.3 0.5 1.0 3.0) (id 2)))"), 0, 64)
     def test_bounds_chordal_difference_quotients(self, e, seed, resolution):
         # a blend's bound comes from its check, on the given grid; a map
-        # without one has its AST bound
-        bound, _ = check_blend_validity(e, DegreeParams(initial_resolution=resolution))
-        if bound is None:
+        # without one has its AST bound, and a blend that no admitted
+        # level proves has none to test
+        try:
+            bound, _ = check_blend_validity(e, DegreeParams(initial_resolution=resolution))
+        except ResolutionExceeded:
             return
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(300, e.dim + 1))
