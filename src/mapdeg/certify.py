@@ -25,6 +25,7 @@ from .degree import (
     _Samples,
     _streamed_min_norm,
     _sup_distance,
+    check_blend_validity,
     degree,
 )
 from .errors import ConsistencyError, DimensionMismatch, DistanceTooLarge
@@ -236,41 +237,40 @@ def certify_not_iterate(
 @functools.lru_cache(maxsize=1)
 def _kept_base(
     text: str, params: DegreeParams, f0: MapExpr
-) -> tuple[DegreeResult, PowerWitness | None, np.ndarray]:
+) -> tuple[DegreeResult, PowerWitness | None, np.ndarray, float]:
     """A ball certificate's base map, certified once for later calls.
 
-    f0's degree, its power witness, and its values on
-    make_grid(dim, params.grid_for(dim)), which are read-only; the
-    degree, and every distance level they cover, read them where the
-    levels meet. One entry only, so what is held between
-    calls is one level of one base map. text is f0.render() and part of
-    the key: (rot 0.0) == (rot -0.0) and the two hash alike, but they
-    may round differently. lru_cache keeps no exception, so an error is
-    never kept: the next call computes again and raises again.
+    f0's degree, its power witness, its values on
+    make_grid(dim, params.grid_for(dim)), which are read-only, and its
+    blend check's bound; the degree, and every distance level the values
+    cover, read them where the levels meet. One entry only, so what is
+    held between calls is one level of one base map. text is f0.render()
+    and part of the key: (rot 0.0) == (rot -0.0) and the two hash alike,
+    but they may round differently. lru_cache keeps no exception, so an
+    error is never kept: the next call computes again and raises again.
     """
     n, samples = params.grid_for(f0.dim), _Samples()
     samples.values(f0, n)
-    deg = _degree(f0, params, samples)
+    bound = check_blend_validity(f0, params, samples)
+    deg = _degree(f0, params, samples, bound)
     values = samples.values(f0, n)  # evaluated again only if the degree left n
     values.setflags(write=False)
-    return deg, is_perfect_power(deg.value), values
+    return deg, is_perfect_power(deg.value), values, bound
 
 
-def _first_level(f0: MapExpr, g: MapExpr, params: DegreeParams) -> int:
-    """The first distance level of ball_certificate(f0, g, params).
+def _first_level(dim: int, slope: float, params: DegreeParams) -> int:
+    """The first distance level of a ball certificate whose maps' bounds sum to slope.
 
-    The rigorous bound at a level n is at least (L_f + L_g) * mesh(n),
-    so it is the coarsest params.initial_for(dim) * 2**j at which that
-    term is below 1: no coarser level can prove the distance. A level
-    over the row budget is refused with DistanceTooLarge before anything
-    is sampled. Without a finite bound, a blend's say, the sampled
-    distance on params.grid_for(dim) decides.
+    The rigorous bound at a level n is at least slope * mesh(n), so it
+    is the coarsest params.initial_for(dim) * 2**j at which that term is
+    below 1: no coarser level can prove the distance. A slope that is
+    not finite, or a level over the row budget, is refused with
+    DistanceTooLarge before anything is sampled.
     """
-    dim, bounds = f0.dim, (f0.lipschitz_bound(), g.lipschitz_bound())
-    if None in bounds or not math.isfinite(sum(bounds)):
-        return params.grid_for(dim)
+    if not math.isfinite(slope):
+        raise DistanceTooLarge(f"Lipschitz bound {slope}: no level proves the distance")
     n = params.initial_for(dim)
-    while sum(bounds) * mesh(dim, n) >= BALL_RADIUS:
+    while slope * mesh(dim, n) >= BALL_RADIUS:
         n *= 2
         check_rows(dim, n, DistanceTooLarge)
     return n
@@ -284,45 +284,48 @@ def ball_certificate(
     Requires degree(f0) not to be a perfect power and the sup distance
     between f0 and g to be below 1. Then the straight-line homotopy
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
-    vectors, and g has f0's degree. When both maps have a Lipschitz
-    bound, the rigorous distance bound must be below 1: the grid starts
-    at the first level that can prove it (_first_level) and doubles
-    until it does, and the certificate is refused with DistanceTooLarge
-    once the sampled distance reaches 1 or the next grid would exceed
-    the row budget. A map with a blend has no bound, so its sampled
-    distance on params.grid_for(dim) decides. The certificate carries
-    f0's degree; the logic never needs degree(g). It is still computed
-    afterwards as a consistency assertion and must agree.
+    vectors, and g has f0's degree. g's blend check runs once, first,
+    and a refusal there is raised; its bound and f0's, kept with f0's
+    degree, give the rigorous distance bound, which must be below 1. The
+    grid starts at the first level that can prove it (_first_level, which
+    refuses a sum that is not finite) and doubles until it does, and the
+    certificate is refused with
+    DistanceTooLarge once the sampled distance reaches 1 or the next grid
+    would exceed the row budget. The certificate carries f0's degree;
+    the logic never needs degree(g), still computed afterwards from the
+    same bound as a consistency assertion that must agree.
 
-    The three steps share one set of samples, so each map is evaluated
-    at most once per resolution: f0's values are kept at
-    params.grid_for(dim), and every distance level they cover reads
-    them, as degree(g) reads g's values from such a level where its own
-    is a stride of it (on S2 both are usually 64 bands). A finer level
-    is streamed in blocks and holds no array of the whole level. g reads
-    f0 where it contains it, so a perturbation of f0 evaluates its field
-    alone. f0's degree, witness and kept values are kept for the next
-    call with the same rendered base and params, which evaluates g only.
+    The steps share one set of samples, so each map is evaluated at most
+    once per resolution: f0's values are kept at params.grid_for(dim),
+    and g's check, every distance level they cover and degree(g) read
+    them; degree(g) reads g's values from a distance level where its own
+    is a stride of it (on S2 both are usually 64 bands), and the
+    children g's check left held. A finer level is streamed in blocks
+    and holds no array of the whole level. g reads f0 where it contains
+    it, so a perturbation of f0 evaluates its field alone. What
+    _kept_base keeps serves the next call with the same rendered base
+    and params, which evaluates g only.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    deg0, witness, values = _kept_base(f0.render(), params, f0)
+    deg0, witness, values, bound0 = _kept_base(f0.render(), params, f0)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
-    samples = _Samples()
-    samples.hold(f0, params.grid_for(f0.dim), values)
-    n = _first_level(f0, g, params)
+    dim, samples = g.dim, _Samples()
+    samples.hold(f0, params.grid_for(dim), values)
+    bound = check_blend_validity(g, params, samples)
+    n = _first_level(dim, bound0 + bound, params)
     while True:
-        dist = _sup_distance(f0, g, n, samples)
+        dist = _sup_distance(f0, g, n, samples, bound0 + bound)
         if dist.sampled_max >= BALL_RADIUS:
             raise DistanceTooLarge(
                 f"sampled distance {dist.sampled_max:.6f} >= {BALL_RADIUS}; "
                 "the ball argument does not apply (inconclusive)"
             )
-        if dist.rigorous is None or dist.rigorous < BALL_RADIUS:
+        if dist.rigorous < BALL_RADIUS:
             break
         n *= 2
-        check_rows(f0.dim, n, DistanceTooLarge)
+        check_rows(dim, n, DistanceTooLarge)
 
     certificate = NonIterateCertificate(
         subject=g.render(),
@@ -331,7 +334,7 @@ def ball_certificate(
         checked_exponents=_exponent_scan_range(deg0.value),
         ball=BallProvenance(f0.render(), dist),
     )
-    deg_g = _degree(g, params, samples)
+    deg_g = _degree(g, params, samples, bound)
     if deg_g.value != deg0.value:
         raise ConsistencyError(
             f"degree {deg_g.value} of the perturbed map differs from the "

@@ -59,8 +59,8 @@ class DegreeParams:
     of the distance, homotopy and blend sample grids. A blend check
     starts at initial_for(dim) and doubles through grid_for(dim) and on
     to the largest admitted level, stopping at the first level that
-    proves the blend's bound; on the default S2 schedule that is 64,
-    128, 256 or 512 bands.
+    proves the blend's bound or rules the largest out; on the default
+    S2 schedule that is 64, 128, 256 or 512 bands.
     """
 
     initial_resolution: int | None = None
@@ -120,10 +120,9 @@ class DistanceEstimate:
     """Sampled sup distance between two maps, with a bound where one is known.
 
     sampled_max is a lower bound of the true sup. rigorous adds
-    (L_f + L_g) * mesh, with both maps' Lipschitz constants taken from
-    their ASTs, and is a true upper bound. It is None when a map has no
-    finite AST bound, which is always the case for a map with a blend:
-    its check-derived bound belongs to the degree alone.
+    (L_f + L_g) * mesh, with both maps' Lipschitz bounds from their blend
+    checks, and is a true upper bound; None only where that sum is not
+    finite.
     """
 
     sampled_max: float
@@ -147,33 +146,36 @@ def _admitted(n: int, params: DegreeParams, dim: int) -> bool:
     return 2 * n <= params.max_for(dim) and grid_fits(dim, 2 * n)
 
 
-def _proven_level(bound: float, params: DegreeParams, dim: int, on_schedule: bool) -> int:
-    """The one level a map of Lipschitz bound L is read at, where _refine's pass is a proof.
+def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, int | None]:
+    """The one level e is read at, where _refine's pass is a proof, and e's structural degree.
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so no map is read below
     2*pi*L samples on S1 or pi*L bands on S2, nor below
-    params.initial_for(dim). A map without a blend is read there; a map
-    with a blend (on_schedule) at the first initial_for(dim) * 2**j at
-    or above it, a level of the blend checks' schedule, so its last
-    check's children are read by stride. A level whose double exceeds
-    the cap, or an infinite bound, is refused (ResolutionExceeded).
+    params.initial_for(dim). A map whose degree the AST knows, one
+    without a blend, is read there; a map with a blend at the first
+    initial_for(dim) * 2**j at or above it, a level of the blend checks'
+    schedule, so its last check's children are read by stride. A level
+    whose double exceeds the cap, or an infinite bound, is refused
+    (ResolutionExceeded) before the structural degree is computed, which
+    |degree| <= L keeps small.
     """
-    need = max(params.initial_for(dim), _WRAP[dim] * bound)
-    cap = params.max_for(dim)
+    need = max(params.initial_for(e.dim), _WRAP[e.dim] * bound)
+    cap = params.max_for(e.dim)
     if not need <= cap // 2:
         shown = math.ceil(need) if math.isfinite(need) else need
         raise ResolutionExceeded(
             f"map needs starting resolution {shown}, above half the cap {cap}"
         )
-    if not on_schedule:
-        return math.ceil(need)
-    n = params.initial_for(dim)
+    sd = e.symbolic_degree()
+    if sd is not None:
+        return math.ceil(need), sd
+    n = params.initial_for(e.dim)
     while n < need:
         n *= 2
     if 2 * n > cap:
         raise ResolutionExceeded(f"map needs resolution {n}, above half the cap {cap}")
-    return n
+    return n, None
 
 
 def _is_stride(resolution: int, level: int) -> bool:
@@ -203,18 +205,20 @@ class _Samples:
     is held: the nodes live while one map is evaluated on them (the grid
     of 1024 bands alone is 50 MB). A distance at a level the first map
     is not held at is streamed and holds nothing (distance). One
-    instance serves one degree, distance, blend check or certificate
-    call; a certificate may seed it with its base map's values from an
-    earlier call, and a degree with the children its last blend check
-    sampled (hold).
+    instance serves one degree, distance or certificate call, with the
+    blend checks inside it; a certificate seeds it with its base map's
+    values from an earlier call. _Samples(reads) reads what `reads`
+    holds and keeps its own evaluations: one blend check level.
     """
 
-    def __init__(self):
-        self._values: dict[MapExpr, tuple[int, np.ndarray]] = {}
+    def __init__(self, reads: _Samples | None = None):
+        self._values: dict[MapExpr, tuple[int, np.ndarray]] = dict(reads._values if reads else {})
 
     def hold(self, e: MapExpr, resolution: int, Y: np.ndarray) -> None:
-        """Hold Y as e's values on make_grid(e.dim, resolution)."""
-        self._values[e] = (resolution, Y)
+        """Hold Y as e's values on make_grid(e.dim, resolution), unless a held level covers it."""
+        level, _ = self._values.get(e, (0, None))
+        if not _is_stride(resolution, level):
+            self._values[e] = (resolution, Y)
 
     def values(self, e: MapExpr, resolution: int) -> np.ndarray:
         level, Y = self._values.get(e, (0, None))
@@ -335,7 +339,7 @@ def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeR
     """
     if e.dim != 1:
         raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
-    return _checked(e, params, _Samples())
+    return _checked(e, params)
 
 
 def _simplicial_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
@@ -393,7 +397,7 @@ def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> Degr
     """
     if e.dim != 2:
         raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")
-    return _checked(e, params, _Samples())
+    return _checked(e, params)
 
 
 def pair_distance(F: np.ndarray, G: np.ndarray) -> float:
@@ -440,22 +444,6 @@ def _blend_bound(node: Blend, inner: list[float], min_norm: float, n: int) -> fl
     return ((1.0 - node.t) * lf + node.t * lg) / floor
 
 
-def _refuse_unprovable(node: Blend, inner: list[float], params: DegreeParams) -> None:
-    """Refuse, before sampling, a blend that no admitted level can prove.
-
-    The m of _blend_bound is at most 1, so the blend's bound is at least
-    (1-t) L_f + t L_g.
-    """
-    lf, lg = inner
-    need, cap = _WRAP[node.dim] * ((1.0 - node.t) * lf + node.t * lg), params.max_for(node.dim)
-    if not need <= cap // 2:
-        shown = math.ceil(need) if math.isfinite(need) else need
-        raise ResolutionExceeded(
-            f"blend needs resolution {shown} or more, above half the cap {cap}, "
-            f"in {node.render()}"
-        )
-
-
 def _refuse(node: Blend, n: int, min_norm: float, row: int) -> None:
     """Raise InvalidBlend if the segment minimum at level n pinches."""
     if min_norm <= BLEND_MIN_NORM:
@@ -465,66 +453,79 @@ def _refuse(node: Blend, n: int, min_norm: float, row: int) -> None:
         )
 
 
-def check_blend_validity(
-    e: MapExpr, params: DegreeParams
-) -> tuple[float, list[tuple[MapExpr, int, np.ndarray]]]:
+def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) -> float:
     """Reject expressions whose blend denominators approach zero, and bound the rest.
 
     Each blend's children are sampled on one grid and the segment between
     them is checked at its exact minimum over t, not only at the node's
     own t. Conservative by design: a pinch anywhere on the segment is
     treated as inconclusive. Blends are checked inside out, each after
-    the blends within it, since its bound (_blend_bound) needs theirs,
-    and one that no admitted level can prove is refused before it is
-    sampled (_refuse_unprovable). A check runs coarse first, from
-    params.initial_for(dim) doubling through params.grid_for(dim) to the
-    last admitted level: the first level whose bound proves the blend
-    there or coarser accepts it, and a blend the last level does not
-    prove is refused (ResolutionExceeded). A pinch below grid_for is
-    decided on grid_for, as a single grid check would decide it; a pinch
-    there or finer raises InvalidBlend, after the blends before it in
-    walk order are checked on the grid too, so the error names the first
-    pinch in that order. A rigorous bound keeps the nodes of grid_for
-    above BLEND_MIN_NORM, so no coarse level accepts what grid_for
-    refuses.
+    the blends within it, since its bound (_blend_bound) needs theirs.
+    A check runs coarse first, from params.initial_for(dim) doubling
+    through params.grid_for(dim) to the last level whose double fits the
+    cap and the row budget (_admitted), or the grid if finer: the first
+    level whose bound proves the blend there or coarser accepts it. A
+    blend no level up to the last can prove is refused
+    (ResolutionExceeded): before sampling where (1-t) L_f + t L_g, its
+    bound at m_rig = 1, rules the last level out, and at the first level
+    whose segment minimum m does, by m - (L_f + L_g)/2 * mesh(last): a
+    finer level's nodes include the coarser ones, so m can only fall. A
+    pinch below grid_for is decided on grid_for, as a single grid check
+    would decide it; a pinch there or finer raises InvalidBlend, after
+    the blends before it in walk order are checked on the grid too, so
+    the error names the first pinch in that order. A rigorous bound
+    keeps the nodes of grid_for above BLEND_MIN_NORM, so no coarse level
+    accepts what grid_for refuses.
 
-    Returns e's Lipschitz bound with each blend's from its check, and
-    the last check's two children as (map, level, values), for the
-    degree to read; every other check's samples are dropped, so what is
-    held does not grow with the blends.
+    Each level reads what `samples` holds, by stride too, and keeps its
+    own evaluations; the last check's two children stay held there, so
+    what is held does not grow with the blends. Returns e's Lipschitz
+    bound, the AST's with each blend's from its check.
     """
     blends = [node for node in walk(e) if isinstance(node, Blend)]
-    bounds, held = {}, []
+    bounds = {}
     for i in reversed(range(len(blends))):  # each blend after the blends within it
-        node, held = blends[i], []  # the previous check's samples go
+        node = blends[i]
         dim, inner = node.dim, [_lipschitz(c, bounds) for c in (node.f, node.g)]
-        _refuse_unprovable(node, inner, params)
-        n, grid = params.initial_for(dim), params.grid_for(dim)
+        n = last = params.initial_for(dim)
+        grid = params.grid_for(dim)
+        while 2 * last <= grid or _admitted(2 * last, params, dim):
+            last *= 2
+        need = _WRAP[dim] * ((1.0 - node.t) * inner[0] + node.t * inner[1])  # m_rig <= 1
+        if not need <= last:
+            shown = math.ceil(need) if math.isfinite(need) else need
+            raise ResolutionExceeded(
+                f"blend needs resolution {shown} or more, above {last}, the last level "
+                f"its check samples, in {node.render()}"
+            )
         while True:
-            samples = _Samples()
-            F, G = samples.values(node.f, n), samples.values(node.g, n)
+            level = _Samples(samples)
+            F, G = level.values(node.f, n), level.values(node.g, n)
             min_norm, row = pair_min_norm(F, G)
             bound = _blend_bound(node, inner, min_norm, n)
             if bound is not None and _WRAP[dim] * bound <= n:
                 break
-            if min_norm <= BLEND_MIN_NORM and n >= grid:
-                for earlier in blends[:i]:
-                    level, shared = params.grid_for(earlier.dim), _Samples()
-                    F, G = shared.values(earlier.f, level), shared.values(earlier.g, level)
-                    _refuse(earlier, level, *pair_min_norm(F, G))
-                _refuse(node, n, min_norm, row)
             if min_norm <= BLEND_MIN_NORM:
+                if n >= grid:
+                    for earlier in blends[:i]:
+                        shared, at = _Samples(samples), params.grid_for(earlier.dim)
+                        F, G = shared.values(earlier.f, at), shared.values(earlier.g, at)
+                        _refuse(earlier, at, *pair_min_norm(F, G))
+                    _refuse(node, n, min_norm, row)
                 n = grid
-            elif 2 * n <= grid or _admitted(2 * n, params, dim):
-                n *= 2
-            else:
+                continue
+            best = _blend_bound(node, inner, min_norm, last)
+            if best is None or _WRAP[dim] * best > last:
                 raise ResolutionExceeded(
-                    f"blend proven at no level up to {n}, segment minimum "
-                    f"{min_norm:.3e}, in {node.render()}"
+                    f"blend proven at no level up to {last}, segment minimum "
+                    f"{min_norm:.3e} at {n}, in {node.render()}"
                 )
+            n *= 2
         bounds[id(node)] = bound
-        held = [(node.f, n, F), (node.g, n, G)]
-    return _lipschitz(e, bounds), held
+    if blends:
+        samples.hold(node.f, n, F)
+        samples.hold(node.g, n, G)
+    return _lipschitz(e, bounds)
 
 
 def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
@@ -536,13 +537,14 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     SymbolicNumericMismatch and is always a bug, never silently
     preferred away. Otherwise the numeric result is returned as-is.
     """
-    return _degree(e, params, _Samples())
+    samples = _Samples()
+    return _degree(e, params, samples, check_blend_validity(e, params, samples))
 
 
-def _degree(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
-    """degree(e, params), reading the map's values from `samples`."""
-    witness = _checked(e, params, samples)
-    sd = e.symbolic_degree()
+def _degree(e: MapExpr, params: DegreeParams, samples: _Samples, bound: float) -> DegreeResult:
+    """degree(e, params) from e's check bound, reading the map's values from `samples`."""
+    n, sd = _proven_level(bound, params, e)
+    witness = _refine(e, samples, n)
     if sd is None:
         return witness
     if witness.value != sd:
@@ -553,43 +555,39 @@ def _degree(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult
     return DegreeResult(sd, witness.residual, "symbolic", witness.resolution)
 
 
-def _checked(e: MapExpr, params: DegreeParams, samples: _Samples) -> DegreeResult:
-    """_refine after the blend check, at the level its bound proves (_proven_level).
-
-    A map with a blend reads its last check's children from `samples`.
-    """
-    bound, held = check_blend_validity(e, params)
-    for f, n, Y in held:
-        samples.hold(f, n, Y)
-    return _refine(e, samples, _proven_level(bound, params, e.dim, on_schedule=bool(held)))
+def _checked(e: MapExpr, params: DegreeParams) -> DegreeResult:
+    """_refine after the blend check, at the level its bound proves (_proven_level)."""
+    samples = _Samples()
+    n, _ = _proven_level(check_blend_validity(e, params, samples), params, e)
+    return _refine(e, samples, n)
 
 
 def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> DistanceEstimate:
     """Sup distance between two maps of the same sphere.
 
-    The sampled max is a lower bound of the true sup. When both ASTs give
-    a finite Lipschitz bound, rigorous = sampled_max + (L_f + L_g) * mesh
-    is an upper bound: every point lies within mesh of a node, where
-    neither map can have moved by more than its constant times mesh.
-    `resolution` defaults to DegreeParams().grid_for(dim).
+    The sampled max is a lower bound of the true sup. Both maps' blend
+    checks run first, with DegreeParams(), for their Lipschitz bounds,
+    and a check's refusal is raised. rigorous = sampled_max +
+    (L_f + L_g) * mesh is an upper bound where finite: every point lies
+    within mesh of a node, where neither map can have moved by more than
+    its constant times mesh. `resolution` defaults to grid_for(dim).
     """
+    if f.dim != g.dim:
+        raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
+    params, samples = DegreeParams(), _Samples()
+    slope = check_blend_validity(f, params, samples) + check_blend_validity(g, params, samples)
     if resolution is None:
-        resolution = DegreeParams().grid_for(f.dim)
-    return _sup_distance(f, g, resolution, _Samples())
+        resolution = params.grid_for(f.dim)
+    return _sup_distance(f, g, resolution, samples, slope)
 
 
-def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples) -> DistanceEstimate:
-    """sup_distance(f, g, n), reading both maps' values from `samples`.
+def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples, slope: float):
+    """sup_distance(f, g, n) with slope = L_f + L_g, reading both maps from `samples`.
 
     Inside a ball certificate a level the base's kept values cover reads
     them, so f is not evaluated again; a finer level is streamed
     (_Samples.distance).
     """
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
     sampled = samples.distance(f, g, n)
-    bounds = (f.lipschitz_bound(), g.lipschitz_bound())
-    rigorous = None
-    if None not in bounds and math.isfinite(sum(bounds)):
-        rigorous = sampled + sum(bounds) * mesh(f.dim, n)
+    rigorous = sampled + slope * mesh(f.dim, n) if math.isfinite(slope) else None
     return DistanceEstimate(sampled, n, rigorous)

@@ -58,13 +58,11 @@ class MapExpr:
     def lipschitz_bound(self) -> float | None:
         """Upper bound on the map's chordal Lipschitz constant, if known.
 
-        It must be a true upper bound, never an estimate. It floors the
-        starting resolution of the numeric degree methods, so that
-        fast-wrapping maps cannot alias to a plausible but wrong integer,
-        and it is the L_f + L_g of every rigorous sup distance, which
-        decides when a ball certificate's grid stops doubling. A blend
+        The AST's bound: a true upper bound, never an estimate. A blend
         has none here: its bound needs samples, which the degree module
-        takes (degree.check_blend_validity).
+        takes (degree.check_blend_validity). That check gives every map
+        the bound the degree, sup distances and ball certificates use:
+        this one for a map without a blend, one from its samples else.
         """
         return self._bound([c.lipschitz_bound() for c in self.children()])
 

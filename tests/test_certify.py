@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from mapdeg import (
     Antipode,
+    Blend,
     Compose,
     DegreeParams,
     DimensionMismatch,
     DistanceTooLarge,
     Id,
+    InvalidBlend,
     MapdegError,
     NonIterateCertificate,
     Perturb,
@@ -37,7 +39,7 @@ from mapdeg import (
     parse,
 )
 from mapdeg import geometry
-from mapdeg.degree import check_blend_validity, pair_distance, pair_min_norm
+from mapdeg.degree import _Samples, check_blend_validity, pair_distance, pair_min_norm
 
 from test_degree import S1_TREES, S2_TREES
 
@@ -251,11 +253,45 @@ class TestBallCertificate:
         cert = ball_certificate(f0, g, DegreeParams(initial_resolution=1024))
         assert isinstance(cert, NonIterateCertificate)
         assert cert.ball.distance.sampled_max <= cert.ball.distance.rigorous < 1.0
-        # a blend has no Lipschitz bound: its sampled distance decides alone
-        blend = parse("(blend 0.5 (pow 2) (perturb 11 0.1 (pow 2)))")
-        cert = ball_certificate(f0, blend)
-        assert cert.ball.distance.rigorous is None
-        assert cert.to_json_dict()["ball"]["rigorous"] is None
+        # a blend's Lipschitz bound comes from its check, so its distance
+        # is proven too
+        cert = ball_certificate(f0, parse("(blend 0.5 (pow 2) (perturb 11 0.1 (pow 2)))"))
+        assert cert.ball.distance.sampled_max <= cert.ball.distance.rigorous < 1.0
+        assert cert.to_json_dict()["ball"]["rigorous"] == cert.ball.distance.rigorous
+
+    @pytest.mark.parametrize(
+        ("base", "subject", "rigorous"),
+        [
+            ("(susp (pow 2))", "(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))", 0.545),
+            ("(pow 2)", "(blend 0.5 (pow 2) (perturb 4 0.5 (pow 2)))", 0.257),
+            (
+                "(susp (pow 2))",
+                "(blend 0.3 (susp (pow 2)) (compose (rot3 0 0 1 0.6) (susp (pow 2))))",
+                0.486,
+            ),
+        ],
+    )
+    def test_blend_subjects_carry_their_check_bounds(self, base, subject, rigorous):
+        cert = ball_certificate(parse(base), parse(subject))
+        assert cert.ball.distance.rigorous == pytest.approx(rigorous, abs=5e-4)
+
+    @pytest.mark.parametrize(
+        ("subject", "error"),
+        [
+            # pinched and far from the base: the check refuses first
+            ("(blend 0.5 (pow 2) (compose (antipode 1) (pow 2)))", InvalidBlend),
+            # m = 0.021 at 64 bands proves no level up to 512
+            (
+                "(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 3.1) (susp (pow 2))))",
+                ResolutionExceeded,
+            ),
+        ],
+    )
+    def test_a_subject_check_refuses_before_the_distance(self, subject, error):
+        g = parse(subject)
+        with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
+            with pytest.raises(error):
+                ball_certificate(g.f, g)
 
     def test_grid_doubles_until_the_bound_is_below_one(self):
         # |e^i z^2 - z^2| = 2 sin(1/2) = 0.959 everywhere, and with
@@ -311,6 +347,46 @@ class TestBallCertificate:
         assert pair_min_norm(F, G)[0] >= math.sqrt(4 - d * d) / 2 - 1e-12
 
 
+def _near(bases, turn):
+    """(base, subject) pairs: blends, at any t, of a base with itself
+    perturbed by up to 0.9 or turned by up to 3.1 rad."""
+    other = st.one_of(
+        st.builds(
+            lambda seed, eps: lambda f: Perturb(seed, eps, f),
+            st.integers(0, 2**64 - 1),
+            st.floats(0.0, 0.9),
+        ),
+        st.floats(-3.1, 3.1).map(lambda a: lambda f: Compose(turn(a), f)),
+    )
+
+    def pair(f, t, make):
+        return f, Blend(t, f, make(f))
+
+    return st.builds(pair, bases, st.floats(0.0, 1.0), other)
+
+
+S1_NEAR = _near(st.sampled_from([Pow(2), Pow(-3), Compose(Rot(0.5), Pow(3))]), Rot)
+S2_NEAR = _near(
+    st.sampled_from([Susp(Pow(2)), Compose(Rot3((0.3, 0.5, 1.0), 0.4), Susp(Pow(-2)))]),
+    lambda a: Rot3((0.0, 0.0, 1.0), a),
+)
+
+
+class TestBlendSubjects:
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(S1_NEAR, S2_NEAR))
+    def test_a_certificate_is_proven_or_refused(self, pair):
+        f0, g = pair
+        try:
+            cert = ball_certificate(f0, g)
+        except (DistanceTooLarge, ResolutionExceeded, InvalidBlend):
+            return
+        ball = cert.to_json_dict()["ball"]
+        assert isinstance(ball["rigorous"], float)
+        assert ball["sampled_distance"] <= ball["rigorous"] < 1.0
+        assert cert.degree.value == degree(f0).value
+
+
 #: A degree-2 perturbation whose ball certificate needs a 256-band distance.
 NEEDS_256_BANDS = "(perturb 2681222979010861537 0.7958673941021588 (susp (pow 2)))"
 
@@ -320,8 +396,7 @@ class TestCoarseFirst:
 
     @staticmethod
     def level(bound_f, bound_g, dim=2, params=DegreeParams()):
-        maps = [mock.Mock(dim=dim, lipschitz_bound=mock.Mock(return_value=b)) for b in (bound_f, bound_g)]
-        return certify_module._first_level(*maps, params)
+        return certify_module._first_level(dim, bound_f + bound_g, params)
 
     def test_levels_at_the_thresholds(self):
         # (L_f + L_g) * sqrt(2) * pi / n < 1 from n = 64 below 14.4058,
@@ -350,10 +425,17 @@ class TestCoarseFirst:
             with pytest.raises(DistanceTooLarge, match="sample rows"):
                 ball_certificate(f0, g)
 
-    def test_maps_without_a_finite_bound_start_at_the_grid(self):
-        assert self.level(2.0, None) == 128
-        assert self.level(2.0, math.inf) == 128
-        assert self.level(None, 2.0, dim=1) == 256
+    def test_maps_without_a_finite_bound_are_refused_before_sampling(self):
+        for bound in (math.inf, math.nan):
+            with pytest.raises(DistanceTooLarge, match="no level proves the distance"):
+                self.level(2.0, bound)
+            with pytest.raises(DistanceTooLarge, match="no level proves the distance"):
+                self.level(bound, 2.0, dim=1)
+        # 2**2000 overflows the subject's AST bound
+        f0, g = parse("(pow 3)"), parse("(iterate 2000 (pow 2))")
+        with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
+            with pytest.raises(DistanceTooLarge, match="no level proves the distance"):
+                ball_certificate(f0, g)
 
     def test_a_256_band_certificate_holds_no_whole_level(self):
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
@@ -464,7 +546,7 @@ class TestEvaluationCount:
             "(compose (blend 0.5 (susp (pow 600)) (susp (pow 600)))"
             " (blend 0.5 (iterate 8 (perturb 1 0.5 (id 2))) (id 2)))"
         )
-        with pytest.raises(ResolutionExceeded, match="above half the cap 1024"):
+        with pytest.raises(ResolutionExceeded, match="above 512, the last level"):
             degree(e)
         with pytest.raises(ResolutionExceeded, match=r"resolution 1885 or more"):
             degree(e.outer)
@@ -536,10 +618,49 @@ class TestEvaluationCount:
 
     def test_blend_check_reads_what_its_children_share(self, rows, susp_evals):
         e = parse("(blend 0.4 (susp (pow 3)) (compose (rot3 0 0 1 0.7) (susp (pow 3))))")
-        check_blend_validity(e, DegreeParams())
-        # the check proves the blend at its first level, 64 bands
+        samples = _Samples()
+        check_blend_validity(e, DegreeParams(), samples)
+        # the check proves the blend at its first level, 64 bands, and
+        # leaves both children held there
         assert rows == {(e.f.render(), 8066): 1, (e.g.render(), 8066): 1}
         assert susp_evals == {8066: 1}
+        assert {f: n for f, (n, _) in samples._values.items()} == {e.f: 64, e.g: 64}
+
+    @pytest.mark.parametrize(
+        ("eps", "level", "g_rows"),
+        [
+            # the distance and the blend's degree both read 64 bands
+            (0.5, 64, 8066),
+            # L_f + L_g = 22.1 starts the distance at 128 bands, which the
+            # kept base covers, though the check ended at 64
+            (0.8, 128, 32514),
+        ],
+    )
+    def test_a_warm_blend_subject_never_evaluates_its_base(
+        self, rows, susp_evals, monkeypatch, eps, level, g_rows
+    ):
+        # the subject's check reads the kept 128-band base by stride at
+        # 64 bands and holds the perturbation, which the distance and the
+        # blend's degree read; the check runs once
+        f0 = parse("(susp (pow 2))")
+        g = parse(f"(blend 0.5 (susp (pow 2)) (perturb 4 {eps} (susp (pow 2))))")
+        ball_certificate(f0, g)
+        rows.clear()
+        susp_evals.clear()
+        checked = []
+        original = certify_module.check_blend_validity
+
+        def spy(e, params, samples):
+            checked.append(e)
+            return original(e, params, samples)
+
+        monkeypatch.setattr(certify_module, "check_blend_validity", spy)
+        cert = ball_certificate(f0, g)
+        assert cert.ball.distance.resolution == level
+        assert cert.ball.distance.rigorous < 1.0
+        assert checked == [g]
+        assert susp_evals == {}
+        assert rows == {(g.g.render(), 8066): 1, (g.render(), g_rows): 1}
 
 
 class TestBaseRecord:
@@ -554,8 +675,9 @@ class TestBaseRecord:
     def test_record_arrays_are_read_only(self):
         ball_certificate(parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))"))
         # the certificate's key: a lookup under it is a hit
-        _, _, values = self.kept("(susp (pow 2))", DegreeParams(), parse("(susp (pow 2))"))
+        _, _, values, bound = self.kept("(susp (pow 2))", DegreeParams(), parse("(susp (pow 2))"))
         assert self.kept.cache_info()[:2] == (1, 1)  # hits, misses
+        assert bound == 2.0  # its check's bound, the AST's without a blend
         assert values.shape == (32514, 3)
         assert not values.flags.writeable
         with pytest.raises(ValueError):

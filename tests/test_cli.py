@@ -131,7 +131,7 @@ class TestDistanceCommand:
         assert code == 1
         assert lines[0]["outcome"] == "DimensionMismatch"
 
-    def test_rigorous_bound_comes_from_the_ast(self, capsys):
+    def test_rigorous_bound_comes_from_the_checks(self, capsys):
         code, lines, _ = run_cli(
             capsys, "distance", "-a", "(pow 2)", "-b", "(perturb 5 0.1 (pow 2))"
         )
@@ -139,12 +139,17 @@ class TestDistanceCommand:
         payload = lines[0]["payload"]
         assert payload["rigorous"] is not None
         assert payload["rigorous"] >= payload["sampled_max"]
-        # a blend has no Lipschitz bound, so its distance stays sampled only
-        code, lines, _ = run_cli(
-            capsys, "distance", "-a", "(pow 2)", "-b", "(blend 0.5 (pow 2) (rot 0.1))"
-        )
+        # a blend's bound comes from its check, so its distance is proven
+        blend = "(blend 0.5 (pow 2) (compose (rot 0.1) (pow 2)))"
+        code, lines, _ = run_cli(capsys, "distance", "-a", "(pow 2)", "-b", blend)
         assert code == 0
-        assert lines[0]["payload"]["rigorous"] is None
+        payload = lines[0]["payload"]
+        assert payload["sampled_max"] <= payload["rigorous"] < 1.0
+        # and a blend its check refuses is an error line
+        pinched = "(blend 0.5 (pow 2) (compose (antipode 1) (pow 2)))"
+        code, lines, _ = run_cli(capsys, "distance", "-a", "(pow 2)", "-b", pinched)
+        assert code == 1
+        assert lines[0]["outcome"] == "InvalidBlend"
 
 
 class TestHomotopyCommand:

@@ -34,6 +34,7 @@ from mapdeg import (
     sup_distance,
 )
 from mapdeg import geometry
+from mapdeg.expr import walk
 from mapdeg.degree import (
     STEP_CAP,
     _proven_level,
@@ -197,19 +198,31 @@ class TestWinding:
             degree_winding(e, DegreeParams(max_resolution=515))
 
     def test_refinement_stops_at_the_row_budget(self, monkeypatch, check_rows_seen):
-        # the blend check doubles while its bound proves no level, up to
-        # the last level whose double fits the budget: m_rig is below 0 at
-        # 16 and 32 samples, and 64 (128 rows for its double) is never
-        # sampled
-        monkeypatch.setattr(geometry, "MAX_ROWS", 64)
-        e = parse("(blend 0.0 (pow 20) (pow 20))")
+        # m = cos(1.25) = 0.315 at every node leaves m_rig = 0.217 at 128
+        # samples, which proves the blend's bound 9.2 there; the degree
+        # reads 64
+        e = parse("(blend 0.5 (pow 2) (compose (rot 2.5) (pow 2)))")
         params = DegreeParams(initial_resolution=16, max_resolution=1 << 20)
-        with pytest.raises(ResolutionExceeded, match=r"up to 32, segment minimum 1.000e\+00"):
+        assert degree_winding(e, params).resolution == 64
+        assert check_rows_seen == [16, 32, 64, 128]
+        # with 128 rows the last level whose double fits is 64, where m_rig
+        # = 0.119 needs 106 samples: the 16-sample m already rules 64 out,
+        # and no finer level is sampled
+        check_rows_seen.clear()
+        monkeypatch.setattr(geometry, "MAX_ROWS", 128)
+        with pytest.raises(ResolutionExceeded, match=r"up to 64, segment minimum 3.153e-01 at 16"):
             degree_winding(e, params)
-        assert check_rows_seen == [16, 32]
+        assert check_rows_seen == [16]
+        # a blend whose ends alone need 126 samples is refused before sampling
+        with pytest.raises(ResolutionExceeded, match="needs resolution 126 or more, above 64"):
+            degree_winding(parse("(blend 0.0 (pow 20) (pow 20))"), params)
+        assert check_rows_seen == [16]
         # the blend check samples the 128-sample grid first, and refuses it
+        monkeypatch.setattr(geometry, "MAX_ROWS", 64)
         with pytest.raises(InvalidResolution, match="resolution 128 needs more than 64"):
-            degree_winding(e, DegreeParams(initial_resolution=128))
+            degree_winding(
+                parse("(blend 0.0 (pow 20) (pow 20))"), DegreeParams(initial_resolution=128)
+            )
 
     @pytest.mark.parametrize("offset", [0.0, 0.1, 1.0, 2.5])
     def test_invariant_under_sample_offset(self, offset):
@@ -271,11 +284,12 @@ class TestSimplicial:
         ]
         for k, turn, check, level in cases:
             e = _turned(k, turn)
-            bound, held = check_blend_validity(e, DegreeParams())
-            assert [(f, n) for f, n, _ in held] == [(e.f, check), (e.g, check)]
+            samples = _Samples()
+            bound = check_blend_validity(e, DegreeParams(), samples)
+            assert {f: n for f, (n, _) in samples._values.items()} == {e.f: check, e.g: check}
             res = degree_simplicial(e)
             assert (res.value, res.resolution) == (k, level)
-            assert _proven_level(bound, DegreeParams(), 2, on_schedule=True) == level
+            assert _proven_level(bound, DegreeParams(), e) == (level, None)
 
     def test_edge_guard_refuses_a_level_the_raw_values_accept(self, monkeypatch):
         # 8 bands carry 16 longitudes, so (susp (pow 5)) turns an equator
@@ -313,8 +327,8 @@ class TestProvenLevel:
         res = (degree_winding if e.dim == 1 else degree_simplicial)(e)
         assert res.value == e.symbolic_degree()
         assert res.residual < 1e-6
-        level = _proven_level(e.lipschitz_bound(), DegreeParams(), e.dim, on_schedule=False)
-        assert res.resolution == level
+        level = _proven_level(e.lipschitz_bound(), DegreeParams(), e)
+        assert (res.resolution, res.value) == level
 
     @settings(deadline=None, max_examples=40)
     @given(st.one_of(S1_BLENDS, S2_BLENDS))
@@ -325,10 +339,10 @@ class TestProvenLevel:
             res = degree(e)
         except ResolutionExceeded:
             assume(False)
-        bound, _ = check_blend_validity(e, DegreeParams())
+        bound = check_blend_validity(e, DegreeParams(), _Samples())
         assert res.value == e.f.symbolic_degree()
         assert res.residual < 1e-6
-        assert res.resolution == _proven_level(bound, DegreeParams(), e.dim, on_schedule=True)
+        assert _proven_level(bound, DegreeParams(), e) == (res.resolution, None)
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(S1_TREES, S2_TREES, S1_WITH_BLENDS, S2_WITH_BLENDS))
@@ -341,10 +355,10 @@ class TestProvenLevel:
             res = degree(e)
         except (ResolutionExceeded, InvalidBlend):
             return
-        bound, held = check_blend_validity(e, params)
+        bound = check_blend_validity(e, params, _Samples())
         need = max(params.initial_for(e.dim), (2 * math.pi / e.dim) * bound)
         level = math.ceil(need)
-        if held:
+        if any(isinstance(node, Blend) for node in walk(e)):
             level = params.initial_for(e.dim)
             while level < need:
                 level *= 2
@@ -411,7 +425,7 @@ class TestDegreeDispatch:
         # 128-band grid and refuses there, with the grid's own minimum
         e = parse("(blend 0.5 (id 2) (rot3 0 0 1 3.141592453589793))")
         with pytest.raises(InvalidBlend) as refused:
-            check_blend_validity(e, DegreeParams())
+            check_blend_validity(e, DegreeParams(), _Samples())
         assert check_rows_seen == [8066, 32514]
         X = geometry.make_grid(2, 128)
         low, row = pair_min_norm(eval_array(e.f, X), eval_array(e.g, X))
@@ -436,20 +450,22 @@ class TestDegreeDispatch:
         inner = "(blend 0.5 (id 1) (rot 3.141592453589793))"
         e = parse(f"(blend 0.5 {inner} (compose (antipode 1) {inner}))")
         with pytest.raises(InvalidBlend, match=r"denominator 0.000e\+00 .* in \(blend 0.5 \(blend"):
-            check_blend_validity(e, DegreeParams())
+            check_blend_validity(e, DegreeParams(), _Samples())
 
     @pytest.mark.parametrize(
         ("text", "last", "rows"),
         [
             # m = 4.6e-5 needs about 136,000 samples; 8192 is the last
-            # level whose double fits the default cap of 16384
-            ("(blend 0.5 (rot 0) (rot 3.1415))", 8192, [256, 512, 1024, 2048, 4096, 8192]),
+            # level whose double fits the default cap of 16384, and the
+            # first level's m already rules it out
+            ("(blend 0.5 (rot 0) (rot 3.1415))", 8192, [256]),
             # m = 0.021 needs 1024 bands, whose double is over the row
-            # budget: 512 bands is the last level admitted
+            # budget: 512 bands is the last level admitted, and the
+            # 64-band m leaves m_rig = 0.0036 there, which needs 1744
             (
                 "(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 3.1) (susp (pow 2))))",
                 512,
-                [8066, 32514, 130562, 523266],
+                [8066],
             ),
         ],
     )
@@ -458,6 +474,20 @@ class TestDegreeDispatch:
         with pytest.raises(ResolutionExceeded, match=rf"no level up to {last}, segment minimum"):
             degree(e)
         assert check_rows_seen == rows
+
+    def test_a_larger_cap_does_not_lift_the_row_budget(self, check_rows_seen):
+        params = DegreeParams(max_resolution=4096)
+        e = parse("(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 3.1) (susp (pow 2))))")
+        with pytest.raises(ResolutionExceeded, match="no level up to 512, segment minimum"):
+            degree(e, params)
+        assert check_rows_seen == [8066]
+        # these ends alone need pi * 300 = 943 bands: half the cap would
+        # admit that, but the row budget stops the check at 512, so the
+        # blend is refused before sampling
+        e = parse("(blend 0.5 (susp (pow 300)) (compose (rot3 0 0 1 0.1) (susp (pow 300))))")
+        with pytest.raises(ResolutionExceeded, match="needs resolution 943 or more, above 512"):
+            degree(e, params)
+        assert check_rows_seen == [8066]
 
     def test_a_larger_cap_admits_a_finer_proof(self):
         e = parse("(blend 0.5 (rot 0) (rot 3.14))")
@@ -554,10 +584,27 @@ class TestSupDistance:
         mesh = geometry.mesh(1, 512)
         slope = f.lipschitz_bound() + g.lipschitz_bound()
         assert bounded.rigorous == bounded.sampled_max + slope * mesh
-        # a blend has no Lipschitz constant, nor does a bound that overflows
+        # a blend's constant comes from its check
         blend = parse("(blend 0.5 (pow 2) (perturb 5 0.4 (pow 2)))")
-        assert sup_distance(f, blend, 512).rigorous is None
+        slope = f.lipschitz_bound() + check_blend_validity(blend, DegreeParams(), _Samples())
+        est = sup_distance(f, blend, 512)
+        assert est.rigorous == est.sampled_max + slope * mesh
+        # a bound that overflows gives none, and a pinched blend is refused
         assert sup_distance(f, parse("(iterate 2000 (pow 2))"), 512).rigorous is None
+        with pytest.raises(InvalidBlend):
+            sup_distance(f, parse("(blend 0.5 (pow 2) (compose (antipode 1) (pow 2)))"))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(S1_BLENDS, S2_BLENDS))
+    def test_a_blend_its_check_proves_has_a_rigorous_distance(self, e):
+        try:
+            bound = check_blend_validity(e, DegreeParams(), _Samples())
+        except ResolutionExceeded:
+            assume(False)
+        est = sup_distance(e.f, e)
+        assert est.rigorous is not None and math.isfinite(est.rigorous)
+        slope = e.f.lipschitz_bound() + bound
+        assert est.rigorous == est.sampled_max + slope * geometry.mesh(e.dim, est.resolution)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -658,7 +705,8 @@ class TestLipschitzBound:
         # without one has its AST bound, and a blend that no admitted
         # level proves has none to test
         try:
-            bound, _ = check_blend_validity(e, DegreeParams(initial_resolution=resolution))
+            params = DegreeParams(initial_resolution=resolution)
+            bound = check_blend_validity(e, params, _Samples())
         except ResolutionExceeded:
             return
         rng = np.random.default_rng(seed)
