@@ -22,6 +22,7 @@ from .degree import (
     DegreeResult,
     DistanceEstimate,
     _degree,
+    _levels,
     _Samples,
     _streamed_min_norm,
     _sup_distance,
@@ -30,7 +31,7 @@ from .degree import (
 )
 from .errors import ConsistencyError, DimensionMismatch, DistanceTooLarge
 from .expr import MapExpr
-from .geometry import check_rows, grid_node, mesh
+from .geometry import grid_fits, grid_node, mesh
 
 #: Homotopy denominators at or below this are treated as pinched.
 HOMOTOPY_MIN_NORM = 1e-6
@@ -258,24 +259,6 @@ def _kept_base(
     return deg, is_perfect_power(deg.value), values, bound
 
 
-def _first_level(dim: int, slope: float, params: DegreeParams) -> int:
-    """The first distance level of a ball certificate whose maps' bounds sum to slope.
-
-    The rigorous bound at a level n is at least slope * mesh(n), so it
-    is the coarsest params.initial_for(dim) * 2**j at which that term is
-    below 1: no coarser level can prove the distance. A slope that is
-    not finite, or a level over the row budget, is refused with
-    DistanceTooLarge before anything is sampled.
-    """
-    if not math.isfinite(slope):
-        raise DistanceTooLarge(f"Lipschitz bound {slope}: no level proves the distance")
-    n = params.initial_for(dim)
-    while slope * mesh(dim, n) >= BALL_RADIUS:
-        n *= 2
-        check_rows(dim, n, DistanceTooLarge)
-    return n
-
-
 def ball_certificate(
     f0: MapExpr, g: MapExpr, params: DegreeParams = DegreeParams()
 ) -> NonIterateCertificate | Refusal:
@@ -287,11 +270,14 @@ def ball_certificate(
     vectors, and g has f0's degree. g's blend check runs once, first,
     and a refusal there is raised; its bound and f0's, kept with f0's
     degree, give the rigorous distance bound, which must be below 1. The
-    grid starts at the first level that can prove it (_first_level, which
-    refuses a sum that is not finite) and doubles until it does, and the
-    certificate is refused with
-    DistanceTooLarge once the sampled distance reaches 1 or the next grid
-    would exceed the row budget. The certificate carries f0's degree;
+    distance walks degree._levels up to the last level within the row
+    budget, kept to the levels where (L_f + L_g) * mesh is below 1, since
+    no other level can prove it. Where none is left, as for a sum that
+    is not finite, the certificate is refused with DistanceTooLarge
+    before sampling. It is issued at the first level whose rigorous bound
+    is below 1, and refused with DistanceTooLarge at the first level
+    whose sampled distance plus (L_f + L_g) * mesh at the last level
+    reaches 1 (_levels' stop rule). The certificate carries f0's degree;
     the logic never needs degree(g), still computed afterwards from the
     same bound as a consistency assertion that must agree.
 
@@ -314,18 +300,25 @@ def ball_certificate(
     dim, samples = g.dim, _Samples()
     samples.hold(f0, params.grid_for(dim), values)
     bound = check_blend_validity(g, params, samples)
-    n = _first_level(dim, bound0 + bound, params)
-    while True:
-        dist = _sup_distance(f0, g, n, samples, bound0 + bound)
-        if dist.sampled_max >= BALL_RADIUS:
-            raise DistanceTooLarge(
-                f"sampled distance {dist.sampled_max:.6f} >= {BALL_RADIUS}; "
-                "the ball argument does not apply (inconclusive)"
-            )
+    slope = bound0 + bound
+    budget = _levels(params, dim, lambda n: grid_fits(dim, n))
+    levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
+    if not levels:
+        raise DistanceTooLarge(
+            f"Lipschitz bounds sum to {slope:.6g}: no level up to {budget[-1]}, the last "
+            "within the row budget, proves the distance"
+        )
+    for n in levels:
+        dist = _sup_distance(f0, g, n, samples, slope)
         if dist.rigorous < BALL_RADIUS:
             break
-        n *= 2
-        check_rows(dim, n, DistanceTooLarge)
+        floor = dist.sampled_max + slope * mesh(dim, levels[-1])
+        if floor >= BALL_RADIUS:
+            raise DistanceTooLarge(
+                f"sampled distance {dist.sampled_max:.6f} at {n} leaves every rigorous bound "
+                f"up to {levels[-1]} at {floor:.6f} or more, not below {BALL_RADIUS}; "
+                "the ball argument does not apply (inconclusive)"
+            )
 
     certificate = NonIterateCertificate(
         subject=g.render(),

@@ -16,6 +16,7 @@ proof.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -56,11 +57,12 @@ class DegreeParams:
     the row budget (_admitted). The effective maximum is never below
     twice the starting resolution, so the starting level itself is
     always admitted. A given initial resolution also sets the density
-    of the distance, homotopy and blend sample grids. A blend check
-    starts at initial_for(dim) and doubles through grid_for(dim) and on
-    to the largest admitted level, stopping at the first level that
-    proves the blend's bound or rules the largest out; on the default
-    S2 schedule that is 64, 128, 256 or 512 bands.
+    of the distance and homotopy grids (grid_for). A blend check and a
+    ball certificate's distance both search coarse first from
+    initial_for(dim) (_levels): a check up to the largest admitted
+    level, stopping at the first level that proves the blend's bound or
+    rules the largest out (on the default S2 schedule 64, 128, 256 or
+    512 bands), a distance up to the last level within the row budget.
     """
 
     initial_resolution: int | None = None
@@ -156,11 +158,11 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
     without a blend, is read there; a map with a blend at the first
     initial_for(dim) * 2**j at or above it, a level of the blend checks'
     schedule, so its last check's children are read by stride. A level
-    whose double exceeds the cap, or an infinite bound, is refused
-    (ResolutionExceeded) before the structural degree is computed, which
-    |degree| <= L keeps small.
+    whose double exceeds the cap, or a bound that is infinite or NaN, is
+    refused (ResolutionExceeded) before the structural degree is
+    computed, which |degree| <= L keeps small.
     """
-    need = max(params.initial_for(e.dim), _WRAP[e.dim] * bound)
+    need = max(_WRAP[e.dim] * bound, params.initial_for(e.dim))  # max(nan, n) is nan
     cap = params.max_for(e.dim)
     if not need <= cap // 2:
         shown = math.ceil(need) if math.isfinite(need) else need
@@ -444,13 +446,21 @@ def _blend_bound(node: Blend, inner: list[float], min_norm: float, n: int) -> fl
     return ((1.0 - node.t) * lf + node.t * lg) / floor
 
 
-def _refuse(node: Blend, n: int, min_norm: float, row: int) -> None:
-    """Raise InvalidBlend if the segment minimum at level n pinches."""
-    if min_norm <= BLEND_MIN_NORM:
-        point = grid_node(node.dim, n, row)
-        raise InvalidBlend(
-            f"blend denominator {min_norm:.3e} at t=0.5 near {point} in {node.render()}"
-        )
+def _levels(params: DegreeParams, dim: int, fits: Callable[[int], bool]) -> list[int]:
+    """The levels of a coarse-first search: initial_for(dim), then each double while fits(it).
+
+    A blend check (check_blend_validity) and a ball certificate's
+    distance (certify.ball_certificate) sample these in order and accept
+    at the first level that proves what they check. Both stop by one
+    rule: a finer level's nodes include the coarser ones, so a sampled
+    minimum only falls and a sampled maximum only rises, and a level
+    whose sample cannot prove even the last level rules out every level
+    after it. The search is refused there, with what it sampled.
+    """
+    levels = [params.initial_for(dim)]
+    while fits(2 * levels[-1]):
+        levels.append(2 * levels[-1])
+    return levels
 
 
 def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) -> float:
@@ -461,21 +471,14 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
     own t. Conservative by design: a pinch anywhere on the segment is
     treated as inconclusive. Blends are checked inside out, each after
     the blends within it, since its bound (_blend_bound) needs theirs.
-    A check runs coarse first, from params.initial_for(dim) doubling
-    through params.grid_for(dim) to the last level whose double fits the
-    cap and the row budget (_admitted), or the grid if finer: the first
-    level whose bound proves the blend there or coarser accepts it. A
-    blend no level up to the last can prove is refused
-    (ResolutionExceeded): before sampling where (1-t) L_f + t L_g, its
-    bound at m_rig = 1, rules the last level out, and at the first level
-    whose segment minimum m does, by m - (L_f + L_g)/2 * mesh(last): a
-    finer level's nodes include the coarser ones, so m can only fall. A
-    pinch below grid_for is decided on grid_for, as a single grid check
-    would decide it; a pinch there or finer raises InvalidBlend, after
-    the blends before it in walk order are checked on the grid too, so
-    the error names the first pinch in that order. A rigorous bound
-    keeps the nodes of grid_for above BLEND_MIN_NORM, so no coarse level
-    accepts what grid_for refuses.
+    A check walks _levels up to the last level whose double fits the cap
+    and the row budget (_admitted): the first level whose bound proves
+    the blend there or coarser accepts it, and the first level whose
+    nodes pinch raises InvalidBlend. A blend no level up to the last can
+    prove is refused (ResolutionExceeded): before sampling where
+    (1-t) L_f + t L_g, its bound at m_rig = 1, rules the last level out,
+    and by _levels' stop rule at the first level whose segment minimum m
+    does, by m - (L_f + L_g)/2 * mesh(last).
 
     Each level reads what `samples` holds, by stride too, and keeps its
     own evaluations; the last check's two children stay held there, so
@@ -484,13 +487,10 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
     """
     blends = [node for node in walk(e) if isinstance(node, Blend)]
     bounds = {}
-    for i in reversed(range(len(blends))):  # each blend after the blends within it
-        node = blends[i]
+    for node in reversed(blends):  # each blend after the blends within it
         dim, inner = node.dim, [_lipschitz(c, bounds) for c in (node.f, node.g)]
-        n = last = params.initial_for(dim)
-        grid = params.grid_for(dim)
-        while 2 * last <= grid or _admitted(2 * last, params, dim):
-            last *= 2
+        levels = _levels(params, dim, lambda n: _admitted(n, params, dim))
+        last = levels[-1]
         need = _WRAP[dim] * ((1.0 - node.t) * inner[0] + node.t * inner[1])  # m_rig <= 1
         if not need <= last:
             shown = math.ceil(need) if math.isfinite(need) else need
@@ -498,7 +498,7 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
                 f"blend needs resolution {shown} or more, above {last}, the last level "
                 f"its check samples, in {node.render()}"
             )
-        while True:
+        for n in levels:
             level = _Samples(samples)
             F, G = level.values(node.f, n), level.values(node.g, n)
             min_norm, row = pair_min_norm(F, G)
@@ -506,21 +506,16 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
             if bound is not None and _WRAP[dim] * bound <= n:
                 break
             if min_norm <= BLEND_MIN_NORM:
-                if n >= grid:
-                    for earlier in blends[:i]:
-                        shared, at = _Samples(samples), params.grid_for(earlier.dim)
-                        F, G = shared.values(earlier.f, at), shared.values(earlier.g, at)
-                        _refuse(earlier, at, *pair_min_norm(F, G))
-                    _refuse(node, n, min_norm, row)
-                n = grid
-                continue
+                raise InvalidBlend(
+                    f"blend denominator {min_norm:.3e} at t=0.5 near "
+                    f"{grid_node(dim, n, row)} in {node.render()}"
+                )
             best = _blend_bound(node, inner, min_norm, last)
             if best is None or _WRAP[dim] * best > last:
                 raise ResolutionExceeded(
                     f"blend proven at no level up to {last}, segment minimum "
                     f"{min_norm:.3e} at {n}, in {node.render()}"
                 )
-            n *= 2
         bounds[id(node)] = bound
     if blends:
         samples.hold(node.f, n, F)

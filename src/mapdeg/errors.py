@@ -51,8 +51,10 @@ class InvalidBlend(MapdegError):
 class DistanceTooLarge(MapdegError):
     """Sup distance not shown below the unit-ball radius (inconclusive).
 
-    Either the sampled distance reaches the radius, or its rigorous bound
-    stays above it on every grid within the row budget.
+    Either no level within the row budget can prove it, since the maps'
+    bounds times its mesh reach the radius (refused before sampling), or
+    a level's sampled distance plus that term at the last such level
+    does: finer levels only sample more nodes, so none can prove it.
     """
 
 

@@ -305,10 +305,13 @@ class TestBallCertificate:
 
     def test_bound_that_needs_more_rows_than_the_budget_is_refused(self, monkeypatch):
         # a sampled distance of 1 - 1e-6 would need about 2**25 samples
-        # before the bound drops below 1, past even the real budget
+        # before the bound drops below 1, past even the real budget: the
+        # first level's sample already rules out the last one
         monkeypatch.setattr(geometry, "MAX_ROWS", 4096)
         g = Compose(Rot(2 * math.asin(0.5 - 5e-7)), Pow(2))
-        with pytest.raises(DistanceTooLarge, match="resolution 8192 needs more than 4096"):
+        with pytest.raises(
+            DistanceTooLarge, match=r"0.999999 at 256 leaves every rigorous bound up to 4096"
+        ):
             ball_certificate(Pow(2), g)
 
     def test_sphere_case(self):
@@ -392,50 +395,98 @@ NEEDS_256_BANDS = "(perturb 2681222979010861537 0.7958673941021588 (susp (pow 2)
 
 
 class TestCoarseFirst:
-    """A ball certificate starts at the first level that can prove its distance."""
+    """A ball certificate samples its distance from the first level that can prove it."""
 
     @staticmethod
-    def level(bound_f, bound_g, dim=2, params=DegreeParams()):
-        return certify_module._first_level(dim, bound_f + bound_g, params)
+    def sampling(seen):
+        """A patch under which each distance level sampled is appended to seen."""
+        distance = certify_module._sup_distance
+
+        def spy(f, g, n, *args):
+            seen.append(n)
+            return distance(f, g, n, *args)
+
+        return mock.patch.object(certify_module, "_sup_distance", spy)
+
+    def certify(self, bound_g, seen, dim=2, params=DegreeParams()):
+        """ball_certificate of a slight perturbation of a base with L_f = 2,
+        its subject's check bound replaced by bound_g; the distance levels
+        it samples are appended to seen."""
+        f0 = parse("(susp (pow 2))" if dim == 2 else "(pow 2)")
+        g = Perturb(1, 0.01, f0)
+        check = certify_module.check_blend_validity
+
+        def bound(e, *args):
+            return bound_g if e is g else check(e, *args)
+
+        with mock.patch.object(certify_module, "check_blend_validity", bound), self.sampling(seen):
+            return ball_certificate(f0, g, params)
+
+    def levels(self, bound_g, dim=2, params=DegreeParams()):
+        seen = []
+        assert isinstance(self.certify(bound_g, seen, dim, params), NonIterateCertificate)
+        return seen
 
     def test_levels_at_the_thresholds(self):
         # (L_f + L_g) * sqrt(2) * pi / n < 1 from n = 64 below 14.4058,
         # from 128 below 28.8115 and from 256 below 57.623
         assert geometry.mesh(2, 64) * 14.40 < 1.0 <= geometry.mesh(2, 64) * 14.41
-        assert self.level(2.0, 12.40) == 64
-        assert self.level(2.0, 12.41) == 128
-        assert self.level(2.0, 26.81) == 128
-        assert self.level(2.0, 26.82) == 256
-        assert self.level(0.5, 0.5) == 64  # never below initial_for(2)
+        # just below a threshold the sampled distance tips the first
+        # level's bound over 1, and the next level proves it
+        assert self.levels(12.40) == [64, 128]
+        assert self.levels(12.41) == [128]
+        assert self.levels(26.81) == [128, 256]
+        assert self.levels(26.82) == [256]
+        assert self.levels(0.5) == [64]  # never below initial_for(2)
 
     def test_circle_and_given_resolutions_start_at_the_initial_level(self):
-        assert self.level(2.0, 20.0, dim=1) == 256  # initial_for(1) == grid_for(1)
-        assert self.level(2.0, 40.0, dim=1) == 512
+        assert self.levels(20.0, dim=1) == [256]  # initial_for(1) == grid_for(1)
+        assert self.levels(40.0, dim=1) == [512]
         params = DegreeParams(initial_resolution=96)
-        assert self.level(2.0, 3.0, params=params) == 96
-        assert self.level(2.0, 20.0, params=params) == 192
+        assert self.levels(3.0, params=params) == [96]
+        assert self.levels(20.0, params=params) == [192]
 
     def test_a_first_level_over_the_row_budget_is_refused_before_sampling(self):
         # 1448 bands fit 2**22 rows; L_f + L_g = 1e5 asks for 2**19 bands
         for bound in (1e5, 1e308):
-            with pytest.raises(DistanceTooLarge, match="resolution 2048 needs more than"):
-                self.level(2.0, bound)
+            seen = []
+            with pytest.raises(DistanceTooLarge, match="no level up to 1024, the last within"):
+                self.certify(bound, seen)
+            assert seen == []
         f0, g = parse("(susp (pow 2))"), parse("(susp (pow 9007199254740992))")
         with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
-            with pytest.raises(DistanceTooLarge, match="sample rows"):
+            with pytest.raises(DistanceTooLarge, match="no level up to 1024, the last within"):
                 ball_certificate(f0, g)
 
     def test_maps_without_a_finite_bound_are_refused_before_sampling(self):
         for bound in (math.inf, math.nan):
-            with pytest.raises(DistanceTooLarge, match="no level proves the distance"):
-                self.level(2.0, bound)
-            with pytest.raises(DistanceTooLarge, match="no level proves the distance"):
-                self.level(bound, 2.0, dim=1)
-        # 2**2000 overflows the subject's AST bound
-        f0, g = parse("(pow 3)"), parse("(iterate 2000 (pow 2))")
-        with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
-            with pytest.raises(DistanceTooLarge, match="no level proves the distance"):
-                ball_certificate(f0, g)
+            for dim, last in ((2, 1024), (1, 4194304)):
+                seen = []
+                refused = rf"sum to {bound}: no level up to {last}"
+                with pytest.raises(DistanceTooLarge, match=refused):
+                    self.certify(bound, seen, dim)
+                assert seen == []
+        # 2**2000 overflows the subject's AST bound, and inf * 0 makes
+        # the second subject's NaN
+        f0 = parse("(pow 3)")
+        for text, bound in (
+            ("(iterate 2000 (pow 2))", "inf"),
+            ("(compose (iterate 1100 (pow 2)) (pow 0))", "nan"),
+        ):
+            with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
+                with pytest.raises(DistanceTooLarge, match=f"sum to {bound}: no level"):
+                    ball_certificate(f0, parse(text))
+
+    def test_a_far_blend_subject_is_refused_after_one_level(self):
+        # the 64-band sample of 0.99665 plus (L_f + L_g) * mesh(1024)
+        # already reaches 1, so no level up to 1024 can prove the distance
+        base = "(compose (rot3 0.3 0.5 1 0.4) (susp (pow -2)))"
+        g = parse(f"(blend 0.5901 {base} (compose (rot3 0 0 1 -1.6871) {base}))")
+        seen = []
+        with self.sampling(seen):
+            with pytest.raises(DistanceTooLarge, match="0.996646 at 64 leaves every rigorous"):
+                ball_certificate(parse(base), g)
+        assert seen == [64]
 
     def test_a_256_band_certificate_holds_no_whole_level(self):
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)

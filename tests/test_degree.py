@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from mapdeg import (
 from mapdeg import geometry
 from mapdeg.expr import walk
 from mapdeg.degree import (
+    BLEND_MIN_NORM,
     STEP_CAP,
     _proven_level,
     _Samples,
@@ -330,6 +332,27 @@ class TestProvenLevel:
         level = _proven_level(e.lipschitz_bound(), DegreeParams(), e)
         assert (res.resolution, res.value) == level
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_a_bound_that_is_not_finite_is_refused_before_the_structural_degree(
+        self, monkeypatch, bound
+    ):
+        monkeypatch.setattr(Pow, "symbolic_degree", lambda self: pytest.fail("computed"))
+        with pytest.raises(ResolutionExceeded, match=f"needs starting resolution {bound},"):
+            _proven_level(bound, DegreeParams(), parse("(pow 2)"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # inf * 0 makes the product's bound NaN: no level proves it
+            "(perturb 5 0.999 (compose (iterate 1100 (pow 2)) (pow 0)))",
+            # the same map's field needs 8473 samples, over half the cap
+            "(perturb 5 0.999 (pow 0))",
+        ],
+    )
+    def test_a_steep_perturbation_of_a_constant_is_refused(self, text):
+        with pytest.raises(ResolutionExceeded, match="needs starting resolution"):
+            degree(parse(text))
+
     @settings(deadline=None, max_examples=40)
     @given(st.one_of(S1_BLENDS, S2_BLENDS))
     def test_proven_blend_degree_is_the_degree_of_its_ends(self, e):
@@ -421,13 +444,16 @@ class TestDegreeDispatch:
             method(parse(text))
 
     def test_the_coarse_check_never_accepts_what_the_grid_refuses(self, check_rows_seen):
-        # 64 bands see the same 1e-7 pinch; the check moves on to the
-        # 128-band grid and refuses there, with the grid's own minimum
+        # the 128-band grid sees a 1e-7 pinch, and so do the 64 bands its
+        # nodes include: the check refuses at 64, with that level's own
+        # minimum, and never reads the grid
         e = parse("(blend 0.5 (id 2) (rot3 0 0 1 3.141592453589793))")
         with pytest.raises(InvalidBlend) as refused:
             check_blend_validity(e, DegreeParams(), _Samples())
-        assert check_rows_seen == [8066, 32514]
-        X = geometry.make_grid(2, 128)
+        assert check_rows_seen == [8066]
+        low, row = pair_min_norm(*(eval_array(f, geometry.make_grid(2, 128)) for f in (e.f, e.g)))
+        assert low <= BLEND_MIN_NORM
+        X = geometry.make_grid(2, 64)
         low, row = pair_min_norm(eval_array(e.f, X), eval_array(e.g, X))
         assert str(refused.value) == (
             f"blend denominator {low:.3e} at t=0.5 near {tuple(X[row].tolist())} in {e.render()}"
@@ -443,14 +469,16 @@ class TestDegreeDispatch:
             degree(e)
         assert check_rows_seen == [256, 512]
 
-    def test_a_pinch_names_the_first_blend_in_walk_order(self):
-        # the inner blend pinches at 1e-7 and the outer one at 0. Blends
-        # are checked inside out, but the outer one is named, as a check
-        # in walk order names it.
-        inner = "(blend 0.5 (id 1) (rot 3.141592453589793))"
-        e = parse(f"(blend 0.5 {inner} (compose (antipode 1) {inner}))")
-        with pytest.raises(InvalidBlend, match=r"denominator 0.000e\+00 .* in \(blend 0.5 \(blend"):
-            check_blend_validity(e, DegreeParams(), _Samples())
+    @pytest.mark.parametrize("check", [degree, degree_simplicial])
+    def test_a_nested_pinch_names_the_inner_blend(self, check_rows_seen, check):
+        # the inner blend is checked first and pinches at every node; the
+        # outer one, whose child it is, would not normalize
+        inner = "(blend 0.5 (id 2) (antipode 2))"
+        e = parse(f"(blend 0.5 {inner} (id 2))")
+        point = r"0.000e\+00 at t=0.5 near \(0.0, 0.0, 1.0\) in "
+        with pytest.raises(InvalidBlend, match=point + re.escape(inner) + "$"):
+            check(e)
+        assert check_rows_seen == [8066]
 
     @pytest.mark.parametrize(
         ("text", "last", "rows"),
@@ -487,6 +515,18 @@ class TestDegreeDispatch:
         e = parse("(blend 0.5 (susp (pow 300)) (compose (rot3 0 0 1 0.1) (susp (pow 300))))")
         with pytest.raises(ResolutionExceeded, match="needs resolution 943 or more, above 512"):
             degree(e, params)
+        assert check_rows_seen == [8066]
+
+    def test_a_check_samples_only_levels_a_degree_may_be_read_at(self, check_rows_seen):
+        # m = cos(0.15) = 0.989 and L_f = L_g = 10: m_rig proves the bound
+        # at 128 bands, not at 64. By default 128 is admitted and the
+        # degree reads 64 by stride; a cap below 256 admits 64 alone, and
+        # the check refuses there
+        e = parse("(blend 0.5 (susp (pow 10)) (compose (rot3 0 0 1 0.3) (susp (pow 10))))")
+        assert (degree(e).value, degree(e).resolution) == (10, 64)
+        check_rows_seen.clear()
+        with pytest.raises(ResolutionExceeded, match="no level up to 64, segment minimum"):
+            degree(e, DegreeParams(max_resolution=128))
         assert check_rows_seen == [8066]
 
     def test_a_larger_cap_admits_a_finer_proof(self):
