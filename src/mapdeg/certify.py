@@ -23,6 +23,7 @@ from .degree import (
     DistanceEstimate,
     _degree,
     _levels,
+    _proven_level,
     _Samples,
     _streamed_min_norm,
     _sup_distance,
@@ -243,18 +244,20 @@ def _kept_base(
 
     f0's degree, its power witness, its values on
     make_grid(dim, params.grid_for(dim)), which are read-only, and its
-    blend check's bound; the degree, and every distance level the values
-    cover, read them where the levels meet. One entry only, so what is
-    held between calls is one level of one base map. text is f0.render()
-    and part of the key: (rot 0.0) == (rot -0.0) and the two hash alike,
-    but they may round differently. lru_cache keeps no exception, so an
-    error is never kept: the next call computes again and raises again.
+    blend check's bound. f0's degree level is admitted (_proven_level)
+    before f0 is evaluated there; the degree, and every distance level
+    the values cover, read them where the levels meet. One entry only,
+    so what is held between calls is one level of one base map. text is
+    f0.render() and part of the key: (rot 0.0) == (rot -0.0) and the two
+    hash alike, but they may round differently. lru_cache keeps no
+    exception, so an error is never kept.
     """
-    n, samples = params.grid_for(f0.dim), _Samples()
-    samples.values(f0, n)
+    grid, samples = params.grid_for(f0.dim), _Samples()
     bound = check_blend_validity(f0, params, samples)
-    deg = _degree(f0, params, samples, bound)
-    values = samples.values(f0, n)  # evaluated again only if the degree left n
+    n, sd = _proven_level(bound, params, f0)
+    samples.values(f0, grid)
+    deg = _degree(f0, samples, n, sd)
+    values = samples.values(f0, grid)  # evaluated again only if the degree left the grid
     values.setflags(write=False)
     return deg, is_perfect_power(deg.value), values, bound
 
@@ -267,30 +270,25 @@ def ball_certificate(
     Requires degree(f0) not to be a perfect power and the sup distance
     between f0 and g to be below 1. Then the straight-line homotopy
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
-    vectors, and g has f0's degree. g's blend check runs once, first,
-    and a refusal there is raised; its bound and f0's, kept with f0's
-    degree, give the rigorous distance bound, which must be below 1. The
-    distance walks degree._levels up to the last level within the row
-    budget, kept to the levels where (L_f + L_g) * mesh is below 1, since
-    no other level can prove it. Where none is left, as for a sum that
-    is not finite, the certificate is refused with DistanceTooLarge
-    before sampling. It is issued at the first level whose rigorous bound
-    is below 1, and refused with DistanceTooLarge at the first level
-    whose sampled distance plus (L_f + L_g) * mesh at the last level
-    reaches 1 (_levels' stop rule). The certificate carries f0's degree;
-    the logic never needs degree(g), still computed afterwards from the
-    same bound as a consistency assertion that must agree.
+    vectors, and g has f0's degree. g's blend check runs once, first;
+    its bound and f0's, kept with f0's degree, give the rigorous distance
+    bound. The distance walks the levels degree._levels lists within the
+    row budget where (L_f + L_g) * mesh is below 1, since no other can
+    prove it. It is refused with DistanceTooLarge before sampling where
+    none is, as for a sum that is not finite, issued at the first level
+    whose rigorous bound is below 1, and refused at the first whose
+    sampled distance plus (L_f + L_g) * mesh at the last level reaches 1
+    (_levels' stop rule). The certificate carries f0's degree; degree(g),
+    from the same bound, is a consistency check that must agree.
 
     The steps share one set of samples, so each map is evaluated at most
-    once per resolution: f0's values are kept at params.grid_for(dim),
-    and g's check, every distance level they cover and degree(g) read
-    them; degree(g) reads g's values from a distance level where its own
-    is a stride of it (on S2 both are usually 64 bands), and the
-    children g's check left held. A finer level is streamed in blocks
-    and holds no array of the whole level. g reads f0 where it contains
-    it, so a perturbation of f0 evaluates its field alone. What
-    _kept_base keeps serves the next call with the same rendered base
-    and params, which evaluates g only.
+    once per resolution. g's check, every distance level f0's kept values
+    cover and degree(g) read them; degree(g) reads g's values from a
+    distance level its own is a stride of (on S2 both are usually 64
+    bands), and the children g's check left held. A finer level is
+    streamed in blocks. g reads f0 where it contains it, so a
+    perturbation of f0 evaluates its field alone, and a call with the
+    last call's rendered base and params evaluates g only (_kept_base).
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
@@ -304,9 +302,11 @@ def ball_certificate(
     budget = _levels(params, dim, lambda n: grid_fits(dim, n))
     levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
     if not levels:
+        first = params.initial_for(dim)
+        span = f"up to {budget[-1]}, the last" if budget else f"from {first}, none"
         raise DistanceTooLarge(
-            f"Lipschitz bounds sum to {slope:.6g}: no level up to {budget[-1]}, the last "
-            "within the row budget, proves the distance"
+            f"Lipschitz bounds sum to {slope:.6g}: no level {span} within the row budget, "
+            "proves the distance"
         )
     for n in levels:
         dist = _sup_distance(f0, g, n, samples, slope)
@@ -327,7 +327,7 @@ def ball_certificate(
         checked_exponents=_exponent_scan_range(deg0.value),
         ball=BallProvenance(f0.render(), dist),
     )
-    deg_g = _degree(g, params, samples, bound)
+    deg_g = _degree(g, samples, *_proven_level(bound, params, g))
     if deg_g.value != deg0.value:
         raise ConsistencyError(
             f"degree {deg_g.value} of the perturbed map differs from the "

@@ -29,8 +29,9 @@ from .errors import (
     ResolutionExceeded,
     SymbolicNumericMismatch,
 )
+from . import geometry
 from .expr import Blend, MapExpr, eval_array, walk
-from .geometry import check_rows, coarsen, grid_blocks, grid_fits, grid_node, make_grid, mesh
+from .geometry import coarsen, grid_blocks, grid_fits, grid_node, make_grid, mesh
 
 _TWO_PI = 2.0 * math.pi
 
@@ -53,16 +54,12 @@ class DegreeParams:
     """Knobs for the degree computations.
 
     Resolutions left as None fall back to per-dimension defaults. A
-    degree is read at a level n only where 2n fits the cap (max_for) and
-    the row budget (_admitted). The effective maximum is never below
-    twice the starting resolution, so the starting level itself is
-    always admitted. A given initial resolution also sets the density
-    of the distance and homotopy grids (grid_for). A blend check and a
-    ball certificate's distance both search coarse first from
-    initial_for(dim) (_levels): a check up to the largest admitted
-    level, stopping at the first level that proves the blend's bound or
-    rules the largest out (on the default S2 schedule 64, 128, 256 or
-    512 bands), a distance up to the last level within the row budget.
+    degree or a blend check samples only levels from initial_for(dim)
+    whose double fits the cap (max_for) and the row budget (_admitted),
+    by default 64 to 512 bands on S2; the row budget admits no S2 first
+    level of 725 bands or more, whatever the cap. A given initial
+    resolution also sets the density of the distance and homotopy grids
+    (grid_for).
     """
 
     initial_resolution: int | None = None
@@ -140,7 +137,7 @@ class DistanceEstimate:
 
 
 def _admitted(n: int, params: DegreeParams, dim: int) -> bool:
-    """Whether a degree may be read at level n: 2n fits the cap and the row budget.
+    """Whether a degree or a blend check may sample level n: 2n fits the cap and the row budget.
 
     n <= cap would admit lines up to four times as costly on S2; that
     waits for a cost model of evaluations x rows.
@@ -156,11 +153,11 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
     2*pi*L samples on S1 or pi*L bands on S2, nor below
     params.initial_for(dim). A map whose degree the AST knows, one
     without a blend, is read there; a map with a blend at the first
-    initial_for(dim) * 2**j at or above it, a level of the blend checks'
-    schedule, so its last check's children are read by stride. A level
-    whose double exceeds the cap, or a bound that is infinite or NaN, is
-    refused (ResolutionExceeded) before the structural degree is
-    computed, which |degree| <= L keeps small.
+    level of its checks' schedule (_levels) at or above it, so its last
+    check's children are read by stride. The only place a degree level
+    is refused (ResolutionExceeded): a need over half the cap, or a bound
+    that is infinite or NaN, before the structural degree is computed,
+    which |degree| <= L keeps small; then a level _admitted refuses.
     """
     need = max(_WRAP[e.dim] * bound, params.initial_for(e.dim))  # max(nan, n) is nan
     cap = params.max_for(e.dim)
@@ -170,14 +167,14 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
             f"map needs starting resolution {shown}, above half the cap {cap}"
         )
     sd = e.symbolic_degree()
-    if sd is not None:
-        return math.ceil(need), sd
-    n = params.initial_for(e.dim)
-    while n < need:
-        n *= 2
-    if 2 * n > cap:
-        raise ResolutionExceeded(f"map needs resolution {n}, above half the cap {cap}")
-    return n, None
+    levels = _levels(params, e.dim, lambda n: _admitted(n, params, e.dim))
+    n = next((n for n in levels if n >= need), None) if sd is None else math.ceil(need)
+    if n is None or not _admitted(n, params, e.dim):
+        raise ResolutionExceeded(
+            f"map needs resolution {math.ceil(need)} or more, above every level whose "
+            f"double fits the cap {cap} and {geometry.MAX_ROWS} sample rows"
+        )
+    return n, sd
 
 
 def _is_stride(resolution: int, level: int) -> bool:
@@ -308,12 +305,9 @@ def _refine(e: MapExpr, samples: _Samples, n: int) -> DegreeResult:
     below pi/3, and n >= pi*L bands every image edge below pi/2, so the
     sum is the degree (Stenger 1975, Kearfott 1979). A guard over
     STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
-    there is a bug (ConsistencyError). A level whose double is over the
-    row budget is refused before it is sampled (ResolutionExceeded).
+    there is a bug (ConsistencyError). _proven_level admits n.
     """
-    dim = e.dim
-    method, one_pass = _PASSES[dim]
-    check_rows(dim, 2 * n, ResolutionExceeded)
+    method, one_pass = _PASSES[e.dim]
     raw, step = one_pass(samples.values(e, n), n)
     value = int(round(raw))
     residual = abs(raw - value)
@@ -447,19 +441,21 @@ def _blend_bound(node: Blend, inner: list[float], min_norm: float, n: int) -> fl
 
 
 def _levels(params: DegreeParams, dim: int, fits: Callable[[int], bool]) -> list[int]:
-    """The levels of a coarse-first search: initial_for(dim), then each double while fits(it).
+    """The levels of a coarse-first search: initial_for(dim) and each double, while fits(it).
 
-    A blend check (check_blend_validity) and a ball certificate's
-    distance (certify.ball_certificate) sample these in order and accept
-    at the first level that proves what they check. Both stop by one
-    rule: a finer level's nodes include the coarser ones, so a sampled
-    minimum only falls and a sampled maximum only rises, and a level
-    whose sample cannot prove even the last level rules out every level
-    after it. The search is refused there, with what it sampled.
+    Only levels fits admits are listed, the first too: where none is,
+    the caller refuses before sampling. A blend check and a ball
+    certificate's distance sample these in order and accept at the first
+    level that proves what they check. Both stop by one rule: a finer
+    level's nodes include the coarser ones, so a sampled minimum only
+    falls and a sampled maximum only rises, and a level whose sample
+    cannot prove even the last level rules out every level after it.
+    The search is refused there, with what it sampled.
     """
-    levels = [params.initial_for(dim)]
-    while fits(2 * levels[-1]):
-        levels.append(2 * levels[-1])
+    levels, n = [], params.initial_for(dim)
+    while fits(n):
+        levels.append(n)
+        n *= 2
     return levels
 
 
@@ -468,16 +464,15 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
 
     Each blend's children are sampled on one grid and the segment between
     them is checked at its exact minimum over t, not only at the node's
-    own t. Conservative by design: a pinch anywhere on the segment is
-    treated as inconclusive. Blends are checked inside out, each after
-    the blends within it, since its bound (_blend_bound) needs theirs.
-    A check walks _levels up to the last level whose double fits the cap
-    and the row budget (_admitted): the first level whose bound proves
-    the blend there or coarser accepts it, and the first level whose
-    nodes pinch raises InvalidBlend. A blend no level up to the last can
-    prove is refused (ResolutionExceeded): before sampling where
-    (1-t) L_f + t L_g, its bound at m_rig = 1, rules the last level out,
-    and by _levels' stop rule at the first level whose segment minimum m
+    own t: a pinch anywhere on the segment is inconclusive. Blends are
+    checked inside out, each after the blends within it, since its bound
+    (_blend_bound) needs theirs. A check walks the levels _admitted lets
+    _levels list: the first level whose bound proves the blend there or
+    coarser accepts it, and the first whose nodes pinch raises
+    InvalidBlend. A blend no listed level proves is refused
+    (ResolutionExceeded): before sampling where none is listed or where
+    (1-t) L_f + t L_g, its bound at m_rig = 1, rules the last out, and
+    by _levels' stop rule at the first level whose segment minimum m
     does, by m - (L_f + L_g)/2 * mesh(last).
 
     Each level reads what `samples` holds, by stride too, and keeps its
@@ -490,6 +485,12 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
     for node in reversed(blends):  # each blend after the blends within it
         dim, inner = node.dim, [_lipschitz(c, bounds) for c in (node.f, node.g)]
         levels = _levels(params, dim, lambda n: _admitted(n, params, dim))
+        if not levels:
+            raise ResolutionExceeded(
+                f"blend check needs resolution {params.initial_for(dim)} or more, above every "
+                f"level whose double fits the cap {params.max_for(dim)} and "
+                f"{geometry.MAX_ROWS} sample rows, in {node.render()}"
+            )
         last = levels[-1]
         need = _WRAP[dim] * ((1.0 - node.t) * inner[0] + node.t * inner[1])  # m_rig <= 1
         if not need <= last:
@@ -533,12 +534,12 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     preferred away. Otherwise the numeric result is returned as-is.
     """
     samples = _Samples()
-    return _degree(e, params, samples, check_blend_validity(e, params, samples))
+    n, sd = _proven_level(check_blend_validity(e, params, samples), params, e)
+    return _degree(e, samples, n, sd)
 
 
-def _degree(e: MapExpr, params: DegreeParams, samples: _Samples, bound: float) -> DegreeResult:
-    """degree(e, params) from e's check bound, reading the map's values from `samples`."""
-    n, sd = _proven_level(bound, params, e)
+def _degree(e: MapExpr, samples: _Samples, n: int, sd: int | None) -> DegreeResult:
+    """degree(e) at _proven_level's n and sd, reading the map's values from `samples`."""
     witness = _refine(e, samples, n)
     if sd is None:
         return witness

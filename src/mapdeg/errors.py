@@ -14,7 +14,10 @@ class DimensionMismatch(MapdegError):
 
 
 class InvalidResolution(MapdegError):
-    """Requested grid resolution is below the minimum or over the row budget."""
+    """A grid asked for directly is below the minimum or over the row budget.
+
+    Degrees, blend checks and ball certificates admit their levels first.
+    """
 
 
 class ParseError(MapdegError):

@@ -48,12 +48,6 @@ def grid_fits(dim: int, resolution: int) -> bool:
     return rows <= MAX_ROWS
 
 
-def check_rows(dim: int, resolution: int, error: type[Exception]) -> None:
-    """Raise `error` unless grid_fits(dim, resolution)."""
-    if not grid_fits(dim, resolution):
-        raise error(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
-
-
 def make_grid(dim: int, resolution: int) -> np.ndarray:
     """The (rows, dim+1) array of sample nodes at `resolution` angular subdivisions.
 
@@ -105,7 +99,8 @@ def _check_grid(dim: int, resolution: int) -> None:
         raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
     if resolution < MIN_RESOLUTION:
         raise InvalidResolution(f"resolution {resolution} < {MIN_RESOLUTION}")
-    check_rows(dim, resolution, InvalidResolution)
+    if not grid_fits(dim, resolution):
+        raise InvalidResolution(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
 
 
 def _arc(resolution: int, lo: int, hi: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapdeg import (
@@ -18,6 +18,7 @@ from mapdeg import (
     DistanceTooLarge,
     Id,
     InvalidBlend,
+    InvalidResolution,
     MapdegError,
     NonIterateCertificate,
     Perturb,
@@ -39,9 +40,15 @@ from mapdeg import (
     parse,
 )
 from mapdeg import geometry
-from mapdeg.degree import _Samples, check_blend_validity, pair_distance, pair_min_norm
+from mapdeg.degree import (
+    _admitted,
+    _Samples,
+    check_blend_validity,
+    pair_distance,
+    pair_min_norm,
+)
 
-from test_degree import S1_TREES, S2_TREES
+from test_degree import S1_TREES, S1_WITH_BLENDS, S2_TREES, S2_WITH_BLENDS
 
 certify_module = importlib.import_module("mapdeg.certify")
 
@@ -313,6 +320,17 @@ class TestBallCertificate:
             DistanceTooLarge, match=r"0.999999 at 256 leaves every rigorous bound up to 4096"
         ):
             ball_certificate(Pow(2), g)
+
+    def test_an_empty_distance_budget_is_refused_before_sampling(self, monkeypatch):
+        # the base is kept under the real row budget; under 128 rows the
+        # distance's first level, 256 samples, does not fit, so no level
+        # is listed and nothing is sampled
+        f0, g = Pow(2), parse("(perturb 5 0.4 (pow 2))")
+        certify_module._kept_base.cache_clear()
+        ball_certificate(f0, g)
+        monkeypatch.setattr(geometry, "MAX_ROWS", 128)
+        with pytest.raises(DistanceTooLarge, match="no level from 256, none within the row"):
+            ball_certificate(f0, g)
 
     def test_sphere_case(self):
         f0 = parse("(susp (pow 2))")
@@ -603,6 +621,15 @@ class TestEvaluationCount:
             degree(e.outer)
         assert rows == {}
 
+    def test_a_base_no_level_proves_is_refused_before_its_grid(self, rows):
+        # the base's degree level is the first level, 1024 bands, whose
+        # double needs more than 2**22 rows: it is refused before the base
+        # is evaluated on its 1024-band grid
+        f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
+        with pytest.raises(ResolutionExceeded, match="map needs resolution 1024 or more"):
+            ball_certificate(f0, g, DegreeParams(initial_resolution=1024))
+        assert rows == {}
+
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
         e = parse("(perturb 4 0.5 (susp (pow 2)))")
         assert degree(e).resolution == 64
@@ -802,3 +829,58 @@ class TestBaseRecord:
             warm = outcome()
             self.kept.cache_clear()
             assert outcome() == warm == cold
+
+
+class TestAdmission:
+    """No call samples a level that the rule governing it refuses."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.one_of(S1_TREES, S2_TREES, S1_WITH_BLENDS, S2_WITH_BLENDS),
+        # small first levels too, which the 2**16-row budget admits on S2
+        st.one_of(st.integers(8, 128), st.integers(8, 4096)),
+        st.one_of(st.none(), st.integers(8, 2**20)),
+        st.integers(0, 2**64 - 1),
+        st.floats(0.0, 0.9),
+    )
+    # blends whose first level is not admitted: 128 bands fit the budget
+    # but their double does not, and 256 bands do not fit at all
+    @example(parse("(blend 0.5 (susp (pow 2)) (rot3 0 0 1 0.5))"), 128, None, 1, 0.5)
+    @example(parse("(blend 0.5 (susp (pow 2)) (rot3 0 0 1 0.5))"), 256, None, 1, 0.5)
+    def test_every_sampled_level_is_admitted(self, e, initial, cap, seed, eps):
+        # degree and certify_not_iterate sample only blend check and
+        # degree levels, which _admitted governs; a ball certificate also
+        # samples the base's grid and its distance levels, which need only
+        # fit the row budget (grid_fits)
+        params = DegreeParams(initial, cap)
+        module = importlib.import_module("mapdeg.degree")
+        seen = []
+
+        def spy(original):
+            def sampled(dim, n):
+                seen.append((dim, n))
+                return original(dim, n)
+
+            return sampled
+
+        calls = [
+            (lambda: degree(e, params), True),
+            (lambda: certify_not_iterate(e, params), True),
+            (lambda: ball_certificate(e, Perturb(seed, eps, e), params), False),
+        ]
+        with (
+            mock.patch.object(geometry, "MAX_ROWS", 2**16),
+            mock.patch.object(module, "make_grid", spy(module.make_grid)),
+            mock.patch.object(module, "grid_blocks", spy(module.grid_blocks)),
+        ):
+            certify_module._kept_base.cache_clear()
+            for call, degree_levels_only in calls:
+                seen.clear()
+                try:
+                    call()
+                except MapdegError as err:
+                    assert not isinstance(err, InvalidResolution), err
+                assert all(geometry.grid_fits(dim, n) for dim, n in seen)
+                if degree_levels_only:
+                    assert all(_admitted(n, params, dim) for dim, n in seen)
+            certify_module._kept_base.cache_clear()

@@ -219,12 +219,14 @@ class TestWinding:
         with pytest.raises(ResolutionExceeded, match="needs resolution 126 or more, above 64"):
             degree_winding(parse("(blend 0.0 (pow 20) (pow 20))"), params)
         assert check_rows_seen == [16]
-        # the blend check samples the 128-sample grid first, and refuses it
+        # a first level whose double is over the row budget admits no
+        # level: the check refuses before sampling it
         monkeypatch.setattr(geometry, "MAX_ROWS", 64)
-        with pytest.raises(InvalidResolution, match="resolution 128 needs more than 64"):
+        with pytest.raises(ResolutionExceeded, match="128 or more, .* and 64 sample rows"):
             degree_winding(
                 parse("(blend 0.0 (pow 20) (pow 20))"), DegreeParams(initial_resolution=128)
             )
+        assert check_rows_seen == [16]
 
     @pytest.mark.parametrize("offset", [0.0, 0.1, 1.0, 2.5])
     def test_invariant_under_sample_offset(self, offset):
@@ -528,6 +530,18 @@ class TestDegreeDispatch:
         with pytest.raises(ResolutionExceeded, match="no level up to 64, segment minimum"):
             degree(e, DegreeParams(max_resolution=128))
         assert check_rows_seen == [8066]
+
+    @pytest.mark.parametrize(
+        "other", ["(perturb 4 0.5 (susp (pow 2)))", "(compose (antipode 2) (susp (pow 2)))"]
+    )
+    def test_a_first_level_no_degree_may_be_read_at_samples_nothing(self, check_rows_seen, other):
+        # 2048 bands need more than 2**22 rows, so 1024 is not admitted:
+        # the check refuses before its first sample, and a pinch it would
+        # find there is refused the same way
+        e = parse(f"(blend 0.5 (susp (pow 2)) {other})")
+        with pytest.raises(ResolutionExceeded, match="blend check needs resolution 1024 or more"):
+            degree(e, DegreeParams(initial_resolution=1024))
+        assert check_rows_seen == []
 
     def test_a_larger_cap_admits_a_finer_proof(self):
         e = parse("(blend 0.5 (rot 0) (rot 3.14))")

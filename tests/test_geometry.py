@@ -19,9 +19,9 @@ from mapdeg.degree import pair_distance, raw_pass
 from mapdeg import geometry
 from mapdeg.geometry import (
     MAX_ROWS,
-    check_rows,
     coarsen,
     grid_blocks,
+    grid_fits,
     grid_node,
     mesh,
     normalize_rows,
@@ -167,18 +167,18 @@ class TestMakeGrid:
     def test_rejects_grids_over_the_row_budget(self):
         # 1448 bands carry 2 * 1448 * 1447 + 2 <= 2**22 nodes, 1449 bands more;
         # the refusal comes before any allocation
-        check_rows(1, MAX_ROWS, InvalidResolution)
-        check_rows(2, 1448, InvalidResolution)
-        with pytest.raises(InvalidResolution):
+        assert grid_fits(1, MAX_ROWS) and grid_fits(2, 1448)
+        assert not grid_fits(1, MAX_ROWS + 1) and not grid_fits(2, 1449)
+        with pytest.raises(InvalidResolution, match=f"resolution {MAX_ROWS + 1} needs more than"):
             make_grid(1, MAX_ROWS + 1)
-        with pytest.raises(InvalidResolution):
+        with pytest.raises(InvalidResolution, match=f"resolution 1449 needs more than {MAX_ROWS}"):
             make_grid(2, 1449)
 
     def test_default_levels_and_grids_fit_the_row_budget(self):
         params = DegreeParams()
         for dim in (1, 2):
             for n in (params.max_for(dim), params.grid_for(dim)):
-                check_rows(dim, n, InvalidResolution)
+                assert grid_fits(dim, n)
 
 
 
