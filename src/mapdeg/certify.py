@@ -284,11 +284,12 @@ def ball_certificate(
     The steps share one set of samples, so each map is evaluated at most
     once per resolution. g's check, every distance level f0's kept values
     cover and degree(g) read them; degree(g) reads g's values from a
-    distance level its own is a stride of (on S2 both are usually 64
-    bands), and the children g's check left held. A finer level is
-    streamed in blocks. g reads f0 where it contains it, so a
-    perturbation of f0 evaluates its field alone, and a call with the
-    last call's rendered base and params evaluates g only (_kept_base).
+    distance level its own is a stride of (on S2 the distance is usually
+    at 64 bands, and degree(g) at a stride of it), and the children g's
+    check left held. A finer level is streamed in blocks. g reads f0 where
+    it contains it, so a perturbation of f0 evaluates its field alone, and
+    a call with the last call's rendered base and params evaluates g only
+    (_kept_base).
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")

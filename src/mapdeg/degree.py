@@ -54,12 +54,14 @@ class DegreeParams:
     """Knobs for the degree computations.
 
     Resolutions left as None fall back to per-dimension defaults. A
-    degree or a blend check samples only levels from initial_for(dim)
-    whose double fits the cap (max_for) and the row budget (_admitted),
-    by default 64 to 512 bands on S2; the row budget admits no S2 first
-    level of 725 bands or more, whatever the cap. A given initial
-    resolution also sets the density of the distance and homotopy grids
-    (grid_for).
+    blend check samples only levels from initial_for(dim) whose double
+    fits the cap (max_for) and the row budget (_admitted), by default 64
+    to 512 bands on S2; the row budget admits no S2 first level of 725
+    bands or more, whatever the cap. A degree is read at one such level
+    or, where its bound proves the first level, at a stride of it no
+    coarser than MIN_RESOLUTION (_proven_level), and only where the
+    first level is admitted. A given initial resolution also sets the
+    density of the distance and homotopy grids (grid_for).
     """
 
     initial_resolution: int | None = None
@@ -95,9 +97,11 @@ class DegreeResult:
 
     residual is |raw - value| before rounding, always below 1e-6; method
     records which route produced the value. resolution is the one level
-    the map's Lipschitz bound proves: the start level of a map without a
-    blend, or for a map with a blend the first initial_for(dim) * 2**j
-    its check-derived bound proves.
+    the map's Lipschitz bound proves (_proven_level): where the bound
+    proves the first level, the coarsest initial_for(dim) / 2**j it
+    proves, never below MIN_RESOLUTION; above it, the bound's own level
+    rounded up for a map without a blend, or for a map with a blend the
+    first initial_for(dim) * 2**j its check-derived bound proves.
     """
 
     value: int
@@ -150,29 +154,42 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so no map is read below
-    2*pi*L samples on S1 or pi*L bands on S2, nor below
-    params.initial_for(dim). A map whose degree the AST knows, one
-    without a blend, is read there; a map with a blend at the first
-    level of its checks' schedule (_levels) at or above it, so its last
-    check's children are read by stride. The only place a degree level
-    is refused (ResolutionExceeded): a need over half the cap, or a bound
-    that is infinite or NaN, before the structural degree is computed,
-    which |degree| <= L keeps small; then a level _admitted refuses.
+    need = 2*pi*L samples on S1 or pi*L bands on S2, nor below
+    MIN_RESOLUTION. Where need is at most the first level,
+    params.initial_for(dim), e is read at the coarsest power-of-two
+    stride of it that is need or more, so values held at the first level
+    or a finer one (a check's children, a certificate's distance) are
+    read, not evaluated again. Above it a map without a blend is read at
+    ceil(need), and a map with a blend at the first level of its checks'
+    schedule (_levels) at or above need, whose last check's children it
+    reads by stride. The only place a degree level is refused
+    (ResolutionExceeded): a need over half the cap, or a bound that is
+    infinite or NaN, before the structural degree is computed, which
+    |degree| <= L keeps small; then a first level or a level that
+    _admitted refuses.
     """
-    need = max(_WRAP[e.dim] * bound, params.initial_for(e.dim))  # max(nan, n) is nan
-    cap = params.max_for(e.dim)
+    dim = e.dim
+    need = max(_WRAP[dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
+    cap = params.max_for(dim)
     if not need <= cap // 2:
         shown = math.ceil(need) if math.isfinite(need) else need
         raise ResolutionExceeded(
             f"map needs starting resolution {shown}, above half the cap {cap}"
         )
-    sd = e.symbolic_degree()
-    levels = _levels(params, e.dim, lambda n: _admitted(n, params, e.dim))
-    n = next((n for n in levels if n >= need), None) if sd is None else math.ceil(need)
-    if n is None or not _admitted(n, params, e.dim):
+    sd, first = e.symbolic_degree(), params.initial_for(dim)
+    if need <= first:
+        n = first
+        while n % 2 == 0 and n // 2 >= need:
+            n //= 2
+    elif sd is None:
+        levels = _levels(params, dim, lambda n: _admitted(n, params, dim))
+        n = next((n for n in levels if n >= need), None)
+    else:
+        n = math.ceil(need)
+    if n is None or not _admitted(max(n, first), params, dim):
         raise ResolutionExceeded(
-            f"map needs resolution {math.ceil(need)} or more, above every level whose "
-            f"double fits the cap {cap} and {geometry.MAX_ROWS} sample rows"
+            f"map needs resolution {math.ceil(max(need, first))} or more, above every level "
+            f"whose double fits the cap {cap} and {geometry.MAX_ROWS} sample rows"
         )
     return n, sd
 
@@ -450,7 +467,9 @@ def _levels(params: DegreeParams, dim: int, fits: Callable[[int], bool]) -> list
     level's nodes include the coarser ones, so a sampled minimum only
     falls and a sampled maximum only rises, and a level whose sample
     cannot prove even the last level rules out every level after it.
-    The search is refused there, with what it sampled.
+    The search is refused there, with what it sampled. A degree with a
+    blend whose bound needs more than the first level is read at the
+    first listed level that proves it (_proven_level).
     """
     levels, n = [], params.initial_for(dim)
     while fits(n):

@@ -574,13 +574,14 @@ class TestEvaluationCount:
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
         # the blend check proves the blend at 64 bands, 2 + 63 * 128 =
-        # 8066 vertices, and its degree is read there alone: the blend
-        # reads both children from the check instead of evaluating them
+        # 8066 vertices, and its bound proves 16 bands, a stride of them,
+        # 2 + 15 * 32 = 482 vertices: the blend reads both children from
+        # the check instead of evaluating them
         e = parse("(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))")
         res = degree(e)
-        assert (res.value, res.resolution) == (2, 64)
+        assert (res.value, res.resolution) == (2, 16)
         assert res.residual < 1e-6
-        assert rows == {(f.render(), 8066): 1 for f in (e, e.f, e.g)}
+        assert rows == {(e.f.render(), 8066): 1, (e.g.render(), 8066): 1, (e.render(), 482): 1}
 
     def test_blend_check_doubles_until_its_bound_proves_a_level(self, rows):
         # cos(1.45) = 0.121 leaves m_rig = 0.017 at 128 bands and 0.069 at
@@ -631,9 +632,10 @@ class TestEvaluationCount:
         assert rows == {}
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
+        # pi * L = 16.2 bands: read at 32, 2 + 31 * 64 = 1986 vertices
         e = parse("(perturb 4 0.5 (susp (pow 2)))")
-        assert degree(e).resolution == 64
-        assert rows == {(e.render(), 8066): 1}
+        assert degree(e).resolution == 32
+        assert rows == {(e.render(), 1986): 1}
 
     def test_doubling_distance_evaluates_each_level_once(self, rows):
         # f0's degree accepts at 256 samples and the distance doubles
@@ -795,7 +797,7 @@ class TestBaseRecord:
         ball_certificate(f0, g)
         fine_params = DegreeParams(initial_resolution=512)
         fine = ball_certificate(f0, g, fine_params)
-        assert fine.degree.resolution == 512
+        assert fine.ball.distance.resolution == 512
         assert self.kept.cache_info().misses == 2
         self.kept(f0.render(), fine_params, f0)
         assert self.kept.cache_info()[:2] == (1, 2)

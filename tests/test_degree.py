@@ -272,14 +272,17 @@ def _turned(k, angle):
 
 class TestSimplicial:
     def test_default_levels_are_64_and_128_bands(self):
-        # a map without a blend is proven at 64 bands. A blend check runs
-        # at 64 bands, then on the 128-band grid, and doubles on while its
-        # bound proves no level; the degree is read at the first 64 * 2**j
-        # the bound proves, from the children the check left there
-        assert degree_simplicial(parse("(susp (pow 2))")).resolution == 64
+        # a map whose bound proves 64 bands is read at the coarsest
+        # 64 / 2**j its bound still proves: pi * 2 = 6.3 bands for
+        # (susp (pow 2)), so 8. A blend check runs at 64 bands, then on the
+        # 128-band grid, and doubles on while its bound proves no level;
+        # the degree is read at that stride of 64 or, above 64, at the
+        # first 64 * 2**j the bound proves, from the children the check
+        # left there
+        assert degree_simplicial(parse("(susp (pow 2))")).resolution == 8
         cases = [
             # (k, turn, check level, degree level)
-            (2, 0.5, 64, 64),
+            (2, 0.5, 64, 8),
             # cos(1.25) = 0.315: 64 bands leave 0.107 of it, 128 0.211
             (3, 2.5, 128, 64),
             (3, 2.7, 128, 128),
@@ -371,34 +374,54 @@ class TestProvenLevel:
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(S1_TREES, S2_TREES, S1_WITH_BLENDS, S2_WITH_BLENDS))
+    # 2*pi*L samples or pi*L bands of at most 6.3: read at 8
+    @example(parse("(id 1)"))
+    @example(parse("(rot 1.0)"))
+    @example(parse("(conj)"))
+    @example(parse("(susp (pow 2))"))
+    @example(parse("(antipode 2)"))
+    @example(parse("(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))"))
     def test_every_degree_is_read_at_the_level_its_bound_gives(self, e):
-        # the one level is the first start-level multiple n * 2**j at or
-        # above 2*pi*L samples or pi*L bands with a blend, and that bound
-        # itself, rounded up, without one
+        # need is 2*pi*L samples or pi*L bands, and 8 at least. Up to the
+        # first level n the one level is the coarsest n / 2**j at or above
+        # need; above it, the first n * 2**j at or above need with a
+        # blend, and need itself, rounded up, without one. Its integer is
+        # the one read at the level with n as its floor
         params = DegreeParams()
         try:
             res = degree(e)
         except (ResolutionExceeded, InvalidBlend):
             return
         bound = check_blend_validity(e, params, _Samples())
-        need = max(params.initial_for(e.dim), (2 * math.pi / e.dim) * bound)
-        level = math.ceil(need)
-        if any(isinstance(node, Blend) for node in walk(e)):
-            level = params.initial_for(e.dim)
+        first, wrap = params.initial_for(e.dim), 2 * math.pi / e.dim
+        has_blend = any(isinstance(node, Blend) for node in walk(e))
+
+        def level_from(need):
+            if need <= first:
+                level = first
+                while level // 2 >= need:
+                    level //= 2
+                return level
+            if not has_blend:
+                return math.ceil(need)
+            level = first
             while level < need:
                 level *= 2
-        assert res.resolution == level
+            return level
+
+        assert res.resolution == level_from(max(geometry.MIN_RESOLUTION, wrap * bound))
         assert res.residual < 1e-6
         assert res.value == _first_ends(e).symbolic_degree()
+        assert res.value == round(raw_pass(e, level_from(max(first, wrap * bound)))[0])
 
     def test_a_lying_bound_never_returns_an_integer(self, monkeypatch):
-        # L = 1 starts (pow 40) at 64 bands, where its equator edges turn
-        # by 40 * pi / 64 > pi / 2: the guard refuses, nothing refines
+        # L = 1 reads (pow 40) at 8 bands, where its equator edges turn
+        # by 40 * pi / 8 > pi / 2: the guard refuses, nothing refines
         monkeypatch.setattr(Pow, "_bound", lambda self, inner: 1.0)
         e = parse("(susp (pow 40))")
-        with pytest.raises(ConsistencyError, match="proven resolution 64"):
+        with pytest.raises(ConsistencyError, match="proven resolution 8 "):
             degree_simplicial(e)
-        with pytest.raises(ConsistencyError, match="proven resolution 64"):
+        with pytest.raises(ConsistencyError, match="proven resolution 8 "):
             degree(e)
 
     @pytest.mark.parametrize(("k", "alias"), [(40, -22), (-17, 9)])

@@ -1,10 +1,11 @@
 import argparse
+import json
 import re
 import types
 from pathlib import Path
 
 import mapdeg
-from mapdeg.cli import _build_parser
+from mapdeg.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,3 +50,16 @@ def test_every_cli_option_is_documented():
                 missing.append((command, action.option_strings))
     assert len(subparsers.choices) == 5
     assert missing == []
+
+
+def test_the_certificate_example_is_what_certify_prints(capsys):
+    # the residual is rounding noise; every other field, the degree's
+    # resolution included, is what the code gives
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Certificate (from `certify` and `experiment`):", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert main(["certify", "-e", "(pow 2)"]) == 0
+    printed = json.loads(capsys.readouterr().out)["payload"]
+    for payload in (example, printed):
+        payload["degree"]["residual"] = None
+    assert printed == example
