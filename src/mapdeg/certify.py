@@ -21,6 +21,7 @@ from .degree import (
     DegreeParams,
     DegreeResult,
     DistanceEstimate,
+    _chord_bound,
     _degree,
     _levels,
     _proven_level,
@@ -271,35 +272,74 @@ def ball_certificate(
     between f0 and g to be below 1. Then the straight-line homotopy
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
     vectors, and g has f0's degree. g's blend check runs once, first;
-    its bound and f0's, kept with f0's degree, give the rigorous distance
-    bound. The distance walks the levels degree._levels lists within the
-    row budget where (L_f + L_g) * mesh is below 1, since no other can
-    prove it. It is refused with DistanceTooLarge before sampling where
-    none is, as for a sum that is not finite, issued at the first level
-    whose rigorous bound is below 1, and refused at the first whose
-    sampled distance plus (L_f + L_g) * mesh at the last level reaches 1
-    (_levels' stop rule). The certificate carries f0's degree; degree(g),
-    from the same bound, is a consistency check that must agree.
+    its bound and f0's, kept with f0's degree, are L_g and L_f. The
+    certificate carries f0's degree; degree(g), at the level g's bound
+    proves (_proven_level), is a consistency check that must agree.
+
+    Where g is f0 under a chain of perturbs whose chord bound
+    (_chord_bound) is below 1, that bound proves the distance and no
+    distance is searched: degree(g) runs first, and the sampled distance
+    is read at its level from values already held. f0's come by stride
+    from its kept grid, or, where that level is no stride of it, are
+    evaluated there once, before g, which reads them. Anywhere else the
+    distance is searched first (_distance_search), and degree(g) runs
+    after it.
 
     The steps share one set of samples, so each map is evaluated at most
     once per resolution. g's check, every distance level f0's kept values
     cover and degree(g) read them; degree(g) reads g's values from a
-    distance level its own is a stride of (on S2 the distance is usually
-    at 64 bands, and degree(g) at a stride of it), and the children g's
-    check left held. A finer level is streamed in blocks. g reads f0 where
-    it contains it, so a perturbation of f0 evaluates its field alone, and
-    a call with the last call's rendered base and params evaluates g only
-    (_kept_base).
+    distance level its own is a stride of, and the children g's check
+    left held. A finer distance level is streamed in blocks. g reads f0
+    where it contains it, so a perturbation of f0 evaluates its field
+    alone, and a call with the last call's rendered base and params
+    evaluates g only (_kept_base).
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     deg0, witness, values, bound0 = _kept_base(f0.render(), params, f0)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
-    dim, samples = g.dim, _Samples()
-    samples.hold(f0, params.grid_for(dim), values)
+    samples = _Samples()
+    samples.hold(f0, params.grid_for(g.dim), values)
     bound = check_blend_validity(g, params, samples)
     slope = bound0 + bound
+    chord = _chord_bound(f0, g)
+    if chord is not None and chord < BALL_RADIUS:
+        n, sd = _proven_level(bound, params, g)
+        samples.values(f0, n)  # held at n before g is evaluated there, so g reads it
+        deg_g = _degree(g, samples, n, sd)
+        dist = _sup_distance(f0, g, n, samples, slope)
+    else:
+        dist = _distance_search(f0, g, params, samples, slope)
+        deg_g = _degree(g, samples, *_proven_level(bound, params, g))
+    if deg_g.value != deg0.value:
+        raise ConsistencyError(
+            f"degree {deg_g.value} of the perturbed map differs from the "
+            f"base degree {deg0.value}; homotopy invariance violated"
+        )
+    return NonIterateCertificate(
+        subject=g.render(),
+        dim=g.dim,
+        degree=deg0,
+        checked_exponents=_exponent_scan_range(deg0.value),
+        ball=BallProvenance(f0.render(), dist),
+    )
+
+
+def _distance_search(
+    f0: MapExpr, g: MapExpr, params: DegreeParams, samples: _Samples, slope: float
+) -> DistanceEstimate:
+    """The distance of a ball certificate's coarse-first search, proven below 1.
+
+    slope is L_f + L_g. The search walks the levels degree._levels lists
+    within the row budget where slope * mesh is below 1, since no other
+    can prove the distance. It is refused with DistanceTooLarge before
+    sampling where none is, as for a sum that is not finite, returns at
+    the first level whose rigorous bound is below 1, and is refused at
+    the first whose sampled distance plus slope * mesh at the last level
+    reaches 1 (_levels' stop rule).
+    """
+    dim = g.dim
     budget = _levels(params, dim, lambda n: grid_fits(dim, n))
     levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
     if not levels:
@@ -312,7 +352,7 @@ def ball_certificate(
     for n in levels:
         dist = _sup_distance(f0, g, n, samples, slope)
         if dist.rigorous < BALL_RADIUS:
-            break
+            return dist
         floor = dist.sampled_max + slope * mesh(dim, levels[-1])
         if floor >= BALL_RADIUS:
             raise DistanceTooLarge(
@@ -320,18 +360,3 @@ def ball_certificate(
                 f"up to {levels[-1]} at {floor:.6f} or more, not below {BALL_RADIUS}; "
                 "the ball argument does not apply (inconclusive)"
             )
-
-    certificate = NonIterateCertificate(
-        subject=g.render(),
-        dim=g.dim,
-        degree=deg0,
-        checked_exponents=_exponent_scan_range(deg0.value),
-        ball=BallProvenance(f0.render(), dist),
-    )
-    deg_g = _degree(g, samples, *_proven_level(bound, params, g))
-    if deg_g.value != deg0.value:
-        raise ConsistencyError(
-            f"degree {deg_g.value} of the perturbed map differs from the "
-            f"base degree {deg0.value}; homotopy invariance violated"
-        )
-    return certificate

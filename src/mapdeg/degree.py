@@ -30,7 +30,7 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from . import geometry
-from .expr import Blend, MapExpr, eval_array, walk
+from .expr import Blend, MapExpr, Perturb, eval_array, walk
 from .geometry import coarsen, grid_blocks, grid_fits, grid_node, make_grid, mesh
 
 _TWO_PI = 2.0 * math.pi
@@ -122,10 +122,12 @@ class DegreeResult:
 class DistanceEstimate:
     """Sampled sup distance between two maps, with a bound where one is known.
 
-    sampled_max is a lower bound of the true sup. rigorous adds
-    (L_f + L_g) * mesh, with both maps' Lipschitz bounds from their blend
-    checks, and is a true upper bound; None only where that sum is not
-    finite.
+    sampled_max is a lower bound of the true sup, taken at `resolution`.
+    rigorous is a true upper bound, the smaller of two where both are
+    known: the AST's chord bound where g is f under a chain of perturbs
+    (_chord_bound), and sampled_max + (L_f + L_g) * mesh, with both maps'
+    Lipschitz bounds from their blend checks, where that sum is finite.
+    None where neither is.
     """
 
     sampled_max: float
@@ -296,20 +298,49 @@ def _known(
     held lists (map, level, values) with each level a stride multiple of
     `resolution`. The tree is matched against the held maps once, here,
     so that eval_array looks nodes up by identity rather than hashing
-    them. A node matches a held map that is equal and renders alike:
-    (rot 0.0) == (rot -0.0), but the two may round differently.
+    them. A node matches a held map where _same(node, map).
     """
     known = {}
     stack = [e] if held else []
     while stack:
         node = stack.pop()
         for f, n, Y in held:
-            if node == f and node.render() == f.render():
+            if _same(node, f):
                 known[id(node)] = _coarsen_to(f.dim, resolution, n, Y)
                 break
         else:
             stack.extend(node.children())
     return known
+
+
+def _same(node: MapExpr, f: MapExpr) -> bool:
+    """Whether node is f, value for value: equal, and rendering alike.
+
+    (rot 0.0) == (rot -0.0), but the two may round differently.
+    """
+    return node == f and node.render() == f.render()
+
+
+def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
+    """An upper bound of |f(x) - g(x)| over the whole sphere from the AST alone, or None.
+
+    g is walked through Perturb nodes until a node _same as f. Each
+    (perturb s eps h) adds eps * V(x), with |V(x)| <= 1 everywhere
+    (PerturbationField), to the unit vector h(x); since eps < 1 the
+    direction turns by at most asin(eps). Turns add along the chain, by
+    the triangle inequality of the sphere's geodesic metric, so g(x) lies
+    within angle theta = sum asin(eps_i) of f(x), and within the chord
+    2 sin(min(theta, pi) / 2). For one perturb that is
+    sqrt(2 - 2 sqrt(1 - eps^2)), below 1 exactly when eps < sqrt(3)/2.
+    None where g is not f under a chain of perturbs.
+    """
+    theta = 0.0
+    while not _same(g, f):
+        if not isinstance(g, Perturb):
+            return None
+        theta += math.asin(g.eps)
+        g = g.inner
+    return 2.0 * math.sin(min(theta, math.pi) / 2.0)
 
 
 def _refine(e: MapExpr, samples: _Samples, n: int) -> DegreeResult:
@@ -582,10 +613,12 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
 
     The sampled max is a lower bound of the true sup. Both maps' blend
     checks run first, with DegreeParams(), for their Lipschitz bounds,
-    and a check's refusal is raised. rigorous = sampled_max +
-    (L_f + L_g) * mesh is an upper bound where finite: every point lies
-    within mesh of a node, where neither map can have moved by more than
-    its constant times mesh. `resolution` defaults to grid_for(dim).
+    and a check's refusal is raised. sampled_max + (L_f + L_g) * mesh is
+    an upper bound where finite: every point lies within mesh of a node,
+    where neither map can have moved by more than its constant times
+    mesh. rigorous is the smaller of it and the chord bound where g is f
+    under a chain of perturbs (_sup_distance). `resolution` defaults to
+    grid_for(dim).
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
@@ -599,10 +632,15 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
 def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples, slope: float):
     """sup_distance(f, g, n) with slope = L_f + L_g, reading both maps from `samples`.
 
-    Inside a ball certificate a level the base's kept values cover reads
-    them, so f is not evaluated again; a finer level is streamed
+    rigorous is the smaller of the upper bounds that are known: the
+    AST's (_chord_bound) and sampled + slope * mesh(n), where slope is
+    finite. A level f's held values cover reads them, so f is not
+    evaluated again, and g's held values too; a finer level is streamed
     (_Samples.distance).
     """
     sampled = samples.distance(f, g, n)
-    rigorous = sampled + slope * mesh(f.dim, n) if math.isfinite(slope) else None
-    return DistanceEstimate(sampled, n, rigorous)
+    bounds = [sampled + slope * mesh(f.dim, n)] if math.isfinite(slope) else []
+    chord = _chord_bound(f, g)
+    if chord is not None:
+        bounds.append(chord)
+    return DistanceEstimate(sampled, n, min(bounds, default=None))

@@ -388,7 +388,10 @@ class PerturbationField:
     Each component is a low-order trigonometric polynomial of the ambient
     coordinates with seed-derived integer frequencies and coefficients.
     Dividing all coefficients by their total absolute sum bounds the
-    field's Euclidean norm by 1 everywhere.
+    field, a sum of sines, by |V(x)|_2 <= |V(x)|_1 <= 1 at every point,
+    not only at sample nodes. Ball certificates rest on it: a
+    perturbation's distance from its inner map is bounded from that
+    alone (degree._chord_bound), without sampling.
 
     A call runs on the calling thread and returns a fresh array, filled
     BLOCK_ROWS rows at a time through one buffer, so that its temporaries

@@ -21,6 +21,7 @@ from mapdeg import (
     InvalidResolution,
     MapdegError,
     NonIterateCertificate,
+    PerturbationField,
     Perturb,
     Pow,
     PowerWitness,
@@ -42,6 +43,7 @@ from mapdeg import (
 from mapdeg import geometry
 from mapdeg.degree import (
     _admitted,
+    _chord_bound,
     _Samples,
     check_blend_validity,
     pair_distance,
@@ -324,8 +326,9 @@ class TestBallCertificate:
     def test_an_empty_distance_budget_is_refused_before_sampling(self, monkeypatch):
         # the base is kept under the real row budget; under 128 rows the
         # distance's first level, 256 samples, does not fit, so no level
-        # is listed and nothing is sampled
-        f0, g = Pow(2), parse("(perturb 5 0.4 (pow 2))")
+        # is listed and nothing is sampled. A turn is no perturbation, so
+        # its distance is searched
+        f0, g = Pow(2), parse("(compose (rot 0.3) (pow 2))")
         certify_module._kept_base.cache_clear()
         ball_certificate(f0, g)
         monkeypatch.setattr(geometry, "MAX_ROWS", 128)
@@ -368,6 +371,91 @@ class TestBallCertificate:
         assert pair_min_norm(F, G)[0] >= math.sqrt(4 - d * d) / 2 - 1e-12
 
 
+#: A degree-2 perturbation whose ball certificate needs a 256-band distance:
+#: c(0.87) > 1, so its distance is searched.
+NEEDS_256_BANDS = "(perturb 1 0.87 (susp (pow 2)))"
+
+
+def _chord(eps):
+    """c(eps), the chord bound of one perturbation by eps."""
+    return math.sqrt(2.0 - 2.0 * math.sqrt(1.0 - eps * eps))
+
+
+class TestChordBound:
+    """g lies within 2 sin(theta / 2) of f, theta = sum asin(eps), where g is
+    f under a chain of perturbs, and a ball certificate then searches no
+    distance."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.one_of(S1_TREES, S2_TREES),
+        st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 0.99)), min_size=1, max_size=3
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    # eps = 0 moves nothing; c(0.87) > 1
+    @example(Susp(Pow(2)), [(4, 0.0)], 0)
+    @example(Pow(2), [(4, 0.0), (5, 0.0)], 0)
+    @example(Pow(2), [(5, 0.87)], 0)
+    def test_no_sampled_chord_exceeds_the_bound(self, f, chain, point_seed):
+        g = f
+        for seed, eps in chain:
+            g = Perturb(seed, eps, g)
+        theta = sum(math.asin(eps) for _, eps in reversed(chain))
+        bound = _chord_bound(f, g)
+        assert bound == pytest.approx(2.0 * math.sin(min(theta, math.pi) / 2.0), abs=1e-15)
+        if theta == 0.0:
+            assert bound == 0.0
+        X = make_grid(f.dim, 4096 if f.dim == 1 else 128)
+        assert pair_distance(eval_array(f, X), eval_array(g, X)) <= bound + 1e-12
+        # |V|_2 <= |V|_1 <= 1 at every point, which the bound rests on: the
+        # field's values reach about 0.65, so the coefficients' absolute
+        # sum, which bounds them everywhere, is checked too
+        P = np.random.default_rng(point_seed).normal(size=(256, f.dim + 1))
+        P /= np.linalg.norm(P, axis=1)[:, None]
+        for seed, _ in chain:
+            field = PerturbationField(seed, f.dim)
+            assert np.abs(field(P)).sum(axis=1).max() <= 1.0 + 1e-12
+            assert np.abs(field._coef).sum() <= 1.0 + 1e-12
+
+    def test_the_bound_needs_the_base_under_perturbs(self):
+        f0 = parse("(susp (pow 2))")
+        assert _chord_bound(f0, f0) == 0.0
+        assert _chord_bound(f0, parse("(perturb 4 0.5 (susp (pow 2)))")) == pytest.approx(
+            _chord(0.5), abs=1e-15
+        )
+        for subject in (
+            "(compose (rot3 0 0 1 0.5) (susp (pow 2)))",
+            "(perturb 4 0.5 (compose (rot3 0 0 1 0.5) (susp (pow 2))))",
+            "(perturb 4 0.5 (susp (pow 3)))",
+        ):
+            assert _chord_bound(f0, parse(subject)) is None
+        # (rot 0.0) == (rot -0.0), but only a base that renders alike matches
+        turned = parse("(compose (rot -0.0) (pow 2))")
+        assert _chord_bound(parse("(compose (rot 0.0) (pow 2))"), Perturb(1, 0.5, turned)) is None
+
+    @pytest.mark.parametrize(
+        ("subject", "searched"),
+        [
+            ("(perturb 4 0.5 (susp (pow 2)))", False),  # c(0.5) < 1
+            (NEEDS_256_BANDS, True),  # c(0.87) > 1
+            ("(compose (rot3 0 0 1 0.5) (susp (pow 2)))", True),  # no perturb
+            ("(perturb 4 0.5 (compose (rot3 0 0 1 0.2) (susp (pow 2))))", True),  # another map's
+        ],
+    )
+    def test_only_subjects_the_bound_leaves_out_search_their_distance(self, subject, searched):
+        g = parse(subject)
+        search = mock.Mock(wraps=certify_module._distance_search)
+        with mock.patch.object(certify_module, "_distance_search", search):
+            dist = ball_certificate(parse("(susp (pow 2))"), g).ball.distance
+        assert search.called == searched
+        assert dist.sampled_max <= dist.rigorous < 1.0
+        if not searched:  # sampled at g's degree level, 32 bands
+            assert dist.resolution == degree(g).resolution == 32
+            assert dist.rigorous <= _chord(0.5) + 1e-12
+
+
 def _near(bases, turn):
     """(base, subject) pairs: blends, at any t, of a base with itself
     perturbed by up to 0.9 or turned by up to 3.1 rad."""
@@ -408,10 +496,6 @@ class TestBlendSubjects:
         assert cert.degree.value == degree(f0).value
 
 
-#: A degree-2 perturbation whose ball certificate needs a 256-band distance.
-NEEDS_256_BANDS = "(perturb 2681222979010861537 0.7958673941021588 (susp (pow 2)))"
-
-
 class TestCoarseFirst:
     """A ball certificate samples its distance from the first level that can prove it."""
 
@@ -427,11 +511,12 @@ class TestCoarseFirst:
         return mock.patch.object(certify_module, "_sup_distance", spy)
 
     def certify(self, bound_g, seen, dim=2, params=DegreeParams()):
-        """ball_certificate of a slight perturbation of a base with L_f = 2,
-        its subject's check bound replaced by bound_g; the distance levels
-        it samples are appended to seen."""
+        """ball_certificate of a slight turn, by 0.01 rad, of a base with
+        L_f = 2, its subject's check bound replaced by bound_g; the
+        distance levels it samples are appended to seen. A turn is no
+        perturbation, so its distance is searched."""
         f0 = parse("(susp (pow 2))" if dim == 2 else "(pow 2)")
-        g = Perturb(1, 0.01, f0)
+        g = Compose(Rot3((0.0, 0.0, 1.0), 0.01) if dim == 2 else Rot(0.01), f0)
         check = certify_module.check_blend_validity
 
         def bound(e, *args):
@@ -565,10 +650,11 @@ class TestEvaluationCount:
 
     def test_sphere_ball_certificate_evaluates_each_map_once(self, rows):
         # f0 is kept at 128 bands, 2 + 127 * 256 = 32514 vertices; the
-        # distance proves itself at 64 bands, 2 + 63 * 128 = 8066, which
-        # reads f0 by stride and is g's proven degree level too
+        # distance of a turn, which is searched, proves itself at 64
+        # bands, 2 + 63 * 128 = 8066, which reads f0 by stride, and g's
+        # proven degree level, 8 bands, is a stride of it
         f0 = parse("(susp (pow 2))")
-        g = parse("(perturb 4 0.5 (susp (pow 2)))")
+        g = parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))")
         assert ball_certificate(f0, g).ball.distance.resolution == 64
         assert rows == {(f0.render(), 32514): 1, (g.render(), 8066): 1}
 
@@ -652,8 +738,34 @@ class TestEvaluationCount:
             (g.render(), 1024): 1,
         }
 
+    def test_a_warm_perturbation_evaluates_only_g_at_its_degree_level(self, rows):
+        # c(0.5) < 1 proves the distance: no distance level is sampled, and
+        # g's degree level, 32 bands, 2 + 31 * 64 = 1986 vertices, reads f0
+        # by stride from its kept 128-band grid
+        f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
+        first = ball_certificate(f0, g)
+        assert rows == {(f0.render(), 32514): 1, (g.render(), 1986): 1}
+        rows.clear()
+        second = ball_certificate(parse("(susp (pow 2))"), g)
+        assert rows == {(g.render(), 1986): 1}
+        assert second.to_json_dict() == first.to_json_dict()
+        assert first.ball.distance.rigorous <= _chord(0.5) + 1e-12
+
+    def test_a_degree_level_off_the_grid_evaluates_f0_once_there(self, rows, susp_evals):
+        # L_g = 20.9 reads g's degree at 66 bands, 2 + 65 * 132 = 8582
+        # vertices, no stride of the kept grid: f0 is evaluated there once,
+        # before g, which reads it; c(0.85) = 0.973 proves the distance
+        f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
+        ball_certificate(f0, g)
+        rows.clear()
+        susp_evals.clear()
+        cert = ball_certificate(f0, g)
+        assert cert.ball.distance.resolution == 66
+        assert rows == {(f0.render(), 8582): 1, (g.render(), 8582): 1}
+        assert susp_evals == {8582: 1}
+
     def test_second_certificate_on_an_equal_base_evaluates_only_g(self, rows):
-        g = parse("(perturb 4 0.5 (susp (pow 2)))")
+        g = parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))")
         first = ball_certificate(parse("(susp (pow 2))"), g)
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
@@ -669,19 +781,26 @@ class TestEvaluationCount:
         assert susp_evals == {32514: 2}
 
     def test_streamed_level_evaluates_each_map_once_per_block(self, rows, susp_evals):
-        # L_f + L_g = 17.2 starts the distance at 128 bands, and 256 bands
+        # L_f + L_g = 26.3 starts the distance at 128 bands, and 256 bands
         # are finer than f0's kept level: streamed in blocks of whole rings
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
         assert ball_certificate(f0, g).ball.distance.resolution == 256
-        streamed = {(text, n): k for (text, n), k in rows.items() if n != 32514}
-        assert rows - Counter(streamed) == {(f0.render(), 32514): 1, (g.render(), 32514): 1}
+        # g's degree, at 77 bands, 2 + 76 * 154 = 11706 vertices, is no
+        # stride of either level: g is evaluated there once more
+        streamed = {(t, n): k for (t, n), k in rows.items() if n not in (32514, 11706)}
+        assert rows - Counter(streamed) == {
+            (f0.render(), 32514): 1,
+            (g.render(), 32514): 1,
+            (g.render(), 11706): 1,
+        }
         for text in (f0.render(), g.render()):
             calls = {n: k for (t, n), k in streamed.items() if t == text}
             assert sum(n * k for n, k in calls.items()) == 2 * 256 * 255 + 2
             assert max(calls) <= geometry.BLOCK_ROWS
-        # g reads f0's block: one suspension per block, and f0's kept level
+        # g reads f0's block: one suspension per block, f0's kept level,
+        # and f0 inside g at g's degree level
         blocks = sum(k for (t, _), k in streamed.items() if t == f0.render())
-        assert susp_evals.total() == blocks + 1
+        assert susp_evals.total() == blocks + 2
 
     def test_homotopy_reads_its_base_inside_the_perturbation(self, rows, susp_evals):
         f0 = parse("(susp (pow 2))")
@@ -793,7 +912,8 @@ class TestBaseRecord:
             assert self.kept.cache_info().misses == misses
 
     def test_params_are_part_of_the_key(self):
-        f0, g = parse("(pow 2)"), parse("(perturb 3 0.2 (pow 2))")
+        # a turn's distance is searched from the first level, 512 here
+        f0, g = parse("(pow 2)"), parse("(compose (rot 0.2) (pow 2))")
         ball_certificate(f0, g)
         fine_params = DegreeParams(initial_resolution=512)
         fine = ball_certificate(f0, g, fine_params)

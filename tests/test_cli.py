@@ -126,6 +126,16 @@ class TestDistanceCommand:
         assert code == 0
         assert lines[0]["payload"]["sampled_max"] < 1.0
 
+    @pytest.mark.parametrize("resolution", [[], ["--resolution", "16"]])
+    def test_a_perturbation_is_bounded_by_its_chord(self, capsys, resolution):
+        # g is f under one perturb by 0.5, so |f - g| <= c(0.5) everywhere;
+        # at 16 bands sampled_max + (L_f + L_g) * mesh alone is 2.14
+        argv = ["distance", "-a", "(susp (pow 2))", "-b", "(perturb 4 0.5 (susp (pow 2)))"]
+        code, lines, _ = run_cli(capsys, *argv, *resolution)
+        assert code == 0
+        payload = lines[0]["payload"]
+        assert payload["sampled_max"] <= payload["rigorous"] <= (2 - 3**0.5) ** 0.5 + 1e-12
+
     def test_dimension_mismatch_is_an_error_line(self, capsys):
         code, lines, _ = run_cli(capsys, "distance", "-a", "(pow 2)", "-b", "(id 2)")
         assert code == 1
