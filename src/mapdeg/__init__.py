@@ -16,8 +16,6 @@ from .degree import (
     DegreeResult,
     DistanceEstimate,
     degree,
-    degree_simplicial,
-    degree_winding,
     sup_distance,
 )
 from .errors import (

@@ -15,8 +15,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .degree import (
     DegreeParams,
     DegreeResult,
@@ -240,27 +238,22 @@ def certify_not_iterate(
 @functools.lru_cache(maxsize=1)
 def _kept_base(
     text: str, params: DegreeParams, f0: MapExpr
-) -> tuple[DegreeResult, PowerWitness | None, np.ndarray, float]:
+) -> tuple[DegreeResult, PowerWitness | None, float]:
     """A ball certificate's base map, certified once for later calls.
 
-    f0's degree, its power witness, its values on
-    make_grid(dim, params.grid_for(dim)), which are read-only, and its
-    blend check's bound. f0's degree level is admitted (_proven_level)
-    before f0 is evaluated there; the degree, and every distance level
-    the values cover, read them where the levels meet. One entry only,
-    so what is held between calls is one level of one base map. text is
+    f0's degree, its power witness and its blend check's bound: all the
+    ball argument needs of f0 besides its distance to the subject, which
+    each call reads on its own samples. f0 is evaluated here only where
+    its check and its degree need it. One entry only. text is
     f0.render() and part of the key: (rot 0.0) == (rot -0.0) and the two
-    hash alike, but they may round differently. lru_cache keeps no
-    exception, so an error is never kept.
+    hash alike, but they may round differently, and the kept degree's
+    residual is in the payload. lru_cache keeps no exception, so an
+    error is never kept.
     """
-    grid, samples = params.grid_for(f0.dim), _Samples()
+    samples = _Samples()
     bound = check_blend_validity(f0, params, samples)
-    n, sd = _proven_level(bound, params, f0)
-    samples.values(f0, grid)
-    deg = _degree(f0, samples, n, sd)
-    values = samples.values(f0, grid)  # evaluated again only if the degree left the grid
-    values.setflags(write=False)
-    return deg, is_perfect_power(deg.value), values, bound
+    deg = _degree(f0, samples, *_proven_level(bound, params, f0))
+    return deg, is_perfect_power(deg.value), bound
 
 
 def ball_certificate(
@@ -271,42 +264,38 @@ def ball_certificate(
     Requires degree(f0) not to be a perfect power and the sup distance
     between f0 and g to be below 1. Then the straight-line homotopy
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
-    vectors, and g has f0's degree. g's blend check runs once, first;
-    its bound and f0's, kept with f0's degree, are L_g and L_f. The
+    vectors, and g has f0's degree. f0's degree, witness and bound (L_f)
+    come from _kept_base; g's blend check runs once, first, for L_g. The
     certificate carries f0's degree; degree(g), at the level g's bound
     proves (_proven_level), is a consistency check that must agree.
 
-    Where g is f0 under a chain of perturbs whose chord bound
-    (_chord_bound) is below 1, that bound proves the distance and no
-    distance is searched: degree(g) runs first, and the sampled distance
-    is read at its level from values already held. f0's come by stride
-    from its kept grid, or, where that level is no stride of it, are
-    evaluated there once, before g, which reads them. Anywhere else the
-    distance is searched first (_distance_search), and degree(g) runs
-    after it.
+    Where f0 and g are chains of perturbs over a common map whose chord
+    bound (_chord_bound) is below 1, that bound proves the distance and
+    no distance is searched: degree(g) runs first, and the sampled
+    distance is read at its level. Anywhere else the distance is searched
+    first (_distance_search), and degree(g) runs after it.
 
-    The steps share one set of samples, so each map is evaluated at most
-    once per resolution. g's check, every distance level f0's kept values
-    cover and degree(g) read them; degree(g) reads g's values from a
-    distance level its own is a stride of, and the children g's check
-    left held. A finer distance level is streamed in blocks. g reads f0
-    where it contains it, so a perturbation of f0 evaluates its field
-    alone, and a call with the last call's rendered base and params
-    evaluates g only (_kept_base).
+    The steps share one set of samples, and each call evaluates f0 once,
+    at the first level it samples: g's degree level, or the search's
+    first level. f0 is evaluated there before g, so g reads f0 where it
+    contains it and a perturbation of f0 evaluates its field alone.
+    degree(g) reads g's values from a distance level its own is a stride
+    of, and the children g's check left held. A finer distance level is
+    streamed in blocks. So each map is evaluated at most once per
+    resolution.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    deg0, witness, values, bound0 = _kept_base(f0.render(), params, f0)
+    deg0, witness, bound0 = _kept_base(f0.render(), params, f0)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
     samples = _Samples()
-    samples.hold(f0, params.grid_for(g.dim), values)
     bound = check_blend_validity(g, params, samples)
     slope = bound0 + bound
     chord = _chord_bound(f0, g)
     if chord is not None and chord < BALL_RADIUS:
         n, sd = _proven_level(bound, params, g)
-        samples.values(f0, n)  # held at n before g is evaluated there, so g reads it
+        samples.values(f0, n)  # before g is evaluated there, so that g reads it
         deg_g = _degree(g, samples, n, sd)
         dist = _sup_distance(f0, g, n, samples, slope)
     else:
@@ -337,7 +326,9 @@ def _distance_search(
     sampling where none is, as for a sum that is not finite, returns at
     the first level whose rigorous bound is below 1, and is refused at
     the first whose sampled distance plus slope * mesh at the last level
-    reaches 1 (_levels' stop rule).
+    reaches 1 (_levels' stop rule). f0 is evaluated at the first level
+    before it is sampled, so that g reads f0 there, and both stay held
+    for degree(g); finer levels are streamed.
     """
     dim = g.dim
     budget = _levels(params, dim, lambda n: grid_fits(dim, n))
@@ -349,6 +340,7 @@ def _distance_search(
             f"Lipschitz bounds sum to {slope:.6g}: no level {span} within the row budget, "
             "proves the distance"
         )
+    samples.values(f0, levels[0])  # before g is evaluated there, so that g reads it
     for n in levels:
         dist = _sup_distance(f0, g, n, samples, slope)
         if dist.rigorous < BALL_RADIUS:

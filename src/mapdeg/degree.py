@@ -124,10 +124,10 @@ class DistanceEstimate:
 
     sampled_max is a lower bound of the true sup, taken at `resolution`.
     rigorous is a true upper bound, the smaller of two where both are
-    known: the AST's chord bound where g is f under a chain of perturbs
-    (_chord_bound), and sampled_max + (L_f + L_g) * mesh, with both maps'
-    Lipschitz bounds from their blend checks, where that sum is finite.
-    None where neither is.
+    known: the AST's chord bound where f and g are chains of perturbs
+    over a common map (_chord_bound), and sampled_max + (L_f + L_g) *
+    mesh, with both maps' Lipschitz bounds from their blend checks, where
+    that sum is finite. None where neither is.
     """
 
     sampled_max: float
@@ -224,9 +224,9 @@ class _Samples:
     of 1024 bands alone is 50 MB). A distance at a level the first map
     is not held at is streamed and holds nothing (distance). One
     instance serves one degree, distance or certificate call, with the
-    blend checks inside it; a certificate seeds it with its base map's
-    values from an earlier call. _Samples(reads) reads what `reads`
-    holds and keeps its own evaluations: one blend check level.
+    blend checks inside it, and no values outlive the call.
+    _Samples(reads) reads what `reads` holds and keeps its own
+    evaluations: one blend check level.
     """
 
     def __init__(self, reads: _Samples | None = None):
@@ -324,23 +324,30 @@ def _same(node: MapExpr, f: MapExpr) -> bool:
 def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
     """An upper bound of |f(x) - g(x)| over the whole sphere from the AST alone, or None.
 
-    g is walked through Perturb nodes until a node _same as f. Each
-    (perturb s eps h) adds eps * V(x), with |V(x)| <= 1 everywhere
-    (PerturbationField), to the unit vector h(x); since eps < 1 the
-    direction turns by at most asin(eps). Turns add along the chain, by
-    the triangle inequality of the sphere's geodesic metric, so g(x) lies
-    within angle theta = sum asin(eps_i) of f(x), and within the chord
+    Both maps are walked through Perturb nodes down to the first node
+    of f's chain _same as one of g's. Each (perturb s eps h) adds
+    eps * V(x), with |V(x)| <= 1 everywhere (PerturbationField), to the
+    unit vector h(x); since eps < 1 the direction turns by at most
+    asin(eps). Turns add along both chains, by the triangle inequality of
+    the sphere's geodesic metric, so g(x) lies within angle
+    theta = sum asin(eps_i) of f(x), and within the chord
     2 sin(min(theta, pi) / 2). For one perturb that is
     sqrt(2 - 2 sqrt(1 - eps^2)), below 1 exactly when eps < sqrt(3)/2.
-    None where g is not f under a chain of perturbs.
+    None where f and g are not chains of perturbs over a common map.
     """
-    theta = 0.0
-    while not _same(g, f):
-        if not isinstance(g, Perturb):
-            return None
-        theta += math.asin(g.eps)
-        g = g.inner
-    return 2.0 * math.sin(min(theta, math.pi) / 2.0)
+    chains = []
+    for e in (f, g):
+        chain, theta = [(e, 0.0)], 0.0
+        while isinstance(e, Perturb):
+            theta += math.asin(e.eps)
+            e = e.inner
+            chain.append((e, theta))
+        chains.append(chain)
+    for a, s in chains[0]:
+        for b, t in chains[1]:
+            if _same(a, b):
+                return 2.0 * math.sin(min(s + t, math.pi) / 2.0)
+    return None
 
 
 def _refine(e: MapExpr, samples: _Samples, n: int) -> DegreeResult:
@@ -373,17 +380,6 @@ def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
     steps = np.diff(np.concatenate([alpha, alpha[:1]]))
     steps = np.mod(steps + math.pi, _TWO_PI) - math.pi  # wrap to [-pi, pi)
     return float(steps.sum() / _TWO_PI), float(np.abs(steps).max())
-
-
-def degree_winding(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
-    """Winding-number degree of an S1 expression, after the blend check.
-
-    Read at the one sample count the map's Lipschitz bound proves, or
-    refused (ResolutionExceeded) where no admitted count proves it.
-    """
-    if e.dim != 1:
-        raise DimensionMismatch(f"winding is for S1 maps, got S{e.dim}")
-    return _checked(e, params)
 
 
 def _simplicial_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
@@ -430,18 +426,6 @@ _PASSES = {1: ("winding", _winding_pass), 2: ("simplicial", _simplicial_pass)}
 def raw_pass(e: MapExpr, resolution: int) -> tuple[float, float]:
     """One non-adaptive pass of e's sphere: (raw degree, largest image step or edge angle)."""
     return _PASSES[e.dim][1](_Samples().values(e, resolution), resolution)
-
-
-def degree_simplicial(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
-    """Simplicial solid-angle degree of an S2 expression, after the blend check.
-
-    The resolution counts latitude bands; each ring carries twice as many
-    longitudes. Read at the one level the map's Lipschitz bound proves,
-    or refused (ResolutionExceeded) where no admitted level proves it.
-    """
-    if e.dim != 2:
-        raise DimensionMismatch(f"the simplicial degree is for S2 maps, got S{e.dim}")
-    return _checked(e, params)
 
 
 def pair_distance(F: np.ndarray, G: np.ndarray) -> float:
@@ -601,13 +585,6 @@ def _degree(e: MapExpr, samples: _Samples, n: int, sd: int | None) -> DegreeResu
     return DegreeResult(sd, witness.residual, "symbolic", witness.resolution)
 
 
-def _checked(e: MapExpr, params: DegreeParams) -> DegreeResult:
-    """_refine after the blend check, at the level its bound proves (_proven_level)."""
-    samples = _Samples()
-    n, _ = _proven_level(check_blend_validity(e, params, samples), params, e)
-    return _refine(e, samples, n)
-
-
 def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> DistanceEstimate:
     """Sup distance between two maps of the same sphere.
 
@@ -616,9 +593,9 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     and a check's refusal is raised. sampled_max + (L_f + L_g) * mesh is
     an upper bound where finite: every point lies within mesh of a node,
     where neither map can have moved by more than its constant times
-    mesh. rigorous is the smaller of it and the chord bound where g is f
-    under a chain of perturbs (_sup_distance). `resolution` defaults to
-    grid_for(dim).
+    mesh. rigorous is the smaller of it and the chord bound where f and g
+    are chains of perturbs over a common map (_sup_distance). `resolution`
+    defaults to grid_for(dim).
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")

@@ -24,8 +24,6 @@ from mapdeg import (
     Rot,
     Susp,
     degree,
-    degree_simplicial,
-    degree_winding,
     eval_array,
     homotopy_check,
     is_perfect_power,
@@ -34,6 +32,7 @@ from mapdeg import (
 )
 from mapdeg.certify import _exponent_scan_range
 from mapdeg.cli import main as cli_main
+from mapdeg.degree import raw_pass
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -87,9 +86,9 @@ def test_criterion_1_multiplicativity_suite():
     failures = []
     for i in range(200):
         f, g = random_pair()
-        df = degree_winding(f, params).value
-        dg = degree_winding(g, params).value
-        dfg = degree_winding(Compose(f, g), params).value
+        df = degree(f, params).value
+        dg = degree(g, params).value
+        dfg = degree(Compose(f, g), params).value
         if dfg != df * dg:
             failures.append((i, df, dg, dfg))
     elapsed = time.perf_counter() - start
@@ -134,15 +133,14 @@ def test_criterion_2_symbolic_numeric_corpus():
     for text in corpus:
         e = parse(text)
         expected = e.symbolic_degree()
-        if e.dim == 1:
-            res = degree_winding(e, params_s1)
-        else:
-            res = degree_simplicial(e, params_s2)
-            if res.residual >= 0.1 or res.resolution > 512:
-                failures.append((text, "residual/resolution", res))
-                continue
-        if res.value != expected:
-            failures.append((text, expected, res.value))
+        res = degree(e, params_s1 if e.dim == 1 else params_s2)
+        if e.dim == 2 and (res.residual >= 0.1 or res.resolution > 512):
+            failures.append((text, "residual/resolution", res))
+            continue
+        # the numeric pass's own integer, at the level degree read it
+        numeric = round(raw_pass(e, res.resolution)[0])
+        if numeric != expected:
+            failures.append((text, expected, numeric))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 120.0 and len(corpus) >= 15
     report(

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mapdeg import (
@@ -33,7 +33,6 @@ from mapdeg import (
     ball_certificate,
     certify_not_iterate,
     degree,
-    degree_simplicial,
     eval_array,
     homotopy_check,
     is_perfect_power,
@@ -206,7 +205,7 @@ class TestCertifyNotIterate:
 
     def test_suspended_fifth_power(self):
         e = parse("(susp (pow 5))")
-        assert degree_simplicial(e).value == 5  # numeric route agrees
+        assert degree(e).value == 5  # the simplicial pass agrees with the structure
         cert = certify_not_iterate(e)
         assert isinstance(cert, NonIterateCertificate)
         assert cert.degree.value == 5
@@ -382,9 +381,9 @@ def _chord(eps):
 
 
 class TestChordBound:
-    """g lies within 2 sin(theta / 2) of f, theta = sum asin(eps), where g is
-    f under a chain of perturbs, and a ball certificate then searches no
-    distance."""
+    """g lies within 2 sin(theta / 2) of f, theta = sum asin(eps), where f
+    and g are chains of perturbs over a common map, and a ball certificate
+    then searches no distance."""
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -392,29 +391,38 @@ class TestChordBound:
         st.lists(
             st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 0.99)), min_size=1, max_size=3
         ),
+        st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 0.99)), max_size=2),
         st.integers(0, 2**32 - 1),
     )
-    # eps = 0 moves nothing; c(0.87) > 1
-    @example(Susp(Pow(2)), [(4, 0.0)], 0)
-    @example(Pow(2), [(4, 0.0), (5, 0.0)], 0)
-    @example(Pow(2), [(5, 0.87)], 0)
-    def test_no_sampled_chord_exceeds_the_bound(self, f, chain, point_seed):
-        g = f
+    # eps = 0 moves nothing; c(0.87) > 1; two chains over a common map
+    @example(Susp(Pow(2)), [(4, 0.0)], [], 0)
+    @example(Pow(2), [(4, 0.0), (5, 0.0)], [], 0)
+    @example(Pow(2), [(5, 0.87)], [], 0)
+    @example(Susp(Pow(2)), [(4, 0.5)], [(3, 0.3)], 0)
+    def test_no_sampled_chord_exceeds_the_bound(self, f, chain, other, point_seed):
+        # seeds of their own, so that the two chains meet at f
+        assume({seed for seed, _ in other}.isdisjoint(seed for seed, _ in chain))
+        f1, g = f, f
+        for seed, eps in other:
+            f1 = Perturb(seed, eps, f1)
         for seed, eps in chain:
             g = Perturb(seed, eps, g)
-        theta = sum(math.asin(eps) for _, eps in reversed(chain))
-        bound = _chord_bound(f, g)
+        theta = sum(math.asin(eps) for _, eps in reversed(other)) + sum(
+            math.asin(eps) for _, eps in reversed(chain)
+        )
+        bound = _chord_bound(f1, g)
+        assert bound == _chord_bound(g, f1)
         assert bound == pytest.approx(2.0 * math.sin(min(theta, math.pi) / 2.0), abs=1e-15)
         if theta == 0.0:
             assert bound == 0.0
         X = make_grid(f.dim, 4096 if f.dim == 1 else 128)
-        assert pair_distance(eval_array(f, X), eval_array(g, X)) <= bound + 1e-12
+        assert pair_distance(eval_array(f1, X), eval_array(g, X)) <= bound + 1e-12
         # |V|_2 <= |V|_1 <= 1 at every point, which the bound rests on: the
         # field's values reach about 0.65, so the coefficients' absolute
         # sum, which bounds them everywhere, is checked too
         P = np.random.default_rng(point_seed).normal(size=(256, f.dim + 1))
         P /= np.linalg.norm(P, axis=1)[:, None]
-        for seed, _ in chain:
+        for seed, _ in chain + other:
             field = PerturbationField(seed, f.dim)
             assert np.abs(field(P)).sum(axis=1).max() <= 1.0 + 1e-12
             assert np.abs(field._coef).sum() <= 1.0 + 1e-12
@@ -648,15 +656,16 @@ class TestEvaluationCount:
         monkeypatch.setattr(Susp, "_eval", counting)
         return calls
 
-    def test_sphere_ball_certificate_evaluates_each_map_once(self, rows):
-        # f0 is kept at 128 bands, 2 + 127 * 256 = 32514 vertices; the
-        # distance of a turn, which is searched, proves itself at 64
-        # bands, 2 + 63 * 128 = 8066, which reads f0 by stride, and g's
-        # proven degree level, 8 bands, is a stride of it
+    def test_sphere_ball_certificate_evaluates_each_map_once_per_level(self, rows):
+        # f0's degree reads 8 bands, 2 + 7 * 16 = 114 vertices; the
+        # distance of a turn, which is searched, proves itself at its
+        # first level, 64 bands, 2 + 63 * 128 = 8066, where f0 is
+        # evaluated once before g, and g's proven degree level, 8 bands,
+        # is a stride of it
         f0 = parse("(susp (pow 2))")
         g = parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))")
         assert ball_certificate(f0, g).ball.distance.resolution == 64
-        assert rows == {(f0.render(), 32514): 1, (g.render(), 8066): 1}
+        assert rows == {(f0.render(), 114): 1, (f0.render(), 8066): 1, (g.render(), 8066): 1}
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
         # the blend check proves the blend at 64 bands, 2 + 63 * 128 =
@@ -723,38 +732,50 @@ class TestEvaluationCount:
         assert degree(e).resolution == 32
         assert rows == {(e.render(), 1986): 1}
 
-    def test_doubling_distance_evaluates_each_level_once(self, rows):
-        # f0's degree accepts at 256 samples and the distance doubles
-        # from 256 to 1024; g's degree reads its 256 level from there
-        f0 = parse("(pow 2)")
-        g = parse("(compose (rot 1.0) (pow 2))")
+    @pytest.mark.parametrize(
+        ("subject", "levels", "degree_level"),
+        [
+            # a turn's distance doubles from 256 to 1024 samples; g's
+            # degree reads its 256 level from there
+            ("(compose (rot 1.0) (pow 2))", (256, 512, 1024), 256),
+            # c(0.95) > 1: L_g = 66.1 starts the distance at 512 samples,
+            # and g's degree, at 415, is no stride of any level. The only
+            # search the CLI reaches (experiment --dim 1 --epsilon-max 0.95)
+            ("(perturb 7 0.95 (pow 2))", (512, 1024), 415),
+        ],
+    )
+    def test_doubling_distance_evaluates_each_level_once(
+        self, rows, subject, levels, degree_level
+    ):
+        # f0's degree reads 16 samples; at the first distance level f0 is
+        # evaluated before g, and each finer level is streamed once
+        f0, g = parse("(pow 2)"), parse(subject)
         assert ball_certificate(f0, g).ball.distance.resolution == 1024
-        assert rows == {
-            (f0.render(), 256): 1,
-            (f0.render(), 512): 1,
-            (f0.render(), 1024): 1,
-            (g.render(), 256): 1,
-            (g.render(), 512): 1,
-            (g.render(), 1024): 1,
-        }
+        assert rows == (
+            {(f0.render(), n): 1 for n in (16, *levels)}
+            | {(g.render(), n): 1 for n in levels}
+            | {(g.render(), degree_level): 1}
+        )
 
-    def test_a_warm_perturbation_evaluates_only_g_at_its_degree_level(self, rows):
-        # c(0.5) < 1 proves the distance: no distance level is sampled, and
-        # g's degree level, 32 bands, 2 + 31 * 64 = 1986 vertices, reads f0
-        # by stride from its kept 128-band grid
+    def test_a_warm_perturbation_evaluates_only_its_degree_level(self, rows):
+        # c(0.5) < 1 proves the distance: no distance level is sampled. f0
+        # is evaluated at g's degree level, 32 bands, 2 + 31 * 64 = 1986
+        # vertices, before g, which reads it; a cold call also reads f0's
+        # degree at 8 bands, 114 vertices
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         first = ball_certificate(f0, g)
-        assert rows == {(f0.render(), 32514): 1, (g.render(), 1986): 1}
+        assert rows == {(f0.render(), 114): 1, (f0.render(), 1986): 1, (g.render(), 1986): 1}
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
-        assert rows == {(g.render(), 1986): 1}
+        assert rows == {(f0.render(), 1986): 1, (g.render(), 1986): 1}
         assert second.to_json_dict() == first.to_json_dict()
         assert first.ball.distance.rigorous <= _chord(0.5) + 1e-12
 
     def test_a_degree_level_off_the_grid_evaluates_f0_once_there(self, rows, susp_evals):
         # L_g = 20.9 reads g's degree at 66 bands, 2 + 65 * 132 = 8582
-        # vertices, no stride of the kept grid: f0 is evaluated there once,
-        # before g, which reads it; c(0.85) = 0.973 proves the distance
+        # vertices, no stride of the first level: f0 is evaluated there
+        # once, before g, which reads it; c(0.85) = 0.973 proves the
+        # distance
         f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
         ball_certificate(f0, g)
         rows.clear()
@@ -764,12 +785,16 @@ class TestEvaluationCount:
         assert rows == {(f0.render(), 8582): 1, (g.render(), 8582): 1}
         assert susp_evals == {8582: 1}
 
-    def test_second_certificate_on_an_equal_base_evaluates_only_g(self, rows):
+    def test_second_certificate_on_an_equal_base_skips_the_base_degree(self, rows):
+        # f0's degree level, 114 vertices, is read once; each call
+        # evaluates both maps at the distance level, 8066 vertices
+        f0 = parse("(susp (pow 2))")
         g = parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))")
-        first = ball_certificate(parse("(susp (pow 2))"), g)
+        first = ball_certificate(f0, g)
+        assert rows.pop((f0.render(), 114)) == 1
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
-        assert rows == {(g.render(), 8066): 1}
+        assert rows == {(f0.render(), 8066): 1, (g.render(), 8066): 1}
         assert second.to_json_dict() == first.to_json_dict()
 
     def test_perturbation_reads_its_base_instead_of_evaluating_it(self, rows, susp_evals):
@@ -777,18 +802,22 @@ class TestEvaluationCount:
         for seed in (4, 5):
             certify_module._kept_base.cache_clear()
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
-        # once per certificate: f0's kept values at 128 bands, never inside g
-        assert susp_evals == {32514: 2}
+        # twice per certificate, never inside g: f0's degree at 8 bands, and
+        # f0 at g's degree level, 32 bands, which g reads
+        assert susp_evals == {114: 2, 1986: 2}
 
     def test_streamed_level_evaluates_each_map_once_per_block(self, rows, susp_evals):
-        # L_f + L_g = 26.3 starts the distance at 128 bands, and 256 bands
-        # are finer than f0's kept level: streamed in blocks of whole rings
+        # L_f + L_g = 26.3 starts the distance at 128 bands, where f0 is
+        # evaluated before g; 256 bands are finer than f0's held level:
+        # streamed in blocks of whole rings
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
         assert ball_certificate(f0, g).ball.distance.resolution == 256
-        # g's degree, at 77 bands, 2 + 76 * 154 = 11706 vertices, is no
-        # stride of either level: g is evaluated there once more
-        streamed = {(t, n): k for (t, n), k in rows.items() if n not in (32514, 11706)}
+        # f0's degree reads 8 bands, 114 vertices; g's, at 77 bands,
+        # 2 + 76 * 154 = 11706 vertices, is no stride of either level: g
+        # is evaluated there once more
+        streamed = {(t, n): k for (t, n), k in rows.items() if n not in (114, 32514, 11706)}
         assert rows - Counter(streamed) == {
+            (f0.render(), 114): 1,
             (f0.render(), 32514): 1,
             (g.render(), 32514): 1,
             (g.render(), 11706): 1,
@@ -797,10 +826,10 @@ class TestEvaluationCount:
             calls = {n: k for (t, n), k in streamed.items() if t == text}
             assert sum(n * k for n, k in calls.items()) == 2 * 256 * 255 + 2
             assert max(calls) <= geometry.BLOCK_ROWS
-        # g reads f0's block: one suspension per block, f0's kept level,
-        # and f0 inside g at g's degree level
+        # g reads f0's block: one suspension per block, f0's degree level,
+        # its first distance level, and f0 inside g at g's degree level
         blocks = sum(k for (t, _), k in streamed.items() if t == f0.render())
-        assert susp_evals.total() == blocks + 2
+        assert susp_evals.total() == blocks + 3
 
     def test_homotopy_reads_its_base_inside_the_perturbation(self, rows, susp_evals):
         f0 = parse("(susp (pow 2))")
@@ -830,17 +859,17 @@ class TestEvaluationCount:
         [
             # the distance and the blend's degree both read 64 bands
             (0.5, 64, 8066),
-            # L_f + L_g = 22.1 starts the distance at 128 bands, which the
-            # kept base covers, though the check ended at 64
+            # L_f + L_g = 22.1 starts the distance at 128 bands, though
+            # the check ended at 64: f0 is evaluated there once more
             (0.8, 128, 32514),
         ],
     )
-    def test_a_warm_blend_subject_never_evaluates_its_base(
+    def test_a_warm_blend_subject_evaluates_its_base_once_per_level(
         self, rows, susp_evals, monkeypatch, eps, level, g_rows
     ):
-        # the subject's check reads the kept 128-band base by stride at
-        # 64 bands and holds the perturbation, which the distance and the
-        # blend's degree read; the check runs once
+        # the subject's check evaluates the base, its first child, at 64
+        # bands and holds it with the perturbation, which the distance and
+        # the blend's degree read; the check runs once
         f0 = parse("(susp (pow 2))")
         g = parse(f"(blend 0.5 (susp (pow 2)) (perturb 4 {eps} (susp (pow 2))))")
         ball_certificate(f0, g)
@@ -858,8 +887,13 @@ class TestEvaluationCount:
         assert cert.ball.distance.resolution == level
         assert cert.ball.distance.rigorous < 1.0
         assert checked == [g]
-        assert susp_evals == {}
-        assert rows == {(g.g.render(), 8066): 1, (g.render(), g_rows): 1}
+        assert susp_evals == {8066: 1, g_rows: 1}
+        assert rows == {
+            (f0.render(), 8066): 1,
+            (g.g.render(), 8066): 1,
+            (f0.render(), g_rows): 1,
+            (g.render(), g_rows): 1,
+        }
 
 
 class TestBaseRecord:
@@ -870,17 +904,6 @@ class TestBaseRecord:
     @pytest.fixture(autouse=True)
     def cleared(self):
         self.kept.cache_clear()
-
-    def test_record_arrays_are_read_only(self):
-        ball_certificate(parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))"))
-        # the certificate's key: a lookup under it is a hit
-        _, _, values, bound = self.kept("(susp (pow 2))", DegreeParams(), parse("(susp (pow 2))"))
-        assert self.kept.cache_info()[:2] == (1, 1)  # hits, misses
-        assert bound == 2.0  # its check's bound, the AST's without a blend
-        assert values.shape == (32514, 3)
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0, 0] = 0.0
 
     def test_perfect_power_base_refuses_identically_when_recorded(self):
         f0, g = parse("(susp (pow 4))"), parse("(perturb 2 0.1 (susp (pow 4)))")
@@ -919,8 +942,10 @@ class TestBaseRecord:
         fine = ball_certificate(f0, g, fine_params)
         assert fine.ball.distance.resolution == 512
         assert self.kept.cache_info().misses == 2
-        self.kept(f0.render(), fine_params, f0)
-        assert self.kept.cache_info()[:2] == (1, 2)
+        # the certificate's key: a lookup under it is a hit
+        _, _, bound = self.kept(f0.render(), fine_params, f0)
+        assert self.kept.cache_info()[:2] == (1, 2)  # hits, misses
+        assert bound == 2.0  # its check's bound, the AST's without a blend
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -972,8 +997,8 @@ class TestAdmission:
     def test_every_sampled_level_is_admitted(self, e, initial, cap, seed, eps):
         # degree and certify_not_iterate sample only blend check and
         # degree levels, which _admitted governs; a ball certificate also
-        # samples the base's grid and its distance levels, which need only
-        # fit the row budget (grid_fits)
+        # samples its distance levels, which need only fit the row budget
+        # (grid_fits)
         params = DegreeParams(initial, cap)
         module = importlib.import_module("mapdeg.degree")
         seen = []

@@ -126,11 +126,14 @@ class TestDistanceCommand:
         assert code == 0
         assert lines[0]["payload"]["sampled_max"] < 1.0
 
+    @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize("resolution", [[], ["--resolution", "16"]])
-    def test_a_perturbation_is_bounded_by_its_chord(self, capsys, resolution):
-        # g is f under one perturb by 0.5, so |f - g| <= c(0.5) everywhere;
-        # at 16 bands sampled_max + (L_f + L_g) * mesh alone is 2.14
-        argv = ["distance", "-a", "(susp (pow 2))", "-b", "(perturb 4 0.5 (susp (pow 2)))"]
+    def test_a_perturbation_is_bounded_by_its_chord(self, capsys, resolution, swapped):
+        # g is f under one perturb by 0.5, so |f - g| <= c(0.5) everywhere,
+        # in either order; at 16 bands sampled_max + (L_f + L_g) * mesh
+        # alone is 2.14
+        maps = ["(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))"][:: -1 if swapped else 1]
+        argv = ["distance", "-a", maps[0], "-b", maps[1]]
         code, lines, _ = run_cli(capsys, *argv, *resolution)
         assert code == 0
         payload = lines[0]["payload"]

@@ -28,8 +28,6 @@ from mapdeg import (
     Rot3,
     Susp,
     degree,
-    degree_simplicial,
-    degree_winding,
     eval_array,
     parse,
     sup_distance,
@@ -165,31 +163,28 @@ def _first_ends(e):
 
 class TestWinding:
     def test_pow3_is_nearly_exact(self):
-        res = degree_winding(Pow(3))
+        # the winding pass confirms the structural degree
+        res = degree(Pow(3))
         assert res.value == 3
         assert res.residual < 1e-9
-        assert res.method == "winding"
+        assert res.method == "symbolic"
 
     def test_identity_wraps_once(self):
-        assert degree_winding(parse("(id 1)")).value == 1
+        assert degree(parse("(id 1)")).value == 1
 
     def test_conj_after_squaring(self):
         e = Compose(Conj(), Pow(2))
-        res = degree_winding(e)
+        res = degree(e)
         assert res.value == -2
         assert res.value == Conj().symbolic_degree() * Pow(2).symbolic_degree()
         assert winding_oracle(e) == -2
 
-    def test_rejects_sphere_maps(self):
-        with pytest.raises(DimensionMismatch):
-            degree_winding(parse("(susp (pow 2))"))
-
     def test_fast_wrapping_map_is_inconclusive_not_wrong(self):
         with pytest.raises(ResolutionExceeded):
-            degree_winding(Pow(5000), DegreeParams(max_resolution=2048))
+            degree(Pow(5000), DegreeParams(max_resolution=2048))
 
     def test_high_degree_resolves_with_a_bigger_cap(self):
-        res = degree_winding(Pow(5000), DegreeParams(max_resolution=1 << 17))
+        res = degree(Pow(5000), DegreeParams(max_resolution=1 << 17))
         assert res.value == 5000
 
     def test_start_whose_double_exceeds_the_cap_is_refused_up_front(self):
@@ -197,7 +192,7 @@ class TestWinding:
         # start's double does not fit under the cap, so nothing is sampled
         e = parse("(perturb 1 0.022 (pow 40))")
         with pytest.raises(ResolutionExceeded, match="resolution 258, above half the cap 515"):
-            degree_winding(e, DegreeParams(max_resolution=515))
+            degree(e, DegreeParams(max_resolution=515))
 
     def test_refinement_stops_at_the_row_budget(self, monkeypatch, check_rows_seen):
         # m = cos(1.25) = 0.315 at every node leaves m_rig = 0.217 at 128
@@ -205,7 +200,7 @@ class TestWinding:
         # reads 64
         e = parse("(blend 0.5 (pow 2) (compose (rot 2.5) (pow 2)))")
         params = DegreeParams(initial_resolution=16, max_resolution=1 << 20)
-        assert degree_winding(e, params).resolution == 64
+        assert degree(e, params).resolution == 64
         assert check_rows_seen == [16, 32, 64, 128]
         # with 128 rows the last level whose double fits is 64, where m_rig
         # = 0.119 needs 106 samples: the 16-sample m already rules 64 out,
@@ -213,19 +208,17 @@ class TestWinding:
         check_rows_seen.clear()
         monkeypatch.setattr(geometry, "MAX_ROWS", 128)
         with pytest.raises(ResolutionExceeded, match=r"up to 64, segment minimum 3.153e-01 at 16"):
-            degree_winding(e, params)
+            degree(e, params)
         assert check_rows_seen == [16]
         # a blend whose ends alone need 126 samples is refused before sampling
         with pytest.raises(ResolutionExceeded, match="needs resolution 126 or more, above 64"):
-            degree_winding(parse("(blend 0.0 (pow 20) (pow 20))"), params)
+            degree(parse("(blend 0.0 (pow 20) (pow 20))"), params)
         assert check_rows_seen == [16]
         # a first level whose double is over the row budget admits no
         # level: the check refuses before sampling it
         monkeypatch.setattr(geometry, "MAX_ROWS", 64)
         with pytest.raises(ResolutionExceeded, match="128 or more, .* and 64 sample rows"):
-            degree_winding(
-                parse("(blend 0.0 (pow 20) (pow 20))"), DegreeParams(initial_resolution=128)
-            )
+            degree(parse("(blend 0.0 (pow 20) (pow 20))"), DegreeParams(initial_resolution=128))
         assert check_rows_seen == [16]
 
     @pytest.mark.parametrize("offset", [0.0, 0.1, 1.0, 2.5])
@@ -239,30 +232,28 @@ class TestWinding:
 class TestQuadrature:
     """The S2 degree as the integral of the pulled-back area form over 4*pi.
 
-    degree_simplicial evaluates that integral exactly over the image
+    The simplicial pass evaluates that integral exactly over the image
     triangles of the mesh, as a sum of their signed solid angles.
     """
 
     def test_identity(self):
-        res = degree_simplicial(parse("(id 2)"))
+        res = degree(parse("(id 2)"))
         assert res.value == 1
         assert res.residual < 0.05
-        assert res.method == "simplicial"
+        raw, _ = raw_pass(parse("(id 2)"), res.resolution)
+        assert abs(raw - 1) == res.residual
 
     def test_antipode_reverses_orientation(self):
-        assert degree_simplicial(parse("(antipode 2)")).value == -1
+        assert degree(parse("(antipode 2)")).value == -1
 
     def test_suspended_squaring_has_degree_two(self):
         # the base map every ball certificate in the experiment relies on
-        res = degree_simplicial(parse("(susp (pow 2))"))
+        res = degree(parse("(susp (pow 2))"))
         assert res.value == 2
 
     def test_suspension_preserves_higher_degrees(self):
-        assert degree_simplicial(parse("(susp (pow -3))")).value == -3
+        assert degree(parse("(susp (pow -3))")).value == -3
 
-    def test_rejects_circle_maps(self):
-        with pytest.raises(DimensionMismatch):
-            degree_simplicial(Pow(2))
 
 
 def _turned(k, angle):
@@ -279,7 +270,7 @@ class TestSimplicial:
         # the degree is read at that stride of 64 or, above 64, at the
         # first 64 * 2**j the bound proves, from the children the check
         # left there
-        assert degree_simplicial(parse("(susp (pow 2))")).resolution == 8
+        assert degree(parse("(susp (pow 2))")).resolution == 8
         cases = [
             # (k, turn, check level, degree level)
             (2, 0.5, 64, 8),
@@ -294,7 +285,7 @@ class TestSimplicial:
             samples = _Samples()
             bound = check_blend_validity(e, DegreeParams(), samples)
             assert {f: n for f, (n, _) in samples._values.items()} == {e.f: check, e.g: check}
-            res = degree_simplicial(e)
+            res = degree(e)
             assert (res.value, res.resolution) == (k, level)
             assert _proven_level(bound, DegreeParams(), e) == (level, None)
 
@@ -308,20 +299,20 @@ class TestSimplicial:
         # the blend's bound is at least L_f = 5, which needs 15.7 bands:
         # under a cap of 16 no level that could prove it is admitted
         with pytest.raises(ResolutionExceeded, match="needs resolution 16 or more"):
-            degree_simplicial(e, DegreeParams(initial_resolution=8, max_resolution=16))
+            degree(e, DegreeParams(initial_resolution=8, max_resolution=16))
         # the check proves L = 7.66 at 64 bands, and the degree reads 32
         params = DegreeParams(initial_resolution=8, max_resolution=128)
-        res = degree_simplicial(e, params)
+        res = degree(e, params)
         assert (res.value, res.resolution) == (5, 32)
         # a lying bound reads 8 bands, where only the guard can refuse
         monkeypatch.setattr(degree_module, "_blend_bound", lambda *args: 1.0)
         with pytest.raises(ConsistencyError, match="proven resolution 8 gave 5"):
-            degree_simplicial(e, params)
+            degree(e, params)
 
     @settings(deadline=None)
     @given(S2_TREES.filter(lambda e: e.lipschitz_bound() <= 40.0))
     def test_equals_the_structural_degree_on_random_trees(self, e):
-        assert degree_simplicial(e).value == e.symbolic_degree()
+        assert degree(e).value == e.symbolic_degree()
 
 
 class TestProvenLevel:
@@ -331,7 +322,7 @@ class TestProvenLevel:
     @settings(deadline=None)
     @given(st.one_of(S1_TREES, S2_TREES.filter(lambda e: e.lipschitz_bound() <= 40.0)))
     def test_one_level_is_the_structural_degree(self, e):
-        res = (degree_winding if e.dim == 1 else degree_simplicial)(e)
+        res = degree(e)
         assert res.value == e.symbolic_degree()
         assert res.residual < 1e-6
         level = _proven_level(e.lipschitz_bound(), DegreeParams(), e)
@@ -420,15 +411,13 @@ class TestProvenLevel:
         monkeypatch.setattr(Pow, "_bound", lambda self, inner: 1.0)
         e = parse("(susp (pow 40))")
         with pytest.raises(ConsistencyError, match="proven resolution 8 "):
-            degree_simplicial(e)
-        with pytest.raises(ConsistencyError, match="proven resolution 8 "):
             degree(e)
 
     @pytest.mark.parametrize(("k", "alias"), [(40, -22), (-17, 9)])
     def test_the_floor_is_what_proves_the_level(self, k, alias):
         # the start is ceil(pi * |k|) bands: 126 for 40, 54 for -17
         e = Susp(Pow(k))
-        res = degree_simplicial(e, DegreeParams(initial_resolution=8))
+        res = degree(e, DegreeParams(initial_resolution=8))
         assert (res.value, res.resolution) == (k, math.ceil(math.pi * abs(k)))
         # at a quarter of it the sum is a convincing wrong integer, which
         # only the edge guard tells apart
@@ -456,17 +445,17 @@ class TestDegreeDispatch:
             degree(e)
 
     @pytest.mark.parametrize(
-        ("text", "method"),
+        "text",
         [
-            ("(blend 0.5 (id 1) (rot 3.141592453589793))", degree_winding),
-            ("(blend 0.5 (id 2) (rot3 0 0 1 3.141592453589793))", degree_simplicial),
+            "(blend 0.5 (id 1) (rot 3.141592453589793))",
+            "(blend 0.5 (id 2) (rot3 0 0 1 3.141592453589793))",
         ],
     )
-    def test_each_method_checks_the_blend_first(self, text, method):
+    def test_each_method_checks_the_blend_first(self, text):
         # the children are 1e-7 from antipodal: a sampled degree would
         # still read 1, but the blend check refuses before any degree
         with pytest.raises(InvalidBlend, match="denominator 1.000e-07"):
-            method(parse(text))
+            degree(parse(text))
 
     def test_the_coarse_check_never_accepts_what_the_grid_refuses(self, check_rows_seen):
         # the 128-band grid sees a 1e-7 pinch, and so do the 64 bands its
@@ -494,15 +483,14 @@ class TestDegreeDispatch:
             degree(e)
         assert check_rows_seen == [256, 512]
 
-    @pytest.mark.parametrize("check", [degree, degree_simplicial])
-    def test_a_nested_pinch_names_the_inner_blend(self, check_rows_seen, check):
+    def test_a_nested_pinch_names_the_inner_blend(self, check_rows_seen):
         # the inner blend is checked first and pinches at every node; the
         # outer one, whose child it is, would not normalize
         inner = "(blend 0.5 (id 2) (antipode 2))"
         e = parse(f"(blend 0.5 {inner} (id 2))")
         point = r"0.000e\+00 at t=0.5 near \(0.0, 0.0, 1.0\) in "
         with pytest.raises(InvalidBlend, match=point + re.escape(inner) + "$"):
-            check(e)
+            degree(e)
         assert check_rows_seen == [8066]
 
     @pytest.mark.parametrize(
@@ -613,9 +601,9 @@ class TestDegreeDispatch:
 
         for _ in range(30):
             f, g = random_expr(2), random_expr(2)
-            df = degree_winding(f).value
-            dg = degree_winding(g).value
-            assert degree_winding(Compose(f, g)).value == df * dg
+            df = degree(f).value
+            dg = degree(g).value
+            assert degree(Compose(f, g)).value == df * dg
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_iterate_law_on_the_circle(self, n):
@@ -632,12 +620,12 @@ class TestDegreeDispatch:
         assert degree(Perturb(5, 0.8, Susp(Pow(2)))).value == 2
 
     def test_winding_accepts_stably(self):
-        res = degree_winding(Perturb(21, 0.7, Pow(2)))
+        res = degree(Perturb(21, 0.7, Pow(2)))
         raw, _ = raw_pass(Perturb(21, 0.7, Pow(2)), 2 * res.resolution)
         assert round(raw) == res.value
 
     def test_quadrature_accepts_stably(self):
-        res = degree_simplicial(Susp(Pow(3)))
+        res = degree(Susp(Pow(3)))
         raw, _ = raw_pass(Susp(Pow(3)), 2 * res.resolution)
         assert round(raw) == res.value
 

@@ -330,12 +330,11 @@ class TestSymbolicDegree:
         assert winding_oracle(e) == 8
 
     def test_perturb_preserves_degree_on_the_sphere(self):
-        # the simplicial degree is the independent numeric route for S2
-        from mapdeg import degree_simplicial
-
+        # the simplicial pass is the independent numeric route for S2:
+        # degree raises where it disagrees with the structure
         e = parse("(perturb 7 0.5 (susp (pow 2)))")
         assert e.symbolic_degree() == 2
-        assert degree_simplicial(e).value == 2
+        assert degree(e).value == 2
 
     @given(
         st.recursive(
