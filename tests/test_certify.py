@@ -905,6 +905,21 @@ class TestBaseRecord:
     def cleared(self):
         self.kept.cache_clear()
 
+    @pytest.mark.parametrize(
+        ("text", "witness"),
+        [("(susp (pow 2))", None), ("(susp (pow 4))", PowerWitness(2, 2))],
+    )
+    def test_record_holds_the_base_degree_witness_and_bound(self, text, witness):
+        f0 = parse(text)
+        out = ball_certificate(f0, Perturb(4, 0.5, f0))
+        # the certificate's key: a lookup under it is a hit
+        deg0, kept_witness, bound = self.kept(text, DegreeParams(), f0)
+        assert self.kept.cache_info()[:2] == (1, 1)  # hits, misses
+        assert deg0 == degree(f0)
+        assert out.degree == deg0
+        assert kept_witness == witness
+        assert bound == f0.lipschitz_bound()  # its check's bound, the AST's without a blend
+
     def test_perfect_power_base_refuses_identically_when_recorded(self):
         f0, g = parse("(susp (pow 4))"), parse("(perturb 2 0.1 (susp (pow 4)))")
         cold = ball_certificate(f0, g)
