@@ -16,28 +16,21 @@ import math
 from dataclasses import dataclass
 
 from .degree import (
+    BALL_RADIUS,
     DegreeParams,
     DegreeResult,
     DistanceEstimate,
-    _chord_bound,
-    _degree,
-    _levels,
-    _proven_level,
-    _Samples,
+    _ball_distance,
+    _checked_degree,
     _streamed_min_norm,
-    _sup_distance,
-    check_blend_validity,
     degree,
 )
-from .errors import ConsistencyError, DimensionMismatch, DistanceTooLarge
+from .errors import ConsistencyError, DimensionMismatch
 from .expr import MapExpr
-from .geometry import grid_fits, grid_node, mesh
+from .geometry import grid_node
 
 #: Homotopy denominators at or below this are treated as pinched.
 HOMOTOPY_MIN_NORM = 1e-6
-
-#: Radius of the ball around the base map inside which the argument works.
-BALL_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -243,16 +236,14 @@ def _kept_base(
 
     f0's degree, its power witness and its blend check's bound: all the
     ball argument needs of f0 besides its distance to the subject, which
-    each call reads on its own samples. f0 is evaluated here only where
-    its check and its degree need it. One entry only. text is
-    f0.render() and part of the key: (rot 0.0) == (rot -0.0) and the two
-    hash alike, but they may round differently, and the kept degree's
-    residual is in the payload. lru_cache keeps no exception, so an
-    error is never kept.
+    each call reads on its own samples (_ball_distance). f0 is evaluated
+    here only where its check and its degree need it. One entry only.
+    text is f0.render() and part of the key: (rot 0.0) == (rot -0.0) and
+    the two hash alike, but they may round differently, and the kept
+    degree's residual is in the payload. lru_cache keeps no exception,
+    so an error is never kept.
     """
-    samples = _Samples()
-    bound = check_blend_validity(f0, params, samples)
-    deg = _degree(f0, samples, *_proven_level(bound, params, f0))
+    deg, bound = _checked_degree(f0, params)
     return deg, is_perfect_power(deg.value), bound
 
 
@@ -265,42 +256,19 @@ def ball_certificate(
     between f0 and g to be below 1. Then the straight-line homotopy
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
     vectors, and g has f0's degree. f0's degree, witness and bound (L_f)
-    come from _kept_base; g's blend check runs once, first, for L_g. The
-    certificate carries f0's degree; degree(g), at the level g's bound
-    proves (_proven_level), is a consistency check that must agree.
-
-    Where f0 and g are chains of perturbs over a common map whose chord
-    bound (_chord_bound) is below 1, that bound proves the distance and
-    no distance is searched: degree(g) runs first, and the sampled
-    distance is read at its level. Anywhere else the distance is searched
-    first (_distance_search), and degree(g) runs after it.
-
-    The steps share one set of samples, and each call evaluates f0 once,
-    at the first level it samples: g's degree level, or the search's
-    first level. f0 is evaluated there before g, so g reads f0 where it
-    contains it and a perturbation of f0 evaluates its field alone.
-    degree(g) reads g's values from a distance level its own is a stride
-    of, and the children g's check left held. A finer distance level is
-    streamed in blocks. So each map is evaluated at most once per
-    resolution.
+    come from _kept_base. The distance and degree(g) come from one route,
+    _ball_distance: g's blend check, then the distance at the levels it
+    samples (g's degree level where the chord bound proves the distance,
+    else a coarse-first search), then degree(g) from the same samples.
+    The certificate carries f0's degree; degree(g) is a consistency check
+    that must agree.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     deg0, witness, bound0 = _kept_base(f0.render(), params, f0)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
-    samples = _Samples()
-    bound = check_blend_validity(g, params, samples)
-    slope = bound0 + bound
-    chord = _chord_bound(f0, g)
-    if chord is not None and chord < BALL_RADIUS:
-        n, sd = _proven_level(bound, params, g)
-        samples.values(f0, n)  # before g is evaluated there, so that g reads it
-        deg_g = _degree(g, samples, n, sd)
-        dist = _sup_distance(f0, g, n, samples, slope)
-    else:
-        dist = _distance_search(f0, g, params, samples, slope)
-        deg_g = _degree(g, samples, *_proven_level(bound, params, g))
+    dist, deg_g = _ball_distance(f0, g, params, bound0)
     if deg_g.value != deg0.value:
         raise ConsistencyError(
             f"degree {deg_g.value} of the perturbed map differs from the "
@@ -313,42 +281,3 @@ def ball_certificate(
         checked_exponents=_exponent_scan_range(deg0.value),
         ball=BallProvenance(f0.render(), dist),
     )
-
-
-def _distance_search(
-    f0: MapExpr, g: MapExpr, params: DegreeParams, samples: _Samples, slope: float
-) -> DistanceEstimate:
-    """The distance of a ball certificate's coarse-first search, proven below 1.
-
-    slope is L_f + L_g. The search walks the levels degree._levels lists
-    within the row budget where slope * mesh is below 1, since no other
-    can prove the distance. It is refused with DistanceTooLarge before
-    sampling where none is, as for a sum that is not finite, returns at
-    the first level whose rigorous bound is below 1, and is refused at
-    the first whose sampled distance plus slope * mesh at the last level
-    reaches 1 (_levels' stop rule). f0 is evaluated at the first level
-    before it is sampled, so that g reads f0 there, and both stay held
-    for degree(g); finer levels are streamed.
-    """
-    dim = g.dim
-    budget = _levels(params, dim, lambda n: grid_fits(dim, n))
-    levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
-    if not levels:
-        first = params.initial_for(dim)
-        span = f"up to {budget[-1]}, the last" if budget else f"from {first}, none"
-        raise DistanceTooLarge(
-            f"Lipschitz bounds sum to {slope:.6g}: no level {span} within the row budget, "
-            "proves the distance"
-        )
-    samples.values(f0, levels[0])  # before g is evaluated there, so that g reads it
-    for n in levels:
-        dist = _sup_distance(f0, g, n, samples, slope)
-        if dist.rigorous < BALL_RADIUS:
-            return dist
-        floor = dist.sampled_max + slope * mesh(dim, levels[-1])
-        if floor >= BALL_RADIUS:
-            raise DistanceTooLarge(
-                f"sampled distance {dist.sampled_max:.6f} at {n} leaves every rigorous bound "
-                f"up to {levels[-1]} at {floor:.6f} or more, not below {BALL_RADIUS}; "
-                "the ball argument does not apply (inconclusive)"
-            )

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
+    DistanceTooLarge,
     InvalidBlend,
     ResolutionExceeded,
     SymbolicNumericMismatch,
@@ -45,8 +46,12 @@ STEP_CAP = math.pi / 2
 _PROVEN_RESIDUAL = 1e-6
 
 #: F such that F * L nodes prove the degree of a map of Lipschitz bound
-#: L: 2*pi*L samples on S1, pi*L bands on S2 (_refine).
+#: L: 2*pi*L samples on S1, pi*L bands on S2 (_degree).
 _WRAP = {1: _TWO_PI, 2: math.pi}
+
+#: Radius of the ball around a base map inside which a ball certificate's
+#: argument works: the distance _ball_distance proves stays below it.
+BALL_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def _admitted(n: int, params: DegreeParams, dim: int) -> bool:
 
 
 def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, int | None]:
-    """The one level e is read at, where _refine's pass is a proof, and e's structural degree.
+    """The one level e is read at, where _degree's pass is a proof, and e's structural degree.
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so no map is read below
@@ -160,15 +165,15 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
     MIN_RESOLUTION. Where need is at most the first level,
     params.initial_for(dim), e is read at the coarsest power-of-two
     stride of it that is need or more, so values held at the first level
-    or a finer one (a check's children, a certificate's distance) are
-    read, not evaluated again. Above it a map without a blend is read at
-    ceil(need), and a map with a blend at the first level of its checks'
-    schedule (_levels) at or above need, whose last check's children it
-    reads by stride. The only place a degree level is refused
-    (ResolutionExceeded): a need over half the cap, or a bound that is
-    infinite or NaN, before the structural degree is computed, which
-    |degree| <= L keeps small; then a first level or a level that
-    _admitted refuses.
+    or a finer one (a check's children, a distance level of
+    _ball_distance) are read, not evaluated again. Above it a map
+    without a blend is read at ceil(need), and a map with a blend at the
+    first level of its checks' schedule (_levels) at or above need,
+    whose last check's children it reads by stride. The only place a
+    degree level is refused (ResolutionExceeded): a need over half the
+    cap, or a bound that is infinite or NaN, before the structural
+    degree is computed, which |degree| <= L keeps small; then a first
+    level or a level that _admitted refuses.
     """
     dim = e.dim
     need = max(_WRAP[dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
@@ -350,30 +355,6 @@ def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
     return None
 
 
-def _refine(e: MapExpr, samples: _Samples, n: int) -> DegreeResult:
-    """The degree from one raw pass at level n, which a Lipschitz bound L proves.
-
-    The pass, winding on S1 and simplicial on S2, returns (raw degree,
-    largest image step or edge angle) from the map's values on one grid,
-    read through `samples`, which may hold a blend check's children at a
-    level n is a stride of. n >= 2*pi*L samples keep every image step
-    below pi/3, and n >= pi*L bands every image edge below pi/2, so the
-    sum is the degree (Stenger 1975, Kearfott 1979). A guard over
-    STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
-    there is a bug (ConsistencyError). _proven_level admits n.
-    """
-    method, one_pass = _PASSES[e.dim]
-    raw, step = one_pass(samples.values(e, n), n)
-    value = int(round(raw))
-    residual = abs(raw - value)
-    if not (step <= STEP_CAP and residual < _PROVEN_RESIDUAL):
-        raise ConsistencyError(
-            f"{method} at the proven resolution {n} gave {raw:.6g} with a "
-            f"largest step of {step:.6g} for {e.render()}"
-        )
-    return DegreeResult(value, residual, method, n)
-
-
 def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
     """(raw winding, largest |step|) from values Y on make_grid(1, resolution)."""
     alpha = np.arctan2(Y[:, 1], Y[:, 0])
@@ -477,11 +458,12 @@ def _levels(params: DegreeParams, dim: int, fits: Callable[[int], bool]) -> list
 
     Only levels fits admits are listed, the first too: where none is,
     the caller refuses before sampling. A blend check and a ball
-    certificate's distance sample these in order and accept at the first
-    level that proves what they check. Both stop by one rule: a finer
-    level's nodes include the coarser ones, so a sampled minimum only
-    falls and a sampled maximum only rises, and a level whose sample
-    cannot prove even the last level rules out every level after it.
+    certificate's searched distance (_ball_distance) sample these in
+    order and accept at the first level that proves what they check.
+    Both stop by one rule: a finer level's nodes include the coarser
+    ones, so a sampled minimum only falls and a sampled maximum only
+    rises, and a level whose sample cannot prove even the last level
+    rules out every level after it.
     The search is refused there, with what it sampled. A degree with a
     blend whose bound needs more than the first level is read at the
     first listed level that proves it (_proven_level).
@@ -567,22 +549,45 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     SymbolicNumericMismatch and is always a bug, never silently
     preferred away. Otherwise the numeric result is returned as-is.
     """
+    return _checked_degree(e, params)[0]
+
+
+def _checked_degree(e: MapExpr, params: DegreeParams) -> tuple[DegreeResult, float]:
+    """degree(e, params) and e's Lipschitz bound, the one its blend check returns."""
     samples = _Samples()
-    n, sd = _proven_level(check_blend_validity(e, params, samples), params, e)
-    return _degree(e, samples, n, sd)
+    bound = check_blend_validity(e, params, samples)
+    return _degree(e, samples, *_proven_level(bound, params, e)), bound
 
 
 def _degree(e: MapExpr, samples: _Samples, n: int, sd: int | None) -> DegreeResult:
-    """degree(e) at _proven_level's n and sd, reading the map's values from `samples`."""
-    witness = _refine(e, samples, n)
-    if sd is None:
-        return witness
-    if witness.value != sd:
-        raise SymbolicNumericMismatch(
-            f"structural degree {sd} but {witness.method} found {witness.value} "
-            f"at resolution {witness.resolution} for {e.render()}"
+    """degree(e) from one raw pass at _proven_level's n, checked against its sd.
+
+    The pass, winding on S1 and simplicial on S2, returns (raw degree,
+    largest image step or edge angle) from the map's values on one grid,
+    read through `samples`, which may hold a blend check's children at a
+    level n is a stride of. n >= 2*pi*L samples keep every image step
+    below pi/3, and n >= pi*L bands every image edge below pi/2, so the
+    sum is the degree (Stenger 1975, Kearfott 1979). A guard over
+    STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
+    there is a bug (ConsistencyError).
+    """
+    method, one_pass = _PASSES[e.dim]
+    raw, step = one_pass(samples.values(e, n), n)
+    value = int(round(raw))
+    residual = abs(raw - value)
+    if not (step <= STEP_CAP and residual < _PROVEN_RESIDUAL):
+        raise ConsistencyError(
+            f"{method} at the proven resolution {n} gave {raw:.6g} with a "
+            f"largest step of {step:.6g} for {e.render()}"
         )
-    return DegreeResult(sd, witness.residual, "symbolic", witness.resolution)
+    if sd is None:
+        return DegreeResult(value, residual, method, n)
+    if value != sd:
+        raise SymbolicNumericMismatch(
+            f"structural degree {sd} but {method} found {value} "
+            f"at resolution {n} for {e.render()}"
+        )
+    return DegreeResult(sd, residual, "symbolic", n)
 
 
 def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> DistanceEstimate:
@@ -621,3 +626,58 @@ def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples, slope: floa
     if chord is not None:
         bounds.append(chord)
     return DistanceEstimate(sampled, n, min(bounds, default=None))
+
+
+def _ball_distance(
+    f0: MapExpr, g: MapExpr, params: DegreeParams, bound0: float
+) -> tuple[DistanceEstimate, DegreeResult]:
+    """A ball certificate's distance from f0 to g, proven below BALL_RADIUS, and degree(g).
+
+    bound0 is L_f, f0's blend check's bound. g's blend check runs first,
+    for L_g. The levels sampled are g's degree level alone where f0 and
+    g are chains of perturbs over a common map whose chord bound
+    (_chord_bound) is below 1, since that bound proves the distance at
+    any level, and _proven_level refuses the level before anything is
+    sampled. Elsewhere they are the levels _levels lists within the row
+    budget where (L_f + L_g) * mesh is below 1, since no other can prove
+    the distance; where none is, as for a sum that is not finite, the
+    call is refused with DistanceTooLarge before sampling. f0 is
+    evaluated at the first level before g, so that g reads f0 there,
+    and both stay held for degree(g); finer levels are streamed. The
+    walk returns at the first level whose rigorous bound is below 1, and
+    is refused at the first whose sampled distance plus (L_f + L_g) *
+    mesh at the last level reaches 1 (_levels' stop rule). degree(g), at
+    the level g's bound proves, then reads g's values from the same
+    samples. So each map is evaluated at most once per resolution.
+    """
+    dim, samples = g.dim, _Samples()
+    bound = check_blend_validity(g, params, samples)
+    slope = bound0 + bound
+    chord = _chord_bound(f0, g)
+    proven = None
+    if chord is not None and chord < BALL_RADIUS:
+        proven = _proven_level(bound, params, g)
+        levels = [proven[0]]
+    else:
+        budget = _levels(params, dim, lambda n: grid_fits(dim, n))
+        levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
+        if not levels:
+            first = params.initial_for(dim)
+            span = f"up to {budget[-1]}, the last" if budget else f"from {first}, none"
+            raise DistanceTooLarge(
+                f"Lipschitz bounds sum to {slope:.6g}: no level {span} within the row budget, "
+                "proves the distance"
+            )
+    samples.values(f0, levels[0])  # before g is evaluated there, so that g reads it
+    for n in levels:
+        dist = _sup_distance(f0, g, n, samples, slope)
+        if dist.rigorous < BALL_RADIUS:
+            break
+        floor = dist.sampled_max + slope * mesh(dim, levels[-1])
+        if floor >= BALL_RADIUS:
+            raise DistanceTooLarge(
+                f"sampled distance {dist.sampled_max:.6f} at {n} leaves every rigorous bound "
+                f"up to {levels[-1]} at {floor:.6f} or more, not below {BALL_RADIUS}; "
+                "the ball argument does not apply (inconclusive)"
+            )
+    return dist, _degree(g, samples, *(proven or _proven_level(bound, params, g)))

@@ -52,6 +52,7 @@ from mapdeg.degree import (
 from test_degree import S1_TREES, S1_WITH_BLENDS, S2_TREES, S2_WITH_BLENDS
 
 certify_module = importlib.import_module("mapdeg.certify")
+degree_module = importlib.import_module("mapdeg.degree")
 
 
 def oracle_is_perfect_power(d: int) -> bool:
@@ -297,7 +298,7 @@ class TestBallCertificate:
     )
     def test_a_subject_check_refuses_before_the_distance(self, subject, error):
         g = parse(subject)
-        with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
+        with mock.patch.object(degree_module, "_sup_distance", side_effect=AssertionError):
             with pytest.raises(error):
                 ball_certificate(g.f, g)
 
@@ -326,7 +327,9 @@ class TestBallCertificate:
         # the base is kept under the real row budget; under 128 rows the
         # distance's first level, 256 samples, does not fit, so no level
         # is listed and nothing is sampled. A turn is no perturbation, so
-        # its distance is searched
+        # its distance is searched. g's degree level is refused too under
+        # 128 rows, but a searched distance is refused before it, so
+        # DistanceTooLarge wins
         f0, g = Pow(2), parse("(compose (rot 0.3) (pow 2))")
         certify_module._kept_base.cache_clear()
         ball_certificate(f0, g)
@@ -453,14 +456,18 @@ class TestChordBound:
         ],
     )
     def test_only_subjects_the_bound_leaves_out_search_their_distance(self, subject, searched):
-        g = parse(subject)
-        search = mock.Mock(wraps=certify_module._distance_search)
-        with mock.patch.object(certify_module, "_distance_search", search):
-            dist = ball_certificate(parse("(susp (pow 2))"), g).ball.distance
-        assert search.called == searched
+        f0, g = parse("(susp (pow 2))"), parse(subject)
+        seen = []
+        with TestCoarseFirst.sampling(seen):
+            dist = ball_certificate(f0, g).ball.distance
         assert dist.sampled_max <= dist.rigorous < 1.0
-        if not searched:  # sampled at g's degree level, 32 bands
-            assert dist.resolution == degree(g).resolution == 32
+        if searched:
+            # the first level where (L_f + L_g) * mesh is below 1
+            slope = f0.lipschitz_bound() + g.lipschitz_bound()
+            first = next(n for n in (64, 128, 256, 512) if slope * geometry.mesh(2, n) < 1.0)
+            assert seen[0] == first
+        else:  # one level, g's degree level, 32 bands
+            assert seen == [dist.resolution] == [degree(g).resolution] == [32]
             assert dist.rigorous <= _chord(0.5) + 1e-12
 
 
@@ -510,13 +517,13 @@ class TestCoarseFirst:
     @staticmethod
     def sampling(seen):
         """A patch under which each distance level sampled is appended to seen."""
-        distance = certify_module._sup_distance
+        distance = degree_module._sup_distance
 
         def spy(f, g, n, *args):
             seen.append(n)
             return distance(f, g, n, *args)
 
-        return mock.patch.object(certify_module, "_sup_distance", spy)
+        return mock.patch.object(degree_module, "_sup_distance", spy)
 
     def certify(self, bound_g, seen, dim=2, params=DegreeParams()):
         """ball_certificate of a slight turn, by 0.01 rad, of a base with
@@ -525,12 +532,12 @@ class TestCoarseFirst:
         perturbation, so its distance is searched."""
         f0 = parse("(susp (pow 2))" if dim == 2 else "(pow 2)")
         g = Compose(Rot3((0.0, 0.0, 1.0), 0.01) if dim == 2 else Rot(0.01), f0)
-        check = certify_module.check_blend_validity
+        check = degree_module.check_blend_validity
 
         def bound(e, *args):
             return bound_g if e is g else check(e, *args)
 
-        with mock.patch.object(certify_module, "check_blend_validity", bound), self.sampling(seen):
+        with mock.patch.object(degree_module, "check_blend_validity", bound), self.sampling(seen):
             return ball_certificate(f0, g, params)
 
     def levels(self, bound_g, dim=2, params=DegreeParams()):
@@ -565,7 +572,7 @@ class TestCoarseFirst:
                 self.certify(bound, seen)
             assert seen == []
         f0, g = parse("(susp (pow 2))"), parse("(susp (pow 9007199254740992))")
-        with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
+        with mock.patch.object(degree_module, "_sup_distance", side_effect=AssertionError):
             with pytest.raises(DistanceTooLarge, match="no level up to 1024, the last within"):
                 ball_certificate(f0, g)
 
@@ -584,7 +591,7 @@ class TestCoarseFirst:
             ("(iterate 2000 (pow 2))", "inf"),
             ("(compose (iterate 1100 (pow 2)) (pow 0))", "nan"),
         ):
-            with mock.patch.object(certify_module, "_sup_distance", side_effect=AssertionError):
+            with mock.patch.object(degree_module, "_sup_distance", side_effect=AssertionError):
                 with pytest.raises(DistanceTooLarge, match=f"sum to {bound}: no level"):
                     ball_certificate(f0, parse(text))
 
@@ -725,6 +732,19 @@ class TestEvaluationCount:
         with pytest.raises(ResolutionExceeded, match="map needs resolution 1024 or more"):
             ball_certificate(f0, g, DegreeParams(initial_resolution=1024))
         assert rows == {}
+
+    def test_a_chord_subject_refuses_its_degree_level_before_sampling(self, rows):
+        # c(0.85) = 0.973 proves the distance, so the one level sampled is
+        # g's degree level, pi * L_g = 65.6 bands, above half the cap 128:
+        # it is refused before f0 or g is evaluated there, and only f0's
+        # own degree level, 8 bands, 114 vertices, is read
+        f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
+        assert _chord(0.85) < 1.0
+        with pytest.raises(
+            ResolutionExceeded, match="map needs starting resolution 66, above half the cap 128"
+        ):
+            ball_certificate(f0, g, DegreeParams(max_resolution=128))
+        assert rows == {(f0.render(), 114): 1}
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
         # pi * L = 16.2 bands: read at 32, 2 + 31 * 64 = 1986 vertices
@@ -876,13 +896,13 @@ class TestEvaluationCount:
         rows.clear()
         susp_evals.clear()
         checked = []
-        original = certify_module.check_blend_validity
+        original = degree_module.check_blend_validity
 
         def spy(e, params, samples):
             checked.append(e)
             return original(e, params, samples)
 
-        monkeypatch.setattr(certify_module, "check_blend_validity", spy)
+        monkeypatch.setattr(degree_module, "check_blend_validity", spy)
         cert = ball_certificate(f0, g)
         assert cert.ball.distance.resolution == level
         assert cert.ball.distance.rigorous < 1.0
