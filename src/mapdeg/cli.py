@@ -172,7 +172,7 @@ def _cmd_experiment(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, computes_degree: bool) -> None:
     """--resolution and --json; --max-resolution if `computes_degree`."""
-    p.add_argument("--resolution", type=int, default=None, help="starting resolution")
+    p.add_argument("--resolution", type=int, default=None, help="first level; grid density")
     if computes_degree:
         text = "resolution cap; the largest proven degree level is half of it"
         p.add_argument("--max-resolution", type=int, default=None, help=text)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from . import geometry
 from .expr import Blend, MapExpr, Perturb, eval_array, walk
-from .geometry import coarsen, grid_blocks, grid_fits, grid_node, make_grid, mesh
+from .geometry import grid_blocks, grid_fits, grid_node, make_grid, mesh
 
 _TWO_PI = 2.0 * math.pi
 
@@ -45,8 +45,9 @@ STEP_CAP = math.pi / 2
 #: Most a proven level's raw degree may differ from an integer.
 _PROVEN_RESIDUAL = 1e-6
 
-#: F such that F * L nodes prove the degree of a map of Lipschitz bound
-#: L: 2*pi*L samples on S1, pi*L bands on S2 (_degree).
+#: F such that ceil(F * L) nodes, and at least MIN_RESOLUTION, prove the
+#: degree of a map of Lipschitz bound L: 2*pi*L samples on S1, pi*L bands
+#: on S2 (_proven_level, _degree).
 _WRAP = {1: _TWO_PI, 2: math.pi}
 
 #: Radius of the ball around a base map inside which a ball certificate's
@@ -62,11 +63,11 @@ class DegreeParams:
     blend check samples only levels from initial_for(dim) whose double
     fits the cap (max_for) and the row budget (_admitted), by default 64
     to 512 bands on S2; the row budget admits no S2 first level of 725
-    bands or more, whatever the cap. A degree is read at one such level
-    or, where its bound proves the first level, at a stride of it no
-    coarser than MIN_RESOLUTION (_proven_level), and only where the
-    first level is admitted. A given initial resolution also sets the
-    density of the distance and homotopy grids (grid_for).
+    bands or more, whatever the cap. A ball certificate's searched
+    distance starts at the first level too. A degree is read at the
+    level its bound proves (_proven_level), whatever the first level,
+    but only where both are admitted. A given initial resolution also
+    sets the density of the distance and homotopy grids (grid_for).
     """
 
     initial_resolution: int | None = None
@@ -102,11 +103,10 @@ class DegreeResult:
 
     residual is |raw - value| before rounding, always below 1e-6; method
     records which route produced the value. resolution is the one level
-    the map's Lipschitz bound proves (_proven_level): where the bound
-    proves the first level, the coarsest initial_for(dim) / 2**j it
-    proves, never below MIN_RESOLUTION; above it, the bound's own level
-    rounded up for a map without a blend, or for a map with a blend the
-    first initial_for(dim) * 2**j its check-derived bound proves.
+    the map's Lipschitz bound L proves (_proven_level): ceil(2*pi*L)
+    samples on S1 or ceil(pi*L) bands on S2, never below MIN_RESOLUTION,
+    with L the AST's bound for a map without a blend and its blend
+    check's bound otherwise.
     """
 
     value: int
@@ -132,7 +132,10 @@ class DistanceEstimate:
     known: the AST's chord bound where f and g are chains of perturbs
     over a common map (_chord_bound), and sampled_max + (L_f + L_g) *
     mesh, with both maps' Lipschitz bounds from their blend checks, where
-    that sum is finite. None where neither is.
+    that sum is finite. It is never below sampled_max, since no upper
+    bound is below the value it bounds: the chord bound holds for the
+    exact maps, and renormalization may put the sampled floats an ulp
+    past it. None where neither bound is known.
     """
 
     sampled_max: float
@@ -160,20 +163,13 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
     """The one level e is read at, where _degree's pass is a proof, and e's structural degree.
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
-    alias to a convincing but wrong winding, so no map is read below
-    need = 2*pi*L samples on S1 or pi*L bands on S2, nor below
-    MIN_RESOLUTION. Where need is at most the first level,
-    params.initial_for(dim), e is read at the coarsest power-of-two
-    stride of it that is need or more, so values held at the first level
-    or a finer one (a check's children, a distance level of
-    _ball_distance) are read, not evaluated again. Above it a map
-    without a blend is read at ceil(need), and a map with a blend at the
-    first level of its checks' schedule (_levels) at or above need,
-    whose last check's children it reads by stride. The only place a
-    degree level is refused (ResolutionExceeded): a need over half the
+    alias to a convincing but wrong winding, so e is read at
+    n = ceil(need), need = 2*pi*L samples on S1 or pi*L bands on S2 and
+    at least MIN_RESOLUTION, whether or not e has a blend. The only place
+    a degree level is refused (ResolutionExceeded): a need over half the
     cap, or a bound that is infinite or NaN, before the structural
-    degree is computed, which |degree| <= L keeps small; then a first
-    level or a level that _admitted refuses.
+    degree is computed, which |degree| <= L keeps small; then an n or a
+    first level, params.initial_for(dim), that _admitted refuses.
     """
     dim = e.dim
     need = max(_WRAP[dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
@@ -183,88 +179,56 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
         raise ResolutionExceeded(
             f"map needs starting resolution {shown}, above half the cap {cap}"
         )
-    sd, first = e.symbolic_degree(), params.initial_for(dim)
-    if need <= first:
-        n = first
-        while n % 2 == 0 and n // 2 >= need:
-            n //= 2
-    elif sd is None:
-        levels = _levels(params, dim, lambda n: _admitted(n, params, dim))
-        n = next((n for n in levels if n >= need), None)
-    else:
-        n = math.ceil(need)
-    if n is None or not _admitted(max(n, first), params, dim):
+    n, sd, first = math.ceil(need), e.symbolic_degree(), params.initial_for(dim)
+    if not _admitted(max(n, first), params, dim):
         raise ResolutionExceeded(
-            f"map needs resolution {math.ceil(max(need, first))} or more, above every level "
+            f"map needs resolution {max(n, first)} or more, above every level "
             f"whose double fits the cap {cap} and {geometry.MAX_ROWS} sample rows"
         )
     return n, sd
-
-
-def _is_stride(resolution: int, level: int) -> bool:
-    """Whether the nodes at `resolution` are a stride of those at `level`."""
-    ratio, rest = divmod(level, resolution)
-    return rest == 0 and ratio > 0 and ratio & (ratio - 1) == 0
-
-
-def _coarsen_to(dim: int, resolution: int, level: int, Y: np.ndarray) -> np.ndarray:
-    """Values Y on make_grid(dim, level) read at `resolution`, a stride of it."""
-    while level > resolution:
-        level //= 2
-        Y = coarsen(dim, level, Y)
-    return Y
 
 
 class _Samples:
     """Values of maps on make_grid nodes, shared by the passes of one call.
 
     The only code that evaluates a map on a grid. Each (map, resolution)
-    is evaluated at most once; a level with a finer one held, 2**j times
-    it, is read from that by geometry.coarsen instead. A map evaluated at
-    a level reads every sub-expression held there (or at such a finer
-    level) instead of evaluating it again, so a perturbation of a held
-    base map costs its field alone. Only each map's latest level is held,
-    so a doubling distance does not pin every level it passed, and no grid
-    is held: the nodes live while one map is evaluated on them (the grid
-    of 1024 bands alone is 50 MB). A distance at a level the first map
-    is not held at is streamed and holds nothing (distance). One
-    instance serves one degree, distance or certificate call, with the
-    blend checks inside it, and no values outlive the call.
-    _Samples(reads) reads what `reads` holds and keeps its own
-    evaluations: one blend check level.
+    is evaluated at most once, and a map is read only at a level it was
+    evaluated at. A map evaluated at a level reads every sub-expression
+    held at that level instead of evaluating it again, so a perturbation
+    of a held base map costs its field alone. Only each map's latest
+    level is held, so a doubling distance does not pin every level it
+    passed, and no grid is held: the nodes live while one map is
+    evaluated on them (the grid of 1024 bands alone is 50 MB). A
+    distance at a level the first map is not held at is streamed and
+    holds nothing (distance). One instance serves one degree, distance,
+    certificate or blend check level, and no values outlive it.
     """
 
-    def __init__(self, reads: _Samples | None = None):
-        self._values: dict[MapExpr, tuple[int, np.ndarray]] = dict(reads._values if reads else {})
-
-    def hold(self, e: MapExpr, resolution: int, Y: np.ndarray) -> None:
-        """Hold Y as e's values on make_grid(e.dim, resolution), unless a held level covers it."""
-        level, _ = self._values.get(e, (0, None))
-        if not _is_stride(resolution, level):
-            self._values[e] = (resolution, Y)
+    def __init__(self):
+        self._values: dict[MapExpr, tuple[int, np.ndarray]] = {}
 
     def values(self, e: MapExpr, resolution: int) -> np.ndarray:
         level, Y = self._values.get(e, (0, None))
-        if _is_stride(resolution, level):
-            return _coarsen_to(e.dim, resolution, level, Y)
+        if level == resolution:
+            return Y
         self._values.pop(e, None)  # not held while the next level is evaluated
-        held = [(f, n, Y) for f, (n, Y) in self._values.items() if _is_stride(resolution, n)]
-        Y = eval_array(e, make_grid(e.dim, resolution), known=_known(e, resolution, held))
+        held = [(f, Y) for f, (n, Y) in self._values.items() if n == resolution]
+        Y = eval_array(e, make_grid(e.dim, resolution), known=_known(e, held))
         self._values[e] = (resolution, Y)
         return Y
 
     def distance(self, f: MapExpr, g: MapExpr, resolution: int) -> float:
         """pair_distance of f's and g's values on make_grid(f.dim, resolution).
 
-        Where f's held values cover the level, both maps are read through
-        values(), and g's stay held. Any other level is streamed: its
-        nodes come in geometry.grid_blocks, both maps are evaluated block
-        by block, g reading f's block where it contains f, and only the
-        running max is kept. The max of the blocks' maxima is the max of
-        the whole level, bit for bit.
+        Where f is held at the level, both maps are read through values(),
+        and g's stay held. Any other level is streamed: its nodes come in
+        geometry.grid_blocks, both maps are evaluated block by block, g
+        reading f's block where it contains f, and only the running max is
+        kept. The max of the blocks' maxima is the max of the whole level,
+        bit for bit.
         """
         level, _ = self._values.get(f, (0, None))
-        if _is_stride(resolution, level):
+        if level == resolution:
             return pair_distance(self.values(f, resolution), self.values(g, resolution))
         return max(pair_distance(F, G) for F, G in _pair_blocks(f, g, resolution))
 
@@ -277,7 +241,7 @@ def _pair_blocks(f: MapExpr, g: MapExpr, resolution: int):
     """
     for X in grid_blocks(f.dim, resolution):
         F = eval_array(f, X)
-        yield F, eval_array(g, X, known=_known(g, resolution, [(f, resolution, F)]))
+        yield F, eval_array(g, X, known=_known(g, [(f, F)]))
 
 
 def _streamed_min_norm(f: MapExpr, g: MapExpr, resolution: int) -> tuple[float, int]:
@@ -295,23 +259,21 @@ def _streamed_min_norm(f: MapExpr, g: MapExpr, resolution: int) -> tuple[float, 
     return low, row
 
 
-def _known(
-    e: MapExpr, resolution: int, held: list[tuple[MapExpr, int, np.ndarray]]
-) -> dict[int, np.ndarray]:
-    """id(node) -> values at `resolution` of the sub-expressions of e that are held.
+def _known(e: MapExpr, held: list[tuple[MapExpr, np.ndarray]]) -> dict[int, np.ndarray]:
+    """id(node) -> values of the sub-expressions of e that are held.
 
-    held lists (map, level, values) with each level a stride multiple of
-    `resolution`. The tree is matched against the held maps once, here,
-    so that eval_array looks nodes up by identity rather than hashing
-    them. A node matches a held map where _same(node, map).
+    held lists (map, values), all on the grid e is evaluated on. The tree
+    is matched against the held maps once, here, so that eval_array
+    looks nodes up by identity rather than hashing them. A node matches
+    a held map where _same(node, map).
     """
     known = {}
     stack = [e] if held else []
     while stack:
         node = stack.pop()
-        for f, n, Y in held:
+        for f, Y in held:
             if _same(node, f):
-                known[id(node)] = _coarsen_to(f.dim, resolution, n, Y)
+                known[id(node)] = Y
                 break
         else:
             stack.extend(node.children())
@@ -464,9 +426,7 @@ def _levels(params: DegreeParams, dim: int, fits: Callable[[int], bool]) -> list
     ones, so a sampled minimum only falls and a sampled maximum only
     rises, and a level whose sample cannot prove even the last level
     rules out every level after it.
-    The search is refused there, with what it sampled. A degree with a
-    blend whose bound needs more than the first level is read at the
-    first listed level that proves it (_proven_level).
+    The search is refused there, with what it sampled.
     """
     levels, n = [], params.initial_for(dim)
     while fits(n):
@@ -475,7 +435,7 @@ def _levels(params: DegreeParams, dim: int, fits: Callable[[int], bool]) -> list
     return levels
 
 
-def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) -> float:
+def check_blend_validity(e: MapExpr, params: DegreeParams) -> float:
     """Reject expressions whose blend denominators approach zero, and bound the rest.
 
     Each blend's children are sampled on one grid and the segment between
@@ -491,10 +451,10 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
     by _levels' stop rule at the first level whose segment minimum m
     does, by m - (L_f + L_g)/2 * mesh(last).
 
-    Each level reads what `samples` holds, by stride too, and keeps its
-    own evaluations; the last check's two children stay held there, so
-    what is held does not grow with the blends. Returns e's Lipschitz
-    bound, the AST's with each blend's from its check.
+    Each level evaluates its two children on its own _Samples, the
+    second reading the first where it contains it, and holds nothing
+    after the level. Returns e's Lipschitz bound, the AST's with each
+    blend's from its check.
     """
     blends = [node for node in walk(e) if isinstance(node, Blend)]
     bounds = {}
@@ -516,9 +476,8 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
                 f"its check samples, in {node.render()}"
             )
         for n in levels:
-            level = _Samples(samples)
-            F, G = level.values(node.f, n), level.values(node.g, n)
-            min_norm, row = pair_min_norm(F, G)
+            level = _Samples()
+            min_norm, row = pair_min_norm(level.values(node.f, n), level.values(node.g, n))
             bound = _blend_bound(node, inner, min_norm, n)
             if bound is not None and _WRAP[dim] * bound <= n:
                 break
@@ -534,9 +493,6 @@ def check_blend_validity(e: MapExpr, params: DegreeParams, samples: _Samples) ->
                     f"{min_norm:.3e} at {n}, in {node.render()}"
                 )
         bounds[id(node)] = bound
-    if blends:
-        samples.hold(node.f, n, F)
-        samples.hold(node.g, n, G)
     return _lipschitz(e, bounds)
 
 
@@ -554,9 +510,8 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
 
 def _checked_degree(e: MapExpr, params: DegreeParams) -> tuple[DegreeResult, float]:
     """degree(e, params) and e's Lipschitz bound, the one its blend check returns."""
-    samples = _Samples()
-    bound = check_blend_validity(e, params, samples)
-    return _degree(e, samples, *_proven_level(bound, params, e)), bound
+    bound = check_blend_validity(e, params)
+    return _degree(e, _Samples(), *_proven_level(bound, params, e)), bound
 
 
 def _degree(e: MapExpr, samples: _Samples, n: int, sd: int | None) -> DegreeResult:
@@ -564,8 +519,8 @@ def _degree(e: MapExpr, samples: _Samples, n: int, sd: int | None) -> DegreeResu
 
     The pass, winding on S1 and simplicial on S2, returns (raw degree,
     largest image step or edge angle) from the map's values on one grid,
-    read through `samples`, which may hold a blend check's children at a
-    level n is a stride of. n >= 2*pi*L samples keep every image step
+    read through `samples`, which may hold it at n already (a distance
+    level of _ball_distance). n >= 2*pi*L samples keep every image step
     below pi/3, and n >= pi*L bands every image edge below pi/2, so the
     sum is the degree (Stenger 1975, Kearfott 1979). A guard over
     STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
@@ -604,28 +559,27 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
-    params, samples = DegreeParams(), _Samples()
-    slope = check_blend_validity(f, params, samples) + check_blend_validity(g, params, samples)
+    params = DegreeParams()
+    slope = check_blend_validity(f, params) + check_blend_validity(g, params)
     if resolution is None:
         resolution = params.grid_for(f.dim)
-    return _sup_distance(f, g, resolution, samples, slope)
+    return _sup_distance(f, g, resolution, _Samples(), slope)
 
 
 def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples, slope: float):
     """sup_distance(f, g, n) with slope = L_f + L_g, reading both maps from `samples`.
 
-    rigorous is the smaller of the upper bounds that are known: the
-    AST's (_chord_bound) and sampled + slope * mesh(n), where slope is
-    finite. A level f's held values cover reads them, so f is not
-    evaluated again, and g's held values too; a finer level is streamed
-    (_Samples.distance).
+    rigorous is the smaller of the upper bounds that are known, the
+    AST's (_chord_bound) and sampled + slope * mesh(n) where slope is
+    finite, and at least sampled. Where `samples` holds f at n, both maps
+    are read through it; any other level is streamed (_Samples.distance).
     """
     sampled = samples.distance(f, g, n)
     bounds = [sampled + slope * mesh(f.dim, n)] if math.isfinite(slope) else []
     chord = _chord_bound(f, g)
     if chord is not None:
         bounds.append(chord)
-    return DistanceEstimate(sampled, n, min(bounds, default=None))
+    return DistanceEstimate(sampled, n, max(sampled, min(bounds)) if bounds else None)
 
 
 def _ball_distance(
@@ -643,15 +597,17 @@ def _ball_distance(
     the distance; where none is, as for a sum that is not finite, the
     call is refused with DistanceTooLarge before sampling. f0 is
     evaluated at the first level before g, so that g reads f0 there,
-    and both stay held for degree(g); finer levels are streamed. The
-    walk returns at the first level whose rigorous bound is below 1, and
-    is refused at the first whose sampled distance plus (L_f + L_g) *
-    mesh at the last level reaches 1 (_levels' stop rule). degree(g), at
-    the level g's bound proves, then reads g's values from the same
-    samples. So each map is evaluated at most once per resolution.
+    and both stay held; finer levels are streamed. The walk returns at
+    the first level whose rigorous bound is below 1, and is refused at
+    the first whose sampled distance plus (L_f + L_g) * mesh at the last
+    level reaches 1 (_levels' stop rule). degree(g), at the level g's
+    bound proves, then reads g's values from the same samples where that
+    is the first level, as it always is on the chord path, and
+    evaluates g there otherwise. So each map is evaluated at most once
+    per resolution.
     """
     dim, samples = g.dim, _Samples()
-    bound = check_blend_validity(g, params, samples)
+    bound = check_blend_validity(g, params)
     slope = bound0 + bound
     chord = _chord_bound(f0, g)
     proven = None

@@ -3,9 +3,8 @@
 Row-wise normalization of arrays, and the sample nodes every pass reads:
 make_grid lays them out as a fresh array of unit rows, grid_blocks yields
 the same rows a block of whole rings at a time, grid_node computes one of
-them alone, mesh bounds how far any point of the sphere lies from them,
-and coarsen strides a level down to the level below. All operations are
-pure functions.
+them alone, and mesh bounds how far any point of the sphere lies from
+them. All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -150,21 +149,3 @@ def mesh(dim: int, resolution: int) -> float:
     if dim == 1:
         return 2.0 * math.sin(math.pi / resolution)
     return math.sqrt(2.0) * math.pi / resolution
-
-
-def coarsen(dim: int, resolution: int, fine: np.ndarray) -> np.ndarray:
-    """The rows of `fine` that lie on make_grid(dim, resolution), in its order.
-
-    `fine` holds one row per node of make_grid(dim, 2 * resolution): the
-    nodes themselves, or a map's values there. The coarse nodes are a
-    stride of the fine ones, bit for bit, because doubling both k and n
-    in 2*pi*k/n (S1) or pi*k/n (S2) rounds to the same float. On S1 they
-    are every other node. On S2 they are the poles and fine rings 2, 4,
-    ..., 2n - 2 at every other longitude. Returns a fresh contiguous
-    array, laid out as a direct evaluation on the coarse grid would be.
-    """
-    if dim == 1:
-        return np.ascontiguousarray(fine[::2])
-    n, width = resolution, fine.shape[1]
-    rings = fine[1:-1].reshape(2 * n - 1, 4 * n, width)[1::2, ::2]
-    return np.concatenate([fine[:1], rings.reshape(-1, width), fine[-1:]])

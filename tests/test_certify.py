@@ -38,12 +38,12 @@ from mapdeg import (
     is_perfect_power,
     make_grid,
     parse,
+    sup_distance,
 )
 from mapdeg import geometry
 from mapdeg.degree import (
     _admitted,
     _chord_bound,
-    _Samples,
     check_blend_validity,
     pair_distance,
     pair_min_norm,
@@ -430,6 +430,18 @@ class TestChordBound:
             assert np.abs(field(P)).sum(axis=1).max() <= 1.0 + 1e-12
             assert np.abs(field._coef).sum() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("base", ["(pow 2)", "(susp (pow 2))"])
+    def test_no_bound_is_below_the_sampled_distance(self, base):
+        # eps = 0 moves nothing, yet renormalizing h(x) + 0 * V(x) moves
+        # some unit vectors by an ulp: the sampled distance reads about
+        # 1.6e-16 against the chord bound 0, which holds for the exact
+        # maps only, so rigorous is the sampled distance
+        f0 = parse(base)
+        g = Perturb(4, 0.0, f0)
+        assert _chord_bound(f0, g) == 0.0
+        for dist in (ball_certificate(f0, g).ball.distance, sup_distance(f0, g)):
+            assert 0.0 < dist.sampled_max == dist.rigorous
+
     def test_the_bound_needs_the_base_under_perturbs(self):
         f0 = parse("(susp (pow 2))")
         assert _chord_bound(f0, f0) == 0.0
@@ -466,8 +478,8 @@ class TestChordBound:
             slope = f0.lipschitz_bound() + g.lipschitz_bound()
             first = next(n for n in (64, 128, 256, 512) if slope * geometry.mesh(2, n) < 1.0)
             assert seen[0] == first
-        else:  # one level, g's degree level, 32 bands
-            assert seen == [dist.resolution] == [degree(g).resolution] == [32]
+        else:  # one level, g's degree level, ceil(pi * 5.1) = 17 bands
+            assert seen == [dist.resolution] == [degree(g).resolution] == [17]
             assert dist.rigorous <= _chord(0.5) + 1e-12
 
 
@@ -667,18 +679,22 @@ class TestEvaluationCount:
         # f0's degree reads 8 bands, 2 + 7 * 16 = 114 vertices; the
         # distance of a turn, which is searched, proves itself at its
         # first level, 64 bands, 2 + 63 * 128 = 8066, where f0 is
-        # evaluated once before g, and g's proven degree level, 8 bands,
-        # is a stride of it
+        # evaluated once before g; g's proven degree level, 8 bands, is
+        # evaluated on its own
         f0 = parse("(susp (pow 2))")
         g = parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))")
         assert ball_certificate(f0, g).ball.distance.resolution == 64
-        assert rows == {(f0.render(), 114): 1, (f0.render(), 8066): 1, (g.render(), 8066): 1}
+        assert rows == {
+            (f0.render(), 114): 1,
+            (f0.render(), 8066): 1,
+            (g.render(), 8066): 1,
+            (g.render(), 114): 1,
+        }
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
         # the blend check proves the blend at 64 bands, 2 + 63 * 128 =
-        # 8066 vertices, and its bound proves 16 bands, a stride of them,
-        # 2 + 15 * 32 = 482 vertices: the blend reads both children from
-        # the check instead of evaluating them
+        # 8066 vertices, and its bound proves ceil(pi * 4.78) = 16 bands,
+        # 2 + 15 * 32 = 482 vertices, where the blend is evaluated once
         e = parse("(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))")
         res = degree(e)
         assert (res.value, res.resolution) == (2, 16)
@@ -688,25 +704,28 @@ class TestEvaluationCount:
     def test_blend_check_doubles_until_its_bound_proves_a_level(self, rows):
         # cos(1.45) = 0.121 leaves m_rig = 0.017 at 128 bands and 0.069 at
         # 256: the check samples both children at 64, 128 and 256 bands,
-        # and the degree, proven at 256, reads them from there
+        # and the degree, proven at ceil(pi * 43.8) = 138 bands, 2 + 137 *
+        # 276 = 37814 vertices, evaluates the blend there
         e = parse("(blend 0.5 (susp (pow 3)) (compose (rot3 0 0 1 2.9) (susp (pow 3))))")
-        assert degree(e).resolution == 256
+        assert degree(e).resolution == 138
         levels = (8066, 32514, 130562)
         assert rows == {(f.render(), n): 1 for f in (e.f, e.g) for n in levels} | {
-            (e.render(), 130562): 1
+            (e.render(), 37814): 1
         }
 
     def test_a_blend_the_grid_leaves_unproven_is_read_coarser(self, rows):
         # m = cos(1.4) = 0.17 leaves m_rig = 0.066 at 128 bands, which
-        # needs pi * L = 143; at 256 it needs 116, so the degree is read at
-        # 128 bands by stride from the children the check left at 256
+        # needs pi * L = 143; at 256 the check proves L = 25.4, so the
+        # degree is read at ceil(pi * 25.4) = 80 bands, 2 + 79 * 160 =
+        # 12642 vertices, coarser than every level the check sampled
+        # but the first
         e = parse("(blend 0.5 (susp (pow 3)) (compose (rot3 0 0 1 2.8) (susp (pow 3))))")
         res = degree(e)
-        assert (res.value, res.resolution) == (3, 128)
+        assert (res.value, res.resolution) == (3, 80)
         assert res.residual < 1e-6
         levels = (8066, 32514, 130562)
         assert rows == {(f.render(), n): 1 for f in (e.f, e.g) for n in levels} | {
-            (e.render(), 32514): 1
+            (e.render(), 12642): 1
         }
 
     def test_an_unprovable_blend_is_refused_before_sampling(self, rows):
@@ -747,53 +766,53 @@ class TestEvaluationCount:
         assert rows == {(f0.render(), 114): 1}
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
-        # pi * L = 16.2 bands: read at 32, 2 + 31 * 64 = 1986 vertices
+        # pi * L = 16.2 bands: read at 17, 2 + 16 * 34 = 546 vertices
         e = parse("(perturb 4 0.5 (susp (pow 2)))")
-        assert degree(e).resolution == 32
-        assert rows == {(e.render(), 1986): 1}
+        assert degree(e).resolution == 17
+        assert rows == {(e.render(), 546): 1}
 
     @pytest.mark.parametrize(
         ("subject", "levels", "degree_level"),
         [
             # a turn's distance doubles from 256 to 1024 samples; g's
-            # degree reads its 256 level from there
-            ("(compose (rot 1.0) (pow 2))", (256, 512, 1024), 256),
+            # degree is evaluated at its own level, 13 samples
+            ("(compose (rot 1.0) (pow 2))", (256, 512, 1024), 13),
             # c(0.95) > 1: L_g = 66.1 starts the distance at 512 samples,
-            # and g's degree, at 415, is no stride of any level. The only
-            # search the CLI reaches (experiment --dim 1 --epsilon-max 0.95)
+            # and g's degree is evaluated at 415. The only search the CLI
+            # reaches (experiment --dim 1 --epsilon-max 0.95)
             ("(perturb 7 0.95 (pow 2))", (512, 1024), 415),
         ],
     )
     def test_doubling_distance_evaluates_each_level_once(
         self, rows, subject, levels, degree_level
     ):
-        # f0's degree reads 16 samples; at the first distance level f0 is
+        # f0's degree reads 13 samples; at the first distance level f0 is
         # evaluated before g, and each finer level is streamed once
         f0, g = parse("(pow 2)"), parse(subject)
         assert ball_certificate(f0, g).ball.distance.resolution == 1024
         assert rows == (
-            {(f0.render(), n): 1 for n in (16, *levels)}
+            {(f0.render(), n): 1 for n in (13, *levels)}
             | {(g.render(), n): 1 for n in levels}
             | {(g.render(), degree_level): 1}
         )
 
     def test_a_warm_perturbation_evaluates_only_its_degree_level(self, rows):
         # c(0.5) < 1 proves the distance: no distance level is sampled. f0
-        # is evaluated at g's degree level, 32 bands, 2 + 31 * 64 = 1986
+        # is evaluated at g's degree level, 17 bands, 2 + 16 * 34 = 546
         # vertices, before g, which reads it; a cold call also reads f0's
         # degree at 8 bands, 114 vertices
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         first = ball_certificate(f0, g)
-        assert rows == {(f0.render(), 114): 1, (f0.render(), 1986): 1, (g.render(), 1986): 1}
+        assert rows == {(f0.render(), 114): 1, (f0.render(), 546): 1, (g.render(), 546): 1}
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
-        assert rows == {(f0.render(), 1986): 1, (g.render(), 1986): 1}
+        assert rows == {(f0.render(), 546): 1, (g.render(), 546): 1}
         assert second.to_json_dict() == first.to_json_dict()
         assert first.ball.distance.rigorous <= _chord(0.5) + 1e-12
 
     def test_a_degree_level_off_the_grid_evaluates_f0_once_there(self, rows, susp_evals):
         # L_g = 20.9 reads g's degree at 66 bands, 2 + 65 * 132 = 8582
-        # vertices, no stride of the first level: f0 is evaluated there
+        # vertices, off the 64-band first level: f0 is evaluated there
         # once, before g, which reads it; c(0.85) = 0.973 proves the
         # distance
         f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
@@ -807,14 +826,15 @@ class TestEvaluationCount:
 
     def test_second_certificate_on_an_equal_base_skips_the_base_degree(self, rows):
         # f0's degree level, 114 vertices, is read once; each call
-        # evaluates both maps at the distance level, 8066 vertices
+        # evaluates both maps at the distance level, 8066 vertices, and g
+        # at its degree level, 8 bands, 114 vertices
         f0 = parse("(susp (pow 2))")
         g = parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))")
         first = ball_certificate(f0, g)
         assert rows.pop((f0.render(), 114)) == 1
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
-        assert rows == {(f0.render(), 8066): 1, (g.render(), 8066): 1}
+        assert rows == {(f0.render(), 8066): 1, (g.render(), 8066): 1, (g.render(), 114): 1}
         assert second.to_json_dict() == first.to_json_dict()
 
     def test_perturbation_reads_its_base_instead_of_evaluating_it(self, rows, susp_evals):
@@ -823,8 +843,8 @@ class TestEvaluationCount:
             certify_module._kept_base.cache_clear()
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
         # twice per certificate, never inside g: f0's degree at 8 bands, and
-        # f0 at g's degree level, 32 bands, which g reads
-        assert susp_evals == {114: 2, 1986: 2}
+        # f0 at g's degree level, 17 bands, which g reads
+        assert susp_evals == {114: 2, 546: 2}
 
     def test_streamed_level_evaluates_each_map_once_per_block(self, rows, susp_evals):
         # L_f + L_g = 26.3 starts the distance at 128 bands, where f0 is
@@ -833,8 +853,8 @@ class TestEvaluationCount:
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
         assert ball_certificate(f0, g).ball.distance.resolution == 256
         # f0's degree reads 8 bands, 114 vertices; g's, at 77 bands,
-        # 2 + 76 * 154 = 11706 vertices, is no stride of either level: g
-        # is evaluated there once more
+        # 2 + 76 * 154 = 11706 vertices, is a level of its own: g is
+        # evaluated there once more
         streamed = {(t, n): k for (t, n), k in rows.items() if n not in (114, 32514, 11706)}
         assert rows - Counter(streamed) == {
             (f0.render(), 114): 1,
@@ -866,30 +886,31 @@ class TestEvaluationCount:
 
     def test_blend_check_reads_what_its_children_share(self, rows, susp_evals):
         e = parse("(blend 0.4 (susp (pow 3)) (compose (rot3 0 0 1 0.7) (susp (pow 3))))")
-        samples = _Samples()
-        check_blend_validity(e, DegreeParams(), samples)
-        # the check proves the blend at its first level, 64 bands, and
-        # leaves both children held there
+        check_blend_validity(e, DegreeParams())
+        # the check proves the blend at its first level, 64 bands, where
+        # the second child reads the first instead of evaluating it
         assert rows == {(e.f.render(), 8066): 1, (e.g.render(), 8066): 1}
         assert susp_evals == {8066: 1}
-        assert {f: n for f, (n, _) in samples._values.items()} == {e.f: 64, e.g: 64}
 
     @pytest.mark.parametrize(
-        ("eps", "level", "g_rows"),
+        ("eps", "distance_rows", "degree_rows"),
         [
-            # the distance and the blend's degree both read 64 bands
-            (0.5, 64, 8066),
-            # L_f + L_g = 22.1 starts the distance at 128 bands, though
-            # the check ended at 64: f0 is evaluated there once more
-            (0.8, 128, 32514),
+            # L_f + L_g = 6.8 starts the distance at 64 bands, and the
+            # blend's degree reads ceil(pi * 4.78) = 16 bands
+            (0.5, 8066, 482),
+            # L_f + L_g = 22.1 starts the distance at 128 bands, and the
+            # blend's degree reads ceil(pi * 20.06) = 64 bands
+            (0.8, 32514, 8066),
         ],
     )
-    def test_a_warm_blend_subject_evaluates_its_base_once_per_level(
-        self, rows, susp_evals, monkeypatch, eps, level, g_rows
+    def test_a_warm_blend_subject_evaluates_its_base_once_per_pass(
+        self, rows, susp_evals, monkeypatch, eps, distance_rows, degree_rows
     ):
-        # the subject's check evaluates the base, its first child, at 64
-        # bands and holds it with the perturbation, which the distance and
-        # the blend's degree read; the check runs once
+        # the subject's check, which runs once, evaluates the base, its
+        # first child, at 64 bands, and the perturbation reads it there;
+        # the distance evaluates the base again before the blend, which
+        # reads it, and the blend's degree evaluates the blend on its own,
+        # both of its suspensions included. No pass reads another's values
         f0 = parse("(susp (pow 2))")
         g = parse(f"(blend 0.5 (susp (pow 2)) (perturb 4 {eps} (susp (pow 2))))")
         ball_certificate(f0, g)
@@ -898,22 +919,25 @@ class TestEvaluationCount:
         checked = []
         original = degree_module.check_blend_validity
 
-        def spy(e, params, samples):
+        def spy(e, params):
             checked.append(e)
-            return original(e, params, samples)
+            return original(e, params)
 
         monkeypatch.setattr(degree_module, "check_blend_validity", spy)
         cert = ball_certificate(f0, g)
-        assert cert.ball.distance.resolution == level
+        assert cert.ball.distance.resolution == {8066: 64, 32514: 128}[distance_rows]
         assert cert.ball.distance.rigorous < 1.0
         assert checked == [g]
-        assert susp_evals == {8066: 1, g_rows: 1}
-        assert rows == {
-            (f0.render(), 8066): 1,
-            (g.g.render(), 8066): 1,
-            (f0.render(), g_rows): 1,
-            (g.render(), g_rows): 1,
-        }
+        assert susp_evals == Counter([8066, distance_rows, degree_rows, degree_rows])
+        assert rows == Counter(
+            [
+                (f0.render(), 8066),
+                (g.g.render(), 8066),
+                (f0.render(), distance_rows),
+                (g.render(), distance_rows),
+                (g.render(), degree_rows),
+            ]
+        )
 
 
 class TestBaseRecord:

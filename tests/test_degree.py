@@ -33,7 +33,6 @@ from mapdeg import (
     sup_distance,
 )
 from mapdeg import geometry
-from mapdeg.expr import walk
 from mapdeg.degree import (
     BLEND_MIN_NORM,
     STEP_CAP,
@@ -197,10 +196,10 @@ class TestWinding:
     def test_refinement_stops_at_the_row_budget(self, monkeypatch, check_rows_seen):
         # m = cos(1.25) = 0.315 at every node leaves m_rig = 0.217 at 128
         # samples, which proves the blend's bound 9.2 there; the degree
-        # reads 64
+        # reads ceil(2*pi * 9.2) = 58
         e = parse("(blend 0.5 (pow 2) (compose (rot 2.5) (pow 2)))")
         params = DegreeParams(initial_resolution=16, max_resolution=1 << 20)
-        assert degree(e, params).resolution == 64
+        assert degree(e, params).resolution == 58
         assert check_rows_seen == [16, 32, 64, 128]
         # with 128 rows the last level whose double fits is 64, where m_rig
         # = 0.119 needs 106 samples: the 16-sample m already rules 64 out,
@@ -262,29 +261,29 @@ def _turned(k, angle):
 
 
 class TestSimplicial:
-    def test_default_levels_are_64_and_128_bands(self):
-        # a map whose bound proves 64 bands is read at the coarsest
-        # 64 / 2**j its bound still proves: pi * 2 = 6.3 bands for
-        # (susp (pow 2)), so 8. A blend check runs at 64 bands, then on the
-        # 128-band grid, and doubles on while its bound proves no level;
-        # the degree is read at that stride of 64 or, above 64, at the
-        # first 64 * 2**j the bound proves, from the children the check
-        # left there
+    def test_default_levels_are_64_and_128_bands(self, check_rows_seen):
+        # a degree is read at ceil(pi * L) bands and 8 at least, whatever
+        # the first level: pi * 2 = 6.3 bands for (susp (pow 2)), so 8. A
+        # blend check runs at 64 bands, then on the 128-band grid, and
+        # doubles on while its bound proves no level; the degree is read
+        # at the level that bound proves, below the check's last level or
+        # above the first
         assert degree(parse("(susp (pow 2))")).resolution == 8
         cases = [
-            # (k, turn, check level, degree level)
-            (2, 0.5, 64, 8),
+            # (k, turn, check levels, degree level)
+            (2, 0.5, [64], 8),
             # cos(1.25) = 0.315: 64 bands leave 0.107 of it, 128 0.211
-            (3, 2.5, 128, 64),
-            (3, 2.7, 128, 128),
+            (3, 2.5, [64, 128], 45),
+            (3, 2.7, [64, 128], 83),
             # cos(1.45) = 0.121: 128 bands leave 0.017 of it, 256 0.069
-            (3, 2.9, 256, 256),
+            (3, 2.9, [64, 128, 256], 138),
         ]
-        for k, turn, check, level in cases:
+        for k, turn, checks, level in cases:
             e = _turned(k, turn)
-            samples = _Samples()
-            bound = check_blend_validity(e, DegreeParams(), samples)
-            assert {f: n for f, (n, _) in samples._values.items()} == {e.f: check, e.g: check}
+            check_rows_seen.clear()
+            bound = check_blend_validity(e, DegreeParams())
+            assert check_rows_seen == [2 * n * (n - 1) + 2 for n in checks]
+            assert level == max(8, math.ceil(math.pi * bound))
             res = degree(e)
             assert (res.value, res.resolution) == (k, level)
             assert _proven_level(bound, DegreeParams(), e) == (level, None)
@@ -300,10 +299,11 @@ class TestSimplicial:
         # under a cap of 16 no level that could prove it is admitted
         with pytest.raises(ResolutionExceeded, match="needs resolution 16 or more"):
             degree(e, DegreeParams(initial_resolution=8, max_resolution=16))
-        # the check proves L = 7.66 at 64 bands, and the degree reads 32
+        # the check proves L = 7.66 at 64 bands, and the degree reads
+        # ceil(pi * 7.66) = 25
         params = DegreeParams(initial_resolution=8, max_resolution=128)
         res = degree(e, params)
-        assert (res.value, res.resolution) == (5, 32)
+        assert (res.value, res.resolution) == (5, 25)
         # a lying bound reads 8 bands, where only the guard can refuse
         monkeypatch.setattr(degree_module, "_blend_bound", lambda *args: 1.0)
         with pytest.raises(ConsistencyError, match="proven resolution 8 gave 5"):
@@ -358,7 +358,7 @@ class TestProvenLevel:
             res = degree(e)
         except ResolutionExceeded:
             assume(False)
-        bound = check_blend_validity(e, DegreeParams(), _Samples())
+        bound = check_blend_validity(e, DegreeParams())
         assert res.value == e.f.symbolic_degree()
         assert res.residual < 1e-6
         assert _proven_level(bound, DegreeParams(), e) == (res.resolution, None)
@@ -372,38 +372,26 @@ class TestProvenLevel:
     @example(parse("(susp (pow 2))"))
     @example(parse("(antipode 2)"))
     @example(parse("(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))"))
+    # pi * 3 = 9.4 bands: read at 10, below the first level of 64
+    @example(parse("(susp (pow 3))"))
+    # a blend whose check proves L = 26.1 at 128 bands: read at 83, above 64
+    @example(_turned(3, 2.7))
     def test_every_degree_is_read_at_the_level_its_bound_gives(self, e):
-        # need is 2*pi*L samples or pi*L bands, and 8 at least. Up to the
-        # first level n the one level is the coarsest n / 2**j at or above
-        # need; above it, the first n * 2**j at or above need with a
-        # blend, and need itself, rounded up, without one. Its integer is
-        # the one read at the level with n as its floor
+        # need is 2*pi*L samples or pi*L bands, rounded up, and 8 at
+        # least, with or without a blend and whatever the first level n.
+        # Its integer is the one read at max(need, n)
         params = DegreeParams()
         try:
             res = degree(e)
         except (ResolutionExceeded, InvalidBlend):
             return
-        bound = check_blend_validity(e, params, _Samples())
+        bound = check_blend_validity(e, params)
         first, wrap = params.initial_for(e.dim), 2 * math.pi / e.dim
-        has_blend = any(isinstance(node, Blend) for node in walk(e))
-
-        def level_from(need):
-            if need <= first:
-                level = first
-                while level // 2 >= need:
-                    level //= 2
-                return level
-            if not has_blend:
-                return math.ceil(need)
-            level = first
-            while level < need:
-                level *= 2
-            return level
-
-        assert res.resolution == level_from(max(geometry.MIN_RESOLUTION, wrap * bound))
+        need = math.ceil(wrap * bound)
+        assert res.resolution == max(need, geometry.MIN_RESOLUTION)
         assert res.residual < 1e-6
         assert res.value == _first_ends(e).symbolic_degree()
-        assert res.value == round(raw_pass(e, level_from(max(first, wrap * bound)))[0])
+        assert res.value == round(raw_pass(e, max(need, first))[0])
 
     def test_a_lying_bound_never_returns_an_integer(self, monkeypatch):
         # L = 1 reads (pow 40) at 8 bands, where its equator edges turn
@@ -463,7 +451,7 @@ class TestDegreeDispatch:
         # minimum, and never reads the grid
         e = parse("(blend 0.5 (id 2) (rot3 0 0 1 3.141592453589793))")
         with pytest.raises(InvalidBlend) as refused:
-            check_blend_validity(e, DegreeParams(), _Samples())
+            check_blend_validity(e, DegreeParams())
         assert check_rows_seen == [8066]
         low, row = pair_min_norm(*(eval_array(f, geometry.make_grid(2, 128)) for f in (e.f, e.g)))
         assert low <= BLEND_MIN_NORM
@@ -532,11 +520,11 @@ class TestDegreeDispatch:
 
     def test_a_check_samples_only_levels_a_degree_may_be_read_at(self, check_rows_seen):
         # m = cos(0.15) = 0.989 and L_f = L_g = 10: m_rig proves the bound
-        # at 128 bands, not at 64. By default 128 is admitted and the
-        # degree reads 64 by stride; a cap below 256 admits 64 alone, and
-        # the check refuses there
+        # at 128 bands, not at 64. By default 128 is admitted, the check
+        # proves L = 15.6 there, and the degree reads ceil(pi * 15.6) = 49;
+        # a cap below 256 admits 64 alone, and the check refuses there
         e = parse("(blend 0.5 (susp (pow 10)) (compose (rot3 0 0 1 0.3) (susp (pow 10))))")
-        assert (degree(e).value, degree(e).resolution) == (10, 64)
+        assert (degree(e).value, degree(e).resolution) == (10, 49)
         check_rows_seen.clear()
         with pytest.raises(ResolutionExceeded, match="no level up to 64, segment minimum"):
             degree(e, DegreeParams(max_resolution=128))
@@ -558,19 +546,22 @@ class TestDegreeDispatch:
         e = parse("(blend 0.5 (rot 0) (rot 3.14))")
         with pytest.raises(ResolutionExceeded, match="no level up to 8192"):
             degree(e)
+        # the check proves L = 2422 at 16384 samples, and the degree
+        # reads ceil(2*pi * 2422) = 15220
         res = degree(e, DegreeParams(max_resolution=32768))
-        assert (res.value, res.resolution) == (1, 16384)
+        assert (res.value, res.resolution) == (1, 15220)
         assert res.residual < 1e-6
 
     def test_the_refusal_before_sampling_weighs_the_ends_by_t(self, check_rows_seen):
         # 2*pi * L_g = 10789 samples is over half the cap, but the blend
         # leans on f: its bound is at least 0.99 * 2 + 0.01 * 1717, which
         # needs 120 samples. The mesh term (L_f + L_g) / 2 * mesh leaves
-        # m_rig > 0 only at 8192 samples, and the degree reads 512 there.
+        # m_rig > 0 only at 8192 samples, where the check proves L = 58.5,
+        # and the degree reads ceil(2*pi * 58.5) = 368.
         e = parse("(blend 0.01 (pow 2) (perturb 3 0.998 (pow 2)))")
         assert 2 * math.pi * e.g.lipschitz_bound() > DegreeParams().max_for(1) // 2
         res = degree(e)
-        assert (res.value, res.resolution) == (2, 512)
+        assert (res.value, res.resolution) == (2, 368)
         sampled = [256, 512, 1024, 2048, 4096, 8192]
         assert check_rows_seen == sampled
         # with the weights the other way round no level can prove it
@@ -651,7 +642,7 @@ class TestSupDistance:
         assert bounded.rigorous == bounded.sampled_max + slope * mesh
         # a blend's constant comes from its check
         blend = parse("(blend 0.5 (pow 2) (perturb 5 0.4 (pow 2)))")
-        slope = f.lipschitz_bound() + check_blend_validity(blend, DegreeParams(), _Samples())
+        slope = f.lipschitz_bound() + check_blend_validity(blend, DegreeParams())
         est = sup_distance(f, blend, 512)
         assert est.rigorous == est.sampled_max + slope * mesh
         # a bound that overflows gives none, and a pinched blend is refused
@@ -663,7 +654,7 @@ class TestSupDistance:
     @given(st.one_of(S1_BLENDS, S2_BLENDS))
     def test_a_blend_its_check_proves_has_a_rigorous_distance(self, e):
         try:
-            bound = check_blend_validity(e, DegreeParams(), _Samples())
+            bound = check_blend_validity(e, DegreeParams())
         except ResolutionExceeded:
             assume(False)
         est = sup_distance(e.f, e)
@@ -733,10 +724,15 @@ class TestStreamedDistance:
     def test_held_values_are_read_and_keep_the_second_map(self):
         f, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         samples = _Samples()
-        samples.hold(f, 128, eval_array(f, geometry.make_grid(2, 128)))
+        F = samples.values(f, 64)
         assert samples.distance(f, g, 64) == whole_distance(f, g, 64)
-        # g's 64 bands stay held for the degree that reads them next
+        # f is read, not evaluated again, and g's 64 bands stay held for
+        # the degree that reads them next
+        assert samples.values(f, 64) is F
         assert samples._values[g][0] == 64
+        # a level f is not held at is streamed and holds nothing
+        assert samples.distance(f, g, 32) == whole_distance(f, g, 32)
+        assert {e: n for e, (n, _) in samples._values.items()} == {f: 64, g: 64}
 
     def test_streamed_level_is_refused_over_the_row_budget_before_sampling(self, monkeypatch):
         def never(*args, **kwargs):
@@ -771,7 +767,7 @@ class TestLipschitzBound:
         # level proves has none to test
         try:
             params = DegreeParams(initial_resolution=resolution)
-            bound = check_blend_validity(e, params, _Samples())
+            bound = check_blend_validity(e, params)
         except ResolutionExceeded:
             return
         rng = np.random.default_rng(seed)
