@@ -130,12 +130,12 @@ class DistanceEstimate:
     sampled_max is a lower bound of the true sup, taken at `resolution`.
     rigorous is a true upper bound, the smaller of two where both are
     known: the AST's chord bound where f and g are chains of perturbs
-    over a common map (_chord_bound), and sampled_max + (L_f + L_g) *
-    mesh, with both maps' Lipschitz bounds from their blend checks, where
-    that sum is finite. It is never below sampled_max, since no upper
-    bound is below the value it bounds: the chord bound holds for the
-    exact maps, and renormalization may put the sampled floats an ulp
-    past it. None where neither bound is known.
+    over a common map (_chord_bound, from each field's bound M), and
+    sampled_max + (L_f + L_g) * mesh, with both maps' Lipschitz bounds
+    from their blend checks, where that sum is finite. It is never below
+    sampled_max, since no upper bound is below the value it bounds: the
+    chord bound holds for the exact maps, and renormalization may put
+    the sampled floats an ulp past it. None where neither bound is known.
     """
 
     sampled_max: float
@@ -197,15 +197,18 @@ class _Samples:
     held at that level instead of evaluating it again, so a perturbation
     of a held base map costs its field alone. Only each map's latest
     level is held, so a doubling distance does not pin every level it
-    passed, and no grid is held: the nodes live while one map is
-    evaluated on them (the grid of 1024 bands alone is 50 MB). A
-    distance at a level the first map is not held at is streamed and
-    holds nothing (distance). One instance serves one degree, distance,
-    certificate or blend check level, and no values outlive it.
+    passed. The latest level's grid is held too, read-only, so that the
+    maps evaluated there share one make_grid; it is dropped before the
+    grid of another level is built (the grid of 1024 bands alone is
+    50 MB). A distance at a level the first map is not held at is
+    streamed and holds nothing (distance). One instance serves one
+    degree, distance, certificate or blend check level, and no values
+    outlive it.
     """
 
     def __init__(self):
         self._values: dict[MapExpr, tuple[int, np.ndarray]] = {}
+        self._grid: tuple[int, np.ndarray | None] = (0, None)
 
     def values(self, e: MapExpr, resolution: int) -> np.ndarray:
         level, Y = self._values.get(e, (0, None))
@@ -213,9 +216,19 @@ class _Samples:
             return Y
         self._values.pop(e, None)  # not held while the next level is evaluated
         held = [(f, Y) for f, (n, Y) in self._values.items() if n == resolution]
-        Y = eval_array(e, make_grid(e.dim, resolution), known=_known(e, held))
+        Y = eval_array(e, self._nodes(e.dim, resolution), known=_known(e, held))
         self._values[e] = (resolution, Y)
         return Y
+
+    def _nodes(self, dim: int, resolution: int) -> np.ndarray:
+        """make_grid(dim, resolution), built once while it is the latest level."""
+        level, X = self._grid
+        if level != resolution:
+            self._grid = (0, None)  # not held while the next grid is built
+            X = make_grid(dim, resolution)
+            X.flags.writeable = False
+            self._grid = (resolution, X)
+        return X
 
     def distance(self, f: MapExpr, g: MapExpr, resolution: int) -> float:
         """pair_distance of f's and g's values on make_grid(f.dim, resolution).
@@ -293,20 +306,23 @@ def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
 
     Both maps are walked through Perturb nodes down to the first node
     of f's chain _same as one of g's. Each (perturb s eps h) adds
-    eps * V(x), with |V(x)| <= 1 everywhere (PerturbationField), to the
-    unit vector h(x); since eps < 1 the direction turns by at most
-    asin(eps). Turns add along both chains, by the triangle inequality of
-    the sphere's geodesic metric, so g(x) lies within angle
-    theta = sum asin(eps_i) of f(x), and within the chord
+    eps * V(x), with |V(x)| <= M everywhere (PerturbationField.sup_bound),
+    to the unit vector h(x); since eps * M < 1 the direction turns by at
+    most asin(eps * M). Turns add along both chains, by the triangle
+    inequality of the sphere's geodesic metric, so g(x) lies within angle
+    theta = sum asin(eps_i * M_i) of f(x), and within the chord
     2 sin(min(theta, pi) / 2). For one perturb that is
-    sqrt(2 - 2 sqrt(1 - eps^2)), below 1 exactly when eps < sqrt(3)/2.
-    None where f and g are not chains of perturbs over a common map.
+    sqrt(2 - 2 sqrt(1 - (eps M)^2)), below 1 exactly when
+    eps * M < sqrt(3)/2. M may round to 1 + ulp, so eps * M is taken at
+    most 1, a turn of at most pi/2; such a map's Lipschitz bound is
+    infinite or past every cap, so its degree is refused anyway. None
+    where f and g are not chains of perturbs over a common map.
     """
     chains = []
     for e in (f, g):
         chain, theta = [(e, 0.0)], 0.0
         while isinstance(e, Perturb):
-            theta += math.asin(e.eps)
+            theta += math.asin(min(e.eps * e._field.sup_bound(), 1.0))
             e = e.inner
             chain.append((e, theta))
         chains.append(chain)

@@ -383,15 +383,17 @@ class Blend(MapExpr):
 
 
 class PerturbationField:
-    """Deterministic smooth vector field on R^(m+1) with |V(x)| <= 1.
+    """Deterministic smooth vector field on R^(m+1) with |V(x)| <= M <= 1.
 
     Each component is a low-order trigonometric polynomial of the ambient
     coordinates with seed-derived integer frequencies and coefficients.
-    Dividing all coefficients by their total absolute sum bounds the
-    field, a sum of sines, by |V(x)|_2 <= |V(x)|_1 <= 1 at every point,
-    not only at sample nodes. Ball certificates rest on it: a
-    perturbation's distance from its inner map is bounded from that
-    alone (degree._chord_bound), without sampling.
+    Component j, a sum of sines, is at most a_j, the absolute sum of its
+    coefficients, at every point, not only at sample nodes, so
+    |V(x)|_2 <= M = |a|_2 (sup_bound). Dividing all coefficients by
+    their total absolute sum makes the a_j sum to 1, so
+    1/sqrt(m+1) <= M <= 1. A perturbation's Lipschitz bound and its
+    distance from its inner map rest on M (Perturb._bound,
+    degree._chord_bound), without sampling.
 
     A call runs on the calling thread and returns a fresh array, filled
     BLOCK_ROWS rows at a time through one buffer, so that its temporaries
@@ -422,8 +424,10 @@ class PerturbationField:
         self._coef = coef / np.abs(coef).sum()
         self._order = [0, 2, 1] if dim == 2 else [0, 1]
         self._freq_matrix = self._freq.reshape(-1, ncomp).T[self._order]
-        grad = (np.abs(self._coef)[:, :, None] * np.abs(self._freq)).sum(axis=1)
+        size = np.abs(self._coef)
+        grad = (size[:, :, None] * np.abs(self._freq)).sum(axis=1)
         self._lipschitz = float(np.linalg.norm(np.linalg.norm(grad, axis=1)))
+        self._sup = float(np.linalg.norm(size.sum(axis=1)))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
@@ -442,13 +446,18 @@ class PerturbationField:
         """Bound on the field's Lipschitz constant, computed once at construction."""
         return self._lipschitz
 
+    def sup_bound(self) -> float:
+        """M, a bound on |V(x)|_2 over all of R^(m+1), computed once at construction."""
+        return self._sup
+
 
 @dataclass(frozen=True)
 class Perturb(MapExpr):
     """x -> (f(x) + eps * V_seed(x)) / |...| for a bounded field V.
 
-    Requires eps < 1 so the pre-normalization norm stays >= 1 - eps > 0,
-    which keeps the perturbed map well defined and degree-preserving.
+    Requires eps < 1 so the pre-normalization norm stays at or above
+    1 - eps * M > 0, with M <= 1 the field's sup_bound, which keeps the
+    perturbed map well defined and degree-preserving.
     """
 
     seed: int
@@ -472,14 +481,20 @@ class Perturb(MapExpr):
 
     def symbolic_degree(self):
         # the straight line from f(x) to f(x) + eps*V(x) stays at norm
-        # >= 1 - eps > 0, so normalizing it is a homotopy: degree unchanged
+        # >= 1 - eps*M > 0, so normalizing it is a homotopy: degree unchanged
         return self.inner.symbolic_degree()
 
     def _bound(self, inner):
         (b,) = inner
         if b is None:
             return None
-        return (b + self.eps * self._field.lipschitz_bound()) / (1.0 - self.eps)
+        # |f(x) + eps V(x)| >= 1 - eps M, and normalizing is 1/r-Lipschitz
+        # outside the ball of radius r. M can round to 1 + ulp, so a floor
+        # at or below 0 gives inf, which every degree method refuses
+        floor = 1.0 - self.eps * self._field.sup_bound()
+        if not floor > 0.0:
+            return math.inf
+        return (b + self.eps * self._field.lipschitz_bound()) / floor
 
 
 def walk(e: MapExpr):

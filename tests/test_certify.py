@@ -271,8 +271,8 @@ class TestBallCertificate:
     @pytest.mark.parametrize(
         ("base", "subject", "rigorous"),
         [
-            ("(susp (pow 2))", "(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))", 0.545),
-            ("(pow 2)", "(blend 0.5 (pow 2) (perturb 4 0.5 (pow 2)))", 0.257),
+            ("(susp (pow 2))", "(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))", 0.457),
+            ("(pow 2)", "(blend 0.5 (pow 2) (perturb 4 0.5 (pow 2)))", 0.240),
             (
                 "(susp (pow 2))",
                 "(blend 0.3 (susp (pow 2)) (compose (rot3 0 0 1 0.6) (susp (pow 2))))",
@@ -373,20 +373,23 @@ class TestBallCertificate:
         assert pair_min_norm(F, G)[0] >= math.sqrt(4 - d * d) / 2 - 1e-12
 
 
-#: A degree-2 perturbation whose ball certificate needs a 256-band distance:
-#: c(0.87) > 1, so its distance is searched.
-NEEDS_256_BANDS = "(perturb 1 0.87 (susp (pow 2)))"
+#: A degree-2 chain of two perturbations whose ball certificate needs a
+#: 256-band distance: its chord bound, 1.052, is not below 1, so its
+#: distance is searched. No single perturbation's is: eps * M < sqrt(3)/2
+#: for every eps < 1 and every field's M up to 0.85.
+NEEDS_256_BANDS = "(perturb 1 0.9 (perturb 3 0.9 (susp (pow 2))))"
 
 
-def _chord(eps):
-    """c(eps), the chord bound of one perturbation by eps."""
-    return math.sqrt(2.0 - 2.0 * math.sqrt(1.0 - eps * eps))
+def _chord(eps, seed, dim=2):
+    """c(eps * M), the chord bound of (perturb seed eps h) from h on S^dim."""
+    size = eps * PerturbationField(seed, dim).sup_bound()
+    return math.sqrt(2.0 - 2.0 * math.sqrt(1.0 - size * size))
 
 
 class TestChordBound:
-    """g lies within 2 sin(theta / 2) of f, theta = sum asin(eps), where f
-    and g are chains of perturbs over a common map, and a ball certificate
-    then searches no distance."""
+    """g lies within 2 sin(theta / 2) of f, theta = sum asin(eps * M), where
+    f and g are chains of perturbs over a common map and M bounds each
+    field, and a ball certificate then searches no distance."""
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -395,14 +398,14 @@ class TestChordBound:
             st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 0.99)), min_size=1, max_size=3
         ),
         st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 0.99)), max_size=2),
-        st.integers(0, 2**32 - 1),
     )
-    # eps = 0 moves nothing; c(0.87) > 1; two chains over a common map
-    @example(Susp(Pow(2)), [(4, 0.0)], [], 0)
-    @example(Pow(2), [(4, 0.0), (5, 0.0)], [], 0)
-    @example(Pow(2), [(5, 0.87)], [], 0)
-    @example(Susp(Pow(2)), [(4, 0.5)], [(3, 0.3)], 0)
-    def test_no_sampled_chord_exceeds_the_bound(self, f, chain, other, point_seed):
+    # eps = 0 moves nothing; two perturbs by 0.9 turn by more than
+    # pi/3, so their bound is above 1; two chains over a common map
+    @example(Susp(Pow(2)), [(4, 0.0)], [])
+    @example(Pow(2), [(4, 0.0), (5, 0.0)], [])
+    @example(Pow(2), [(5, 0.9), (7, 0.9)], [])
+    @example(Susp(Pow(2)), [(4, 0.5)], [(3, 0.3)])
+    def test_no_sampled_chord_exceeds_the_bound(self, f, chain, other):
         # seeds of their own, so that the two chains meet at f
         assume({seed for seed, _ in other}.isdisjoint(seed for seed, _ in chain))
         f1, g = f, f
@@ -410,8 +413,9 @@ class TestChordBound:
             f1 = Perturb(seed, eps, f1)
         for seed, eps in chain:
             g = Perturb(seed, eps, g)
-        theta = sum(math.asin(eps) for _, eps in reversed(other)) + sum(
-            math.asin(eps) for _, eps in reversed(chain)
+        theta = sum(
+            math.asin(eps * PerturbationField(seed, f.dim).sup_bound())
+            for seed, eps in reversed(other + chain)
         )
         bound = _chord_bound(f1, g)
         assert bound == _chord_bound(g, f1)
@@ -420,15 +424,6 @@ class TestChordBound:
             assert bound == 0.0
         X = make_grid(f.dim, 4096 if f.dim == 1 else 128)
         assert pair_distance(eval_array(f1, X), eval_array(g, X)) <= bound + 1e-12
-        # |V|_2 <= |V|_1 <= 1 at every point, which the bound rests on: the
-        # field's values reach about 0.65, so the coefficients' absolute
-        # sum, which bounds them everywhere, is checked too
-        P = np.random.default_rng(point_seed).normal(size=(256, f.dim + 1))
-        P /= np.linalg.norm(P, axis=1)[:, None]
-        for seed, _ in chain + other:
-            field = PerturbationField(seed, f.dim)
-            assert np.abs(field(P)).sum(axis=1).max() <= 1.0 + 1e-12
-            assert np.abs(field._coef).sum() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("base", ["(pow 2)", "(susp (pow 2))"])
     def test_no_bound_is_below_the_sampled_distance(self, base):
@@ -446,7 +441,7 @@ class TestChordBound:
         f0 = parse("(susp (pow 2))")
         assert _chord_bound(f0, f0) == 0.0
         assert _chord_bound(f0, parse("(perturb 4 0.5 (susp (pow 2)))")) == pytest.approx(
-            _chord(0.5), abs=1e-15
+            _chord(0.5, 4), abs=1e-15
         )
         for subject in (
             "(compose (rot3 0 0 1 0.5) (susp (pow 2)))",
@@ -461,8 +456,8 @@ class TestChordBound:
     @pytest.mark.parametrize(
         ("subject", "searched"),
         [
-            ("(perturb 4 0.5 (susp (pow 2)))", False),  # c(0.5) < 1
-            (NEEDS_256_BANDS, True),  # c(0.87) > 1
+            ("(perturb 4 0.5 (susp (pow 2)))", False),  # c(0.5 * M) < 1
+            (NEEDS_256_BANDS, True),  # its chain's bound is above 1
             ("(compose (rot3 0 0 1 0.5) (susp (pow 2)))", True),  # no perturb
             ("(perturb 4 0.5 (compose (rot3 0 0 1 0.2) (susp (pow 2))))", True),  # another map's
         ],
@@ -478,9 +473,43 @@ class TestChordBound:
             slope = f0.lipschitz_bound() + g.lipschitz_bound()
             first = next(n for n in (64, 128, 256, 512) if slope * geometry.mesh(2, n) < 1.0)
             assert seen[0] == first
-        else:  # one level, g's degree level, ceil(pi * 5.1) = 17 bands
-            assert seen == [dist.resolution] == [degree(g).resolution] == [17]
-            assert dist.rigorous <= _chord(0.5) + 1e-12
+        else:  # one level, g's degree level, ceil(pi * 3.63) = 12 bands
+            assert seen == [dist.resolution] == [degree(g).resolution] == [12]
+            assert dist.rigorous <= _chord(0.5, 4) + 1e-12
+
+
+class TestSupBoundRoundedPastOne:
+    """Where a field's coefficients sit in one component, M rounds to 1 or
+    to 1 + ulp; with eps just below 1, 1 - eps * M can then reach 0 or
+    less, and eps * M pass 1."""
+
+    @pytest.mark.parametrize("ulps", [0, 1, 2])
+    @pytest.mark.parametrize("base", ["(pow 2)", "(susp (pow 2))"])
+    def test_a_map_at_the_edge_is_refused_before_sampling(self, monkeypatch, base, ulps):
+        f0 = parse(base)
+        g = Perturb(1, math.nextafter(1.0, 0.0), f0)
+        field = g._field
+        coef = np.zeros_like(field._coef)
+        coef[0] = field._coef[0] / np.abs(field._coef[0]).sum()
+        sup = 1.0 + ulps * math.ulp(1.0)
+        monkeypatch.setattr(field, "_coef", coef)
+        monkeypatch.setattr(field, "_sup", sup)
+        if 1.0 - g.eps * sup > 0.0:
+            assert 1e15 < g.lipschitz_bound() < math.inf
+        else:
+            assert g.lipschitz_bound() == math.inf
+        # eps * M is taken at most 1: a turn of at most pi/2
+        assert 1.0 < _chord_bound(f0, g) <= math.sqrt(2.0)
+        certify_module._kept_base.cache_clear()
+        certify_module._kept_base(f0.render(), DegreeParams(), f0)
+        with mock.patch.object(degree_module, "eval_array", side_effect=AssertionError):
+            with pytest.raises(ResolutionExceeded):
+                degree(g)
+            with pytest.raises(ResolutionExceeded):
+                certify_not_iterate(g)
+            with pytest.raises(DistanceTooLarge, match="no level"):
+                ball_certificate(f0, g)
+        certify_module._kept_base.cache_clear()
 
 
 def _near(bases, turn):
@@ -675,6 +704,17 @@ class TestEvaluationCount:
         monkeypatch.setattr(Susp, "_eval", counting)
         return calls
 
+    @staticmethod
+    def grids(built):
+        """A patch under which each grid make_grid builds is appended to built."""
+        make_grid = degree_module.make_grid
+
+        def spy(dim, n):
+            built.append(make_grid(dim, n))
+            return built[-1]
+
+        return mock.patch.object(degree_module, "make_grid", spy)
+
     def test_sphere_ball_certificate_evaluates_each_map_once_per_level(self, rows):
         # f0's degree reads 8 bands, 2 + 7 * 16 = 114 vertices; the
         # distance of a turn, which is searched, proves itself at its
@@ -683,23 +723,42 @@ class TestEvaluationCount:
         # evaluated on its own
         f0 = parse("(susp (pow 2))")
         g = parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))")
-        assert ball_certificate(f0, g).ball.distance.resolution == 64
+        built = []
+        with self.grids(built):
+            assert ball_certificate(f0, g).ball.distance.resolution == 64
         assert rows == {
             (f0.render(), 114): 1,
             (f0.render(), 8066): 1,
             (g.render(), 8066): 1,
             (g.render(), 114): 1,
         }
+        # f0 and g share the 64-band grid; the call's samples drop it for
+        # g's degree level, and the base's degree has samples of its own
+        assert [len(X) for X in built] == [114, 8066, 114]
+        assert not any(X.flags.writeable for X in built)
+
+    def test_maps_at_one_level_share_its_grid(self, rows):
+        # f0 and g at g's degree level, 12 bands, on one grid of 266
+        # vertices; f0's own degree, 8 bands, on another
+        f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
+        built = []
+        with self.grids(built):
+            ball_certificate(f0, g)
+            assert [len(X) for X in built] == [114, 266]
+            built.clear()
+            ball_certificate(f0, g)
+        assert [len(X) for X in built] == [266]
+        assert rows == {(f0.render(), 114): 1, (f0.render(), 266): 2, (g.render(), 266): 2}
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
         # the blend check proves the blend at 64 bands, 2 + 63 * 128 =
-        # 8066 vertices, and its bound proves ceil(pi * 4.78) = 16 bands,
-        # 2 + 15 * 32 = 482 vertices, where the blend is evaluated once
+        # 8066 vertices, and its bound proves ceil(pi * 3.51) = 12 bands,
+        # 2 + 11 * 24 = 266 vertices, where the blend is evaluated once
         e = parse("(blend 0.5 (susp (pow 2)) (perturb 4 0.5 (susp (pow 2))))")
         res = degree(e)
-        assert (res.value, res.resolution) == (2, 16)
+        assert (res.value, res.resolution) == (2, 12)
         assert res.residual < 1e-6
-        assert rows == {(e.f.render(), 8066): 1, (e.g.render(), 8066): 1, (e.render(), 482): 1}
+        assert rows == {(e.f.render(), 8066): 1, (e.g.render(), 8066): 1, (e.render(), 266): 1}
 
     def test_blend_check_doubles_until_its_bound_proves_a_level(self, rows):
         # cos(1.45) = 0.121 leaves m_rig = 0.017 at 128 bands and 0.069 at
@@ -753,23 +812,23 @@ class TestEvaluationCount:
         assert rows == {}
 
     def test_a_chord_subject_refuses_its_degree_level_before_sampling(self, rows):
-        # c(0.85) = 0.973 proves the distance, so the one level sampled is
-        # g's degree level, pi * L_g = 65.6 bands, above half the cap 128:
-        # it is refused before f0 or g is evaluated there, and only f0's
-        # own degree level, 8 bands, 114 vertices, is read
+        # c(0.85 * M) = 0.52 proves the distance, so the one level sampled
+        # is g's degree level, pi * L_g = 19.8 bands, above half the cap
+        # 16: it is refused before f0 or g is evaluated there, and only
+        # f0's own degree level, 8 bands, 114 vertices, is read
         f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
-        assert _chord(0.85) < 1.0
+        assert _chord(0.85, 1) < 1.0
         with pytest.raises(
-            ResolutionExceeded, match="map needs starting resolution 66, above half the cap 128"
+            ResolutionExceeded, match="map needs starting resolution 20, above half the cap 16"
         ):
-            ball_certificate(f0, g, DegreeParams(max_resolution=128))
+            ball_certificate(f0, g, DegreeParams(initial_resolution=8, max_resolution=16))
         assert rows == {(f0.render(), 114): 1}
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
-        # pi * L = 16.2 bands: read at 17, 2 + 16 * 34 = 546 vertices
+        # pi * L = 11.4 bands: read at 12, 2 + 11 * 24 = 266 vertices
         e = parse("(perturb 4 0.5 (susp (pow 2)))")
-        assert degree(e).resolution == 17
-        assert rows == {(e.render(), 546): 1}
+        assert degree(e).resolution == 12
+        assert rows == {(e.render(), 266): 1}
 
     @pytest.mark.parametrize(
         ("subject", "levels", "degree_level"),
@@ -777,10 +836,10 @@ class TestEvaluationCount:
             # a turn's distance doubles from 256 to 1024 samples; g's
             # degree is evaluated at its own level, 13 samples
             ("(compose (rot 1.0) (pow 2))", (256, 512, 1024), 13),
-            # c(0.95) > 1: L_g = 66.1 starts the distance at 512 samples,
-            # and g's degree is evaluated at 415. The only search the CLI
-            # reaches (experiment --dim 1 --epsilon-max 0.95)
-            ("(perturb 7 0.95 (pow 2))", (512, 1024), 415),
+            # two perturbs by 0.95 have a chord bound of 1.36: L_g = 35.2
+            # starts the distance at 256 samples, and g's degree is
+            # evaluated at 221
+            ("(perturb 7 0.95 (perturb 8 0.95 (pow 2)))", (256, 512, 1024), 221),
         ],
     )
     def test_doubling_distance_evaluates_each_level_once(
@@ -797,32 +856,32 @@ class TestEvaluationCount:
         )
 
     def test_a_warm_perturbation_evaluates_only_its_degree_level(self, rows):
-        # c(0.5) < 1 proves the distance: no distance level is sampled. f0
-        # is evaluated at g's degree level, 17 bands, 2 + 16 * 34 = 546
-        # vertices, before g, which reads it; a cold call also reads f0's
-        # degree at 8 bands, 114 vertices
+        # c(0.5 * M) < 1 proves the distance: no distance level is
+        # sampled. f0 is evaluated at g's degree level, 12 bands, 2 + 11 *
+        # 24 = 266 vertices, before g, which reads it; a cold call also
+        # reads f0's degree at 8 bands, 114 vertices
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         first = ball_certificate(f0, g)
-        assert rows == {(f0.render(), 114): 1, (f0.render(), 546): 1, (g.render(), 546): 1}
+        assert rows == {(f0.render(), 114): 1, (f0.render(), 266): 1, (g.render(), 266): 1}
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
-        assert rows == {(f0.render(), 546): 1, (g.render(), 546): 1}
+        assert rows == {(f0.render(), 266): 1, (g.render(), 266): 1}
         assert second.to_json_dict() == first.to_json_dict()
-        assert first.ball.distance.rigorous <= _chord(0.5) + 1e-12
+        assert first.ball.distance.rigorous <= _chord(0.5, 4) + 1e-12
 
     def test_a_degree_level_off_the_grid_evaluates_f0_once_there(self, rows, susp_evals):
-        # L_g = 20.9 reads g's degree at 66 bands, 2 + 65 * 132 = 8582
+        # L_g = 6.31 reads g's degree at 20 bands, 2 + 19 * 40 = 762
         # vertices, off the 64-band first level: f0 is evaluated there
-        # once, before g, which reads it; c(0.85) = 0.973 proves the
+        # once, before g, which reads it; c(0.85 * M) = 0.52 proves the
         # distance
         f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
         ball_certificate(f0, g)
         rows.clear()
         susp_evals.clear()
         cert = ball_certificate(f0, g)
-        assert cert.ball.distance.resolution == 66
-        assert rows == {(f0.render(), 8582): 1, (g.render(), 8582): 1}
-        assert susp_evals == {8582: 1}
+        assert cert.ball.distance.resolution == 20
+        assert rows == {(f0.render(), 762): 1, (g.render(), 762): 1}
+        assert susp_evals == {762: 1}
 
     def test_second_certificate_on_an_equal_base_skips_the_base_degree(self, rows):
         # f0's degree level, 114 vertices, is read once; each call
@@ -843,24 +902,24 @@ class TestEvaluationCount:
             certify_module._kept_base.cache_clear()
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
         # twice per certificate, never inside g: f0's degree at 8 bands, and
-        # f0 at g's degree level, 17 bands, which g reads
-        assert susp_evals == {114: 2, 546: 2}
+        # f0 at g's degree level, 12 bands, which g reads
+        assert susp_evals == {114: 2, 266: 2}
 
     def test_streamed_level_evaluates_each_map_once_per_block(self, rows, susp_evals):
-        # L_f + L_g = 26.3 starts the distance at 128 bands, where f0 is
+        # L_f + L_g = 18.8 starts the distance at 128 bands, where f0 is
         # evaluated before g; 256 bands are finer than f0's held level:
         # streamed in blocks of whole rings
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
         assert ball_certificate(f0, g).ball.distance.resolution == 256
-        # f0's degree reads 8 bands, 114 vertices; g's, at 77 bands,
-        # 2 + 76 * 154 = 11706 vertices, is a level of its own: g is
+        # f0's degree reads 8 bands, 114 vertices; g's, at 53 bands,
+        # 2 + 52 * 106 = 5514 vertices, is a level of its own: g is
         # evaluated there once more
-        streamed = {(t, n): k for (t, n), k in rows.items() if n not in (114, 32514, 11706)}
+        streamed = {(t, n): k for (t, n), k in rows.items() if n not in (114, 32514, 5514)}
         assert rows - Counter(streamed) == {
             (f0.render(), 114): 1,
             (f0.render(), 32514): 1,
             (g.render(), 32514): 1,
-            (g.render(), 11706): 1,
+            (g.render(), 5514): 1,
         }
         for text in (f0.render(), g.render()):
             calls = {n: k for (t, n), k in streamed.items() if t == text}
@@ -893,18 +952,18 @@ class TestEvaluationCount:
         assert susp_evals == {8066: 1}
 
     @pytest.mark.parametrize(
-        ("eps", "distance_rows", "degree_rows"),
+        ("other", "distance_rows", "degree_rows"),
         [
-            # L_f + L_g = 6.8 starts the distance at 64 bands, and the
-            # blend's degree reads ceil(pi * 4.78) = 16 bands
-            (0.5, 8066, 482),
-            # L_f + L_g = 22.1 starts the distance at 128 bands, and the
-            # blend's degree reads ceil(pi * 20.06) = 64 bands
-            (0.8, 32514, 8066),
+            # L_f + L_g = 5.5 starts the distance at 64 bands, and the
+            # blend's degree reads ceil(pi * 3.51) = 12 bands
+            ("(perturb 4 0.5 (susp (pow 2)))", 8066, 266),
+            # L_f + L_g = 16.4 starts the distance at 128 bands, and the
+            # blend's degree reads ceil(pi * 14.42) = 46 bands
+            ("(perturb 3 0.8 (perturb 4 0.8 (susp (pow 2))))", 32514, 4142),
         ],
     )
     def test_a_warm_blend_subject_evaluates_its_base_once_per_pass(
-        self, rows, susp_evals, monkeypatch, eps, distance_rows, degree_rows
+        self, rows, susp_evals, monkeypatch, other, distance_rows, degree_rows
     ):
         # the subject's check, which runs once, evaluates the base, its
         # first child, at 64 bands, and the perturbation reads it there;
@@ -912,7 +971,7 @@ class TestEvaluationCount:
         # reads it, and the blend's degree evaluates the blend on its own,
         # both of its suspensions included. No pass reads another's values
         f0 = parse("(susp (pow 2))")
-        g = parse(f"(blend 0.5 (susp (pow 2)) (perturb 4 {eps} (susp (pow 2))))")
+        g = parse(f"(blend 0.5 (susp (pow 2)) {other})")
         ball_certificate(f0, g)
         rows.clear()
         susp_evals.clear()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mapdeg.cli import main
 from mapdeg.errors import MapdegError
-from mapdeg.expr import MAX_DEPTH
+from mapdeg.expr import MAX_DEPTH, PerturbationField
 
 
 def run_cli(capsys, *argv):
@@ -129,15 +129,17 @@ class TestDistanceCommand:
     @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize("resolution", [[], ["--resolution", "16"]])
     def test_a_perturbation_is_bounded_by_its_chord(self, capsys, resolution, swapped):
-        # g is f under one perturb by 0.5, so |f - g| <= c(0.5) everywhere,
-        # in either order; at 16 bands sampled_max + (L_f + L_g) * mesh
-        # alone is 2.14
+        # g is f under one perturb by 0.5, so |f - g| <= c(0.5 * M) = 0.293
+        # everywhere, in either order; at 16 bands sampled_max + (L_f +
+        # L_g) * mesh alone is 1.71
         maps = ["(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))"][:: -1 if swapped else 1]
         argv = ["distance", "-a", maps[0], "-b", maps[1]]
         code, lines, _ = run_cli(capsys, *argv, *resolution)
         assert code == 0
         payload = lines[0]["payload"]
-        assert payload["sampled_max"] <= payload["rigorous"] <= (2 - 3**0.5) ** 0.5 + 1e-12
+        size = 0.5 * PerturbationField(4, 2).sup_bound()
+        chord = (2 - 2 * (1 - size * size) ** 0.5) ** 0.5
+        assert payload["sampled_max"] <= payload["rigorous"] <= chord + 1e-12
 
     def test_dimension_mismatch_is_an_error_line(self, capsys):
         code, lines, _ = run_cli(capsys, "distance", "-a", "(pow 2)", "-b", "(id 2)")

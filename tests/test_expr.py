@@ -379,6 +379,18 @@ class TestPerturbationField:
             v = PerturbationField(seed, dim)(X)
             assert np.linalg.norm(v, axis=1).max() <= 1.0
 
+    @given(st.integers(0, 2**64 - 1), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+    def test_norm_bounded_by_the_sup_bound(self, seed, dim, point_seed):
+        # |V_j(x)| <= a_j, the absolute sum of component j's coefficients,
+        # at every point of R^(m+1), so |V(x)|_2 <= M = |a|_2; the a_j sum
+        # to 1, which puts M between 1/sqrt(m+1) and 1
+        field = PerturbationField(seed, dim)
+        sup = field.sup_bound()
+        assert 1.0 / math.sqrt(dim + 1) * (1.0 - 1e-12) <= sup <= 1.0 + 1e-12
+        P = np.random.default_rng(point_seed).normal(size=(512, dim + 1))
+        P[:256] /= np.linalg.norm(P[:256], axis=1)[:, None]  # half on the sphere
+        assert np.linalg.norm(field(P), axis=1).max() <= sup * (1.0 + 1e-12)
+
     def test_different_seeds_differ_somewhere(self):
         X = make_grid(1, 64)
         a = PerturbationField(1, 1)(X)
@@ -470,6 +482,13 @@ class TestFieldBlocks:
             want = float(np.linalg.norm(np.linalg.norm(grad, axis=1)))
             f._coef = f._freq = None  # a bound computed on the call would fail
             assert f.lipschitz_bound() == want
+
+    def test_sup_bound_is_the_norm_of_the_component_sums_computed_once(self):
+        for seed, dim in ((1, 1), (2, 2), (2**64 - 1, 2)):
+            f = PerturbationField(seed, dim)
+            want = float(np.linalg.norm(np.abs(f._coef).sum(axis=1)))
+            f._coef = None  # a bound computed on the call would fail
+            assert f.sup_bound() == want
 
     def test_rows_around_the_block_edges_match_the_serial_formula(self):
         block = expr_module.BLOCK_ROWS
