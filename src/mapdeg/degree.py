@@ -101,23 +101,21 @@ class DegreeParams:
 class DegreeResult:
     """An integer degree plus the evidence it was rounded from.
 
-    residual is |raw - value| before rounding, always below 1e-6; method
-    records which route produced the value. resolution is the one level
-    the map's Lipschitz bound L proves (_proven_level): ceil(2*pi*L)
-    samples on S1 or ceil(pi*L) bands on S2, never below MIN_RESOLUTION,
-    with L the AST's bound for a map without a blend and its blend
-    check's bound otherwise.
+    value is the map's structural degree, which the numeric pass
+    confirmed (_degree); residual is |raw - value| of that pass, always
+    below 1e-6. resolution is the one level the map's Lipschitz bound L
+    proves (_proven_level): ceil(2*pi*L) samples on S1 or ceil(pi*L)
+    bands on S2, never below MIN_RESOLUTION, with L the AST's bound for
+    a map without a blend and its blend check's bound otherwise.
     """
 
     value: int
     residual: float
-    method: str  # "winding" | "simplicial" | "symbolic"
     resolution: int
 
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,
-            "method": self.method,
             "residual": self.residual,
             "resolution": self.resolution,
         }
@@ -159,7 +157,7 @@ def _admitted(n: int, params: DegreeParams, dim: int) -> bool:
     return 2 * n <= params.max_for(dim) and grid_fits(dim, 2 * n)
 
 
-def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, int | None]:
+def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, int]:
     """The one level e is read at, where _degree's pass is a proof, and e's structural degree.
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
@@ -169,7 +167,9 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
     a degree level is refused (ResolutionExceeded): a need over half the
     cap, or a bound that is infinite or NaN, before the structural
     degree is computed, which |degree| <= L keeps small; then an n or a
-    first level, params.initial_for(dim), that _admitted refuses.
+    first level, params.initial_for(dim), that _admitted refuses; the
+    message names n where n is refused, and the first level otherwise.
+    e's blend checks must have passed, for _structural.
     """
     dim = e.dim
     need = max(_WRAP[dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
@@ -179,13 +179,13 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
         raise ResolutionExceeded(
             f"map needs starting resolution {shown}, above half the cap {cap}"
         )
-    n, sd, first = math.ceil(need), e.symbolic_degree(), params.initial_for(dim)
-    if not _admitted(max(n, first), params, dim):
-        raise ResolutionExceeded(
-            f"map needs resolution {max(n, first)} or more, above every level "
-            f"whose double fits the cap {cap} and {geometry.MAX_ROWS} sample rows"
-        )
-    return n, sd
+    n, first, rows = math.ceil(need), params.initial_for(dim), geometry.MAX_ROWS
+    above = f"above every level whose double fits the cap {cap} and {rows} sample rows"
+    if not _admitted(n, params, dim):
+        raise ResolutionExceeded(f"map needs resolution {n} or more, {above}")
+    if not _admitted(first, params, dim):
+        raise ResolutionExceeded(f"first level {first} is {above}, though the map is read at {n}")
+    return n, _structural(e)
 
 
 class _Samples:
@@ -414,6 +414,24 @@ def _lipschitz(e: MapExpr, blends: dict[int, float]) -> float:
     return e._bound([_lipschitz(c, blends) for c in e.children()])
 
 
+def _structural(e: MapExpr) -> int:
+    """e's structural degree by the AST's rules, each blend taking its children's.
+
+    For a map whose blend checks passed: no blend's segment pinches, so
+    each is homotopic to both children, inside out. Children that
+    disagree are a bug (ConsistencyError).
+    """
+    inner = [_structural(c) for c in e.children()]
+    if not isinstance(e, Blend):
+        return e._symbolic(inner)
+    if inner[0] != inner[1]:
+        raise ConsistencyError(
+            f"checked blend joins structural degrees {inner[0]} and {inner[1]} "
+            f"in {e.render()}"
+        )
+    return inner[0]
+
+
 def _blend_bound(node: Blend, inner: list[float], min_norm: float, n: int) -> float | None:
     """A blend's Lipschitz bound from its children's and its check at level n.
 
@@ -516,10 +534,10 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     """Degree of any well-formed expression.
 
     Every map takes one route: the blend check, then one pass at the
-    level its Lipschitz bound proves. When the AST knows the degree (the
-    map has no blend) that pass must confirm it: a disagreement raises
-    SymbolicNumericMismatch and is always a bug, never silently
-    preferred away. Otherwise the numeric result is returned as-is.
+    level its Lipschitz bound proves, which must confirm the map's
+    structural degree, each checked blend taking its children's
+    (_structural). A disagreement raises SymbolicNumericMismatch and is
+    always a bug, never silently preferred away.
     """
     return _checked_degree(e, params)[0]
 
@@ -530,7 +548,7 @@ def _checked_degree(e: MapExpr, params: DegreeParams) -> tuple[DegreeResult, flo
     return _degree(e, _Samples(), *_proven_level(bound, params, e)), bound
 
 
-def _degree(e: MapExpr, samples: _Samples, n: int, sd: int | None) -> DegreeResult:
+def _degree(e: MapExpr, samples: _Samples, n: int, sd: int) -> DegreeResult:
     """degree(e) from one raw pass at _proven_level's n, checked against its sd.
 
     The pass, winding on S1 and simplicial on S2, returns (raw degree,
@@ -540,7 +558,8 @@ def _degree(e: MapExpr, samples: _Samples, n: int, sd: int | None) -> DegreeResu
     below pi/3, and n >= pi*L bands every image edge below pi/2, so the
     sum is the degree (Stenger 1975, Kearfott 1979). A guard over
     STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
-    there is a bug (ConsistencyError).
+    there is a bug (ConsistencyError), and so is an integer other than sd
+    (SymbolicNumericMismatch).
     """
     method, one_pass = _PASSES[e.dim]
     raw, step = one_pass(samples.values(e, n), n)
@@ -551,14 +570,12 @@ def _degree(e: MapExpr, samples: _Samples, n: int, sd: int | None) -> DegreeResu
             f"{method} at the proven resolution {n} gave {raw:.6g} with a "
             f"largest step of {step:.6g} for {e.render()}"
         )
-    if sd is None:
-        return DegreeResult(value, residual, method, n)
     if value != sd:
         raise SymbolicNumericMismatch(
             f"structural degree {sd} but {method} found {value} "
             f"at resolution {n} for {e.render()}"
         )
-    return DegreeResult(sd, residual, "symbolic", n)
+    return DegreeResult(sd, residual, n)
 
 
 def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> DistanceEstimate:

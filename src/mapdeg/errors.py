@@ -44,7 +44,7 @@ class ResolutionExceeded(MapdegError):
 
 
 class SymbolicNumericMismatch(MapdegError):
-    """Structural degree and numeric degree disagree: one of them is buggy."""
+    """Structural degree (a checked blend's is its maps') and numeric degree disagree: a bug."""
 
 
 class InvalidBlend(MapdegError):

@@ -41,18 +41,25 @@ class MapExpr:
     def dim(self) -> int:
         raise NotImplementedError
 
-    def _args(self) -> list:
-        return [getattr(self, name) for name in _FIELDS[type(self)]]
-
     def children(self) -> tuple["MapExpr", ...]:
-        return tuple([a for a in self._args() if isinstance(a, MapExpr)])
+        return tuple([getattr(self, name) for name in _CHILDREN[type(self)]])
 
     def _eval(self, X: np.ndarray, at) -> np.ndarray:
         """The map's values at rows X; at(child, Y) gives a child's values at Y."""
         raise NotImplementedError
 
     def symbolic_degree(self) -> int | None:
-        """Structural degree, or None where only numerics can answer."""
+        """Structural degree from the AST alone, or None for a map with a blend.
+
+        A blend's needs its check's samples (degree._structural).
+        """
+        return self._symbolic([c.symbolic_degree() for c in self.children()])
+
+    def _symbolic(self, inner: list[int | None]) -> int | None:
+        """The map's degree from its children's, in children() order.
+
+        The one set of degree rules: symbolic_degree and degree._structural apply it.
+        """
         raise NotImplementedError
 
     def lipschitz_bound(self) -> float | None:
@@ -78,7 +85,7 @@ class MapExpr:
     def render(self) -> str:
         """Canonical s-expression text; parse(e.render()) rebuilds an equal AST."""
         words = [_NAMES[type(self)]]
-        for a in self._args():
+        for a in [getattr(self, name) for name in _FIELDS[type(self)]]:
             if isinstance(a, MapExpr):
                 words.append(a.render())
             elif isinstance(a, tuple):  # the rot3 axis
@@ -109,7 +116,7 @@ class Id(MapExpr):
     def _eval(self, X, at):
         return X
 
-    def symbolic_degree(self):
+    def _symbolic(self, inner):
         return 1
 
     def _bound(self, inner):
@@ -132,7 +139,7 @@ class Antipode(MapExpr):
     def _eval(self, X, at):
         return -X
 
-    def symbolic_degree(self):
+    def _symbolic(self, inner):
         # (-1)^(m+1): a rotation on the circle, orientation-reversing on S2.
         return 1 if self.m == 1 else -1
 
@@ -151,7 +158,7 @@ class Conj(MapExpr):
     def _eval(self, X, at):
         return X * np.array([1.0, -1.0])
 
-    def symbolic_degree(self):
+    def _symbolic(self, inner):
         return -1
 
     def _bound(self, inner):
@@ -178,7 +185,7 @@ class Pow(MapExpr):
         theta = self.k * np.arctan2(X[:, 1], X[:, 0]) + 0.0
         return np.column_stack([np.cos(theta), np.sin(theta)])
 
-    def symbolic_degree(self):
+    def _symbolic(self, inner):
         return self.k
 
     def _bound(self, inner):
@@ -199,7 +206,7 @@ class Rot(MapExpr):
         c, s = math.cos(self.alpha), math.sin(self.alpha)
         return np.column_stack([c * X[:, 0] - s * X[:, 1], s * X[:, 0] + c * X[:, 1]])
 
-    def symbolic_degree(self):
+    def _symbolic(self, inner):
         return 1
 
     def _bound(self, inner):
@@ -238,7 +245,7 @@ class Rot3(MapExpr):
         dot = X @ u
         return c * X + s * cross + (1.0 - c) * dot[:, None] * u
 
-    def symbolic_degree(self):
+    def _symbolic(self, inner):
         return 1
 
     def _bound(self, inner):
@@ -273,8 +280,8 @@ class Susp(MapExpr):
         fw = at(self.inner, w)
         return np.column_stack([s[:, None] * fw, X[:, 2]])
 
-    def symbolic_degree(self):
-        return self.inner.symbolic_degree()
+    def _symbolic(self, inner):
+        return inner[0]
 
     def _bound(self, inner):
         (b,) = inner
@@ -301,8 +308,8 @@ class Compose(MapExpr):
     def _eval(self, X, at):
         return at(self.outer, at(self.inner, X))
 
-    def symbolic_degree(self):
-        a, b = self.outer.symbolic_degree(), self.inner.symbolic_degree()
+    def _symbolic(self, inner):
+        a, b = inner
         return None if a is None or b is None else a * b
 
     def _bound(self, inner):
@@ -330,8 +337,8 @@ class Iterate(MapExpr):
             X = at(self.inner, X)
         return X
 
-    def symbolic_degree(self):
-        d = self.inner.symbolic_degree()
+    def _symbolic(self, inner):
+        (d,) = inner
         return None if d is None else d**self.n
 
     def _bound(self, inner):
@@ -373,9 +380,10 @@ class Blend(MapExpr):
         raw = (1.0 - self.t) * at(self.f, X) + self.t * at(self.g, X)
         return normalize_rows(raw)
 
-    def symbolic_degree(self):
+    def _symbolic(self, inner):
         # validity of the slice is a global numeric condition the AST
-        # cannot see; the degree module resolves it with an explicit check
+        # cannot see; once the degree module's check proves it, the blend
+        # is homotopic to both children and takes their common degree
         return None
 
     def _bound(self, inner):
@@ -479,10 +487,10 @@ class Perturb(MapExpr):
     def _eval(self, X, at):
         return normalize_rows(at(self.inner, X) + self.eps * self._field(X))
 
-    def symbolic_degree(self):
+    def _symbolic(self, inner):
         # the straight line from f(x) to f(x) + eps*V(x) stays at norm
         # >= 1 - eps*M > 0, so normalizing it is a homotopy: degree unchanged
-        return self.inner.symbolic_degree()
+        return inner[0]
 
     def _bound(self, inner):
         (b,) = inner
@@ -527,14 +535,16 @@ def eval_array(e: MapExpr, X: np.ndarray, *, known: dict | None = None) -> np.nd
     `known` maps id(node) of sub-expressions of e to their values at X.
     Where such a node is applied to X itself, its values are read from
     there instead of evaluated; the degree module shares the maps it
-    already holds this way.
+    already holds this way. A map that is the identity on its input, such
+    as (id 2) or (iterate 0 E), returns a copy of X, never X itself.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != e.dim + 1:
         raise DimensionMismatch(
             f"expected shape (n, {e.dim + 1}) for an S{e.dim} map, got {X.shape}"
         )
-    return _Reading(X, known or {})(e, X)
+    Y = _Reading(X, known or {})(e, X)
+    return Y.copy() if Y is X else Y
 
 
 # --- parsing ---------------------------------------------------------------
@@ -648,6 +658,10 @@ _GRAMMAR = {
 _NAMES = {cls: name for name, (cls, _) in _GRAMMAR.items()}
 # looked up once per class: dataclasses.fields is slow on the parse path
 _FIELDS = {cls: [f.name for f in fields(cls) if f.init] for cls in _NAMES}
+_CHILDREN = {  # the fields the grammar reads as expressions
+    cls: [name for name, (read, *_) in zip(_FIELDS[cls], readers) if read is _EXPR]
+    for cls, readers in _GRAMMAR.values()
+}
 
 
 def _evaluations(e: MapExpr) -> int:

@@ -214,7 +214,7 @@ class TestCertifyNotIterate:
     def test_certificate_serialization_schema(self):
         obj = certify_not_iterate(parse("(pow 2)")).to_json_dict()
         assert set(obj) == {"subject", "dim", "degree", "power_check", "ball"}
-        assert set(obj["degree"]) == {"value", "method", "residual", "resolution"}
+        assert set(obj["degree"]) == {"value", "residual", "resolution"}
         assert obj["power_check"]["checked_exponents"][0] == 2
         assert obj["ball"] is None
 
@@ -803,11 +803,11 @@ class TestEvaluationCount:
         assert rows == {}
 
     def test_a_base_no_level_proves_is_refused_before_its_grid(self, rows):
-        # the base's degree level is the first level, 1024 bands, whose
-        # double needs more than 2**22 rows: it is refused before the base
-        # is evaluated on its 1024-band grid
+        # the base is read at 8 bands, but its first level, 1024 bands,
+        # has a double that needs more than 2**22 rows: it is refused,
+        # naming that first level, before the base is evaluated anywhere
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
-        with pytest.raises(ResolutionExceeded, match="map needs resolution 1024 or more"):
+        with pytest.raises(ResolutionExceeded, match="first level 1024 is above .* read at 8$"):
             ball_certificate(f0, g, DegreeParams(initial_resolution=1024))
         assert rows == {}
 

@@ -32,7 +32,7 @@ class TestDegreeCommand:
         assert report["outcome"] == "ok"
         assert report["command"] == "degree"
         assert report["payload"]["value"] == 2
-        assert report["payload"]["method"] == "symbolic"
+        assert set(report["payload"]) == {"value", "residual", "resolution"}
         assert "wall_ms" in report
         assert "1 ok" in err
 
@@ -546,7 +546,7 @@ def key_paths(obj: dict, prefix: str = "") -> list[str]:
     return paths
 
 
-_DEGREE_KEYS = ["value", "method", "residual", "resolution"]
+_DEGREE_KEYS = ["value", "residual", "resolution"]
 _SUBJECT_KEYS = ["subject", "dim", "degree"] + [f"degree.{k}" for k in _DEGREE_KEYS]
 
 

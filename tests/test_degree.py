@@ -39,6 +39,7 @@ from mapdeg.degree import (
     _proven_level,
     _Samples,
     _streamed_min_norm,
+    _structural,
     check_blend_validity,
     pair_distance,
     pair_min_norm,
@@ -147,13 +148,13 @@ S1_WITH_BLENDS = _with_blends(_S1_LEAVES, Rot)
 S2_WITH_BLENDS = _with_blends(_S2_LEAVES, lambda a: Rot3((0.3, 0.5, 1.0), a))
 
 
-def _first_ends(e):
-    """e with each blend replaced by its first end: the map it is
-    homotopic to wherever its segment does not pinch."""
+def _ends(e, end):
+    """e with each blend replaced by its end `end`, "f" or "g": the map
+    it is homotopic to wherever its segment does not pinch."""
     if isinstance(e, Blend):
-        return _first_ends(e.f)
+        return _ends(getattr(e, end), end)
     changes = {
-        f.name: _first_ends(getattr(e, f.name))
+        f.name: _ends(getattr(e, f.name), end)
         for f in dataclasses.fields(e)
         if f.init and isinstance(getattr(e, f.name), MapExpr)
     }
@@ -166,7 +167,8 @@ class TestWinding:
         res = degree(Pow(3))
         assert res.value == 3
         assert res.residual < 1e-9
-        assert res.method == "symbolic"
+        raw, _ = raw_pass(Pow(3), res.resolution)
+        assert abs(raw - 3) == res.residual
 
     def test_identity_wraps_once(self):
         assert degree(parse("(id 1)")).value == 1
@@ -286,7 +288,8 @@ class TestSimplicial:
             assert level == max(8, math.ceil(math.pi * bound))
             res = degree(e)
             assert (res.value, res.resolution) == (k, level)
-            assert _proven_level(bound, DegreeParams(), e) == (level, None)
+            # the checked blend takes the degree of both its ends
+            assert _proven_level(bound, DegreeParams(), e) == (level, e.f.symbolic_degree())
 
     def test_edge_guard_refuses_a_level_the_raw_values_accept(self, monkeypatch):
         # 8 bands carry 16 longitudes, so (susp (pow 5)) turns an equator
@@ -332,7 +335,7 @@ class TestProvenLevel:
     def test_a_bound_that_is_not_finite_is_refused_before_the_structural_degree(
         self, monkeypatch, bound
     ):
-        monkeypatch.setattr(Pow, "symbolic_degree", lambda self: pytest.fail("computed"))
+        monkeypatch.setattr(Pow, "_symbolic", lambda self, inner: pytest.fail("computed"))
         with pytest.raises(ResolutionExceeded, match=f"needs starting resolution {bound},"):
             _proven_level(bound, DegreeParams(), parse("(pow 2)"))
 
@@ -350,6 +353,57 @@ class TestProvenLevel:
         with pytest.raises(ResolutionExceeded, match="needs starting resolution"):
             degree(parse(text))
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(S1_WITH_BLENDS, S2_WITH_BLENDS))
+    def test_every_degree_is_the_checked_structural_degree(self, e):
+        # each blend whose check passes takes its ends' common degree,
+        # inside out; every degree not refused is that one, which is also
+        # the degree of e with every blend replaced by either of its ends
+        try:
+            res = degree(e)
+        except (ResolutionExceeded, InvalidBlend):
+            return
+        assert res.value == _structural(e)
+        assert res.value == _ends(e, "f").symbolic_degree() == _ends(e, "g").symbolic_degree()
+
+    def test_a_checked_blend_whose_ends_disagree_is_a_bug(self, monkeypatch):
+        # (pow 2) and (pow 3) are antipodal at angle pi, so their segment
+        # pinches; a check that wrongly accepts it leaves a blend with no
+        # common degree, which is refused before any pass is read
+        e = parse("(blend 0.5 (pow 2) (pow 3))")
+        with pytest.raises(InvalidBlend):
+            degree(e)
+        monkeypatch.setattr(degree_module, "pair_min_norm", lambda F, G: (1.0, 0))
+        monkeypatch.setitem(
+            degree_module._PASSES, 1, ("winding", lambda *args: pytest.fail("read"))
+        )
+        assert check_blend_validity(e, DegreeParams()) < 3.0
+        with pytest.raises(ConsistencyError, match="structural degrees 2 and 3 in"):
+            degree(e)
+        with pytest.raises(ConsistencyError, match="structural degrees 2 and 3 in"):
+            degree(Compose(Pow(1), e))
+
+    def test_a_refusal_names_the_level_that_is_not_admitted(self):
+        # from 725 bands on, a level's double needs more than 2**22 rows.
+        # (susp (pow 255)) is read at ceil(255 * pi) = 802 bands, which is
+        # not admitted; (susp (pow 2)) is read at 8, and only a first
+        # level of 800 is not
+        with pytest.raises(
+            ResolutionExceeded,
+            match=r"^map needs resolution 802 or more, above every level whose double "
+            r"fits the cap 4096 and 4194304 sample rows$",
+        ):
+            degree(Susp(Pow(255)), DegreeParams(max_resolution=4096))
+        with pytest.raises(
+            ResolutionExceeded,
+            match=r"^first level 800 is above every level whose double fits the cap 1600 "
+            r"and 4194304 sample rows, though the map is read at 8$",
+        ):
+            degree(Susp(Pow(2)), DegreeParams(initial_resolution=800))
+        # where neither is admitted, the map's own level is named
+        with pytest.raises(ResolutionExceeded, match="^map needs resolution 802 or more"):
+            degree(Susp(Pow(255)), DegreeParams(initial_resolution=800, max_resolution=4096))
+
     @settings(deadline=None, max_examples=40)
     @given(st.one_of(S1_BLENDS, S2_BLENDS))
     def test_proven_blend_degree_is_the_degree_of_its_ends(self, e):
@@ -360,9 +414,9 @@ class TestProvenLevel:
         except ResolutionExceeded:
             assume(False)
         bound = check_blend_validity(e, DegreeParams())
-        assert res.value == e.f.symbolic_degree()
+        assert res.value == e.f.symbolic_degree() == e.g.symbolic_degree()
         assert res.residual < 1e-6
-        assert _proven_level(bound, DegreeParams(), e) == (res.resolution, None)
+        assert _proven_level(bound, DegreeParams(), e) == (res.resolution, res.value)
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(S1_TREES, S2_TREES, S1_WITH_BLENDS, S2_WITH_BLENDS))
@@ -391,7 +445,7 @@ class TestProvenLevel:
         need = math.ceil(wrap * bound)
         assert res.resolution == max(need, geometry.MIN_RESOLUTION)
         assert res.residual < 1e-6
-        assert res.value == _first_ends(e).symbolic_degree()
+        assert res.value == _ends(e, "f").symbolic_degree()
         assert res.value == round(raw_pass(e, max(need, first))[0])
 
     def test_a_lying_bound_never_returns_an_integer(self, monkeypatch):
@@ -417,15 +471,21 @@ class TestProvenLevel:
 
 class TestDegreeDispatch:
     def test_symbolic_with_numeric_witness(self):
-        res = degree(parse("(iterate 2 (susp (pow 2)))"))
-        assert res.value == 4
-        assert res.method == "symbolic"
-
-    def test_blend_goes_numeric(self):
-        e = parse("(blend 0.5 (pow 2) (perturb 9 0.3 (pow 2)))")
+        e = parse("(iterate 2 (susp (pow 2)))")
         res = degree(e)
-        assert res.value == 2
-        assert res.method == "winding"
+        assert res.value == e.symbolic_degree() == 4
+        raw, _ = raw_pass(e, res.resolution)
+        assert abs(raw - 4) == res.residual
+
+    def test_a_checked_blend_takes_the_degree_of_its_ends(self):
+        # the AST alone has no degree for a blend; once its check passes
+        # the blend takes its ends' common one, which the pass confirms
+        e = parse("(blend 0.5 (pow 2) (perturb 9 0.3 (pow 2)))")
+        assert e.symbolic_degree() is None
+        res = degree(e)
+        assert res.value == e.f.symbolic_degree() == e.g.symbolic_degree() == 2
+        raw, _ = raw_pass(e, res.resolution)
+        assert abs(raw - 2) == res.residual
         assert winding_oracle(e) == 2
 
     def test_blend_with_vanishing_denominator(self):

@@ -289,6 +289,18 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch):
             eval_array(Pow(2), np.array([[0.0, 0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "text", ["(id 2)", "(compose (id 2) (id 2))", "(iterate 0 (antipode 2))"]
+    )
+    def test_a_map_that_is_the_identity_returns_a_fresh_array(self, text):
+        X = make_grid(2, 8)
+        before = X.copy()
+        Y = eval_array(parse(text), X)
+        assert Y is not X
+        assert np.array_equal(Y, X)
+        Y[:] = 0.0
+        assert np.array_equal(X, before)
+
     @pytest.mark.parametrize("text", CORPUS)
     def test_images_stay_on_the_sphere(self, text):
         e = parse(text)
