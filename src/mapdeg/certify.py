@@ -22,7 +22,7 @@ from .degree import (
     DistanceEstimate,
     _ball_distance,
     _checked_degree,
-    _streamed_min_norm,
+    _min_norm,
     degree,
 )
 from .errors import ConsistencyError, DimensionMismatch
@@ -192,16 +192,14 @@ def homotopy_check(
 
     Reports the minimum of |(1-t) f0(x) + t g(x)| over grid nodes x and
     all t in [0, 1], taken exactly at t = 1/2; the homotopy is valid iff
-    that minimum stays above HOMOTOPY_MIN_NORM. The level is read in
-    blocks of whole rings, keeping only the running minimum and its
-    row, so its memory does not grow with the level; g reads f0's block
-    where it contains f0, so a perturbation of f0 evaluates its field
-    alone.
+    that minimum stays above HOMOTOPY_MIN_NORM. The level is streamed
+    (degree._min_norm), so its memory does not grow with the level, and
+    a perturbation of f0 evaluates its field alone.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     n = resolution if resolution is not None else DegreeParams().grid_for(f0.dim)
-    min_norm, row = _streamed_min_norm(f0, g, n)
+    min_norm, row = _min_norm(f0, g, n)
     return HomotopyReport(
         valid=min_norm > HOMOTOPY_MIN_NORM,
         min_norm=min_norm,

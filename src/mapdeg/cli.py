@@ -174,7 +174,7 @@ def _add_common(p: argparse.ArgumentParser, computes_degree: bool) -> None:
     """--resolution and --json; --max-resolution if `computes_degree`."""
     p.add_argument("--resolution", type=int, default=None, help="first level; grid density")
     if computes_degree:
-        text = "resolution cap; the largest proven degree level is half of it"
+        text = "resolution cap; a degree level is at most half of it or of the finest grid"
         p.add_argument("--max-resolution", type=int, default=None, help=text)
     p.add_argument(
         "--json",

@@ -15,8 +15,8 @@ proof.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from . import geometry
 from .expr import Blend, MapExpr, Perturb, eval_array, walk
-from .geometry import grid_blocks, grid_fits, grid_node, make_grid, mesh
+from .geometry import grid_blocks, grid_node, make_grid, mesh
 
 _TWO_PI = 2.0 * math.pi
 
@@ -60,14 +60,14 @@ class DegreeParams:
     """Knobs for the degree computations.
 
     Resolutions left as None fall back to per-dimension defaults. A
-    blend check samples only levels from initial_for(dim) whose double
-    fits the cap (max_for) and the row budget (_admitted), by default 64
-    to 512 bands on S2; the row budget admits no S2 first level of 725
-    bands or more, whatever the cap. A ball certificate's searched
-    distance starts at the first level too. A degree is read at the
-    level its bound proves (_proven_level), whatever the first level,
-    but only where both are admitted. A given initial resolution also
-    sets the density of the distance and homotopy grids (grid_for).
+    degree is read at the level its bound proves (_proven_level),
+    whatever the first level (initial_for), up to the last level
+    (_last_level): half the cap (max_for) or half geometry.finest,
+    whichever is less, so 8192 samples and 512 bands by default and
+    never above 724 bands. Blend checks sample from the first level to
+    the last, and a ball certificate's searched distance from the first
+    level to the finest grid. A given initial resolution also sets the
+    density of the distance and homotopy grids (grid_for).
     """
 
     initial_resolution: int | None = None
@@ -148,13 +148,23 @@ class DistanceEstimate:
         }
 
 
-def _admitted(n: int, params: DegreeParams, dim: int) -> bool:
-    """Whether a degree or a blend check may sample level n: 2n fits the cap and the row budget.
+def _last_level(params: DegreeParams, dim: int) -> int:
+    """The finest level a degree is read at or a blend check samples: the two numbers' half.
 
-    n <= cap would admit lines up to four times as costly on S2; that
-    waits for a cost model of evaluations x rows.
+    Half the cap or half the finest grid, whichever is less, so that the
+    level's double fits both: n <= cap would admit lines up to four times
+    as costly on S2, which waits for a cost model of evaluations x rows.
     """
-    return 2 * n <= params.max_for(dim) and grid_fits(dim, 2 * n)
+    return min(params.max_for(dim), geometry.finest(dim)) // 2
+
+
+def _above_last(params: DegreeParams, dim: int) -> str:
+    """A refusal's reason: above _last_level, with the two numbers it halves the smaller of."""
+    return (
+        f"above the last level {_last_level(params, dim)}, half the smaller of the cap "
+        f"{params.max_for(dim)} and the finest grid {geometry.finest(dim)} within "
+        f"{geometry.MAX_ROWS} sample rows"
+    )
 
 
 def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, int]:
@@ -163,113 +173,67 @@ def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so e is read at
     n = ceil(need), need = 2*pi*L samples on S1 or pi*L bands on S2 and
-    at least MIN_RESOLUTION, whether or not e has a blend. The only place
-    a degree level is refused (ResolutionExceeded): a need over half the
-    cap, or a bound that is infinite or NaN, before the structural
-    degree is computed, which |degree| <= L keeps small; then an n or a
-    first level, params.initial_for(dim), that _admitted refuses; the
-    message names n where n is refused, and the first level otherwise.
+    at least MIN_RESOLUTION, whether or not e has a blend, and whatever
+    the first level. The only place a degree level is refused
+    (ResolutionExceeded): a need above _last_level or NaN, before
+    the structural degree is computed, which |degree| <= L keeps small.
     e's blend checks must have passed, for _structural.
     """
-    dim = e.dim
-    need = max(_WRAP[dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
-    cap = params.max_for(dim)
-    if not need <= cap // 2:
+    need = max(_WRAP[e.dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
+    if not need <= _last_level(params, e.dim):
         shown = math.ceil(need) if math.isfinite(need) else need
-        raise ResolutionExceeded(
-            f"map needs starting resolution {shown}, above half the cap {cap}"
-        )
-    n, first, rows = math.ceil(need), params.initial_for(dim), geometry.MAX_ROWS
-    above = f"above every level whose double fits the cap {cap} and {rows} sample rows"
-    if not _admitted(n, params, dim):
-        raise ResolutionExceeded(f"map needs resolution {n} or more, {above}")
-    if not _admitted(first, params, dim):
-        raise ResolutionExceeded(f"first level {first} is {above}, though the map is read at {n}")
-    return n, _structural(e)
+        raise ResolutionExceeded(f"map needs resolution {shown}, {_above_last(params, e.dim)}")
+    return math.ceil(need), _structural(e)
 
 
-class _Samples:
-    """Values of maps on make_grid nodes, shared by the passes of one call.
+class _Level:
+    """Maps' values on make_grid(dim, n), shared by the passes of one call at level n.
 
-    The only code that evaluates a map on a grid. Each (map, resolution)
-    is evaluated at most once, and a map is read only at a level it was
-    evaluated at. A map evaluated at a level reads every sub-expression
-    held at that level instead of evaluating it again, so a perturbation
-    of a held base map costs its field alone. Only each map's latest
-    level is held, so a doubling distance does not pin every level it
-    passed. The latest level's grid is held too, read-only, so that the
-    maps evaluated there share one make_grid; it is dropped before the
-    grid of another level is built (the grid of 1024 bands alone is
-    50 MB). A distance at a level the first map is not held at is
-    streamed and holds nothing (distance). One instance serves one
-    degree, distance, certificate or blend check level, and no values
-    outlive it.
+    Each map is evaluated here once, reading every sub-expression held
+    here, so a perturbation of a held base map costs its field alone.
+    The grid is built at the first evaluation and held read-only; a
+    caller drops a level before its next one builds a grid (1024 bands
+    alone take 50 MB). No values outlive the level.
     """
 
-    def __init__(self):
-        self._values: dict[MapExpr, tuple[int, np.ndarray]] = {}
-        self._grid: tuple[int, np.ndarray | None] = (0, None)
+    def __init__(self, dim: int, n: int):
+        self.dim, self.n, self._values = dim, n, {}
 
-    def values(self, e: MapExpr, resolution: int) -> np.ndarray:
-        level, Y = self._values.get(e, (0, None))
-        if level == resolution:
-            return Y
-        self._values.pop(e, None)  # not held while the next level is evaluated
-        held = [(f, Y) for f, (n, Y) in self._values.items() if n == resolution]
-        Y = eval_array(e, self._nodes(e.dim, resolution), known=_known(e, held))
-        self._values[e] = (resolution, Y)
-        return Y
-
-    def _nodes(self, dim: int, resolution: int) -> np.ndarray:
-        """make_grid(dim, resolution), built once while it is the latest level."""
-        level, X = self._grid
-        if level != resolution:
-            self._grid = (0, None)  # not held while the next grid is built
-            X = make_grid(dim, resolution)
-            X.flags.writeable = False
-            self._grid = (resolution, X)
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        X = make_grid(self.dim, self.n)
+        X.flags.writeable = False
         return X
 
-    def distance(self, f: MapExpr, g: MapExpr, resolution: int) -> float:
-        """pair_distance of f's and g's values on make_grid(f.dim, resolution).
-
-        Where f is held at the level, both maps are read through values(),
-        and g's stay held. Any other level is streamed: its nodes come in
-        geometry.grid_blocks, both maps are evaluated block by block, g
-        reading f's block where it contains f, and only the running max is
-        kept. The max of the blocks' maxima is the max of the whole level,
-        bit for bit.
-        """
-        level, _ = self._values.get(f, (0, None))
-        if level == resolution:
-            return pair_distance(self.values(f, resolution), self.values(g, resolution))
-        return max(pair_distance(F, G) for F, G in _pair_blocks(f, g, resolution))
+    def values(self, e: MapExpr) -> np.ndarray:
+        if e not in self._values:
+            held = list(self._values.items())
+            self._values[e] = eval_array(e, self.nodes, known=_known(e, held))
+        return self._values[e]
 
 
-def _pair_blocks(f: MapExpr, g: MapExpr, resolution: int):
-    """f's and g's values (F, G) on each block of geometry.grid_blocks.
+def _pairs(f: MapExpr, g: MapExpr, n: int, held: _Level | None):
+    """(first row, F, G): f's and g's values at level n, g reading f's where it contains f.
 
-    g reads f's block where it contains f. No block outlives the next
-    unless the caller keeps it.
+    The held level's whole arrays where held is level n. Any other level
+    is streamed in geometry.grid_blocks and holds nothing: no block
+    outlives the next unless the caller keeps it. A max or min over the
+    blocks is the whole level's, bit for bit.
     """
-    for X in grid_blocks(f.dim, resolution):
+    if held is not None and held.n == n:
+        yield 0, held.values(f), held.values(g)
+        return
+    start = 0
+    for X in grid_blocks(f.dim, n):
         F = eval_array(f, X)
-        yield F, eval_array(g, X, known=_known(g, [(f, F)]))
+        yield start, F, eval_array(g, X, known=_known(g, [(f, F)]))
+        start += len(X)
 
 
-def _streamed_min_norm(f: MapExpr, g: MapExpr, resolution: int) -> tuple[float, int]:
-    """pair_min_norm of f and g on make_grid(f.dim, resolution), one block at a time.
-
-    The row is global and the first row of the minimum, as np.argmin
-    gives it on the whole level; the minimum is the same float.
-    """
-    low, row, offset = math.inf, 0, 0
-    for F, G in _pair_blocks(f, g, resolution):
-        block_low, block_row = pair_min_norm(F, G)
-        if block_low < low:
-            low, row = block_low, offset + block_row
-        offset += len(F)
-    return low, row
+def _min_norm(f: MapExpr, g: MapExpr, n: int, held: _Level | None = None) -> tuple[float, int]:
+    """pair_min_norm of f and g at level n over _pairs, at the first row np.argmin gives."""
+    blocks = ((pair_min_norm(F, G), start) for start, F, G in _pairs(f, g, n, held))
+    return min((low, start + row) for (low, row), start in blocks)
 
 
 def _known(e: MapExpr, held: list[tuple[MapExpr, np.ndarray]]) -> dict[int, np.ndarray]:
@@ -384,7 +348,7 @@ _PASSES = {1: ("winding", _winding_pass), 2: ("simplicial", _simplicial_pass)}
 
 def raw_pass(e: MapExpr, resolution: int) -> tuple[float, float]:
     """One non-adaptive pass of e's sphere: (raw degree, largest image step or edge angle)."""
-    return _PASSES[e.dim][1](_Samples().values(e, resolution), resolution)
+    return _PASSES[e.dim][1](_Level(e.dim, resolution).values(e), resolution)
 
 
 def pair_distance(F: np.ndarray, G: np.ndarray) -> float:
@@ -449,21 +413,21 @@ def _blend_bound(node: Blend, inner: list[float], min_norm: float, n: int) -> fl
     return ((1.0 - node.t) * lf + node.t * lg) / floor
 
 
-def _levels(params: DegreeParams, dim: int, fits: Callable[[int], bool]) -> list[int]:
-    """The levels of a coarse-first search: initial_for(dim) and each double, while fits(it).
+def _levels(params: DegreeParams, dim: int, last: int) -> list[int]:
+    """The levels of a coarse-first search: initial_for(dim) and each double, up to last.
 
-    Only levels fits admits are listed, the first too: where none is,
-    the caller refuses before sampling. A blend check and a ball
-    certificate's searched distance (_ball_distance) sample these in
-    order and accept at the first level that proves what they check.
-    Both stop by one rule: a finer level's nodes include the coarser
-    ones, so a sampled minimum only falls and a sampled maximum only
-    rises, and a level whose sample cannot prove even the last level
-    rules out every level after it.
-    The search is refused there, with what it sampled.
+    last is _last_level for a blend check and geometry.finest for a ball
+    certificate's searched distance (_ball_distance). Where the first
+    level is above it, none is listed, and the caller refuses before
+    sampling. Both sample these in order and accept at the first level
+    that proves what they check. Both stop by one rule: a finer level's
+    nodes include the coarser ones, so a sampled minimum only falls and
+    a sampled maximum only rises, and a level whose sample cannot prove
+    even the last level rules out every level after it. The search is
+    refused there, with what it sampled.
     """
     levels, n = [], params.initial_for(dim)
-    while fits(n):
+    while n <= last:
         levels.append(n)
         n *= 2
     return levels
@@ -476,30 +440,29 @@ def check_blend_validity(e: MapExpr, params: DegreeParams) -> float:
     them is checked at its exact minimum over t, not only at the node's
     own t: a pinch anywhere on the segment is inconclusive. Blends are
     checked inside out, each after the blends within it, since its bound
-    (_blend_bound) needs theirs. A check walks the levels _admitted lets
-    _levels list: the first level whose bound proves the blend there or
-    coarser accepts it, and the first whose nodes pinch raises
+    (_blend_bound) needs theirs. A check walks the levels _levels lists
+    up to _last_level: the first level whose bound proves the blend
+    there or coarser accepts it, and the first whose nodes pinch raises
     InvalidBlend. A blend no listed level proves is refused
     (ResolutionExceeded): before sampling where none is listed or where
     (1-t) L_f + t L_g, its bound at m_rig = 1, rules the last out, and
     by _levels' stop rule at the first level whose segment minimum m
     does, by m - (L_f + L_g)/2 * mesh(last).
 
-    Each level evaluates its two children on its own _Samples, the
-    second reading the first where it contains it, and holds nothing
-    after the level. Returns e's Lipschitz bound, the AST's with each
-    blend's from its check.
+    Each level reads its two children whole on its own _Level, the
+    second reading the first where it contains it (_min_norm), and holds
+    nothing after the level. Returns e's Lipschitz bound, the AST's with
+    each blend's from its check.
     """
     blends = [node for node in walk(e) if isinstance(node, Blend)]
     bounds = {}
     for node in reversed(blends):  # each blend after the blends within it
         dim, inner = node.dim, [_lipschitz(c, bounds) for c in (node.f, node.g)]
-        levels = _levels(params, dim, lambda n: _admitted(n, params, dim))
+        levels = _levels(params, dim, _last_level(params, dim))
         if not levels:
             raise ResolutionExceeded(
-                f"blend check needs resolution {params.initial_for(dim)} or more, above every "
-                f"level whose double fits the cap {params.max_for(dim)} and "
-                f"{geometry.MAX_ROWS} sample rows, in {node.render()}"
+                f"blend check needs resolution {params.initial_for(dim)} or more, "
+                f"{_above_last(params, dim)}, in {node.render()}"
             )
         last = levels[-1]
         need = _WRAP[dim] * ((1.0 - node.t) * inner[0] + node.t * inner[1])  # m_rig <= 1
@@ -510,8 +473,7 @@ def check_blend_validity(e: MapExpr, params: DegreeParams) -> float:
                 f"its check samples, in {node.render()}"
             )
         for n in levels:
-            level = _Samples()
-            min_norm, row = pair_min_norm(level.values(node.f, n), level.values(node.g, n))
+            min_norm, row = _min_norm(node.f, node.g, n, _Level(dim, n))
             bound = _blend_bound(node, inner, min_norm, n)
             if bound is not None and _WRAP[dim] * bound <= n:
                 break
@@ -545,24 +507,25 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
 def _checked_degree(e: MapExpr, params: DegreeParams) -> tuple[DegreeResult, float]:
     """degree(e, params) and e's Lipschitz bound, the one its blend check returns."""
     bound = check_blend_validity(e, params)
-    return _degree(e, _Samples(), *_proven_level(bound, params, e)), bound
+    n, sd = _proven_level(bound, params, e)
+    return _degree(e, _Level(e.dim, n), sd), bound
 
 
-def _degree(e: MapExpr, samples: _Samples, n: int, sd: int) -> DegreeResult:
-    """degree(e) from one raw pass at _proven_level's n, checked against its sd.
+def _degree(e: MapExpr, level: _Level, sd: int) -> DegreeResult:
+    """degree(e) from one raw pass at _proven_level's n, the level's, checked against its sd.
 
     The pass, winding on S1 and simplicial on S2, returns (raw degree,
     largest image step or edge angle) from the map's values on one grid,
-    read through `samples`, which may hold it at n already (a distance
-    level of _ball_distance). n >= 2*pi*L samples keep every image step
+    read through `level`, which may hold them already (a distance level
+    of _ball_distance). n >= 2*pi*L samples keep every image step
     below pi/3, and n >= pi*L bands every image edge below pi/2, so the
     sum is the degree (Stenger 1975, Kearfott 1979). A guard over
     STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
     there is a bug (ConsistencyError), and so is an integer other than sd
     (SymbolicNumericMismatch).
     """
-    method, one_pass = _PASSES[e.dim]
-    raw, step = one_pass(samples.values(e, n), n)
+    method, one_pass, n = *_PASSES[e.dim], level.n
+    raw, step = one_pass(level.values(e), n)
     value = int(round(raw))
     residual = abs(raw - value)
     if not (step <= STEP_CAP and residual < _PROVEN_RESIDUAL):
@@ -596,18 +559,18 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     slope = check_blend_validity(f, params) + check_blend_validity(g, params)
     if resolution is None:
         resolution = params.grid_for(f.dim)
-    return _sup_distance(f, g, resolution, _Samples(), slope)
+    return _sup_distance(f, g, resolution, None, slope)
 
 
-def _sup_distance(f: MapExpr, g: MapExpr, n: int, samples: _Samples, slope: float):
-    """sup_distance(f, g, n) with slope = L_f + L_g, reading both maps from `samples`.
+def _sup_distance(f: MapExpr, g: MapExpr, n: int, held: _Level | None, slope: float):
+    """sup_distance(f, g, n) with slope = L_f + L_g, reading both maps through _pairs.
 
     rigorous is the smaller of the upper bounds that are known, the
     AST's (_chord_bound) and sampled + slope * mesh(n) where slope is
-    finite, and at least sampled. Where `samples` holds f at n, both maps
-    are read through it; any other level is streamed (_Samples.distance).
+    finite, and at least sampled. Where `held` is level n, both maps are
+    read through it, and g stays held there; any other level is streamed.
     """
-    sampled = samples.distance(f, g, n)
+    sampled = max(pair_distance(F, G) for _, F, G in _pairs(f, g, n, held))
     bounds = [sampled + slope * mesh(f.dim, n)] if math.isfinite(slope) else []
     chord = _chord_bound(f, g)
     if chord is not None:
@@ -625,21 +588,21 @@ def _ball_distance(
     g are chains of perturbs over a common map whose chord bound
     (_chord_bound) is below 1, since that bound proves the distance at
     any level, and _proven_level refuses the level before anything is
-    sampled. Elsewhere they are the levels _levels lists within the row
-    budget where (L_f + L_g) * mesh is below 1, since no other can prove
-    the distance; where none is, as for a sum that is not finite, the
-    call is refused with DistanceTooLarge before sampling. f0 is
-    evaluated at the first level before g, so that g reads f0 there,
-    and both stay held; finer levels are streamed. The walk returns at
-    the first level whose rigorous bound is below 1, and is refused at
-    the first whose sampled distance plus (L_f + L_g) * mesh at the last
-    level reaches 1 (_levels' stop rule). degree(g), at the level g's
-    bound proves, then reads g's values from the same samples where that
-    is the first level, as it always is on the chord path, and
-    evaluates g there otherwise. So each map is evaluated at most once
-    per resolution.
+    sampled. Elsewhere they are the levels _levels lists up to
+    geometry.finest where (L_f + L_g) * mesh is below 1, since no other
+    can prove the distance; where none is, as for a sum that is not
+    finite, the call is refused with DistanceTooLarge before sampling.
+    The first level is held: f0 is evaluated there before g, so that g
+    reads f0 there, and both stay held; finer levels are streamed. The
+    walk returns at the first level whose rigorous bound is below 1, and
+    is refused at the first whose sampled distance plus
+    (L_f + L_g) * mesh at the last level reaches 1 (_levels' stop rule).
+    degree(g), at the level g's bound proves, then reads g's values from
+    the held level where that is the first level, as it always is on the
+    chord path, and evaluates g on a level of its own otherwise. So each
+    map is evaluated at most once per resolution.
     """
-    dim, samples = g.dim, _Samples()
+    dim = g.dim
     bound = check_blend_validity(g, params)
     slope = bound0 + bound
     chord = _chord_bound(f0, g)
@@ -648,7 +611,7 @@ def _ball_distance(
         proven = _proven_level(bound, params, g)
         levels = [proven[0]]
     else:
-        budget = _levels(params, dim, lambda n: grid_fits(dim, n))
+        budget = _levels(params, dim, geometry.finest(dim))
         levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
         if not levels:
             first = params.initial_for(dim)
@@ -657,9 +620,10 @@ def _ball_distance(
                 f"Lipschitz bounds sum to {slope:.6g}: no level {span} within the row budget, "
                 "proves the distance"
             )
-    samples.values(f0, levels[0])  # before g is evaluated there, so that g reads it
+    level = _Level(dim, levels[0])
+    level.values(f0)  # before g is evaluated there, so that g reads it
     for n in levels:
-        dist = _sup_distance(f0, g, n, samples, slope)
+        dist = _sup_distance(f0, g, n, level, slope)
         if dist.rigorous < BALL_RADIUS:
             break
         floor = dist.sampled_max + slope * mesh(dim, levels[-1])
@@ -669,4 +633,7 @@ def _ball_distance(
                 f"up to {levels[-1]} at {floor:.6f} or more, not below {BALL_RADIUS}; "
                 "the ball argument does not apply (inconclusive)"
             )
-    return dist, _degree(g, samples, *(proven or _proven_level(bound, params, g)))
+    n, sd = proven or _proven_level(bound, params, g)
+    if n != level.n:
+        level = _Level(dim, n)  # the distance level is dropped before g's grid is built
+    return dist, _degree(g, level, sd)

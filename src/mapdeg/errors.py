@@ -14,9 +14,9 @@ class DimensionMismatch(MapdegError):
 
 
 class InvalidResolution(MapdegError):
-    """A grid asked for directly is below the minimum or over the row budget.
+    """A grid asked for directly is below MIN_RESOLUTION or finer than geometry.finest.
 
-    Degrees, blend checks and ball certificates admit their levels first.
+    Degrees, blend checks and ball certificates refuse such a level before its grid.
     """
 
 

@@ -198,6 +198,10 @@ class Rot(MapExpr):
 
     alpha: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"rotation angle must be finite, got {self.alpha}")
+
     @property
     def dim(self) -> int:
         return 1
@@ -222,6 +226,8 @@ class Rot3(MapExpr):
 
     def __post_init__(self):
         axis = self.axis
+        if not all(map(math.isfinite, (*axis, self.alpha))):
+            raise DomainError(f"rotation axis and angle must be finite, got {axis}, {self.alpha}")
         if math.isinf(sum(c * c for c in axis)):
             # the squares overflow: divide by the largest entry first
             big = max(abs(c) for c in axis)

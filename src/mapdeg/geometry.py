@@ -38,13 +38,12 @@ def normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / norms[:, None]
 
 
-def grid_fits(dim: int, resolution: int) -> bool:
-    """Whether make_grid(dim, resolution) holds at most MAX_ROWS rows.
+def finest(dim: int) -> int:
+    """The finest grid within MAX_ROWS, read at call time: 2**22 samples or 1448 bands.
 
-    Counts n rows on S1 and the 2n^2 - 2n + 2 mesh vertices on S2.
+    n bands hold 2n^2 - 2n + 2 <= MAX_ROWS vertices exactly where (2n - 1)^2 <= 2 MAX_ROWS - 3.
     """
-    rows = resolution if dim == 1 else 2 * resolution * (resolution - 1) + 2
-    return rows <= MAX_ROWS
+    return MAX_ROWS if dim == 1 else (math.isqrt(2 * MAX_ROWS - 3) + 1) // 2
 
 
 def make_grid(dim: int, resolution: int) -> np.ndarray:
@@ -98,7 +97,7 @@ def _check_grid(dim: int, resolution: int) -> None:
         raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
     if resolution < MIN_RESOLUTION:
         raise InvalidResolution(f"resolution {resolution} < {MIN_RESOLUTION}")
-    if not grid_fits(dim, resolution):
+    if resolution > finest(dim):
         raise InvalidResolution(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
 
 

@@ -42,8 +42,8 @@ from mapdeg import (
 )
 from mapdeg import geometry
 from mapdeg.degree import (
-    _admitted,
     _chord_bound,
+    _last_level,
     check_blend_validity,
     pair_distance,
     pair_min_norm,
@@ -803,12 +803,22 @@ class TestEvaluationCount:
         assert rows == {}
 
     def test_a_base_no_level_proves_is_refused_before_its_grid(self, rows):
-        # the base is read at 8 bands, but its first level, 1024 bands,
-        # has a double that needs more than 2**22 rows: it is refused,
-        # naming that first level, before the base is evaluated anywhere
+        # a first level of 1024 bands is above the last level: the base
+        # is read at its own 8 bands all the same, 114 vertices, and g,
+        # whose chord bound proves the distance, at its own 12, 266
+        params = DegreeParams(initial_resolution=1024)
+        assert params.initial_for(2) > _last_level(params, 2)
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
-        with pytest.raises(ResolutionExceeded, match="first level 1024 is above .* read at 8$"):
-            ball_certificate(f0, g, DegreeParams(initial_resolution=1024))
+        cert = ball_certificate(f0, g, params)
+        assert (cert.degree.resolution, cert.ball.distance.resolution) == (8, 12)
+        assert rows == {(f0.render(), 114): 1, (f0.render(), 266): 1, (g.render(), 266): 1}
+        # a blend base's check samples from the first level, so it is
+        # refused, naming that level, before the base is evaluated anywhere
+        rows.clear()
+        certify_module._kept_base.cache_clear()
+        f0 = parse("(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 1.0) (susp (pow 2))))")
+        with pytest.raises(ResolutionExceeded, match="^blend check needs resolution 1024 or more"):
+            ball_certificate(f0, Perturb(4, 0.5, f0), params)
         assert rows == {}
 
     def test_a_chord_subject_refuses_its_degree_level_before_sampling(self, rows):
@@ -818,10 +828,12 @@ class TestEvaluationCount:
         # f0's own degree level, 8 bands, 114 vertices, is read
         f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
         assert _chord(0.85, 1) < 1.0
+        params = DegreeParams(initial_resolution=8, max_resolution=16)
+        last = _last_level(params, 2)
         with pytest.raises(
-            ResolutionExceeded, match="map needs starting resolution 20, above half the cap 16"
+            ResolutionExceeded, match=f"^map needs resolution 20, above the last level {last}, "
         ):
-            ball_certificate(f0, g, DegreeParams(initial_resolution=8, max_resolution=16))
+            ball_certificate(f0, g, params)
         assert rows == {(f0.render(), 114): 1}
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
@@ -1114,9 +1126,9 @@ class TestAdmission:
     @example(parse("(blend 0.5 (susp (pow 2)) (rot3 0 0 1 0.5))"), 256, None, 1, 0.5)
     def test_every_sampled_level_is_admitted(self, e, initial, cap, seed, eps):
         # degree and certify_not_iterate sample only blend check and
-        # degree levels, which _admitted governs; a ball certificate also
+        # degree levels, which _last_level bounds; a ball certificate also
         # samples its distance levels, which need only fit the row budget
-        # (grid_fits)
+        # (finest)
         params = DegreeParams(initial, cap)
         module = importlib.import_module("mapdeg.degree")
         seen = []
@@ -1145,7 +1157,7 @@ class TestAdmission:
                     call()
                 except MapdegError as err:
                     assert not isinstance(err, InvalidResolution), err
-                assert all(geometry.grid_fits(dim, n) for dim, n in seen)
+                assert all(n <= geometry.finest(dim) for dim, n in seen)
                 if degree_levels_only:
-                    assert all(_admitted(n, params, dim) for dim, n in seen)
+                    assert all(n <= _last_level(params, dim) for dim, n in seen)
             certify_module._kept_base.cache_clear()

@@ -11,9 +11,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mapdeg import geometry
 from mapdeg.cli import main
+from mapdeg.degree import DegreeParams, _last_level
 from mapdeg.errors import MapdegError
 from mapdeg.expr import MAX_DEPTH, PerturbationField
+from mapdeg.geometry import finest
+
+#: (susp (pow 2)) blended with itself turned by 1 radian: a blend whose
+#: check samples from the first level.
+_BLEND = "(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 1.0) (susp (pow 2))))"
 
 
 def run_cli(capsys, *argv):
@@ -63,8 +70,11 @@ class TestDegreeCommand:
         code, lines, _ = run_cli(capsys, *argv)
         assert code == 1
         assert lines[0]["outcome"] == "ResolutionExceeded"
+        last = _last_level(DegreeParams(8, 8), 1)
+        assert last == 16 // 2
         assert lines[0]["payload"] == {
-            "error": "map needs starting resolution 13, above half the cap 16"
+            "error": f"map needs resolution 13, above the last level {last}, half the smaller of "
+            f"the cap 16 and the finest grid {finest(1)} within {geometry.MAX_ROWS} sample rows"
         }
 
     def test_human_readable_mode(self, capsys):
@@ -355,6 +365,25 @@ class TestUsageErrors:
 
 
 class TestHostileInput:
+    def test_a_first_level_above_the_last_reads_a_map_at_its_own_level(
+        self, capsys, monkeypatch
+    ):
+        # the first level plays no part in the degree of a map without a
+        # blend: (susp (pow 2)) is read at its own 8 bands
+        params = DegreeParams(initial_resolution=800)
+        assert params.initial_for(2) > _last_level(params, 2)
+        code, lines, _ = run_cli(capsys, "degree", "-e", "(susp (pow 2))", "--resolution", "800")
+        assert code == 0
+        assert (lines[0]["payload"]["value"], lines[0]["payload"]["resolution"]) == (2, 8)
+        # its blend counterpart's check samples from the first level, so
+        # it is refused before anything is evaluated
+        degree_module = importlib.import_module("mapdeg.degree")
+        monkeypatch.setattr(degree_module, "eval_array", lambda *a, **k: pytest.fail("read"))
+        code, lines, _ = run_cli(capsys, "degree", "-e", _BLEND, "--resolution", "800")
+        assert code == 1
+        assert lines[0]["outcome"] == "ResolutionExceeded"
+        assert lines[0]["payload"]["error"].startswith("blend check needs resolution 800 or more")
+
     def test_deep_nesting_does_not_kill_the_batch(self, capsys, tmp_path):
         f = tmp_path / "maps.txt"
         f.write_text("(compose (pow 1) " * 1000 + "(pow 1)" + ")" * 1000 + "\n(pow 3)\n")
@@ -430,7 +459,8 @@ class TestHostileInput:
                 ["degree", "-e", "(susp (pow 3000))", "--max-resolution", "1000000"],
                 "ResolutionExceeded",
             ),
-            (["degree", "-e", "(susp (pow 2))", "--resolution", "100000"], "ResolutionExceeded"),
+            # a blend's check samples from the first level
+            (["degree", "-e", _BLEND, "--resolution", "100000"], "ResolutionExceeded"),
             (
                 ["distance", "-a", "(id 2)", "-b", "(antipode 2)", "--resolution", "100000"],
                 "InvalidResolution",

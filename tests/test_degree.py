@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,10 +37,12 @@ from mapdeg import geometry
 from mapdeg.degree import (
     BLEND_MIN_NORM,
     STEP_CAP,
+    _last_level,
+    _Level,
+    _min_norm,
     _proven_level,
-    _Samples,
-    _streamed_min_norm,
     _structural,
+    _sup_distance,
     check_blend_validity,
     pair_distance,
     pair_min_norm,
@@ -192,8 +195,10 @@ class TestWinding:
         # 2*pi*L = 257.03 rounds up to 258 samples, and 516 > 515: the
         # start's double does not fit under the cap, so nothing is sampled
         e = parse("(perturb 1 0.03 (pow 40))")
-        with pytest.raises(ResolutionExceeded, match="resolution 258, above half the cap 515"):
-            degree(e, DegreeParams(max_resolution=515))
+        params = DegreeParams(max_resolution=515)
+        last = f"above the last level {_last_level(params, 1)}, "
+        with pytest.raises(ResolutionExceeded, match=f"resolution 258, {last}"):
+            degree(e, params)
 
     def test_refinement_stops_at_the_row_budget(self, monkeypatch, check_rows_seen):
         # m = cos(1.25) = 0.315 at every node leaves m_rig = 0.217 at 128
@@ -218,8 +223,10 @@ class TestWinding:
         # a first level whose double is over the row budget admits no
         # level: the check refuses before sampling it
         monkeypatch.setattr(geometry, "MAX_ROWS", 64)
-        with pytest.raises(ResolutionExceeded, match="128 or more, .* and 64 sample rows"):
-            degree(parse("(blend 0.0 (pow 20) (pow 20))"), DegreeParams(initial_resolution=128))
+        params = DegreeParams(initial_resolution=128)
+        last = f"above the last level {_last_level(params, 1)}, .* within 64 sample rows"
+        with pytest.raises(ResolutionExceeded, match=f"128 or more, {last}, in "):
+            degree(parse("(blend 0.0 (pow 20) (pow 20))"), params)
         assert check_rows_seen == [16]
 
     @pytest.mark.parametrize("offset", [0.0, 0.1, 1.0, 2.5])
@@ -318,6 +325,51 @@ class TestSimplicial:
         assert degree(e).value == e.symbolic_degree()
 
 
+def _rows(dim: int, n: int) -> int:
+    """make_grid(dim, n)'s row count: n samples on S1, 2n^2 - 2n + 2 mesh vertices on S2."""
+    return n if dim == 1 else 2 * n * (n - 1) + 2
+
+
+class TestLastLevel:
+    """Two numbers admit every degree and blend check level: the cap and the finest grid."""
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([1, 2]),
+        st.one_of(st.none(), st.integers(8, 2**22)),
+        st.one_of(st.none(), st.integers(8, 2**24)),
+        st.one_of(st.integers(1, 2048), st.integers(1, 20000), st.integers(1, 2**23)),
+        st.one_of(st.just(2**22), st.integers(2, 2**24)),
+    )
+    @example(2, None, None, 512, 2**22)
+    @example(2, None, None, 513, 2**22)
+    @example(2, None, 2**30, 724, 2**22)
+    @example(2, None, 2**30, 725, 2**22)
+    @example(1, None, 2**30, 2**21, 2**22)
+    @example(1, None, 2**30, 2**21 + 1, 2**22)
+    def test_the_last_level_admits_what_the_double_rule_did(self, dim, initial, cap, n, budget):
+        # the rule it replaces: a level is admitted where its double fits
+        # the cap and the row budget
+        params = DegreeParams(initial, cap)
+        with mock.patch.object(geometry, "MAX_ROWS", budget):
+            double_fits = 2 * n <= params.max_for(dim) and _rows(dim, 2 * n) <= budget
+            assert (n <= _last_level(params, dim)) == double_fits
+
+    @given(st.sampled_from([1, 2]), st.one_of(st.just(2**22), st.integers(128, 2**40)))
+    def test_the_finest_grid_is_the_last_within_the_row_budget(self, dim, budget):
+        with mock.patch.object(geometry, "MAX_ROWS", budget):
+            fine = geometry.finest(dim)
+            assert _rows(dim, fine) <= budget < _rows(dim, fine + 1)
+            with pytest.raises(InvalidResolution, match="sample rows"):
+                next(geometry.grid_blocks(dim, fine + 1))
+
+    def test_spot_checks(self):
+        assert (_last_level(DegreeParams(), 1), _last_level(DegreeParams(), 2)) == (8192, 512)
+        uncapped = DegreeParams(max_resolution=2**30)
+        assert (_last_level(uncapped, 2), geometry.finest(2)) == (724, 1448)
+        assert (_last_level(uncapped, 1), geometry.finest(1)) == (2**21, 2**22)
+
+
 class TestProvenLevel:
     """A map with a Lipschitz bound L is sampled at one level, its start,
     where n >= 2*pi*L (S1) or n >= pi*L (S2) proves the sum exact."""
@@ -336,7 +388,8 @@ class TestProvenLevel:
         self, monkeypatch, bound
     ):
         monkeypatch.setattr(Pow, "_symbolic", lambda self, inner: pytest.fail("computed"))
-        with pytest.raises(ResolutionExceeded, match=f"needs starting resolution {bound},"):
+        last = f"above the last level {_last_level(DegreeParams(), 1)},"
+        with pytest.raises(ResolutionExceeded, match=f"needs resolution {bound}, {last}"):
             _proven_level(bound, DegreeParams(), parse("(pow 2)"))
 
     @pytest.mark.parametrize(
@@ -345,12 +398,13 @@ class TestProvenLevel:
             # inf * 0 makes the product's bound NaN: no level proves it
             "(perturb 5 0.999 (compose (iterate 1100 (pow 2)) (pow 0)))",
             # the same map needs 32 samples, but five of it in a row have
-            # the bound 4.96**5, which needs 18810, over half the cap
+            # the bound 4.96**5, which needs 18810, above the last level
             "(iterate 5 (perturb 5 0.999 (pow 0)))",
         ],
     )
     def test_a_steep_perturbation_of_a_constant_is_refused(self, text):
-        with pytest.raises(ResolutionExceeded, match="needs starting resolution"):
+        last = f"above the last level {_last_level(DegreeParams(), 1)},"
+        with pytest.raises(ResolutionExceeded, match=rf"^map needs resolution \S+, {last}"):
             degree(parse(text))
 
     @settings(deadline=None, max_examples=60)
@@ -383,26 +437,31 @@ class TestProvenLevel:
         with pytest.raises(ConsistencyError, match="structural degrees 2 and 3 in"):
             degree(Compose(Pow(1), e))
 
-    def test_a_refusal_names_the_level_that_is_not_admitted(self):
-        # from 725 bands on, a level's double needs more than 2**22 rows.
-        # (susp (pow 255)) is read at ceil(255 * pi) = 802 bands, which is
-        # not admitted; (susp (pow 2)) is read at 8, and only a first
-        # level of 800 is not
+    def test_a_refusal_names_the_level_that_is_not_admitted(self, monkeypatch):
+        # past the finest grid's half, a level's double needs more than
+        # 2**22 rows. (susp (pow 255)) is read at ceil(255 * pi) = 802
+        # bands, which is not admitted; (susp (pow 2)) is read at 8,
+        # whatever the first level
+        params = DegreeParams(max_resolution=4096)
+        last, fine = _last_level(params, 2), geometry.finest(2)
+        assert last == fine // 2 < 802
         with pytest.raises(
             ResolutionExceeded,
-            match=r"^map needs resolution 802 or more, above every level whose double "
-            r"fits the cap 4096 and 4194304 sample rows$",
+            match=rf"^map needs resolution 802, above the last level {last}, half the smaller "
+            rf"of the cap 4096 and the finest grid {fine} within {geometry.MAX_ROWS} sample rows$",
         ):
-            degree(Susp(Pow(255)), DegreeParams(max_resolution=4096))
-        with pytest.raises(
-            ResolutionExceeded,
-            match=r"^first level 800 is above every level whose double fits the cap 1600 "
-            r"and 4194304 sample rows, though the map is read at 8$",
-        ):
-            degree(Susp(Pow(2)), DegreeParams(initial_resolution=800))
-        # where neither is admitted, the map's own level is named
-        with pytest.raises(ResolutionExceeded, match="^map needs resolution 802 or more"):
+            degree(Susp(Pow(255)), params)
+        first = DegreeParams(initial_resolution=800)
+        assert first.initial_for(2) > _last_level(first, 2)
+        assert degree(Susp(Pow(2)), first).resolution == 8
+        # where the first level is above the last too, the map's own level is named
+        with pytest.raises(ResolutionExceeded, match="^map needs resolution 802, "):
             degree(Susp(Pow(255)), DegreeParams(initial_resolution=800, max_resolution=4096))
+        # a blend's check samples from the first level, so there its
+        # counterpart is refused before anything is evaluated
+        monkeypatch.setattr(degree_module, "eval_array", lambda *args, **kw: pytest.fail("read"))
+        with pytest.raises(ResolutionExceeded, match="^blend check needs resolution 800 or more"):
+            degree(_turned(2, 1.0), first)
 
     @settings(deadline=None, max_examples=40)
     @given(st.one_of(S1_BLENDS, S2_BLENDS))
@@ -751,7 +810,7 @@ class TestStreamedDistance:
         f, g = parse(f), parse(g)
         for n in levels:
             want = whole_distance(f, g, n)
-            assert _Samples().distance(f, g, n) == want
+            assert _sup_distance(f, g, n, None, math.inf).sampled_max == want
             assert sup_distance(f, g, n).sampled_max == want
 
     @pytest.mark.parametrize("block_rows", [1, 100])
@@ -762,7 +821,7 @@ class TestStreamedDistance:
             ("(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))", 32),
         ):
             f, g = parse(f), parse(g)
-            assert _Samples().distance(f, g, n) == whole_distance(f, g, n)
+            assert _sup_distance(f, g, n, None, math.inf).sampled_max == whole_distance(f, g, n)
 
     @pytest.mark.parametrize("block_rows", [1, 100, geometry.BLOCK_ROWS])
     @pytest.mark.parametrize(
@@ -781,20 +840,23 @@ class TestStreamedDistance:
         X = geometry.make_grid(f.dim, n)
         want = pair_min_norm(eval_array(f, X), eval_array(g, X))
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
-        assert _streamed_min_norm(f, g, n) == want
+        assert _min_norm(f, g, n) == want
+        # a held level is read whole, and gives the same
+        assert _min_norm(f, g, n, _Level(f.dim, n)) == want
 
     def test_held_values_are_read_and_keep_the_second_map(self):
         f, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
-        samples = _Samples()
-        F = samples.values(f, 64)
-        assert samples.distance(f, g, 64) == whole_distance(f, g, 64)
+        level = _Level(2, 64)
+        F = level.values(f)
+        assert _sup_distance(f, g, 64, level, math.inf).sampled_max == whole_distance(f, g, 64)
         # f is read, not evaluated again, and g's 64 bands stay held for
         # the degree that reads them next
-        assert samples.values(f, 64) is F
-        assert samples._values[g][0] == 64
-        # a level f is not held at is streamed and holds nothing
-        assert samples.distance(f, g, 32) == whole_distance(f, g, 32)
-        assert {e: n for e, (n, _) in samples._values.items()} == {f: 64, g: 64}
+        assert level.values(f) is F
+        G = level.values(g)
+        # a level other than the held one is streamed and holds nothing
+        assert _sup_distance(f, g, 32, level, math.inf).sampled_max == whole_distance(f, g, 32)
+        assert list(level._values) == [f, g] and level.values(g) is G
+        assert not level.nodes.flags.writeable
 
     def test_streamed_level_is_refused_over_the_row_budget_before_sampling(self, monkeypatch):
         def never(*args, **kwargs):
@@ -802,7 +864,8 @@ class TestStreamedDistance:
 
         monkeypatch.setattr(degree_module, "eval_array", never)
         with pytest.raises(InvalidResolution, match="sample rows"):
-            _Samples().distance(parse("(id 2)"), parse("(antipode 2)"), 1449)
+            f, g, n = parse("(id 2)"), parse("(antipode 2)"), geometry.finest(2) + 1
+            _sup_distance(f, g, n, None, math.inf)
 
 
 class TestLipschitzBound:

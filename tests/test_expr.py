@@ -121,6 +121,22 @@ class TestParse:
             Id(3)  # direct construction; "(id 3)" is a grammar violation
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Rot(math.nan),
+            lambda: Rot(math.inf),
+            lambda: Rot3((0.0, 0.0, 1.0), math.nan),
+            lambda: Rot3((math.inf, 0.0, 0.0), 1.0),
+        ],
+        ids=["rot-nan", "rot-inf", "rot3-nan-angle", "rot3-inf-axis"],
+    )
+    def test_rotations_refuse_values_that_are_not_finite(self, build):
+        # built, the last rendered as (rot3 nan nan nan 1.0), which parse
+        # refuses, and a degree raised a bare ValueError, no MapdegError
+        with pytest.raises(DomainError, match="must be finite"):
+            build()
+
+    @pytest.mark.parametrize(
         "text",
         [
             "",

@@ -19,8 +19,8 @@ from mapdeg.degree import pair_distance, raw_pass
 from mapdeg import geometry
 from mapdeg.geometry import (
     MAX_ROWS,
+    finest,
     grid_blocks,
-    grid_fits,
     grid_node,
     mesh,
     normalize_rows,
@@ -180,8 +180,7 @@ class TestMakeGrid:
     def test_rejects_grids_over_the_row_budget(self):
         # 1448 bands carry 2 * 1448 * 1447 + 2 <= 2**22 nodes, 1449 bands more;
         # the refusal comes before any allocation
-        assert grid_fits(1, MAX_ROWS) and grid_fits(2, 1448)
-        assert not grid_fits(1, MAX_ROWS + 1) and not grid_fits(2, 1449)
+        assert (finest(1), finest(2)) == (MAX_ROWS, 1448)
         with pytest.raises(InvalidResolution, match=f"resolution {MAX_ROWS + 1} needs more than"):
             make_grid(1, MAX_ROWS + 1)
         with pytest.raises(InvalidResolution, match=f"resolution 1449 needs more than {MAX_ROWS}"):
@@ -191,7 +190,7 @@ class TestMakeGrid:
         params = DegreeParams()
         for dim in (1, 2):
             for n in (params.max_for(dim), params.grid_for(dim)):
-                assert grid_fits(dim, n)
+                assert n <= finest(dim)
 
 
 
