@@ -27,7 +27,6 @@ from .degree import (
 )
 from .errors import ConsistencyError, DimensionMismatch
 from .expr import MapExpr
-from .geometry import grid_node
 
 #: Homotopy denominators at or below this are treated as pinched.
 HOMOTOPY_MIN_NORM = 1e-6
@@ -192,18 +191,19 @@ def homotopy_check(
 
     Reports the minimum of |(1-t) f0(x) + t g(x)| over grid nodes x and
     all t in [0, 1], taken exactly at t = 1/2; the homotopy is valid iff
-    that minimum stays above HOMOTOPY_MIN_NORM. The level is streamed
-    (degree._min_norm), so its memory does not grow with the level, and
-    a perturbation of f0 evaluates its field alone.
+    that minimum stays above HOMOTOPY_MIN_NORM, at the first node that
+    reaches it (argmin_point). The level is streamed (degree._min_norm),
+    so its memory does not grow with the level, and a perturbation of f0
+    evaluates its field alone.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     n = resolution if resolution is not None else DegreeParams().grid_for(f0.dim)
-    min_norm, row = _min_norm(f0, g, n)
+    min_norm, point = _min_norm(f0, g, n)
     return HomotopyReport(
         valid=min_norm > HOMOTOPY_MIN_NORM,
         min_norm=min_norm,
-        argmin_point=grid_node(f0.dim, n, row),
+        argmin_point=point,
         resolution=n,
     )
 

@@ -31,8 +31,8 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from . import geometry
-from .expr import Blend, MapExpr, Perturb, eval_array, walk
-from .geometry import grid_blocks, grid_node, make_grid, mesh
+from .expr import Blend, MapExpr, Perturb, eval_array
+from .geometry import grid_blocks, make_grid, mesh
 
 _TWO_PI = 2.0 * math.pi
 
@@ -167,23 +167,22 @@ def _above_last(params: DegreeParams, dim: int) -> str:
     )
 
 
-def _proven_level(bound: float, params: DegreeParams, e: MapExpr) -> tuple[int, int]:
-    """The one level e is read at, where _degree's pass is a proof, and e's structural degree.
+def _proven_level(bound: float, params: DegreeParams, dim: int) -> int:
+    """The one level a map of Lipschitz bound `bound` is read at, where _degree's pass is a proof.
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
-    alias to a convincing but wrong winding, so e is read at
+    alias to a convincing but wrong winding, so a map is read at
     n = ceil(need), need = 2*pi*L samples on S1 or pi*L bands on S2 and
-    at least MIN_RESOLUTION, whether or not e has a blend, and whatever
+    at least MIN_RESOLUTION, whether or not it has a blend, and whatever
     the first level. The only place a degree level is refused
     (ResolutionExceeded): a need above _last_level or NaN, before
-    the structural degree is computed, which |degree| <= L keeps small.
-    e's blend checks must have passed, for _structural.
+    anything is sampled at the map's level.
     """
-    need = max(_WRAP[e.dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
-    if not need <= _last_level(params, e.dim):
+    need = max(_WRAP[dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
+    if not need <= _last_level(params, dim):
         shown = math.ceil(need) if math.isfinite(need) else need
-        raise ResolutionExceeded(f"map needs resolution {shown}, {_above_last(params, e.dim)}")
-    return math.ceil(need), _structural(e)
+        raise ResolutionExceeded(f"map needs resolution {shown}, {_above_last(params, dim)}")
+    return math.ceil(need)
 
 
 class _Level:
@@ -213,7 +212,7 @@ class _Level:
 
 
 def _pairs(f: MapExpr, g: MapExpr, n: int, held: _Level | None):
-    """(first row, F, G): f's and g's values at level n, g reading f's where it contains f.
+    """(nodes, F, G): f's and g's values at level n's nodes, g reading f's where it contains f.
 
     The held level's whole arrays where held is level n. Any other level
     is streamed in geometry.grid_blocks and holds nothing: no block
@@ -221,19 +220,20 @@ def _pairs(f: MapExpr, g: MapExpr, n: int, held: _Level | None):
     blocks is the whole level's, bit for bit.
     """
     if held is not None and held.n == n:
-        yield 0, held.values(f), held.values(g)
+        yield held.nodes, held.values(f), held.values(g)
         return
-    start = 0
     for X in grid_blocks(f.dim, n):
         F = eval_array(f, X)
-        yield start, F, eval_array(g, X, known=_known(g, [(f, F)]))
-        start += len(X)
+        yield X, F, eval_array(g, X, known=_known(g, [(f, F)]))
 
 
-def _min_norm(f: MapExpr, g: MapExpr, n: int, held: _Level | None = None) -> tuple[float, int]:
-    """pair_min_norm of f and g at level n over _pairs, at the first row np.argmin gives."""
-    blocks = ((pair_min_norm(F, G), start) for start, F, G in _pairs(f, g, n, held))
-    return min((low, start + row) for (low, row), start in blocks)
+def _min_norm(
+    f: MapExpr, g: MapExpr, n: int, held: _Level | None = None
+) -> tuple[float, tuple[float, ...]]:
+    """pair_min_norm of f and g at level n over _pairs, and its node: the first np.argmin gives."""
+    blocks = ((pair_min_norm(F, G), X) for X, F, G in _pairs(f, g, n, held))
+    (low, row), X = min(blocks, key=lambda block: block[0][0])  # the first block wins ties
+    return low, tuple(X[row].tolist())
 
 
 def _known(e: MapExpr, held: list[tuple[MapExpr, np.ndarray]]) -> dict[int, np.ndarray]:
@@ -371,31 +371,6 @@ def pair_min_norm(F: np.ndarray, G: np.ndarray) -> tuple[float, int]:
     return float(norms[row]), row
 
 
-def _lipschitz(e: MapExpr, blends: dict[int, float]) -> float:
-    """e's Lipschitz bound by the AST's rules, with blends[id(node)] for each blend."""
-    if isinstance(e, Blend):
-        return blends[id(e)]
-    return e._bound([_lipschitz(c, blends) for c in e.children()])
-
-
-def _structural(e: MapExpr) -> int:
-    """e's structural degree by the AST's rules, each blend taking its children's.
-
-    For a map whose blend checks passed: no blend's segment pinches, so
-    each is homotopic to both children, inside out. Children that
-    disagree are a bug (ConsistencyError).
-    """
-    inner = [_structural(c) for c in e.children()]
-    if not isinstance(e, Blend):
-        return e._symbolic(inner)
-    if inner[0] != inner[1]:
-        raise ConsistencyError(
-            f"checked blend joins structural degrees {inner[0]} and {inner[1]} "
-            f"in {e.render()}"
-        )
-    return inner[0]
-
-
 def _blend_bound(node: Blend, inner: list[float], min_norm: float, n: int) -> float | None:
     """A blend's Lipschitz bound from its children's and its check at level n.
 
@@ -433,63 +408,79 @@ def _levels(params: DegreeParams, dim: int, last: int) -> list[int]:
     return levels
 
 
-def check_blend_validity(e: MapExpr, params: DegreeParams) -> float:
-    """Reject expressions whose blend denominators approach zero, and bound the rest.
+def check_blend_validity(e: MapExpr, params: DegreeParams) -> tuple[float, int]:
+    """Reject expressions whose blend denominators approach zero; bound and degree the rest.
+
+    One post-order walk of e (_check), children right to left, gives each
+    node its (Lipschitz bound, structural degree) from its children's: a
+    node without a blend by the AST's rules (_bound, _symbolic), a blend
+    by its check. Blends are so checked inside out, each after the blends
+    within it, since its bound (_blend_bound) needs theirs.
 
     Each blend's children are sampled on one grid and the segment between
     them is checked at its exact minimum over t, not only at the node's
-    own t: a pinch anywhere on the segment is inconclusive. Blends are
-    checked inside out, each after the blends within it, since its bound
-    (_blend_bound) needs theirs. A check walks the levels _levels lists
-    up to _last_level: the first level whose bound proves the blend
-    there or coarser accepts it, and the first whose nodes pinch raises
-    InvalidBlend. A blend no listed level proves is refused
-    (ResolutionExceeded): before sampling where none is listed or where
-    (1-t) L_f + t L_g, its bound at m_rig = 1, rules the last out, and
-    by _levels' stop rule at the first level whose segment minimum m
-    does, by m - (L_f + L_g)/2 * mesh(last).
+    own t: a pinch anywhere on the segment is inconclusive. A check walks
+    the levels _levels lists up to _last_level: the first level whose
+    bound proves the blend there or coarser accepts it, and the first
+    whose nodes pinch raises InvalidBlend. A blend no listed level proves
+    is refused (ResolutionExceeded): before sampling where none is listed
+    or where (1-t) L_f + t L_g, its bound at m_rig = 1, rules the last
+    out, and by _levels' stop rule at the first level whose segment
+    minimum m does, by m - (L_f + L_g)/2 * mesh(last). A checked blend's
+    segment never pinches, so it is homotopic to both children and takes
+    their common degree; children that disagree are a bug
+    (ConsistencyError).
 
     Each level reads its two children whole on its own _Level, the
     second reading the first where it contains it (_min_norm), and holds
-    nothing after the level. Returns e's Lipschitz bound, the AST's with
-    each blend's from its check.
+    nothing after the level. Returns (L, d): e's bound, the AST's with
+    each blend's from its check, and e's structural degree.
     """
-    blends = [node for node in walk(e) if isinstance(node, Blend)]
-    bounds = {}
-    for node in reversed(blends):  # each blend after the blends within it
-        dim, inner = node.dim, [_lipschitz(c, bounds) for c in (node.f, node.g)]
-        levels = _levels(params, dim, _last_level(params, dim))
-        if not levels:
-            raise ResolutionExceeded(
-                f"blend check needs resolution {params.initial_for(dim)} or more, "
-                f"{_above_last(params, dim)}, in {node.render()}"
+    return _check(e, params)  # the walk recurses in _check: one call here per map
+
+
+def _check(e: MapExpr, params: DegreeParams) -> tuple[float, int]:
+    """check_blend_validity(e, params), from e's children's pairs, taken right to left."""
+    inner = [_check(c, params) for c in reversed(e.children())][::-1]
+    bounds, degrees = [b for b, _ in inner], [d for _, d in inner]
+    if not isinstance(e, Blend):
+        return e._bound(bounds), e._symbolic(degrees)
+    dim = e.dim
+    levels = _levels(params, dim, _last_level(params, dim))
+    if not levels:
+        raise ResolutionExceeded(
+            f"blend check needs resolution {params.initial_for(dim)} or more, "
+            f"{_above_last(params, dim)}, in {e.render()}"
+        )
+    last = levels[-1]
+    need = _WRAP[dim] * ((1.0 - e.t) * bounds[0] + e.t * bounds[1])  # m_rig <= 1
+    if not need <= last:
+        shown = math.ceil(need) if math.isfinite(need) else need
+        raise ResolutionExceeded(
+            f"blend needs resolution {shown} or more, above {last}, the last level "
+            f"its check samples, in {e.render()}"
+        )
+    for n in levels:
+        min_norm, node = _min_norm(e.f, e.g, n, _Level(dim, n))
+        bound = _blend_bound(e, bounds, min_norm, n)
+        if bound is not None and _WRAP[dim] * bound <= n:
+            break
+        if min_norm <= BLEND_MIN_NORM:
+            raise InvalidBlend(
+                f"blend denominator {min_norm:.3e} at t=0.5 near {node} in {e.render()}"
             )
-        last = levels[-1]
-        need = _WRAP[dim] * ((1.0 - node.t) * inner[0] + node.t * inner[1])  # m_rig <= 1
-        if not need <= last:
-            shown = math.ceil(need) if math.isfinite(need) else need
+        best = _blend_bound(e, bounds, min_norm, last)
+        if best is None or _WRAP[dim] * best > last:
             raise ResolutionExceeded(
-                f"blend needs resolution {shown} or more, above {last}, the last level "
-                f"its check samples, in {node.render()}"
+                f"blend proven at no level up to {last}, segment minimum "
+                f"{min_norm:.3e} at {n}, in {e.render()}"
             )
-        for n in levels:
-            min_norm, row = _min_norm(node.f, node.g, n, _Level(dim, n))
-            bound = _blend_bound(node, inner, min_norm, n)
-            if bound is not None and _WRAP[dim] * bound <= n:
-                break
-            if min_norm <= BLEND_MIN_NORM:
-                raise InvalidBlend(
-                    f"blend denominator {min_norm:.3e} at t=0.5 near "
-                    f"{grid_node(dim, n, row)} in {node.render()}"
-                )
-            best = _blend_bound(node, inner, min_norm, last)
-            if best is None or _WRAP[dim] * best > last:
-                raise ResolutionExceeded(
-                    f"blend proven at no level up to {last}, segment minimum "
-                    f"{min_norm:.3e} at {n}, in {node.render()}"
-                )
-        bounds[id(node)] = bound
-    return _lipschitz(e, bounds)
+    if degrees[0] != degrees[1]:
+        raise ConsistencyError(
+            f"checked blend joins structural degrees {degrees[0]} and {degrees[1]} "
+            f"in {e.render()}"
+        )
+    return bound, degrees[0]
 
 
 def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
@@ -498,21 +489,20 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     Every map takes one route: the blend check, then one pass at the
     level its Lipschitz bound proves, which must confirm the map's
     structural degree, each checked blend taking its children's
-    (_structural). A disagreement raises SymbolicNumericMismatch and is
-    always a bug, never silently preferred away.
+    (check_blend_validity). A disagreement raises SymbolicNumericMismatch
+    and is always a bug, never silently preferred away.
     """
     return _checked_degree(e, params)[0]
 
 
 def _checked_degree(e: MapExpr, params: DegreeParams) -> tuple[DegreeResult, float]:
-    """degree(e, params) and e's Lipschitz bound, the one its blend check returns."""
-    bound = check_blend_validity(e, params)
-    n, sd = _proven_level(bound, params, e)
-    return _degree(e, _Level(e.dim, n), sd), bound
+    """degree(e, params) and e's Lipschitz bound, both from the one blend check's walk."""
+    bound, sd = check_blend_validity(e, params)
+    return _degree(e, _Level(e.dim, _proven_level(bound, params, e.dim)), sd), bound
 
 
 def _degree(e: MapExpr, level: _Level, sd: int) -> DegreeResult:
-    """degree(e) from one raw pass at _proven_level's n, the level's, checked against its sd.
+    """degree(e) from one raw pass at _proven_level's n, the level's, checked against sd.
 
     The pass, winding on S1 and simplicial on S2, returns (raw degree,
     largest image step or edge angle) from the map's values on one grid,
@@ -521,8 +511,8 @@ def _degree(e: MapExpr, level: _Level, sd: int) -> DegreeResult:
     below pi/3, and n >= pi*L bands every image edge below pi/2, so the
     sum is the degree (Stenger 1975, Kearfott 1979). A guard over
     STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
-    there is a bug (ConsistencyError), and so is an integer other than sd
-    (SymbolicNumericMismatch).
+    there is a bug (ConsistencyError), and so is an integer other than sd,
+    e's structural degree from check_blend_validity (SymbolicNumericMismatch).
     """
     method, one_pass, n = *_PASSES[e.dim], level.n
     raw, step = one_pass(level.values(e), n)
@@ -556,7 +546,7 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
     params = DegreeParams()
-    slope = check_blend_validity(f, params) + check_blend_validity(g, params)
+    slope = check_blend_validity(f, params)[0] + check_blend_validity(g, params)[0]
     if resolution is None:
         resolution = params.grid_for(f.dim)
     return _sup_distance(f, g, resolution, None, slope)
@@ -584,11 +574,11 @@ def _ball_distance(
     """A ball certificate's distance from f0 to g, proven below BALL_RADIUS, and degree(g).
 
     bound0 is L_f, f0's blend check's bound. g's blend check runs first,
-    for L_g. The levels sampled are g's degree level alone where f0 and
-    g are chains of perturbs over a common map whose chord bound
-    (_chord_bound) is below 1, since that bound proves the distance at
-    any level, and _proven_level refuses the level before anything is
-    sampled. Elsewhere they are the levels _levels lists up to
+    for L_g and g's structural degree. The levels sampled are g's degree
+    level alone where f0 and g are chains of perturbs over a common map
+    whose chord bound (_chord_bound) is below 1, since that bound proves
+    the distance at any level, and _proven_level refuses the level before
+    anything is sampled. Elsewhere they are the levels _levels lists up to
     geometry.finest where (L_f + L_g) * mesh is below 1, since no other
     can prove the distance; where none is, as for a sum that is not
     finite, the call is refused with DistanceTooLarge before sampling.
@@ -603,13 +593,13 @@ def _ball_distance(
     map is evaluated at most once per resolution.
     """
     dim = g.dim
-    bound = check_blend_validity(g, params)
+    bound, sd = check_blend_validity(g, params)
     slope = bound0 + bound
     chord = _chord_bound(f0, g)
     proven = None
     if chord is not None and chord < BALL_RADIUS:
-        proven = _proven_level(bound, params, g)
-        levels = [proven[0]]
+        proven = _proven_level(bound, params, dim)
+        levels = [proven]
     else:
         budget = _levels(params, dim, geometry.finest(dim))
         levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
@@ -633,7 +623,7 @@ def _ball_distance(
                 f"up to {levels[-1]} at {floor:.6f} or more, not below {BALL_RADIUS}; "
                 "the ball argument does not apply (inconclusive)"
             )
-    n, sd = proven or _proven_level(bound, params, g)
+    n = proven or _proven_level(bound, params, dim)
     if n != level.n:
         level = _Level(dim, n)  # the distance level is dropped before g's grid is built
     return dist, _degree(g, level, sd)

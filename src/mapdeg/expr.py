@@ -51,14 +51,16 @@ class MapExpr:
     def symbolic_degree(self) -> int | None:
         """Structural degree from the AST alone, or None for a map with a blend.
 
-        A blend's needs its check's samples (degree._structural).
+        A blend's needs its check's samples (degree.check_blend_validity).
         """
         return self._symbolic([c.symbolic_degree() for c in self.children()])
 
     def _symbolic(self, inner: list[int | None]) -> int | None:
         """The map's degree from its children's, in children() order.
 
-        The one set of degree rules: symbolic_degree and degree._structural apply it.
+        The one set of degree rules: symbolic_degree applies it to the
+        AST's degrees, and degree.check_blend_validity to degrees that give
+        each checked blend its children's.
         """
         raise NotImplementedError
 
@@ -77,8 +79,8 @@ class MapExpr:
         """The map's bound from its children's, in children() order.
 
         The one set of composition rules: lipschitz_bound applies it to
-        the AST's bounds, and the degree module to bounds that give each
-        blend its sampled one.
+        the AST's bounds, and degree.check_blend_validity, in the same
+        walk as _symbolic, to bounds that give each blend its sampled one.
         """
         raise NotImplementedError
 
@@ -509,13 +511,6 @@ class Perturb(MapExpr):
         if not floor > 0.0:
             return math.inf
         return (b + self.eps * self._field.lipschitz_bound()) / floor
-
-
-def walk(e: MapExpr):
-    """Yield e and all of its sub-expressions, depth first."""
-    yield e
-    for child in e.children():
-        yield from walk(child)
 
 
 class _Reading:

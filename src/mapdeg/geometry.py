@@ -2,9 +2,8 @@
 
 Row-wise normalization of arrays, and the sample nodes every pass reads:
 make_grid lays them out as a fresh array of unit rows, grid_blocks yields
-the same rows a block of whole rings at a time, grid_node computes one of
-them alone, and mesh bounds how far any point of the sphere lies from
-them. All operations are pure functions.
+the same rows a block of whole rings at a time, and mesh bounds how far
+any point of the sphere lies from them. All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -79,17 +78,6 @@ def grid_blocks(dim: int, resolution: int) -> Iterator[np.ndarray]:
     trig, step = _ring_trig(resolution), max(1, BLOCK_ROWS // (2 * resolution))
     for lo in range(0, resolution + 1, step):
         yield _rings(resolution, trig, lo, min(lo + step, resolution + 1))
-
-
-def grid_node(dim: int, resolution: int, row: int) -> tuple[float, ...]:
-    """make_grid(dim, resolution)[row], computed from its own ring alone."""
-    if dim == 1:
-        return tuple(_arc(resolution, row, row + 1)[0].tolist())
-    m = 2 * resolution
-    ring = min(resolution, (row + m - 1) // m)  # 0 and n are the poles
-    first = 0 if ring == 0 else 1 + (ring - 1) * m
-    block = _rings(resolution, _ring_trig(resolution), ring, ring + 1)
-    return tuple(block[row - first].tolist())
 
 
 def _check_grid(dim: int, resolution: int) -> None:

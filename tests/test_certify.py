@@ -568,15 +568,16 @@ class TestCoarseFirst:
 
     def certify(self, bound_g, seen, dim=2, params=DegreeParams()):
         """ball_certificate of a slight turn, by 0.01 rad, of a base with
-        L_f = 2, its subject's check bound replaced by bound_g; the
-        distance levels it samples are appended to seen. A turn is no
-        perturbation, so its distance is searched."""
+        L_f = 2, its subject's check bound replaced by bound_g (its
+        structural degree kept); the distance levels it samples are
+        appended to seen. A turn is no perturbation, so its distance is
+        searched."""
         f0 = parse("(susp (pow 2))" if dim == 2 else "(pow 2)")
         g = Compose(Rot3((0.0, 0.0, 1.0), 0.01) if dim == 2 else Rot(0.01), f0)
         check = degree_module.check_blend_validity
 
         def bound(e, *args):
-            return bound_g if e is g else check(e, *args)
+            return (bound_g, g.symbolic_degree()) if e is g else check(e, *args)
 
         with mock.patch.object(degree_module, "check_blend_validity", bound), self.sampling(seen):
             return ball_certificate(f0, g, params)

@@ -41,7 +41,6 @@ from mapdeg.degree import (
     _Level,
     _min_norm,
     _proven_level,
-    _structural,
     _sup_distance,
     check_blend_validity,
     pair_distance,
@@ -290,13 +289,14 @@ class TestSimplicial:
         for k, turn, checks, level in cases:
             e = _turned(k, turn)
             check_rows_seen.clear()
-            bound = check_blend_validity(e, DegreeParams())
+            bound, sd = check_blend_validity(e, DegreeParams())
             assert check_rows_seen == [2 * n * (n - 1) + 2 for n in checks]
             assert level == max(8, math.ceil(math.pi * bound))
             res = degree(e)
             assert (res.value, res.resolution) == (k, level)
+            assert _proven_level(bound, DegreeParams(), e.dim) == level
             # the checked blend takes the degree of both its ends
-            assert _proven_level(bound, DegreeParams(), e) == (level, e.f.symbolic_degree())
+            assert sd == e.f.symbolic_degree() == e.g.symbolic_degree()
 
     def test_edge_guard_refuses_a_level_the_raw_values_accept(self, monkeypatch):
         # 8 bands carry 16 longitudes, so (susp (pow 5)) turns an equator
@@ -380,17 +380,29 @@ class TestProvenLevel:
         res = degree(e)
         assert res.value == e.symbolic_degree()
         assert res.residual < 1e-6
-        level = _proven_level(e.lipschitz_bound(), DegreeParams(), e)
-        assert (res.resolution, res.value) == level
+        level = _proven_level(e.lipschitz_bound(), DegreeParams(), e.dim)
+        assert (res.resolution, res.value) == (level, e.symbolic_degree())
 
-    @pytest.mark.parametrize("bound", [math.inf, math.nan])
-    def test_a_bound_that_is_not_finite_is_refused_before_the_structural_degree(
-        self, monkeypatch, bound
+    @pytest.mark.parametrize(
+        ("bound", "text"),
+        [
+            # 2.0 ** 1100 overflows to inf
+            (math.inf, "(iterate 1100 (pow 2))"),
+            # inf * 0 is NaN
+            (math.nan, "(compose (iterate 1100 (pow 2)) (pow 0))"),
+        ],
+    )
+    def test_a_bound_that_is_not_finite_is_refused_before_anything_is_sampled(
+        self, monkeypatch, bound, text
     ):
-        monkeypatch.setattr(Pow, "_symbolic", lambda self, inner: pytest.fail("computed"))
+        monkeypatch.setattr(degree_module, "eval_array", lambda *args, **kw: pytest.fail("read"))
         last = f"above the last level {_last_level(DegreeParams(), 1)},"
         with pytest.raises(ResolutionExceeded, match=f"needs resolution {bound}, {last}"):
-            _proven_level(bound, DegreeParams(), parse("(pow 2)"))
+            _proven_level(bound, DegreeParams(), 1)
+        e = parse(text)
+        assert repr(e.lipschitz_bound()) == repr(bound)
+        with pytest.raises(ResolutionExceeded, match=f"needs resolution {bound}, {last}"):
+            degree(e)
 
     @pytest.mark.parametrize(
         "text",
@@ -407,6 +419,16 @@ class TestProvenLevel:
         with pytest.raises(ResolutionExceeded, match=rf"^map needs resolution \S+, {last}"):
             degree(parse(text))
 
+    @settings(deadline=None)
+    @given(st.one_of(S1_TREES, S2_TREES))
+    def test_a_map_without_a_blend_is_checked_by_its_ast_alone(self, e):
+        # the walk applies the AST's rules to every node, and samples nothing
+        with mock.patch.object(degree_module, "eval_array", side_effect=AssertionError):
+            assert check_blend_validity(e, DegreeParams()) == (
+                e.lipschitz_bound(),
+                e.symbolic_degree(),
+            )
+
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(S1_WITH_BLENDS, S2_WITH_BLENDS))
     def test_every_degree_is_the_checked_structural_degree(self, e):
@@ -417,13 +439,13 @@ class TestProvenLevel:
             res = degree(e)
         except (ResolutionExceeded, InvalidBlend):
             return
-        assert res.value == _structural(e)
+        assert res.value == check_blend_validity(e, DegreeParams())[1]
         assert res.value == _ends(e, "f").symbolic_degree() == _ends(e, "g").symbolic_degree()
 
     def test_a_checked_blend_whose_ends_disagree_is_a_bug(self, monkeypatch):
         # (pow 2) and (pow 3) are antipodal at angle pi, so their segment
         # pinches; a check that wrongly accepts it leaves a blend with no
-        # common degree, which is refused before any pass is read
+        # common degree, which the check itself refuses, so no pass is read
         e = parse("(blend 0.5 (pow 2) (pow 3))")
         with pytest.raises(InvalidBlend):
             degree(e)
@@ -431,7 +453,16 @@ class TestProvenLevel:
         monkeypatch.setitem(
             degree_module._PASSES, 1, ("winding", lambda *args: pytest.fail("read"))
         )
-        assert check_blend_validity(e, DegreeParams()) < 3.0
+        bounds, blend_bound = [], degree_module._blend_bound
+
+        def accepted(*args):
+            bounds.append(blend_bound(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(degree_module, "_blend_bound", accepted)
+        with pytest.raises(ConsistencyError, match="structural degrees 2 and 3 in"):
+            check_blend_validity(e, DegreeParams())
+        assert len(bounds) == 1 and bounds[0] < 3.0
         with pytest.raises(ConsistencyError, match="structural degrees 2 and 3 in"):
             degree(e)
         with pytest.raises(ConsistencyError, match="structural degrees 2 and 3 in"):
@@ -472,10 +503,10 @@ class TestProvenLevel:
             res = degree(e)
         except ResolutionExceeded:
             assume(False)
-        bound = check_blend_validity(e, DegreeParams())
+        bound, sd = check_blend_validity(e, DegreeParams())
         assert res.value == e.f.symbolic_degree() == e.g.symbolic_degree()
         assert res.residual < 1e-6
-        assert _proven_level(bound, DegreeParams(), e) == (res.resolution, res.value)
+        assert (_proven_level(bound, DegreeParams(), e.dim), sd) == (res.resolution, res.value)
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(S1_TREES, S2_TREES, S1_WITH_BLENDS, S2_WITH_BLENDS))
@@ -499,7 +530,7 @@ class TestProvenLevel:
             res = degree(e)
         except (ResolutionExceeded, InvalidBlend):
             return
-        bound = check_blend_validity(e, params)
+        bound, _ = check_blend_validity(e, params)
         first, wrap = params.initial_for(e.dim), 2 * math.pi / e.dim
         need = math.ceil(wrap * bound)
         assert res.resolution == max(need, geometry.MIN_RESOLUTION)
@@ -586,7 +617,7 @@ class TestDegreeDispatch:
         # samples but not of the 256-sample grid, whose m = sin(pi/256)
         # proves nothing: the check doubles and refuses at 512
         e = parse("(blend 0.5 (pow 1) (compose (rot -3.117048960983623) (pow -1)))")
-        x, _ = geometry.grid_node(1, 512, 1)
+        x = geometry.make_grid(1, 512)[1].tolist()[0]
         with pytest.raises(InvalidBlend, match=rf"denominator 1.908e-17 at t=0.5 near \({x}"):
             degree(e)
         assert check_rows_seen == [256, 512]
@@ -600,6 +631,34 @@ class TestDegreeDispatch:
         with pytest.raises(InvalidBlend, match=point + re.escape(inner) + "$"):
             degree(e)
         assert check_rows_seen == [8066]
+
+    @pytest.mark.parametrize(
+        ("text", "named"),
+        [
+            (
+                "(compose (blend 0.5 (pow 2) (pow 3)) (blend 0.5 (pow 1) (antipode 1)))",
+                "(blend 0.5 (pow 1) (antipode 1))",
+            ),
+            (
+                "(compose (blend 0.5 (blend 0.5 (pow 1) (antipode 1)) (pow 2)) "
+                "(blend 0.5 (pow 2) (pow 3)))",
+                "(blend 0.5 (pow 2) (pow 3))",
+            ),
+        ],
+    )
+    def test_sibling_blends_are_checked_right_to_left(self, check_rows_seen, text, named):
+        # children are checked right to left, each after the blends
+        # within it, so both right siblings are checked, and refused at
+        # their first level, before any blend on the left is sampled
+        with pytest.raises(InvalidBlend) as refused:
+            degree(parse(text))
+        first = DegreeParams().initial_for(1)
+        assert check_rows_seen == [first]
+        blend, X = parse(named), geometry.make_grid(1, first)
+        low, row = pair_min_norm(eval_array(blend.f, X), eval_array(blend.g, X))
+        assert str(refused.value) == (
+            f"blend denominator {low:.3e} at t=0.5 near {tuple(X[row].tolist())} in {named}"
+        )
 
     @pytest.mark.parametrize(
         ("text", "last", "rows"),
@@ -763,7 +822,7 @@ class TestSupDistance:
         assert bounded.rigorous == bounded.sampled_max + slope * mesh
         # a blend's constant comes from its check
         blend = parse("(blend 0.5 (pow 2) (perturb 5 0.4 (pow 2)))")
-        slope = f.lipschitz_bound() + check_blend_validity(blend, DegreeParams())
+        slope = f.lipschitz_bound() + check_blend_validity(blend, DegreeParams())[0]
         est = sup_distance(f, blend, 512)
         assert est.rigorous == est.sampled_max + slope * mesh
         # a bound that overflows gives none, and a pinched blend is refused
@@ -775,7 +834,7 @@ class TestSupDistance:
     @given(st.one_of(S1_BLENDS, S2_BLENDS))
     def test_a_blend_its_check_proves_has_a_rigorous_distance(self, e):
         try:
-            bound = check_blend_validity(e, DegreeParams())
+            bound, _ = check_blend_validity(e, DegreeParams())
         except ResolutionExceeded:
             assume(False)
         est = sup_distance(e.f, e)
@@ -831,6 +890,9 @@ class TestStreamedDistance:
             ("(id 1)", "(antipode 1)", 300),  # every row ties at 0
             ("(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))", 128),
             ("(id 2)", "(rot3 0 0 1 3.0)", 64),  # the equator ring is lowest
+            ("(pow 2)", "(pow 3)", 32),  # antipodal at the angle pi
+            ("(id 2)", "(antipode 2)", 9),  # ties from the north pole on
+            ("(susp (pow 2))", "(susp (pow 3))", 33),  # antipodal at the longitude pi
         ],
     )
     def test_streamed_min_norm_is_the_whole_array_min_at_its_first_row(
@@ -838,11 +900,14 @@ class TestStreamedDistance:
     ):
         f, g = parse(f), parse(g)
         X = geometry.make_grid(f.dim, n)
-        want = pair_min_norm(eval_array(f, X), eval_array(g, X))
+        low, row = pair_min_norm(eval_array(f, X), eval_array(g, X))
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
-        assert _min_norm(f, g, n) == want
-        # a held level is read whole, and gives the same
-        assert _min_norm(f, g, n, _Level(f.dim, n)) == want
+        # streamed, or held and read whole: the same minimum, at the
+        # grid's node of its first row, bit for bit
+        for held in (None, _Level(f.dim, n)):
+            got, point = _min_norm(f, g, n, held)
+            assert got == low
+            assert np.array(point).tobytes() == X[row].tobytes()
 
     def test_held_values_are_read_and_keep_the_second_map(self):
         f, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
@@ -892,7 +957,7 @@ class TestLipschitzBound:
         # level proves has none to test
         try:
             params = DegreeParams(initial_resolution=resolution)
-            bound = check_blend_validity(e, params)
+            bound, _ = check_blend_validity(e, params)
         except ResolutionExceeded:
             return
         assert _largest_quotient(e, seed) <= bound * (1.0 + 1e-9)

@@ -21,7 +21,6 @@ from mapdeg.geometry import (
     MAX_ROWS,
     finest,
     grid_blocks,
-    grid_node,
     mesh,
     normalize_rows,
 )
@@ -195,7 +194,7 @@ class TestMakeGrid:
 
 
 class TestGridBlocks:
-    """grid_blocks and grid_node compute make_grid's rows without the whole grid."""
+    """grid_blocks computes make_grid's rows without the whole grid."""
 
     @pytest.mark.parametrize("block_rows", [None, 1, 700])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -225,21 +224,6 @@ class TestGridBlocks:
         with pytest.raises(DimensionMismatch):
             next(grid_blocks(3, 64))
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("n", [8, 9, 32, 33])
-    def test_one_node_is_the_grid_row_bit_for_bit(self, dim, n):
-        grid = make_grid(dim, n)
-        for row, want in enumerate(grid):
-            assert np.array(grid_node(dim, n, row)).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [255, 256])
-    def test_poles_and_ring_ends_at_finer_levels(self, n):
-        grid, m = make_grid(2, n), 2 * n
-        rows = [0, 1, m, m + 1, len(grid) // 2, len(grid) - m - 1, len(grid) - 2, len(grid) - 1]
-        for row in rows:
-            assert np.array(grid_node(2, n, row)).tobytes() == grid[row].tobytes()
-        assert grid_node(2, n, 0) == (0.0, 0.0, 1.0)
-        assert grid_node(2, n, len(grid) - 1) == (0.0, 0.0, -1.0)
 
 def nearest_node_distance(dim: int, n: int, points: np.ndarray) -> np.ndarray:
     """Chordal distance from each unit row of `points` to its nearest make_grid node."""
