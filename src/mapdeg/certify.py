@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .degree import (
+    _GRID,
     BALL_RADIUS,
     DegreeParams,
     DegreeResult,
@@ -192,13 +193,14 @@ def homotopy_check(
     Reports the minimum of |(1-t) f0(x) + t g(x)| over grid nodes x and
     all t in [0, 1], taken exactly at t = 1/2; the homotopy is valid iff
     that minimum stays above HOMOTOPY_MIN_NORM, at the first node that
-    reaches it (argmin_point). The level is streamed (degree._min_norm),
-    so its memory does not grow with the level, and a perturbation of f0
+    reaches it (argmin_point). `resolution` defaults to degree._GRID, 256
+    samples or 128 bands. The level is streamed (degree._min_norm), so
+    its memory does not grow with the level, and a perturbation of f0
     evaluates its field alone.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    n = resolution if resolution is not None else DegreeParams().grid_for(f0.dim)
+    n = resolution if resolution is not None else _GRID[f0.dim]
     min_norm, point = _min_norm(f0, g, n)
     return HomotopyReport(
         valid=min_norm > HOMOTOPY_MIN_NORM,

@@ -3,12 +3,14 @@
 Five subcommands: degree, certify, distance, homotopy, experiment. degree
 and certify read expressions inline (-e) or one per line from a file (-f,
 '#' lines are comments); distance and homotopy read one pair (-a, -b);
-experiment generates its samples. One report loop, _report, runs every
-input, prints its report line on stdout in input order (JSON unless
---no-json) and counts its outcome. From those counts each command prints
-a short summary to stderr and picks its exit code: 0 means every line
-succeeded (and, for experiment, nothing was refused), 1 that some did
-not, and 2 a usage error.
+experiment generates its samples. distance and homotopy take --resolution,
+the density of their one grid; the other three take --max-resolution, the
+cap of every degree level. One report loop, _report, runs every input,
+prints its report line on stdout in input order (JSON unless --no-json)
+and counts its outcome. From those counts each command prints a short
+summary to stderr and picks its exit code: 0 means every line succeeded
+(and, for experiment, nothing was refused), 1 that some did not, and 2 a
+usage error.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ from .expr import Perturb, Pow, Susp, parse
 
 
 def _params_from(args) -> DegreeParams:
-    return DegreeParams(
-        initial_resolution=args.resolution,
-        max_resolution=args.max_resolution,
-    )
+    return DegreeParams(max_resolution=args.max_resolution)
 
 
 def _report(command: str, jobs, as_json: bool) -> Counter:
@@ -100,14 +99,14 @@ def _cmd_per_line(args, compute) -> int:
 def _cmd_pair(args, compute) -> int:
     """One report line for the maps -a and -b; compute(f, g, n) is the result.
 
-    n is the grid resolution: --resolution, or the default grid of the
-    maps' sphere.
+    n is the grid resolution: --resolution, or None for the default grid
+    of the maps' sphere. A resolution below 8 is a usage error.
     """
-    params = DegreeParams(initial_resolution=args.resolution)
+    if args.resolution is not None and args.resolution < 8:
+        raise ValueError("resolution must be >= 8")
 
     def run():
-        f, g = parse(args.a), parse(args.b)
-        return compute(f, g, params.grid_for(f.dim))
+        return compute(parse(args.a), parse(args.b), args.resolution)
 
     (outcome,) = _report(args.command, [(f"{args.a} | {args.b}", run, {})], args.json)
     print(f"{args.command}: {outcome}", file=sys.stderr)
@@ -170,12 +169,12 @@ def _cmd_experiment(args) -> int:
     return 0 if counts["ok"] == counts.total() else 1
 
 
-def _add_common(p: argparse.ArgumentParser, computes_degree: bool) -> None:
-    """--resolution and --json; --max-resolution if `computes_degree`."""
-    p.add_argument("--resolution", type=int, default=None, help="first level; grid density")
-    if computes_degree:
-        text = "resolution cap; a degree level is at most half of it or of the finest grid"
-        p.add_argument("--max-resolution", type=int, default=None, help=text)
+_CAP_HELP = "resolution cap; a degree level is at most half of it or of the finest grid"
+
+
+def _add_common(p: argparse.ArgumentParser, flag: str, text: str) -> None:
+    """The command's one resolution flag, `flag`, and --json."""
+    p.add_argument(flag, type=int, default=None, help=text)
     p.add_argument(
         "--json",
         action=argparse.BooleanOptionalAction,
@@ -201,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("-e", "--expr", help="inline s-expression")
         group.add_argument("-f", "--file", help="file with one expression per line")
-        _add_common(p, computes_degree=True)
+        _add_common(p, "--max-resolution", _CAP_HELP)
         p.set_defaults(func=functools.partial(_cmd_per_line, compute=compute))
 
     for name, compute, text in (
@@ -209,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("homotopy", homotopy_check, "straight-line homotopy validity report"),
     ):
         p = sub.add_parser(name, help=text)
-        _add_common(p, computes_degree=False)
+        _add_common(p, "--resolution", "grid density")
         p.add_argument("-a", required=True, help="first expression")
         p.add_argument("-b", required=True, help="second expression")
         p.set_defaults(func=functools.partial(_cmd_pair, compute=compute))
@@ -218,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="ball certificates for random perturbations of a degree-2 base map",
     )
-    _add_common(p, computes_degree=True)
+    _add_common(p, "--max-resolution", _CAP_HELP)
     p.add_argument("--seed", type=int, default=1, help="master seed")
     p.add_argument("--dim", type=int, choices=(1, 2), required=True)
     p.add_argument("--count", type=int, required=True)

@@ -50,51 +50,47 @@ _PROVEN_RESIDUAL = 1e-6
 #: on S2 (_proven_level, _degree).
 _WRAP = {1: _TWO_PI, 2: math.pi}
 
+#: The first level of a coarse-first search (_levels): 256 samples, 64
+#: bands. No cap is below its double (DegreeParams.max_for), and neither
+#: is geometry.finest, so every search lists at least one level.
+_FIRST = {1: 256, 2: 64}
+
+#: The grid sup_distance and homotopy_check sample where no resolution
+#: is given: 256 samples, 128 bands.
+_GRID = {1: 256, 2: 128}
+
 #: Radius of the ball around a base map inside which a ball certificate's
 #: argument works: the distance _ball_distance proves stays below it.
 BALL_RADIUS = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DegreeParams:
-    """Knobs for the degree computations.
+    """The resolution cap of the degree computations, keyword-only.
 
-    Resolutions left as None fall back to per-dimension defaults. A
-    degree is read at the level its bound proves (_proven_level),
-    whatever the first level (initial_for), up to the last level
-    (_last_level): half the cap (max_for) or half geometry.finest,
-    whichever is less, so 8192 samples and 512 bands by default and
-    never above 724 bands. Blend checks sample from the first level to
-    the last, and a ball certificate's searched distance from the first
-    level to the finest grid. A given initial resolution also sets the
-    density of the distance and homotopy grids (grid_for).
+    A cap left as None falls back to a per-dimension default. A degree
+    is read at the level its bound proves (_proven_level), up to the
+    last level (_last_level): half the cap (max_for) or half
+    geometry.finest, whichever is less, so 8192 samples and 512 bands
+    by default and never above 724 bands. Blend checks sample from the
+    first level, _FIRST, to the last, and a ball certificate's searched
+    distance from the first level to the finest grid.
     """
 
-    initial_resolution: int | None = None
     max_resolution: int | None = None
 
-    _DEFAULT_INITIAL: ClassVar[dict[int, int]] = {1: 256, 2: 64}
     _DEFAULT_MAX: ClassVar[dict[int, int]] = {1: 16384, 2: 1024}
-    _DEFAULT_GRID: ClassVar[dict[int, int]] = {1: 256, 2: 128}
 
     def __post_init__(self):
-        if self.initial_resolution is not None and self.initial_resolution < 8:
-            raise ValueError("initial resolution must be >= 8")
         if self.max_resolution is not None and self.max_resolution < 8:
             raise ValueError("max resolution must be >= 8")
 
-    def initial_for(self, dim: int) -> int:
-        return self.initial_resolution or self._DEFAULT_INITIAL[dim]
-
     def max_for(self, dim: int) -> int:
+        """The cap, never below twice the first level: 512 samples, 128 bands."""
         configured = self.max_resolution
         if configured is None:
             configured = self._DEFAULT_MAX[dim]
-        return max(configured, 2 * self.initial_for(dim))
-
-    def grid_for(self, dim: int) -> int:
-        """Resolution of the grids that sample distances and homotopies."""
-        return self.initial_resolution or self._DEFAULT_GRID[dim]
+        return max(configured, 2 * _FIRST[dim])
 
 
 @dataclass(frozen=True)
@@ -158,30 +154,25 @@ def _last_level(params: DegreeParams, dim: int) -> int:
     return min(params.max_for(dim), geometry.finest(dim)) // 2
 
 
-def _above_last(params: DegreeParams, dim: int) -> str:
-    """A refusal's reason: above _last_level, with the two numbers it halves the smaller of."""
-    return (
-        f"above the last level {_last_level(params, dim)}, half the smaller of the cap "
-        f"{params.max_for(dim)} and the finest grid {geometry.finest(dim)} within "
-        f"{geometry.MAX_ROWS} sample rows"
-    )
-
-
 def _proven_level(bound: float, params: DegreeParams, dim: int) -> int:
     """The one level a map of Lipschitz bound `bound` is read at, where _degree's pass is a proof.
 
     Sampling a map that wraps K times with fewer than ~2*pi*K nodes can
     alias to a convincing but wrong winding, so a map is read at
     n = ceil(need), need = 2*pi*L samples on S1 or pi*L bands on S2 and
-    at least MIN_RESOLUTION, whether or not it has a blend, and whatever
-    the first level. The only place a degree level is refused
-    (ResolutionExceeded): a need above _last_level or NaN, before
-    anything is sampled at the map's level.
+    at least MIN_RESOLUTION, whether or not it has a blend. The only
+    place a degree level is refused (ResolutionExceeded): a need above
+    _last_level or NaN, before anything is sampled at the map's level.
     """
     need = max(_WRAP[dim] * bound, geometry.MIN_RESOLUTION)  # max(nan, n) is nan
-    if not need <= _last_level(params, dim):
+    last = _last_level(params, dim)
+    if not need <= last:
         shown = math.ceil(need) if math.isfinite(need) else need
-        raise ResolutionExceeded(f"map needs resolution {shown}, {_above_last(params, dim)}")
+        raise ResolutionExceeded(
+            f"map needs resolution {shown}, above the last level {last}, half the smaller "
+            f"of the cap {params.max_for(dim)} and the finest grid {geometry.finest(dim)} "
+            f"within {geometry.MAX_ROWS} sample rows"
+        )
     return math.ceil(need)
 
 
@@ -388,20 +379,20 @@ def _blend_bound(node: Blend, inner: list[float], min_norm: float, n: int) -> fl
     return ((1.0 - node.t) * lf + node.t * lg) / floor
 
 
-def _levels(params: DegreeParams, dim: int, last: int) -> list[int]:
-    """The levels of a coarse-first search: initial_for(dim) and each double, up to last.
+def _levels(dim: int, last: int) -> list[int]:
+    """The levels of a coarse-first search: _FIRST[dim] and each double, up to last.
 
     last is _last_level for a blend check and geometry.finest for a ball
-    certificate's searched distance (_ball_distance). Where the first
-    level is above it, none is listed, and the caller refuses before
-    sampling. Both sample these in order and accept at the first level
-    that proves what they check. Both stop by one rule: a finer level's
-    nodes include the coarser ones, so a sampled minimum only falls and
-    a sampled maximum only rises, and a level whose sample cannot prove
-    even the last level rules out every level after it. The search is
-    refused there, with what it sampled.
+    certificate's searched distance (_ball_distance), both at least
+    _FIRST[dim], so at least one level is listed. Both sample these in
+    order and accept at the first level that proves what they check.
+    Both stop by one rule: a finer level's nodes include the coarser
+    ones, so a sampled minimum only falls and a sampled maximum only
+    rises, and a level whose sample cannot prove even the last level
+    rules out every level after it. The search is refused there, with
+    what it sampled.
     """
-    levels, n = [], params.initial_for(dim)
+    levels, n = [], _FIRST[dim]
     while n <= last:
         levels.append(n)
         n *= 2
@@ -423,10 +414,10 @@ def check_blend_validity(e: MapExpr, params: DegreeParams) -> tuple[float, int]:
     the levels _levels lists up to _last_level: the first level whose
     bound proves the blend there or coarser accepts it, and the first
     whose nodes pinch raises InvalidBlend. A blend no listed level proves
-    is refused (ResolutionExceeded): before sampling where none is listed
-    or where (1-t) L_f + t L_g, its bound at m_rig = 1, rules the last
-    out, and by _levels' stop rule at the first level whose segment
-    minimum m does, by m - (L_f + L_g)/2 * mesh(last). A checked blend's
+    is refused (ResolutionExceeded): before sampling where
+    (1-t) L_f + t L_g, its bound at m_rig = 1, rules the last out, and by
+    _levels' stop rule at the first level whose segment minimum m does,
+    by m - (L_f + L_g)/2 * mesh(last). A checked blend's
     segment never pinches, so it is homotopic to both children and takes
     their common degree; children that disagree are a bug
     (ConsistencyError).
@@ -446,12 +437,7 @@ def _check(e: MapExpr, params: DegreeParams) -> tuple[float, int]:
     if not isinstance(e, Blend):
         return e._bound(bounds), e._symbolic(degrees)
     dim = e.dim
-    levels = _levels(params, dim, _last_level(params, dim))
-    if not levels:
-        raise ResolutionExceeded(
-            f"blend check needs resolution {params.initial_for(dim)} or more, "
-            f"{_above_last(params, dim)}, in {e.render()}"
-        )
+    levels = _levels(dim, _last_level(params, dim))
     last = levels[-1]
     need = _WRAP[dim] * ((1.0 - e.t) * bounds[0] + e.t * bounds[1])  # m_rig <= 1
     if not need <= last:
@@ -541,14 +527,14 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     where neither map can have moved by more than its constant times
     mesh. rigorous is the smaller of it and the chord bound where f and g
     are chains of perturbs over a common map (_sup_distance). `resolution`
-    defaults to grid_for(dim).
+    defaults to _GRID[dim].
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
     params = DegreeParams()
     slope = check_blend_validity(f, params)[0] + check_blend_validity(g, params)[0]
     if resolution is None:
-        resolution = params.grid_for(f.dim)
+        resolution = _GRID[f.dim]
     return _sup_distance(f, g, resolution, None, slope)
 
 
@@ -601,14 +587,12 @@ def _ball_distance(
         proven = _proven_level(bound, params, dim)
         levels = [proven]
     else:
-        budget = _levels(params, dim, geometry.finest(dim))
+        budget = _levels(dim, geometry.finest(dim))
         levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
         if not levels:
-            first = params.initial_for(dim)
-            span = f"up to {budget[-1]}, the last" if budget else f"from {first}, none"
             raise DistanceTooLarge(
-                f"Lipschitz bounds sum to {slope:.6g}: no level {span} within the row budget, "
-                "proves the distance"
+                f"Lipschitz bounds sum to {slope:.6g}: no level up to {budget[-1]}, the last "
+                "within the row budget, proves the distance"
             )
     level = _Level(dim, levels[0])
     level.values(f0)  # before g is evaluated there, so that g reads it

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, ParseError
+from .errors import DimensionMismatch, DomainError, ParseError, ResolutionExceeded
 from .geometry import BLOCK_ROWS, NEAR_ZERO, normalize_rows
 
 _TWO_PI = 2.0 * math.pi
@@ -327,7 +327,12 @@ class Compose(MapExpr):
 
 @dataclass(frozen=True)
 class Iterate(MapExpr):
-    """n-fold composition of a map with itself; n = 0 is the identity."""
+    """n-fold composition of a map with itself; n = 0 is the identity.
+
+    A structural degree d**n of more than 2**20 bits is refused
+    (ResolutionExceeded) before it is built: |d**n| <= L, so no level
+    proves it. A parsed map's has at most 53 * EVAL_BUDGET bits.
+    """
 
     n: int
     inner: MapExpr
@@ -347,7 +352,11 @@ class Iterate(MapExpr):
 
     def _symbolic(self, inner):
         (d,) = inner
-        return None if d is None else d**self.n
+        if d is None:
+            return None
+        if self.n * (abs(d).bit_length() - 1) > 2**20:
+            raise ResolutionExceeded(f"degree of {self.render()} has more than 2**20 bits")
+        return d**self.n
 
     def _bound(self, inner):
         (b,) = inner

@@ -248,18 +248,19 @@ class TestBallCertificate:
     def test_succeeds_at_finer_resolutions_too(self):
         f0 = parse("(pow 2)")
         g = parse("(perturb 11 0.45 (pow 2))")
-        coarse = ball_certificate(f0, g, DegreeParams(initial_resolution=256))
-        fine = ball_certificate(f0, g, DegreeParams(initial_resolution=512))
-        assert isinstance(coarse, NonIterateCertificate)
-        assert isinstance(fine, NonIterateCertificate)
-        # denser sampling can only push the estimate up toward the true sup
-        assert fine.ball.distance.sampled_max >= coarse.ball.distance.sampled_max - 1e-12
-        assert fine.ball.distance.sampled_max < 1.0
+        cert = ball_certificate(f0, g)
+        assert isinstance(cert, NonIterateCertificate)
+        # the doubled grid holds every node of the certificate's, so its
+        # sample can only rise toward the true sup, and stays under the
+        # certificate's rigorous bound
+        dist = cert.ball.distance
+        fine = sup_distance(f0, g, 2 * dist.resolution)
+        assert dist.sampled_max - 1e-12 <= fine.sampled_max <= dist.rigorous < 1.0
 
     def test_rigorous_mode(self):
         f0 = parse("(pow 2)")
         g = parse("(perturb 11 0.1 (pow 2))")
-        cert = ball_certificate(f0, g, DegreeParams(initial_resolution=1024))
+        cert = ball_certificate(f0, g)
         assert isinstance(cert, NonIterateCertificate)
         assert cert.ball.distance.sampled_max <= cert.ball.distance.rigorous < 1.0
         # a blend's Lipschitz bound comes from its check, so its distance
@@ -322,20 +323,6 @@ class TestBallCertificate:
             DistanceTooLarge, match=r"0.999999 at 256 leaves every rigorous bound up to 4096"
         ):
             ball_certificate(Pow(2), g)
-
-    def test_an_empty_distance_budget_is_refused_before_sampling(self, monkeypatch):
-        # the base is kept under the real row budget; under 128 rows the
-        # distance's first level, 256 samples, does not fit, so no level
-        # is listed and nothing is sampled. A turn is no perturbation, so
-        # its distance is searched. g's degree level is refused too under
-        # 128 rows, but a searched distance is refused before it, so
-        # DistanceTooLarge wins
-        f0, g = Pow(2), parse("(compose (rot 0.3) (pow 2))")
-        certify_module._kept_base.cache_clear()
-        ball_certificate(f0, g)
-        monkeypatch.setattr(geometry, "MAX_ROWS", 128)
-        with pytest.raises(DistanceTooLarge, match="no level from 256, none within the row"):
-            ball_certificate(f0, g)
 
     def test_sphere_case(self):
         f0 = parse("(susp (pow 2))")
@@ -566,7 +553,7 @@ class TestCoarseFirst:
 
         return mock.patch.object(degree_module, "_sup_distance", spy)
 
-    def certify(self, bound_g, seen, dim=2, params=DegreeParams()):
+    def certify(self, bound_g, seen, dim=2):
         """ball_certificate of a slight turn, by 0.01 rad, of a base with
         L_f = 2, its subject's check bound replaced by bound_g (its
         structural degree kept); the distance levels it samples are
@@ -580,11 +567,11 @@ class TestCoarseFirst:
             return (bound_g, g.symbolic_degree()) if e is g else check(e, *args)
 
         with mock.patch.object(degree_module, "check_blend_validity", bound), self.sampling(seen):
-            return ball_certificate(f0, g, params)
+            return ball_certificate(f0, g)
 
-    def levels(self, bound_g, dim=2, params=DegreeParams()):
+    def levels(self, bound_g, dim=2):
         seen = []
-        assert isinstance(self.certify(bound_g, seen, dim, params), NonIterateCertificate)
+        assert isinstance(self.certify(bound_g, seen, dim), NonIterateCertificate)
         return seen
 
     def test_levels_at_the_thresholds(self):
@@ -597,14 +584,12 @@ class TestCoarseFirst:
         assert self.levels(12.41) == [128]
         assert self.levels(26.81) == [128, 256]
         assert self.levels(26.82) == [256]
-        assert self.levels(0.5) == [64]  # never below initial_for(2)
+        assert self.levels(0.5) == [64]  # never below _FIRST[2]
 
-    def test_circle_and_given_resolutions_start_at_the_initial_level(self):
-        assert self.levels(20.0, dim=1) == [256]  # initial_for(1) == grid_for(1)
-        assert self.levels(40.0, dim=1) == [512]
-        params = DegreeParams(initial_resolution=96)
-        assert self.levels(3.0, params=params) == [96]
-        assert self.levels(20.0, params=params) == [192]
+    def test_circle_levels_start_at_the_first_level(self):
+        assert self.levels(20.0, dim=1) == [degree_module._FIRST[1]]
+        assert self.levels(40.0, dim=1) == [2 * degree_module._FIRST[1]]
+        assert degree_module._FIRST[1] == 256
 
     def test_a_first_level_over_the_row_budget_is_refused_before_sampling(self):
         # 1448 bands fit 2**22 rows; L_f + L_g = 1e5 asks for 2**19 bands
@@ -804,38 +789,40 @@ class TestEvaluationCount:
         assert rows == {}
 
     def test_a_base_no_level_proves_is_refused_before_its_grid(self, rows):
-        # a first level of 1024 bands is above the last level: the base
-        # is read at its own 8 bands all the same, 114 vertices, and g,
-        # whose chord bound proves the distance, at its own 12, 266
-        params = DegreeParams(initial_resolution=1024)
-        assert params.initial_for(2) > _last_level(params, 2)
+        # the base is read at its own 8 bands, 114 vertices, and g, whose
+        # chord bound proves the distance, at its own 12, 266
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
-        cert = ball_certificate(f0, g, params)
+        cert = ball_certificate(f0, g)
         assert (cert.degree.resolution, cert.ball.distance.resolution) == (8, 12)
         assert rows == {(f0.render(), 114): 1, (f0.render(), 266): 1, (g.render(), 266): 1}
-        # a blend base's check samples from the first level, so it is
-        # refused, naming that level, before the base is evaluated anywhere
+        # a blend base whose ends alone need pi * 200 = 629 bands, above
+        # the last level, is refused before the base is evaluated anywhere
         rows.clear()
         certify_module._kept_base.cache_clear()
-        f0 = parse("(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 1.0) (susp (pow 2))))")
-        with pytest.raises(ResolutionExceeded, match="^blend check needs resolution 1024 or more"):
-            ball_certificate(f0, Perturb(4, 0.5, f0), params)
+        f0 = parse("(blend 0.5 (susp (pow 200)) (compose (rot3 0 0 1 1.0) (susp (pow 200))))")
+        last = _last_level(DegreeParams(), 2)
+        with pytest.raises(
+            ResolutionExceeded, match=f"^blend needs resolution 629 or more, above {last}, "
+        ):
+            ball_certificate(f0, Perturb(4, 0.5, f0))
         assert rows == {}
 
     def test_a_chord_subject_refuses_its_degree_level_before_sampling(self, rows):
-        # c(0.85 * M) = 0.52 proves the distance, so the one level sampled
-        # is g's degree level, pi * L_g = 19.8 bands, above half the cap
-        # 16: it is refused before f0 or g is evaluated there, and only
-        # f0's own degree level, 8 bands, 114 vertices, is read
-        f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
-        assert _chord(0.85, 1) < 1.0
-        params = DegreeParams(initial_resolution=8, max_resolution=16)
-        last = _last_level(params, 2)
+        # c(0.05 * M) = 0.036 proves the distance, so the one level sampled
+        # is g's degree level, 2*pi * L_g = 261.0 samples, above the last
+        # level under the lowest cap, 256: it is refused before f0 or g is
+        # evaluated there, and only f0's own degree level, 252, is read
+        f0, g = parse("(pow 40)"), parse("(perturb 1 0.05 (pow 40))")
+        assert _chord(0.05, 1, dim=1) < 1.0
+        params = DegreeParams(max_resolution=8)
+        last = _last_level(params, 1)
+        need, own = (math.ceil(2 * math.pi * e.lipschitz_bound()) for e in (g, f0))
+        assert own <= last < need
         with pytest.raises(
-            ResolutionExceeded, match=f"^map needs resolution 20, above the last level {last}, "
+            ResolutionExceeded, match=f"^map needs resolution {need}, above the last level {last}, "
         ):
             ball_certificate(f0, g, params)
-        assert rows == {(f0.render(), 114): 1}
+        assert rows == {(f0.render(), own): 1}
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
         # pi * L = 11.4 bands: read at 12, 2 + 11 * 24 = 266 vertices
@@ -1066,15 +1053,13 @@ class TestBaseRecord:
             assert self.kept.cache_info().misses == misses
 
     def test_params_are_part_of_the_key(self):
-        # a turn's distance is searched from the first level, 512 here
         f0, g = parse("(pow 2)"), parse("(compose (rot 0.2) (pow 2))")
         ball_certificate(f0, g)
-        fine_params = DegreeParams(initial_resolution=512)
-        fine = ball_certificate(f0, g, fine_params)
-        assert fine.ball.distance.resolution == 512
+        capped = DegreeParams(max_resolution=512)
+        ball_certificate(f0, g, capped)
         assert self.kept.cache_info().misses == 2
         # the certificate's key: a lookup under it is a hit
-        _, _, bound = self.kept(f0.render(), fine_params, f0)
+        _, _, bound = self.kept(f0.render(), capped, f0)
         assert self.kept.cache_info()[:2] == (1, 2)  # hits, misses
         assert bound == 2.0  # its check's bound, the AST's without a blend
 
@@ -1115,23 +1100,22 @@ class TestAdmission:
     @settings(deadline=None, max_examples=40)
     @given(
         st.one_of(S1_TREES, S2_TREES, S1_WITH_BLENDS, S2_WITH_BLENDS),
-        # small first levels too, which the 2**16-row budget admits on S2
-        st.one_of(st.integers(8, 128), st.integers(8, 4096)),
+        # the shipped first levels, and smaller and larger ones whose
+        # double fits the 2**16-row budget: 181 bands on S2
+        st.one_of(
+            st.just({}),
+            st.fixed_dictionaries({1: st.integers(8, 4096), 2: st.integers(8, 90)}),
+        ),
         st.one_of(st.none(), st.integers(8, 2**20)),
         st.integers(0, 2**64 - 1),
         st.floats(0.0, 0.9),
     )
-    # blends whose first level is not admitted: 128 bands fit the budget
-    # but their double does not, and 256 bands do not fit at all
-    @example(parse("(blend 0.5 (susp (pow 2)) (rot3 0 0 1 0.5))"), 128, None, 1, 0.5)
-    @example(parse("(blend 0.5 (susp (pow 2)) (rot3 0 0 1 0.5))"), 256, None, 1, 0.5)
-    def test_every_sampled_level_is_admitted(self, e, initial, cap, seed, eps):
+    def test_every_sampled_level_is_admitted(self, e, first, cap, seed, eps):
         # degree and certify_not_iterate sample only blend check and
         # degree levels, which _last_level bounds; a ball certificate also
         # samples its distance levels, which need only fit the row budget
         # (finest)
-        params = DegreeParams(initial, cap)
-        module = importlib.import_module("mapdeg.degree")
+        params = DegreeParams(max_resolution=cap)
         seen = []
 
         def spy(original):
@@ -1148,8 +1132,9 @@ class TestAdmission:
         ]
         with (
             mock.patch.object(geometry, "MAX_ROWS", 2**16),
-            mock.patch.object(module, "make_grid", spy(module.make_grid)),
-            mock.patch.object(module, "grid_blocks", spy(module.grid_blocks)),
+            mock.patch.dict(degree_module._FIRST, first),
+            mock.patch.object(degree_module, "make_grid", spy(degree_module.make_grid)),
+            mock.patch.object(degree_module, "grid_blocks", spy(degree_module.grid_blocks)),
         ):
             certify_module._kept_base.cache_clear()
             for call, degree_levels_only in calls:

@@ -1,6 +1,7 @@
 import importlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -17,10 +18,6 @@ from mapdeg.degree import DegreeParams, _last_level
 from mapdeg.errors import MapdegError
 from mapdeg.expr import MAX_DEPTH, PerturbationField
 from mapdeg.geometry import finest
-
-#: (susp (pow 2)) blended with itself turned by 1 radian: a blend whose
-#: check samples from the first level.
-_BLEND = "(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 1.0) (susp (pow 2))))"
 
 
 def run_cli(capsys, *argv):
@@ -64,17 +61,20 @@ class TestDegreeCommand:
         assert lines[1]["payload"]["value"] == -3
 
     def test_start_refusal_names_the_rule_it_enforces(self, capsys):
-        # the cap rises to 16, twice --resolution; (pow 2) needs 2*pi*2 =
-        # 12.6 samples, so it starts at 13, and 13 > 16 / 2
-        argv = ["degree", "-e", "(pow 2)", "--resolution", "8", "--max-resolution", "8"]
+        # the cap rises to 512, twice the first level; (pow 41) needs
+        # 2*pi*41 = 257.6 samples, so it starts at 258, and 258 > 512 / 2
+        argv = ["degree", "-e", "(pow 41)", "--max-resolution", "8"]
         code, lines, _ = run_cli(capsys, *argv)
         assert code == 1
         assert lines[0]["outcome"] == "ResolutionExceeded"
-        last = _last_level(DegreeParams(8, 8), 1)
-        assert last == 16 // 2
+        params = DegreeParams(max_resolution=8)
+        cap, last = params.max_for(1), _last_level(params, 1)
+        assert last == cap // 2 == 512 // 2
+        need = math.ceil(2 * math.pi * 41)
         assert lines[0]["payload"] == {
-            "error": f"map needs resolution 13, above the last level {last}, half the smaller of "
-            f"the cap 16 and the finest grid {finest(1)} within {geometry.MAX_ROWS} sample rows"
+            "error": f"map needs resolution {need}, above the last level {last}, half the smaller "
+            f"of the cap {cap} and the finest grid {finest(1)} within {geometry.MAX_ROWS} "
+            "sample rows"
         }
 
     def test_human_readable_mode(self, capsys):
@@ -266,34 +266,41 @@ class TestSummaries:
     """Each command's stderr summary and exit code, from its counts."""
 
     @pytest.mark.parametrize(
-        "argv, summary, code",
+        "argv, first, summary, code",
         [
             # a refusal, (pow 4), counts as ok
-            (["degree", "-f", "FILE"], "degree: 2 ok, 1 error(s)", 1),
-            (["certify", "-f", "FILE"], "certify: 2 ok, 1 error(s)", 1),
+            (["degree", "-f", "FILE"], {}, "degree: 2 ok, 1 error(s)", 1),
+            (["certify", "-f", "FILE"], {}, "certify: 2 ok, 1 error(s)", 1),
             (
                 ["distance", "-a", "(pow 2)", "-b", "(susp (pow 2))"],
+                {},
                 "distance: DimensionMismatch",
                 1,
             ),
-            (["homotopy", "-a", "(id 1)", "-b", "(antipode 1)"], "homotopy: ok", 0),
+            (["homotopy", "-a", "(id 1)", "-b", "(antipode 1)"], {}, "homotopy: ok", 0),
             (
                 ["experiment", "--dim", "1", "--count", "3", "--epsilon-max", "0.9"],
+                {},
                 "experiment dim=1 count=3: issued=3 refused=0 errors=0",
                 0,
             ),
             (
-                # the cap rises to 16, twice --resolution; (pow 2) starts at
-                # 12.6 samples, and its double is over the cap
+                # from a first level of 8 samples the cap rises to 16, and
+                # (pow 2) starts at 12.6 samples, whose double is over it
                 ["experiment", "--dim", "1", "--count", "2", "--epsilon-max", "0.5",
-                 "--resolution", "8", "--max-resolution", "8"],
+                 "--max-resolution", "8"],
+                {1: 8},
                 "experiment dim=1 count=2: issued=0 refused=0 errors=2",
                 1,
             ),
         ],
     )
     @pytest.mark.parametrize("as_json", ["--json", "--no-json"])
-    def test_summary_and_exit_code(self, capsys, tmp_path, argv, summary, code, as_json):
+    def test_summary_and_exit_code(
+        self, capsys, monkeypatch, tmp_path, argv, first, summary, code, as_json
+    ):
+        for dim, n in first.items():
+            monkeypatch.setitem(importlib.import_module("mapdeg.degree")._FIRST, dim, n)
         f = tmp_path / "maps.txt"
         f.write_text("(pow 2)\n# a comment\n(bogus\n(pow 4)\n")
         argv = [str(f) if a == "FILE" else a for a in argv]
@@ -324,11 +331,6 @@ class TestUsageErrors:
         assert code == 2
         assert "mapdeg:" in capsys.readouterr().err
 
-    def test_bad_resolution(self, capsys):
-        code = main(["degree", "-e", "(pow 2)", "--resolution", "4"])
-        assert code == 2
-        assert "resolution" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["distance", "homotopy"])
     @pytest.mark.parametrize("resolution", ["0", "4"])
     def test_bad_pair_resolution(self, capsys, command, resolution):
@@ -349,6 +351,11 @@ class TestUsageErrors:
             ["degree", "-e", "(pow 2)", "--seed", "3"],
             ["certify", "-e", "(pow 2)", "--seed", "3"],
             ["degree", "-e", "(pow 2)", "--tolerance", "0.2"],
+            # only distance and homotopy take a grid resolution
+            ["degree", "-e", "(pow 2)", "--resolution", "16"],
+            ["certify", "-e", "(pow 2)", "--resolution", "16"],
+            ["experiment", "--dim", "1", "--count", "1", "--epsilon-max", "0.5",
+             "--resolution", "16"],
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
@@ -365,25 +372,6 @@ class TestUsageErrors:
 
 
 class TestHostileInput:
-    def test_a_first_level_above_the_last_reads_a_map_at_its_own_level(
-        self, capsys, monkeypatch
-    ):
-        # the first level plays no part in the degree of a map without a
-        # blend: (susp (pow 2)) is read at its own 8 bands
-        params = DegreeParams(initial_resolution=800)
-        assert params.initial_for(2) > _last_level(params, 2)
-        code, lines, _ = run_cli(capsys, "degree", "-e", "(susp (pow 2))", "--resolution", "800")
-        assert code == 0
-        assert (lines[0]["payload"]["value"], lines[0]["payload"]["resolution"]) == (2, 8)
-        # its blend counterpart's check samples from the first level, so
-        # it is refused before anything is evaluated
-        degree_module = importlib.import_module("mapdeg.degree")
-        monkeypatch.setattr(degree_module, "eval_array", lambda *a, **k: pytest.fail("read"))
-        code, lines, _ = run_cli(capsys, "degree", "-e", _BLEND, "--resolution", "800")
-        assert code == 1
-        assert lines[0]["outcome"] == "ResolutionExceeded"
-        assert lines[0]["payload"]["error"].startswith("blend check needs resolution 800 or more")
-
     def test_deep_nesting_does_not_kill_the_batch(self, capsys, tmp_path):
         f = tmp_path / "maps.txt"
         f.write_text("(compose (pow 1) " * 1000 + "(pow 1)" + ")" * 1000 + "\n(pow 3)\n")
@@ -459,8 +447,6 @@ class TestHostileInput:
                 ["degree", "-e", "(susp (pow 3000))", "--max-resolution", "1000000"],
                 "ResolutionExceeded",
             ),
-            # a blend's check samples from the first level
-            (["degree", "-e", _BLEND, "--resolution", "100000"], "ResolutionExceeded"),
             (
                 ["distance", "-a", "(id 2)", "-b", "(antipode 2)", "--resolution", "100000"],
                 "InvalidResolution",

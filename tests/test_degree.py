@@ -30,6 +30,7 @@ from mapdeg import (
     Susp,
     degree,
     eval_array,
+    homotopy_check,
     parse,
     sup_distance,
 )
@@ -202,9 +203,10 @@ class TestWinding:
     def test_refinement_stops_at_the_row_budget(self, monkeypatch, check_rows_seen):
         # m = cos(1.25) = 0.315 at every node leaves m_rig = 0.217 at 128
         # samples, which proves the blend's bound 9.2 there; the degree
-        # reads ceil(2*pi * 9.2) = 58
+        # reads ceil(2*pi * 9.2) = 58. The check starts at 16 samples
+        monkeypatch.setitem(degree_module._FIRST, 1, 16)
         e = parse("(blend 0.5 (pow 2) (compose (rot 2.5) (pow 2)))")
-        params = DegreeParams(initial_resolution=16, max_resolution=1 << 20)
+        params = DegreeParams(max_resolution=1 << 20)
         assert degree(e, params).resolution == 58
         assert check_rows_seen == [16, 32, 64, 128]
         # with 128 rows the last level whose double fits is 64, where m_rig
@@ -217,14 +219,6 @@ class TestWinding:
         assert check_rows_seen == [16]
         # a blend whose ends alone need 126 samples is refused before sampling
         with pytest.raises(ResolutionExceeded, match="needs resolution 126 or more, above 64"):
-            degree(parse("(blend 0.0 (pow 20) (pow 20))"), params)
-        assert check_rows_seen == [16]
-        # a first level whose double is over the row budget admits no
-        # level: the check refuses before sampling it
-        monkeypatch.setattr(geometry, "MAX_ROWS", 64)
-        params = DegreeParams(initial_resolution=128)
-        last = f"above the last level {_last_level(params, 1)}, .* within 64 sample rows"
-        with pytest.raises(ResolutionExceeded, match=f"128 or more, {last}, in "):
             degree(parse("(blend 0.0 (pow 20) (pow 20))"), params)
         assert check_rows_seen == [16]
 
@@ -306,12 +300,14 @@ class TestSimplicial:
         assert round(raw) == 5
         assert edge > math.pi / 2
         # the blend's bound is at least L_f = 5, which needs 15.7 bands:
-        # under a cap of 16 no level that could prove it is admitted
+        # where the check starts at 8 bands, under a cap of 16 no level
+        # that could prove it is admitted
+        monkeypatch.setitem(degree_module._FIRST, 2, 8)
         with pytest.raises(ResolutionExceeded, match="needs resolution 16 or more"):
-            degree(e, DegreeParams(initial_resolution=8, max_resolution=16))
+            degree(e, DegreeParams(max_resolution=16))
         # the check proves L = 7.66 at 64 bands, and the degree reads
         # ceil(pi * 7.66) = 25
-        params = DegreeParams(initial_resolution=8, max_resolution=128)
+        params = DegreeParams(max_resolution=128)
         res = degree(e, params)
         assert (res.value, res.resolution) == (5, 25)
         # a lying bound reads 8 bands, where only the guard can refuse
@@ -347,11 +343,14 @@ class TestLastLevel:
     @example(2, None, 2**30, 725, 2**22)
     @example(1, None, 2**30, 2**21, 2**22)
     @example(1, None, 2**30, 2**21 + 1, 2**22)
-    def test_the_last_level_admits_what_the_double_rule_did(self, dim, initial, cap, n, budget):
+    def test_the_last_level_admits_what_the_double_rule_did(self, dim, first, cap, n, budget):
         # the rule it replaces: a level is admitted where its double fits
         # the cap and the row budget
-        params = DegreeParams(initial, cap)
-        with mock.patch.object(geometry, "MAX_ROWS", budget):
+        params = DegreeParams(max_resolution=cap)
+        with (
+            mock.patch.object(geometry, "MAX_ROWS", budget),
+            mock.patch.dict(degree_module._FIRST, {} if first is None else {dim: first}),
+        ):
             double_fits = 2 * n <= params.max_for(dim) and _rows(dim, 2 * n) <= budget
             assert (n <= _last_level(params, dim)) == double_fits
 
@@ -362,6 +361,20 @@ class TestLastLevel:
             assert _rows(dim, fine) <= budget < _rows(dim, fine + 1)
             with pytest.raises(InvalidResolution, match="sample rows"):
                 next(geometry.grid_blocks(dim, fine + 1))
+
+    @given(st.sampled_from([1, 2]), st.one_of(st.none(), st.integers(8, 2**40)))
+    @example(1, 8)
+    @example(2, 8)
+    @example(2, None)
+    def test_every_search_lists_a_level(self, dim, cap):
+        # _levels starts at the first level: it lists one where the first
+        # level is at most the last level and its double fits the finest
+        # grid, under every cap, at the shipped budget and at 2**16 rows
+        first = degree_module._FIRST[dim]
+        for budget in (geometry.MAX_ROWS, 2**16):
+            with mock.patch.object(geometry, "MAX_ROWS", budget):
+                assert first <= _last_level(DegreeParams(max_resolution=cap), dim)
+                assert 2 * first <= geometry.finest(dim)
 
     def test_spot_checks(self):
         assert (_last_level(DegreeParams(), 1), _last_level(DegreeParams(), 2)) == (8192, 512)
@@ -468,11 +481,10 @@ class TestProvenLevel:
         with pytest.raises(ConsistencyError, match="structural degrees 2 and 3 in"):
             degree(Compose(Pow(1), e))
 
-    def test_a_refusal_names_the_level_that_is_not_admitted(self, monkeypatch):
+    def test_a_refusal_names_the_level_that_is_not_admitted(self):
         # past the finest grid's half, a level's double needs more than
         # 2**22 rows. (susp (pow 255)) is read at ceil(255 * pi) = 802
-        # bands, which is not admitted; (susp (pow 2)) is read at 8,
-        # whatever the first level
+        # bands, which is not admitted
         params = DegreeParams(max_resolution=4096)
         last, fine = _last_level(params, 2), geometry.finest(2)
         assert last == fine // 2 < 802
@@ -482,17 +494,6 @@ class TestProvenLevel:
             rf"of the cap 4096 and the finest grid {fine} within {geometry.MAX_ROWS} sample rows$",
         ):
             degree(Susp(Pow(255)), params)
-        first = DegreeParams(initial_resolution=800)
-        assert first.initial_for(2) > _last_level(first, 2)
-        assert degree(Susp(Pow(2)), first).resolution == 8
-        # where the first level is above the last too, the map's own level is named
-        with pytest.raises(ResolutionExceeded, match="^map needs resolution 802, "):
-            degree(Susp(Pow(255)), DegreeParams(initial_resolution=800, max_resolution=4096))
-        # a blend's check samples from the first level, so there its
-        # counterpart is refused before anything is evaluated
-        monkeypatch.setattr(degree_module, "eval_array", lambda *args, **kw: pytest.fail("read"))
-        with pytest.raises(ResolutionExceeded, match="^blend check needs resolution 800 or more"):
-            degree(_turned(2, 1.0), first)
 
     @settings(deadline=None, max_examples=40)
     @given(st.one_of(S1_BLENDS, S2_BLENDS))
@@ -523,15 +524,14 @@ class TestProvenLevel:
     @example(_turned(3, 2.7))
     def test_every_degree_is_read_at_the_level_its_bound_gives(self, e):
         # need is 2*pi*L samples or pi*L bands, rounded up, and 8 at
-        # least, with or without a blend and whatever the first level n.
+        # least, with or without a blend, below the first level n or not.
         # Its integer is the one read at max(need, n)
-        params = DegreeParams()
         try:
             res = degree(e)
         except (ResolutionExceeded, InvalidBlend):
             return
-        bound, _ = check_blend_validity(e, params)
-        first, wrap = params.initial_for(e.dim), 2 * math.pi / e.dim
+        bound, _ = check_blend_validity(e, DegreeParams())
+        first, wrap = degree_module._FIRST[e.dim], 2 * math.pi / e.dim
         need = math.ceil(wrap * bound)
         assert res.resolution == max(need, geometry.MIN_RESOLUTION)
         assert res.residual < 1e-6
@@ -550,7 +550,7 @@ class TestProvenLevel:
     def test_the_floor_is_what_proves_the_level(self, k, alias):
         # the start is ceil(pi * |k|) bands: 126 for 40, 54 for -17
         e = Susp(Pow(k))
-        res = degree(e, DegreeParams(initial_resolution=8))
+        res = degree(e)
         assert (res.value, res.resolution) == (k, math.ceil(math.pi * abs(k)))
         # at a quarter of it the sum is a convincing wrong integer, which
         # only the edge guard tells apart
@@ -652,7 +652,7 @@ class TestDegreeDispatch:
         # their first level, before any blend on the left is sampled
         with pytest.raises(InvalidBlend) as refused:
             degree(parse(text))
-        first = DegreeParams().initial_for(1)
+        first = degree_module._FIRST[1]
         assert check_rows_seen == [first]
         blend, X = parse(named), geometry.make_grid(1, first)
         low, row = pair_min_norm(eval_array(blend.f, X), eval_array(blend.g, X))
@@ -709,18 +709,6 @@ class TestDegreeDispatch:
             degree(e, DegreeParams(max_resolution=128))
         assert check_rows_seen == [8066]
 
-    @pytest.mark.parametrize(
-        "other", ["(perturb 4 0.5 (susp (pow 2)))", "(compose (antipode 2) (susp (pow 2)))"]
-    )
-    def test_a_first_level_no_degree_may_be_read_at_samples_nothing(self, check_rows_seen, other):
-        # 2048 bands need more than 2**22 rows, so 1024 is not admitted:
-        # the check refuses before its first sample, and a pinch it would
-        # find there is refused the same way
-        e = parse(f"(blend 0.5 (susp (pow 2)) {other})")
-        with pytest.raises(ResolutionExceeded, match="blend check needs resolution 1024 or more"):
-            degree(e, DegreeParams(initial_resolution=1024))
-        assert check_rows_seen == []
-
     def test_a_larger_cap_admits_a_finer_proof(self):
         e = parse("(blend 0.5 (rot 0) (rot 3.14))")
         with pytest.raises(ResolutionExceeded, match="no level up to 8192"):
@@ -750,12 +738,14 @@ class TestDegreeDispatch:
         assert check_rows_seen == sampled
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            DegreeParams(initial_resolution=4)
+        # the cap is keyword-only: a positional value is no field
+        with pytest.raises(TypeError):
+            DegreeParams(16)
         for cap in (0, -7, 4):
             with pytest.raises(ValueError):
                 DegreeParams(max_resolution=cap)
         assert DegreeParams(max_resolution=8).max_for(1) == 512
+        assert DegreeParams(max_resolution=8).max_for(2) == 128
 
     def test_multiplicativity_on_seeded_pairs(self):
         rng = random.Random(1729)
@@ -809,6 +799,16 @@ class TestSupDistance:
     def test_identity_versus_antipode(self):
         est = sup_distance(parse("(id 1)"), parse("(antipode 1)"))
         assert est.sampled_max == 2.0
+
+    @pytest.mark.parametrize(("dim", "grid"), [(1, 256), (2, 128)])
+    def test_the_default_grid(self, dim, grid):
+        # where no resolution is given, distance and homotopy sample 256
+        # samples or 128 bands; a resolution of 0 is checked, not defaulted
+        f, g = parse(f"(id {dim})"), parse(f"(antipode {dim})")
+        assert sup_distance(f, g).resolution == homotopy_check(f, g).resolution == grid
+        for check in (sup_distance, homotopy_check):
+            with pytest.raises(InvalidResolution):
+                check(f, g, 0)
 
     def test_perturbation_stays_inside_the_unit_ball(self):
         est = sup_distance(parse("(pow 2)"), parse("(perturb 5 0.4 (pow 2))"), 2048)
@@ -952,12 +952,12 @@ class TestLipschitzBound:
     @example(parse("(blend 0.5 (id 2) (compose (rot3 0.3 0.5 1.0 3.0) (id 2)))"), 0, 8)
     @example(parse("(blend 0.5 (id 2) (compose (rot3 0.3 0.5 1.0 3.0) (id 2)))"), 0, 64)
     def test_bounds_chordal_difference_quotients(self, e, seed, resolution):
-        # a blend's bound comes from its check, on the given grid; a map
-        # without one has its AST bound, and a blend that no admitted
-        # level proves has none to test
+        # a blend's bound comes from its check, starting on the given
+        # grid; a map without one has its AST bound, and a blend that no
+        # admitted level proves has none to test
         try:
-            params = DegreeParams(initial_resolution=resolution)
-            bound, _ = check_blend_validity(e, params)
+            with mock.patch.dict(degree_module._FIRST, {e.dim: resolution}):
+                bound, _ = check_blend_validity(e, DegreeParams())
         except ResolutionExceeded:
             return
         assert _largest_quotient(e, seed) <= bound * (1.0 + 1e-9)

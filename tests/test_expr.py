@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from mapdeg import (
     ParseError,
     PerturbationField,
     Pow,
+    ResolutionExceeded,
     Rot,
     Rot3,
     Susp,
@@ -356,6 +358,26 @@ class TestSymbolicDegree:
         e = Iterate(3, Pow(2))
         assert e.symbolic_degree() == 8
         assert winding_oracle(e) == 8
+
+    @pytest.mark.parametrize("e", [Iterate(10**7, Pow(3)), Iterate(0, Iterate(10**7, Pow(3)))])
+    def test_a_degree_past_every_level_is_refused_before_it_is_built(self, e):
+        # 3**(10**7) has 15.8 M bits, and |degree| <= L puts a map with it
+        # past every level; building it would take seconds
+        start = time.perf_counter()
+        named = r"^degree of \(iterate 10000000 \(pow 3\)\) has more than 2\*\*20 bits$"
+        with pytest.raises(ResolutionExceeded, match=named):
+            degree(e)
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_degree_bit_limit(self):
+        # n * (bits of |d| - 1) bits at least: 2**20 is built, one more refused
+        assert Iterate(2**20, Pow(2)).symbolic_degree() == 1 << 2**20
+        with pytest.raises(ResolutionExceeded):
+            Iterate(2**20 + 1, Pow(2)).symbolic_degree()
+        assert Iterate(10**9, Pow(-1)).symbolic_degree() == 1
+        # the largest degree a parsed map can have, 53 * 4095 bits, is exact
+        e = parse("(iterate 4095 (pow 9007199254740992))")
+        assert e.symbolic_degree() == 1 << 217035
 
     def test_perturb_preserves_degree_on_the_sphere(self):
         # the simplicial pass is the independent numeric route for S2:

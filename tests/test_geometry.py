@@ -15,7 +15,7 @@ from mapdeg import (
     parse,
     sup_distance,
 )
-from mapdeg.degree import pair_distance, raw_pass
+from mapdeg.degree import _GRID, pair_distance, raw_pass
 from mapdeg import geometry
 from mapdeg.geometry import (
     MAX_ROWS,
@@ -188,7 +188,7 @@ class TestMakeGrid:
     def test_default_levels_and_grids_fit_the_row_budget(self):
         params = DegreeParams()
         for dim in (1, 2):
-            for n in (params.max_for(dim), params.grid_for(dim)):
+            for n in (params.max_for(dim), _GRID[dim]):
                 assert n <= finest(dim)
 
 
