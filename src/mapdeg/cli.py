@@ -5,12 +5,11 @@ and certify read expressions inline (-e) or one per line from a file (-f,
 '#' lines are comments); distance and homotopy read one pair (-a, -b);
 experiment generates its samples. distance and homotopy take --resolution,
 the density of their one grid; the other three take --max-resolution, the
-cap of every degree level. One report loop, _report, runs every input,
-prints its report line on stdout in input order (JSON unless --no-json)
-and counts its outcome. From those counts each command prints a short
-summary to stderr and picks its exit code: 0 means every line succeeded
-(and, for experiment, nothing was refused), 1 that some did not, and 2 a
-usage error.
+cap of every degree level. Each command builds its jobs and ends in
+_report, which runs them, prints one JSON report line per input on stdout
+in input order, prints one summary line of counts per outcome on stderr
+and returns the exit code: 0 when every outcome is a success, 1 when one
+is not, and 2 for a usage error.
 """
 
 from __future__ import annotations
@@ -30,21 +29,20 @@ from .errors import MapdegError
 from .expr import Perturb, Pow, Susp, parse
 
 
-def _params_from(args) -> DegreeParams:
-    return DegreeParams(max_resolution=args.max_resolution)
-
-
-def _report(command: str, jobs, as_json: bool) -> Counter:
-    """Run each job, print its report line and count its outcome.
+def _report(command: str, jobs, success=("ok", "refused")) -> int:
+    """Run each job, print its report line, then the summary; the exit code.
 
     A job is (input text, a thunk returning a result, extra report
     fields). wall_ms times the thunk and the result's to_json_dict().
-    The counts are keyed by outcome: "ok", "refused" for a Refusal, the
-    name of the MapdegError raised, or "InternalError" for any other
+    Each line's outcome is "ok", "refused" for a Refusal (shown as "ok"),
+    the name of the MapdegError raised, or "InternalError" for any other
     exception, whose payload names its type; the batch goes on. No
-    report is kept once printed.
+    report is kept once printed. The stderr summary is
+    "{command}: N ok, N refused", then ", N <outcome>" for each other
+    outcome in the order it first occurred. The exit code is 0 when every
+    outcome that occurred is in `success`, else 1.
     """
-    counts = Counter()
+    counts = Counter(ok=0, refused=0)
     for text, thunk, extra in jobs:
         start = time.perf_counter()
         try:
@@ -60,13 +58,11 @@ def _report(command: str, jobs, as_json: bool) -> Counter:
         wall_ms = 1000.0 * (time.perf_counter() - start)
         counts[outcome] += 1
         shown = "ok" if outcome == "refused" else outcome
-        if as_json:
-            report = {"input": text, "command": command, "outcome": shown,
-                      "payload": payload, "wall_ms": wall_ms, **extra}
-            print(json.dumps(report))
-        else:
-            print(f"{text} -> {shown}: {payload}")
-    return counts
+        report = {"input": text, "command": command, "outcome": shown,
+                  "payload": payload, "wall_ms": wall_ms, **extra}
+        print(json.dumps(report))
+    print(f"{command}: " + ", ".join(f"{n} {k}" for k, n in counts.items()), file=sys.stderr)
+    return 0 if all(k in success for k, n in counts.items() if n) else 1
 
 
 def _iter_inputs(args):
@@ -84,23 +80,20 @@ def _iter_inputs(args):
 
 def _cmd_per_line(args, compute) -> int:
     """One report line per input expression; compute(e, params) is the result."""
-    params = _params_from(args)
+    params = DegreeParams(max_resolution=args.max_resolution)
     jobs = (
         (text, lambda t=text: compute(parse(t), params), {})
         for text in _iter_inputs(args)
     )
-    counts = _report(args.command, jobs, args.json)
-    ok = counts["ok"] + counts["refused"]
-    errors = counts.total() - ok
-    print(f"{args.command}: {ok} ok, {errors} error(s)", file=sys.stderr)
-    return 1 if errors else 0
+    return _report(args.command, jobs)
 
 
 def _cmd_pair(args, compute) -> int:
     """One report line for the maps -a and -b; compute(f, g, n) is the result.
 
     n is the grid resolution: --resolution, or None for the default grid
-    of the maps' sphere. A resolution below 8 is a usage error.
+    of the maps' sphere. A resolution below 8 is a usage error, raised as
+    ValueError before the job runs.
     """
     if args.resolution is not None and args.resolution < 8:
         raise ValueError("resolution must be >= 8")
@@ -108,9 +101,7 @@ def _cmd_pair(args, compute) -> int:
     def run():
         return compute(parse(args.a), parse(args.b), args.resolution)
 
-    (outcome,) = _report(args.command, [(f"{args.a} | {args.b}", run, {})], args.json)
-    print(f"{args.command}: {outcome}", file=sys.stderr)
-    return 0 if outcome == "ok" else 1
+    return _report(args.command, [(f"{args.a} | {args.b}", run, {})])
 
 
 # splitmix64 finalizer; mixes the sample index into the master seed so
@@ -142,13 +133,16 @@ def experiment_samples(dim: int, count: int, epsilon_max: float, seed: int):
 
 
 def _cmd_experiment(args) -> int:
+    """One ball certificate per sample; a refusal, too, fails the run.
+
+    A --count below 1 or an --epsilon-max outside [0, 1) is a usage error,
+    raised as ValueError before any sample is drawn.
+    """
     if args.count < 1:
-        print("experiment: --count must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--count must be >= 1")
     if not 0.0 <= args.epsilon_max < 1.0:
-        print("experiment: --epsilon-max must lie in [0, 1)", file=sys.stderr)
-        return 2
-    params = _params_from(args)
+        raise ValueError("--epsilon-max must lie in [0, 1)")
+    params = DegreeParams(max_resolution=args.max_resolution)
     jobs = (
         (
             g.render(),
@@ -159,28 +153,10 @@ def _cmd_experiment(args) -> int:
             args.dim, args.count, args.epsilon_max, args.seed
         )
     )
-    counts = _report("experiment", jobs, args.json)
-    errors = counts.total() - counts["ok"] - counts["refused"]
-    print(
-        f"experiment dim={args.dim} count={args.count}: "
-        f"issued={counts['ok']} refused={counts['refused']} errors={errors}",
-        file=sys.stderr,
-    )
-    return 0 if counts["ok"] == counts.total() else 1
+    return _report(args.command, jobs, success=("ok",))
 
 
 _CAP_HELP = "resolution cap; a degree level is at most half of it or of the finest grid"
-
-
-def _add_common(p: argparse.ArgumentParser, flag: str, text: str) -> None:
-    """The command's one resolution flag, `flag`, and --json."""
-    p.add_argument(flag, type=int, default=None, help=text)
-    p.add_argument(
-        "--json",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="JSON-lines output (default)",
-    )
 
 
 @functools.cache
@@ -200,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("-e", "--expr", help="inline s-expression")
         group.add_argument("-f", "--file", help="file with one expression per line")
-        _add_common(p, "--max-resolution", _CAP_HELP)
+        p.add_argument("--max-resolution", type=int, help=_CAP_HELP)
         p.set_defaults(func=functools.partial(_cmd_per_line, compute=compute))
 
     for name, compute, text in (
@@ -208,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("homotopy", homotopy_check, "straight-line homotopy validity report"),
     ):
         p = sub.add_parser(name, help=text)
-        _add_common(p, "--resolution", "grid density")
+        p.add_argument("--resolution", type=int, help="grid density")
         p.add_argument("-a", required=True, help="first expression")
         p.add_argument("-b", required=True, help="second expression")
         p.set_defaults(func=functools.partial(_cmd_pair, compute=compute))
@@ -217,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="ball certificates for random perturbations of a degree-2 base map",
     )
-    _add_common(p, "--max-resolution", _CAP_HELP)
+    p.add_argument("--max-resolution", type=int, help=_CAP_HELP)
     p.add_argument("--seed", type=int, default=1, help="master seed")
     p.add_argument("--dim", type=int, choices=(1, 2), required=True)
     p.add_argument("--count", type=int, required=True)

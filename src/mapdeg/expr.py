@@ -29,6 +29,10 @@ MAX_DEPTH = 200
 #: its inner map n times. Caps the cost of every later evaluation pass.
 EVAL_BUDGET = 2**12
 
+#: Most bits of a structural degree compose and iterate build; |degree| <= L,
+#: so no level proves a larger one, and it is refused before it is built.
+DEGREE_BITS = 2**20
+
 
 class MapExpr:
     """Base class of map-expression AST nodes.
@@ -100,6 +104,14 @@ class MapExpr:
 def _check_dim_arg(m: int) -> None:
     if m not in (1, 2):
         raise DomainError(f"sphere dimension must be 1 or 2, got {m}")
+
+
+def _check_bits(e: MapExpr, bits: int) -> None:
+    """Refuse e, whose structural degree has more than `bits` bits, past DEGREE_BITS."""
+    if bits > DEGREE_BITS:
+        raise ResolutionExceeded(
+            f"degree of {e.render()} has more than 2**{DEGREE_BITS.bit_length() - 1} bits"
+        )
 
 
 @dataclass(frozen=True)
@@ -318,7 +330,10 @@ class Compose(MapExpr):
 
     def _symbolic(self, inner):
         a, b = inner
-        return None if a is None or b is None else a * b
+        if a is None or b is None:
+            return None
+        _check_bits(self, (abs(a).bit_length() - 1) + (abs(b).bit_length() - 1))
+        return a * b
 
     def _bound(self, inner):
         a, b = inner
@@ -329,9 +344,9 @@ class Compose(MapExpr):
 class Iterate(MapExpr):
     """n-fold composition of a map with itself; n = 0 is the identity.
 
-    A structural degree d**n of more than 2**20 bits is refused
-    (ResolutionExceeded) before it is built: |d**n| <= L, so no level
-    proves it. A parsed map's has at most 53 * EVAL_BUDGET bits.
+    A structural degree d**n of more than DEGREE_BITS bits is refused
+    (ResolutionExceeded) before it is built, as a compose's is. A parsed
+    map's has at most 53 * EVAL_BUDGET bits.
     """
 
     n: int
@@ -354,8 +369,7 @@ class Iterate(MapExpr):
         (d,) = inner
         if d is None:
             return None
-        if self.n * (abs(d).bit_length() - 1) > 2**20:
-            raise ResolutionExceeded(f"degree of {self.render()} has more than 2**20 bits")
+        _check_bits(self, self.n * (abs(d).bit_length() - 1))
         return d**self.n
 
     def _bound(self, inner):

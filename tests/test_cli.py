@@ -16,7 +16,7 @@ from mapdeg import geometry
 from mapdeg.cli import main
 from mapdeg.degree import DegreeParams, _last_level
 from mapdeg.errors import MapdegError
-from mapdeg.expr import MAX_DEPTH, PerturbationField
+from mapdeg.expr import MAX_DEPTH, PerturbationField, Pow
 from mapdeg.geometry import finest
 
 
@@ -76,14 +76,6 @@ class TestDegreeCommand:
             f"of the cap {cap} and the finest grid {finest(1)} within {geometry.MAX_ROWS} "
             "sample rows"
         }
-
-    def test_human_readable_mode(self, capsys):
-        code = main(["degree", "-e", "(pow 2)", "--no-json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "ok" in out
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(out.splitlines()[0])
 
 
 class TestCertifyCommand:
@@ -209,7 +201,7 @@ class TestExperimentCommand:
             assert report["outcome"] == "ok"
             assert "power_check" in report["payload"]
             assert report["payload"]["degree"]["value"] == 2
-        assert "issued=5 refused=0 errors=0" in err
+        assert err == "experiment: 5 ok, 0 refused\n"
 
     def test_zero_epsilon_certifies_the_base_map_itself(self, capsys):
         code, lines, _ = run_cli(
@@ -256,9 +248,19 @@ class TestExperimentCommand:
         assert runs[0][1].count('"outcome": "ok"') == 3
         assert runs[0] == runs[1] == runs[2]
 
+    def test_a_refusal_fails_the_run(self, capsys, monkeypatch):
+        # the degree-2 base is never refused; a degree-4 base always is
+        cli = importlib.import_module("mapdeg.cli")
+        monkeypatch.setattr(cli, "Pow", lambda k: Pow(2 * k))
+        argv = ["experiment", "--dim", "1", "--count", "2", "--epsilon-max", "0.5"]
+        code, lines, err = run_cli(capsys, *argv)
+        assert [r["payload"]["witness"] for r in lines] == [{"base": 2, "exp": 2}] * 2
+        assert err == "experiment: 0 ok, 2 refused\n"
+        assert code == 1
+
     def test_rejects_epsilon_of_one(self, capsys):
         code = main(["experiment", "--dim", "1", "--count", "1", "--epsilon-max", "1.0"])
-        capsys.readouterr()
+        assert capsys.readouterr().err == "mapdeg: --epsilon-max must lie in [0, 1)\n"
         assert code == 2
 
 
@@ -268,20 +270,25 @@ class TestSummaries:
     @pytest.mark.parametrize(
         "argv, first, summary, code",
         [
-            # a refusal, (pow 4), counts as ok
-            (["degree", "-f", "FILE"], {}, "degree: 2 ok, 1 error(s)", 1),
-            (["certify", "-f", "FILE"], {}, "certify: 2 ok, 1 error(s)", 1),
+            # certify refuses (pow 4), and a refusal is a success
+            (["degree", "-f", "FILE"], {}, "degree: 2 ok, 0 refused, 1 ParseError", 1),
+            (["certify", "-f", "FILE"], {}, "certify: 1 ok, 1 refused, 1 ParseError", 1),
             (
                 ["distance", "-a", "(pow 2)", "-b", "(susp (pow 2))"],
                 {},
-                "distance: DimensionMismatch",
+                "distance: 0 ok, 0 refused, 1 DimensionMismatch",
                 1,
             ),
-            (["homotopy", "-a", "(id 1)", "-b", "(antipode 1)"], {}, "homotopy: ok", 0),
+            (
+                ["homotopy", "-a", "(id 1)", "-b", "(antipode 1)"],
+                {},
+                "homotopy: 1 ok, 0 refused",
+                0,
+            ),
             (
                 ["experiment", "--dim", "1", "--count", "3", "--epsilon-max", "0.9"],
                 {},
-                "experiment dim=1 count=3: issued=3 refused=0 errors=0",
+                "experiment: 3 ok, 0 refused",
                 0,
             ),
             (
@@ -290,39 +297,46 @@ class TestSummaries:
                 ["experiment", "--dim", "1", "--count", "2", "--epsilon-max", "0.5",
                  "--max-resolution", "8"],
                 {1: 8},
-                "experiment dim=1 count=2: issued=0 refused=0 errors=2",
+                "experiment: 0 ok, 0 refused, 2 ResolutionExceeded",
                 1,
             ),
         ],
     )
-    @pytest.mark.parametrize("as_json", ["--json", "--no-json"])
     def test_summary_and_exit_code(
-        self, capsys, monkeypatch, tmp_path, argv, first, summary, code, as_json
+        self, capsys, monkeypatch, tmp_path, argv, first, summary, code
     ):
         for dim, n in first.items():
             monkeypatch.setitem(importlib.import_module("mapdeg.degree")._FIRST, dim, n)
         f = tmp_path / "maps.txt"
         f.write_text("(pow 2)\n# a comment\n(bogus\n(pow 4)\n")
         argv = [str(f) if a == "FILE" else a for a in argv]
-        assert main(argv + [as_json]) == code
+        assert main(argv) == code
         assert capsys.readouterr().err == summary + "\n"
 
-    def test_homotopy_line_without_json(self, capsys):
-        assert main(["homotopy", "-a", "(id 1)", "-b", "(antipode 1)", "--no-json"]) == 0
-        assert capsys.readouterr().out == (
-            "(id 1) | (antipode 1) -> ok: {'valid': False, 'min_norm': 0.0, "
-            "'argmin': {'point': [1.0, 0.0], 't': 0.5}, 'resolution': 256}\n"
-        )
-
-    def test_experiment_lines_without_json(self, capsys):
-        # the JSON report's input, outcome and payload; no sample, no wall_ms
-        argv = ["experiment", "--dim", "1", "--count", "3", "--epsilon-max", "0.9"]
-        _, reports, _ = run_cli(capsys, *argv)
-        assert [r["sample"]["index"] for r in reports] == [0, 1, 2]
-        assert main(argv + ["--no-json"]) == 0
-        assert capsys.readouterr().out == "".join(
-            f"{r['input']} -> {r['outcome']}: {r['payload']}\n" for r in reports
-        )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # an ok line, a refusal, ParseError, DimensionMismatch, DomainError
+            "(pow 3)\n(pow 4)\n(bogus\n(compose (pow 2) (susp (pow 2)))\n"
+            "(blend 2 (pow 1) (pow 1))\n(pow 5)\n(bogus\n",
+            # successes only
+            "(pow 9)\n(pow 2)\n(susp (pow 3))\n",
+        ],
+    )
+    def test_the_summary_counts_the_printed_reports(self, capsys, tmp_path, text):
+        # a refusal is an ok line whose payload has a witness; the other
+        # kinds follow in the order they first occur
+        f = tmp_path / "maps.txt"
+        f.write_text(text)
+        code, lines, err = run_cli(capsys, "certify", "-f", str(f))
+        counts = {"ok": 0, "refused": 0}
+        for r in lines:
+            refused = r["outcome"] == "ok" and "witness" in r["payload"]
+            kind = "refused" if refused else r["outcome"]
+            counts[kind] = counts.get(kind, 0) + 1
+        assert len(lines) == len(text.splitlines())
+        assert err == "certify: " + ", ".join(f"{n} {k}" for k, n in counts.items()) + "\n"
+        assert code == (0 if set(counts) == {"ok", "refused"} else 1)
 
 
 class TestUsageErrors:
@@ -356,6 +370,18 @@ class TestUsageErrors:
             ["certify", "-e", "(pow 2)", "--resolution", "16"],
             ["experiment", "--dim", "1", "--count", "1", "--epsilon-max", "0.5",
              "--resolution", "16"],
+            # every report line is JSON
+            *[
+                argv + [flag]
+                for argv in (
+                    ["degree", "-e", "(pow 2)"],
+                    ["certify", "-e", "(pow 2)"],
+                    ["distance", "-a", "(pow 2)", "-b", "(pow 2)"],
+                    ["homotopy", "-a", "(pow 2)", "-b", "(pow 2)"],
+                    ["experiment", "--dim", "1", "--count", "1", "--epsilon-max", "0.5"],
+                )
+                for flag in ("--json", "--no-json")
+            ],
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
@@ -363,6 +389,11 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_a_count_below_one_is_a_usage_error(self, capsys):
+        code = main(["experiment", "--dim", "1", "--count", "0", "--epsilon-max", "0.5"])
+        assert capsys.readouterr() == ("", "mapdeg: --count must be >= 1\n")
+        assert code == 2
 
     @pytest.mark.parametrize("cap", ["0", "-7", "4"])
     def test_bad_max_resolution(self, capsys, cap):
@@ -398,7 +429,7 @@ class TestHostileInput:
         assert code == 1
         assert [r["outcome"] for r in lines] == ["ok", "InternalError", "ok"]
         assert lines[1]["payload"] == {"error": "MemoryError: no room for the grid"}
-        assert err == "certify: 2 ok, 1 error(s)\n"
+        assert err == "certify: 2 ok, 0 refused, 1 InternalError\n"
 
     def test_undecodable_bytes_do_not_kill_the_batch(self, capsys, tmp_path):
         f = tmp_path / "maps.txt"

@@ -63,3 +63,15 @@ def test_the_certificate_example_is_what_certify_prints(capsys):
     for payload in (example, printed):
         payload["degree"]["residual"] = None
     assert printed == example
+
+
+def test_the_summary_example_is_what_certify_prints(capsys, tmp_path):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI", 1)[1]
+    lines = re.search(r"file of the three lines\s+`(.+?)`, `(.+?)` and `(.+?)`", section)
+    code = re.search(r"prints this summary and exits (\d)", section)
+    summary = section.split("```text\n", 1)[1].split("```", 1)[0]
+    f = tmp_path / "maps.txt"
+    f.write_text("\n".join(lines.groups()) + "\n")
+    assert main(["certify", "-f", str(f)]) == int(code.group(1))
+    assert capsys.readouterr().err == summary

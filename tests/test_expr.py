@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -359,12 +361,25 @@ class TestSymbolicDegree:
         assert e.symbolic_degree() == 8
         assert winding_oracle(e) == 8
 
-    @pytest.mark.parametrize("e", [Iterate(10**7, Pow(3)), Iterate(0, Iterate(10**7, Pow(3)))])
-    def test_a_degree_past_every_level_is_refused_before_it_is_built(self, e):
+    @pytest.mark.parametrize(
+        "e, node",
+        [
+            (Iterate(10**7, Pow(3)), "(iterate 10000000 (pow 3))"),
+            (Iterate(0, Iterate(10**7, Pow(3))), "(iterate 10000000 (pow 3))"),
+            # a balanced tree of 32 leaves: a leaf's 3**(2**20) is built,
+            # and the first compose is refused before 3**(2**21), let alone
+            # the root's 3**(2**25)
+            (
+                functools.reduce(lambda t, _: Compose(t, t), range(5), Iterate(2**20, Pow(3))),
+                "(compose (iterate 1048576 (pow 3)) (iterate 1048576 (pow 3)))",
+            ),
+        ],
+    )
+    def test_a_degree_past_every_level_is_refused_before_it_is_built(self, e, node):
         # 3**(10**7) has 15.8 M bits, and |degree| <= L puts a map with it
         # past every level; building it would take seconds
         start = time.perf_counter()
-        named = r"^degree of \(iterate 10000000 \(pow 3\)\) has more than 2\*\*20 bits$"
+        named = f"^degree of {re.escape(node)} has more than 2\\*\\*20 bits$"
         with pytest.raises(ResolutionExceeded, match=named):
             degree(e)
         assert time.perf_counter() - start < 1.0
@@ -375,9 +390,16 @@ class TestSymbolicDegree:
         with pytest.raises(ResolutionExceeded):
             Iterate(2**20 + 1, Pow(2)).symbolic_degree()
         assert Iterate(10**9, Pow(-1)).symbolic_degree() == 1
+        # a compose's is (bits of |a| - 1) + (bits of |b| - 1) at least
+        half = Iterate(2**19, Pow(2))
+        assert Compose(half, half).symbolic_degree() == 1 << 2**20
+        with pytest.raises(ResolutionExceeded):
+            Compose(Iterate(2**19 + 1, Pow(2)), half).symbolic_degree()
         # the largest degree a parsed map can have, 53 * 4095 bits, is exact
         e = parse("(iterate 4095 (pow 9007199254740992))")
         assert e.symbolic_degree() == 1 << 217035
+        big = "(iterate 2000 (pow 9007199254740992))"
+        assert parse(f"(compose {big} {big})").symbolic_degree() == 1 << 212000
 
     def test_perturb_preserves_degree_on_the_sphere(self):
         # the simplicial pass is the independent numeric route for S2:
