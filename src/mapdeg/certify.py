@@ -16,21 +16,20 @@ import math
 from dataclasses import dataclass
 
 from .degree import (
-    _GRID,
     BALL_RADIUS,
+    BLEND_MIN_NORM,
     DegreeParams,
     DegreeResult,
     DistanceEstimate,
     _ball_distance,
     _checked_degree,
     _min_norm,
+    _pair_level,
+    _sup_distance,
     degree,
 )
 from .errors import ConsistencyError, DimensionMismatch
 from .expr import MapExpr
-
-#: Homotopy denominators at or below this are treated as pinched.
-HOMOTOPY_MIN_NORM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,13 @@ class PowerWitness:
 class HomotopyReport:
     """Validity data for the straight-line homotopy between two maps.
 
-    min_norm is the exact minimum over t of the sampled denominator,
-    which every node reaches at t = 1/2.
+    min_norm is the exact minimum over t of the sampled denominator, at
+    t = 1/2; floor bounds it everywhere, or is None. valid is floor > BLEND_MIN_NORM.
     """
 
     valid: bool
     min_norm: float
+    floor: float | None
     argmin_point: tuple[float, ...]
     resolution: int
 
@@ -62,6 +62,7 @@ class HomotopyReport:
         return {
             "valid": self.valid,
             "min_norm": self.min_norm,
+            "floor": self.floor,
             "argmin": {"point": list(self.argmin_point), "t": 0.5},
             "resolution": self.resolution,
         }
@@ -183,31 +184,24 @@ def is_perfect_power(d: int) -> PowerWitness | None:
     return None
 
 
-def homotopy_check(
-    f0: MapExpr,
-    g: MapExpr,
-    resolution: int | None = None,
-) -> HomotopyReport:
-    """Check the normalized straight-line homotopy's denominator.
+def homotopy_check(f0: MapExpr, g: MapExpr, resolution: int | None = None) -> HomotopyReport:
+    """Prove the normalized straight-line homotopy between f0 and g, or report it unproven.
 
-    Reports the minimum of |(1-t) f0(x) + t g(x)| over grid nodes x and
-    all t in [0, 1], taken exactly at t = 1/2; the homotopy is valid iff
-    that minimum stays above HOMOTOPY_MIN_NORM, at the first node that
-    reaches it (argmin_point). `resolution` defaults to degree._GRID, 256
-    samples or 128 bands. The level is streamed (degree._min_norm), so
-    its memory does not grow with the level, and a perturbation of f0
-    evaluates its field alone.
+    Both maps' blend checks run first, as for sup_distance. One walk of
+    the level (degree._GRID by default) gives the minimum of
+    |(1-t) f0(x) + t g(x)| over its nodes x and all t, at t = 1/2 and its
+    first node, and the distance, whose rigorous bound r gives the floor:
+    for unit vectors |F + G|^2 = 4 - |F - G|^2, so the denominator is at
+    least sqrt(1 - (r/2)^2) everywhere, and 0 where r >= 2. Valid iff the
+    floor is above BLEND_MIN_NORM; a sampled minimum proves nothing
+    between the nodes.
     """
-    if f0.dim != g.dim:
-        raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    n = resolution if resolution is not None else _GRID[f0.dim]
-    min_norm, point = _min_norm(f0, g, n)
-    return HomotopyReport(
-        valid=min_norm > HOMOTOPY_MIN_NORM,
-        min_norm=min_norm,
-        argmin_point=point,
-        resolution=n,
-    )
+    n, slope = _pair_level(f0, g, resolution)
+    dist, (min_norm, point) = _sup_distance(f0, g, n, slope, _min_norm)
+    r = dist.rigorous
+    floor = None if r is None else math.sqrt(max(0.0, 1.0 - (r / 2.0) ** 2))
+    valid = floor is not None and floor > BLEND_MIN_NORM
+    return HomotopyReport(valid, min_norm, floor, point, n)
 
 
 def certify_not_iterate(

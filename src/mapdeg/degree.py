@@ -10,13 +10,16 @@ at one level that a Lipschitz bound proves exact (Stenger 1975, Kearfott
 blend one its checks derive from the blends' sampled denominators
 (check_blend_validity). A map that no admitted level proves is refused
 (ResolutionExceeded); no degree is rounded from a level that is not a
-proof.
+proof. Every level is sampled by one walk of grid blocks (_walk), which
+every consumer of the level reads: a degree pass, the sup distance and
+a segment minimum. No array of a whole level is held.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -32,7 +35,7 @@ from .errors import (
 )
 from . import geometry
 from .expr import Blend, MapExpr, Perturb, eval_array
-from .geometry import grid_blocks, make_grid, mesh
+from .geometry import grid_blocks, mesh
 
 _TWO_PI = 2.0 * math.pi
 
@@ -176,70 +179,43 @@ def _proven_level(bound: float, params: DegreeParams, dim: int) -> int:
     return math.ceil(need)
 
 
-class _Level:
-    """Maps' values on make_grid(dim, n), shared by the passes of one call at level n.
+def _walk(maps: tuple[MapExpr, ...], n: int) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Level n in geometry.grid_blocks: (nodes, each map's values there) per block.
 
-    Each map is evaluated here once, reading every sub-expression held
-    here, so a perturbation of a held base map costs its field alone.
-    The grid is built at the first evaluation and held read-only; a
-    caller drops a level before its next one builds a grid (1024 bands
-    alone take 50 MB). No values outlive the level.
+    Each block is read-only before any map reads it, and each map is
+    evaluated once per block, reading the maps before it where it
+    contains them (_known): a perturbation of an earlier map costs its
+    field alone. No block outlives the next unless the caller keeps it,
+    and a max or min over the blocks is the whole level's, bit for bit.
     """
-
-    def __init__(self, dim: int, n: int):
-        self.dim, self.n, self._values = dim, n, {}
-
-    @functools.cached_property
-    def nodes(self) -> np.ndarray:
-        X = make_grid(self.dim, self.n)
+    for X in grid_blocks(maps[0].dim, n):
         X.flags.writeable = False
-        return X
-
-    def values(self, e: MapExpr) -> np.ndarray:
-        if e not in self._values:
-            held = list(self._values.items())
-            self._values[e] = eval_array(e, self.nodes, known=_known(e, held))
-        return self._values[e]
+        values = []
+        for e in maps:
+            values.append(eval_array(e, X, known=_known(e, list(zip(maps, values)))))
+        yield X, values
 
 
-def _pairs(f: MapExpr, g: MapExpr, n: int, held: _Level | None):
-    """(nodes, F, G): f's and g's values at level n's nodes, g reading f's where it contains f.
-
-    The held level's whole arrays where held is level n. Any other level
-    is streamed in geometry.grid_blocks and holds nothing: no block
-    outlives the next unless the caller keeps it. A max or min over the
-    blocks is the whole level's, bit for bit.
-    """
-    if held is not None and held.n == n:
-        yield held.nodes, held.values(f), held.values(g)
-        return
-    for X in grid_blocks(f.dim, n):
-        F = eval_array(f, X)
-        yield X, F, eval_array(g, X, known=_known(g, [(f, F)]))
-
-
-def _min_norm(
-    f: MapExpr, g: MapExpr, n: int, held: _Level | None = None
-) -> tuple[float, tuple[float, ...]]:
-    """pair_min_norm of f and g at level n over _pairs, and its node: the first np.argmin gives."""
-    blocks = ((pair_min_norm(F, G), X) for X, F, G in _pairs(f, g, n, held))
+def _min_norm(walk) -> tuple[float, tuple[float, ...]]:
+    """pair_min_norm over a walk of two maps, and its node: the first np.argmin gives."""
+    blocks = ((pair_min_norm(F, G), X) for X, (F, G) in walk)
     (low, row), X = min(blocks, key=lambda block: block[0][0])  # the first block wins ties
     return low, tuple(X[row].tolist())
 
 
-def _known(e: MapExpr, held: list[tuple[MapExpr, np.ndarray]]) -> dict[int, np.ndarray]:
-    """id(node) -> values of the sub-expressions of e that are held.
+def _known(e: MapExpr, earlier: list[tuple[MapExpr, np.ndarray]]) -> dict[int, np.ndarray]:
+    """id(node) -> values of the sub-expressions of e that are evaluated already.
 
-    held lists (map, values), all on the grid e is evaluated on. The tree
-    is matched against the held maps once, here, so that eval_array
-    looks nodes up by identity rather than hashing them. A node matches
-    a held map where _same(node, map).
+    earlier lists (map, values), all on the block e is evaluated on. The
+    tree is matched against the earlier maps once, here, so that
+    eval_array looks nodes up by identity rather than hashing them. A
+    node matches an earlier map where _same(node, map).
     """
     known = {}
-    stack = [e] if held else []
+    stack = [e] if earlier else []
     while stack:
         node = stack.pop()
-        for f, Y in held:
+        for f, Y in earlier:
             if _same(node, f):
                 known[id(node)] = Y
                 break
@@ -288,16 +264,25 @@ def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
     return None
 
 
-def _winding_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
-    """(raw winding, largest |step|) from values Y on make_grid(1, resolution)."""
-    alpha = np.arctan2(Y[:, 1], Y[:, 0])
-    steps = np.diff(np.concatenate([alpha, alpha[:1]]))
-    steps = np.mod(steps + math.pi, _TWO_PI) - math.pi  # wrap to [-pi, pi)
-    return float(steps.sum() / _TWO_PI), float(np.abs(steps).max())
+def _winding_pass(walk, resolution: int) -> tuple[float, float]:
+    """(raw winding, largest |step|) of the last map of a walk of make_grid(1, resolution).
+
+    A block's steps run on to the next block's first node, and the last
+    block's to the first node, so a level of one block is one array.
+    """
+    angles = (np.arctan2(values[-1][:, 1], values[-1][:, 0]) for _, values in walk)
+    alpha = first = next(angles)
+    total = largest = 0.0
+    for after in itertools.chain(angles, [first]):
+        steps = np.diff(np.concatenate([alpha, after[:1]]))
+        steps = np.mod(steps + math.pi, _TWO_PI) - math.pi  # wrap to [-pi, pi)
+        total += float(steps.sum())
+        largest, alpha = np.maximum(largest, np.abs(steps).max()), after  # keeps a NaN
+    return total / _TWO_PI, float(largest)
 
 
-def _simplicial_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
-    """(raw degree, largest image-edge angle) from values Y on make_grid(2, resolution).
+def _simplicial_pass(walk, resolution: int) -> tuple[float, float]:
+    """(raw degree, largest image-edge angle) of the last map of a walk of make_grid(2, resolution).
 
     Each pole is repeated around its ring, so every band between
     consecutive rings splits each cell (a, b, b', a') -- a above b,
@@ -305,24 +290,34 @@ def _simplicial_pass(Y: np.ndarray, resolution: int) -> tuple[float, float]:
     (a, b, b') and (a, b', a'); at the poles one of the two is degenerate
     and adds nothing. The signed solid angle of an image triangle of unit
     vectors (p, q, r) is the Van Oosterom-Strackee
-    2 * atan2(p.(q x r), 1 + p.q + q.r + r.p). Summation order is fixed,
-    so reruns are bit-identical.
+    2 * atan2(p.(q x r), 1 + p.q + q.r + r.p). A block starts from the
+    previous block's last ring, so a level of one block is one array;
+    the summation order is fixed, so reruns are bit-identical.
     """
-    n, m = resolution, 2 * resolution
-    Y = Y.T
-    top, bottom = (np.broadcast_to(Y[:, i, None, None], (3, 1, m)) for i in (0, -1))
-    R = np.concatenate([top, Y[:, 1:-1].reshape(3, n - 1, m), bottom], axis=1)
-    R1 = np.roll(R, -1, axis=2)
-    a, b, a1, b1 = R[:, :-1], R[:, 1:], R1[:, :-1], R1[:, 1:]
-    east = np.einsum("kij,kij->ij", R, R1)  # along each ring
-    south = np.einsum("kij,kij->ij", a, b)  # between rings
-    diagonal = np.einsum("kij,kij->ij", a, b1)
-    half = np.arctan2(_triple(a, b, b1), 1.0 + south + east[1:] + diagonal)
-    south1 = np.roll(south, -1, axis=1)  # a' . b'
-    half += np.arctan2(_triple(a, b1, a1), 1.0 + diagonal + south1 + east[:-1])
-    lowest = min(east.min(), south.min(), diagonal.min())
+    m = 2 * resolution
+    total, lowest, above = 0.0, np.inf, []
+    for _, values in walk:
+        Y = values[-1].T
+        top = 0 if above else 1  # the north pole starts the first block
+        bottom = (Y.shape[1] - top) % m  # and the south pole ends the last
+        north, south = (np.broadcast_to(Y[:, i, None, None], (3, 1, m)) for i in (0, -1))
+        rings = [Y[:, top : Y.shape[1] - bottom].reshape(3, -1, m)]
+        R = np.concatenate(above + [north] * top + rings + [south] * bottom, axis=1)
+        above = [R[:, -1:]]
+        if R.shape[1] < 2:  # a first block of the north pole alone
+            continue
+        R1 = np.roll(R, -1, axis=2)
+        a, b, a1, b1 = R[:, :-1], R[:, 1:], R1[:, :-1], R1[:, 1:]
+        east = np.einsum("kij,kij->ij", R, R1)  # along each ring
+        south = np.einsum("kij,kij->ij", a, b)  # between rings
+        diagonal = np.einsum("kij,kij->ij", a, b1)
+        half = np.arctan2(_triple(a, b, b1), 1.0 + south + east[1:] + diagonal)
+        south1 = np.roll(south, -1, axis=1)  # a' . b'
+        half += np.arctan2(_triple(a, b1, a1), 1.0 + diagonal + south1 + east[:-1])
+        lowest = np.minimum(lowest, min(east.min(), south.min(), diagonal.min()))
+        total += float(half.sum())
     # the solid angles are 2 * half; their sum over 4*pi is the degree
-    return float(half.sum()) / _TWO_PI, math.acos(max(-1.0, min(1.0, float(lowest))))
+    return total / _TWO_PI, math.acos(max(-1.0, min(1.0, float(lowest))))
 
 
 def _triple(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -339,7 +334,7 @@ _PASSES = {1: ("winding", _winding_pass), 2: ("simplicial", _simplicial_pass)}
 
 def raw_pass(e: MapExpr, resolution: int) -> tuple[float, float]:
     """One non-adaptive pass of e's sphere: (raw degree, largest image step or edge angle)."""
-    return _PASSES[e.dim][1](_Level(e.dim, resolution).values(e), resolution)
+    return _PASSES[e.dim][1](_walk((e,), resolution), resolution)
 
 
 def pair_distance(F: np.ndarray, G: np.ndarray) -> float:
@@ -422,10 +417,9 @@ def check_blend_validity(e: MapExpr, params: DegreeParams) -> tuple[float, int]:
     their common degree; children that disagree are a bug
     (ConsistencyError).
 
-    Each level reads its two children whole on its own _Level, the
-    second reading the first where it contains it (_min_norm), and holds
-    nothing after the level. Returns (L, d): e's bound, the AST's with
-    each blend's from its check, and e's structural degree.
+    Each level is one walk of the two children (_walk). Returns (L, d):
+    e's bound, the AST's with each blend's from its check, and e's
+    structural degree.
     """
     return _check(e, params)  # the walk recurses in _check: one call here per map
 
@@ -447,7 +441,7 @@ def _check(e: MapExpr, params: DegreeParams) -> tuple[float, int]:
             f"its check samples, in {e.render()}"
         )
     for n in levels:
-        min_norm, node = _min_norm(e.f, e.g, n, _Level(dim, n))
+        min_norm, node = _min_norm(_walk((e.f, e.g), n))
         bound = _blend_bound(e, bounds, min_norm, n)
         if bound is not None and _WRAP[dim] * bound <= n:
             break
@@ -484,24 +478,24 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
 def _checked_degree(e: MapExpr, params: DegreeParams) -> tuple[DegreeResult, float]:
     """degree(e, params) and e's Lipschitz bound, both from the one blend check's walk."""
     bound, sd = check_blend_validity(e, params)
-    return _degree(e, _Level(e.dim, _proven_level(bound, params, e.dim)), sd), bound
+    n = _proven_level(bound, params, e.dim)
+    return _degree(e, n, sd, raw_pass(e, n)), bound
 
 
-def _degree(e: MapExpr, level: _Level, sd: int) -> DegreeResult:
-    """degree(e) from one raw pass at _proven_level's n, the level's, checked against sd.
+def _degree(e: MapExpr, n: int, sd: int, passed: tuple[float, float]) -> DegreeResult:
+    """degree(e) from `passed`, e's pass at _proven_level's n, checked against sd.
 
-    The pass, winding on S1 and simplicial on S2, returns (raw degree,
-    largest image step or edge angle) from the map's values on one grid,
-    read through `level`, which may hold them already (a distance level
-    of _ball_distance). n >= 2*pi*L samples keep every image step
-    below pi/3, and n >= pi*L bands every image edge below pi/2, so the
-    sum is the degree (Stenger 1975, Kearfott 1979). A guard over
+    The pass, winding on S1 and simplicial on S2, gives (raw degree,
+    largest image step or edge angle) on a walk of level n, e's own or a
+    distance walk (_ball_distance). n >= 2*pi*L samples keep every image
+    step below pi/3, and n >= pi*L bands every image edge below pi/2, so
+    the sum is the degree (Stenger 1975, Kearfott 1979). A guard over
     STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
     there is a bug (ConsistencyError), and so is an integer other than sd,
     e's structural degree from check_blend_validity (SymbolicNumericMismatch).
     """
-    method, one_pass, n = *_PASSES[e.dim], level.n
-    raw, step = one_pass(level.values(e), n)
+    method = _PASSES[e.dim][0]
+    raw, step = passed
     value = int(round(raw))
     residual = abs(raw - value)
     if not (step <= STEP_CAP and residual < _PROVEN_RESIDUAL):
@@ -529,29 +523,41 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     are chains of perturbs over a common map (_sup_distance). `resolution`
     defaults to _GRID[dim].
     """
+    return _sup_distance(f, g, *_pair_level(f, g, resolution))[0]
+
+
+def _pair_level(f: MapExpr, g: MapExpr, resolution: int | None) -> tuple[int, float]:
+    """(n, L_f + L_g) for sup_distance and homotopy_check, n defaulting to _GRID[dim]."""
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
-    params = DegreeParams()
-    slope = check_blend_validity(f, params)[0] + check_blend_validity(g, params)[0]
-    if resolution is None:
-        resolution = _GRID[f.dim]
-    return _sup_distance(f, g, resolution, None, slope)
+    slope = sum(check_blend_validity(e, DegreeParams())[0] for e in (f, g))
+    return (resolution if resolution is not None else _GRID[f.dim]), slope
 
 
-def _sup_distance(f: MapExpr, g: MapExpr, n: int, held: _Level | None, slope: float):
-    """sup_distance(f, g, n) with slope = L_f + L_g, reading both maps through _pairs.
+def _sup_distance(f: MapExpr, g: MapExpr, n: int, slope: float, read=None):
+    """(sup_distance(f, g, n), read's result) with slope = L_f + L_g, from one walk of level n.
 
-    rigorous is the smaller of the upper bounds that are known, the
-    AST's (_chord_bound) and sampled + slope * mesh(n) where slope is
-    finite, and at least sampled. Where `held` is level n, both maps are
-    read through it, and g stays held there; any other level is streamed.
+    rigorous is the smaller of the known upper bounds, _chord_bound and
+    sampled + slope * mesh(n) where slope is finite, and at least sampled.
+    `read`, g's degree pass or _min_norm, reads the same walk of (f, g).
     """
-    sampled = max(pair_distance(F, G) for _, F, G in _pairs(f, g, n, held))
+    far = []
+
+    def pairs():
+        for X, values in _walk((f, g), n):
+            far.append(pair_distance(*values))
+            yield X, values
+
+    walk = pairs()
+    out = read(walk) if read is not None else None
+    for _ in walk:  # what read left unread
+        pass
+    sampled = max(far)
     bounds = [sampled + slope * mesh(f.dim, n)] if math.isfinite(slope) else []
     chord = _chord_bound(f, g)
     if chord is not None:
         bounds.append(chord)
-    return DistanceEstimate(sampled, n, max(sampled, min(bounds)) if bounds else None)
+    return DistanceEstimate(sampled, n, max(sampled, min(bounds)) if bounds else None), out
 
 
 def _ball_distance(
@@ -568,21 +574,17 @@ def _ball_distance(
     geometry.finest where (L_f + L_g) * mesh is below 1, since no other
     can prove the distance; where none is, as for a sum that is not
     finite, the call is refused with DistanceTooLarge before sampling.
-    The first level is held: f0 is evaluated there before g, so that g
-    reads f0 there, and both stay held; finer levels are streamed. The
-    walk returns at the first level whose rigorous bound is below 1, and
-    is refused at the first whose sampled distance plus
-    (L_f + L_g) * mesh at the last level reaches 1 (_levels' stop rule).
-    degree(g), at the level g's bound proves, then reads g's values from
-    the held level where that is the first level, as it always is on the
-    chord path, and evaluates g on a level of its own otherwise. So each
-    map is evaluated at most once per resolution.
+    Each level is one walk of (f0, g). The search returns at the first
+    level whose rigorous bound is below 1, and is refused at the first
+    whose sampled distance plus (L_f + L_g) * mesh at the last level
+    reaches 1 (_levels' stop rule). degree(g), at the level g's bound
+    proves, rides the walk of the distance level equal to it, as always
+    on the chord path, and walks g alone otherwise, after the search.
     """
     dim = g.dim
     bound, sd = check_blend_validity(g, params)
     slope = bound0 + bound
     chord = _chord_bound(f0, g)
-    proven = None
     if chord is not None and chord < BALL_RADIUS:
         proven = _proven_level(bound, params, dim)
         levels = [proven]
@@ -594,10 +596,15 @@ def _ball_distance(
                 f"Lipschitz bounds sum to {slope:.6g}: no level up to {budget[-1]}, the last "
                 "within the row budget, proves the distance"
             )
-    level = _Level(dim, levels[0])
-    level.values(f0)  # before g is evaluated there, so that g reads it
+        try:
+            proven = _proven_level(bound, params, dim)
+        except ResolutionExceeded:
+            proven = None  # raised again after the search
+    passed = None
     for n in levels:
-        dist = _sup_distance(f0, g, n, level, slope)
+        ride = (lambda walk, n=n: _PASSES[dim][1](walk, n)) if n == proven else None
+        dist, out = _sup_distance(f0, g, n, slope, ride)
+        passed = out or passed
         if dist.rigorous < BALL_RADIUS:
             break
         floor = dist.sampled_max + slope * mesh(dim, levels[-1])
@@ -608,6 +615,4 @@ def _ball_distance(
                 "the ball argument does not apply (inconclusive)"
             )
     n = proven or _proven_level(bound, params, dim)
-    if n != level.n:
-        level = _Level(dim, n)  # the distance level is dropped before g's grid is built
-    return dist, _degree(g, level, sd)
+    return dist, _degree(g, n, sd, passed or raw_pass(g, n))

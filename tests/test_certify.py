@@ -42,6 +42,7 @@ from mapdeg import (
 )
 from mapdeg import geometry
 from mapdeg.degree import (
+    BLEND_MIN_NORM,
     _chord_bound,
     _last_level,
     check_blend_validity,
@@ -165,7 +166,37 @@ class TestHomotopyCheck:
         )
         # exact for unit vectors; the maps' outputs are unit up to rounding
         assert rep.min_norm <= swept + 4 * np.finfo(float).eps
-        assert rep.valid == (rep.min_norm > 1e-6)
+        # valid is proven from the rigorous distance, never from the
+        # sampled minimum, which the floor never exceeds
+        rigorous = sup_distance(f, g, n).rigorous
+        assert rep.floor == math.sqrt(max(0.0, 1.0 - (rigorous / 2.0) ** 2))
+        assert rep.floor <= rep.min_norm + 1e-12
+        assert rep.valid == (rep.floor > 1e-6)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.one_of(
+            st.tuples(S1_TREES, S1_TREES, st.sampled_from([8, 64, 256])),
+            st.tuples(S2_TREES, S2_TREES, st.sampled_from([8, 16, 32])),
+            st.builds(
+                lambda f, seed, eps, n: (f, Perturb(seed, eps, f), n),
+                st.one_of(S1_TREES, S2_TREES),
+                st.integers(0, 2**64 - 1),
+                st.floats(0.0, 0.9),
+                st.sampled_from([8, 32]),
+            ),
+            st.builds(lambda k, n: (Pow(k), Pow(-k), n), st.integers(1, 64), st.sampled_from([8, 64])),
+        )
+    )
+    # antipodal at the midpoints between the 256 nodes, where a verdict
+    # read from the sampled minimum of 1.0 was valid
+    @example((Pow(128), Pow(-128), 256))
+    def test_a_valid_homotopy_joins_maps_of_one_degree(self, pair):
+        f, g, n = pair
+        rep = homotopy_check(f, g, n)
+        if rep.valid:
+            assert f.symbolic_degree() == g.symbolic_degree()
+            assert BLEND_MIN_NORM < rep.floor <= rep.min_norm + 1e-12
 
     def test_a_256_band_homotopy_holds_no_whole_level(self):
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
@@ -655,26 +686,46 @@ class TestCoarseFirst:
         assert dist.rigorous < 1.0
 
 
+def _block_rows(n: int) -> Counter:
+    """Counter of the rows of the blocks of the n-band level."""
+    return Counter(len(X) for X in geometry.grid_blocks(2, n))
+
+
 class TestEvaluationCount:
     """Each map is evaluated at most once per resolution one call uses."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
-        """Counter of (map text, rows) over the calls of eval_array.
+        """Counter of (map text, level rows) over the walks that evaluated each map.
 
-        Starts with no kept base, so that every count is exact whatever
-        ran before.
+        A level is walked in blocks (degree.grid_blocks). Each map is
+        evaluated at most once per block, and only on read-only blocks; a
+        walk counts once for a map when the blocks it was evaluated on sum
+        to the level's vertex count. Starts with no kept base, so that
+        every count is exact whatever ran before.
         """
-        counts = Counter()
-        module = importlib.import_module("mapdeg.degree")
-        original = module.eval_array
+        counts, evaluated, done, blocks = Counter(), Counter(), set(), {}
+        grid_blocks, eval_array = degree_module.grid_blocks, degree_module.eval_array
+
+        def walked(dim, n):
+            walk = (len(blocks), n if dim == 1 else 2 * n * (n - 1) + 2)
+            for X in grid_blocks(dim, n):
+                blocks[id(X)] = walk, X  # X is kept, so that no later block takes its id
+                yield X
 
         def counting(e, X, **kwargs):
-            counts[e.render(), len(X)] += 1
-            return original(e, X, **kwargs)
+            assert not X.flags.writeable
+            (walk, level), block = blocks[id(X)]
+            assert block is X and (e.render(), id(X)) not in done
+            done.add((e.render(), id(X)))
+            evaluated[e.render(), walk] += len(X)
+            if evaluated[e.render(), walk] == level:
+                counts[e.render(), level] += 1
+            return eval_array(e, X, **kwargs)
 
         certify_module._kept_base.cache_clear()
-        monkeypatch.setattr(module, "eval_array", counting)
+        monkeypatch.setattr(degree_module, "grid_blocks", walked)
+        monkeypatch.setattr(degree_module, "eval_array", counting)
         return counts
 
     @pytest.fixture
@@ -692,14 +743,16 @@ class TestEvaluationCount:
 
     @staticmethod
     def grids(built):
-        """A patch under which each grid make_grid builds is appended to built."""
-        make_grid = degree_module.make_grid
+        """A patch under which the blocks of each level walked are appended to built, one list a level."""
+        grid_blocks = degree_module.grid_blocks
 
         def spy(dim, n):
-            built.append(make_grid(dim, n))
-            return built[-1]
+            built.append([])
+            for X in grid_blocks(dim, n):
+                built[-1].append(X)
+                yield X
 
-        return mock.patch.object(degree_module, "make_grid", spy)
+        return mock.patch.object(degree_module, "grid_blocks", spy)
 
     def test_sphere_ball_certificate_evaluates_each_map_once_per_level(self, rows):
         # f0's degree reads 8 bands, 2 + 7 * 16 = 114 vertices; the
@@ -720,8 +773,8 @@ class TestEvaluationCount:
         }
         # f0 and g share the 64-band grid; the call's samples drop it for
         # g's degree level, and the base's degree has samples of its own
-        assert [len(X) for X in built] == [114, 8066, 114]
-        assert not any(X.flags.writeable for X in built)
+        assert [sum(map(len, level)) for level in built] == [114, 8066, 114]
+        assert not any(X.flags.writeable for level in built for X in level)
 
     def test_maps_at_one_level_share_its_grid(self, rows):
         # f0 and g at g's degree level, 12 bands, on one grid of 266
@@ -730,10 +783,10 @@ class TestEvaluationCount:
         built = []
         with self.grids(built):
             ball_certificate(f0, g)
-            assert [len(X) for X in built] == [114, 266]
+            assert [sum(map(len, level)) for level in built] == [114, 266]
             built.clear()
             ball_certificate(f0, g)
-        assert [len(X) for X in built] == [266]
+        assert [sum(map(len, level)) for level in built] == [266]
         assert rows == {(f0.render(), 114): 1, (f0.render(), 266): 2, (g.render(), 266): 2}
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
@@ -906,42 +959,38 @@ class TestEvaluationCount:
         assert susp_evals == {114: 2, 266: 2}
 
     def test_streamed_level_evaluates_each_map_once_per_block(self, rows, susp_evals):
-        # L_f + L_g = 18.8 starts the distance at 128 bands, where f0 is
-        # evaluated before g; 256 bands are finer than f0's held level:
-        # streamed in blocks of whole rings
+        # L_f + L_g = 18.8 starts the distance at 128 bands, 32514
+        # vertices, where f0 is evaluated before g, and doubles to 256,
+        # 130562; every level is walked in blocks of whole rings
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
         assert ball_certificate(f0, g).ball.distance.resolution == 256
         # f0's degree reads 8 bands, 114 vertices; g's, at 53 bands,
         # 2 + 52 * 106 = 5514 vertices, is a level of its own: g is
         # evaluated there once more
-        streamed = {(t, n): k for (t, n), k in rows.items() if n not in (114, 32514, 5514)}
-        assert rows - Counter(streamed) == {
+        assert rows == {
             (f0.render(), 114): 1,
             (f0.render(), 32514): 1,
             (g.render(), 32514): 1,
+            (f0.render(), 130562): 1,
+            (g.render(), 130562): 1,
             (g.render(), 5514): 1,
         }
-        for text in (f0.render(), g.render()):
-            calls = {n: k for (t, n), k in streamed.items() if t == text}
-            assert sum(n * k for n, k in calls.items()) == 2 * 256 * 255 + 2
-            assert max(calls) <= geometry.BLOCK_ROWS
-        # g reads f0's block: one suspension per block, f0's degree level,
-        # its first distance level, and f0 inside g at g's degree level
-        blocks = sum(k for (t, _), k in streamed.items() if t == f0.render())
-        assert susp_evals.total() == blocks + 3
+        assert max(_block_rows(128) | _block_rows(256)) <= geometry.BLOCK_ROWS
+        # g reads f0's block: one suspension per block of f0's degree
+        # level, of both distance levels, and of f0 inside g at g's degree
+        # level
+        levels = (8, 128, 256, 53)
+        assert susp_evals == sum(map(_block_rows, levels), Counter())
 
     def test_homotopy_reads_its_base_inside_the_perturbation(self, rows, susp_evals):
         f0 = parse("(susp (pow 2))")
         g = parse("(perturb 4 0.5 (susp (pow 2)))")
         assert homotopy_check(f0, g).valid
-        # streamed in blocks of whole rings, each map once per block
-        for text in (f0.render(), g.render()):
-            calls = {n: k for (t, n), k in rows.items() if t == text}
-            assert sum(n * k for n, k in calls.items()) == 32514
-            assert max(calls) <= geometry.BLOCK_ROWS
+        # one walk of the 128-band grid, 32514 vertices, in blocks of
+        # whole rings: each map once per block
+        assert rows == {(f0.render(), 32514): 1, (g.render(), 32514): 1}
         # f0 once per block; g reads its block and evaluates its field alone
-        blocks = sum(k for (t, _), k in rows.items() if t == f0.render())
-        assert susp_evals.total() == blocks
+        assert susp_evals == _block_rows(128)
 
     def test_blend_check_reads_what_its_children_share(self, rows, susp_evals):
         e = parse("(blend 0.4 (susp (pow 3)) (compose (rot3 0 0 1 0.7) (susp (pow 3))))")
@@ -949,7 +998,7 @@ class TestEvaluationCount:
         # the check proves the blend at its first level, 64 bands, where
         # the second child reads the first instead of evaluating it
         assert rows == {(e.f.render(), 8066): 1, (e.g.render(), 8066): 1}
-        assert susp_evals == {8066: 1}
+        assert susp_evals == _block_rows(64)
 
     @pytest.mark.parametrize(
         ("other", "distance_rows", "degree_rows"),
@@ -987,7 +1036,10 @@ class TestEvaluationCount:
         assert cert.ball.distance.resolution == {8066: 64, 32514: 128}[distance_rows]
         assert cert.ball.distance.rigorous < 1.0
         assert checked == [g]
-        assert susp_evals == Counter([8066, distance_rows, degree_rows, degree_rows])
+        assert susp_evals == (
+            _block_rows(64) + _block_rows({8066: 64, 32514: 128}[distance_rows])
+            + Counter([degree_rows, degree_rows])
+        )
         assert rows == Counter(
             [
                 (f0.render(), 8066),
@@ -1133,7 +1185,6 @@ class TestAdmission:
         with (
             mock.patch.object(geometry, "MAX_ROWS", 2**16),
             mock.patch.dict(degree_module._FIRST, first),
-            mock.patch.object(degree_module, "make_grid", spy(degree_module.make_grid)),
             mock.patch.object(degree_module, "grid_blocks", spy(degree_module.grid_blocks)),
         ):
             certify_module._kept_base.cache_clear()

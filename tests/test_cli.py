@@ -178,7 +178,8 @@ class TestHomotopyCommand:
         payload = lines[0]["payload"]
         assert payload["valid"] is True
         assert payload["min_norm"] > 0.25
-        assert set(payload) == {"valid", "min_norm", "argmin", "resolution"}
+        assert set(payload) == {"valid", "min_norm", "floor", "argmin", "resolution"}
+        assert 1e-6 < payload["floor"] <= payload["min_norm"]
         assert payload["argmin"]["t"] == 0.5
 
     def test_pinched_homotopy(self, capsys):
@@ -186,6 +187,33 @@ class TestHomotopyCommand:
         assert code == 0
         assert lines[0]["payload"]["valid"] is False
         assert lines[0]["payload"]["min_norm"] < 1e-3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # degrees 128 and -128: antipodal between every two of the
+            # 256 nodes, where the sampled minimum reads 1.0
+            ["-a", "(pow 128)", "-b", "(pow -128)"],
+            # rigorous 2.40: the sampled minimum of 0.12 proves nothing
+            [
+                "-a", "(susp (pow 3))", "-b", "(compose (rot3 0 0 1 2.9) (susp (pow 3)))",
+                "--resolution", "64",
+            ],
+        ],
+    )
+    def test_an_unproven_homotopy_is_not_valid(self, capsys, argv):
+        code, lines, _ = run_cli(capsys, "homotopy", *argv)
+        assert code == 0
+        payload = lines[0]["payload"]
+        assert payload["valid"] is False and payload["floor"] == 0.0
+        assert payload["min_norm"] > 0.1
+
+    def test_a_pinching_blend_is_refused(self, capsys):
+        # both maps' blend checks run first, as for distance
+        blend = "(blend 0.5 (pow 2) (compose (antipode 1) (pow 2)))"
+        code, lines, _ = run_cli(capsys, "homotopy", "-a", "(pow 2)", "-b", blend)
+        assert code == 1
+        assert lines[0]["outcome"] == "InvalidBlend"
 
 
 class TestExperimentCommand:
@@ -610,7 +638,7 @@ class TestPayloadSchemas:
             ),
             (
                 ["homotopy", "-a", "(id 1)", "-b", "(antipode 1)"],
-                ["valid", "min_norm", "argmin", "argmin.point", "argmin.t", "resolution"],
+                ["valid", "min_norm", "floor", "argmin", "argmin.point", "argmin.t", "resolution"],
             ),
             (
                 ["certify", "-e", "(pow 2)"],

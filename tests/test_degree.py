@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from mapdeg import (
     Rot,
     Rot3,
     Susp,
+    ball_certificate,
     degree,
     eval_array,
     homotopy_check,
@@ -39,10 +41,10 @@ from mapdeg.degree import (
     BLEND_MIN_NORM,
     STEP_CAP,
     _last_level,
-    _Level,
     _min_norm,
     _proven_level,
     _sup_distance,
+    _walk,
     check_blend_validity,
     pair_distance,
     pair_min_norm,
@@ -56,14 +58,30 @@ degree_module = importlib.import_module("mapdeg.degree")
 
 @pytest.fixture
 def check_rows_seen(monkeypatch):
-    """Rows of each level a blend check sampled, in order."""
-    seen = []
-    original = degree_module.pair_min_norm
+    """Rows of each level a blend check sampled, in order: its blocks' rows summed.
+
+    A level is walked in blocks (degree.grid_blocks), and the check reads
+    each block once: the spy asserts that pair_min_norm sees every block
+    of a walk it reads, and nothing twice.
+    """
+    seen, blocks = [], []
+    grid_blocks, pair_min_norm = degree_module.grid_blocks, degree_module.pair_min_norm
+
+    def walked(dim, n):
+        blocks.clear()
+        for X in grid_blocks(dim, n):
+            blocks.append(len(X))
+            yield X
 
     def spy(F, G):
-        seen.append(len(F))
-        return original(F, G)
+        read = len(blocks) - 1
+        if read == 0:
+            seen.append(0)
+        assert len(F) == blocks[read] and seen
+        seen[-1] += len(F)
+        return pair_min_norm(F, G)
 
+    monkeypatch.setattr(degree_module, "grid_blocks", walked)
     monkeypatch.setattr(degree_module, "pair_min_norm", spy)
     return seen
 
@@ -854,7 +872,7 @@ def whole_distance(f, g, n: int) -> float:
 
 
 class TestStreamedDistance:
-    """A level no held values cover is reduced block by block, bit for bit."""
+    """Every level is reduced block by block, bit for bit."""
 
     @pytest.mark.parametrize(
         "f, g, levels",
@@ -869,7 +887,7 @@ class TestStreamedDistance:
         f, g = parse(f), parse(g)
         for n in levels:
             want = whole_distance(f, g, n)
-            assert _sup_distance(f, g, n, None, math.inf).sampled_max == want
+            assert _sup_distance(f, g, n, math.inf)[0].sampled_max == want
             assert sup_distance(f, g, n).sampled_max == want
 
     @pytest.mark.parametrize("block_rows", [1, 100])
@@ -880,7 +898,7 @@ class TestStreamedDistance:
             ("(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))", 32),
         ):
             f, g = parse(f), parse(g)
-            assert _sup_distance(f, g, n, None, math.inf).sampled_max == whole_distance(f, g, n)
+            assert _sup_distance(f, g, n, math.inf)[0].sampled_max == whole_distance(f, g, n)
 
     @pytest.mark.parametrize("block_rows", [1, 100, geometry.BLOCK_ROWS])
     @pytest.mark.parametrize(
@@ -902,26 +920,10 @@ class TestStreamedDistance:
         X = geometry.make_grid(f.dim, n)
         low, row = pair_min_norm(eval_array(f, X), eval_array(g, X))
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
-        # streamed, or held and read whole: the same minimum, at the
-        # grid's node of its first row, bit for bit
-        for held in (None, _Level(f.dim, n)):
-            got, point = _min_norm(f, g, n, held)
-            assert got == low
-            assert np.array(point).tobytes() == X[row].tobytes()
-
-    def test_held_values_are_read_and_keep_the_second_map(self):
-        f, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
-        level = _Level(2, 64)
-        F = level.values(f)
-        assert _sup_distance(f, g, 64, level, math.inf).sampled_max == whole_distance(f, g, 64)
-        # f is read, not evaluated again, and g's 64 bands stay held for
-        # the degree that reads them next
-        assert level.values(f) is F
-        G = level.values(g)
-        # a level other than the held one is streamed and holds nothing
-        assert _sup_distance(f, g, 32, level, math.inf).sampled_max == whole_distance(f, g, 32)
-        assert list(level._values) == [f, g] and level.values(g) is G
-        assert not level.nodes.flags.writeable
+        # the same minimum, at the grid's node of its first row, bit for bit
+        got, point = _min_norm(_walk((f, g), n))
+        assert got == low
+        assert np.array(point).tobytes() == X[row].tobytes()
 
     def test_streamed_level_is_refused_over_the_row_budget_before_sampling(self, monkeypatch):
         def never(*args, **kwargs):
@@ -930,7 +932,73 @@ class TestStreamedDistance:
         monkeypatch.setattr(degree_module, "eval_array", never)
         with pytest.raises(InvalidResolution, match="sample rows"):
             f, g, n = parse("(id 2)"), parse("(antipode 2)"), geometry.finest(2) + 1
-            _sup_distance(f, g, n, None, math.inf)
+            _sup_distance(f, g, n, math.inf)
+
+
+class TestWalk:
+    """Every level is one walk of grid blocks, which every consumer of the level reads."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.one_of(S1_TREES, S2_TREES).filter(lambda e: e.lipschitz_bound() <= 100.0),
+        st.sampled_from([None, 8, 33, 64]),
+    )
+    def test_block_size_changes_no_integer_and_no_step(self, e, level):
+        # the degree's own level, or another: against one block of the
+        # whole level, the same integer, the same largest step or edge
+        # bit for bit, and the raw sum within 1e-12
+        res = degree(e) if level is None else None
+        n = res.resolution if res is not None else level
+        with mock.patch.object(geometry, "BLOCK_ROWS", geometry.MAX_ROWS):
+            raw, step = raw_pass(e, n)
+        for rows in (1, 7, 100, 8192):
+            with mock.patch.object(geometry, "BLOCK_ROWS", rows):
+                got, got_step = raw_pass(e, n)
+            assert round(got) == round(raw)
+            assert got_step == step
+            assert abs(got - raw) <= 1e-12
+        if res is not None:
+            assert round(raw) == res.value
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 503 bands; the whole level's arrays peaked at 81 MB
+            "(susp (pow 160))",
+            # checked at 64, 128 and 256 bands and read at 80; the whole
+            # levels peaked at 17.9 MB
+            "(blend 0.5 (susp (pow 3)) (compose (rot3 0 0 1 2.8) (susp (pow 3))))",
+        ],
+    )
+    def test_a_degree_holds_no_whole_level(self, text):
+        e = parse(text)
+        degree(parse("(susp (pow 2))"))
+        tracemalloc.start()
+        try:
+            res = degree(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == e.f.symbolic_degree() if isinstance(e, Blend) else e.symbolic_degree()
+        assert peak < 6e6
+
+    def test_every_block_a_map_reads_is_read_only(self, monkeypatch):
+        writeable = []
+        eval_array = degree_module.eval_array
+
+        def spy(e, X, **kwargs):
+            writeable.append(X.flags.writeable)
+            return eval_array(e, X, **kwargs)
+
+        monkeypatch.setattr(degree_module, "eval_array", spy)
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", 100)
+        f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
+        degree(parse("(blend 0.5 (susp (pow 2)) (compose (rot3 0 0 1 0.5) (susp (pow 2))))"))
+        sup_distance(f0, g, 16)
+        homotopy_check(f0, g, 16)
+        ball_certificate(f0, g)
+        ball_certificate(f0, parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))"))
+        assert len(writeable) > 100 and not any(writeable)
 
 
 class TestLipschitzBound:
