@@ -22,7 +22,7 @@ from .degree import (
     DegreeResult,
     DistanceEstimate,
     _ball_distance,
-    _checked_degree,
+    _base_degree,
     _min_norm,
     _pair_level,
     _sup_distance,
@@ -196,8 +196,8 @@ def homotopy_check(f0: MapExpr, g: MapExpr, resolution: int | None = None) -> Ho
     floor is above BLEND_MIN_NORM; a sampled minimum proves nothing
     between the nodes.
     """
-    n, slope = _pair_level(f0, g, resolution)
-    dist, (min_norm, point) = _sup_distance(f0, g, n, slope, _min_norm)
+    n, slope, chord = _pair_level(f0, g, resolution)
+    dist, (min_norm, point) = _sup_distance(f0, g, n, slope, chord, _min_norm)
     r = dist.rigorous
     floor = None if r is None else math.sqrt(max(0.0, 1.0 - (r / 2.0) ** 2))
     valid = floor is not None and floor > BLEND_MIN_NORM
@@ -225,20 +225,25 @@ def certify_not_iterate(
 @functools.lru_cache(maxsize=1)
 def _kept_base(
     text: str, params: DegreeParams, f0: MapExpr
-) -> tuple[DegreeResult, PowerWitness | None, float]:
+) -> tuple[DegreeResult, PowerWitness | None, float, dict]:
     """A ball certificate's base map, certified once for later calls.
 
     f0's degree, its power witness and its blend check's bound: all the
     ball argument needs of f0 besides its distance to the subject, which
     each call reads on its own samples (_ball_distance). f0 is evaluated
-    here only where its check and its degree need it. One entry only.
-    text is f0.render() and part of the key: (rot 0.0) == (rot -0.0) and
-    the two hash alike, but they may round differently, and the kept
-    degree's residual is in the payload. lru_cache keeps no exception,
-    so an error is never kept.
+    here only where its check and its degree need it, and at its kept
+    levels (_base_levels): from f0's degree level up, the nodes of the
+    levels of one block and f0's values there, read-only and within
+    geometry.BLOCK_ROWS rows in all, which every call reads instead of
+    building the grid and evaluating f0 again. One entry only, so a new
+    base or new params drop the old levels with the rest. text is
+    f0.render() and part of the key: (rot 0.0) == (rot -0.0) and the two
+    hash alike, but they may round differently, and the kept degree's
+    residual is in the payload. lru_cache keeps no exception, so an
+    error is never kept.
     """
-    deg, bound = _checked_degree(f0, params)
-    return deg, is_perfect_power(deg.value), bound
+    deg, bound, levels = _base_degree(f0, params)
+    return deg, is_perfect_power(deg.value), bound, levels
 
 
 def ball_certificate(
@@ -250,19 +255,21 @@ def ball_certificate(
     between f0 and g to be below 1. Then the straight-line homotopy
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
     vectors, and g has f0's degree. f0's degree, witness and bound (L_f)
-    come from _kept_base. The distance and degree(g) come from one route,
-    _ball_distance: g's blend check, then the distance at the levels it
-    samples (g's degree level where the chord bound proves the distance,
-    else a coarse-first search), then degree(g) from the same samples.
+    come from _kept_base, and so do f0's kept levels. The distance and
+    degree(g) come from one route, _ball_distance: g's blend check, then
+    the distance at the levels it samples (g's degree level where the
+    chord bound proves the distance, else a coarse-first search), then
+    degree(g) from the same samples. A level that the base's record
+    keeps is read from it, with no grid built and f0 not evaluated.
     The certificate carries f0's degree; degree(g) is a consistency check
     that must agree.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    deg0, witness, bound0 = _kept_base(f0.render(), params, f0)
+    deg0, witness, bound0, kept = _kept_base(f0.render(), params, f0)
     if witness is not None:
         return Refusal(g.render(), g.dim, deg0, witness)
-    dist, deg_g = _ball_distance(f0, g, params, bound0)
+    dist, deg_g = _ball_distance(f0, g, params, bound0, kept)
     if deg_g.value != deg0.value:
         raise ConsistencyError(
             f"degree {deg_g.value} of the perturbed map differs from the "

@@ -12,7 +12,9 @@ blend one its checks derive from the blends' sampled denominators
 (ResolutionExceeded); no degree is rounded from a level that is not a
 proof. Every level is sampled by one walk of grid blocks (_walk), which
 every consumer of the level reads: a degree pass, the sup distance and
-a segment minimum. No array of a whole level is held.
+a segment minimum. No array of a whole level is held, but for a ball
+certificate's base, whose levels of one block its record keeps
+(_base_levels), within one block's rows in all.
 """
 
 from __future__ import annotations
@@ -179,7 +181,9 @@ def _proven_level(bound: float, params: DegreeParams, dim: int) -> int:
     return math.ceil(need)
 
 
-def _walk(maps: tuple[MapExpr, ...], n: int) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+def _walk(
+    maps: tuple[MapExpr, ...], n: int, kept: dict | None = None
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Level n in geometry.grid_blocks: (nodes, each map's values there) per block.
 
     Each block is read-only before any map reads it, and each map is
@@ -187,13 +191,45 @@ def _walk(maps: tuple[MapExpr, ...], n: int) -> Iterator[tuple[np.ndarray, list[
     contains them (_known): a perturbation of an earlier map costs its
     field alone. No block outlives the next unless the caller keeps it,
     and a max or min over the blocks is the whole level's, bit for bit.
+    kept maps a level to its one block and the values of the first maps
+    there, as a ball certificate's base keeps them (_base_levels): that
+    level is walked as the block, with no grid built and those maps not
+    evaluated, their kept values being the same bits.
     """
-    for X in grid_blocks(maps[0].dim, n):
+    level = kept.get(n) if kept else None
+    blocks = [level[0]] if level else grid_blocks(maps[0].dim, n)
+    for X in blocks:
         X.flags.writeable = False
-        values = []
-        for e in maps:
+        values = list(level[1:]) if level else []
+        for e in maps[len(values) :]:
             values.append(eval_array(e, X, known=_known(e, list(zip(maps, values)))))
         yield X, values
+
+
+def _base_levels(f0: MapExpr, n0: int, params: DegreeParams) -> dict:
+    """A ball certificate base's kept levels: n -> (nodes, f0's values there), both read-only.
+
+    A subject whose distance the chord bound proves is read at its degree
+    level alone, and a chain of perturbs over f0 has a Lipschitz bound of
+    at least f0's, so that level is n0, f0's own, or finer. The levels
+    kept are n0, n0 + 1, ..., up to _last_level, each walked once here
+    on its grid's one block. They stop at the first level of several
+    blocks, or whose rows would take the kept rows past
+    geometry.BLOCK_ROWS (about 0.4 MB on S2), before f0 is evaluated
+    there. They depend on f0 and params alone, so every call reads the
+    same levels, whatever ran before.
+    """
+    levels, rows = {}, 0
+    for n in range(n0, _last_level(params, f0.dim) + 1):
+        blocks = grid_blocks(f0.dim, n)
+        X = next(blocks)
+        rows += len(X)
+        if rows > geometry.BLOCK_ROWS or next(blocks, None) is not None:
+            break
+        [(_, [F])] = _walk((f0,), n, {n: (X,)})
+        F.flags.writeable = False
+        levels[n] = X, F
+    return levels
 
 
 def _min_norm(walk) -> tuple[float, tuple[float, ...]]:
@@ -472,14 +508,21 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     (check_blend_validity). A disagreement raises SymbolicNumericMismatch
     and is always a bug, never silently preferred away.
     """
-    return _checked_degree(e, params)[0]
-
-
-def _checked_degree(e: MapExpr, params: DegreeParams) -> tuple[DegreeResult, float]:
-    """degree(e, params) and e's Lipschitz bound, both from the one blend check's walk."""
     bound, sd = check_blend_validity(e, params)
     n = _proven_level(bound, params, e.dim)
-    return _degree(e, n, sd, raw_pass(e, n)), bound
+    return _degree(e, n, sd, raw_pass(e, n))
+
+
+def _base_degree(f0: MapExpr, params: DegreeParams) -> tuple[DegreeResult, float, dict]:
+    """degree(f0, params), f0's Lipschitz bound and its kept levels (_base_levels).
+
+    The first level kept is f0's degree level, where one is kept at all,
+    and f0's degree pass reads it there.
+    """
+    bound, sd = check_blend_validity(f0, params)
+    n = _proven_level(bound, params, f0.dim)
+    levels = _base_levels(f0, n, params)
+    return _degree(f0, n, sd, _PASSES[f0.dim][1](_walk((f0,), n, levels), n)), bound, levels
 
 
 def _degree(e: MapExpr, n: int, sd: int, passed: tuple[float, float]) -> DegreeResult:
@@ -526,25 +569,39 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     return _sup_distance(f, g, *_pair_level(f, g, resolution))[0]
 
 
-def _pair_level(f: MapExpr, g: MapExpr, resolution: int | None) -> tuple[int, float]:
-    """(n, L_f + L_g) for sup_distance and homotopy_check, n defaulting to _GRID[dim]."""
+def _pair_level(
+    f: MapExpr, g: MapExpr, resolution: int | None
+) -> tuple[int, float, float | None]:
+    """(n, L_f + L_g, _chord_bound(f, g)) for sup_distance and homotopy_check.
+
+    n defaults to _GRID[dim].
+    """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
     slope = sum(check_blend_validity(e, DegreeParams())[0] for e in (f, g))
-    return (resolution if resolution is not None else _GRID[f.dim]), slope
+    return (resolution if resolution is not None else _GRID[f.dim]), slope, _chord_bound(f, g)
 
 
-def _sup_distance(f: MapExpr, g: MapExpr, n: int, slope: float, read=None):
+def _sup_distance(
+    f: MapExpr,
+    g: MapExpr,
+    n: int,
+    slope: float,
+    chord: float | None,
+    read=None,
+    kept: dict | None = None,
+):
     """(sup_distance(f, g, n), read's result) with slope = L_f + L_g, from one walk of level n.
 
-    rigorous is the smaller of the known upper bounds, _chord_bound and
-    sampled + slope * mesh(n) where slope is finite, and at least sampled.
-    `read`, g's degree pass or _min_norm, reads the same walk of (f, g).
+    rigorous is the smaller of the known upper bounds, chord, which is
+    _chord_bound(f, g), and sampled + slope * mesh(n) where slope is
+    finite, and at least sampled. `read`, g's degree pass or _min_norm,
+    reads the same walk of (f, g), which reads f's kept levels (_walk).
     """
     far = []
 
     def pairs():
-        for X, values in _walk((f, g), n):
+        for X, values in _walk((f, g), n, kept):
             far.append(pair_distance(*values))
             yield X, values
 
@@ -554,19 +611,19 @@ def _sup_distance(f: MapExpr, g: MapExpr, n: int, slope: float, read=None):
         pass
     sampled = max(far)
     bounds = [sampled + slope * mesh(f.dim, n)] if math.isfinite(slope) else []
-    chord = _chord_bound(f, g)
     if chord is not None:
         bounds.append(chord)
     return DistanceEstimate(sampled, n, max(sampled, min(bounds)) if bounds else None), out
 
 
 def _ball_distance(
-    f0: MapExpr, g: MapExpr, params: DegreeParams, bound0: float
+    f0: MapExpr, g: MapExpr, params: DegreeParams, bound0: float, kept: dict
 ) -> tuple[DistanceEstimate, DegreeResult]:
     """A ball certificate's distance from f0 to g, proven below BALL_RADIUS, and degree(g).
 
-    bound0 is L_f, f0's blend check's bound. g's blend check runs first,
-    for L_g and g's structural degree. The levels sampled are g's degree
+    bound0 is L_f, f0's blend check's bound, and kept f0's kept levels.
+    g's blend check runs first, for L_g and g's structural degree, and
+    the chord bound is taken once. The levels sampled are g's degree
     level alone where f0 and g are chains of perturbs over a common map
     whose chord bound (_chord_bound) is below 1, since that bound proves
     the distance at any level, and _proven_level refuses the level before
@@ -574,12 +631,15 @@ def _ball_distance(
     geometry.finest where (L_f + L_g) * mesh is below 1, since no other
     can prove the distance; where none is, as for a sum that is not
     finite, the call is refused with DistanceTooLarge before sampling.
-    Each level is one walk of (f0, g). The search returns at the first
-    level whose rigorous bound is below 1, and is refused at the first
-    whose sampled distance plus (L_f + L_g) * mesh at the last level
-    reaches 1 (_levels' stop rule). degree(g), at the level g's bound
-    proves, rides the walk of the distance level equal to it, as always
-    on the chord path, and walks g alone otherwise, after the search.
+    Each level is one walk of (f0, g), which reads f0 at a level kept
+    holds (_walk): on the chord path, where g's degree level is one of
+    them, the call builds no grid and does not evaluate f0. The search
+    returns at the first level whose rigorous bound is below 1, and is
+    refused at the first whose sampled distance plus (L_f + L_g) * mesh
+    at the last level reaches 1 (_levels' stop rule). degree(g), at the
+    level g's bound proves, rides the walk of the distance level equal
+    to it, as always on the chord path, and walks g alone otherwise,
+    after the search.
     """
     dim = g.dim
     bound, sd = check_blend_validity(g, params)
@@ -603,7 +663,7 @@ def _ball_distance(
     passed = None
     for n in levels:
         ride = (lambda walk, n=n: _PASSES[dim][1](walk, n)) if n == proven else None
-        dist, out = _sup_distance(f0, g, n, slope, ride)
+        dist, out = _sup_distance(f0, g, n, slope, chord, ride, kept)
         passed = out or passed
         if dist.rigorous < BALL_RADIUS:
             break

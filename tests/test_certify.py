@@ -691,6 +691,24 @@ def _block_rows(n: int) -> Counter:
     return Counter(len(X) for X in geometry.grid_blocks(2, n))
 
 
+def _rows(dim: int, n: int) -> int:
+    """The vertices of level n: n samples on S1, 2 + (n - 1) * 2n on S2."""
+    return n if dim == 1 else 2 * n * (n - 1) + 2
+
+
+#: The levels a base's record keeps (degree._base_levels): from the
+#: base's degree level up, while their rows fit geometry.BLOCK_ROWS, 8192.
+#: 8 to 23 bands hold 7904 vertices, and 24 would add 1106; 13 to 128
+#: samples hold 8178, and 129 would add 129.
+KEPT = {"(susp (pow 2))": range(8, 24), "(pow 2)": range(13, 129)}
+
+
+def _kept(f0, levels=None) -> Counter:
+    """Counter of (f0's text, rows) over the levels f0's record keeps: it walks each once."""
+    levels = KEPT[f0.render()] if levels is None else levels
+    return Counter({(f0.render(), _rows(f0.dim, n)): 1 for n in levels})
+
+
 class TestEvaluationCount:
     """Each map is evaluated at most once per resolution one call uses."""
 
@@ -698,33 +716,44 @@ class TestEvaluationCount:
     def rows(self, monkeypatch):
         """Counter of (map text, level rows) over the walks that evaluated each map.
 
-        A level is walked in blocks (degree.grid_blocks). Each map is
-        evaluated at most once per block, and only on read-only blocks; a
-        walk counts once for a map when the blocks it was evaluated on sum
-        to the level's vertex count. Starts with no kept base, so that
-        every count is exact whatever ran before.
+        A walk (degree._walk) reads a level in blocks: its grid's
+        (degree.grid_blocks), or the one block a base's record keeps,
+        which later walks read again. Each map is evaluated at most once
+        per block of a walk, and only on read-only blocks; a walk counts
+        once for a map when the blocks it was evaluated on sum to the
+        level's vertex count. Starts with no kept base, so that every
+        count is exact whatever ran before.
         """
-        counts, evaluated, done, blocks = Counter(), Counter(), set(), {}
-        grid_blocks, eval_array = degree_module.grid_blocks, degree_module.eval_array
+        counts, evaluated, active = Counter(), Counter(), []
+        walk, eval_array = degree_module._walk, degree_module.eval_array
 
-        def walked(dim, n):
-            walk = (len(blocks), n if dim == 1 else 2 * n * (n - 1) + 2)
-            for X in grid_blocks(dim, n):
-                blocks[id(X)] = walk, X  # X is kept, so that no later block takes its id
-                yield X
+        def walking(maps, n, *args):
+            # (walk, level rows, blocks evaluated on): a block is kept
+            # alive while its walk lasts, so that no later one takes its id
+            here = (object(), _rows(maps[0].dim, n), {})
+            inner = walk(maps, n, *args)
+            while True:
+                active.append(here)
+                try:
+                    block = next(inner, None)
+                finally:
+                    active.pop()
+                if block is None:
+                    return
+                yield block
 
         def counting(e, X, **kwargs):
             assert not X.flags.writeable
-            (walk, level), block = blocks[id(X)]
-            assert block is X and (e.render(), id(X)) not in done
-            done.add((e.render(), id(X)))
-            evaluated[e.render(), walk] += len(X)
-            if evaluated[e.render(), walk] == level:
+            key, level, seen = active[-1]
+            assert (e.render(), id(X)) not in seen
+            seen[e.render(), id(X)] = X
+            evaluated[e.render(), key] += len(X)
+            if evaluated[e.render(), key] == level:
                 counts[e.render(), level] += 1
             return eval_array(e, X, **kwargs)
 
         certify_module._kept_base.cache_clear()
-        monkeypatch.setattr(degree_module, "grid_blocks", walked)
+        monkeypatch.setattr(degree_module, "_walk", walking)
         monkeypatch.setattr(degree_module, "eval_array", counting)
         return counts
 
@@ -755,8 +784,9 @@ class TestEvaluationCount:
         return mock.patch.object(degree_module, "grid_blocks", spy)
 
     def test_sphere_ball_certificate_evaluates_each_map_once_per_level(self, rows):
-        # f0's degree reads 8 bands, 2 + 7 * 16 = 114 vertices; the
-        # distance of a turn, which is searched, proves itself at its
+        # f0's record walks f0 once at each level it keeps, 8 to 23
+        # bands, its degree's 8 bands, 2 + 7 * 16 = 114 vertices, first;
+        # the distance of a turn, which is searched, proves itself at its
         # first level, 64 bands, 2 + 63 * 128 = 8066, where f0 is
         # evaluated once before g; g's proven degree level, 8 bands, is
         # evaluated on its own
@@ -765,29 +795,32 @@ class TestEvaluationCount:
         built = []
         with self.grids(built):
             assert ball_certificate(f0, g).ball.distance.resolution == 64
-        assert rows == {
-            (f0.render(), 114): 1,
-            (f0.render(), 8066): 1,
-            (g.render(), 8066): 1,
-            (g.render(), 114): 1,
-        }
-        # f0 and g share the 64-band grid; the call's samples drop it for
-        # g's degree level, and the base's degree has samples of its own
-        assert [sum(map(len, level)) for level in built] == [114, 8066, 114]
-        assert not any(X.flags.writeable for level in built for X in level)
+        assert rows == _kept(f0) + Counter(
+            {(f0.render(), 8066): 1, (g.render(), 8066): 1, (g.render(), 114): 1}
+        )
+        # the record builds the grids of its levels and of 24 bands, where
+        # the budget stops it before f0 is evaluated; f0 and g share the
+        # 64-band grid, and g's degree level, walked by g alone, has one
+        kept = [_rows(2, n) for n in range(8, 25)]
+        assert [sum(map(len, level)) for level in built] == [*kept, 8066, 114]
+        # every block a map reads is read-only; no map reads the 24-band one
+        read = built[:16] + built[17:]
+        assert not any(X.flags.writeable for level in read for X in level)
 
     def test_maps_at_one_level_share_its_grid(self, rows):
-        # f0 and g at g's degree level, 12 bands, on one grid of 266
-        # vertices; f0's own degree, 8 bands, on another
+        # f0 and g at g's degree level, 12 bands, share one grid of 266
+        # vertices: the base's record keeps it, with f0's values there,
+        # from the record's making on, which builds every grid a first
+        # call builds. A later call builds no grid and evaluates g alone
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         built = []
         with self.grids(built):
             ball_certificate(f0, g)
-            assert [sum(map(len, level)) for level in built] == [114, 266]
+            assert [sum(map(len, level)) for level in built] == [_rows(2, n) for n in range(8, 25)]
             built.clear()
             ball_certificate(f0, g)
-        assert [sum(map(len, level)) for level in built] == [266]
-        assert rows == {(f0.render(), 114): 1, (f0.render(), 266): 2, (g.render(), 266): 2}
+        assert built == []
+        assert rows == _kept(f0) + Counter({(g.render(), 266): 2})
 
     def test_sphere_degree_evaluates_only_its_finer_level(self, rows):
         # the blend check proves the blend at 64 bands, 2 + 63 * 128 =
@@ -842,12 +875,13 @@ class TestEvaluationCount:
         assert rows == {}
 
     def test_a_base_no_level_proves_is_refused_before_its_grid(self, rows):
-        # the base is read at its own 8 bands, 114 vertices, and g, whose
-        # chord bound proves the distance, at its own 12, 266
+        # the base is read at its own 8 bands, 114 vertices, and its
+        # record's other levels, and g, whose chord bound proves the
+        # distance, at its own 12, 266, which the record keeps
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         cert = ball_certificate(f0, g)
         assert (cert.degree.resolution, cert.ball.distance.resolution) == (8, 12)
-        assert rows == {(f0.render(), 114): 1, (f0.render(), 266): 1, (g.render(), 266): 1}
+        assert rows == _kept(f0) + Counter({(g.render(), 266): 1})
         # a blend base whose ends alone need pi * 200 = 629 bands, above
         # the last level, is refused before the base is evaluated anywhere
         rows.clear()
@@ -864,7 +898,8 @@ class TestEvaluationCount:
         # c(0.05 * M) = 0.036 proves the distance, so the one level sampled
         # is g's degree level, 2*pi * L_g = 261.0 samples, above the last
         # level under the lowest cap, 256: it is refused before f0 or g is
-        # evaluated there, and only f0's own degree level, 252, is read
+        # evaluated there, and only f0's record's levels are read, from its
+        # own degree level, 252, to the last level, 256
         f0, g = parse("(pow 40)"), parse("(perturb 1 0.05 (pow 40))")
         assert _chord(0.05, 1, dim=1) < 1.0
         params = DegreeParams(max_resolution=8)
@@ -875,7 +910,7 @@ class TestEvaluationCount:
             ResolutionExceeded, match=f"^map needs resolution {need}, above the last level {last}, "
         ):
             ball_certificate(f0, g, params)
-        assert rows == {(f0.render(), own): 1}
+        assert rows == _kept(f0, range(own, last + 1))
 
     def test_sphere_degree_evaluates_only_its_proven_level(self, rows):
         # pi * L = 11.4 bands: read at 12, 2 + 11 * 24 = 266 vertices
@@ -898,55 +933,63 @@ class TestEvaluationCount:
     def test_doubling_distance_evaluates_each_level_once(
         self, rows, subject, levels, degree_level
     ):
-        # f0's degree reads 13 samples; at the first distance level f0 is
-        # evaluated before g, and each finer level is streamed once
+        # f0's record reads 13 to 128 samples, its degree's 13 first; at
+        # the first distance level f0 is evaluated before g, and each finer
+        # level is streamed once
         f0, g = parse("(pow 2)"), parse(subject)
         assert ball_certificate(f0, g).ball.distance.resolution == 1024
-        assert rows == (
-            {(f0.render(), n): 1 for n in (13, *levels)}
+        assert rows == _kept(f0) + Counter(
+            {(f0.render(), n): 1 for n in levels}
             | {(g.render(), n): 1 for n in levels}
             | {(g.render(), degree_level): 1}
         )
 
     def test_a_warm_perturbation_evaluates_only_its_degree_level(self, rows):
         # c(0.5 * M) < 1 proves the distance: no distance level is
-        # sampled. f0 is evaluated at g's degree level, 12 bands, 2 + 11 *
-        # 24 = 266 vertices, before g, which reads it; a cold call also
-        # reads f0's degree at 8 bands, 114 vertices
+        # sampled. g's degree level, 12 bands, 2 + 11 * 24 = 266
+        # vertices, is one the base's record keeps: a cold call evaluates
+        # f0 there, and at the record's other levels, its degree's 8 bands
+        # among them, once, and g reads it; a warm call evaluates g alone
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         first = ball_certificate(f0, g)
-        assert rows == {(f0.render(), 114): 1, (f0.render(), 266): 1, (g.render(), 266): 1}
+        assert rows == _kept(f0) + Counter({(g.render(), 266): 1})
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
-        assert rows == {(f0.render(), 266): 1, (g.render(), 266): 1}
+        assert rows == {(g.render(), 266): 1}
         assert second.to_json_dict() == first.to_json_dict()
         assert first.ball.distance.rigorous <= _chord(0.5, 4) + 1e-12
 
     def test_a_degree_level_off_the_grid_evaluates_f0_once_there(self, rows, susp_evals):
         # L_g = 6.31 reads g's degree at 20 bands, 2 + 19 * 40 = 762
-        # vertices, off the 64-band first level: f0 is evaluated there
-        # once, before g, which reads it; c(0.85 * M) = 0.52 proves the
-        # distance
+        # vertices, off the 64-band first level; c(0.85 * M) = 0.52
+        # proves the distance. The level is one block, which the base's
+        # record keeps: the cold call evaluates f0 there once, with the
+        # record's other levels, and g reads it, so the warm call
+        # evaluates no suspension at all
         f0, g = parse("(susp (pow 2))"), parse("(perturb 1 0.85 (susp (pow 2)))")
         ball_certificate(f0, g)
+        assert rows == _kept(f0) + Counter({(g.render(), 762): 1})
+        assert susp_evals == Counter(_rows(2, n) for n in KEPT[f0.render()])
         rows.clear()
         susp_evals.clear()
         cert = ball_certificate(f0, g)
         assert cert.ball.distance.resolution == 20
-        assert rows == {(f0.render(), 762): 1, (g.render(), 762): 1}
-        assert susp_evals == {762: 1}
+        assert rows == {(g.render(), 762): 1}
+        assert susp_evals == {}
 
     def test_second_certificate_on_an_equal_base_skips_the_base_degree(self, rows):
-        # f0's degree level, 114 vertices, is read once; each call
-        # evaluates both maps at the distance level, 8066 vertices, and g
-        # at its degree level, 8 bands, 114 vertices
+        # f0's record's levels, its degree's 114 vertices among them, are
+        # read once; each call evaluates both maps at the distance level,
+        # 8066 vertices, two blocks, which no record keeps, and g at its
+        # degree level, 8 bands, 114 vertices, which it walks alone
         f0 = parse("(susp (pow 2))")
         g = parse("(compose (rot3 0 0 1 0.5) (susp (pow 2)))")
+        each = Counter({(f0.render(), 8066): 1, (g.render(), 8066): 1, (g.render(), 114): 1})
         first = ball_certificate(f0, g)
-        assert rows.pop((f0.render(), 114)) == 1
+        assert rows == _kept(f0) + each
         rows.clear()
         second = ball_certificate(parse("(susp (pow 2))"), g)
-        assert rows == {(f0.render(), 8066): 1, (g.render(), 8066): 1, (g.render(), 114): 1}
+        assert rows == each
         assert second.to_json_dict() == first.to_json_dict()
 
     def test_perturbation_reads_its_base_instead_of_evaluating_it(self, rows, susp_evals):
@@ -954,9 +997,10 @@ class TestEvaluationCount:
         for seed in (4, 5):
             certify_module._kept_base.cache_clear()
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
-        # twice per certificate, never inside g: f0's degree at 8 bands, and
-        # f0 at g's degree level, 12 bands, which g reads
-        assert susp_evals == {114: 2, 266: 2}
+        # once per certificate at each level f0's record keeps, 8 to 23
+        # bands, its degree's 8 and g's degree level, 12, which g reads,
+        # among them; never inside g
+        assert susp_evals == Counter({_rows(2, n): 2 for n in KEPT[f0.render()]})
 
     def test_streamed_level_evaluates_each_map_once_per_block(self, rows, susp_evals):
         # L_f + L_g = 18.8 starts the distance at 128 bands, 32514
@@ -964,22 +1008,23 @@ class TestEvaluationCount:
         # 130562; every level is walked in blocks of whole rings
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
         assert ball_certificate(f0, g).ball.distance.resolution == 256
-        # f0's degree reads 8 bands, 114 vertices; g's, at 53 bands,
+        # f0's record reads 8 to 23 bands; g's degree, at 53 bands,
         # 2 + 52 * 106 = 5514 vertices, is a level of its own: g is
         # evaluated there once more
-        assert rows == {
-            (f0.render(), 114): 1,
-            (f0.render(), 32514): 1,
-            (g.render(), 32514): 1,
-            (f0.render(), 130562): 1,
-            (g.render(), 130562): 1,
-            (g.render(), 5514): 1,
-        }
+        assert rows == _kept(f0) + Counter(
+            {
+                (f0.render(), 32514): 1,
+                (g.render(), 32514): 1,
+                (f0.render(), 130562): 1,
+                (g.render(), 130562): 1,
+                (g.render(), 5514): 1,
+            }
+        )
         assert max(_block_rows(128) | _block_rows(256)) <= geometry.BLOCK_ROWS
-        # g reads f0's block: one suspension per block of f0's degree
-        # level, of both distance levels, and of f0 inside g at g's degree
-        # level
-        levels = (8, 128, 256, 53)
+        # g reads f0's block: one suspension per block of f0's record's
+        # levels, of both distance levels, and of f0 inside g at g's
+        # degree level
+        levels = (*KEPT[f0.render()], 128, 256, 53)
         assert susp_evals == sum(map(_block_rows, levels), Counter())
 
     def test_homotopy_reads_its_base_inside_the_perturbation(self, rows, susp_evals):
@@ -1061,19 +1106,25 @@ class TestBaseRecord:
         self.kept.cache_clear()
 
     @pytest.mark.parametrize(
-        ("text", "witness"),
-        [("(susp (pow 2))", None), ("(susp (pow 4))", PowerWitness(2, 2))],
+        ("text", "witness", "levels"),
+        [
+            ("(susp (pow 2))", None, KEPT["(susp (pow 2))"]),
+            # 13 to 24 bands hold 8080 vertices, and 25 would add 1202
+            ("(susp (pow 4))", PowerWitness(2, 2), range(13, 25)),
+        ],
     )
-    def test_record_holds_the_base_degree_witness_and_bound(self, text, witness):
+    def test_record_holds_the_base_degree_witness_and_bound(self, text, witness, levels):
         f0 = parse(text)
         out = ball_certificate(f0, Perturb(4, 0.5, f0))
         # the certificate's key: a lookup under it is a hit
-        deg0, kept_witness, bound = self.kept(text, DegreeParams(), f0)
+        deg0, kept_witness, bound, kept = self.kept(text, DegreeParams(), f0)
         assert self.kept.cache_info()[:2] == (1, 1)  # hits, misses
         assert deg0 == degree(f0)
         assert out.degree == deg0
         assert kept_witness == witness
         assert bound == f0.lipschitz_bound()  # its check's bound, the AST's without a blend
+        # and its levels, from its degree's up, while they fit the budget
+        assert list(kept) == list(levels) and levels[0] == deg0.resolution
 
     def test_perfect_power_base_refuses_identically_when_recorded(self):
         f0, g = parse("(susp (pow 4))"), parse("(perturb 2 0.1 (susp (pow 4)))")
@@ -1104,6 +1155,28 @@ class TestBaseRecord:
             self.kept(text, DegreeParams(), parse(text))
             assert self.kept.cache_info().misses == misses
 
+    def test_a_new_base_or_new_params_drop_the_old_levels(self):
+        f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
+        key = (f0.render(), DegreeParams(), f0)
+        ball_certificate(f0, g)
+        old = self.kept(*key)[3]
+        for other in (
+            lambda: ball_certificate(parse("(susp (pow 3))"), parse("(perturb 4 0.5 (susp (pow 3)))")),
+            lambda: ball_certificate(f0, g, DegreeParams(max_resolution=512)),
+        ):
+            other()
+            assert self.kept.cache_info().currsize == 1
+            # the old record went with its levels: a lookup under its key
+            # makes a new one, whose arrays hold the same bits
+            misses = self.kept.cache_info().misses
+            kept = self.kept(*key)[3]
+            assert self.kept.cache_info().misses == misses + 1
+            assert list(kept) == list(old) == list(KEPT[f0.render()])
+            for n, arrays in kept.items():
+                for A, B in zip(arrays, old[n]):
+                    assert A is not B and A.tobytes() == B.tobytes()
+            old = kept
+
     def test_params_are_part_of_the_key(self):
         f0, g = parse("(pow 2)"), parse("(compose (rot 0.2) (pow 2))")
         ball_certificate(f0, g)
@@ -1111,7 +1184,7 @@ class TestBaseRecord:
         ball_certificate(f0, g, capped)
         assert self.kept.cache_info().misses == 2
         # the certificate's key: a lookup under it is a hit
-        _, _, bound = self.kept(f0.render(), capped, f0)
+        _, _, bound, _ = self.kept(f0.render(), capped, f0)
         assert self.kept.cache_info()[:2] == (1, 2)  # hits, misses
         assert bound == 2.0  # its check's bound, the AST's without a blend
 
@@ -1144,6 +1217,144 @@ class TestBaseRecord:
             warm = outcome()
             self.kept.cache_clear()
             assert outcome() == warm == cold
+
+
+class TestKeptLevels:
+    """A ball certificate's base record keeps the base's levels of one block, within a budget."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        certify_module._kept_base.cache_clear()
+
+    @staticmethod
+    def levels(f0, params=DegreeParams()):
+        """n -> (nodes, f0's values) of f0's record, looked up under a certificate's key."""
+        return certify_module._kept_base(f0.render(), params, f0)[3]
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.sampled_from(["(pow 2)", "(susp (pow 2))", "(pow 3)", "(susp (pow 5))"]),
+        st.integers(0, 2**64 - 1),
+        # eps * M < sqrt(3)/2 for every M <= 1: the chord bound proves the
+        # distance, and the one level sampled is g's degree level
+        st.floats(0.0, 0.6),
+    )
+    def test_a_certificate_at_a_kept_level_builds_no_grid_and_evaluates_no_base(
+        self, text, seed, eps
+    ):
+        certify_module._kept_base.cache_clear()
+        f0 = parse(text)
+        g = Perturb(seed, eps, f0)
+        n = degree(g).resolution
+        assume(n in self.levels(f0))
+        evaluated = []
+        eval_array = degree_module.eval_array
+
+        def counting(e, X, **kwargs):
+            evaluated.append(e.render())
+            return eval_array(e, X, **kwargs)
+
+        with (
+            mock.patch.object(degree_module, "grid_blocks", side_effect=AssertionError),
+            mock.patch.object(degree_module, "eval_array", counting),
+        ):
+            warm = ball_certificate(parse(text), g)
+        assert evaluated == [g.render()]
+        assert warm.ball.distance.resolution == n
+        certify_module._kept_base.cache_clear()
+        assert warm.to_json_dict() == ball_certificate(f0, g).to_json_dict()
+
+    @pytest.mark.parametrize("text", ["(pow 2)", "(susp (pow 2))", "(susp (pow 7))"])
+    def test_kept_arrays_are_read_only_and_the_walked_bits(self, text):
+        f0 = parse(text)
+        levels = self.levels(f0)
+        assert levels
+        for n, (X, F) in levels.items():
+            assert X.tobytes() == make_grid(f0.dim, n).tobytes()
+            assert F.tobytes() == eval_array(f0, make_grid(f0.dim, n)).tobytes()
+            for A in (X, F):
+                assert not A.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    A[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        ("text", "params"),
+        [
+            ("(susp (pow 2))", DegreeParams()),
+            ("(pow 2)", DegreeParams()),
+            # subjects' degree levels of 24 to 52 bands, 1106 to 5306
+            # vertices, and of 2713 to 6423 samples
+            ("(susp (pow 7))", DegreeParams()),
+            ("(pow 401)", DegreeParams()),
+            # 252 to 256 samples: the last level under the lowest cap
+            ("(pow 40)", DegreeParams(max_resolution=8)),
+        ],
+    )
+    def test_kept_rows_stay_within_one_block(self, text, params):
+        # the levels kept run up from the base's degree level and stop at
+        # the first that is past the last level, has several blocks or
+        # would take the rows past geometry.BLOCK_ROWS; certificates at
+        # many levels change none of them
+        f0 = parse(text)
+        dim, budget = f0.dim, geometry.BLOCK_ROWS
+        levels = self.levels(f0, params)
+        before = dict(levels)
+        for eps in (0.1, 0.3, 0.5, 0.7, 0.85):
+            for seed in (1, 2):
+                try:
+                    ball_certificate(f0, Perturb(seed, eps, f0), params)
+                except ResolutionExceeded:
+                    pass  # a subject's level past the last level
+        assert levels.keys() == before.keys()
+        assert all(levels[n] is before[n] for n in levels)
+        first, last = min(levels), max(levels)
+        assert first == degree(f0, params).resolution
+        assert list(levels) == list(range(first, last + 1))
+        rows = sum(len(X) for X, _ in levels.values())
+        assert rows == sum(_rows(dim, n) for n in levels) <= budget
+        after = last + 1
+        assert (
+            after > _last_level(params, dim)
+            or rows + _rows(dim, after) > budget
+            or len(list(geometry.grid_blocks(dim, after))) > 1
+        )
+
+    @pytest.mark.parametrize(
+        ("base", "subject", "params"),
+        [
+            # a turn's distance is searched from 64 bands, 8065 + 1 rows
+            ("(susp (pow 2))", "(compose (rot3 0 0 1 0.5) (susp (pow 2)))", DegreeParams()),
+            # the chord bound proves the distance at g's degree level, 75
+            # bands, 7951 + 3151 rows
+            ("(susp (pow 13))", "(perturb 1 0.7 (susp (pow 13)))", DegreeParams()),
+            # the base's own degree level, 66 bands, has two blocks, so its
+            # record keeps no level; g's, 71 bands, has two too
+            ("(susp (pow 21))", "(perturb 1 0.1 (susp (pow 21)))", DegreeParams()),
+            # and at 8860 samples, 8192 + 668 rows
+            ("(pow 1400)", "(perturb 1 0.01 (pow 1400))", DegreeParams(max_resolution=65536)),
+        ],
+    )
+    def test_a_level_of_several_blocks_is_never_kept(self, base, subject, params):
+        f0, g = parse(base), parse(subject)
+        levels = self.levels(f0, params)
+        seen = []
+        grid_blocks = degree_module.grid_blocks
+
+        def walked(dim, n):
+            blocks = list(grid_blocks(dim, n))
+            seen.append((n, len(blocks)))
+            return iter(blocks)
+
+        with mock.patch.object(degree_module, "grid_blocks", walked):
+            first = ball_certificate(f0, g, params)
+            second = ball_certificate(f0, g, params)
+        assert first == second
+        n = first.ball.distance.resolution
+        # the level is walked by both calls, in as many blocks each time
+        walks = [blocks for m, blocks in seen if m == n]
+        assert len(walks) == 2 and walks[0] == walks[1] > 1
+        assert n not in levels
+        assert all(len(list(geometry.grid_blocks(f0.dim, m))) == 1 for m in levels)
 
 
 class TestAdmission:

@@ -255,25 +255,39 @@ class TestExperimentCommand:
 
         assert stripped(first) == stripped(second)
 
-    def test_base_record_leaves_the_output_unchanged(self, capsys):
+    def test_base_record_leaves_the_output_unchanged(self, capsys, monkeypatch):
         # cold, warm, then cleared again, in one process
         kept = importlib.import_module("mapdeg.certify")._kept_base
+        degree_module = importlib.import_module("mapdeg.degree")
+        grid_blocks, grids = degree_module.grid_blocks, []
+
+        def walked(dim, n):
+            grids[-1] += 1
+            return grid_blocks(dim, n)
+
+        monkeypatch.setattr(degree_module, "grid_blocks", walked)
         argv = [
-            "experiment", "--dim", "2", "--count", "3", "--epsilon-max", "0.8",
+            "experiment", "--dim", "2", "--count", "12", "--epsilon-max", "0.8",
             "--seed", "5",
         ]
         runs, lookups = [], []
         for clear in (True, False, True):
             if clear:
                 kept.cache_clear()
+            grids.append(0)
             code = main(argv)
             out, err = capsys.readouterr()
             runs.append((code, re.sub(r'"wall_ms": [^,}]*', '"wall_ms": 0', out), err))
             lookups.append(kept.cache_info()[:2])
         # (hits, misses): the warm run computes no base
-        assert lookups == [(2, 1), (5, 1), (2, 1)]
+        assert lookups == [(11, 1), (23, 1), (11, 1)]
+        # the base's record builds the grids of the levels it keeps, 8 to
+        # 23 bands, and of 24, past its budget; the subjects' degree
+        # levels, 8 (five of them) to 18 bands, are all kept, so no
+        # certificate builds a grid, cold or warm
+        assert grids == [17, 0, 17]
         assert runs[0][0] == 0
-        assert runs[0][1].count('"outcome": "ok"') == 3
+        assert runs[0][1].count('"outcome": "ok"') == 12
         assert runs[0] == runs[1] == runs[2]
 
     def test_a_refusal_fails_the_run(self, capsys, monkeypatch):

@@ -887,7 +887,7 @@ class TestStreamedDistance:
         f, g = parse(f), parse(g)
         for n in levels:
             want = whole_distance(f, g, n)
-            assert _sup_distance(f, g, n, math.inf)[0].sampled_max == want
+            assert _sup_distance(f, g, n, math.inf, None)[0].sampled_max == want
             assert sup_distance(f, g, n).sampled_max == want
 
     @pytest.mark.parametrize("block_rows", [1, 100])
@@ -898,7 +898,7 @@ class TestStreamedDistance:
             ("(susp (pow 2))", "(perturb 4 0.5 (susp (pow 2)))", 32),
         ):
             f, g = parse(f), parse(g)
-            assert _sup_distance(f, g, n, math.inf)[0].sampled_max == whole_distance(f, g, n)
+            assert _sup_distance(f, g, n, math.inf, None)[0].sampled_max == whole_distance(f, g, n)
 
     @pytest.mark.parametrize("block_rows", [1, 100, geometry.BLOCK_ROWS])
     @pytest.mark.parametrize(
@@ -932,7 +932,7 @@ class TestStreamedDistance:
         monkeypatch.setattr(degree_module, "eval_array", never)
         with pytest.raises(InvalidResolution, match="sample rows"):
             f, g, n = parse("(id 2)"), parse("(antipode 2)"), geometry.finest(2) + 1
-            _sup_distance(f, g, n, math.inf)
+            _sup_distance(f, g, n, math.inf, None)
 
 
 class TestWalk:
