@@ -37,7 +37,7 @@ from .errors import (
 )
 from . import geometry
 from .expr import Blend, MapExpr, Perturb, eval_array
-from .geometry import grid_blocks, mesh
+from .geometry import grid_blocks, mesh, row_norms
 
 _TWO_PI = 2.0 * math.pi
 
@@ -326,29 +326,38 @@ def _simplicial_pass(walk, resolution: int) -> tuple[float, float]:
     (a, b, b') and (a, b', a'); at the poles one of the two is degenerate
     and adds nothing. The signed solid angle of an image triangle of unit
     vectors (p, q, r) is the Van Oosterom-Strackee
-    2 * atan2(p.(q x r), 1 + p.q + q.r + r.p). A block starts from the
-    previous block's last ring, so a level of one block is one array;
-    the summation order is fixed, so reruns are bit-identical.
+    2 * atan2(p.(q x r), 1 + p.q + q.r + r.p).
+
+    Each block fills one component-first (3, rings, m) array: the
+    previous block's last ring (the north pole, repeated, in the first
+    block), the block's interior rings, and the south pole, repeated, in
+    the last block; so a level of one block is one array. The operands
+    of every product are C-contiguous and the summation order is fixed,
+    so reruns are bit-identical.
     """
     m = 2 * resolution
-    total, lowest, above = 0.0, np.inf, []
+    east_of = np.arange(1, m + 1) % m  # the index one step east, around each ring
+    total, lowest, above = 0.0, np.inf, None
     for _, values in walk:
-        Y = values[-1].T
-        top = 0 if above else 1  # the north pole starts the first block
-        bottom = (Y.shape[1] - top) % m  # and the south pole ends the last
-        north, south = (np.broadcast_to(Y[:, i, None, None], (3, 1, m)) for i in (0, -1))
-        rings = [Y[:, top : Y.shape[1] - bottom].reshape(3, -1, m)]
-        R = np.concatenate(above + [north] * top + rings + [south] * bottom, axis=1)
-        above = [R[:, -1:]]
-        if R.shape[1] < 2:  # a first block of the north pole alone
+        Y = values[-1]
+        top = int(above is None)  # the north pole starts the first block
+        bottom = (len(Y) - top) % m  # and the south pole ends the last
+        inner = (len(Y) - top - bottom) // m
+        R = np.empty((3, 1 + inner + bottom, m))
+        R[:, 0] = Y[0, :, None] if top else above
+        R[:, 1 : 1 + inner] = Y[top : len(Y) - bottom].T.reshape(3, inner, m)
+        if bottom:
+            R[:, -1] = Y[-1, :, None]
+        above = R[:, -1]
+        if len(R[0]) < 2:  # a first block of the north pole alone
             continue
-        R1 = np.roll(R, -1, axis=2)
+        R1 = R.take(east_of, axis=2)
         a, b, a1, b1 = R[:, :-1], R[:, 1:], R1[:, :-1], R1[:, 1:]
         east = np.einsum("kij,kij->ij", R, R1)  # along each ring
         south = np.einsum("kij,kij->ij", a, b)  # between rings
         diagonal = np.einsum("kij,kij->ij", a, b1)
         half = np.arctan2(_triple(a, b, b1), 1.0 + south + east[1:] + diagonal)
-        south1 = np.roll(south, -1, axis=1)  # a' . b'
+        south1 = south.take(east_of, axis=1)  # a' . b'
         half += np.arctan2(_triple(a, b1, a1), 1.0 + diagonal + south1 + east[:-1])
         lowest = np.minimum(lowest, min(east.min(), south.min(), diagonal.min()))
         total += float(half.sum())
@@ -375,7 +384,7 @@ def raw_pass(e: MapExpr, resolution: int) -> tuple[float, float]:
 
 def pair_distance(F: np.ndarray, G: np.ndarray) -> float:
     """Largest chordal distance between two maps' values F and G on one grid."""
-    return min(2.0, float(np.linalg.norm(F - G, axis=1).max()))
+    return min(2.0, float(row_norms(F - G).max()))
 
 
 def pair_min_norm(F: np.ndarray, G: np.ndarray) -> tuple[float, int]:
@@ -388,7 +397,7 @@ def pair_min_norm(F: np.ndarray, G: np.ndarray) -> tuple[float, int]:
     the maps; a value near zero means the homotopy (or a blend) is
     invalid.
     """
-    norms = np.linalg.norm(F + G, axis=1) / 2.0
+    norms = row_norms(F + G) / 2.0
     row = int(np.argmin(norms))
     return float(norms[row]), row
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParseError, ResolutionExceeded
-from .geometry import BLOCK_ROWS, NEAR_ZERO, normalize_rows
+from .geometry import BLOCK_ROWS, NEAR_ZERO, normalize_rows, row_norms
 
 _TWO_PI = 2.0 * math.pi
 
@@ -89,7 +89,19 @@ class MapExpr:
         raise NotImplementedError
 
     def render(self) -> str:
-        """Canonical s-expression text; parse(e.render()) rebuilds an equal AST."""
+        """Canonical s-expression text; parse(e.render()) rebuilds an equal AST.
+
+        Built on the first call (_render) and kept in the node's __dict__,
+        outside its fields: they never change, so neither does the text,
+        which takes no part in ==, hash or repr.
+        """
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.__dict__["_text"] = self._render()
+        return text
+
+    def _render(self) -> str:
+        """render's text, built from the node's name and fields."""
         words = [_NAMES[type(self)]]
         for a in [getattr(self, name) for name in _FIELDS[type(self)]]:
             if isinstance(a, MapExpr):
@@ -465,8 +477,10 @@ class PerturbationField:
         self._freq_matrix = self._freq.reshape(-1, ncomp).T[self._order]
         size = np.abs(self._coef)
         grad = (size[:, :, None] * np.abs(self._freq)).sum(axis=1)
-        self._lipschitz = float(np.linalg.norm(np.linalg.norm(grad, axis=1)))
-        self._sup = float(np.linalg.norm(size.sum(axis=1)))
+        rows, sums = row_norms(grad), size.sum(axis=1)
+        # numpy's formula for the norm of a vector, as np.linalg.norm takes it
+        self._lipschitz = math.sqrt(rows.dot(rows))
+        self._sup = math.sqrt(sums.dot(sums))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)

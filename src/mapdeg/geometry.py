@@ -1,9 +1,10 @@
 """Geometry of the unit circle S1 in R2 and the unit sphere S2 in R3.
 
-Row-wise normalization of arrays, and the sample nodes every pass reads:
-make_grid lays them out as a fresh array of unit rows, grid_blocks yields
-the same rows a block of whole rings at a time, and mesh bounds how far
-any point of the sphere lies from them. All operations are pure functions.
+Row norms and row-wise normalization of arrays, and the sample nodes
+every pass reads: make_grid lays them out as a fresh array of unit rows,
+grid_blocks yields the same rows a block of whole rings at a time, and
+mesh bounds how far any point of the sphere lies from them. All
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -28,9 +29,22 @@ MAX_ROWS = 2**22
 BLOCK_ROWS = 8192
 
 
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a float (n, k) array.
+
+    numpy's own formula for np.linalg.norm(X, axis=1), without its
+    wrapper, so the two agree bit for bit: inf where the squares
+    overflow, NaN where a row holds one.
+    """
+    return np.sqrt(np.add.reduce(X * X, axis=1))
+
+
 def normalize_rows(X: np.ndarray) -> np.ndarray:
-    """Row-wise normalization of an (n, k) array; rejects near-zero rows."""
-    norms = np.linalg.norm(X, axis=1)
+    """Row-wise normalization of a float (n, k) array by its row_norms.
+
+    Raises NearZeroVector where the least norm is at most NEAR_ZERO.
+    """
+    norms = row_norms(X)
     small = float(norms.min()) if len(norms) else 1.0
     if small <= NEAR_ZERO:
         raise NearZeroVector(f"cannot normalize row of norm {small:.3e}")

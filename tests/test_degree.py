@@ -43,7 +43,9 @@ from mapdeg.degree import (
     _last_level,
     _min_norm,
     _proven_level,
+    _simplicial_pass,
     _sup_distance,
+    _triple,
     _walk,
     check_blend_validity,
     pair_distance,
@@ -337,6 +339,100 @@ class TestSimplicial:
     @given(S2_TREES.filter(lambda e: e.lipschitz_bound() <= 40.0))
     def test_equals_the_structural_degree_on_random_trees(self, e):
         assert degree(e).value == e.symbolic_degree()
+
+
+def reference_simplicial_pass(walk, resolution: int) -> tuple[float, float]:
+    """_simplicial_pass built by np.roll, np.broadcast_to and np.concatenate: its oracle.
+
+    Each block's ring array is concatenated from the carried ring, the
+    poles broadcast around their rings and the interior rings, and the
+    east neighbours are rolled; the products, the arctan2 expressions,
+    their summation order and the NaN-carrying np.minimum are the pass's.
+    """
+    m = 2 * resolution
+    total, lowest, above = 0.0, np.inf, []
+    for _, values in walk:
+        Y = values[-1].T
+        top = 0 if above else 1
+        bottom = (Y.shape[1] - top) % m
+        north, south = (np.broadcast_to(Y[:, i, None, None], (3, 1, m)) for i in (0, -1))
+        rings = [Y[:, top : Y.shape[1] - bottom].reshape(3, -1, m)]
+        R = np.concatenate(above + [north] * top + rings + [south] * bottom, axis=1)
+        above = [R[:, -1:]]
+        if R.shape[1] < 2:
+            continue
+        R1 = np.roll(R, -1, axis=2)
+        a, b, a1, b1 = R[:, :-1], R[:, 1:], R1[:, :-1], R1[:, 1:]
+        east = np.einsum("kij,kij->ij", R, R1)
+        south = np.einsum("kij,kij->ij", a, b)
+        diagonal = np.einsum("kij,kij->ij", a, b1)
+        half = np.arctan2(_triple(a, b, b1), 1.0 + south + east[1:] + diagonal)
+        south1 = np.roll(south, -1, axis=1)
+        half += np.arctan2(_triple(a, b1, a1), 1.0 + diagonal + south1 + east[:-1])
+        lowest = np.minimum(lowest, min(east.min(), south.min(), diagonal.min()))
+        total += float(half.sum())
+    return total / (2.0 * math.pi), math.acos(max(-1.0, min(1.0, float(lowest))))
+
+
+def _pass_bits(blocks, n: int) -> list[bytes]:
+    """The bits of (raw, edge) from _simplicial_pass and from its reference, on one list of blocks."""
+    return [
+        np.array(run(iter(blocks), n)).tobytes()
+        for run in (_simplicial_pass, reference_simplicial_pass)
+    ]
+
+
+class TestSimplicialReference:
+    """_simplicial_pass gives its reference's (raw, edge) bit for bit, on every block layout."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(-6, 6),
+        st.integers(0, 2**64 - 1),
+        st.floats(0.0, 0.9),
+        st.integers(8, 24),
+    )
+    def test_perturbations_at_one_block_levels(self, k, seed, eps, n):
+        blocks = list(_walk((Perturb(seed, eps, Susp(Pow(k))),), n))
+        assert len(blocks) == 1
+        new, reference = _pass_bits(blocks, n)
+        assert new == reference
+
+    @pytest.mark.parametrize("n", [64, 65, 257, 503])
+    @pytest.mark.parametrize(
+        "text", ["(perturb 5 0.5 (susp (pow 3)))", "(compose (rot3 0 1 1 0.7) (susp (pow -2)))"]
+    )
+    def test_levels_of_several_blocks(self, text, n):
+        blocks = list(_walk((parse(text),), n))
+        assert len(blocks) > 1
+        new, reference = _pass_bits(blocks, n)
+        assert new == reference
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 100])
+    @pytest.mark.parametrize("n", [8, 13, 24])
+    def test_small_blocks(self, monkeypatch, block_rows, n):
+        # 1 and 7 rows make a block of each ring, so the first block is
+        # the north pole alone and the last the south pole alone
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
+        blocks = list(_walk((parse("(perturb 9 0.7 (susp (pow 5)))"),), n))
+        if block_rows < 2 * n:
+            assert len(blocks[0][0]) == len(blocks[-1][0]) == 1
+        new, reference = _pass_bits(blocks, n)
+        assert new == reference
+
+    @pytest.mark.parametrize("block", [0, 1, -1])
+    def test_a_nan_is_carried_across_blocks(self, monkeypatch, block):
+        # a NaN value makes its block's least dot product NaN, which
+        # np.minimum carries to the end of the walk: the builtin min
+        # would drop it, and take the other blocks' least instead
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", 100)
+        blocks = list(_walk((parse("(susp (pow 3))"),), 16))
+        assert len(blocks) > 3
+        values = blocks[block][1][-1]
+        values[len(values) // 2, 1] = np.nan
+        new, reference = _pass_bits(blocks, 16)
+        assert new == reference
+        assert math.isnan(_simplicial_pass(iter(blocks), 16)[0])
 
 
 def _rows(dim: int, n: int) -> int:

@@ -1,8 +1,11 @@
+import copy
+import dataclasses
 import functools
 import hashlib
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -25,6 +28,7 @@ from mapdeg import (
     DomainError,
     Id,
     Iterate,
+    MapExpr,
     NearZeroVector,
     ParseError,
     PerturbationField,
@@ -40,6 +44,7 @@ from mapdeg import (
     parse,
 )
 from mapdeg import expr as expr_module
+from mapdeg.degree import _known, _same
 from mapdeg.expr import EVAL_BUDGET, MAX_DEPTH
 
 # expressions exercising every constructor, reused by several tests
@@ -228,6 +233,69 @@ class TestRender:
     def test_round_trip_survives_a_second_pass(self):
         e = parse("(rot3 0.3 0.4 1.2 -0.9)")
         assert parse(parse(e.render()).render()) == e
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """The nodes whose text MapExpr._render builds, in call order."""
+        built = []
+        build = MapExpr._render
+
+        def spy(node):
+            built.append(node)
+            return build(node)
+
+        monkeypatch.setattr(MapExpr, "_render", spy)
+        return built
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_each_node_is_rendered_once(self, renders, text):
+        e = parse(text)
+        first = e.render()
+        assert sorted(map(id, renders)) == sorted(map(id, _nodes(e)))
+        renders.clear()
+        assert e.render() is first
+        for node in _nodes(e):
+            node.render()
+        assert renders == []
+
+    def test_equal_nodes_keep_their_own_text(self):
+        # (rot 0.0) == (rot -0.0) and they hash alike, but may round
+        # differently: each keeps its own text, whichever renders first
+        for a, b in [(Rot(0.0), Rot(-0.0)), (Rot(-0.0), Rot(0.0))]:
+            assert a == b and hash(a) == hash(b)
+            assert a.render() != b.render()
+            assert a.render() == f"(rot {a.alpha!r})" and b.render() == f"(rot {b.alpha!r})"
+            assert not _same(a, b) and _same(a, Rot(a.alpha))
+            e = Compose(Pow(2), a)
+            Y = np.zeros((4, 2))
+            assert _known(e, [(b, Y)]) == {}
+            assert _known(e, [(Rot(a.alpha), Y)]) == {id(a): Y}
+
+    def test_copies_render_their_own_fields(self):
+        e = parse("(perturb 7 0.25 (compose (rot -0.0) (pow 2)))")
+        text = e.render()
+        changed = dataclasses.replace(e, eps=0.5)
+        assert changed.render() == "(perturb 7 0.5 (compose (rot -0.0) (pow 2)))"
+        turned = dataclasses.replace(e.inner.outer, alpha=0.0)
+        assert turned.render() == "(rot 0.0)"
+        for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert copied == e and copied.render() == text == copied._render()
+        fresh = pickle.loads(pickle.dumps(parse("(rot -0.0)")))
+        assert fresh.render() == "(rot -0.0)"
+
+    def test_the_kept_text_is_no_part_of_the_value(self):
+        for text in CORPUS:
+            a, b = parse(text), parse(text)
+            shown = repr(a)
+            a.render()
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == repr(b) == shown
+            assert "_text" not in shown
+
+
+def _nodes(e: MapExpr) -> list[MapExpr]:
+    """Every node of e's tree, e first."""
+    return [e] + [node for child in e.children() for node in _nodes(child)]
 
 
 class TestDimension:
@@ -462,6 +530,18 @@ class TestPerturbationField:
         P = np.random.default_rng(point_seed).normal(size=(512, dim + 1))
         P[:256] /= np.linalg.norm(P[:256], axis=1)[:, None]  # half on the sphere
         assert np.linalg.norm(field(P), axis=1).max() <= sup * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bounds_equal_the_linalg_formula(self, dim):
+        # the bounds take numpy's formulas for a vector's and for each
+        # row's norm directly; np.linalg.norm gives the same bits
+        for seed in range(1200):
+            f = PerturbationField(seed * 7919 + dim, dim)
+            size = np.abs(f._coef)
+            grad = (size[:, :, None] * np.abs(f._freq)).sum(axis=1)
+            assert f.lipschitz_bound() == float(np.linalg.norm(np.linalg.norm(grad, axis=1)))
+            assert f.sup_bound() == float(np.linalg.norm(size.sum(axis=1)))
+            assert type(f.lipschitz_bound()) is type(f.sup_bound()) is float
 
     def test_different_seeds_differ_somewhere(self):
         X = make_grid(1, 64)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mapdeg.geometry import (
     grid_blocks,
     mesh,
     normalize_rows,
+    row_norms,
 )
 
 from test_degree import S1_TREES, S2_TREES
@@ -80,6 +82,57 @@ class TestNormalize:
         base = normalize_rows(np.array([v]))
         rescaled = normalize_rows(base * c)
         assert rescaled[0] == pytest.approx(base[0], abs=1e-12)
+
+
+def _row_inputs() -> list[np.ndarray]:
+    """(n, 2) and (n, 3) arrays: random rows, an empty array, and rows whose
+    squares overflow, hold a NaN, are subnormal, zero or at NEAR_ZERO."""
+    rng = np.random.default_rng(11)
+    arrays = []
+    for k in (2, 3):
+        arrays += [
+            rng.normal(size=(1000, k)),
+            rng.normal(size=(50, k)) * 10.0 ** rng.integers(-300, 300, size=(50, 1)),
+            np.empty((0, k)),
+            np.full((3, k), 1e300),
+            np.array([[np.nan] * k, [1.0] + [np.nan] * (k - 1), [np.inf] + [0.0] * (k - 1)]),
+            np.full((4, k), 5e-324) * np.arange(1, 5)[:, None],
+            np.array([[0.0] * k, [-0.0] * k]),
+            np.array([[geometry.NEAR_ZERO] + [0.0] * (k - 1), [1.0] * k]),
+        ]
+    return arrays
+
+
+def _old_normalize_rows(X: np.ndarray) -> np.ndarray:
+    """normalize_rows as np.linalg.norm wrote it: the reference its rows and refusals keep."""
+    norms = np.linalg.norm(X, axis=1)
+    small = float(norms.min()) if len(norms) else 1.0
+    if small <= geometry.NEAR_ZERO:
+        raise NearZeroVector(f"cannot normalize row of norm {small:.3e}")
+    return X / norms[:, None]
+
+
+class TestRowNorms:
+    """row_norms is np.linalg.norm(X, axis=1) byte for byte."""
+
+    @pytest.mark.parametrize("X", _row_inputs(), ids=lambda X: f"{X.shape}")
+    def test_equals_the_linalg_norm(self, X):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = row_norms(X), np.linalg.norm(X, axis=1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("X", _row_inputs(), ids=lambda X: f"{X.shape}")
+    def test_normalize_rows_refuses_the_same_rows(self, X):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in [X, *(X[i : i + 1] for i in range(min(len(X), 8)))]:
+                try:
+                    want = _old_normalize_rows(rows)
+                except NearZeroVector as exc:
+                    with pytest.raises(NearZeroVector, match=re.escape(str(exc))):
+                        normalize_rows(rows)
+                else:
+                    assert normalize_rows(rows).tobytes() == want.tobytes()
 
 
 class TestChordalDist:
