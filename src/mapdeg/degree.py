@@ -543,12 +543,13 @@ def _degree(e: MapExpr, n: int, sd: int, passed: tuple[float, float]) -> DegreeR
     step below pi/3, and n >= pi*L bands every image edge below pi/2, so
     the sum is the degree (Stenger 1975, Kearfott 1979). A guard over
     STEP_CAP or a raw value _PROVEN_RESIDUAL or more from an integer
-    there is a bug (ConsistencyError), and so is an integer other than sd,
-    e's structural degree from check_blend_validity (SymbolicNumericMismatch).
+    there is a bug (ConsistencyError), as is a raw value that is not
+    finite, and so is an integer other than sd, e's structural degree
+    from check_blend_validity (SymbolicNumericMismatch).
     """
     method = _PASSES[e.dim][0]
     raw, step = passed
-    value = int(round(raw))
+    value = int(round(raw)) if math.isfinite(raw) else 0  # a NaN or inf residual fails below
     residual = abs(raw - value)
     if not (step <= STEP_CAP and residual < _PROVEN_RESIDUAL):
         raise ConsistencyError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParseError, ResolutionExceeded
-from .geometry import BLOCK_ROWS, NEAR_ZERO, normalize_rows, row_norms
+from .geometry import NEAR_ZERO, normalize_rows, row_norms
 
 _TWO_PI = 2.0 * math.pi
 
@@ -446,9 +446,10 @@ class PerturbationField:
     distance from its inner map rest on M (Perturb._bound,
     degree._chord_bound), without sampling.
 
-    A call runs on the calling thread and returns a fresh array, filled
-    BLOCK_ROWS rows at a time through one buffer, so that its temporaries
-    stay small; each row's arithmetic is the same in any block. Its first
+    A call runs on the calling thread and returns a fresh array, one
+    formula over the rows it is given; each row's arithmetic is the same
+    in any slice of rows, so a walk's blocks (at most
+    geometry.BLOCK_ROWS rows) keep its temporaries small. Its first
     contraction is one matrix product over the coordinates in the
     order [0, 2, 1] on S2 (the order einsum sums them in); the integer
     frequencies make every product exact, so only that order fixes the
@@ -483,17 +484,11 @@ class PerturbationField:
         self._sup = math.sqrt(sums.dot(sums))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X)
-        out = np.empty((len(X), self.dim + 1))
-        buffer = np.empty((min(len(X), BLOCK_ROWS), self._freq_matrix.shape[1]))
-        for lo in range(0, len(X), BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, len(X))
-            args = np.matmul(X[lo:hi, self._order], self._freq_matrix, out=buffer[: hi - lo])
-            args = args.reshape(-1, self.dim + 1, self.TERMS)
-            args += self._phase
-            np.sin(args, out=args)
-            np.einsum("jt,njt->nj", self._coef, args, out=out[lo:hi])
-        return out
+        args = np.asarray(X)[:, self._order] @ self._freq_matrix
+        args = args.reshape(-1, self.dim + 1, self.TERMS)
+        args += self._phase
+        np.sin(args, out=args)
+        return np.einsum("jt,njt->nj", self._coef, args)
 
     def lipschitz_bound(self) -> float:
         """Bound on the field's Lipschitz constant, computed once at construction."""

@@ -1,10 +1,10 @@
 """Geometry of the unit circle S1 in R2 and the unit sphere S2 in R3.
 
 Row norms and row-wise normalization of arrays, and the sample nodes
-every pass reads: make_grid lays them out as a fresh array of unit rows,
-grid_blocks yields the same rows a block of whole rings at a time, and
-mesh bounds how far any point of the sphere lies from them. All
-operations are pure functions.
+every pass reads: grid_blocks yields them a block of whole rings at a
+time, the only place a grid's rows are split, make_grid joins the blocks
+into one fresh array of unit rows, and mesh bounds how far any point of
+the sphere lies from them. All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ def row_norms(X: np.ndarray) -> np.ndarray:
 def normalize_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise normalization of a float (n, k) array by its row_norms.
 
-    Raises NearZeroVector where the least norm is at most NEAR_ZERO.
+    Raises NearZeroVector where the least norm is at most NEAR_ZERO or
+    NaN, as it is where a row holds a NaN.
     """
     norms = row_norms(X)
     small = float(norms.min()) if len(norms) else 1.0
-    if small <= NEAR_ZERO:
+    if not small > NEAR_ZERO:
         raise NearZeroVector(f"cannot normalize row of norm {small:.3e}")
     return X / norms[:, None]
 
@@ -67,24 +68,27 @@ def make_grid(dim: int, resolution: int) -> np.ndarray:
     latitude bands: the north pole, then the resolution - 1 interior
     rings of 2 * resolution points each, north to south, then the south
     pole. The degree methods, the distance, homotopy and blend checks all
-    sample these nodes.
+    sample these nodes, a block at a time (grid_blocks); this joins the
+    blocks into one fresh array, for library callers.
     """
-    _check_grid(dim, resolution)
-    if dim == 1:
-        return _arc(resolution, 0, resolution)
-    return _rings(resolution, _ring_trig(resolution), 0, resolution + 1)
+    return np.concatenate(list(grid_blocks(dim, resolution)))
 
 
 def grid_blocks(dim: int, resolution: int) -> Iterator[np.ndarray]:
     """make_grid(dim, resolution) in consecutive blocks of about BLOCK_ROWS rows.
 
-    The blocks concatenate to make_grid's array bit for bit; on S2 each
-    holds whole rings, the poles counted as rings of one node. The
-    dimension and the row budget are checked, as make_grid checks them,
-    before the first block, and no block outlives the next one unless
-    the caller keeps it: a level of any size is read in bounded memory.
+    The one place a grid's rows are split: on S2 each block holds whole
+    rings, the poles counted as rings of one node. The dimension and the
+    row budget are checked before the first block, so a refused grid
+    allocates nothing, and no block outlives the next one unless the
+    caller keeps it: a level of any size is read in bounded memory.
     """
-    _check_grid(dim, resolution)
+    if dim not in (1, 2):
+        raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
+    if resolution < MIN_RESOLUTION:
+        raise InvalidResolution(f"resolution {resolution} < {MIN_RESOLUTION}")
+    if resolution > finest(dim):
+        raise InvalidResolution(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
     if dim == 1:
         for lo in range(0, resolution, BLOCK_ROWS):
             yield _arc(resolution, lo, min(lo + BLOCK_ROWS, resolution))
@@ -92,15 +96,6 @@ def grid_blocks(dim: int, resolution: int) -> Iterator[np.ndarray]:
     trig, step = _ring_trig(resolution), max(1, BLOCK_ROWS // (2 * resolution))
     for lo in range(0, resolution + 1, step):
         yield _rings(resolution, trig, lo, min(lo + step, resolution + 1))
-
-
-def _check_grid(dim: int, resolution: int) -> None:
-    if dim not in (1, 2):
-        raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
-    if resolution < MIN_RESOLUTION:
-        raise InvalidResolution(f"resolution {resolution} < {MIN_RESOLUTION}")
-    if resolution > finest(dim):
-        raise InvalidResolution(f"resolution {resolution} needs more than {MAX_ROWS} sample rows")
 
 
 def _arc(resolution: int, lo: int, hi: int) -> np.ndarray:
@@ -120,8 +115,8 @@ def _rings(n: int, trig: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray
     """Rings lo, ..., hi - 1 of make_grid(2, n): ring 0 is the north pole, ring n the south.
 
     Every node is the product of its ring's and its longitude's sin or
-    cos, taken from the same per-level arrays, so a block's rows equal
-    make_grid's bit for bit.
+    cos, taken from the same per-level arrays, so a node's bits do not
+    depend on the block that holds it.
     """
     sin_t, cos_t, cos_p, sin_p = trig
     inner = slice(max(lo, 1) - 1, min(hi, n) - 1)

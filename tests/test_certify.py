@@ -50,7 +50,7 @@ from mapdeg.degree import (
     pair_min_norm,
 )
 
-from test_degree import S1_TREES, S1_WITH_BLENDS, S2_TREES, S2_WITH_BLENDS
+from test_degree import S1_TREES, S1_WITH_BLENDS, S2_TREES, S2_WITH_BLENDS, _rows
 
 certify_module = importlib.import_module("mapdeg.certify")
 degree_module = importlib.import_module("mapdeg.degree")
@@ -689,11 +689,6 @@ class TestCoarseFirst:
 def _block_rows(n: int) -> Counter:
     """Counter of the rows of the blocks of the n-band level."""
     return Counter(len(X) for X in geometry.grid_blocks(2, n))
-
-
-def _rows(dim: int, n: int) -> int:
-    """The vertices of level n: n samples on S1, 2 + (n - 1) * 2n on S2."""
-    return n if dim == 1 else 2 * n * (n - 1) + 2
 
 
 #: The levels a base's record keeps (degree._base_levels): from the

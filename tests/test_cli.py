@@ -473,6 +473,22 @@ class TestHostileInput:
         assert lines[1]["payload"] == {"error": "MemoryError: no room for the grid"}
         assert err == "certify: 2 ok, 0 refused, 1 InternalError\n"
 
+    def test_a_nan_degree_is_a_consistency_error_line(self, capsys, monkeypatch):
+        # rounding a NaN raw degree raised ValueError, an InternalError
+        degree = importlib.import_module("mapdeg.degree")
+        evaluate = degree.eval_array
+
+        def with_a_nan(e, X, **kwargs):
+            values = evaluate(e, X, **kwargs)
+            values[0, 0] = math.nan
+            return values
+
+        monkeypatch.setattr(degree, "eval_array", with_a_nan)
+        code, lines, err = run_cli(capsys, "degree", "-e", "(susp (pow 2))")
+        assert code == 1
+        assert [r["outcome"] for r in lines] == ["ConsistencyError"]
+        assert err == "degree: 0 ok, 0 refused, 1 ConsistencyError\n"
+
     def test_undecodable_bytes_do_not_kill_the_batch(self, capsys, tmp_path):
         f = tmp_path / "maps.txt"
         f.write_bytes(b"(pow 2)\n\xff\xfe\n(pow 3)\n")

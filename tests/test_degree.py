@@ -40,6 +40,7 @@ from mapdeg import geometry
 from mapdeg.degree import (
     BLEND_MIN_NORM,
     STEP_CAP,
+    _degree,
     _last_level,
     _min_norm,
     _proven_level,
@@ -433,6 +434,31 @@ class TestSimplicialReference:
         new, reference = _pass_bits(blocks, 16)
         assert new == reference
         assert math.isnan(_simplicial_pass(iter(blocks), 16)[0])
+
+
+class TestNonFiniteDegree:
+    """A raw degree that is not finite is a ConsistencyError, never an error from rounding it."""
+
+    @pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])
+    def test_a_pass_result_that_is_not_finite(self, raw):
+        with pytest.raises(ConsistencyError, match=f"gave {raw:.6g} with"):
+            _degree(parse("(pow 3)"), 64, 3, (raw, 0.0))
+
+    @pytest.mark.parametrize(("text", "step"), [("(pow 3)", "nan"), ("(susp (pow 3))", "0")])
+    def test_a_walk_holding_a_nan(self, monkeypatch, text, step):
+        # one NaN value makes the raw degree NaN; on S1 the largest step
+        # is NaN too, while on S2 the least dot product's NaN clips to an
+        # edge of 0.0, so only the raw value trips the guard there
+        evaluate = degree_module.eval_array
+
+        def with_a_nan(e, X, **kwargs):
+            values = evaluate(e, X, **kwargs)
+            values[len(values) // 2, 1] = np.nan
+            return values
+
+        monkeypatch.setattr(degree_module, "eval_array", with_a_nan)
+        with pytest.raises(ConsistencyError, match=f"gave nan with a largest step of {step} "):
+            degree(parse(text))
 
 
 def _rows(dim: int, n: int) -> int:

@@ -43,7 +43,6 @@ from mapdeg import (
     make_grid,
     parse,
 )
-from mapdeg import expr as expr_module
 from mapdeg.degree import _known, _same
 from mapdeg.expr import EVAL_BUDGET, MAX_DEPTH
 
@@ -373,6 +372,15 @@ class TestEvaluate:
         with pytest.raises(NearZeroVector):
             eval_array(e, circle_point(0.2))
 
+    @pytest.mark.parametrize("row", [0, 5, 7])
+    def test_a_perturbation_refuses_rows_holding_a_nan(self, row):
+        # the NaN row's norm is NaN, and so is the least norm, which
+        # normalize_rows refuses rather than return NaN rows
+        X = make_grid(2, 8)[:8]
+        X[row, 1] = np.nan
+        with pytest.raises(NearZeroVector, match="norm nan"):
+            eval_array(parse("(perturb 1 0.5 (id 2))"), X)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             eval_array(Pow(2), np.array([[0.0, 0.0, 1.0]]))
@@ -618,14 +626,19 @@ class TestFieldBlocks:
         ]
         assert field_digests(seeds, blas_threads) == want
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 100])
-    def test_small_blocks_match_the_serial_formula(self, monkeypatch, block_rows):
-        monkeypatch.setattr(expr_module, "BLOCK_ROWS", block_rows)
-        for dim, n in ((1, 301), (2, 9)):
+    @pytest.mark.parametrize("rows", [1, 7, 100, 8191, 8192, 8193])
+    def test_a_slice_of_rows_gets_the_whole_arrays_rows(self, rows):
+        # every row's arithmetic is its own: a walk's blocks and a base's
+        # kept levels read the field on slices of a level, and get the
+        # whole level's bits
+        for dim, n in ((1, 3 * 8192 + 5), (2, 70)):  # 24,581 samples; 9,662 vertices
             X = make_grid(dim, n)
             for seed in (1, 2):
                 f = PerturbationField(seed, dim)
-                assert np.array_equal(f(X), serial_field(f, X))
+                whole = f(X)
+                assert np.array_equal(whole, serial_field(f, X))
+                for lo in (0, 1, 8191, len(X) - rows):
+                    assert f(X[lo : lo + rows]).tobytes() == whole[lo : lo + rows].tobytes()
 
     def test_lipschitz_bound_is_the_gradient_formula_computed_once(self):
         for seed, dim in ((1, 1), (2, 2), (2**64 - 1, 2)):
@@ -641,13 +654,6 @@ class TestFieldBlocks:
             want = float(np.linalg.norm(np.abs(f._coef).sum(axis=1)))
             f._coef = None  # a bound computed on the call would fail
             assert f.sup_bound() == want
-
-    def test_rows_around_the_block_edges_match_the_serial_formula(self):
-        block = expr_module.BLOCK_ROWS
-        X = make_grid(1, 2 * block + 3)
-        f = PerturbationField(4, 1)
-        for rows in (block - 1, block, block + 1, 2 * block + 1, 2 * block + 3):
-            assert np.array_equal(f(X[:rows]), serial_field(f, X[:rows]))
 
     def test_zero_rows(self):
         for dim in (1, 2):

@@ -69,6 +69,15 @@ class TestNormalize:
         with pytest.raises(NearZeroVector):
             normalize_rows(np.array([[1.0, 0.0], [1e-12, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "rows", [[[0.0, 0.0], [np.nan, 0.0]], [[1.0, 0.0], [np.nan, 0.0]], [[0.0, np.nan, 1.0]]]
+    )
+    def test_rejects_a_nan_least_norm(self, rows):
+        # a NaN row makes the least norm NaN, which compares false both
+        # ways: a zero row beside it, or none, is refused all the same
+        with pytest.raises(NearZeroVector, match="norm nan"):
+            normalize_rows(np.array(rows))
+
     @given(
         st.tuples(
             st.floats(-1e3, 1e3, allow_nan=False),
@@ -104,10 +113,11 @@ def _row_inputs() -> list[np.ndarray]:
 
 
 def _old_normalize_rows(X: np.ndarray) -> np.ndarray:
-    """normalize_rows as np.linalg.norm wrote it: the reference its rows and refusals keep."""
+    """normalize_rows as np.linalg.norm wrote it, refusing a NaN least norm too:
+    the reference its rows and refusals keep."""
     norms = np.linalg.norm(X, axis=1)
     small = float(norms.min()) if len(norms) else 1.0
-    if small <= geometry.NEAR_ZERO:
+    if not small > geometry.NEAR_ZERO:
         raise NearZeroVector(f"cannot normalize row of norm {small:.3e}")
     return X / norms[:, None]
 
@@ -246,18 +256,34 @@ class TestMakeGrid:
 
 
 
+def reference_make_grid(dim: int, n: int) -> np.ndarray:
+    """make_grid's whole-grid body before it joined grid_blocks, its helpers inlined.
+
+    The reference the blocks and the joined grid keep bit for bit.
+    """
+    if dim == 1:
+        phis = 2.0 * math.pi * np.arange(0, n) / n
+        return np.column_stack([np.cos(phis), np.sin(phis)])
+    theta, phi = math.pi * np.arange(1, n) / n, math.pi * np.arange(2 * n) / n
+    sin_t, cos_t = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    rings = np.stack(np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t), axis=-1)
+    return np.concatenate([[[0.0, 0.0, 1.0]], rings.reshape(-1, 3), [[0.0, 0.0, -1.0]]])
+
+
 class TestGridBlocks:
-    """grid_blocks computes make_grid's rows without the whole grid."""
+    """grid_blocks computes the whole grid's rows a block at a time, and make_grid joins them."""
 
     @pytest.mark.parametrize("block_rows", [None, 1, 700])
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n", [8, 33, 256, 512])
     def test_blocks_concatenate_to_the_grid(self, monkeypatch, dim, n, block_rows):
         # exact, not close: a streamed distance level reads these nodes
+        want = reference_make_grid(dim, n)
         if block_rows is not None:
             monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
         blocks = list(grid_blocks(dim, n))
-        assert np.array_equal(np.concatenate(blocks), make_grid(dim, n))
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        assert make_grid(dim, n).tobytes() == want.tobytes()
         starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
         if dim == 2:  # whole rings: each block starts at a pole or a ring's first node
             assert all(start == 0 or (start - 1) % (2 * n) == 0 for start in starts)
@@ -267,7 +293,16 @@ class TestGridBlocks:
         n = 3 * geometry.BLOCK_ROWS + 5
         blocks = list(grid_blocks(1, n))
         assert [len(b) for b in blocks] == [geometry.BLOCK_ROWS] * 3 + [5]
-        assert np.array_equal(np.concatenate(blocks), make_grid(1, n))
+        assert np.concatenate(blocks).tobytes() == reference_make_grid(1, n).tobytes()
+
+    @pytest.mark.parametrize(("dim", "n"), [(1, 8), (1, 3 * 8192 + 5), (2, 8), (2, 128)])
+    def test_make_grid_returns_a_fresh_array(self, dim, n):
+        # one block or several, the joined grid is the caller's own
+        a, b = make_grid(dim, n), make_grid(dim, n)
+        assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
+        assert not np.shares_memory(a, b)
+        a[:] = 0.0
+        assert b.tobytes() == reference_make_grid(dim, n).tobytes()
 
     def test_levels_over_the_row_budget_are_refused_before_the_first_block(self):
         with pytest.raises(InvalidResolution):
