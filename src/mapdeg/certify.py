@@ -155,8 +155,7 @@ def _exponent_scan_range(d: int) -> tuple[int, int]:
     For |d| >= 2 any representation d = k^n with |k| >= 2 forces
     n <= log2 |d|; n = 2 is always scanned so the range is never empty.
     """
-    hi = max(2, abs(d).bit_length() - 1) if abs(d) >= 2 else 2
-    return 2, hi
+    return 2, max(2, abs(d).bit_length() - 1)
 
 
 def is_perfect_power(d: int) -> PowerWitness | None:
@@ -213,13 +212,20 @@ def certify_not_iterate(
     No witness means no continuous f and no n >= 2 satisfy f^n = e.
     """
     deg = degree(e, params)
-    witness = is_perfect_power(deg.value)
-    subject = e.render()
+    return _verdict(e, deg, is_perfect_power(deg.value))
+
+
+def _verdict(subject: MapExpr, deg: DegreeResult, witness: PowerWitness | None, ball=None):
+    """The Refusal where there is a witness, else the certificate: the one place either is built.
+
+    deg is the degree the verdict rests on, the subject's or a ball
+    certificate's base's, witness is_perfect_power(deg.value), and ball
+    the certificate's BallProvenance, if any.
+    """
+    text, dim = subject.render(), subject.dim
     if witness is not None:
-        return Refusal(subject, e.dim, deg, witness)
-    return NonIterateCertificate(
-        subject, e.dim, deg, _exponent_scan_range(deg.value)
-    )
+        return Refusal(text, dim, deg, witness)
+    return NonIterateCertificate(text, dim, deg, _exponent_scan_range(deg.value), ball)
 
 
 @functools.lru_cache(maxsize=1)
@@ -268,17 +274,11 @@ def ball_certificate(
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
     deg0, witness, bound0, kept = _kept_base(f0.render(), params, f0)
     if witness is not None:
-        return Refusal(g.render(), g.dim, deg0, witness)
+        return _verdict(g, deg0, witness)
     dist, deg_g = _ball_distance(f0, g, params, bound0, kept)
     if deg_g.value != deg0.value:
         raise ConsistencyError(
             f"degree {deg_g.value} of the perturbed map differs from the "
             f"base degree {deg0.value}; homotopy invariance violated"
         )
-    return NonIterateCertificate(
-        subject=g.render(),
-        dim=g.dim,
-        degree=deg0,
-        checked_exponents=_exponent_scan_range(deg0.value),
-        ball=BallProvenance(f0.render(), dist),
-    )
+    return _verdict(g, deg0, None, BallProvenance(f0.render(), dist))

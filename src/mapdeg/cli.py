@@ -27,6 +27,7 @@ from .certify import Refusal, ball_certificate, certify_not_iterate, homotopy_ch
 from .degree import DegreeParams, degree, sup_distance
 from .errors import MapdegError
 from .expr import Perturb, Pow, Susp, parse
+from .geometry import MIN_RESOLUTION
 
 
 def _report(command: str, jobs, success=("ok", "refused")) -> int:
@@ -92,11 +93,11 @@ def _cmd_pair(args, compute) -> int:
     """One report line for the maps -a and -b; compute(f, g, n) is the result.
 
     n is the grid resolution: --resolution, or None for the default grid
-    of the maps' sphere. A resolution below 8 is a usage error, raised as
-    ValueError before the job runs.
+    of the maps' sphere. A resolution below geometry.MIN_RESOLUTION, 8,
+    is a usage error, raised as ValueError before the job runs.
     """
-    if args.resolution is not None and args.resolution < 8:
-        raise ValueError("resolution must be >= 8")
+    if args.resolution is not None and args.resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
 
     def run():
         return compute(parse(args.a), parse(args.b), args.resolution)

@@ -19,6 +19,7 @@ certificate's base, whose levels of one block its record keeps
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -39,8 +40,6 @@ from . import geometry
 from .expr import Blend, MapExpr, Perturb, eval_array
 from .geometry import grid_blocks, mesh, row_norms
 
-_TWO_PI = 2.0 * math.pi
-
 #: Pre-normalization norms at or below this invalidate a blend slice.
 BLEND_MIN_NORM = 1e-6
 
@@ -53,7 +52,7 @@ _PROVEN_RESIDUAL = 1e-6
 #: F such that ceil(F * L) nodes, and at least MIN_RESOLUTION, prove the
 #: degree of a map of Lipschitz bound L: 2*pi*L samples on S1, pi*L bands
 #: on S2 (_proven_level, _degree).
-_WRAP = {1: _TWO_PI, 2: math.pi}
+_WRAP = {1: math.tau, 2: math.pi}
 
 #: The first level of a coarse-first search (_levels): 256 samples, 64
 #: bands. No cap is below its double (DegreeParams.max_for), and neither
@@ -87,8 +86,8 @@ class DegreeParams:
     _DEFAULT_MAX: ClassVar[dict[int, int]] = {1: 16384, 2: 1024}
 
     def __post_init__(self):
-        if self.max_resolution is not None and self.max_resolution < 8:
-            raise ValueError("max resolution must be >= 8")
+        if self.max_resolution is not None and self.max_resolution < geometry.MIN_RESOLUTION:
+            raise ValueError(f"max resolution must be >= {geometry.MIN_RESOLUTION}")
 
     def max_for(self, dim: int) -> int:
         """The cap, never below twice the first level: 512 samples, 128 bands."""
@@ -261,11 +260,15 @@ def _known(e: MapExpr, earlier: list[tuple[MapExpr, np.ndarray]]) -> dict[int, n
 
 
 def _same(node: MapExpr, f: MapExpr) -> bool:
-    """Whether node is f, value for value: equal, and rendering alike.
+    """Whether node is f, value for value: whether their canonical texts are equal.
 
-    (rot 0.0) == (rot -0.0), but the two may round differently.
+    render() is kept, and set by the fields alone, each of which its text
+    writes exactly (repr of an int or a float), so equal texts mean equal
+    nodes, and node == f would add nothing. The text also tells apart
+    what == does not: (rot 0.0) == (rot -0.0), but the two may round
+    differently.
     """
-    return node == f and node.render() == f.render()
+    return node.render() == f.render()
 
 
 def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
@@ -311,10 +314,10 @@ def _winding_pass(walk, resolution: int) -> tuple[float, float]:
     total = largest = 0.0
     for after in itertools.chain(angles, [first]):
         steps = np.diff(np.concatenate([alpha, after[:1]]))
-        steps = np.mod(steps + math.pi, _TWO_PI) - math.pi  # wrap to [-pi, pi)
+        steps = np.mod(steps + math.pi, math.tau) - math.pi  # wrap to [-pi, pi)
         total += float(steps.sum())
         largest, alpha = np.maximum(largest, np.abs(steps).max()), after  # keeps a NaN
-    return total / _TWO_PI, float(largest)
+    return total / math.tau, float(largest)
 
 
 def _simplicial_pass(walk, resolution: int) -> tuple[float, float]:
@@ -362,7 +365,7 @@ def _simplicial_pass(walk, resolution: int) -> tuple[float, float]:
         lowest = np.minimum(lowest, min(east.min(), south.min(), diagonal.min()))
         total += float(half.sum())
     # the solid angles are 2 * half; their sum over 4*pi is the degree
-    return total / _TWO_PI, math.acos(max(-1.0, min(1.0, float(lowest))))
+    return total / math.tau, math.acos(max(-1.0, min(1.0, float(lowest))))
 
 
 def _triple(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -632,49 +635,41 @@ def _ball_distance(
     """A ball certificate's distance from f0 to g, proven below BALL_RADIUS, and degree(g).
 
     bound0 is L_f, f0's blend check's bound, and kept f0's kept levels.
-    g's blend check runs first, for L_g and g's structural degree, and
-    the chord bound is taken once. The levels sampled are g's degree
-    level alone where f0 and g are chains of perturbs over a common map
-    whose chord bound (_chord_bound) is below 1, since that bound proves
-    the distance at any level, and _proven_level refuses the level before
-    anything is sampled. Elsewhere they are the levels _levels lists up to
-    geometry.finest where (L_f + L_g) * mesh is below 1, since no other
-    can prove the distance; where none is, as for a sum that is not
-    finite, the call is refused with DistanceTooLarge before sampling.
-    Each level is one walk of (f0, g), which reads f0 at a level kept
-    holds (_walk): on the chord path, where g's degree level is one of
-    them, the call builds no grid and does not evaluate f0. The search
-    returns at the first level whose rigorous bound is below 1, and is
-    refused at the first whose sampled distance plus (L_f + L_g) * mesh
-    at the last level reaches 1 (_levels' stop rule). degree(g), at the
-    level g's bound proves, rides the walk of the distance level equal
-    to it, as always on the chord path, and walks g alone otherwise,
-    after the search.
+    g's blend check runs first, for L_g and g's structural degree. Each
+    level sampled is one walk of (f0, g), which reads f0 where kept holds
+    the level (_walk). There are two routes. Where f0 and g are chains of
+    perturbs over a common map whose chord bound (_chord_bound) is below
+    1, that bound proves the distance at any level, so the one level is
+    g's degree level, which _proven_level refuses before anything is
+    sampled, and g's degree pass reads its walk. Elsewhere the distance
+    is searched over the levels _levels lists up to geometry.finest where
+    (L_f + L_g) * mesh is below 1; where none is, DistanceTooLarge is
+    raised before sampling. The search returns at the first level whose
+    rigorous bound is below 1, and is refused at the first whose sampled
+    distance plus (L_f + L_g) * mesh at the last level reaches 1 (_levels'
+    stop rule). g's degree level P is then walked for g alone: it lies
+    below every searched level. f0's degree is no perfect power, so
+    2 <= |deg| <= L_f on S1 and <= L_f**2 on S2, and (L_f + L_g) *
+    mesh(P) >= 1 at P = max(8, ceil(2*pi*L_g)) samples or max(8,
+    ceil(pi*L_g)) bands.
     """
     dim = g.dim
     bound, sd = check_blend_validity(g, params)
     slope = bound0 + bound
     chord = _chord_bound(f0, g)
     if chord is not None and chord < BALL_RADIUS:
-        proven = _proven_level(bound, params, dim)
-        levels = [proven]
+        n = _proven_level(bound, params, dim)
+        levels, ride = [n], functools.partial(_PASSES[dim][1], resolution=n)
     else:
         budget = _levels(dim, geometry.finest(dim))
-        levels = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS]
+        levels, ride = [n for n in budget if slope * mesh(dim, n) < BALL_RADIUS], None
         if not levels:
             raise DistanceTooLarge(
                 f"Lipschitz bounds sum to {slope:.6g}: no level up to {budget[-1]}, the last "
                 "within the row budget, proves the distance"
             )
-        try:
-            proven = _proven_level(bound, params, dim)
-        except ResolutionExceeded:
-            proven = None  # raised again after the search
-    passed = None
     for n in levels:
-        ride = (lambda walk, n=n: _PASSES[dim][1](walk, n)) if n == proven else None
-        dist, out = _sup_distance(f0, g, n, slope, chord, ride, kept)
-        passed = out or passed
+        dist, passed = _sup_distance(f0, g, n, slope, chord, ride, kept)
         if dist.rigorous < BALL_RADIUS:
             break
         floor = dist.sampled_max + slope * mesh(dim, levels[-1])
@@ -684,5 +679,5 @@ def _ball_distance(
                 f"up to {levels[-1]} at {floor:.6f} or more, not below {BALL_RADIUS}; "
                 "the ball argument does not apply (inconclusive)"
             )
-    n = proven or _proven_level(bound, params, dim)
+    n = _proven_level(bound, params, dim)
     return dist, _degree(g, n, sd, passed or raw_pass(g, n))

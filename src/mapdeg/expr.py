@@ -18,8 +18,6 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, ParseError, ResolutionExceeded
 from .geometry import NEAR_ZERO, normalize_rows, row_norms
 
-_TWO_PI = 2.0 * math.pi
-
 #: Deepest constructor nesting parse accepts. Deeper text is refused with
 #: a ParseError, before the recursive parser, evaluator and renderer can
 #: exhaust Python's call stack.
@@ -41,9 +39,20 @@ class MapExpr:
     constructor's arguments in the order the DSL writes them.
     """
 
+    _SPHERE: int | None = None
+
     @property
     def dim(self) -> int:
-        raise NotImplementedError
+        """m for a map of S^m, by one rule for every node.
+
+        The class constant _SPHERE where the class fixes m (1 for conj, pow
+        and rot, 2 for rot3 and susp), the field m of id and antipode, else
+        the first child's, which compose and blend check the second shares.
+        """
+        if self._SPHERE is not None:
+            return self._SPHERE
+        names = _CHILDREN[type(self)]
+        return getattr(self, names[0]).dim if names else self.m
 
     def children(self) -> tuple["MapExpr", ...]:
         return tuple([getattr(self, name) for name in _CHILDREN[type(self)]])
@@ -55,12 +64,14 @@ class MapExpr:
     def symbolic_degree(self) -> int | None:
         """Structural degree from the AST alone, or None for a map with a blend.
 
-        A blend's needs its check's samples (degree.check_blend_validity).
+        A blend's needs its check's samples (degree.check_blend_validity):
+        Blend._symbolic gives None, and this gives it every map over one.
         """
-        return self._symbolic([c.symbolic_degree() for c in self.children()])
+        inner = [c.symbolic_degree() for c in self.children()]
+        return None if None in inner else self._symbolic(inner)
 
-    def _symbolic(self, inner: list[int | None]) -> int | None:
-        """The map's degree from its children's, in children() order.
+    def _symbolic(self, inner: list[int]) -> int | None:
+        """The map's degree from its children's, in children() order, none of them None.
 
         The one set of degree rules: symbolic_degree applies it to the
         AST's degrees, and degree.check_blend_validity to degrees that give
@@ -71,16 +82,17 @@ class MapExpr:
     def lipschitz_bound(self) -> float | None:
         """Upper bound on the map's chordal Lipschitz constant, if known.
 
-        The AST's bound: a true upper bound, never an estimate. A blend
-        has none here: its bound needs samples, which the degree module
-        takes (degree.check_blend_validity). That check gives every map
-        the bound the degree, sup distances and ball certificates use:
+        The AST's bound: a true upper bound, never an estimate. A map with
+        a blend has none here: a blend's needs samples, which the degree
+        module takes (degree.check_blend_validity). That check gives every
+        map the bound the degree, sup distances and ball certificates use:
         this one for a map without a blend, one from its samples else.
         """
-        return self._bound([c.lipschitz_bound() for c in self.children()])
+        inner = [c.lipschitz_bound() for c in self.children()]
+        return None if None in inner else self._bound(inner)
 
-    def _bound(self, inner: list[float | None]) -> float | None:
-        """The map's bound from its children's, in children() order.
+    def _bound(self, inner: list[float]) -> float | None:
+        """The map's bound from its children's, in children() order, none of them None.
 
         The one set of composition rules: lipschitz_bound applies it to
         the AST's bounds, and degree.check_blend_validity, in the same
@@ -135,10 +147,6 @@ class Id(MapExpr):
     def __post_init__(self):
         _check_dim_arg(self.m)
 
-    @property
-    def dim(self) -> int:
-        return self.m
-
     def _eval(self, X, at):
         return X
 
@@ -158,10 +166,6 @@ class Antipode(MapExpr):
     def __post_init__(self):
         _check_dim_arg(self.m)
 
-    @property
-    def dim(self) -> int:
-        return self.m
-
     def _eval(self, X, at):
         return -X
 
@@ -177,9 +181,7 @@ class Antipode(MapExpr):
 class Conj(MapExpr):
     """Complex conjugation (a, b) -> (a, -b) on S1."""
 
-    @property
-    def dim(self) -> int:
-        return 1
+    _SPHERE = 1
 
     def _eval(self, X, at):
         return X * np.array([1.0, -1.0])
@@ -196,14 +198,11 @@ class Pow(MapExpr):
     """z -> z^k on S1, i.e. angle -> k * angle."""
 
     k: int
+    _SPHERE = 1
 
     def __post_init__(self):
         if abs(self.k) > 2**53:  # floats stop holding k * angle exactly
             raise DomainError("exponent must satisfy |k| <= 2**53")
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def _eval(self, X, at):
         # + 0.0 turns a -0.0 angle into 0.0 and leaves every other one
@@ -223,14 +222,11 @@ class Rot(MapExpr):
     """Rotation of S1 by alpha radians."""
 
     alpha: float
+    _SPHERE = 1
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise DomainError(f"rotation angle must be finite, got {self.alpha}")
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def _eval(self, X, at):
         c, s = math.cos(self.alpha), math.sin(self.alpha)
@@ -249,6 +245,7 @@ class Rot3(MapExpr):
 
     axis: tuple[float, float, float]
     alpha: float
+    _SPHERE = 2
 
     def __post_init__(self):
         axis = self.axis
@@ -265,10 +262,6 @@ class Rot3(MapExpr):
             # normalize once; keep already-unit axes bit-identical so that
             # render -> parse round trips reproduce the same AST
             object.__setattr__(self, "axis", tuple(float(c / norm) for c in axis))
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     def _eval(self, X, at):
         u = np.asarray(self.axis)
@@ -294,14 +287,11 @@ class Susp(MapExpr):
     """
 
     inner: MapExpr
+    _SPHERE = 2
 
     def __post_init__(self):
         if self.inner.dim != 1:
             raise DimensionMismatch("susp needs an S1 map inside")
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     def _eval(self, X, at):
         s = np.hypot(X[:, 0], X[:, 1])  # sin of the polar angle, >= 0
@@ -316,8 +306,7 @@ class Susp(MapExpr):
         return inner[0]
 
     def _bound(self, inner):
-        (b,) = inner
-        return None if b is None else max(1.0, b)
+        return max(1.0, inner[0])
 
 
 @dataclass(frozen=True)
@@ -333,23 +322,16 @@ class Compose(MapExpr):
                 f"compose needs equal dimensions, got S{self.outer.dim} and S{self.inner.dim}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.outer.dim
-
     def _eval(self, X, at):
         return at(self.outer, at(self.inner, X))
 
     def _symbolic(self, inner):
         a, b = inner
-        if a is None or b is None:
-            return None
         _check_bits(self, (abs(a).bit_length() - 1) + (abs(b).bit_length() - 1))
         return a * b
 
     def _bound(self, inner):
-        a, b = inner
-        return None if a is None or b is None else a * b
+        return inner[0] * inner[1]
 
 
 @dataclass(frozen=True)
@@ -368,10 +350,6 @@ class Iterate(MapExpr):
         if self.n < 0:
             raise DomainError(f"iteration count must be >= 0, got {self.n}")
 
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
     def _eval(self, X, at):
         for _ in range(self.n):
             X = at(self.inner, X)
@@ -379,17 +357,12 @@ class Iterate(MapExpr):
 
     def _symbolic(self, inner):
         (d,) = inner
-        if d is None:
-            return None
         _check_bits(self, self.n * (abs(d).bit_length() - 1))
         return d**self.n
 
     def _bound(self, inner):
-        (b,) = inner
-        if b is None:
-            return None
         try:
-            return b**self.n
+            return inner[0] ** self.n
         except OverflowError:  # saturate: the degree methods refuse inf
             return math.inf
 
@@ -414,10 +387,6 @@ class Blend(MapExpr):
             raise DimensionMismatch(
                 f"blend needs equal dimensions, got S{self.f.dim} and S{self.g.dim}"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.f.dim
 
     def _eval(self, X, at):
         raw = (1.0 - self.t) * at(self.f, X) + self.t * at(self.g, X)
@@ -471,7 +440,7 @@ class PerturbationField:
         self._freq = rng.integers(
             -self.MAX_FREQ, self.MAX_FREQ + 1, size=(ncomp, self.TERMS, ncomp)
         ).astype(float)
-        self._phase = rng.uniform(0.0, _TWO_PI, size=(ncomp, self.TERMS))
+        self._phase = rng.uniform(0.0, math.tau, size=(ncomp, self.TERMS))
         coef = rng.uniform(-1.0, 1.0, size=(ncomp, self.TERMS))
         self._coef = coef / np.abs(coef).sum()
         self._order = [0, 2, 1] if dim == 2 else [0, 1]
@@ -520,10 +489,6 @@ class Perturb(MapExpr):
             self, "_field", PerturbationField(self.seed, self.inner.dim)
         )
 
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
     def _eval(self, X, at):
         return normalize_rows(at(self.inner, X) + self.eps * self._field(X))
 
@@ -533,16 +498,13 @@ class Perturb(MapExpr):
         return inner[0]
 
     def _bound(self, inner):
-        (b,) = inner
-        if b is None:
-            return None
         # |f(x) + eps V(x)| >= 1 - eps M, and normalizing is 1/r-Lipschitz
         # outside the ball of radius r. M can round to 1 + ulp, so a floor
         # at or below 0 gives inf, which every degree method refuses
         floor = 1.0 - self.eps * self._field.sup_bound()
         if not floor > 0.0:
             return math.inf
-        return (b + self.eps * self._field.lipschitz_bound()) / floor
+        return (inner[0] + self.eps * self._field.lipschitz_bound()) / floor
 
 
 class _Reading:
