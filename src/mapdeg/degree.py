@@ -37,7 +37,7 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from . import geometry
-from .expr import Blend, MapExpr, Perturb, eval_array
+from .expr import Blend, MapExpr, Perturb, _integer, eval_array
 from .geometry import grid_blocks, mesh, row_norms
 
 #: Pre-normalization norms at or below this invalidate a blend slice.
@@ -86,8 +86,11 @@ class DegreeParams:
     _DEFAULT_MAX: ClassVar[dict[int, int]] = {1: 16384, 2: 1024}
 
     def __post_init__(self):
-        if self.max_resolution is not None and self.max_resolution < geometry.MIN_RESOLUTION:
-            raise ValueError(f"max resolution must be >= {geometry.MIN_RESOLUTION}")
+        cap = self.max_resolution
+        if cap is not None:  # stored as a plain int
+            cap = self.__dict__["max_resolution"] = _integer(cap, "max resolution", ValueError)
+            if cap < geometry.MIN_RESOLUTION:
+                raise ValueError(f"max resolution must be >= {geometry.MIN_RESOLUTION}")
 
     def max_for(self, dim: int) -> int:
         """The cap, never below twice the first level: 512 samples, 128 bands."""
@@ -262,11 +265,10 @@ def _known(e: MapExpr, earlier: list[tuple[MapExpr, np.ndarray]]) -> dict[int, n
 def _same(node: MapExpr, f: MapExpr) -> bool:
     """Whether node is f, value for value: whether their canonical texts are equal.
 
-    render() is kept, and set by the fields alone, each of which its text
-    writes exactly (repr of an int or a float), so equal texts mean equal
-    nodes, and node == f would add nothing. The text also tells apart
-    what == does not: (rot 0.0) == (rot -0.0), but the two may round
-    differently.
+    render() is kept and set by the fields alone, each written exactly, so
+    equal texts are equal nodes, and node == f adds nothing. The texts
+    also tell (rot 0.0) from (rot -0.0), which == does not and which may
+    round differently.
     """
     return node.render() == f.render()
 

@@ -10,6 +10,8 @@ row-wise and carries a structural degree where one is known.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import re
 from dataclasses import dataclass, field, fields
 
@@ -36,7 +38,9 @@ class MapExpr:
     """Base class of map-expression AST nodes.
 
     Every subclass is a frozen dataclass whose init fields are its
-    constructor's arguments in the order the DSL writes them.
+    constructor's arguments in the order the DSL writes them. Each stores
+    its integer and real fields as plain int and float (_integer, _real),
+    so that render writes them as parse reads them.
     """
 
     _SPHERE: int | None = None
@@ -125,9 +129,27 @@ class MapExpr:
         return f"({' '.join(words)})"
 
 
-def _check_dim_arg(m: int) -> None:
+def _integer(value, what: str, error: type[Exception] = DomainError) -> int:
+    """value as a plain int, read through operator.index; `error` where it has none."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def _real(value, what: str) -> float:
+    """value as a plain float where it is a real number (numbers.Real); DomainError else."""
+    if type(value) is not float and not isinstance(value, numbers.Real):  # the first is faster
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _sphere(m) -> int:
+    """m as a plain int where it is 1 or 2; DomainError else."""
+    m = _integer(m, "sphere dimension")
     if m not in (1, 2):
         raise DomainError(f"sphere dimension must be 1 or 2, got {m}")
+    return m
 
 
 def _check_bits(e: MapExpr, bits: int) -> None:
@@ -145,7 +167,7 @@ class Id(MapExpr):
     m: int
 
     def __post_init__(self):
-        _check_dim_arg(self.m)
+        self.__dict__["m"] = _sphere(self.m)
 
     def _eval(self, X, at):
         return X
@@ -164,7 +186,7 @@ class Antipode(MapExpr):
     m: int
 
     def __post_init__(self):
-        _check_dim_arg(self.m)
+        self.__dict__["m"] = _sphere(self.m)
 
     def _eval(self, X, at):
         return -X
@@ -201,6 +223,7 @@ class Pow(MapExpr):
     _SPHERE = 1
 
     def __post_init__(self):
+        self.__dict__["k"] = _integer(self.k, "exponent")
         if abs(self.k) > 2**53:  # floats stop holding k * angle exactly
             raise DomainError("exponent must satisfy |k| <= 2**53")
 
@@ -225,6 +248,7 @@ class Rot(MapExpr):
     _SPHERE = 1
 
     def __post_init__(self):
+        self.__dict__["alpha"] = _real(self.alpha, "rotation angle")
         if not math.isfinite(self.alpha):
             raise DomainError(f"rotation angle must be finite, got {self.alpha}")
 
@@ -248,20 +272,28 @@ class Rot3(MapExpr):
     _SPHERE = 2
 
     def __post_init__(self):
-        axis = self.axis
-        if not all(map(math.isfinite, (*axis, self.alpha))):
-            raise DomainError(f"rotation axis and angle must be finite, got {axis}, {self.alpha}")
+        try:
+            axis = tuple(_real(c, "rotation axis entry") for c in self.axis)
+        except TypeError:  # not iterable
+            axis = ()
+        if len(axis) != 3:
+            raise DomainError(f"rotation axis must be three real numbers, got {self.axis!r}")
+        alpha = self.__dict__["alpha"] = _real(self.alpha, "rotation angle")
+        if not all(map(math.isfinite, (*axis, alpha))):
+            raise DomainError(f"rotation axis and angle must be finite, got {axis}, {alpha}")
+        unit = axis
         if math.isinf(sum(c * c for c in axis)):
             # the squares overflow: divide by the largest entry first
             big = max(abs(c) for c in axis)
-            axis = tuple(c / big for c in axis)
-        norm = math.sqrt(sum(c * c for c in axis))
+            unit = tuple(c / big for c in axis)
+        norm = math.sqrt(sum(c * c for c in unit))
         if norm <= NEAR_ZERO:
             raise DomainError("rotation axis is numerically zero")
-        if abs(norm - 1.0) > 1e-12 or axis is not self.axis:
+        if abs(norm - 1.0) > 1e-12 or unit is not axis:
             # normalize once; keep already-unit axes bit-identical so that
             # render -> parse round trips reproduce the same AST
-            object.__setattr__(self, "axis", tuple(float(c / norm) for c in axis))
+            unit = tuple(c / norm for c in unit)
+        self.__dict__["axis"] = unit
 
     def _eval(self, X, at):
         u = np.asarray(self.axis)
@@ -347,6 +379,7 @@ class Iterate(MapExpr):
     inner: MapExpr
 
     def __post_init__(self):
+        self.__dict__["n"] = _integer(self.n, "iteration count")
         if self.n < 0:
             raise DomainError(f"iteration count must be >= 0, got {self.n}")
 
@@ -381,6 +414,7 @@ class Blend(MapExpr):
     g: MapExpr
 
     def __post_init__(self):
+        self.__dict__["t"] = _real(self.t, "blend parameter")
         if not 0.0 <= self.t <= 1.0:
             raise DomainError(f"blend parameter must lie in [0, 1], got {self.t}")
         if self.f.dim != self.g.dim:
@@ -429,13 +463,10 @@ class PerturbationField:
     MAX_FREQ = 2
 
     def __init__(self, seed: int, dim: int):
-        if dim not in (1, 2):
-            raise DomainError(f"dim must be 1 or 2, got {dim}")
-        if not 0 <= seed < 2**64:
+        self.seed, self.dim = _integer(seed, "seed"), _sphere(dim)
+        if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
-        self.seed = int(seed)
-        self.dim = dim
-        ncomp = dim + 1
+        ncomp = self.dim + 1
         rng = np.random.default_rng(self.seed)
         self._freq = rng.integers(
             -self.MAX_FREQ, self.MAX_FREQ + 1, size=(ncomp, self.TERMS, ncomp)
@@ -483,11 +514,11 @@ class Perturb(MapExpr):
     _field: PerturbationField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.__dict__["seed"] = _integer(self.seed, "seed")
+        self.__dict__["eps"] = _real(self.eps, "perturbation size")
         if not 0.0 <= self.eps < 1.0:
             raise DomainError(f"perturbation size must lie in [0, 1), got {self.eps}")
-        object.__setattr__(
-            self, "_field", PerturbationField(self.seed, self.inner.dim)
-        )
+        self.__dict__["_field"] = PerturbationField(self.seed, self.inner.dim)
 
     def _eval(self, X, at):
         return normalize_rows(at(self.inner, X) + self.eps * self._field(X))

@@ -10,6 +10,7 @@ the sphere lies from them. All operations are pure functions.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -78,13 +79,18 @@ def grid_blocks(dim: int, resolution: int) -> Iterator[np.ndarray]:
     """make_grid(dim, resolution) in consecutive blocks of about BLOCK_ROWS rows.
 
     The one place a grid's rows are split: on S2 each block holds whole
-    rings, the poles counted as rings of one node. The dimension and the
-    row budget are checked before the first block, so a refused grid
-    allocates nothing, and no block outlives the next one unless the
-    caller keeps it: a level of any size is read in bounded memory.
+    rings, the poles counted as rings of one node. The dimension, the
+    resolution (an integer to operator.index) and the row budget are
+    checked before the first block, so a refused grid allocates nothing,
+    and no block outlives the next one unless the caller keeps it: a
+    level of any size is read in bounded memory.
     """
     if dim not in (1, 2):
         raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise InvalidResolution(f"resolution must be an integer, got {resolution!r}") from None
     if resolution < MIN_RESOLUTION:
         raise InvalidResolution(f"resolution {resolution} < {MIN_RESOLUTION}")
     if resolution > finest(dim):

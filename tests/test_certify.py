@@ -686,6 +686,114 @@ class TestCoarseFirst:
         assert dist.rigorous < 1.0
 
 
+def _searched_pairs(dim: int):
+    """(f0, g, first): a base whose degree is no perfect power, a subject, and a first level.
+
+    The subject is the base turned, a chain of two perturbations of it
+    (whose chord bound may reach 1), or any tree without a blend; only
+    the first is sure to take the searched route.
+    """
+    k = st.integers(-40, 40).filter(lambda k: is_perfect_power(k) is None)
+    seeds, sizes, angles = st.integers(0, 2**64 - 1), st.floats(0.0, 0.9), st.floats(-3.0, 3.0)
+    if dim == 1:
+        leaf, trees, turn = k.map(Pow), S1_TREES, angles.map(Rot)
+    else:
+        leaf, trees = k.map(lambda k: Susp(Pow(k))), S2_TREES
+        turn = st.builds(Rot3, st.tuples(st.just(0.3), st.floats(-1, 1), st.just(1.0)), angles)
+    bases = st.one_of(
+        leaf,
+        st.builds(Compose, turn, leaf),
+        st.builds(Perturb, seeds, st.floats(0.0, 0.6), leaf),
+    )
+
+    def subjects(f0):
+        return st.one_of(
+            st.builds(Compose, turn, st.just(f0)),
+            st.builds(lambda s, e, t, u: Perturb(s, e, Perturb(t, u, f0)), seeds, sizes, seeds, sizes),
+            trees,
+        )
+
+    return st.tuples(
+        bases.flatmap(lambda f0: st.tuples(st.just(f0), subjects(f0))),
+        st.sampled_from([8, 16, 32, 64, 128, 256]),
+    ).map(lambda pair_first: (*pair_first[0], pair_first[1]))
+
+
+class TestSearchedDegreeLevel:
+    """A searched subject's degree level P lies below every level its search admits.
+
+    So no searched distance walk is at P, and _ball_distance walks P for
+    the subject alone. The base's degree d is no perfect power, so
+    |d| >= 2. A map of chordal Lipschitz bound L has |degree| <= L on S1,
+    its image winding |d| times round a circle of length 2 pi no faster
+    than L, and |degree| <= L**2 on S2, its image covering the sphere's
+    area |d| times while areas grow by at most L**2: so L_f >= 2 on S1
+    and L_f >= sqrt(2) on S2, where every bound is also at least 1 (a
+    suspension's is, and no rule makes a bound smaller than its
+    children's). On S1, P = max(8, ceil(2 pi L_g)) samples: at 8,
+    (L_f + L_g) * 2 sin(pi/8) >= 2 * 0.765; above it P < 2 pi L_g + 1,
+    so (L_f + L_g) * mesh(P) >= (1 + (4 pi - 1)/P)(1 - pi**2/(6 P**2)),
+    which is at least 1. On S2, P = max(8, ceil(pi L_g)) bands: at 8,
+    (sqrt(2) + 1) * sqrt(2) pi/8 = 1.34; above it P < pi L_g + 1, so
+    (L_f + L_g) * sqrt(2) pi/P >= sqrt(2) + (2 pi - sqrt(2))/P. The
+    search admits only levels n with (L_f + L_g) * mesh(n) < 1, and mesh
+    falls as n grows, so each is finer than P.
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(_searched_pairs(1), _searched_pairs(2)))
+    def test_the_degree_level_lies_below_every_searched_level(self, case):
+        f0, g, first = case
+        dim, params = f0.dim, DegreeParams()
+        chord = _chord_bound(f0, g)
+        assume(chord is None or chord >= 1.0)  # the searched route
+        with mock.patch.dict(degree_module._FIRST, {dim: first}):
+            bound0, d0 = check_blend_validity(f0, params)
+            bound, _ = check_blend_validity(g, params)
+            assert is_perfect_power(d0) is None
+            assert bound0 >= (2.0 if dim == 1 else math.sqrt(2.0))
+            assert dim == 1 or bound >= 1.0
+            try:
+                level = degree_module._proven_level(bound, params, dim)
+            except ResolutionExceeded:
+                return  # no degree level: the subject is refused after its search
+            slope = bound0 + bound
+            searched = [
+                n
+                for n in degree_module._levels(dim, geometry.finest(dim))
+                if slope * geometry.mesh(dim, n) < 1.0
+            ]
+            assert slope * geometry.mesh(dim, level) >= 1.0
+            assert all(level < n for n in searched)
+            if not searched or searched[0] > (4096 if dim == 1 else 64):
+                return
+            # the call samples its distance at searched levels alone, and
+            # walks the subject's degree level for the subject alone
+            sampled, walked = [], []
+            distance, raw_pass = degree_module._sup_distance, degree_module.raw_pass
+
+            def spy_distance(f, g, n, *args):
+                sampled.append(n)
+                return distance(f, g, n, *args)
+
+            def spy_pass(e, n):
+                walked.append(n)
+                return raw_pass(e, n)
+
+            certify_module._kept_base.cache_clear()
+            with (
+                mock.patch.object(degree_module, "_sup_distance", spy_distance),
+                mock.patch.object(degree_module, "raw_pass", spy_pass),
+            ):
+                try:
+                    ball_certificate(f0, g, params)
+                except MapdegError:
+                    pass
+            certify_module._kept_base.cache_clear()
+            assert sampled and set(sampled) <= set(searched)
+            assert walked in ([], [level])
+
+
 def _block_rows(n: int) -> Counter:
     """Counter of the rows of the blocks of the n-band level."""
     return Counter(len(X) for X in geometry.grid_blocks(2, n))

@@ -887,6 +887,17 @@ class TestDegreeDispatch:
         assert DegreeParams(max_resolution=8).max_for(1) == 512
         assert DegreeParams(max_resolution=8).max_for(2) == 128
 
+    def test_a_cap_that_is_no_integer_is_refused(self):
+        # 600.5 was taken, and a ball certificate then raised TypeError
+        # from range() over its base's kept levels
+        for cap in (600.5, 600.0, "600", np.float64(600.0)):
+            with pytest.raises(ValueError, match="max resolution must be an integer"):
+                DegreeParams(max_resolution=cap)
+        params = DegreeParams(max_resolution=np.int64(600))
+        assert type(params.max_resolution) is int and params == DegreeParams(max_resolution=600)
+        f0 = parse("(pow 2)")
+        assert ball_certificate(f0, Perturb(1, 0.3, f0), params).degree.value == 2
+
     def test_multiplicativity_on_seeded_pairs(self):
         rng = random.Random(1729)
 
@@ -949,6 +960,15 @@ class TestSupDistance:
         for check in (sup_distance, homotopy_check):
             with pytest.raises(InvalidResolution):
                 check(f, g, 0)
+
+    def test_a_resolution_that_is_no_integer_is_refused(self):
+        # 100.5 raised TypeError from the grid's range() or arange()
+        f, g = parse("(pow 2)"), parse("(perturb 5 0.4 (pow 2))")
+        for check in (sup_distance, homotopy_check):
+            for n in (100.5, 100.0, "100"):
+                with pytest.raises(InvalidResolution, match="resolution must be an integer"):
+                    check(f, g, n)
+        assert sup_distance(f, g, np.int64(100)) == sup_distance(f, g, 100)
 
     def test_perturbation_stays_inside_the_unit_ball(self):
         est = sup_distance(parse("(pow 2)"), parse("(perturb 5 0.4 (pow 2))"), 2048)

@@ -32,10 +32,12 @@ from mapdeg import (
     NearZeroVector,
     ParseError,
     PerturbationField,
+    Perturb,
     Pow,
     ResolutionExceeded,
     Rot,
     Rot3,
+    Refusal,
     Susp,
     certify_not_iterate,
     degree,
@@ -297,6 +299,126 @@ def _nodes(e: MapExpr) -> list[MapExpr]:
     return [e] + [node for child in e.children() for node in _nodes(child)]
 
 
+def _spelled(values):
+    """values, each passed as one of the types a caller may hold it in.
+
+    An integer as an int, a numpy integer of any width that holds it, or
+    a bool for 0 and 1; a real as a float, a numpy float64 or float32, or
+    an int where it is whole.
+    """
+
+    def spellings(v):
+        if isinstance(v, int):
+            kinds = [np.int8, np.int16, np.int64, np.uint8, np.uint64]
+            out = [v] + [k(v) for k in kinds if np.iinfo(k).min <= v <= np.iinfo(k).max]
+            return out + ([bool(v)] if v in (0, 1) else [])
+        return [v, np.float64(v), np.float32(v)] + ([int(v)] if v.is_integer() else [])
+
+    return values.flatmap(lambda v: st.sampled_from(spellings(v)))
+
+
+_SPELLED_S1 = st.recursive(
+    st.one_of(
+        st.builds(Pow, _spelled(st.integers(-(2**53), 2**53))),
+        st.builds(Rot, _spelled(st.floats(-10.0, 10.0))),
+        st.builds(Id, _spelled(st.just(1))),
+        st.builds(Antipode, _spelled(st.just(1))),
+        st.just(Conj()),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Compose, inner, inner),
+        st.builds(Iterate, _spelled(st.integers(0, 3)), inner),
+        st.builds(Blend, _spelled(st.floats(0.0, 1.0)), inner, inner),
+        st.builds(
+            Perturb, _spelled(st.integers(0, 2**64 - 1)), _spelled(st.floats(0.0, 0.9)), inner
+        ),
+    ),
+    max_leaves=4,
+)
+_SPELLED = st.one_of(
+    _SPELLED_S1,
+    st.builds(Susp, _SPELLED_S1),
+    st.builds(
+        Rot3,
+        st.tuples(*[st.floats(-5.0, 5.0)] * 3)
+        .filter(lambda axis: max(map(abs, axis)) > 1e-3)
+        .flatmap(lambda axis: st.tuples(*[_spelled(st.just(c)) for c in axis]))
+        .flatmap(lambda axis: st.sampled_from([axis, list(axis), np.array(axis, dtype=object)])),
+        _spelled(st.floats(-10.0, 10.0)),
+    ),
+    st.builds(Id, _spelled(st.just(2))),
+)
+
+
+class TestPlainFields:
+    """A node stores its integer fields as int and its real fields as float."""
+
+    @given(_SPELLED)
+    def test_a_directly_built_node_renders_text_that_parse_reads_back(self, e):
+        for node in _nodes(e):
+            for f in dataclasses.fields(node):
+                value = getattr(node, f.name)
+                if not f.init or isinstance(value, MapExpr):
+                    continue
+                if f.type == "tuple[float, float, float]":  # the rot3 axis
+                    assert type(value) is tuple and len(value) == 3
+                    assert all(type(c) is float for c in value)
+                else:
+                    assert type(value).__name__ == f.type, (node, f.name, value)
+        text = e.render()
+        assert parse(text) == e and parse(text).render() == text
+
+    def test_numpy_and_bool_fields(self):
+        assert Pow(np.int64(3)).render() == "(pow 3)"
+        assert Pow(True).render() == "(pow 1)"
+        assert Rot(np.float64(0.5)).render() == "(rot 0.5)"
+        assert Rot(1).render() == "(rot 1.0)"
+        e = Perturb(np.uint64(7), np.float64(0.25), Pow(2))
+        assert e.render() == "(perturb 7 0.25 (pow 2))" and e == parse(e.render())
+        assert Rot3(np.array([0, 0, 2]), np.float32(1.0)) == Rot3((0.0, 0.0, 1.0), 1.0)
+        # a plain value is stored as it was given
+        alpha = 0.1 + 0.2
+        assert Rot(alpha).alpha is alpha
+
+    def test_degrees_and_evaluation_read_plain_fields(self):
+        res = degree(Pow(np.int64(2)))
+        assert res.value == 2 and type(res.value) is int
+        assert isinstance(certify_not_iterate(Pow(np.int64(4))), Refusal)
+        assert degree(Iterate(np.int64(2), Pow(3))).value == 9
+        X = make_grid(1, 16)
+        twice = eval_array(Iterate(np.uint8(2), Pow(3)), X)
+        assert np.array_equal(twice, eval_array(Iterate(2, Pow(3)), X))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Pow(2.0),
+            lambda: Pow("2"),
+            lambda: Iterate(2.0, Pow(3)),
+            lambda: Iterate(None, Pow(3)),
+            lambda: Id(1.0),
+            lambda: Antipode(np.float64(2.0)),
+            lambda: Rot("0.5"),
+            lambda: Rot(1j),
+            lambda: Rot(None),
+            lambda: Blend("0.5", Pow(1), Pow(1)),
+            lambda: Perturb(7.0, 0.25, Pow(2)),
+            lambda: Perturb(7, "0.25", Pow(2)),
+            lambda: Rot3((0, 0, 1, 2), 1.0),
+            lambda: Rot3((0.0, 1.0), 1.0),
+            lambda: Rot3(5, 1.0),
+            lambda: Rot3((0, 0, "1"), 1.0),
+            lambda: Rot3("xyz", 1.0),
+            lambda: Rot3((0, 0, 1), "1"),
+            lambda: PerturbationField(2.5, 1),
+            lambda: PerturbationField(1, 2.0),
+        ],
+    )
+    def test_a_field_that_is_no_integer_or_real_is_refused(self, build):
+        with pytest.raises(DomainError, match="must be (an integer|a real number|three real)"):
+            build()
+
+
 class TestDimension:
     def test_fixtures(self):
         assert parse("(pow 2)").dim == 1
@@ -414,6 +536,9 @@ class TestEvaluate:
         assert tuple(direct[0]) == pytest.approx(tuple(nested[0]), abs=1e-10)
 
 
+_BLEND = Blend(0.5, Pow(2), Compose(Rot(1.0), Pow(2)))
+
+
 class TestSymbolicDegree:
     def test_fixed_values(self):
         assert Id(1).symbolic_degree() == 1
@@ -426,6 +551,33 @@ class TestSymbolicDegree:
         assert Pow(-4).symbolic_degree() == -4
         assert Susp(Pow(3)).symbolic_degree() == 3
         assert parse("(blend 0.5 (pow 2) (pow 2))").symbolic_degree() is None
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            Susp(_BLEND),
+            Compose(_BLEND, Pow(3)),
+            Compose(Pow(3), _BLEND),
+            Compose(_BLEND, _BLEND),
+            Perturb(7, 0.5, _BLEND),
+            Perturb(7, 0.5, Susp(_BLEND)),
+            Iterate(0, _BLEND),
+            Iterate(3, _BLEND),
+            # 2**(2**21) has more than DEGREE_BITS bits: Iterate._symbolic
+            # would refuse it, were it given the blend's children's degree
+            Iterate(2**21, _BLEND),
+            Compose(Susp(Pow(2)), Iterate(2, Perturb(1, 0.5, Susp(_BLEND)))),
+        ],
+        ids=repr,
+    )
+    def test_a_map_over_a_blend_has_no_ast_degree_or_bound(self, e):
+        assert e.symbolic_degree() is None
+        assert e.lipschitz_bound() is None
+
+    def test_the_count_over_a_blend_is_past_the_degree_bit_limit(self):
+        # so the walker never gives Iterate._symbolic that blend's children's degree
+        with pytest.raises(ResolutionExceeded):
+            Iterate(2**21, _BLEND.f).symbolic_degree()
 
     def test_compose_matches_winding_oracle(self):
         e = Compose(Pow(2), Pow(3))

@@ -312,6 +312,21 @@ class TestGridBlocks:
         with pytest.raises(DimensionMismatch):
             next(grid_blocks(3, 64))
 
+    def test_a_resolution_that_is_no_integer_is_refused_before_the_first_block(self, monkeypatch):
+        # make_grid(1, 16.5) raised TypeError from np.arange; nothing of
+        # the grid is computed before the refusal
+        for name in ("_arc", "_ring_trig", "_rings"):
+            monkeypatch.setattr(geometry, name, None)
+        for dim in (1, 2):
+            for n in (16.5, 16.0, "16", None):
+                with pytest.raises(InvalidResolution, match="resolution must be an integer"):
+                    make_grid(dim, n)
+                with pytest.raises(InvalidResolution, match="resolution must be an integer"):
+                    next(grid_blocks(dim, n))
+        monkeypatch.undo()
+        for dim in (1, 2):
+            assert make_grid(dim, np.int64(16)).tobytes() == make_grid(dim, 16).tobytes()
+
 
 def nearest_node_distance(dim: int, n: int, points: np.ndarray) -> np.ndarray:
     """Chordal distance from each unit row of `points` to its nearest make_grid node."""
