@@ -262,13 +262,13 @@ def ball_certificate(
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
     vectors, and g has f0's degree. f0's degree, witness and bound (L_f)
     come from _kept_base, and so do f0's kept levels. The distance and
-    degree(g) come from one route, _ball_distance: g's blend check, then
-    the distance at the levels it samples (g's degree level where the
-    chord bound proves the distance, else a coarse-first search), then
-    degree(g) from the same samples. A level that the base's record
-    keeps is read from it, with no grid built and f0 not evaluated.
-    The certificate carries f0's degree; degree(g) is a consistency check
-    that must agree.
+    degree(g) come from _ball_distance: g's blend check, then the
+    distance at g's degree level, whose samples degree(g) reads too,
+    where the chord bound proves the distance, or else a coarse-first
+    search and then degree(g) at its own level. A level that the base's
+    record keeps is read from it, with no grid built and f0 not
+    evaluated. The certificate carries f0's degree; degree(g) is a
+    consistency check that must agree.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")

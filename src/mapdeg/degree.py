@@ -681,5 +681,5 @@ def _ball_distance(
                 f"up to {levels[-1]} at {floor:.6f} or more, not below {BALL_RADIUS}; "
                 "the ball argument does not apply (inconclusive)"
             )
-    n = _proven_level(bound, params, dim)
+    n = levels[0] if ride else _proven_level(bound, params, dim)
     return dist, _degree(g, n, sd, passed or raw_pass(g, n))
