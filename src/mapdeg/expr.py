@@ -51,7 +51,7 @@ class MapExpr:
 
         The class constant _SPHERE where the class fixes m (1 for conj, pow
         and rot, 2 for rot3 and susp), the field m of id and antipode, else
-        the first child's, which compose and blend check the second shares.
+        the first child's (compose and blend check that the second agrees).
         """
         if self._SPHERE is not None:
             return self._SPHERE
@@ -132,7 +132,7 @@ class MapExpr:
 def _integer(value, what: str, error: type[Exception] = DomainError) -> int:
     """value as a plain int, read through operator.index; `error` where it has none."""
     try:
-        return int(operator.index(value))
+        return operator.index(value)  # an exact int since Python 3.10
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
