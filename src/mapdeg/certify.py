@@ -11,7 +11,6 @@ degree obstruction is silent.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .degree import (
     DegreeResult,
     DistanceEstimate,
     _ball_distance,
-    _base_degree,
+    _kept_base,
     _min_norm,
     _pair_level,
     _sup_distance,
@@ -228,30 +227,6 @@ def _verdict(subject: MapExpr, deg: DegreeResult, witness: PowerWitness | None, 
     return NonIterateCertificate(text, dim, deg, _exponent_scan_range(deg.value), ball)
 
 
-@functools.lru_cache(maxsize=1)
-def _kept_base(
-    text: str, params: DegreeParams, f0: MapExpr
-) -> tuple[DegreeResult, PowerWitness | None, float, dict]:
-    """A ball certificate's base map, certified once for later calls.
-
-    f0's degree, its power witness and its blend check's bound: all the
-    ball argument needs of f0 besides its distance to the subject, which
-    each call reads on its own samples (_ball_distance). f0 is evaluated
-    here only where its check and its degree need it, and at its kept
-    levels (_base_levels): from f0's degree level up, the nodes of the
-    levels of one block and f0's values there, read-only and within
-    geometry.BLOCK_ROWS rows in all, which every call reads instead of
-    building the grid and evaluating f0 again. One entry only, so a new
-    base or new params drop the old levels with the rest. text is
-    f0.render() and part of the key: (rot 0.0) == (rot -0.0) and the two
-    hash alike, but they may round differently, and the kept degree's
-    residual is in the payload. lru_cache keeps no exception, so an
-    error is never kept.
-    """
-    deg, bound, levels = _base_degree(f0, params)
-    return deg, is_perfect_power(deg.value), bound, levels
-
-
 def ball_certificate(
     f0: MapExpr, g: MapExpr, params: DegreeParams = DegreeParams()
 ) -> NonIterateCertificate | Refusal:
@@ -260,19 +235,20 @@ def ball_certificate(
     Requires degree(f0) not to be a perfect power and the sup distance
     between f0 and g to be below 1. Then the straight-line homotopy
     between them never vanishes, since |F + G|^2 = 4 - |F - G|^2 for unit
-    vectors, and g has f0's degree. f0's degree, witness and bound (L_f)
-    come from _kept_base, and so do f0's kept levels. The distance and
-    degree(g) come from _ball_distance: g's blend check, then the
-    distance at g's degree level, whose samples degree(g) reads too,
-    where the chord bound proves the distance, or else a coarse-first
-    search and then degree(g) at its own level. A level that the base's
-    record keeps is read from it, with no grid built and f0 not
-    evaluated. The certificate carries f0's degree; degree(g) is a
-    consistency check that must agree.
+    vectors, and g has f0's degree. f0's degree, bound (L_f) and kept
+    levels come from degree._kept_base, its witness from is_perfect_power
+    on each call. The distance and degree(g) come from _ball_distance: g's
+    blend check, then the distance at g's degree level, whose samples
+    degree(g) reads too, where the chord bound proves the distance, or
+    else a coarse-first search and then degree(g) at its own level. A
+    level that the base's record keeps is read from it, with no grid built
+    and f0 not evaluated. The certificate carries f0's degree; degree(g)
+    is a consistency check that must agree.
     """
     if f0.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f0.dim} and S{g.dim}")
-    deg0, witness, bound0, kept = _kept_base(f0.render(), params, f0)
+    deg0, bound0, kept = _kept_base(f0.render(), params, f0)
+    witness = is_perfect_power(deg0.value)
     if witness is not None:
         return _verdict(g, deg0, witness)
     dist, deg_g = _ball_distance(f0, g, params, bound0, kept)

@@ -188,28 +188,33 @@ def _walk(
 ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Level n in geometry.grid_blocks: (nodes, each map's values there) per block.
 
-    Each block is read-only before any map reads it, and each map is
-    evaluated once per block, reading the maps before it where it
-    contains them (_known): a perturbation of an earlier map costs its
-    field alone. No block outlives the next unless the caller keeps it,
-    and a max or min over the blocks is the whole level's, bit for bit.
-    kept maps a level to its one block and the values of the first maps
-    there, as a ball certificate's base keeps them (_base_levels): that
-    level is walked as the block, with no grid built and those maps not
-    evaluated, their kept values being the same bits.
+    Each block is read-only before any map reads it, and has one table
+    from canonical text (render()) to values. A map whose text the table
+    holds is not evaluated; any other is evaluated once, reading from the
+    table each sub-expression it applies to the block's nodes (eval_array),
+    and added: a perturbation of an earlier map costs its field alone.
+    Texts decide: (rot 0.0) and (rot -0.0) never share. No block outlives
+    the next unless the caller keeps it, and a max or min over the blocks
+    is the whole level's, bit for bit. kept maps a level to its one block
+    and a table there, as a ball certificate's base keeps them
+    (_base_levels): that level is walked as the block, with no grid built
+    and the maps the table holds not evaluated.
     """
     level = kept.get(n) if kept else None
     blocks = [level[0]] if level else grid_blocks(maps[0].dim, n)
     for X in blocks:
         X.flags.writeable = False
-        values = list(level[1:]) if level else []
-        for e in maps[len(values) :]:
-            values.append(eval_array(e, X, known=_known(e, list(zip(maps, values)))))
+        table, values = dict(level[1]) if level else {}, []
+        for e in maps:
+            text = e.render()
+            if text not in table:
+                table[text] = eval_array(e, X, known=table)
+            values.append(table[text])
         yield X, values
 
 
 def _base_levels(f0: MapExpr, n0: int, params: DegreeParams) -> dict:
-    """A ball certificate base's kept levels: n -> (nodes, f0's values there), both read-only.
+    """A ball certificate base's kept levels: n -> (nodes, {f0's text: f0's values}), read-only.
 
     A subject whose distance the chord bound proves is read at its degree
     level alone, and a chain of perturbs over f0 has a Lipschitz bound of
@@ -228,9 +233,9 @@ def _base_levels(f0: MapExpr, n0: int, params: DegreeParams) -> dict:
         rows += len(X)
         if rows > geometry.BLOCK_ROWS or next(blocks, None) is not None:
             break
-        [(_, [F])] = _walk((f0,), n, {n: (X,)})
+        [(_, [F])] = _walk((f0,), n, {n: (X, {})})
         F.flags.writeable = False
-        levels[n] = X, F
+        levels[n] = X, {f0.render(): F}
     return levels
 
 
@@ -241,50 +246,18 @@ def _min_norm(walk) -> tuple[float, tuple[float, ...]]:
     return low, tuple(X[row].tolist())
 
 
-def _known(e: MapExpr, earlier: list[tuple[MapExpr, np.ndarray]]) -> dict[int, np.ndarray]:
-    """id(node) -> values of the sub-expressions of e that are evaluated already.
-
-    earlier lists (map, values), all on the block e is evaluated on. The
-    tree is matched against the earlier maps once, here, so that
-    eval_array looks nodes up by identity rather than hashing them. A
-    node matches an earlier map where _same(node, map).
-    """
-    known = {}
-    stack = [e] if earlier else []
-    while stack:
-        node = stack.pop()
-        for f, Y in earlier:
-            if _same(node, f):
-                known[id(node)] = Y
-                break
-        else:
-            stack.extend(node.children())
-    return known
-
-
-def _same(node: MapExpr, f: MapExpr) -> bool:
-    """Whether node is f, value for value: whether their canonical texts are equal.
-
-    render() is kept and set by the fields alone, each written exactly, so
-    equal texts are equal nodes, and node == f adds nothing. The texts
-    also tell (rot 0.0) from (rot -0.0), which == does not and which may
-    round differently.
-    """
-    return node.render() == f.render()
-
-
 def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
     """An upper bound of |f(x) - g(x)| over the whole sphere from the AST alone, or None.
 
-    Both maps are walked through Perturb nodes down to the first node
-    of f's chain _same as one of g's. Each (perturb s eps h) adds
-    eps * V(x), with |V(x)| <= M everywhere (PerturbationField.sup_bound),
-    to the unit vector h(x); since eps * M < 1 the direction turns by at
-    most asin(eps * M). Turns add along both chains, by the triangle
-    inequality of the sphere's geodesic metric, so g(x) lies within angle
-    theta = sum asin(eps_i * M_i) of f(x), and within the chord
-    2 sin(min(theta, pi) / 2). For one perturb that is
-    sqrt(2 - 2 sqrt(1 - (eps M)^2)), below 1 exactly when
+    Both maps are walked through Perturb nodes down to the first node of
+    f's chain whose text (render()) is one of g's, as _walk's tables
+    match. Each (perturb s eps h) adds eps * V(x), with |V(x)| <= M
+    everywhere (PerturbationField.sup_bound), to the unit vector h(x);
+    since eps * M < 1 the direction turns by at most asin(eps * M). Turns
+    add along both chains, by the triangle inequality of the sphere's
+    geodesic metric, so g(x) lies within angle theta = sum asin(eps_i *
+    M_i) of f(x), and within the chord 2 sin(min(theta, pi) / 2). For one
+    perturb that is sqrt(2 - 2 sqrt(1 - (eps M)^2)), below 1 exactly when
     eps * M < sqrt(3)/2. M may round to 1 + ulp, so eps * M is taken at
     most 1, a turn of at most pi/2; such a map's Lipschitz bound is
     infinite or past every cap, so its degree is refused anyway. None
@@ -300,7 +273,7 @@ def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
         chains.append(chain)
     for a, s in chains[0]:
         for b, t in chains[1]:
-            if _same(a, b):
+            if a.render() == b.render():
                 return 2.0 * math.sin(min(s + t, math.pi) / 2.0)
     return None
 
@@ -527,11 +500,23 @@ def degree(e: MapExpr, params: DegreeParams = DegreeParams()) -> DegreeResult:
     return _degree(e, n, sd, raw_pass(e, n))
 
 
-def _base_degree(f0: MapExpr, params: DegreeParams) -> tuple[DegreeResult, float, dict]:
-    """degree(f0, params), f0's Lipschitz bound and its kept levels (_base_levels).
+@functools.lru_cache(maxsize=1)
+def _kept_base(text: str, params: DegreeParams, f0: MapExpr) -> tuple[DegreeResult, float, dict]:
+    """A ball certificate's base map, read once for later calls: (degree(f0), L_f, kept levels).
 
-    The first level kept is f0's degree level, where one is kept at all,
-    and f0's degree pass reads it there.
+    f0's degree and its blend check's bound are all the ball argument
+    needs of f0 besides its distance to the subject, which each call
+    reads on its own samples (_ball_distance). f0 is evaluated here only
+    where its check and its degree need it, and at its kept levels
+    (_base_levels): from f0's degree level up, the nodes of the levels of
+    one block and a table of f0's values there, read-only and within
+    geometry.BLOCK_ROWS rows in all, which every call reads instead of
+    building the grid and evaluating f0 again; f0's degree pass reads the
+    first of them. One entry only, so a new base or new params drop the
+    old levels with the rest. text is f0.render() and part of the key:
+    (rot 0.0) == (rot -0.0) and the two hash alike, but they may round
+    differently, and the kept degree's residual is in the payload.
+    lru_cache keeps no exception, so an error is never kept.
     """
     bound, sd = check_blend_validity(f0, params)
     n = _proven_level(bound, params, f0.dim)

@@ -539,7 +539,7 @@ class Perturb(MapExpr):
 
 
 class _Reading:
-    """The `at` of eval_array: e's values at Y, read from `known` where Y is X.
+    """The `at` of eval_array: e's values at Y, read from `known` by e's text where Y is X.
 
     A class rather than a closure: a recursive closure is a reference
     cycle, which would keep X and the known arrays alive until the next
@@ -550,18 +550,18 @@ class _Reading:
         self.X, self.known = X, known
 
     def __call__(self, e: MapExpr, Y: np.ndarray) -> np.ndarray:
-        if Y is self.X and id(e) in self.known:
-            return self.known[id(e)]
+        if Y is self.X and (values := self.known.get(e.render())) is not None:
+            return values
         return e._eval(Y, self)
 
 
 def eval_array(e: MapExpr, X: np.ndarray, *, known: dict | None = None) -> np.ndarray:
     """Evaluate an expression rowwise on an (n, dim+1) array of unit rows.
 
-    `known` maps id(node) of sub-expressions of e to their values at X.
-    Where such a node is applied to X itself, its values are read from
-    there instead of evaluated; the degree module shares the maps it
-    already holds this way. A map that is the identity on its input, such
+    `known` maps canonical texts (render()) to values at X. Where a node
+    of e whose text it holds is applied to X itself, its values are read
+    from there instead of evaluated; the degree module's walk shares the
+    maps it already holds this way (degree._walk). A map that is the identity on its input, such
     as (id 2) or (iterate 0 E), returns a copy of X, never X itself.
     """
     X = np.asarray(X, dtype=float)

@@ -52,7 +52,6 @@ from mapdeg.degree import (
 
 from test_degree import S1_TREES, S1_WITH_BLENDS, S2_TREES, S2_WITH_BLENDS, _rows
 
-certify_module = importlib.import_module("mapdeg.certify")
 degree_module = importlib.import_module("mapdeg.degree")
 
 
@@ -518,8 +517,8 @@ class TestSupBoundRoundedPastOne:
             assert g.lipschitz_bound() == math.inf
         # eps * M is taken at most 1: a turn of at most pi/2
         assert 1.0 < _chord_bound(f0, g) <= math.sqrt(2.0)
-        certify_module._kept_base.cache_clear()
-        certify_module._kept_base(f0.render(), DegreeParams(), f0)
+        degree_module._kept_base.cache_clear()
+        degree_module._kept_base(f0.render(), DegreeParams(), f0)
         with mock.patch.object(degree_module, "eval_array", side_effect=AssertionError):
             with pytest.raises(ResolutionExceeded):
                 degree(g)
@@ -527,7 +526,7 @@ class TestSupBoundRoundedPastOne:
                 certify_not_iterate(g)
             with pytest.raises(DistanceTooLarge, match="no level"):
                 ball_certificate(f0, g)
-        certify_module._kept_base.cache_clear()
+        degree_module._kept_base.cache_clear()
 
 
 def _near(bases, turn):
@@ -666,7 +665,7 @@ class TestCoarseFirst:
 
     def test_a_256_band_certificate_holds_no_whole_level(self):
         f0, g = parse("(susp (pow 2))"), parse(NEEDS_256_BANDS)
-        certify_module._kept_base.cache_clear()
+        degree_module._kept_base.cache_clear()
         tracemalloc.start()
         try:
             cert = ball_certificate(f0, g)
@@ -780,7 +779,7 @@ class TestSearchedDegreeLevel:
                 walked.append(n)
                 return raw_pass(e, n)
 
-            certify_module._kept_base.cache_clear()
+            degree_module._kept_base.cache_clear()
             with (
                 mock.patch.object(degree_module, "_sup_distance", spy_distance),
                 mock.patch.object(degree_module, "raw_pass", spy_pass),
@@ -789,7 +788,7 @@ class TestSearchedDegreeLevel:
                     ball_certificate(f0, g, params)
                 except MapdegError:
                     pass
-            certify_module._kept_base.cache_clear()
+            degree_module._kept_base.cache_clear()
             assert sampled and set(sampled) <= set(searched)
             assert walked in ([], [level])
 
@@ -855,7 +854,7 @@ class TestEvaluationCount:
                 counts[e.render(), level] += 1
             return eval_array(e, X, **kwargs)
 
-        certify_module._kept_base.cache_clear()
+        degree_module._kept_base.cache_clear()
         monkeypatch.setattr(degree_module, "_walk", walking)
         monkeypatch.setattr(degree_module, "eval_array", counting)
         return counts
@@ -988,7 +987,7 @@ class TestEvaluationCount:
         # a blend base whose ends alone need pi * 200 = 629 bands, above
         # the last level, is refused before the base is evaluated anywhere
         rows.clear()
-        certify_module._kept_base.cache_clear()
+        degree_module._kept_base.cache_clear()
         f0 = parse("(blend 0.5 (susp (pow 200)) (compose (rot3 0 0 1 1.0) (susp (pow 200))))")
         last = _last_level(DegreeParams(), 2)
         with pytest.raises(
@@ -1098,7 +1097,7 @@ class TestEvaluationCount:
     def test_perturbation_reads_its_base_instead_of_evaluating_it(self, rows, susp_evals):
         f0 = parse("(susp (pow 2))")
         for seed in (4, 5):
-            certify_module._kept_base.cache_clear()
+            degree_module._kept_base.cache_clear()
             ball_certificate(f0, parse(f"(perturb {seed} 0.5 (susp (pow 2)))"))
         # once per certificate at each level f0's record keeps, 8 to 23
         # bands, its degree's 8 and g's degree level, 12, which g reads,
@@ -1202,7 +1201,7 @@ class TestEvaluationCount:
 class TestBaseRecord:
     """ball_certificate keeps its latest base map's degree between calls."""
 
-    kept = staticmethod(certify_module._kept_base)
+    kept = staticmethod(degree_module._kept_base)
 
     @pytest.fixture(autouse=True)
     def cleared(self):
@@ -1220,11 +1219,11 @@ class TestBaseRecord:
         f0 = parse(text)
         out = ball_certificate(f0, Perturb(4, 0.5, f0))
         # the certificate's key: a lookup under it is a hit
-        deg0, kept_witness, bound, kept = self.kept(text, DegreeParams(), f0)
+        deg0, bound, kept = self.kept(text, DegreeParams(), f0)
         assert self.kept.cache_info()[:2] == (1, 1)  # hits, misses
         assert deg0 == degree(f0)
         assert out.degree == deg0
-        assert kept_witness == witness
+        assert is_perfect_power(deg0.value) == witness
         assert bound == f0.lipschitz_bound()  # its check's bound, the AST's without a blend
         # and its levels, from its degree's up, while they fit the budget
         assert list(kept) == list(levels) and levels[0] == deg0.resolution
@@ -1262,7 +1261,7 @@ class TestBaseRecord:
         f0, g = parse("(susp (pow 2))"), parse("(perturb 4 0.5 (susp (pow 2)))")
         key = (f0.render(), DegreeParams(), f0)
         ball_certificate(f0, g)
-        old = self.kept(*key)[3]
+        old = self.kept(*key)[2]
         for other in (
             lambda: ball_certificate(parse("(susp (pow 3))"), parse("(perturb 4 0.5 (susp (pow 3)))")),
             lambda: ball_certificate(f0, g, DegreeParams(max_resolution=512)),
@@ -1272,11 +1271,12 @@ class TestBaseRecord:
             # the old record went with its levels: a lookup under its key
             # makes a new one, whose arrays hold the same bits
             misses = self.kept.cache_info().misses
-            kept = self.kept(*key)[3]
+            kept = self.kept(*key)[2]
             assert self.kept.cache_info().misses == misses + 1
             assert list(kept) == list(old) == list(KEPT[f0.render()])
-            for n, arrays in kept.items():
-                for A, B in zip(arrays, old[n]):
+            for n, (X, table) in kept.items():
+                assert list(table) == list(old[n][1]) == [f0.render()]
+                for A, B in [(X, old[n][0]), (table[f0.render()], old[n][1][f0.render()])]:
                     assert A is not B and A.tobytes() == B.tobytes()
             old = kept
 
@@ -1287,7 +1287,7 @@ class TestBaseRecord:
         ball_certificate(f0, g, capped)
         assert self.kept.cache_info().misses == 2
         # the certificate's key: a lookup under it is a hit
-        _, _, bound, _ = self.kept(f0.render(), capped, f0)
+        _, bound, _ = self.kept(f0.render(), capped, f0)
         assert self.kept.cache_info()[:2] == (1, 2)  # hits, misses
         assert bound == 2.0  # its check's bound, the AST's without a blend
 
@@ -1327,12 +1327,12 @@ class TestKeptLevels:
 
     @pytest.fixture(autouse=True)
     def cleared(self):
-        certify_module._kept_base.cache_clear()
+        degree_module._kept_base.cache_clear()
 
     @staticmethod
     def levels(f0, params=DegreeParams()):
-        """n -> (nodes, f0's values) of f0's record, looked up under a certificate's key."""
-        return certify_module._kept_base(f0.render(), params, f0)[3]
+        """n -> (nodes, {f0's text: f0's values}) of f0's record, under a certificate's key."""
+        return degree_module._kept_base(f0.render(), params, f0)[2]
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -1345,7 +1345,7 @@ class TestKeptLevels:
     def test_a_certificate_at_a_kept_level_builds_no_grid_and_evaluates_no_base(
         self, text, seed, eps
     ):
-        certify_module._kept_base.cache_clear()
+        degree_module._kept_base.cache_clear()
         f0 = parse(text)
         g = Perturb(seed, eps, f0)
         n = degree(g).resolution
@@ -1364,7 +1364,7 @@ class TestKeptLevels:
             warm = ball_certificate(parse(text), g)
         assert evaluated == [g.render()]
         assert warm.ball.distance.resolution == n
-        certify_module._kept_base.cache_clear()
+        degree_module._kept_base.cache_clear()
         assert warm.to_json_dict() == ball_certificate(f0, g).to_json_dict()
 
     @pytest.mark.parametrize("text", ["(pow 2)", "(susp (pow 2))", "(susp (pow 7))"])
@@ -1372,7 +1372,9 @@ class TestKeptLevels:
         f0 = parse(text)
         levels = self.levels(f0)
         assert levels
-        for n, (X, F) in levels.items():
+        for n, (X, table) in levels.items():
+            [(key, F)] = table.items()
+            assert key == text
             assert X.tobytes() == make_grid(f0.dim, n).tobytes()
             assert F.tobytes() == eval_array(f0, make_grid(f0.dim, n)).tobytes()
             for A in (X, F):
@@ -1501,7 +1503,7 @@ class TestAdmission:
             mock.patch.dict(degree_module._FIRST, first),
             mock.patch.object(degree_module, "grid_blocks", spy(degree_module.grid_blocks)),
         ):
-            certify_module._kept_base.cache_clear()
+            degree_module._kept_base.cache_clear()
             for call, degree_levels_only in calls:
                 seen.clear()
                 try:
@@ -1511,4 +1513,4 @@ class TestAdmission:
                 assert all(n <= geometry.finest(dim) for dim, n in seen)
                 if degree_levels_only:
                     assert all(n <= _last_level(params, dim) for dim, n in seen)
-            certify_module._kept_base.cache_clear()
+            degree_module._kept_base.cache_clear()

@@ -257,7 +257,7 @@ class TestExperimentCommand:
 
     def test_base_record_leaves_the_output_unchanged(self, capsys, monkeypatch):
         # cold, warm, then cleared again, in one process
-        kept = importlib.import_module("mapdeg.certify")._kept_base
+        kept = importlib.import_module("mapdeg.degree")._kept_base
         degree_module = importlib.import_module("mapdeg.degree")
         grid_blocks, grids = degree_module.grid_blocks, []
 

@@ -45,7 +45,7 @@ from mapdeg import (
     make_grid,
     parse,
 )
-from mapdeg.degree import _known, _same
+from mapdeg.degree import _walk
 from mapdeg.expr import EVAL_BUDGET, MAX_DEPTH
 
 # expressions exercising every constructor, reused by several tests
@@ -259,18 +259,29 @@ class TestRender:
             node.render()
         assert renders == []
 
-    def test_equal_nodes_keep_their_own_text(self):
+    def test_equal_nodes_keep_their_own_text(self, monkeypatch):
         # (rot 0.0) == (rot -0.0) and they hash alike, but may round
-        # differently: each keeps its own text, whichever renders first
+        # differently: each keeps its own text, whichever renders first,
+        # and a walk's table shares values by that text alone
+        evaluated = []
+        rot_eval = Rot._eval
+
+        def counting(node, X, at):
+            evaluated.append(node.render())
+            return rot_eval(node, X, at)
+
+        monkeypatch.setattr(Rot, "_eval", counting)
         for a, b in [(Rot(0.0), Rot(-0.0)), (Rot(-0.0), Rot(0.0))]:
             assert a == b and hash(a) == hash(b)
             assert a.render() != b.render()
             assert a.render() == f"(rot {a.alpha!r})" and b.render() == f"(rot {b.alpha!r})"
-            assert not _same(a, b) and _same(a, Rot(a.alpha))
             e = Compose(Pow(2), a)
-            Y = np.zeros((4, 2))
-            assert _known(e, [(b, Y)]) == {}
-            assert _known(e, [(Rot(a.alpha), Y)]) == {id(a): Y}
+            for earlier, shared in [(b, False), (Rot(a.alpha), True)]:
+                evaluated.clear()
+                [(X, [F, E])] = _walk((earlier, e), 8)
+                # a is evaluated on the block unless an earlier map has its text
+                assert evaluated == [earlier.render()] + ([] if shared else [a.render()])
+                assert E.tobytes() == eval_array(e, X).tobytes()
 
     def test_copies_render_their_own_fields(self):
         e = parse("(perturb 7 0.25 (compose (rot -0.0) (pow 2)))")
