@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     DistanceTooLarge,
     InvalidBlend,
+    InvalidResolution,
     ResolutionExceeded,
     SymbolicNumericMismatch,
 )
@@ -250,14 +251,14 @@ def _chord_bound(f: MapExpr, g: MapExpr) -> float | None:
     """An upper bound of |f(x) - g(x)| over the whole sphere from the AST alone, or None.
 
     Both maps are walked through Perturb nodes down to the first node of
-    f's chain whose text (render()) is one of g's, as _walk's tables
-    match. Each (perturb s eps h) adds eps * V(x), with |V(x)| <= M
-    everywhere (PerturbationField.sup_bound), to the unit vector h(x);
-    since eps * M < 1 the direction turns by at most asin(eps * M). Turns
-    add along both chains, by the triangle inequality of the sphere's
-    geodesic metric, so g(x) lies within angle theta = sum asin(eps_i *
-    M_i) of f(x), and within the chord 2 sin(min(theta, pi) / 2). For one
-    perturb that is sqrt(2 - 2 sqrt(1 - (eps M)^2)), below 1 exactly when
+    f's chain whose text (render()) is one of g's. Each (perturb s eps h)
+    adds eps * V(x), with |V(x)| <= M everywhere (sup_bound), to the unit
+    vector h(x); since eps * M < 1 the direction turns by at most
+    asin(eps * M). Turns add along both chains, by the triangle
+    inequality of the sphere's geodesic metric, so g(x) lies within angle
+    theta = sum asin(eps_i * M_i) of f(x), and within the chord
+    2 sin(min(theta, pi) / 2). For one perturb that is
+    sqrt(2 - 2 sqrt(1 - (eps M)^2)), below 1 exactly when
     eps * M < sqrt(3)/2. M may round to 1 + ulp, so eps * M is taken at
     most 1, a turn of at most pi/2; such a map's Lipschitz bound is
     infinite or past every cap, so its degree is refused anyway. None
@@ -574,12 +575,15 @@ def _pair_level(
 ) -> tuple[int, float, float | None]:
     """(n, L_f + L_g, _chord_bound(f, g)) for sup_distance and homotopy_check.
 
-    n defaults to _GRID[dim].
+    n is _GRID[dim] by default, else resolution as an int, read after both checks.
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
     slope = sum(check_blend_validity(e, DegreeParams())[0] for e in (f, g))
-    return (resolution if resolution is not None else _GRID[f.dim]), slope, _chord_bound(f, g)
+    n = _GRID[f.dim]
+    if resolution is not None:
+        n = _integer(resolution, "resolution", InvalidResolution)
+    return n, slope, _chord_bound(f, g)
 
 
 def _sup_distance(

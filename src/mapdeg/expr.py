@@ -152,6 +152,14 @@ def _sphere(m) -> int:
     return m
 
 
+def _sphere_rows(X, m: int, what: str) -> np.ndarray:
+    """X as an array where it is (n, m + 1), rows of S^m for `what`; DimensionMismatch else."""
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != m + 1:
+        raise DimensionMismatch(f"expected shape (n, {m + 1}) for an S{m} {what}, got {X.shape}")
+    return X
+
+
 def _check_bits(e: MapExpr, bits: int) -> None:
     """Refuse e, whose structural degree has more than `bits` bits, past DEGREE_BITS."""
     if bits > DEGREE_BITS:
@@ -449,12 +457,13 @@ class PerturbationField:
     distance from its inner map rest on M (Perturb._bound,
     degree._chord_bound), without sampling.
 
-    A call runs on the calling thread and returns a fresh array, one
-    formula over the rows it is given; each row's arithmetic is the same
-    in any slice of rows, so a walk's blocks (at most
-    geometry.BLOCK_ROWS rows) keep its temporaries small. Its first
-    contraction is one matrix product over the coordinates in the
-    order [0, 2, 1] on S2 (the order einsum sums them in); the integer
+    A call takes an (n, m + 1) array, as eval_array does
+    (DimensionMismatch else), runs on the calling thread and returns a
+    fresh array, one formula over the rows it is given; each row's
+    arithmetic is the same in any slice of rows, so a walk's blocks (at
+    most geometry.BLOCK_ROWS rows) keep its temporaries small. Its first
+    contraction is one matrix product over the coordinates in the order
+    [0, 2, 1] on S2 (the order einsum sums them in); the integer
     frequencies make every product exact, so only that order fixes the
     bits, and they do not depend on the BLAS thread count.
     """
@@ -484,7 +493,7 @@ class PerturbationField:
         self._sup = math.sqrt(sums.dot(sums))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        args = np.asarray(X)[:, self._order] @ self._freq_matrix
+        args = _sphere_rows(X, self.dim, "field")[:, self._order] @ self._freq_matrix
         args = args.reshape(-1, self.dim + 1, self.TERMS)
         args += self._phase
         np.sin(args, out=args)
@@ -560,15 +569,12 @@ def eval_array(e: MapExpr, X: np.ndarray, *, known: dict | None = None) -> np.nd
 
     `known` maps canonical texts (render()) to values at X. Where a node
     of e whose text it holds is applied to X itself, its values are read
-    from there instead of evaluated; the degree module's walk shares the
-    maps it already holds this way (degree._walk). A map that is the identity on its input, such
-    as (id 2) or (iterate 0 E), returns a copy of X, never X itself.
+    from there instead of evaluated: texts decide, so (rot 0.0) never
+    reads (rot -0.0)'s. The degree module's walk shares the maps it holds
+    this way (degree._walk). A map that is the identity on its input,
+    such as (id 2) or (iterate 0 E), returns a copy of X, never X itself.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != e.dim + 1:
-        raise DimensionMismatch(
-            f"expected shape (n, {e.dim + 1}) for an S{e.dim} map, got {X.shape}"
-        )
+    X = _sphere_rows(np.asarray(X, dtype=float), e.dim, "map")
     Y = _Reading(X, known or {})(e, X)
     return Y.copy() if Y is X else Y
 
@@ -633,7 +639,7 @@ class _Parser:
         except ValueError:
             self._fail(f"expected {what}, got '{tok[0]}'", tok)
         if not math.isfinite(value):
-            self._fail(f"expected a finite {what}, got '{tok[0]}'", tok)
+            self._fail(f"expected {what}, got '{tok[0]}', which is not a finite float", tok)
         return value
 
     def dim_atom(self) -> int:

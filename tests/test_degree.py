@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib
+import json
 import math
 import random
 import re
@@ -23,6 +25,7 @@ from mapdeg import (
     InvalidResolution,
     Iterate,
     MapExpr,
+    NearZeroVector,
     Perturb,
     Pow,
     ResolutionExceeded,
@@ -37,6 +40,7 @@ from mapdeg import (
     sup_distance,
 )
 from mapdeg import geometry
+from mapdeg.expr import _NAMES
 from mapdeg.degree import (
     BLEND_MIN_NORM,
     STEP_CAP,
@@ -970,6 +974,17 @@ class TestSupDistance:
                     check(f, g, n)
         assert sup_distance(f, g, np.int64(100)) == sup_distance(f, g, 100)
 
+    @pytest.mark.parametrize("n", [np.int64(64), np.uint16(64), np.int8(64), 64])
+    def test_a_numpy_integer_resolution_is_reported_as_an_int(self, n):
+        # np.int64(64) was kept as given, and json.dumps of either report
+        # raised TypeError
+        f, g = parse("(pow 2)"), parse("(perturb 5 0.4 (pow 2))")
+        for check in (sup_distance, homotopy_check):
+            report = check(f, g, n)
+            assert type(report.resolution) is int and report.resolution == 64
+            assert json.loads(json.dumps(report.to_json_dict()))["resolution"] == 64
+            assert report == check(f, g, 64)
+
     def test_perturbation_stays_inside_the_unit_ball(self):
         est = sup_distance(parse("(pow 2)"), parse("(perturb 5 0.4 (pow 2))"), 2048)
         assert est.sampled_max < 1.0
@@ -1123,6 +1138,57 @@ class TestWalk:
             tracemalloc.stop()
         assert res.value == e.f.symbolic_degree() if isinstance(e, Blend) else e.symbolic_degree()
         assert peak < 6e6
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_a_map_over_an_earlier_one_reads_it_from_the_table(self, data):
+        # g is built over f, so on every block f's text is in the walk's
+        # table wherever g applies f to the block's nodes: f is evaluated
+        # there once, for itself, and g still gets the bits of its own
+        # evaluation; the level spans several blocks
+        dim = data.draw(st.sampled_from([1, 2]))
+        trees = S1_TREES if dim == 1 else S2_TREES
+        f, h = data.draw(trees), data.draw(trees)
+        g = data.draw(
+            st.one_of(
+                st.builds(Perturb, st.integers(0, 2**64 - 1), st.floats(0.0, 0.9), st.just(f)),
+                st.just(Compose(h, f)),
+                st.builds(Blend, st.floats(0.0, 1.0), st.just(f), st.just(h)),
+                st.builds(Blend, st.floats(0.0, 1.0), st.just(h), st.just(f)),
+                st.just(Iterate(1, f)),
+            )
+        )
+        n = data.draw(st.sampled_from([8, 61, 200] if dim == 1 else [8, 24, 61]))
+        try:
+            eval_array(g, geometry.make_grid(dim, n))
+        except NearZeroVector:
+            assume(False)  # a blend that pinches at a node
+        evaluated = []
+
+        def spying(cls):
+            original = cls._eval
+
+            def spy(node, Y, at):
+                evaluated.append((node.render(), id(Y)))
+                return original(node, Y, at)
+
+            return spy
+
+        blocks = 0
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(geometry, "BLOCK_ROWS", 7))
+            for cls in _NAMES:
+                stack.enter_context(mock.patch.object(cls, "_eval", spying(cls)))
+            for X, (F, G) in _walk((f, g), n):
+                # X lives while its block is evaluated, so no other array
+                # evaluated on then has its id
+                at_nodes = [text for text, key in evaluated if key == id(X)]
+                assert at_nodes.count(f.render()) == 1
+                assert F.tobytes() == eval_array(f, X).tobytes()
+                assert G.tobytes() == eval_array(g, X).tobytes()
+                evaluated.clear()
+                blocks += 1
+        assert blocks > 1
 
     def test_every_block_a_map_reads_is_read_only(self, monkeypatch):
         writeable = []

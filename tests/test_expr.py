@@ -146,6 +146,31 @@ class TestParse:
         with pytest.raises(DomainError, match="must be finite"):
             build()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize(
+        ("template", "what"),
+        [
+            ("(rot {})", "an angle"),
+            ("(rot3 {} 0 1 0.5)", "axis x"),
+            ("(rot3 0 {} 1 0.5)", "axis y"),
+            ("(rot3 0 0 {} 0.5)", "axis z"),
+            ("(rot3 0 0 1 {})", "an angle"),
+            ("(blend {} (pow 1) (pow 1))", "a blend parameter"),
+            ("(perturb 1 {} (pow 1))", "a perturbation size"),
+        ],
+    )
+    def test_a_float_that_is_not_finite_names_its_reader_once(self, template, what, value):
+        # read as "expected a finite an angle": every reader's name
+        # carries its own article, or none
+        text = template.format(value)
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        column = text.index(value) + 1
+        assert str(info.value) == (
+            f"line 1, column {column}: expected {what}, got '{value}', "
+            "which is not a finite float"
+        )
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -725,6 +750,29 @@ class TestPerturbationField:
             PerturbationField(-1, 1)
         with pytest.raises(DomainError):
             PerturbationField(5, 3)
+
+    @pytest.mark.parametrize(
+        ("dim", "X"),
+        [
+            (1, make_grid(2, 8)),  # gave a (114, 2) array that ignored z
+            (2, np.ones((4, 4))),  # ignored the fourth column
+            (2, make_grid(1, 8)),
+            (1, np.ones(2)),
+            (2, np.ones((2, 4, 3))),
+        ],
+        ids=["s2-rows-to-s1", "four-columns", "s1-rows-to-s2", "one-row-flat", "three-axes"],
+    )
+    def test_an_array_of_the_wrong_shape_is_refused(self, dim, X):
+        # the field refuses what eval_array refuses, with the same error
+        with pytest.raises(DimensionMismatch, match=rf"expected shape \(n, {dim + 1}\)"):
+            PerturbationField(7, dim)(X)
+        with pytest.raises(DimensionMismatch):
+            eval_array(Perturb(7, 0.5, Id(dim)), X)
+
+    def test_rows_given_as_a_list_are_taken(self):
+        X = make_grid(2, 8)
+        field = PerturbationField(7, 2)
+        assert field(X.tolist()).tobytes() == field(X).tobytes()
 
     def test_perturb_node_is_reproducible(self):
         e1 = parse("(perturb 11 0.3 (pow 2))")
