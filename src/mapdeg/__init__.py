@@ -2,20 +2,20 @@
 
 from .certify import (
     BallProvenance,
-    HomotopyReport,
     NonIterateCertificate,
     PowerWitness,
     Refusal,
     ball_certificate,
     certify_not_iterate,
-    homotopy_check,
     is_perfect_power,
 )
 from .degree import (
     DegreeParams,
     DegreeResult,
     DistanceEstimate,
+    HomotopyReport,
     degree,
+    homotopy_check,
     sup_distance,
 )
 from .errors import (

@@ -4,9 +4,9 @@ The degree of any n-th iterate (n >= 2) is a perfect power k^n. So a map
 whose degree is not a perfect power cannot be an iterate of any continuous
 map, and neither can anything within sup-distance 1 of it: the normalized
 straight-line homotopy to the base map never vanishes there, and homotopic
-maps share their degree. This module turns both arguments into checkable
-artifacts. A Refusal never claims a map IS an iterate; it only says the
-degree obstruction is silent.
+maps share their degree. This module turns both arguments into
+certificates (certify_not_iterate, ball_certificate). A Refusal never
+claims a map IS an iterate; it only says the degree obstruction is silent.
 """
 
 from __future__ import annotations
@@ -16,15 +16,11 @@ from dataclasses import dataclass
 
 from .degree import (
     BALL_RADIUS,
-    BLEND_MIN_NORM,
     DegreeParams,
     DegreeResult,
     DistanceEstimate,
     _ball_distance,
     _kept_base,
-    _min_norm,
-    _pair_level,
-    _sup_distance,
     degree,
 )
 from .errors import ConsistencyError, DimensionMismatch
@@ -41,30 +37,6 @@ class PowerWitness:
     def __post_init__(self):
         if self.exp < 2:
             raise ValueError(f"witness exponent must be >= 2, got {self.exp}")
-
-
-@dataclass(frozen=True)
-class HomotopyReport:
-    """Validity data for the straight-line homotopy between two maps.
-
-    min_norm is the exact minimum over t of the sampled denominator, at
-    t = 1/2; floor bounds it everywhere, or is None. valid is floor > BLEND_MIN_NORM.
-    """
-
-    valid: bool
-    min_norm: float
-    floor: float | None
-    argmin_point: tuple[float, ...]
-    resolution: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "min_norm": self.min_norm,
-            "floor": self.floor,
-            "argmin": {"point": list(self.argmin_point), "t": 0.5},
-            "resolution": self.resolution,
-        }
 
 
 @dataclass(frozen=True)
@@ -180,26 +152,6 @@ def is_perfect_power(d: int) -> PowerWitness | None:
         if k >= 2 and k**n == a:
             return PowerWitness(-k if d < 0 else k, n)
     return None
-
-
-def homotopy_check(f0: MapExpr, g: MapExpr, resolution: int | None = None) -> HomotopyReport:
-    """Prove the normalized straight-line homotopy between f0 and g, or report it unproven.
-
-    Both maps' blend checks run first, as for sup_distance. One walk of
-    the level (degree._GRID by default) gives the minimum of
-    |(1-t) f0(x) + t g(x)| over its nodes x and all t, at t = 1/2 and its
-    first node, and the distance, whose rigorous bound r gives the floor:
-    for unit vectors |F + G|^2 = 4 - |F - G|^2, so the denominator is at
-    least sqrt(1 - (r/2)^2) everywhere, and 0 where r >= 2. Valid iff the
-    floor is above BLEND_MIN_NORM; a sampled minimum proves nothing
-    between the nodes.
-    """
-    n, slope, chord = _pair_level(f0, g, resolution)
-    dist, (min_norm, point) = _sup_distance(f0, g, n, slope, chord, _min_norm)
-    r = dist.rigorous
-    floor = None if r is None else math.sqrt(max(0.0, 1.0 - (r / 2.0) ** 2))
-    valid = floor is not None and floor > BLEND_MIN_NORM
-    return HomotopyReport(valid, min_norm, floor, point, n)
 
 
 def certify_not_iterate(

@@ -23,8 +23,8 @@ from collections import Counter
 
 import numpy as np
 
-from .certify import Refusal, ball_certificate, certify_not_iterate, homotopy_check
-from .degree import DegreeParams, degree, sup_distance
+from .certify import Refusal, ball_certificate, certify_not_iterate
+from .degree import DegreeParams, degree, homotopy_check, sup_distance
 from .errors import MapdegError
 from .expr import Perturb, Pow, Susp, parse
 from .geometry import MIN_RESOLUTION

@@ -1,4 +1,4 @@
-"""Numerical Brouwer degree and sup-distance estimation.
+"""Numerical Brouwer degree, and the two reports on a pair of maps.
 
 On S1 the degree is the winding number: the summed, wrapped angle
 increments of the image curve divided by 2*pi. On S2 it is the simplicial
@@ -10,11 +10,12 @@ at one level that a Lipschitz bound proves exact (Stenger 1975, Kearfott
 blend one its checks derive from the blends' sampled denominators
 (check_blend_validity). A map that no admitted level proves is refused
 (ResolutionExceeded); no degree is rounded from a level that is not a
-proof. Every level is sampled by one walk of grid blocks (_walk), which
-every consumer of the level reads: a degree pass, the sup distance and
-a segment minimum. No array of a whole level is held, but for a ball
-certificate's base, whose levels of one block its record keeps
-(_base_levels), within one block's rows in all.
+proof. The two pair reports, sup_distance and homotopy_check, read two
+maps on one level (_pair). Every level is sampled by one walk of grid
+blocks (_walk), which every consumer of the level reads: a degree pass,
+the sup distance and a segment minimum. No array of a whole level is
+held, but for a ball certificate's base, whose levels of one block its
+record keeps (_kept_base), within one block's rows in all.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .errors import (
     SymbolicNumericMismatch,
 )
 from . import geometry
-from .expr import Blend, MapExpr, Perturb, _integer, eval_array
-from .geometry import grid_blocks, mesh, row_norms
+from .expr import Blend, MapExpr, Perturb, eval_array
+from .geometry import _integer, grid_blocks, mesh, row_norms
 
 #: Pre-normalization norms at or below this invalidate a blend slice.
 BLEND_MIN_NORM = 1e-6
@@ -152,6 +153,30 @@ class DistanceEstimate:
         }
 
 
+@dataclass(frozen=True)
+class HomotopyReport:
+    """Validity data for the straight-line homotopy between two maps.
+
+    min_norm is the exact minimum over t of the sampled denominator, at
+    t = 1/2; floor bounds it everywhere, or is None. valid is floor > BLEND_MIN_NORM.
+    """
+
+    valid: bool
+    min_norm: float
+    floor: float | None
+    argmin_point: tuple[float, ...]
+    resolution: int
+
+    def to_json_dict(self) -> dict:
+        return {
+            "valid": self.valid,
+            "min_norm": self.min_norm,
+            "floor": self.floor,
+            "argmin": {"point": list(self.argmin_point), "t": 0.5},
+            "resolution": self.resolution,
+        }
+
+
 def _last_level(params: DegreeParams, dim: int) -> int:
     """The finest level a degree is read at or a blend check samples: the two numbers' half.
 
@@ -198,7 +223,7 @@ def _walk(
     the next unless the caller keeps it, and a max or min over the blocks
     is the whole level's, bit for bit. kept maps a level to its one block
     and a table there, as a ball certificate's base keeps them
-    (_base_levels): that level is walked as the block, with no grid built
+    (_kept_base): that level is walked as the block, with no grid built
     and the maps the table holds not evaluated.
     """
     level = kept.get(n) if kept else None
@@ -212,32 +237,6 @@ def _walk(
                 table[text] = eval_array(e, X, known=table)
             values.append(table[text])
         yield X, values
-
-
-def _base_levels(f0: MapExpr, n0: int, params: DegreeParams) -> dict:
-    """A ball certificate base's kept levels: n -> (nodes, {f0's text: f0's values}), read-only.
-
-    A subject whose distance the chord bound proves is read at its degree
-    level alone, and a chain of perturbs over f0 has a Lipschitz bound of
-    at least f0's, so that level is n0, f0's own, or finer. The levels
-    kept are n0, n0 + 1, ..., up to _last_level, each walked once here
-    on its grid's one block. They stop at the first level of several
-    blocks, or whose rows would take the kept rows past
-    geometry.BLOCK_ROWS (about 0.4 MB on S2), before f0 is evaluated
-    there. They depend on f0 and params alone, so every call reads the
-    same levels, whatever ran before.
-    """
-    levels, rows = {}, 0
-    for n in range(n0, _last_level(params, f0.dim) + 1):
-        blocks = grid_blocks(f0.dim, n)
-        X = next(blocks)
-        rows += len(X)
-        if rows > geometry.BLOCK_ROWS or next(blocks, None) is not None:
-            break
-        [(_, [F])] = _walk((f0,), n, {n: (X, {})})
-        F.flags.writeable = False
-        levels[n] = X, {f0.render(): F}
-    return levels
 
 
 def _min_norm(walk) -> tuple[float, tuple[float, ...]]:
@@ -508,21 +507,36 @@ def _kept_base(text: str, params: DegreeParams, f0: MapExpr) -> tuple[DegreeResu
     f0's degree and its blend check's bound are all the ball argument
     needs of f0 besides its distance to the subject, which each call
     reads on its own samples (_ball_distance). f0 is evaluated here only
-    where its check and its degree need it, and at its kept levels
-    (_base_levels): from f0's degree level up, the nodes of the levels of
-    one block and a table of f0's values there, read-only and within
-    geometry.BLOCK_ROWS rows in all, which every call reads instead of
-    building the grid and evaluating f0 again; f0's degree pass reads the
-    first of them. One entry only, so a new base or new params drop the
-    old levels with the rest. text is f0.render() and part of the key:
-    (rot 0.0) == (rot -0.0) and the two hash alike, but they may round
-    differently, and the kept degree's residual is in the payload.
-    lru_cache keeps no exception, so an error is never kept.
+    where its check and its degree need it, and at its kept levels:
+    n -> (nodes, {f0's text: f0's values}), read-only, which every call
+    reads instead of building the grid and evaluating f0 again. A subject
+    whose distance the chord bound proves is read at its degree level
+    alone, n0 (f0's) or finer, since a chain of perturbs over f0 has a
+    Lipschitz bound of at least f0's. So the levels kept are n0, n0 + 1,
+    ..., up to _last_level, each walked once here on its grid's one
+    block; f0's degree pass reads the first. They stop at the first level
+    of several blocks, or whose rows would take the kept rows past
+    geometry.BLOCK_ROWS (about 0.4 MB on S2), before f0 is evaluated
+    there, and depend on f0 and params alone, so every call reads the
+    same levels, whatever ran before. One entry only, so a new base or
+    new params drop the old levels with the rest. text is f0.render() and
+    part of the key: (rot 0.0) == (rot -0.0) and the two hash alike, but
+    they may round differently, and the kept degree's residual is in the
+    payload. lru_cache keeps no exception, so an error is never kept.
     """
     bound, sd = check_blend_validity(f0, params)
-    n = _proven_level(bound, params, f0.dim)
-    levels = _base_levels(f0, n, params)
-    return _degree(f0, n, sd, _PASSES[f0.dim][1](_walk((f0,), n, levels), n)), bound, levels
+    n0 = _proven_level(bound, params, f0.dim)
+    levels, rows = {}, 0
+    for n in range(n0, _last_level(params, f0.dim) + 1):
+        blocks = grid_blocks(f0.dim, n)
+        X = next(blocks)
+        rows += len(X)
+        if rows > geometry.BLOCK_ROWS or next(blocks, None) is not None:
+            break
+        [(_, [F])] = _walk((f0,), n, {n: (X, {})})
+        F.flags.writeable = False
+        levels[n] = X, {f0.render(): F}
+    return _degree(f0, n0, sd, _PASSES[f0.dim][1](_walk((f0,), n0, levels), n0)), bound, levels
 
 
 def _degree(e: MapExpr, n: int, sd: int, passed: tuple[float, float]) -> DegreeResult:
@@ -565,25 +579,42 @@ def sup_distance(f: MapExpr, g: MapExpr, resolution: int | None = None) -> Dista
     where neither map can have moved by more than its constant times
     mesh. rigorous is the smaller of it and the chord bound where f and g
     are chains of perturbs over a common map (_sup_distance). `resolution`
-    defaults to _GRID[dim].
+    defaults to _GRID[dim] (_pair).
     """
-    return _sup_distance(f, g, *_pair_level(f, g, resolution))[0]
+    return _pair(f, g, resolution)[0]
 
 
-def _pair_level(
-    f: MapExpr, g: MapExpr, resolution: int | None
-) -> tuple[int, float, float | None]:
-    """(n, L_f + L_g, _chord_bound(f, g)) for sup_distance and homotopy_check.
+def homotopy_check(f0: MapExpr, g: MapExpr, resolution: int | None = None) -> HomotopyReport:
+    """Prove the normalized straight-line homotopy between f0 and g, or report it unproven.
 
-    n is _GRID[dim] by default, else resolution as an int, read after both checks.
+    Both maps' blend checks run first, as for sup_distance. One walk of
+    the level (_GRID by default) gives the minimum of
+    |(1-t) f0(x) + t g(x)| over its nodes x and all t, at t = 1/2 and its
+    first node, and the distance, whose rigorous bound r gives the floor:
+    for unit vectors |F + G|^2 = 4 - |F - G|^2, so the denominator is at
+    least sqrt(1 - (r/2)^2) everywhere, and 0 where r >= 2. Valid iff the
+    floor is above BLEND_MIN_NORM; a sampled minimum proves nothing
+    between the nodes.
+    """
+    dist, (min_norm, point) = _pair(f0, g, resolution, _min_norm)
+    r = dist.rigorous
+    floor = None if r is None else math.sqrt(max(0.0, 1.0 - (r / 2.0) ** 2))
+    valid = floor is not None and floor > BLEND_MIN_NORM
+    return HomotopyReport(valid, min_norm, floor, point, dist.resolution)
+
+
+def _pair(f: MapExpr, g: MapExpr, resolution: int | None, read=None):
+    """(sup_distance(f, g, resolution), read's result) from one walk (_sup_distance).
+
+    In order: the dimensions, both blend checks (L_f + L_g), the level as
+    an int, _GRID[dim] by default, and the chord bound.
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"maps on S{f.dim} and S{g.dim}")
     slope = sum(check_blend_validity(e, DegreeParams())[0] for e in (f, g))
-    n = _GRID[f.dim]
-    if resolution is not None:
-        n = _integer(resolution, "resolution", InvalidResolution)
-    return n, slope, _chord_bound(f, g)
+    n = _GRID[f.dim] if resolution is None else resolution
+    n = _integer(n, "resolution", InvalidResolution)
+    return _sup_distance(f, g, n, slope, _chord_bound(f, g), read)
 
 
 def _sup_distance(

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParseError, ResolutionExceeded
-from .geometry import NEAR_ZERO, normalize_rows, row_norms
+from .geometry import NEAR_ZERO, _integer, normalize_rows, row_norms
 
 #: Deepest constructor nesting parse accepts. Deeper text is refused with
 #: a ParseError, before the recursive parser, evaluator and renderer can
@@ -127,14 +126,6 @@ class MapExpr:
             else:
                 words.append(repr(a))
         return f"({' '.join(words)})"
-
-
-def _integer(value, what: str, error: type[Exception] = DomainError) -> int:
-    """value as a plain int, read through operator.index; `error` where it has none."""
-    try:
-        return operator.index(value)  # an exact int since Python 3.10
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _real(value, what: str) -> float:

@@ -1,10 +1,10 @@
 """Geometry of the unit circle S1 in R2 and the unit sphere S2 in R3.
 
-Row norms and row-wise normalization of arrays, and the sample nodes
-every pass reads: grid_blocks yields them a block of whole rings at a
-time, the only place a grid's rows are split, make_grid joins the blocks
-into one fresh array of unit rows, and mesh bounds how far any point of
-the sphere lies from them. All operations are pure functions.
+The one rule that reads an integer (_integer), row norms and row-wise
+normalization, and the sample nodes every pass reads: grid_blocks
+yields them a block of whole rings at a time, the only place a grid's
+rows are split, make_grid joins them into one fresh array of unit rows,
+and mesh bounds how far any point of the sphere lies from them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidResolution, NearZeroVector
+from .errors import DimensionMismatch, DomainError, InvalidResolution, NearZeroVector
 
 #: Vectors with Euclidean norm at or below this cannot be normalized.
 NEAR_ZERO = 1e-9
@@ -28,6 +28,14 @@ MAX_ROWS = 2**22
 
 #: Rows per block of grid_blocks (rounded to whole rings on S2).
 BLOCK_ROWS = 8192
+
+
+def _integer(value, what: str, error: type[Exception] = DomainError) -> int:
+    """value as a plain int, read through operator.index; `error` where it has none."""
+    try:
+        return operator.index(value)  # an exact int since Python 3.10
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def row_norms(X: np.ndarray) -> np.ndarray:
@@ -80,17 +88,14 @@ def grid_blocks(dim: int, resolution: int) -> Iterator[np.ndarray]:
 
     The one place a grid's rows are split: on S2 each block holds whole
     rings, the poles counted as rings of one node. The dimension, the
-    resolution (an integer to operator.index) and the row budget are
+    resolution (an integer to _integer) and the row budget are
     checked before the first block, so a refused grid allocates nothing,
     and no block outlives the next one unless the caller keeps it: a
     level of any size is read in bounded memory.
     """
     if dim not in (1, 2):
         raise DimensionMismatch(f"dim must be 1 or 2, got {dim}")
-    try:
-        resolution = operator.index(resolution)
-    except TypeError:
-        raise InvalidResolution(f"resolution must be an integer, got {resolution!r}") from None
+    resolution = _integer(resolution, "resolution", InvalidResolution)
     if resolution < MIN_RESOLUTION:
         raise InvalidResolution(f"resolution {resolution} < {MIN_RESOLUTION}")
     if resolution > finest(dim):

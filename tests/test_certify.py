@@ -13,7 +13,9 @@ from mapdeg import (
     Antipode,
     Blend,
     Compose,
+    ConsistencyError,
     DegreeParams,
+    DegreeResult,
     DimensionMismatch,
     DistanceTooLarge,
     Id,
@@ -53,6 +55,7 @@ from mapdeg.degree import (
 from test_degree import S1_TREES, S1_WITH_BLENDS, S2_TREES, S2_WITH_BLENDS, _rows
 
 degree_module = importlib.import_module("mapdeg.degree")
+certify_module = importlib.import_module("mapdeg.certify")
 
 
 def oracle_is_perfect_power(d: int) -> bool:
@@ -265,6 +268,18 @@ class TestBallCertificate:
         assert cert.degree.value == 2
         # consistency: the certified map's own degree matches the base's
         assert degree(g).value == cert.degree.value
+
+    def test_a_subject_degree_other_than_the_base_is_a_bug(self, monkeypatch):
+        # homotopy invariance makes the two agree: a subject's degree 3
+        # against the base's 2 is a ConsistencyError, never a certificate
+        def other_degree(*args):
+            dist, deg = distance(*args)
+            return dist, DegreeResult(3, deg.residual, deg.resolution)
+
+        distance = certify_module._ball_distance
+        monkeypatch.setattr(certify_module, "_ball_distance", other_degree)
+        with pytest.raises(ConsistencyError, match="base degree 2; homotopy invariance violated"):
+            ball_certificate(parse("(pow 2)"), parse("(perturb 11 0.45 (pow 2))"))
 
     def test_perfect_power_base_is_refused(self):
         ref = ball_certificate(parse("(pow 4)"), parse("(perturb 2 0.1 (pow 4))"))
@@ -798,7 +813,7 @@ def _block_rows(n: int) -> Counter:
     return Counter(len(X) for X in geometry.grid_blocks(2, n))
 
 
-#: The levels a base's record keeps (degree._base_levels): from the
+#: The levels a base's record keeps (degree._kept_base): from the
 #: base's degree level up, while their rows fit geometry.BLOCK_ROWS, 8192.
 #: 8 to 23 bands hold 7904 vertices, and 24 would add 1106; 13 to 128
 #: samples hold 8178, and 129 would add 129.

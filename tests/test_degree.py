@@ -32,6 +32,7 @@ from mapdeg import (
     Rot,
     Rot3,
     Susp,
+    SymbolicNumericMismatch,
     ball_certificate,
     degree,
     eval_array,
@@ -711,6 +712,13 @@ class TestDegreeDispatch:
         raw, _ = raw_pass(e, res.resolution)
         assert abs(raw - 4) == res.residual
 
+    def test_a_pass_that_disagrees_with_the_structural_degree_is_a_bug(self):
+        with pytest.raises(
+            SymbolicNumericMismatch,
+            match=r"^structural degree 2 but winding found 3 at resolution 64 for \(pow 3\)$",
+        ):
+            _degree(Pow(3), 64, 2, (3.0, 0.0))
+
     def test_a_checked_blend_takes_the_degree_of_its_ends(self):
         # the AST alone has no degree for a blend; once its check passes
         # the blend takes its ends' common one, which the pass confirms
@@ -1227,6 +1235,16 @@ class TestLipschitzBound:
     # minimum alone would give a bound near 12
     @example(parse("(blend 0.5 (id 2) (compose (rot3 0.3 0.5 1.0 3.0) (id 2)))"), 0, 8)
     @example(parse("(blend 0.5 (id 2) (compose (rot3 0.3 0.5 1.0 3.0) (id 2)))"), 0, 64)
+    # bounds near 0 (2.8e-16 and 1.67e-15) against values rounded a few
+    # ulp apart: quotients of 1.1e-14 before _largest_quotient's allowance
+    @example(parse("(compose (rot 1.0) (perturb 117 2.220446049250313e-16 (pow 0)))"), 0, 8)
+    @example(
+        parse(
+            "(blend 1.0 (perturb 0 1e-15 (pow 0)) (compose (rot 1.0) (perturb 0 1e-15 (pow 0))))"
+        ),
+        0,
+        8,
+    )
     def test_bounds_chordal_difference_quotients(self, e, seed, resolution):
         # a blend's bound comes from its check, starting on the given
         # grid; a map without one has its AST bound, and a blend that no
@@ -1266,5 +1284,7 @@ def _largest_quotient(e: MapExpr, seed: int) -> float:
     T /= np.linalg.norm(T, axis=1)[:, None]
     Y = X + rng.choice([1e-2, 1e-3, 1e-4], size=(300, 1)) * T
     Y /= np.linalg.norm(Y, axis=1)[:, None]
-    moved = np.linalg.norm(eval_array(e, X) - eval_array(e, Y), axis=1)
+    # values rounded to a few ulp can differ where the map moves by
+    # nothing, so each pair's moved distance is first lowered by 8 ulp of 1
+    moved = np.linalg.norm(eval_array(e, X) - eval_array(e, Y), axis=1) - 8 * 2**-52
     return float((moved / np.linalg.norm(X - Y, axis=1)).max())

@@ -129,6 +129,8 @@ class TestParse:
         assert parse(f"(pow {-(2**53)})") == Pow(-(2**53))
         with pytest.raises(DomainError):
             Id(3)  # direct construction; "(id 3)" is a grammar violation
+        with pytest.raises(DomainError, match=r"^iteration count must be >= 0, got -1$"):
+            Iterate(-1, Pow(2))  # direct construction; "(iterate -1 ...)" is a ParseError
 
     @pytest.mark.parametrize(
         "build",
@@ -170,6 +172,10 @@ class TestParse:
             f"line 1, column {column}: expected {what}, got '{value}', "
             "which is not a finite float"
         )
+
+    def test_an_angle_that_is_no_number_names_its_reader(self):
+        with pytest.raises(ParseError, match=r"^line 1, column 6: expected an angle, got 'abc'$"):
+            parse("(rot abc)")
 
     @pytest.mark.parametrize(
         "text",
